@@ -25,6 +25,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 
 	"deepsqueeze/internal/core"
 	"deepsqueeze/internal/dataset"
@@ -320,14 +321,20 @@ func QueryArchive(ctx context.Context, a *Archive, opts QueryOptions) (*QueryRes
 
 // VerifyBounds audits a decompressed table against the original: every
 // categorical value must match exactly and every numeric value must lie
-// within threshold × range of its column (plus floating-point slack).
-// Returns nil when the paper's guarantee holds.
+// within threshold × range of its column, plus rounding slack: a value at its
+// column's minimum or maximum decodes to a bucket midpoint exactly
+// threshold × range away, and computing that midpoint rounds in the last bits
+// of a number of the column's magnitude, not of the threshold's. The slack is
+// therefore a few ulps of the larger of |min| and |max|. Lossless columns
+// (threshold 0) get none. Returns nil when the paper's guarantee holds.
 func VerifyBounds(original, decompressed *Table, thresholds []float64) error {
+	const slackUlps = 4 * 0x1p-52
 	stats := original.Stats()
 	tol := make([]float64, original.Schema.NumColumns())
 	for i, thr := range thresholds {
 		if original.Schema.Columns[i].Type == Numeric && thr > 0 {
-			tol[i] = thr * (stats[i].Max - stats[i].Min)
+			mag := math.Max(math.Abs(stats[i].Min), math.Abs(stats[i].Max))
+			tol[i] = thr*(stats[i].Max-stats[i].Min) + slackUlps*mag
 		}
 	}
 	return original.EqualWithin(decompressed, tol)

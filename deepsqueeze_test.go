@@ -153,3 +153,31 @@ func TestQueryPublicAPI(t *testing.T) {
 		t.Fatalf("aggregate count %g, want %d", qc.Aggregates[0].Value, want)
 	}
 }
+
+// VerifyBounds must accept a value that decodes exactly threshold × range
+// away and lands 1 ulp past it. The numbers are archive-numeric seed 11's
+// timestamp column (repo benchmark, 0.5 % threshold): its minimum and maximum
+// and what they decoded to — both 3e-8 past the bound, under an ulp of 1.6e9.
+func TestVerifyBoundsRoundingSlack(t *testing.T) {
+	schema := NewSchema(Column{Name: "timestamp", Type: Numeric}, Column{Name: "exact", Type: Numeric})
+	table := func(lo, hi, exact float64) *Table {
+		tb := NewTable(schema, 2)
+		tb.AppendRow(nil, []float64{lo, exact})
+		tb.AppendRow(nil, []float64{hi, exact})
+		return tb
+	}
+	const lo, hi = 1.6000000010009148e+09, 1.6000123496003425e+09
+	orig := table(lo, hi, 7)
+	thr := []float64{0.005, 0}
+	if err := VerifyBounds(orig, table(1.600000062743912e+09, 1.6000122878573453e+09, 7), thr); err != nil {
+		t.Errorf("value one rounding past threshold × range rejected: %v", err)
+	}
+	// The slack is rounding-sized: a millionth of the bound further is a
+	// violation, and a lossless column gets none at all.
+	if VerifyBounds(orig, table(lo+0.005*(hi-lo)*(1+1e-6), hi, 7), thr) == nil {
+		t.Error("value a millionth past the bound accepted")
+	}
+	if VerifyBounds(orig, table(lo, hi, 7.000001), thr) == nil {
+		t.Error("lossless column accepted a changed value")
+	}
+}

@@ -81,8 +81,11 @@ func compress(ctx context.Context, pool *pipeline.Pool, t *dataset.Table, thresh
 			if err != nil {
 				return err
 			}
-			for _, ae := range experts {
+			for e, ae := range experts {
 				ae.Decoder.Quantize32()
+				if !ae.Decoder.Finite() {
+					return fmt.Errorf("core: training diverged: expert %d has non-finite decoder weights", e)
+				}
 			}
 			return nil
 		})

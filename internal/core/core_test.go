@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"deepsqueeze/internal/dataset"
@@ -448,4 +449,29 @@ func matRand(rng *rand.Rand, rows, cols int) *mat.Matrix {
 		m.Data[i] = rng.Float64()
 	}
 	return m
+}
+
+// A training run that blows up must not reach an archive: both writers fail
+// with a "training diverged" error before anything is materialized.
+func TestDivergedTrainingRejected(t *testing.T) {
+	tb := latentTable(200, 91)
+	thr := []float64{0, 0, 0.1, 0.1, 0}
+	opts := quickOpts()
+	opts.Train.Epochs = 2
+	opts.Train.LR = 1e300 // one Adam step puts every weight past float32 range
+	if _, err := Compress(tb, thr, opts); err == nil || !strings.Contains(err.Error(), "training diverged") {
+		t.Errorf("Compress error %v, want training diverged", err)
+	}
+	var buf bytes.Buffer
+	aw, err := NewArchiveWriter(&buf, tb.Schema, thr, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = aw.Write(tb)
+	if err == nil {
+		err = aw.Close() // a short table is trained and flushed on Close
+	}
+	if err == nil || !strings.Contains(err.Error(), "training diverged") {
+		t.Errorf("ArchiveWriter error %v, want training diverged", err)
+	}
 }

@@ -201,6 +201,9 @@ type decompressor struct {
 	decoderChunk []byte
 	decoders     []*nn.Decoder
 	decs32       []*nn.Decoder32 // float32 views when flagFloat32, parallel to decoders
+	// preds[worker][expert] is the predictor that pool worker reuses for
+	// every group it decodes (see decodeItems); rows are filled lazily.
+	preds [][]func(*mat.Matrix) *nn.Predictions
 
 	footer *archiveFooter // version 2 only
 	groups []*groupDec
@@ -1089,8 +1092,7 @@ func (d *decompressor) resolveSpec(g *groupDec, si int) error {
 // decode replays decoder inference over the pool — one work item per group ×
 // expert — applying the failure streams to recover the selected model
 // columns' codes in stored order. Only selected spec columns are inferred
-// (PredictCols) and only stored positions inside the row range are fed
-// through.
+// and only stored positions inside the row range are fed through.
 func (d *decompressor) decode() error {
 	if !d.needModel {
 		return nil
@@ -1109,9 +1111,7 @@ func (d *decompressor) decode() error {
 			items = append(items, work{g, e})
 		}
 	}
-	return d.run.ForEach(len(items), func(i int) error {
-		return d.decodeExpert(items[i].g, items[i].e)
-	})
+	return d.decodeItems(len(items), func(i int) (*groupDec, int) { return items[i].g, items[i].e })
 }
 
 // decodeGroupInit reconstructs a group's float codes and groups its stored
@@ -1121,16 +1121,38 @@ func (d *decompressor) decodeGroupInit(g *groupDec) {
 	g.posBy = expertPositionsRange(g.assign, g.perm, d.numExperts, g.glo, g.ghi)
 }
 
-// decodeExpert runs one group × expert through the decoder, at the precision
-// the archive header mandates (flagFloat32 → float32 inference).
-func (d *decompressor) decodeExpert(g *groupDec, e int) error {
-	scratch := make([]bool, maxCard(d.lo.specs)+1)
-	var d32 *nn.Decoder32
-	if d.decs32 != nil {
-		d32 = d.decs32[e]
+// decodeItems runs n group × expert work items over the pool. Each pool
+// worker keeps one predictor per expert for the life of the decompressor —
+// a worker runs one item at a time, so they need no lock — which is what
+// lets inference scratch be allocated once per request (or once per
+// ArchiveReader) rather than once per group.
+func (d *decompressor) decodeItems(n int, item func(i int) (*groupDec, int)) error {
+	if d.preds == nil {
+		d.preds = make([][]func(*mat.Matrix) *nn.Predictions, d.run.Parallelism())
 	}
+	return d.run.ForEachWorker(n, func(w, i int) error {
+		g, e := item(i)
+		if d.preds[w] == nil {
+			d.preds[w] = make([]func(*mat.Matrix) *nn.Predictions, d.numExperts)
+		}
+		if d.preds[w][e] == nil {
+			// The precision is the one the archive header mandates
+			// (flagFloat32 → float32 inference).
+			var d32 *nn.Decoder32
+			if d.decs32 != nil {
+				d32 = d.decs32[e]
+			}
+			d.preds[w][e] = predictorFor(d.decoders[e], d32, d.wantSpec)
+		}
+		return d.decodeExpert(g, e, d.preds[w][e])
+	})
+}
+
+// decodeExpert runs one group × expert through the decoder.
+func (d *decompressor) decodeExpert(g *groupDec, e int, predict func(*mat.Matrix) *nn.Predictions) error {
+	scratch := make([]bool, maxCard(d.lo.specs)+1)
 	var derr error
-	expertBatches(predictorFor(d.decoders[e], d32, d.wantSpec), g.rec, g.posBy[e], func(chunk []int, p *nn.Predictions) {
+	expertBatches(predict, g.rec, g.posBy[e], func(chunk []int, p *nn.Predictions) {
 		if derr != nil {
 			return
 		}

@@ -1,13 +1,17 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"deepsqueeze/internal/nn"
 )
 
 // refreshCRC rewrites the archive's CRC32-IEEE trailer so fuzz mutations of
@@ -63,7 +67,91 @@ func fuzzSeedArchives(f *testing.F) [][]byte {
 		f.Fatal(err)
 	}
 	seeds = append(seeds, v1)
+	// Crafted weights: an Inf and a NaN where training can only leave finite
+	// numbers. The parser must refuse them (see TestNonFiniteDecoderRejected).
+	seeds = append(seeds, spliceDecoders(f, v1, poisonDecoder))
 	return seeds
+}
+
+// spliceDecoders returns a copy of a version-1 archive (no footer offsets to
+// keep in step) whose decoders went through edit: the decoder section is
+// re-serialized, its length prefix rewritten and the CRC refreshed, so the
+// result is well-formed down to the weights themselves.
+func spliceDecoders(tb testing.TB, archive []byte, edit func([]*nn.Decoder)) []byte {
+	tb.Helper()
+	a, err := Open(archive)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	old := a.meta.decoderChunk
+	decs, err := parseDecoderSection(old, a.meta.numExperts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	edit(decs)
+	section, err := appendDecoderChunkPayload(&archiveState{decoders: decs})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	prefix := binary.AppendUvarint(nil, uint64(len(old)))
+	at := bytes.Index(archive, old) - len(prefix)
+	if at < 0 || !bytes.Equal(archive[at:at+len(prefix)], prefix) {
+		tb.Fatal("decoder chunk not found behind its length prefix")
+	}
+	out := append([]byte(nil), archive[:at]...)
+	out = binary.AppendUvarint(out, uint64(len(section)))
+	out = append(out, section...)
+	out = append(out, archive[at+len(prefix)+len(old):]...)
+	return refreshCRC(out)
+}
+
+// poisonDecoder plants one Inf and one NaN in the first decoder.
+func poisonDecoder(decs []*nn.Decoder) {
+	decs[0].Hidden[0].W.Data[0] = math.Inf(1)
+	decs[0].Shared.B[0] = math.NaN()
+}
+
+// An archive whose decoder carries a non-finite parameter is corrupt at
+// every entry point — inference's factored shared stack relies on 0·w = ±0
+// (DESIGN.md §12) — while the same splice with the weights left alone still
+// decodes, so it is the weights that are refused and not the surgery.
+func TestNonFiniteDecoderRejected(t *testing.T) {
+	v1, err := os.ReadFile(filepath.Join("testdata", "categorical.dsqz"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantCSV, err := os.ReadFile(filepath.Join("testdata", "categorical.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Decompress(spliceDecoders(t, v1, func([]*nn.Decoder) {}))
+	if err != nil {
+		t.Fatalf("re-serialized decoders: %v", err)
+	}
+	var buf bytes.Buffer
+	if err := got.WriteCSV(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), wantCSV) {
+		t.Fatal("re-serialized decoders decode differently")
+	}
+	for name, edit := range map[string]func([]*nn.Decoder){
+		"inf":  func(d []*nn.Decoder) { d[0].SharedHidden.W.Data[3] = math.Inf(-1) },
+		"nan":  func(d []*nn.Decoder) { d[0].Aux.B[0] = math.NaN() },
+		"both": poisonDecoder,
+	} {
+		bad := spliceDecoders(t, v1, edit)
+		if _, err := Decompress(bad); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: Decompress error %v, want ErrCorrupt", name, err)
+		}
+		a, err := Open(bad)
+		if err != nil {
+			t.Fatalf("%s: Open: %v", name, err)
+		}
+		if _, err := a.Decompress(DecompressOptions{}); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: handle Decompress error %v, want ErrCorrupt", name, err)
+		}
+	}
 }
 
 // FuzzDecompress feeds mutated archives (with a refreshed checksum, so the

@@ -141,14 +141,14 @@ func expertBatches(predict func(codes *mat.Matrix) *nn.Predictions, recCodes *ma
 }
 
 // predictorFor picks the prediction function expertBatches drives: the
-// float64 decoder's PredictCols, or — when dec32 is non-nil, i.e. the archive
-// plan carries flagFloat32 — the float32 view's reusable Predictor. The
-// returned closure owns per-call scratch, so each goroutine needs its own.
+// float64 decoder's reusable Predictor, or — when dec32 is non-nil, i.e. the
+// archive plan carries flagFloat32 — the float32 view's. The returned closure
+// owns per-call scratch, so each goroutine needs its own.
 func predictorFor(dec *nn.Decoder, dec32 *nn.Decoder32, want []bool) func(*mat.Matrix) *nn.Predictions {
 	if dec32 != nil {
 		return dec32.Predictor(want)
 	}
-	return func(codes *mat.Matrix) *nn.Predictions { return dec.PredictCols(codes, want) }
+	return dec.Predictor(want)
 }
 
 // failureSet holds per-column correction streams in *stored* order.

@@ -785,7 +785,7 @@ func (d *decompressor) decodeGroupTable(g *groupDec) (*dataset.Table, error) {
 	}
 	if d.needModel && g.count > 0 {
 		d.decodeGroupInit(g)
-		err := d.run.ForEach(d.numExperts, func(e int) error { return d.decodeExpert(g, e) })
+		err := d.decodeItems(d.numExperts, func(e int) (*groupDec, int) { return g, e })
 		if err != nil {
 			return nil, err
 		}

@@ -144,6 +144,54 @@ func TestMulTRow32MatchesPortableSpec(t *testing.T) {
 	}
 }
 
+// Property: finishing a lane-partial dot with SumLanes32 is bit-identical
+// to the portable spec (and the platform kernel) multiplying a
+// [prefix | one-hot] row through its zeros — for every prefix length, row
+// width and one-hot position, so every residue of width%4 and pos%4 and both
+// sides of the remainder boundary are hit. Weights include ±0.
+func TestLanePartialsMatchPortableSpec(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		width, rows, n := 1+rng.Intn(19), rng.Intn(9), 1+rng.Intn(4)
+		c := rng.Intn(width) // prefix length; the one-hot sits at or after it
+		a32, _ := rand32(rng, n, c, -3, 3)
+		b32, _ := rand32(rng, rows, width, -3, 3)
+		for i := range b32.Data {
+			switch rng.Intn(8) {
+			case 0:
+				b32.Data[i] = 0
+			case 1:
+				b32.Data[i] = float32(math.Copysign(0, -1))
+			}
+		}
+		lanes := MulTLanesInto32(a32, b32, New32(n, 4*rows))
+		pos := c + rng.Intn(width-c)
+		got := make([]float32, rows)
+		x, want, kernel := make([]float32, width), make([]float32, rows), make([]float32, rows)
+		for i := 0; i < n; i++ {
+			SumLanes32(lanes.Row(i), b32, pos, got)
+			for k := range x {
+				x[k] = 0
+			}
+			copy(x, a32.Row(i))
+			x[pos] = 1
+			mulTRowRef(x, b32, want)
+			mulTRow32(x, b32, kernel)
+			for o := range want {
+				if g := got[o]; math.Float32bits(g) != math.Float32bits(want[o]) ||
+					math.Float32bits(g) != math.Float32bits(kernel[o]) {
+					t.Fatalf("width=%d prefix=%d pos=%d row %d: lanes %v, spec %v, kernel %v",
+						width, c, pos, o, g, want[o], kernel[o])
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TMulAddInto32 accumulates rather than overwrites.
 func TestTMulAddInto32Accumulates(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))

@@ -19,12 +19,18 @@ const mulParallelThreshold = 1 << 16
 // execution in the caller.
 var pool = pipeline.NewPool(0)
 
-// parallelRows splits [0, rows) across the pool when the product is large
-// enough to pay for it. Each output row is produced by exactly one goroutine
-// running the serial kernel in a fixed iteration order, so results are
-// bit-identical at every parallelism level.
+// fansOut reports whether a product of the given size is split across the
+// pool: it must be large enough to pay for the scheduling.
+func fansOut(rows, work int) bool {
+	return work >= mulParallelThreshold && rows >= 2 && pool.Size() >= 2
+}
+
+// parallelRows splits [0, rows) across the pool when the product fans out.
+// Each output row is produced by exactly one goroutine running the serial
+// kernel in a fixed iteration order, so results are bit-identical at every
+// parallelism level.
 func parallelRows(rows, work int, fn func(lo, hi int)) {
-	if work < mulParallelThreshold || rows < 2 || pool.Size() < 2 {
+	if !fansOut(rows, work) {
 		fn(0, rows)
 		return
 	}
@@ -110,11 +116,28 @@ func mulAddRange(a, b, c *Matrix, lo, hi int) {
 // MulT returns a * bᵀ without materializing the transpose. Large products
 // are split across rows of a over the shared pool.
 func MulT(a, b *Matrix) *Matrix {
+	return MulTPoolInto(a, b, New(a.Rows, b.Rows))
+}
+
+// MulTPoolInto computes c = a*bᵀ into the caller-owned c like MulTInto, but
+// splits large products across rows of a over the shared pool like MulT —
+// for inference, which has no outer data-parallel loop of its own. A product
+// below the fan-out threshold runs on the caller and allocates nothing.
+func MulTPoolInto(a, b, c *Matrix) *Matrix {
 	if a.Cols != b.Cols {
 		panic(fmt.Sprintf("mat: MulT dimension mismatch %dx%d * (%dx%d)ᵀ", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
-	c := New(a.Rows, b.Rows)
-	parallelRows(a.Rows, a.Rows*a.Cols*b.Rows, func(lo, hi int) {
+	if c.Rows != a.Rows || c.Cols != b.Rows {
+		panic(fmt.Sprintf("mat: MulT output %dx%d, want %dx%d", c.Rows, c.Cols, a.Rows, b.Rows))
+	}
+	work := a.Rows * a.Cols * b.Rows
+	if !fansOut(a.Rows, work) {
+		// Checked here as well as in parallelRows: building the closure
+		// below is a heap allocation.
+		mulTRange(a, b, c, 0, a.Rows)
+		return c
+	}
+	parallelRows(a.Rows, work, func(lo, hi int) {
 		mulTRange(a, b, c, lo, hi)
 	})
 	return c

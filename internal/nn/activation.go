@@ -45,15 +45,33 @@ func (a Activation) String() string {
 	}
 }
 
+// relu is exactly `if v < 0 { v = 0 }` — NaN and −0 pass through — written
+// as a mask so that it compiles to a conditional move: pre-activation signs
+// are close to random, and a branch mispredicts on every other element.
+func relu(v float64) float64 {
+	keep := ^uint64(0)
+	if v < 0 {
+		keep = 0
+	}
+	return math.Float64frombits(math.Float64bits(v) & keep)
+}
+
+// relu32 is the float32 twin of relu.
+func relu32(v float32) float32 {
+	keep := ^uint32(0)
+	if v < 0 {
+		keep = 0
+	}
+	return math.Float32frombits(math.Float32bits(v) & keep)
+}
+
 // apply computes the activation element-wise in place.
 func (a Activation) apply(m *mat.Matrix) {
 	switch a {
 	case Identity:
 	case ReLU:
 		for i, v := range m.Data {
-			if v < 0 {
-				m.Data[i] = 0
-			}
+			m.Data[i] = relu(v)
 		}
 	case Sigmoid:
 		for i, v := range m.Data {
@@ -103,9 +121,7 @@ func (a Activation) apply32(m *mat.Matrix32) {
 	case Identity:
 	case ReLU:
 		for i, v := range m.Data {
-			if v < 0 {
-				m.Data[i] = 0
-			}
+			m.Data[i] = relu32(v)
 		}
 	case Sigmoid:
 		for i, v := range m.Data {

@@ -139,15 +139,6 @@ func (d *Decoder) CatPos(i int) int { return d.catPos[i] }
 // can now learn its own interpretation of the auxiliary values.
 func (d *Decoder) sharedWidth() int { return 2 * d.catCols }
 
-// hiddenInfer runs the decoder hidden stack without caching.
-func (d *Decoder) hiddenInfer(codes *mat.Matrix) *mat.Matrix {
-	h := codes
-	for _, l := range d.Hidden {
-		h = l.Infer(h)
-	}
-	return h
-}
-
 // Predict decodes a batch of codes into per-column predictions without
 // touching training caches. This is the exact computation decompression
 // replays.
@@ -155,90 +146,131 @@ func (d *Decoder) Predict(codes *mat.Matrix) *Predictions {
 	return d.PredictCols(codes, nil)
 }
 
-// PredictCols is Predict restricted to a subset of spec columns: want is
-// indexed by spec position, and nil selects everything. The numeric/binary
-// head is one matmul for all such columns, so it runs whenever at least one
-// of them is wanted and is skipped entirely otherwise. The shared
-// categorical stack — the dominant per-column inference cost — is evaluated
-// only for wanted categorical columns; Cat entries of skipped columns stay
-// nil. Per-row outputs are identical to a full Predict because every layer
-// computes row-independently.
+// PredictCols is the one-shot form of Predictor, for callers that do not
+// care about scratch reuse.
 func (d *Decoder) PredictCols(codes *mat.Matrix, want []bool) *Predictions {
-	if codes.Cols != d.CodeSize {
-		panic(fmt.Sprintf("nn: predict with %d-wide codes, want %d", codes.Cols, d.CodeSize))
-	}
-	wantNumBin := want == nil
-	var wantJ []int // categorical positions to evaluate, ascending
+	return d.Predictor(want)(codes)
+}
+
+// wanted resolves a want mask (indexed by spec position, nil selecting
+// everything) into what inference has to evaluate: whether the combined
+// numeric/binary head runs, and the categorical positions to put through the
+// shared stack, ascending.
+func (d *Decoder) wanted(want []bool) (numBin bool, cats []int) {
 	if want == nil {
-		for j := 0; j < d.catCols; j++ {
-			wantJ = append(wantJ, j)
+		return true, d.catAll
+	}
+	for i, s := range d.Specs {
+		if i >= len(want) || !want[i] {
+			continue
 		}
-	} else {
-		for i, s := range d.Specs {
-			if i >= len(want) || !want[i] {
-				continue
-			}
-			switch s.Kind {
-			case OutNumeric, OutBinary:
-				wantNumBin = true
-			case OutCategorical:
-				wantJ = append(wantJ, d.catPos[i])
-			}
+		if s.Kind == OutCategorical {
+			cats = append(cats, d.catPos[i])
+		} else {
+			numBin = true
 		}
 	}
-	h := d.hiddenInfer(codes)
-	p := &Predictions{}
-	if wantNumBin && d.numCols+d.binCols > 0 {
-		z := d.HeadNum.Infer(h)
-		z.Apply(func(v float64) float64 { return 1 / (1 + math.Exp(-v)) })
-		p.Num = mat.New(codes.Rows, d.numCols)
-		p.Bin = mat.New(codes.Rows, d.binCols)
-		splitHead(z, p.Num, p.Bin, d.numCols)
-	} else {
-		p.Num = mat.New(codes.Rows, 0)
-		p.Bin = mat.New(codes.Rows, 0)
-	}
-	p.Cat = make([]*mat.Matrix, d.catCols)
+	return numBin, cats
+}
+
+// Predictor returns a reusable prediction function restricted to a subset of
+// spec columns: want is indexed by spec position, and nil selects everything.
+// The numeric/binary head is one matmul for all such columns, so it runs
+// whenever at least one of them is wanted and is skipped entirely otherwise.
+// The shared categorical stack is evaluated only for wanted categorical
+// columns; Cat entries of skipped columns stay nil. Per-row outputs are
+// identical to a full Predict because every layer computes row-independently.
+//
+// The closure owns its scratch (one arena, one reused Predictions), so
+// calling it repeatedly with same-shaped batches allocates nothing after
+// warmup — one Predictor per goroutine, and each call invalidates the
+// previous call's Predictions.
+//
+// The shared stack's input for column j is [aux | one-hot(j)], but no such
+// row is ever built: SharedHidden's pre-activation splits into aux·W_auxᵀ,
+// computed once per batch, plus column j's signal weights and the bias, and
+// the result is bit-identical to multiplying through the zeros (DESIGN.md
+// §12). Shared then runs over the first cardOf[j] of its outputs only.
+func (d *Decoder) Predictor(want []bool) func(codes *mat.Matrix) *Predictions {
+	wantNumBin, wantJ := d.wanted(want)
+	ar := &mat.Arena{}
+	p := &Predictions{Cat: make([]*mat.Matrix, d.catCols)}
+	var wAux *mat.Matrix // SharedHidden's weights on the auxiliary inputs, contiguous for the kernel
 	if len(wantJ) > 0 {
-		aux := d.Aux.Infer(h)
-		// Evaluate the shared stack for several columns per matmul by
-		// stacking their inputs vertically; slabs bound peak memory.
+		wAux = mat.New(d.SharedHidden.Out, d.catCols)
+		for o := 0; o < wAux.Rows; o++ {
+			copy(wAux.Row(o), d.SharedHidden.W.Row(o)[:d.catCols])
+		}
+	}
+	outs := make([]*Dense, len(wantJ)) // Shared cut to each wanted column's cardinality
+	for k, j := range wantJ {
+		outs[k] = d.Shared.firstOutputs(d.cardOf[j])
+	}
+	return func(codes *mat.Matrix) *Predictions {
+		if codes.Cols != d.CodeSize {
+			panic(fmt.Sprintf("nn: predict with %d-wide codes, want %d", codes.Cols, d.CodeSize))
+		}
+		ar.Reset()
+		clear(p.Cat)
 		b := codes.Rows
-		grp := 1
-		if b > 0 {
-			grp = (1 << 15) / b
+		h := codes
+		for _, l := range d.Hidden {
+			h = l.infer(ar, h)
 		}
-		if grp < 1 {
-			grp = 1
+		if wantNumBin && d.numCols+d.binCols > 0 {
+			p.Num, p.Bin = ar.Get(b, d.numCols), ar.Get(b, d.binCols)
+			sigmoidHead(d.HeadNum.infer(ar, h).Data, p.Num, p.Bin)
+		} else {
+			p.Num, p.Bin = ar.Get(b, 0), ar.Get(b, 0)
 		}
-		for g0 := 0; g0 < len(wantJ); g0 += grp {
-			g1 := g0 + grp
-			if g1 > len(wantJ) {
-				g1 = len(wantJ)
-			}
-			js := wantJ[g0:g1]
-			z := d.stackedSharedInput(nil, aux, js)
-			logits := d.Shared.Infer(d.SharedHidden.Infer(z))
-			for k, j := range js {
-				card := d.cardOf[j]
-				probs := mat.New(b, card)
-				for r := 0; r < b; r++ {
-					row := logits.Row(k*b + r)
-					copy(probs.Row(r), row[:card])
-				}
-				Softmax(probs, card)
+		if len(wantJ) > 0 {
+			sh := d.SharedHidden
+			s := mat.MulTPoolInto(d.Aux.infer(ar, h), wAux, ar.Get(b, sh.Out))
+			hid := ar.Get(b, sh.Out)
+			for k, j := range wantJ {
+				sh.signalHidden(s, d.catCols+j, hid)
+				// Serial: one column's product is too small for the pool's
+				// fan-out to pay for itself.
+				probs := mat.MulTInto(hid, outs[k].W, ar.Get(b, outs[k].Out))
+				outs[k].biasAct(probs)
+				Softmax(probs, probs.Cols)
 				p.Cat[j] = probs
 			}
 		}
+		return p
 	}
-	return p
+}
+
+// signalHidden derives one column's activations of the layer — SharedHidden
+// — from s, the batch's product with the auxiliary weights: the layer's
+// weights at input pos, the column's signal node, and the bias are added as
+// hid = act((s + w_pos) + bias), the order in which the stacked product and
+// biasAct add the three. ReLU, which every written archive carries here, is
+// fused into the one pass.
+func (d *Dense) signalHidden(s *mat.Matrix, pos int, hid *mat.Matrix) {
+	n := d.Out
+	w, bias := d.W.Data, d.B[:n]
+	fused := d.Act == ReLU
+	for r := 0; r < s.Rows; r++ {
+		sr, hr := s.Row(r)[:n], hid.Row(r)[:n]
+		for o, v := range sr {
+			v = (v + w[o*d.In+pos]) + bias[o]
+			if fused {
+				v = relu(v)
+			}
+			hr[o] = v
+		}
+	}
+	if !fused {
+		d.Act.apply(hid)
+	}
 }
 
 // stackedSharedInput assembles the shared-stack inputs for the listed
 // categorical columns stacked vertically: row k*B + r carries row r's
 // auxiliary activations with column js[k]'s one-hot signal. Scratch comes
 // from ar (nil allocates fresh); either way the unset signal positions are
-// zero.
+// zero. Training only — inference factors the one-hot out (Predictor).
 func (d *Decoder) stackedSharedInput(ar *mat.Arena, aux *mat.Matrix, js []int) *mat.Matrix {
 	b := aux.Rows
 	z := ar.Get(len(js)*b, d.sharedWidth())
@@ -252,13 +284,20 @@ func (d *Decoder) stackedSharedInput(ar *mat.Arena, aux *mat.Matrix, js []int) *
 	return z
 }
 
-// splitHead copies the combined numeric+binary head output into its parts:
-// columns [0,numCols) are numeric, the rest binary.
-func splitHead(z, num, bin *mat.Matrix, numCols int) {
-	for r := 0; r < z.Rows; r++ {
-		row := z.Row(r)
-		copy(num.Row(r), row[:numCols])
-		copy(bin.Row(r), row[numCols:])
+// sigmoidHead writes the sigmoid of the combined numeric+binary head's
+// logits (row-major; numeric columns first, then binary) into num and bin.
+// Float32 logits widen first, so both precisions evaluate the same
+// math-library exponential.
+func sigmoidHead[T float32 | float64](logits []T, num, bin *mat.Matrix) {
+	nc, w := num.Cols, num.Cols+bin.Cols
+	for r := 0; r < num.Rows; r++ {
+		row := logits[r*w : (r+1)*w]
+		for c, v := range row[:nc] {
+			num.Data[r*nc+c] = 1 / (1 + math.Exp(-float64(v)))
+		}
+		for c, v := range row[nc:] {
+			bin.Data[r*bin.Cols+c] = 1 / (1 + math.Exp(-float64(v)))
+		}
 	}
 }
 

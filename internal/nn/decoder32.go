@@ -2,7 +2,6 @@ package nn
 
 import (
 	"fmt"
-	"math"
 
 	"deepsqueeze/internal/mat"
 )
@@ -55,8 +54,14 @@ func (d *Dense32) infer(ar *mat.Arena32, x *mat.Matrix32) *mat.Matrix32 {
 	if x.Cols != d.In {
 		panic(fmt.Sprintf("nn: dense32 infer input %d cols, want %d", x.Cols, d.In))
 	}
-	out := ar.Get(x.Rows, d.Out)
-	mat.MulTInto32(x, d.W, out)
+	out := mat.MulTInto32(x, d.W, ar.Get(x.Rows, d.Out))
+	d.biasAct(out)
+	return out
+}
+
+// biasAct finishes a pre-activation x·Wᵀ in place: add the bias, apply the
+// activation.
+func (d *Dense32) biasAct(out *mat.Matrix32) {
 	for i := 0; i < out.Rows; i++ {
 		row := out.Row(i)
 		for j := range row {
@@ -64,7 +69,37 @@ func (d *Dense32) infer(ar *mat.Arena32, x *mat.Matrix32) *mat.Matrix32 {
 		}
 	}
 	d.Act.apply32(out)
-	return out
+}
+
+// firstOutputs is the float32 twin of Dense.firstOutputs: an inference-only
+// view of the layer's first n output units.
+func (d *Dense32) firstOutputs(n int) *Dense32 {
+	w := d.W.SliceRows(0, n)
+	return &Dense32{In: d.In, Out: n, Act: d.Act, W: &w, B: d.B[:n]}
+}
+
+// signalHidden is the float32 twin of Dense.signalHidden. lanes holds the
+// 4-lane partial sums of the batch's product with the auxiliary weights
+// (mat.MulTLanesInto32); the weights at input pos join their lane before the
+// reduction, row by row so that the bias and activation pass finds the row
+// in cache.
+func (d *Dense32) signalHidden(lanes *mat.Matrix32, pos int, hid *mat.Matrix32) {
+	bias := d.B[:d.Out]
+	fused := d.Act == ReLU
+	for r := 0; r < lanes.Rows; r++ {
+		hr := hid.Row(r)[:d.Out]
+		mat.SumLanes32(lanes.Row(r), d.W, pos, hr)
+		for o, v := range hr {
+			v += bias[o]
+			if fused {
+				v = relu32(v)
+			}
+			hr[o] = v
+		}
+	}
+	if !fused {
+		d.Act.apply32(hid)
+	}
 }
 
 // Decoder32 is the float32 inference view of a Decoder. It shares the source
@@ -118,104 +153,62 @@ func Decoders32(ds []*Decoder) []*Decoder32 {
 func (d *Decoder32) Source() *Decoder { return d.src }
 
 // Predictor returns a reusable prediction function equivalent to the source
-// decoder's PredictCols with the given want mask: matmuls in float32,
+// decoder's Predictor with the given want mask: matmuls in float32,
 // activations widened to float64, outputs ordinary Predictions. The closure
 // owns its scratch (a float32 arena for intermediates, a float64 arena for
 // outputs, one reused Predictions), so calling it repeatedly with same-shaped
 // batches allocates nothing after warmup — one Predictor per goroutine, and
 // each call invalidates the previous call's Predictions.
+//
+// The shared stack is factored as in Decoder.Predictor. Under the 4-lane dot
+// contract the auxiliary part of SharedHidden's pre-activation is four
+// partial sums per (row, unit), computed once per batch; each wanted column
+// adds its signal weight to the lane its one-hot position falls in and
+// reduces — bit-identical to the stacked product (DESIGN.md §12).
 func (d *Decoder32) Predictor(want []bool) func(codes *mat.Matrix) *Predictions {
 	src := d.src
-	wantNumBin := want == nil
-	var wantJ []int // categorical positions to evaluate, ascending
-	if want == nil {
-		for j := 0; j < src.catCols; j++ {
-			wantJ = append(wantJ, j)
-		}
-	} else {
-		for i, s := range src.Specs {
-			if i >= len(want) || !want[i] {
-				continue
-			}
-			switch s.Kind {
-			case OutNumeric, OutBinary:
-				wantNumBin = true
-			case OutCategorical:
-				wantJ = append(wantJ, src.catPos[i])
-			}
-		}
-	}
+	wantNumBin, wantJ := src.wanted(want)
 	ar := &mat.Arena32{}
 	outAr := &mat.Arena{}
 	p := &Predictions{Cat: make([]*mat.Matrix, src.catCols)}
+	outs := make([]*Dense32, len(wantJ)) // Shared cut to each wanted column's cardinality
+	for k, j := range wantJ {
+		outs[k] = d.Shared.firstOutputs(src.cardOf[j])
+	}
 	return func(codes *mat.Matrix) *Predictions {
 		if codes.Cols != src.CodeSize {
 			panic(fmt.Sprintf("nn: predict with %d-wide codes, want %d", codes.Cols, src.CodeSize))
 		}
 		ar.Reset()
 		outAr.Reset()
-		for j := range p.Cat {
-			p.Cat[j] = nil
-		}
+		clear(p.Cat)
 		b := codes.Rows
-		x := ar.Get(b, codes.Cols)
+		h := ar.Get(b, codes.Cols)
 		for i, v := range codes.Data {
-			x.Data[i] = float32(v)
+			h.Data[i] = float32(v)
 		}
-		h := x
 		for _, l := range d.Hidden {
 			h = l.infer(ar, h)
 		}
 		if wantNumBin && src.numCols+src.binCols > 0 {
-			z := d.HeadNum.infer(ar, h) // Identity activation: raw logits
-			p.Num = outAr.Get(b, src.numCols)
-			p.Bin = outAr.Get(b, src.binCols)
-			for r := 0; r < b; r++ {
-				row := z.Row(r)
-				nr, br := p.Num.Row(r), p.Bin.Row(r)
-				for c := 0; c < src.numCols; c++ {
-					nr[c] = 1 / (1 + math.Exp(-float64(row[c])))
-				}
-				for c := 0; c < src.binCols; c++ {
-					br[c] = 1 / (1 + math.Exp(-float64(row[src.numCols+c])))
-				}
-			}
+			p.Num, p.Bin = outAr.Get(b, src.numCols), outAr.Get(b, src.binCols)
+			sigmoidHead(d.HeadNum.infer(ar, h).Data, p.Num, p.Bin)
 		} else {
-			p.Num = outAr.Get(b, 0)
-			p.Bin = outAr.Get(b, 0)
+			p.Num, p.Bin = outAr.Get(b, 0), outAr.Get(b, 0)
 		}
 		if len(wantJ) > 0 {
-			aux := d.Aux.infer(ar, h)
-			// Same vertical stacking and slab bound as the float64 path, so
-			// both widths see identical batch shapes.
-			grp := 1
-			if b > 0 {
-				grp = (1 << 15) / b
-			}
-			if grp < 1 {
-				grp = 1
-			}
-			for g0 := 0; g0 < len(wantJ); g0 += grp {
-				g1 := g0 + grp
-				if g1 > len(wantJ) {
-					g1 = len(wantJ)
+			sh := d.SharedHidden
+			lanes := mat.MulTLanesInto32(d.Aux.infer(ar, h), sh.W, ar.Get(b, 4*sh.Out))
+			hid := ar.Get(b, sh.Out)
+			for k, j := range wantJ {
+				sh.signalHidden(lanes, src.catCols+j, hid)
+				logits := outs[k].infer(ar, hid)
+				probs := outAr.Get(b, logits.Cols)
+				for i, v := range logits.Data {
+					probs.Data[i] = float64(v)
 				}
-				js := wantJ[g0:g1]
-				z := d.stackedSharedInput(ar, aux, js)
-				logits := d.Shared.infer(ar, d.SharedHidden.infer(ar, z))
-				for k, j := range js {
-					card := src.cardOf[j]
-					probs := outAr.Get(b, card)
-					for r := 0; r < b; r++ {
-						row := logits.Row(k*b + r)
-						pr := probs.Row(r)
-						for c := 0; c < card; c++ {
-							pr[c] = float64(row[c])
-						}
-					}
-					Softmax(probs, card)
-					p.Cat[j] = probs
-				}
+				Softmax(probs, probs.Cols)
+				p.Cat[j] = probs
 			}
 		}
 		return p
@@ -231,22 +224,4 @@ func (d *Decoder32) PredictCols(codes *mat.Matrix, want []bool) *Predictions {
 // Predict decodes a batch of codes into predictions for every column.
 func (d *Decoder32) Predict(codes *mat.Matrix) *Predictions {
 	return d.PredictCols(codes, nil)
-}
-
-// stackedSharedInput is the float32 twin of Decoder.stackedSharedInput: the
-// shared-stack inputs for the listed categorical columns stacked vertically,
-// with each slab row carrying the auxiliary activations plus a one-hot column
-// signal. Arena Get zeroes recycled memory, so unset signal positions are 0.
-func (d *Decoder32) stackedSharedInput(ar *mat.Arena32, aux *mat.Matrix32, js []int) *mat.Matrix32 {
-	src := d.src
-	b := aux.Rows
-	z := ar.Get(len(js)*b, src.sharedWidth())
-	for k, j := range js {
-		for r := 0; r < b; r++ {
-			row := z.Row(k*b + r)
-			copy(row, aux.Row(r))
-			row[src.catCols+j] = 1
-		}
-	}
-	return z
 }

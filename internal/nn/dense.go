@@ -52,26 +52,29 @@ func (d *Dense) forward(ar *mat.Arena, x *mat.Matrix) *mat.Matrix {
 	if x.Cols != d.In {
 		panic(fmt.Sprintf("nn: dense forward input %d cols, want %d", x.Cols, d.In))
 	}
-	out := ar.Get(x.Rows, d.Out)
-	mat.MulTInto(x, d.W, out)
-	for i := 0; i < out.Rows; i++ {
-		row := out.Row(i)
-		for j := range row {
-			row[j] += d.B[j]
-		}
-	}
-	d.Act.apply(out)
+	out := mat.MulTInto(x, d.W, ar.Get(x.Rows, d.Out))
+	d.biasAct(out)
 	d.lastIn, d.lastOut = x, out
 	return out
 }
 
 // Infer computes the layer output without caching backprop state, for
 // inference paths that must not disturb training caches.
-func (d *Dense) Infer(x *mat.Matrix) *mat.Matrix {
+func (d *Dense) Infer(x *mat.Matrix) *mat.Matrix { return d.infer(nil, x) }
+
+// infer is Infer drawing its output from ar (nil ar allocates fresh).
+func (d *Dense) infer(ar *mat.Arena, x *mat.Matrix) *mat.Matrix {
 	if x.Cols != d.In {
 		panic(fmt.Sprintf("nn: dense infer input %d cols, want %d", x.Cols, d.In))
 	}
-	out := mat.MulT(x, d.W)
+	out := mat.MulTPoolInto(x, d.W, ar.Get(x.Rows, d.Out))
+	d.biasAct(out)
+	return out
+}
+
+// biasAct finishes a pre-activation x·Wᵀ in place: add the bias, apply the
+// activation.
+func (d *Dense) biasAct(out *mat.Matrix) {
 	for i := 0; i < out.Rows; i++ {
 		row := out.Row(i)
 		for j := range row {
@@ -79,7 +82,15 @@ func (d *Dense) Infer(x *mat.Matrix) *mat.Matrix {
 		}
 	}
 	d.Act.apply(out)
-	return out
+}
+
+// firstOutputs returns an inference-only view of the layer restricted to its
+// first n output units, sharing d's parameters: rows of W are contiguous, so
+// the shared categorical output layer serves a column of cardinality n
+// without evaluating the units past it.
+func (d *Dense) firstOutputs(n int) *Dense {
+	w := d.W.SliceRows(0, n)
+	return &Dense{In: d.In, Out: n, Act: d.Act, W: &w, B: d.B[:n]}
 }
 
 // Backward takes ∂L/∂out (same shape as the last Forward output), adds this

@@ -73,7 +73,37 @@ func decodeDense(buf []byte) (*Dense, int, error) {
 		d.B[i] = float64(math.Float32frombits(binary.LittleEndian.Uint32(buf[pos:])))
 		pos += 4
 	}
+	if !d.finite() {
+		return nil, 0, fmt.Errorf("%w: non-finite layer parameter", ErrCorrupt)
+	}
 	return d, pos, nil
+}
+
+// finite reports whether every parameter of the layer is a finite number.
+func (d *Dense) finite() bool {
+	for _, params := range [][]float64{d.W.Data, d.B} {
+		for _, v := range params {
+			if math.IsInf(v, 0) || math.IsNaN(v) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// Finite reports whether every decoder parameter is a finite number. Writers
+// check it after Quantize32 (a diverged training run, or a float64 weight
+// past float32 range, must not reach an archive) and DecodeDecoder rejects
+// anything else as corrupt: inference skips the products with the shared
+// stack's zero inputs, which is exact only because 0·w = ±0 for finite w
+// (DESIGN.md §12).
+func (d *Decoder) Finite() bool {
+	for _, l := range d.Layers() {
+		if !l.finite() {
+			return false
+		}
+	}
+	return true
 }
 
 // AppendBinary serializes the decoder (specs, code size, and all layers).

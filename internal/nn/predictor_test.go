@@ -1,0 +1,178 @@
+package nn
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+
+	"deepsqueeze/internal/mat"
+)
+
+// catDecoder builds a decoder over one numeric, one binary and the given
+// categorical columns with random float32-valued parameters — biases too,
+// which NewAutoencoder leaves at zero — and a sprinkling of ±0 weights, the
+// values the factored shared stack's bit-identity argument turns on.
+func catDecoder(rng *rand.Rand, cards []int) *Decoder {
+	specs := []ColSpec{{Kind: OutNumeric}, {Kind: OutBinary}}
+	for _, c := range cards {
+		specs = append(specs, ColSpec{Kind: OutCategorical, Card: c})
+	}
+	ae, err := NewAutoencoder(rng, specs, Config{CodeSize: 2})
+	if err != nil {
+		panic(err)
+	}
+	d := &ae.Decoder
+	for _, l := range d.Layers() {
+		for i := range l.W.Data {
+			switch rng.Intn(16) {
+			case 0:
+				l.W.Data[i] = 0
+			case 1:
+				l.W.Data[i] = math.Copysign(0, -1)
+			}
+		}
+		for i := range l.B {
+			l.B[i] = rng.NormFloat64()
+		}
+	}
+	// One shared-hidden unit sees nothing but a −0 signal weight: its
+	// auxiliary sum is +0, and +0 + −0 must stay +0 on both evaluations.
+	sh := d.SharedHidden
+	for k := range sh.W.Row(0) {
+		sh.W.Row(0)[k] = 0
+	}
+	sh.W.Row(0)[len(cards)] = math.Copysign(0, -1)
+	d.Quantize32()
+	return d
+}
+
+// stackedCat evaluates categorical position j the way inference did before
+// the one-hot input was factored out, and the way training and every
+// existing archive's failure ranks still define it: [aux | one-hot(j)] rows
+// multiplied through their zeros by the whole SharedHidden and Shared layers.
+func stackedCat(d *Decoder, codes *mat.Matrix, j int) *mat.Matrix {
+	h := codes
+	for _, l := range d.Hidden {
+		h = l.Infer(h)
+	}
+	logits := d.Shared.Infer(d.SharedHidden.Infer(d.stackedSharedInput(nil, d.Aux.Infer(h), []int{j})))
+	probs := mat.New(codes.Rows, d.cardOf[j])
+	for r := 0; r < codes.Rows; r++ {
+		copy(probs.Row(r), logits.Row(r))
+	}
+	Softmax(probs, probs.Cols)
+	return probs
+}
+
+// stackedCat32 is stackedCat through the float32 layers, whose matmuls run
+// the platform kernel of the 4-lane dot contract.
+func stackedCat32(d *Decoder32, codes *mat.Matrix, j int) *mat.Matrix {
+	h := mat.To32(codes, nil)
+	for _, l := range d.Hidden {
+		h = l.infer(nil, h)
+	}
+	aux := d.Aux.infer(nil, h)
+	z := mat.New32(aux.Rows, 2*aux.Cols)
+	for r := 0; r < aux.Rows; r++ {
+		copy(z.Row(r), aux.Row(r))
+		z.Row(r)[aux.Cols+j] = 1
+	}
+	logits := d.Shared.infer(nil, d.SharedHidden.infer(nil, z))
+	probs := mat.New(codes.Rows, d.src.cardOf[j])
+	for r := 0; r < codes.Rows; r++ {
+		for c := range probs.Row(r) {
+			probs.Row(r)[c] = float64(logits.At(r, c))
+		}
+	}
+	Softmax(probs, probs.Cols)
+	return probs
+}
+
+// The factored shared stack must reproduce the stacked evaluation bit for
+// bit at both precisions: for every residue of 2·catCols mod 4 and of
+// (catCols+j) mod 4, cardinalities from 1 up, and want masks selecting no,
+// one, some and all categorical columns.
+func TestPredictorMatchesStackedReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(211))
+	for _, catCols := range []int{1, 2, 3, 4, 5, 7, 8, 24} {
+		cards := make([]int, catCols)
+		for j := range cards {
+			cards[j] = 1 + (j*5+catCols)%13 // 1 … 13, mixed within a table
+		}
+		dec := catDecoder(rng, cards)
+		d32 := dec.Float32()
+		codes := mat.RandUniform(rng, 37, 2, 0, 1)
+		some := make([]bool, 2+catCols)
+		for i := range some {
+			some[i] = i%3 != 1
+		}
+		one := make([]bool, 2+catCols)
+		one[2+catCols/2] = true
+		masks := [][]bool{nil, some, one, {true, true}}
+		for mi, want := range masks {
+			for _, f32 := range []bool{false, true} {
+				name := fmt.Sprintf("catCols=%d mask=%d f32=%v", catCols, mi, f32)
+				var p *Predictions
+				if f32 {
+					p = d32.Predictor(want)(codes)
+				} else {
+					p = dec.Predictor(want)(codes)
+				}
+				for j := 0; j < catCols; j++ {
+					wanted := want == nil || (2+j < len(want) && want[2+j])
+					if !wanted {
+						if p.Cat[j] != nil {
+							t.Fatalf("%s: unwanted Cat[%d] evaluated", name, j)
+						}
+						continue
+					}
+					var ref *mat.Matrix
+					if f32 {
+						ref = stackedCat32(d32, codes, j)
+					} else {
+						ref = stackedCat(dec, codes, j)
+					}
+					if p.Cat[j] == nil || p.Cat[j].Cols != cards[j] || !bitsEqual(p.Cat[j].Data, ref.Data) {
+						t.Fatalf("%s: Cat[%d] (card %d) differs from the stacked evaluation", name, j, cards[j])
+					}
+				}
+			}
+		}
+	}
+}
+
+// The float64 Predictor is allocation-free once warm, like the float32 one.
+func TestPredictorSteadyStateAllocFree(t *testing.T) {
+	dec, codes := trainedDecoder(t, 83, 64)
+	pred := dec.Predictor(nil)
+	pred(codes)
+	pred(codes)
+	if allocs := testing.AllocsPerRun(10, func() { pred(codes) }); allocs != 0 {
+		t.Errorf("warm Predictor allocates %.0f objects per call, want 0", allocs)
+	}
+}
+
+// BenchmarkPredictCategorical times the shared categorical stack at the
+// repo benchmark's archive-categorical shape: 24 columns, cardinalities
+// 2–12, one 1 024-row batch per call through a warm Predictor.
+func BenchmarkPredictCategorical(b *testing.B) {
+	rng := rand.New(rand.NewSource(23))
+	cards := make([]int, 24)
+	for j := range cards {
+		cards[j] = 2 + j%11
+	}
+	dec := catDecoder(rng, cards)
+	codes := mat.RandUniform(rng, 1024, 2, 0, 1)
+	for _, bc := range []struct {
+		name string
+		pred func(*mat.Matrix) *Predictions
+	}{{"f64", dec.Predictor(nil)}, {"f32", dec.Float32().Predictor(nil)}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				bc.pred(codes)
+			}
+		})
+	}
+}

@@ -5,10 +5,23 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "== go vet =="
+# step NAME closes the previous step with its wall time and opens the next.
+step_name="" step_t0=0
+step() {
+    if [ -n "$step_name" ]; then
+        echo "-- $step_name: $((SECONDS - step_t0))s"
+    fi
+    step_name="$1"
+    step_t0=$SECONDS
+    if [ -n "$step_name" ]; then
+        echo "== $step_name =="
+    fi
+}
+
+step "go vet"
 go vet ./...
 
-echo "== gofmt =="
+step "gofmt"
 unformatted=$(gofmt -l .)
 if [ -n "$unformatted" ]; then
     echo "gofmt needed on:" >&2
@@ -16,18 +29,18 @@ if [ -n "$unformatted" ]; then
     exit 1
 fi
 
-echo "== go build =="
+step "go build"
 go build ./...
 
-echo "== go test -race =="
+step "go test -race"
 go test -race ./...
 
-echo "== cross-version golden gate =="
+step "cross-version golden gate"
 # The committed v1 and v2 fixtures must decode byte-identically: a failure
 # here means the reader broke the on-disk format contract.
 go test -run='^TestGoldenArchives$' -count=1 ./internal/core
 
-echo "== bounded-memory smoke =="
+step "bounded-memory smoke"
 # Streaming compress + decompress of a CSV under a GOMEMLIMIT far below the
 # file size: only the row-group pipeline (O(group) memory) can survive this.
 smokedir=$(mktemp -d)
@@ -53,13 +66,20 @@ if [ "$back_rows" -ne 400001 ]; then
 fi
 echo "bounded-memory smoke ok ($csv_bytes CSV bytes under GOMEMLIMIT=8MiB)"
 
-echo "== benchmark smoke =="
-# One iteration of the training benchmarks: catches kernels or the trainer
-# panicking under benchmark shapes without paying for a real measurement.
-go test -run='^$' -bench='TrainBatch|TrainEpoch' -benchtime=1x ./internal/nn
+step "benchmark smoke"
+# One iteration of the training and categorical-inference benchmarks: catches
+# kernels, the trainer or the predictors panicking under benchmark shapes
+# without paying for a real measurement.
+go test -run='^$' -bench='TrainBatch|TrainEpoch|PredictCategorical' -benchtime=1x ./internal/nn
 go test -run='^$' -bench='Into' -benchtime=1x ./internal/mat
 
-echo "== float32 kernel gate =="
+step "repo benchmark smoke"
+# benchmarks/ is a module of its own, which the root module's `go test ./...`
+# does not reach: tiny tables, one round of every workload, every output
+# checked.
+(cd benchmarks && go test ./...)
+
+step "float32 kernel gate"
 # The f32 kernel family's property tests against the f64 twins, the
 # asm-vs-portable bit-identity pin, decoder parity, and the archive-level
 # determinism/round-trip contracts. All run under -race above too; this
@@ -68,7 +88,7 @@ go test -run='Kernels32|MulTRow32|Arena32|UlpDiff32' -count=1 ./internal/mat
 go test -run='Decoder32|Predictor32|Float32' -count=1 ./internal/nn
 go test -run='Float32' -count=1 ./internal/core ./internal/query ./internal/serve
 
-echo "== stream codec gate =="
+step "stream codec gate"
 # The codec layer's contracts: legacy tag bytes and committed goldens decode
 # unchanged (entropy_v2 pins the range frame format), corrupt frames fail
 # with ErrCorrupt instead of panicking, best-of never loses to DEFLATE, and
@@ -76,7 +96,7 @@ echo "== stream codec gate =="
 go test -count=1 ./internal/codec ./internal/rangecoder
 go test -run='TestRoundTripEveryCodec|TestCodecDeterministicAcrossParallelism|TestAutoUsesRangeCodecsOnSkewedData|TestStreamStatsConsistency' -count=1 ./internal/core
 
-echo "== block cache gate =="
+step "block cache gate"
 # The decoded-block cache's contracts: cached results byte-identical to the
 # uncached path, budget respected under eviction pressure, singleflight
 # dedupe of concurrent misses, and the randomized mixed-workload test with
@@ -84,14 +104,14 @@ echo "== block cache gate =="
 # names them so a failure is attributable at a glance.
 go test -run='TestBlockCache|TestCachedEquivalence|TestCachedKernelChunking' -count=1 ./internal/serve ./internal/query
 
-echo "== warm-path allocation gate =="
+step "warm-path allocation gate"
 # testing.AllocsPerRun ceiling on the warm cached aggregate query. Runs
 # without -race on purpose: race instrumentation adds allocations, so the
 # test skips itself under the instrumented suite above and only measures
 # here.
 go test -run='^TestWarmCachedQueryAllocs$' -count=1 ./internal/serve
 
-echo "== residual-digit gate =="
+step "residual-digit gate"
 # The resbit subsystem's contracts: digit layouts cover their alphabets at
 # minimal head cost, residual archives round-trip exactly and byte-identically
 # across parallelism levels, corrupt digit streams fail with ErrCorrupt rather
@@ -102,29 +122,29 @@ echo "== residual-digit gate =="
 go test -count=1 ./internal/resbit
 go test -run='TestResidual|TestGoldenArchives/resbit_v2' -count=1 ./internal/core
 
-echo "== query equivalence gate =="
+step "query equivalence gate"
 # Predicate-pushdown results must be byte-identical to decompress-then-
 # filter for randomized predicates at parallelism 1, 4, and NumCPU.
 go test -run='^TestQueryEquivalence$' -count=1 ./internal/query
 
-echo "== query bench smoke =="
+step "query bench smoke"
 # One quick pass of the selectivity sweep: exercises zone-map pruning,
 # group-masked decode, and the row-for-row verification inside the bench.
 go build -o "$smokedir/dsbench" ./cmd/dsbench
 (cd "$smokedir" && ./dsbench -exp query -quick > /dev/null)
 
-echo "== serve bench smoke =="
+step "serve bench smoke"
 # One quick pass of the serving sweep: exercises the handle cache, the
 # shared-pool admission path, and warm-vs-cold verification inside the bench.
 (cd "$smokedir" && ./dsbench -exp serve -quick > /dev/null)
 
-echo "== f32 bench smoke =="
+step "f32 bench smoke"
 # One quick pass of the float32-vs-float64 comparison: compresses the same
 # table under both plans and cross-checks every decoded cell between them
 # before reporting any speedup.
 (cd "$smokedir" && ./dsbench -exp f32 -quick > /dev/null)
 
-echo "== ratio bench smoke =="
+step "ratio bench smoke"
 # One quick pass of the stream-codec comparison: compresses the skewed
 # categorical fixture under the DEFLATE-only baseline and best-of selection,
 # enforces the >= 10% failure/code shrink bound, and verifies byte-identical
@@ -133,10 +153,11 @@ echo "== ratio bench smoke =="
 # its colfile-fallback baseline and exactly lossless.
 (cd "$smokedir" && ./dsbench -exp ratio -quick > /dev/null)
 
-echo "== fuzz smoke =="
+step "fuzz smoke"
 # Short coverage-guided runs of the decode-path fuzzers: any panic or
 # unclassified error on arbitrary bytes fails the gate.
 go test -run='^$' -fuzz=FuzzDecompress -fuzztime=10s ./internal/core
 go test -run='^$' -fuzz=FuzzSectionReader -fuzztime=5s ./internal/core
 
-echo "all checks passed"
+step ""
+echo "all checks passed in ${SECONDS}s"
