@@ -14,8 +14,8 @@
 // With -blockcache set (e.g. -blockcache 256M) the server keeps a
 // byte-budgeted LRU of decoded row-group × column blocks shared across
 // queries: repeat queries over warm groups skip archive decoding entirely
-// and filter directly over cached blocks, with results still byte-identical
-// to the uncached path. /stats then reports block_hits, block_misses,
+// and filter directly over cached blocks — the same executor, so the same
+// results, as without the cache. /stats then reports block_hits, block_misses,
 // block_bytes, and block_evictions.
 //
 // Query results are byte-identical to `dsqz query` on the same archive and
@@ -76,7 +76,7 @@ func main() {
 		log.Fatalf("dsqzd: %v", err)
 	}
 
-	srv := &http.Server{Addr: *addr, Handler: d.handler()}
+	srv := newServer(*addr, d.handler())
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	errc := make(chan error, 1)
@@ -95,6 +95,15 @@ func main() {
 	if err := srv.Shutdown(sctx); err != nil {
 		log.Fatalf("dsqzd: shutdown: %v", err)
 	}
+}
+
+// readHeaderTimeout bounds how long a client may take over its request
+// headers; without it one connection that never finishes them is held open
+// forever.
+const readHeaderTimeout = 10 * time.Second
+
+func newServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: readHeaderTimeout}
 }
 
 // parseByteSize parses a byte count with an optional K/M/G (or KB/MB/GB)

@@ -8,6 +8,7 @@ import (
 	"io"
 	"io/fs"
 	"math/rand"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -16,6 +17,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"deepsqueeze/internal/core"
 	"deepsqueeze/internal/dataset"
@@ -422,5 +424,59 @@ func TestBlockCacheDaemon(t *testing.T) {
 	}
 	if st.BlockBytes <= 0 || st.BlockBytes > st.BlockCacheBudget {
 		t.Fatalf("block_bytes = %d, want in (0, %d]", st.BlockBytes, st.BlockCacheBudget)
+	}
+}
+
+// TestSlowHeadersDisconnected is the slow-loris case: a client that sends
+// half a request line and stalls is disconnected by the server's header
+// timeout, and a /query arriving meanwhile still answers.
+func TestSlowHeadersDisconnected(t *testing.T) {
+	d, _ := testDaemon(t)
+	srv := newServer("", d.handler())
+	if srv.ReadHeaderTimeout <= 0 {
+		t.Fatal("newServer sets no ReadHeaderTimeout")
+	}
+	srv.ReadHeaderTimeout = 200 * time.Millisecond // same mechanism, shorter wait
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
+	defer func() {
+		srv.Close()
+		<-served
+	}()
+
+	slow, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer slow.Close()
+	if _, err := slow.Write([]byte("POST /que")); err != nil {
+		t.Fatal(err)
+	}
+
+	answered := make(chan error, 1)
+	go func() {
+		resp, err := http.Post("http://"+ln.Addr().String()+"/query", "application/json",
+			strings.NewReader(`{"archive":"t.dsqz","where":"seq < 100","format":"csv"}`))
+		if err == nil {
+			defer resp.Body.Close()
+			if _, err = io.Copy(io.Discard, resp.Body); err == nil && resp.StatusCode != http.StatusOK {
+				err = errors.New(resp.Status)
+			}
+		}
+		answered <- err
+	}()
+
+	// The server closes the stalled connection: the read ends (EOF) well
+	// before this deadline instead of timing out on an open socket.
+	slow.SetReadDeadline(time.Now().Add(10 * time.Second))
+	if _, err := io.ReadAll(slow); err != nil {
+		t.Fatalf("stalled connection was not closed by the server: %v", err)
+	}
+	if err := <-answered; err != nil {
+		t.Fatalf("concurrent /query: %v", err)
 	}
 }

@@ -43,29 +43,6 @@ const (
 	stringHeaderBytes = 16
 )
 
-// newNumBlock copies one group's span of a decoded numeric column into a
-// fresh, independently-owned block (a subslice would pin the whole decode's
-// backing array and break the cache's eviction accounting).
-func newNumBlock(src []float64) *ColumnBlock {
-	out := make([]float64, len(src))
-	copy(out, src)
-	return &ColumnBlock{Num: out, bytes: sliceHeaderBytes + 8*int64(len(out))}
-}
-
-// newStrBlock copies one group's span of a decoded categorical column.
-// The string payloads themselves are shared with the decode (strings are
-// immutable); their bytes are still charged to the block since the block is
-// what keeps them alive once the decode's table is dropped.
-func newStrBlock(src []string) *ColumnBlock {
-	out := make([]string, len(src))
-	copy(out, src)
-	n := int64(sliceHeaderBytes)
-	for _, s := range out {
-		n += stringHeaderBytes + int64(len(s))
-	}
-	return &ColumnBlock{Str: out, bytes: n}
-}
-
 // NumGroups returns the archive's row-group count (1 for a version-1
 // archive), the group-index space DecodeBlocks and DecompressOptions.GroupMask
 // address.
@@ -91,20 +68,31 @@ func (a *Archive) GroupRows(g int) int {
 func (a *Archive) DecodeFlags() byte { return a.meta.flags }
 
 // DecodeBlocks decodes the selected columns of the selected row groups into
-// immutable per-group, per-column blocks: the miss path of a decoded-block
-// cache. groups and cols must be strictly ascending; groups are archive
-// group indexes (see NumGroups), cols schema column indexes. The returned
-// slice is indexed [len(groups)][len(cols)], and every block's contents are
-// byte-identical to the corresponding span of a full decompression — the
-// whole request runs through the same parse→scan→unpack→resolve→decode→
-// assemble stages, restricted by GroupMask and column projection, so pruned
-// groups' segments and unselected columns' streams are never read. pool, when
-// non-nil, bounds the decode over the caller's shared worker pool.
+// immutable per-group, per-column blocks — the one primitive every block
+// consumer (the query engine, the serve layer's cache misses) reads through.
+// groups and cols must be strictly ascending; groups are archive group
+// indexes (see NumGroups), cols schema column indexes. The returned slice is
+// indexed [len(groups)][len(cols)], and every block's contents are
+// byte-identical to the corresponding span of a full decompression: the
+// request runs the same parse→scan→unpack→resolve→decode stages, restricted
+// by GroupMask and column projection, so unrequested groups' segments and
+// unselected columns' streams are never read, and assemble writes each
+// (group, column) once, straight into the block's own backing array. pool,
+// when non-nil, bounds the decode over the caller's shared worker pool.
 func (a *Archive) DecodeBlocks(ctx context.Context, groups []int, cols []int, pool *pipeline.Pool) ([][]*ColumnBlock, error) {
-	ngroups := a.NumGroups()
 	if len(groups) == 0 {
 		return nil, fmt.Errorf("core: DecodeBlocks needs at least one group")
 	}
+	return a.DecodeBlocksRun(newRun(ctx, DecompressOptions{Pool: pool}), groups, cols)
+}
+
+// DecodeBlocksRun is DecodeBlocks over the caller's run: its context and
+// pool bound the decode, and the decode's stages (parse … assemble, scan
+// carrying the skipped-bytes counter) are recorded on it ahead of whatever
+// stages the caller records next — how a query reports where its time went.
+// An empty group list decodes nothing and still scans.
+func (a *Archive) DecodeBlocksRun(run *pipeline.Run, groups []int, cols []int) ([][]*ColumnBlock, error) {
+	ngroups := a.NumGroups()
 	if len(cols) == 0 {
 		return nil, fmt.Errorf("core: DecodeBlocks needs at least one column")
 	}
@@ -129,33 +117,57 @@ func (a *Archive) DecodeBlocks(ctx context.Context, groups []int, cols []int, po
 		}
 		names[i] = schema.Columns[c].Name
 	}
-
-	res, err := a.decompress(ctx, DecompressOptions{Columns: names, GroupMask: mask, Pool: pool}, nil)
+	d, err := a.decodeStages(run, DecompressOptions{Columns: names, GroupMask: mask}, nil)
 	if err != nil {
 		return nil, err
 	}
-	// The decode concatenates the selected groups' rows in archive order and
-	// lists the projected columns in schema order — exactly the groups/cols
-	// request order. Slice the table back apart, copying each span so every
-	// block owns (and is accounted for) its own memory.
-	t := res.Table
-	out := make([][]*ColumnBlock, len(groups))
-	off := 0
-	for gi, g := range groups {
-		rows := a.GroupRows(g)
-		blocks := make([]*ColumnBlock, len(cols))
-		for ci, c := range cols {
-			if schema.Columns[c].Type == dataset.Categorical {
-				blocks[ci] = newStrBlock(t.Str[ci][off : off+rows])
+	var out [][]*ColumnBlock
+	err = run.Stage("assemble", func() (err error) {
+		out, err = d.assembleBlocks()
+		return err
+	})
+	return out, err
+}
+
+// assembleBlocks assembles every requested group's selected columns into
+// blocks of their own, indexed [requested group][selected column]. Each
+// block gets a fresh backing array — a span of a shared one would pin its
+// neighbours and break the cache's per-block eviction accounting — and is
+// charged for the string payloads it keeps alive.
+func (d *decompressor) assembleBlocks() ([][]*ColumnBlock, error) {
+	var out [][]*ColumnBlock
+	rowOf := make([][]*ColumnBlock, len(d.groups))
+	for gi, g := range d.groups {
+		if !d.opts.GroupMask[gi] {
+			continue
+		}
+		row := make([]*ColumnBlock, len(d.selCols))
+		for ci, col := range d.selCols {
+			if d.plan.Schema.Columns[col].Type == dataset.Categorical {
+				row[ci] = &ColumnBlock{Str: make([]string, g.count)}
 			} else {
-				blocks[ci] = newNumBlock(t.Num[ci][off : off+rows])
+				row[ci] = &ColumnBlock{Num: make([]float64, g.count), bytes: sliceHeaderBytes + 8*int64(g.count)}
 			}
 		}
-		out[gi] = blocks
-		off += rows
+		rowOf[gi] = row
+		out = append(out, row)
 	}
-	if off != t.NumRows() {
-		return nil, fmt.Errorf("%w: decoded %d rows for %d group rows", ErrCorrupt, t.NumRows(), off)
+	err := d.assemble(func(gi, ci int) ([]string, []float64) {
+		b := rowOf[gi][ci]
+		return b.Str, b.Num
+	})
+	if err != nil {
+		return nil, err
+	}
+	for _, row := range out {
+		for _, b := range row {
+			if b.Str != nil {
+				b.bytes = sliceHeaderBytes
+				for _, s := range b.Str {
+					b.bytes += stringHeaderBytes + int64(len(s))
+				}
+			}
+		}
 	}
 	return out, nil
 }

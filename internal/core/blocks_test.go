@@ -1,9 +1,15 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"io"
+	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
+	"unsafe"
 
 	"deepsqueeze/internal/dataset"
 )
@@ -41,7 +47,10 @@ func blocksTestArchive(t *testing.T, float32Plan bool) ([]byte, *dataset.Table) 
 
 // TestDecodeBlocksMatchesFullDecode checks every (group, column) block equals
 // the corresponding span of a full decompression, for both precision plans
-// and several group/column subsets.
+// and several group/column subsets — and that every block owns a backing
+// array of exactly its own length that overlaps no other block's, charged
+// at the cache's accounting rate (assemble writes blocks in place, so no
+// copy guarantees this any more).
 func TestDecodeBlocksMatchesFullDecode(t *testing.T) {
 	for _, f32 := range []bool{false, true} {
 		archive, _ := blocksTestArchive(t, f32)
@@ -74,14 +83,38 @@ func TestDecodeBlocksMatchesFullDecode(t *testing.T) {
 			if err != nil {
 				t.Fatalf("f32=%v DecodeBlocks(%v,%v): %v", f32, tc.groups, tc.cols, err)
 			}
+			type span struct{ lo, hi uintptr }
+			var owned []span
 			for gi, g := range tc.groups {
 				for ci, c := range tc.cols {
 					b := blocks[gi][ci]
+					var sp span
+					wantBytes := int64(24)
+					if b.Str != nil {
+						sp.lo = uintptr(unsafe.Pointer(unsafe.SliceData(b.Str)))
+						sp.hi = sp.lo + uintptr(cap(b.Str))*unsafe.Sizeof("")
+						for _, v := range b.Str {
+							wantBytes += 16 + int64(len(v))
+						}
+					} else {
+						sp.lo = uintptr(unsafe.Pointer(unsafe.SliceData(b.Num)))
+						sp.hi = sp.lo + uintptr(cap(b.Num))*8
+						wantBytes += 8 * int64(len(b.Num))
+					}
+					if cap(b.Str) != len(b.Str) || cap(b.Num) != len(b.Num) {
+						t.Fatalf("f32=%v group %d col %d: block is a prefix of a larger array", f32, g, c)
+					}
+					for _, o := range owned {
+						if sp.lo < o.hi && o.lo < sp.hi {
+							t.Fatalf("f32=%v group %d col %d: backing array overlaps another block's", f32, g, c)
+						}
+					}
+					owned = append(owned, sp)
+					if b.Bytes() != wantBytes {
+						t.Fatalf("f32=%v group %d col %d: Bytes() = %d, want %d", f32, g, c, b.Bytes(), wantBytes)
+					}
 					if b.Len() != a.GroupRows(g) {
 						t.Fatalf("f32=%v group %d col %d: %d rows, want %d", f32, g, c, b.Len(), a.GroupRows(g))
-					}
-					if b.Bytes() <= 0 {
-						t.Fatalf("f32=%v group %d col %d: non-positive byte accounting", f32, g, c)
 					}
 					for i := 0; i < b.Len(); i++ {
 						r := starts[g] + i
@@ -95,6 +128,74 @@ func TestDecodeBlocksMatchesFullDecode(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestReadersAgreeGroupByGroup pins the single assemble behind the three read
+// entry points: on committed goldens (two v2, one v1 whose rows were stored
+// expert-grouped), group g from ArchiveReader.Next, DecodeBlocks({g}, every
+// column) and rows [start, start+count) of Decompress hold the same cells.
+func TestReadersAgreeGroupByGroup(t *testing.T) {
+	for _, name := range []string{"multigroup_v2", "f32_v2", "moe"} {
+		archive, err := os.ReadFile(filepath.Join("testdata", name+".dsqz"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		full, err := Decompress(archive)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := Open(archive)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ar, err := NewArchiveReader(bytes.NewReader(archive))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cols := make([]int, len(full.Schema.Columns))
+		for c := range cols {
+			cols[c] = c
+		}
+		start := 0
+		for g := 0; g < a.NumGroups(); g++ {
+			next, err := ar.Next()
+			if err != nil {
+				t.Fatalf("%s group %d: Next: %v", name, g, err)
+			}
+			blocks, err := a.DecodeBlocks(context.Background(), []int{g}, cols, nil)
+			if err != nil {
+				t.Fatalf("%s group %d: DecodeBlocks: %v", name, g, err)
+			}
+			rows := a.GroupRows(g)
+			if next.NumRows() != rows {
+				t.Fatalf("%s group %d: Next returned %d rows, index says %d", name, g, next.NumRows(), rows)
+			}
+			for c, col := range full.Schema.Columns {
+				b := blocks[0][c]
+				if b.Len() != rows {
+					t.Fatalf("%s group %d col %d: block of %d rows, want %d", name, g, c, b.Len(), rows)
+				}
+				for i := 0; i < rows; i++ {
+					if col.Type == dataset.Categorical {
+						if w := full.Str[c][start+i]; next.Str[c][i] != w || b.Str[i] != w {
+							t.Fatalf("%s group %d col %d row %d: reader %q, block %q, full decode %q",
+								name, g, c, i, next.Str[c][i], b.Str[i], w)
+						}
+					} else if w := math.Float64bits(full.Num[c][start+i]); math.Float64bits(next.Num[c][i]) != w || math.Float64bits(b.Num[i]) != w {
+						t.Fatalf("%s group %d col %d row %d: reader %v, block %v, full decode %v",
+							name, g, c, i, next.Num[c][i], b.Num[i], full.Num[c][start+i])
+					}
+				}
+			}
+			start += rows
+		}
+		if _, err := ar.Next(); err != io.EOF {
+			t.Fatalf("%s: Next after the last group: %v, want io.EOF", name, err)
+		}
+		if start != full.NumRows() {
+			t.Fatalf("%s: groups cover %d rows, full decode has %d", name, start, full.NumRows())
 		}
 	}
 }

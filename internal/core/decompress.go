@@ -221,19 +221,41 @@ func decompressPipeline(ctx context.Context, archive []byte, opts DecompressOpti
 	return a.decompress(ctx, opts, ext)
 }
 
+// newRun returns the run a request's stages execute on: over opts.Pool when
+// the caller supplied one, else over a fresh pool of opts.Parallelism workers.
+func newRun(ctx context.Context, opts DecompressOptions) *pipeline.Run {
+	if opts.Pool != nil {
+		return pipeline.NewWithPool(ctx, opts.Pool)
+	}
+	return pipeline.New(ctx, opts.Parallelism)
+}
+
 // decompress runs the staged decompression — parse → scan → unpack →
 // resolve → decode → assemble — as one request against the handle's parsed
 // metadata. Requests are independent: all shared state on the handle is
 // immutable or guarded by sync.Once, so concurrent calls are safe.
 func (a *Archive) decompress(ctx context.Context, opts DecompressOptions, ext *providedModel) (*DecompressResult, error) {
-	var run *pipeline.Run
-	if opts.Pool != nil {
-		run = pipeline.NewWithPool(ctx, opts.Pool)
-	} else {
-		run = pipeline.New(ctx, opts.Parallelism)
+	run := newRun(ctx, opts)
+	d, err := a.decodeStages(run, opts, ext)
+	if err != nil {
+		return nil, err
 	}
-	d := &decompressor{run: run, opts: opts, ext: ext, h: a, meta: a.meta}
 	var out *dataset.Table
+	err = run.Stage("assemble", func() (err error) {
+		out, err = d.assembleTable()
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &DecompressResult{Table: out, Stages: run.Stats()}, nil
+}
+
+// decodeStages runs every stage short of assemble on run and returns the
+// decompressor holding the decoded groups; the caller picks where assemble
+// writes them (assembleTable or assembleBlocks).
+func (a *Archive) decodeStages(run *pipeline.Run, opts DecompressOptions, ext *providedModel) (*decompressor, error) {
+	d := &decompressor{run: run, opts: opts, ext: ext, h: a, meta: a.meta}
 	stages := []struct {
 		name string
 		fn   func() (int64, error)
@@ -243,18 +265,13 @@ func (a *Archive) decompress(ctx context.Context, opts DecompressOptions, ext *p
 		{"unpack", d.unpack},
 		{"resolve", func() (int64, error) { return 0, d.resolve() }},
 		{"decode", func() (int64, error) { return 0, d.decode() }},
-		{"assemble", func() (int64, error) {
-			t, err := d.assemble()
-			out = t
-			return 0, err
-		}},
 	}
 	for _, st := range stages {
 		if err := run.StageBytes(st.name, st.fn); err != nil {
 			return nil, err
 		}
 	}
-	return &DecompressResult{Table: out, Stages: run.Stats()}, nil
+	return d, nil
 }
 
 // parse adopts the handle's parsed-once metadata, applies the request's row
@@ -610,11 +627,12 @@ func (d *decompressor) unpack() (int64, error) {
 		bytes += int64(len(chunk))
 		items = append(items, fn)
 	}
-	if d.needModel {
+	if d.needModel && d.decoders == nil {
 		// Internal-model requests through a handle share its parsed-once
 		// decoder cache; streaming batch archives (externally supplied
-		// decoders) and the streaming reader parse per use. Either way the
-		// chunk's bytes count as decoded work for this request.
+		// decoders) parse per request, and the streaming reader parsed its
+		// decoders when it read the archive prefix. Either way the chunk's
+		// bytes count as decoded work for the request that loads them.
 		if d.h != nil && d.ext == nil {
 			add(d.decoderChunk, func() error {
 				decs, err := d.h.decoders()
@@ -1248,95 +1266,94 @@ func (d *decompressor) applyChunk(g *groupDec, dec *nn.Decoder, chunk []int, p *
 	return nil
 }
 
-// assemble materializes the selected columns in original row order — one
-// work item per group × column, each writing a disjoint slice of the
-// preallocated output — and builds the (possibly projected) output table.
-func (d *decompressor) assemble() (*dataset.Table, error) {
-	n := d.nOut
-	ncols := len(d.plan.Cols)
-	outStr := make([][]string, ncols)
-	outNum := make([][]float64, ncols)
-	for _, col := range d.selCols {
-		if d.plan.Schema.Columns[col].Type == dataset.Categorical {
-			outStr[col] = make([]string, n)
-		} else {
-			outNum[col] = make([]float64, n)
-		}
-	}
+// assemble materializes the selected columns of every decoded group in
+// original row order — one work item per group × column. dst names where
+// item (d.groups[gi], d.selCols[ci]) writes: a categorical or a numeric
+// slice of exactly the group's selected row count that no other item
+// touches, so the outcome is independent of scheduling.
+func (d *decompressor) assemble(dst func(gi, ci int) ([]string, []float64)) error {
 	type work struct {
 		g   *groupDec
 		col int
+		str []string
+		num []float64
 	}
 	var items []work
-	for _, g := range d.groups {
+	for gi, g := range d.groups {
 		if !g.active || g.ghi <= g.glo {
 			continue
 		}
-		for _, col := range d.selCols {
-			items = append(items, work{g, col})
+		for ci, col := range d.selCols {
+			str, num := dst(gi, ci)
+			items = append(items, work{g, col, str, num})
 		}
 	}
-	err := d.run.ForEach(len(items), func(k int) error {
-		g, col := items[k].g, items[k].col
-		return d.assembleColumn(g, col, outStr[col], outNum[col], g.outOff)
+	return d.run.ForEach(len(items), func(k int) error {
+		it := items[k]
+		return d.assembleColumn(it.g, it.col, it.str, it.num)
+	})
+}
+
+// assembleTable assembles into one (possibly projected) table: the surviving
+// groups' selected rows concatenate in archive order, each group writing the
+// span of every output column that starts at its outOff.
+func (d *decompressor) assembleTable() (*dataset.Table, error) {
+	schema := d.plan.Schema
+	if d.opts.Columns != nil {
+		cols := make([]dataset.Column, len(d.selCols))
+		for k, col := range d.selCols {
+			cols[k] = schema.Columns[col]
+		}
+		schema = dataset.NewSchema(cols...)
+	}
+	out := dataset.NewTable(schema, d.nOut)
+	for k := range schema.Columns {
+		if out.Str[k] != nil {
+			out.Str[k] = out.Str[k][:d.nOut]
+		} else {
+			out.Num[k] = out.Num[k][:d.nOut]
+		}
+	}
+	out.SetNumRows(d.nOut)
+	err := d.assemble(func(gi, ci int) ([]string, []float64) {
+		g := d.groups[gi]
+		lo, hi := g.outOff, g.outOff+g.ghi-g.glo
+		if out.Str[ci] != nil {
+			return out.Str[ci][lo:hi], nil
+		}
+		return nil, out.Num[ci][lo:hi]
 	})
 	if err != nil {
 		return nil, err
 	}
-	if d.opts.Columns == nil {
-		out := dataset.NewTable(d.plan.Schema, 0)
-		for _, col := range d.selCols {
-			if d.plan.Schema.Columns[col].Type == dataset.Categorical {
-				out.Str[col] = outStr[col]
-			} else {
-				out.Num[col] = outNum[col]
-			}
-		}
-		out.SetNumRows(n)
-		return out, nil
-	}
-	cols := make([]dataset.Column, len(d.selCols))
-	for k, col := range d.selCols {
-		cols[k] = d.plan.Schema.Columns[col]
-	}
-	out := dataset.NewTable(dataset.NewSchema(cols...), 0)
-	for k, col := range d.selCols {
-		if d.plan.Schema.Columns[col].Type == dataset.Categorical {
-			out.Str[k] = outStr[col]
-		} else {
-			out.Num[k] = outNum[col]
-		}
-	}
-	out.SetNumRows(n)
 	return out, nil
 }
 
-// assembleColumn materializes one group × column into dstStr/dstNum starting
-// at dstOff. Model and trivial columns decode through the group plan into a
-// scratch table (plan.DecodeColumn addresses whole columns by schema index)
-// and are copied into the shared output region, which no other work item
-// touches.
-func (d *decompressor) assembleColumn(g *groupDec, col int, dstStr []string, dstNum []float64, dstOff int) error {
+// assembleColumn materializes one group × column into dstStr or dstNum
+// (whichever matches the column's type), each exactly the group's selected
+// row count long. Model and trivial columns decode through the group plan
+// into a scratch table (plan.DecodeColumn addresses whole columns by schema
+// index) and are copied across.
+func (d *decompressor) assembleColumn(g *groupDec, col int, dstStr []string, dstNum []float64) error {
 	m := g.ghi - g.glo
 	cp := &g.plan.Cols[col]
-	categorical := d.plan.Schema.Columns[col].Type == dataset.Categorical
 	decodeCopy := func(codes []int) error {
 		scratch := dataset.NewTable(g.plan.Schema, 0)
 		if err := decodeColumnChecked(g.plan, scratch, col, codes); err != nil {
 			return err
 		}
-		if categorical {
-			copy(dstStr[dstOff:dstOff+m], scratch.Str[col])
+		if dstStr != nil {
+			copy(dstStr, scratch.Str[col])
 		} else {
-			copy(dstNum[dstOff:dstOff+m], scratch.Num[col])
+			copy(dstNum, scratch.Num[col])
 		}
 		return nil
 	}
 	switch {
 	case d.lo.specOfCol[col] >= 0 && cp.Kind == preprocess.KindNumContinuous:
 		src := g.contOut[col]
-		for i := 0; i < m; i++ {
-			dstNum[dstOff+i] = src[g.unperm[g.glo+i]]
+		for i := range dstNum {
+			dstNum[i] = src[g.unperm[g.glo+i]]
 		}
 	case d.lo.specOfCol[col] >= 0:
 		codes := make([]int, m)
@@ -1347,13 +1364,13 @@ func (d *decompressor) assembleColumn(g *groupDec, col int, dstStr []string, dst
 		return decodeCopy(codes)
 	case cp.Kind == preprocess.KindFallbackCat:
 		src := g.fbStr[col]
-		for i := 0; i < m; i++ {
-			dstStr[dstOff+i] = src[g.unperm[g.glo+i]]
+		for i := range dstStr {
+			dstStr[i] = src[g.unperm[g.glo+i]]
 		}
 	case cp.Kind == preprocess.KindFallbackNum:
 		src := g.fbNum[col]
-		for i := 0; i < m; i++ {
-			dstNum[dstOff+i] = src[g.unperm[g.glo+i]]
+		for i := range dstNum {
+			dstNum[i] = src[g.unperm[g.glo+i]]
 		}
 	default: // trivial
 		codes := make([]int, m)

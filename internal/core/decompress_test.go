@@ -6,6 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
@@ -288,5 +290,30 @@ func TestDecompressBatchContextProjection(t *testing.T) {
 	// self-contained: both directions must fail cleanly.
 	if _, err := DecompressContext(context.Background(), bres.Archive, DecompressOptions{}); err == nil {
 		t.Fatal("batch archive decompressed without its model")
+	}
+}
+
+// A plan whose column kind disagrees with its schema type (a fallback or a
+// model categorical declared numeric) is corrupt at every reader: they
+// allocate output by type and fill it by kind.
+func TestKindTypeMismatchRejected(t *testing.T) {
+	v1, err := os.ReadFile(filepath.Join("testdata", "categorical.dsqz"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, col := range []string{"code", "city"} { // fallback, model categorical
+		at := bytes.Index(v1, []byte(col)) + len(col) // the type byte follows the name
+		if v1[at] != byte(dataset.Categorical) {
+			t.Fatalf("%s: type byte %d, fixture layout changed", col, v1[at])
+		}
+		crafted := append([]byte(nil), v1...)
+		crafted[at] = byte(dataset.Numeric)
+		crafted = refreshCRC(crafted)
+		if _, err := Decompress(crafted); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%s declared numeric: Decompress err = %v, want ErrCorrupt", col, err)
+		}
+		if _, err := NewArchiveReader(bytes.NewReader(crafted)); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%s declared numeric: NewArchiveReader err = %v, want ErrCorrupt", col, err)
+		}
 	}
 }

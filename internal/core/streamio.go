@@ -422,9 +422,11 @@ func splitRows(t *dataset.Table, n int) (head, rest *dataset.Table) {
 
 // ArchiveReader decompresses a version-2 archive group by group from an
 // io.Reader, holding at most one row group's streams in memory. Each call to
-// Next returns the next row group's rows in original order; io.EOF signals
-// the end, after the footer index and the archive checksum have been
-// verified against everything read.
+// Next returns the next row group's rows in original order — decoded by the
+// same unpack → resolve → decode → assemble stage functions every
+// handle-based request runs, over a one-group list — and io.EOF signals the
+// end, after the footer index and the archive checksum have been verified
+// against everything read.
 //
 // Version-1 archives (no row groups) are accepted for compatibility by
 // buffering the whole archive and decompressing in memory; the single table
@@ -641,7 +643,19 @@ func (ar *ArchiveReader) decodeSegment(framed []byte) (*dataset.Table, groupMeta
 	if err := nr.done(); err != nil {
 		return nil, meta, err
 	}
-	t, err := d.decodeGroupTable(g)
+	// The request stages, over a one-group list: the same functions that
+	// decode every handle-based request.
+	d.groups, d.nOut = []*groupDec{g}, g.count
+	if _, err := d.unpack(); err != nil {
+		return nil, meta, err
+	}
+	if err := d.resolve(); err != nil {
+		return nil, meta, err
+	}
+	if err := d.decode(); err != nil {
+		return nil, meta, err
+	}
+	t, err := d.assembleTable()
 	if err != nil {
 		return nil, meta, err
 	}
@@ -761,61 +775,3 @@ func (f readerFunc) ReadByte() (byte, error) { return f() }
 // maxArchiveRows is the format's row-count ceiling (2^31-1), shared by the
 // in-memory and streaming readers.
 const maxArchiveRows = 1<<31 - 1
-
-// decodeGroupTable runs one already-scanned group through unpack → resolve →
-// decode → assemble and returns its rows as a table in original order. Used
-// by ArchiveReader, which feeds groups one at a time.
-func (d *decompressor) decodeGroupTable(g *groupDec) (*dataset.Table, error) {
-	var items []func() error
-	add := func(_ []byte, fn func() error) { items = append(items, fn) }
-	d.unpackGroupItems(g, add)
-	if err := d.run.ForEach(len(items), func(i int) error { return items[i]() }); err != nil {
-		return nil, err
-	}
-	d.resolveGroupInit(g)
-	var specIdx []int
-	for si := range d.lo.specs {
-		if d.wantSpec[si] {
-			specIdx = append(specIdx, si)
-		}
-	}
-	err := d.run.ForEach(len(specIdx), func(i int) error { return d.resolveSpec(g, specIdx[i]) })
-	if err != nil {
-		return nil, err
-	}
-	if d.needModel && g.count > 0 {
-		d.decodeGroupInit(g)
-		err := d.decodeItems(d.numExperts, func(e int) (*groupDec, int) { return g, e })
-		if err != nil {
-			return nil, err
-		}
-	}
-	ncols := len(d.plan.Cols)
-	outStr := make([][]string, ncols)
-	outNum := make([][]float64, ncols)
-	for col := range d.plan.Cols {
-		if d.plan.Schema.Columns[col].Type == dataset.Categorical {
-			outStr[col] = make([]string, g.count)
-		} else {
-			outNum[col] = make([]float64, g.count)
-		}
-	}
-	if g.count > 0 {
-		err = d.run.ForEach(ncols, func(col int) error {
-			return d.assembleColumn(g, col, outStr[col], outNum[col], 0)
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	out := dataset.NewTable(d.plan.Schema, 0)
-	for col := range d.plan.Cols {
-		if d.plan.Schema.Columns[col].Type == dataset.Categorical {
-			out.Str[col] = outStr[col]
-		} else {
-			out.Num[col] = outNum[col]
-		}
-	}
-	out.SetNumRows(g.count)
-	return out, nil
-}

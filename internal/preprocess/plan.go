@@ -523,6 +523,16 @@ func DecodePlan(buf []byte) (*Plan, int, error) {
 		default:
 			return nil, 0, fmt.Errorf("%w: unknown column kind %d", ErrCorrupt, cp.Kind)
 		}
+		// Readers allocate a column's output by its schema type and fill it
+		// by its kind; a plan whose two disagree cannot have been written.
+		wantType := dataset.Numeric
+		switch cp.Kind {
+		case KindCatModel, KindBinary, KindFallbackCat, KindCatResidual:
+			wantType = dataset.Categorical
+		}
+		if p.Schema.Columns[i].Type != wantType {
+			return nil, 0, fmt.Errorf("%w: column %d is %v but its kind %v is not", ErrCorrupt, i, p.Schema.Columns[i].Type, cp.Kind)
+		}
 	}
 	return p, pos, nil
 }

@@ -78,12 +78,13 @@ type Options struct {
 	// ignored — how a server bounds total work across concurrent queries.
 	Pool *pipeline.Pool
 
-	// Blocks, when non-nil, switches execution to the cached-block path:
-	// filters, aggregates, and packing run directly over decoded column
-	// blocks obtained from the source (the serve layer's decoded-block
-	// cache), skipping the parse→scan→unpack→decode pipeline entirely for
-	// groups the source already holds. Results are byte-identical to the
-	// uncached path; only the Stages/BytesSkipped instrumentation differs.
+	// Blocks, when non-nil, is where the executor gets the decoded column
+	// blocks it filters, folds and packs (the serve layer's decoded-block
+	// cache: groups it already holds skip the parse→scan→unpack→decode
+	// pipeline entirely). When nil, the executor decodes the surviving
+	// groups' blocks from the handle itself, over the query's own pool. The
+	// rows and aggregates are the same either way; only the Stages and
+	// BytesSkipped instrumentation differs.
 	Blocks BlockSource
 }
 
@@ -111,12 +112,15 @@ type Result struct {
 	// segments were skipped without decoding.
 	GroupsTotal  int
 	GroupsPruned int
-	// BytesSkipped is the archive bytes never decoded — pruned row groups
-	// plus unselected columns' streams (the decompressor's scan-stage byte
-	// counter).
+	// BytesSkipped is the archive bytes never decoded. A query that decodes
+	// from the handle reports the decode's scan-stage counter: pruned row
+	// groups plus unselected columns' streams. With a BlockSource nothing is
+	// scanned here, so it is the pruned groups' segment bytes only.
 	BytesSkipped int64
-	// Stages reports per-stage instrumentation: the decompressor's stages
-	// followed by the filter stage.
+	// Stages reports per-stage instrumentation in execution order: how the
+	// blocks were obtained — the decode's own stages (parse, scan, unpack,
+	// resolve, decode, assemble), or one "blocks" stage timing the
+	// BlockSource — then filter, then pack (row mode only).
 	Stages []core.StageStats
 }
 
@@ -155,39 +159,39 @@ func RunArchive(ctx context.Context, a *core.Archive, opts Options) (*Result, er
 		return nil, fmt.Errorf("query: archive references an external model; re-assemble it before querying")
 	}
 	res := &Result{GroupsTotal: len(idx.Groups)}
+	p := plan{idx: idx, aggMode: len(opts.Aggs) > 0}
 
-	var b *bound
 	if opts.Where != nil {
-		if b, err = bind(opts.Where, idx.Plan); err != nil {
+		if p.b, err = bind(opts.Where, idx.Plan); err != nil {
 			return nil, err
 		}
 	}
+	schema := idx.Plan.Schema.Columns
 	colIdx := func(name string) (int, error) {
-		for i, c := range idx.Plan.Schema.Columns {
+		for i, c := range schema {
 			if c.Name == name {
 				return i, nil
 			}
 		}
 		return 0, fmt.Errorf("query: unknown column %q", name)
 	}
-	aggMode := len(opts.Aggs) > 0
-	aggCols := make([]int, len(opts.Aggs))
+	p.aggCols = make([]int, len(opts.Aggs))
 	for i, a := range opts.Aggs {
 		switch a.Kind {
 		case AggCount:
 			if a.Col != "" {
 				return nil, fmt.Errorf("query: count takes no column (got %q)", a.Col)
 			}
-			aggCols[i] = -1
+			p.aggCols[i] = -1
 		case AggMin, AggMax, AggSum:
 			j, err := colIdx(a.Col)
 			if err != nil {
 				return nil, err
 			}
-			if idx.Plan.Schema.Columns[j].Type != dataset.Numeric {
+			if schema[j].Type != dataset.Numeric {
 				return nil, fmt.Errorf("query: %s needs a numeric column, %q is categorical", a.Kind, a.Col)
 			}
-			aggCols[i] = j
+			p.aggCols[i] = j
 		default:
 			return nil, fmt.Errorf("query: unknown aggregate kind %d", int(a.Kind))
 		}
@@ -201,16 +205,18 @@ func RunArchive(ctx context.Context, a *core.Archive, opts Options) (*Result, er
 
 	// Prune row groups whose zones cannot contain a match. Archives without
 	// zone maps (v1, or written with NoZoneMaps) keep every group.
-	mask := make([]bool, len(idx.Groups))
+	p.groups = make([]int, 0, len(idx.Groups))
 	for i, g := range idx.Groups {
-		mask[i] = b == nil || g.Zones == nil || b.mayMatch(g.Zones)
-		if !mask[i] {
+		if p.b == nil || g.Zones == nil || p.b.mayMatch(g.Zones) {
+			p.groups = append(p.groups, i)
+		} else {
 			res.GroupsPruned++
+			p.prunedBytes += g.SegmentBytes
 		}
 	}
 
 	// Fast path: an unfiltered pure count needs no decoding at all.
-	if b == nil && aggMode && pureCount(opts.Aggs) {
+	if p.b == nil && p.aggMode && pureCount(opts.Aggs) {
 		res.Matched = idx.Rows
 		for i := range opts.Aggs {
 			res.Aggregates = append(res.Aggregates, Aggregate{Op: opts.Aggs[i], Value: float64(idx.Rows)})
@@ -218,176 +224,27 @@ func RunArchive(ctx context.Context, a *core.Archive, opts Options) (*Result, er
 		return res, nil
 	}
 
-	// Decode the union of the columns the query touches: selected (or all,
-	// in unprojected row mode), aggregated, and filtered-on. needIdx is the
-	// same union as ascending schema indexes (every column, in unprojected
-	// row mode) — the cached-block path fetches exactly these.
-	var decodeCols []string
-	var needIdx []int
-	if !aggMode && len(opts.Select) == 0 {
-		decodeCols = nil // row mode over every column
-		needIdx = make([]int, len(idx.Plan.Schema.Columns))
-		for j := range needIdx {
-			needIdx[j] = j
-		}
-	} else {
-		need := map[int]bool{}
-		for _, j := range selIdx {
-			need[j] = true
-		}
-		for _, j := range aggCols {
-			if j >= 0 {
-				need[j] = true
-			}
-		}
-		if b != nil {
-			for _, j := range b.cols {
-				need[j] = true
-			}
-		}
-		for j, c := range idx.Plan.Schema.Columns {
-			if need[j] {
-				decodeCols = append(decodeCols, c.Name)
-				needIdx = append(needIdx, j)
-			}
+	// outCols is what row mode returns — the selection (every column when
+	// there is none) in archive schema order, same as DecompressOptions —
+	// and needCols the union the query touches: selected, aggregated and
+	// filtered-on columns.
+	if !p.aggMode && len(selIdx) == 0 {
+		for j := range schema {
+			selIdx = append(selIdx, j)
 		}
 	}
-
-	if opts.Blocks != nil {
-		return runCached(ctx, a, opts, res, cachedPlan{
-			idx: idx, b: b, mask: mask,
-			aggMode: aggMode, aggCols: aggCols, selIdx: selIdx, needIdx: needIdx,
-		})
-	}
-
-	dres, err := a.DecompressContext(ctx, core.DecompressOptions{
-		Parallelism: opts.Parallelism,
-		Columns:     decodeCols,
-		GroupMask:   mask,
-		Pool:        opts.Pool,
-	})
-	if err != nil {
-		return nil, err
-	}
-	res.Stages = dres.Stages
-	for _, st := range dres.Stages {
-		if st.Name == "scan" {
-			res.BytesSkipped = st.Bytes
+	p.outCols = core.SortedUnique(selIdx)
+	p.needCols = append(p.needCols, p.outCols...)
+	for _, j := range p.aggCols {
+		if j >= 0 {
+			p.needCols = append(p.needCols, j)
 		}
 	}
-
-	// Scatter the decoded (projected) columns back to full-schema indexes so
-	// the bound predicate can address them.
-	dt := dres.Table
-	nrows := dt.NumRows()
-	ncols := len(idx.Plan.Schema.Columns)
-	str := make([][]string, ncols)
-	num := make([][]float64, ncols)
-	for dj, c := range dt.Schema.Columns {
-		fj, err := colIdx(c.Name)
-		if err != nil {
-			return nil, err
-		}
-		if c.Type == dataset.Categorical {
-			str[fj] = dt.Str[dj]
-		} else {
-			num[fj] = dt.Num[dj]
-		}
+	if p.b != nil {
+		p.needCols = append(p.needCols, p.b.cols...)
 	}
-
-	// Filter: each chunk writes a disjoint span of keep, so the outcome is
-	// independent of parallelism.
-	var run *pipeline.Run
-	if opts.Pool != nil {
-		run = pipeline.NewWithPool(ctx, opts.Pool)
-	} else {
-		run = pipeline.New(ctx, opts.Parallelism)
-	}
-	keep := make([]bool, nrows)
-	err = run.Stage("filter", func() error {
-		if b == nil {
-			for r := range keep {
-				keep[r] = true
-			}
-			return nil
-		}
-		return run.ForEachChunk(nrows, 4096, func(lo, hi int) error {
-			for r := lo; r < hi; r++ {
-				keep[r] = b.eval(r, str, num)
-			}
-			return nil
-		})
-	})
-	if err != nil {
-		return nil, err
-	}
-	res.Stages = append(res.Stages, run.Stats()...)
-	for _, k := range keep {
-		if k {
-			res.Matched++
-		}
-	}
-
-	if aggMode {
-		res.Aggregates = computeAggs(opts.Aggs, aggCols, keep, num, res.Matched)
-		return res, nil
-	}
-
-	// Row mode: project onto the selected columns and gather matching rows.
-	rows := make([]int, 0, res.Matched)
-	for r, k := range keep {
-		if k {
-			rows = append(rows, r)
-			if opts.Limit > 0 && len(rows) == opts.Limit {
-				break
-			}
-		}
-	}
-	outIdx := selIdx
-	if len(opts.Select) == 0 {
-		outIdx = make([]int, ncols)
-		for j := range outIdx {
-			outIdx[j] = j
-		}
-	} else {
-		// Output schema follows archive order, matching DecompressOptions.
-		outIdx = append([]int(nil), selIdx...)
-		sortInts(outIdx)
-		outIdx = dedupInts(outIdx)
-	}
-	outCols := make([]dataset.Column, len(outIdx))
-	for i, fj := range outIdx {
-		outCols[i] = idx.Plan.Schema.Columns[fj]
-	}
-	out := dataset.NewTable(dataset.NewSchema(outCols...), len(rows))
-	err = run.Stage("pack", func() error {
-		return run.ForEach(len(outIdx), func(i int) error {
-			fj := outIdx[i]
-			if outCols[i].Type == dataset.Categorical {
-				src := str[fj]
-				dst := out.Str[i][:0]
-				for _, r := range rows {
-					dst = append(dst, src[r])
-				}
-				out.Str[i] = dst
-			} else {
-				src := num[fj]
-				dst := out.Num[i][:0]
-				for _, r := range rows {
-					dst = append(dst, src[r])
-				}
-				out.Num[i] = dst
-			}
-			return nil
-		})
-	})
-	if err != nil {
-		return nil, err
-	}
-	out.SetNumRows(len(rows))
-	res.Table = out
-	res.Stages = appendStage(res.Stages, run.Stats(), "pack")
-	return res, nil
+	p.needCols = core.SortedUnique(p.needCols)
+	return execute(ctx, a, opts, res, p)
 }
 
 // pureCount reports whether every requested aggregate is a bare count.
@@ -400,9 +257,244 @@ func pureCount(aggs []AggOp) bool {
 	return true
 }
 
-// computeAggs evaluates the aggregates serially in row order, so sums are
-// bit-identical at every parallelism level.
-func computeAggs(aggs []AggOp, aggCols []int, keep []bool, num [][]float64, matched int) []Aggregate {
+// plan is what the planner hands the executor.
+type plan struct {
+	idx         *core.ArchiveIndex
+	b           *bound // nil: every row matches
+	groups      []int  // groups that survive pruning, ascending
+	prunedBytes int64  // segment bytes of the groups that did not
+	aggMode     bool
+	aggCols     []int // per AggOp: the schema column folded, -1 for count
+	outCols     []int // row mode: output schema columns, ascending
+	needCols    []int // schema columns the query touches, ascending
+}
+
+// handleSource is the BlockSource of a query that was given none: it
+// decodes exactly the requested blocks from the handle, on the query's own
+// run — so the decode honours the query's context, Pool and Parallelism, and
+// its stages land in the run's stats ahead of filter and pack.
+type handleSource struct {
+	a   *core.Archive
+	run *pipeline.Run
+}
+
+func (s handleSource) Blocks(_ context.Context, groups []int, cols []int) ([][]*core.ColumnBlock, error) {
+	return s.a.DecodeBlocksRun(s.run, groups, cols)
+}
+
+// execute is the one query executor: it fetches the surviving groups'
+// blocks, filters each group with branch-lean chunked kernels over
+// worker-local pooled scratch (one work item per row group, so a one-group
+// or version-1 archive filters on one worker), folds aggregates serially in
+// global row order, and packs each output column into a preallocated,
+// offset-addressed slice. Beyond the decode itself a query allocates
+// O(result) plus O(surviving groups) bookkeeping, never O(rows decoded), and
+// every output is index-addressed, so results are byte-identical at every
+// parallelism level.
+func execute(ctx context.Context, a *core.Archive, opts Options, res *Result, p plan) (*Result, error) {
+	var run *pipeline.Run
+	if opts.Pool != nil {
+		run = pipeline.NewWithPool(ctx, opts.Pool)
+	} else {
+		run = pipeline.New(ctx, opts.Parallelism)
+	}
+	groups := p.idx.Groups
+	gids := p.groups
+
+	var blocks [][]*core.ColumnBlock
+	fetch := func(src BlockSource) (int64, error) {
+		var err error
+		if blocks, err = src.Blocks(ctx, gids, p.needCols); err != nil {
+			return 0, err
+		}
+		if len(blocks) != len(gids) {
+			return 0, fmt.Errorf("query: block source returned %d groups, want %d", len(blocks), len(gids))
+		}
+		var total int64
+		for gi, g := range gids {
+			if len(blocks[gi]) != len(p.needCols) {
+				return 0, fmt.Errorf("query: block source returned %d columns for group %d, want %d",
+					len(blocks[gi]), g, len(p.needCols))
+			}
+			for ci, blk := range blocks[gi] {
+				if blk == nil || blk.Len() != groups[g].Count {
+					return 0, fmt.Errorf("query: block source returned a bad block for group %d column %d", g, p.needCols[ci])
+				}
+				total += blk.Bytes()
+			}
+		}
+		return total, nil
+	}
+	var err error
+	if opts.Blocks == nil {
+		// Asked even when every group was pruned: the scan still has the
+		// skipped bytes to report.
+		_, err = fetch(handleSource{a, run})
+	} else if len(gids) > 0 {
+		err = run.StageBytes("blocks", func() (int64, error) { return fetch(opts.Blocks) })
+	}
+	if err != nil {
+		return nil, err
+	}
+
+	// Filter: one keep bitmap per group. Each group's bitmap and count land
+	// in index-addressed slots, so the outcome is parallelism-independent.
+	counts := make([]int, len(gids))
+	keeps := make([][]bool, len(gids)) // nil entries mean "every row matches"
+	var bufs []*boolBuf
+	defer func() {
+		for _, kb := range bufs {
+			putBoolBuf(kb)
+		}
+	}()
+	err = run.Stage("filter", func() error {
+		if p.b == nil {
+			for gi, g := range gids {
+				counts[gi] = groups[g].Count
+			}
+			return nil
+		}
+		bufs = make([]*boolBuf, len(gids))
+		scratches := make([]*kernelScratch, run.Parallelism())
+		defer func() {
+			for _, sc := range scratches {
+				if sc != nil {
+					putScratch(sc)
+				}
+			}
+		}()
+		return run.ForEachWorker(len(gids), func(w, gi int) error {
+			sc := scratches[w]
+			if sc == nil {
+				sc = getScratch(len(p.idx.Plan.Schema.Columns))
+				scratches[w] = sc
+			}
+			rows := groups[gids[gi]].Count
+			kb := getBoolBuf(rows)
+			bufs[gi] = kb
+			keeps[gi] = kb.b
+			sc.scatter(blocks[gi], p.needCols)
+			p.b.evalBlock(sc, rows, kb.b)
+			n := 0
+			for _, k := range kb.b {
+				if k {
+					n++
+				}
+			}
+			counts[gi] = n
+			return nil
+		})
+	})
+	if err != nil {
+		return nil, err
+	}
+	for _, n := range counts {
+		res.Matched += n
+	}
+
+	// posOf maps a schema column to its position among the fetched blocks.
+	posOf := make([]int, len(p.idx.Plan.Schema.Columns))
+	for pos, c := range p.needCols {
+		posOf[c] = pos
+	}
+	if p.aggMode {
+		res.Aggregates = foldAggs(opts.Aggs, p.aggCols, posOf, blocks, keeps, res.Matched)
+	} else if res.Table, err = pack(run, p, posOf, blocks, keeps, counts, opts.Limit); err != nil {
+		return nil, err
+	}
+
+	res.Stages = run.Stats()
+	res.BytesSkipped = p.prunedBytes
+	if opts.Blocks == nil {
+		for _, st := range res.Stages {
+			if st.Name == "scan" {
+				res.BytesSkipped = st.Bytes
+			}
+		}
+	}
+	return res, nil
+}
+
+// pack gathers the kept rows of every group into the output table: the
+// first limit matches in global row order (all of them when limit <= 0).
+// Per-group take counts and their prefix sums give every group a disjoint
+// span of each output column.
+func pack(run *pipeline.Run, p plan, posOf []int, blocks [][]*core.ColumnBlock, keeps [][]bool, counts []int, limit int) (*dataset.Table, error) {
+	nOut := 0
+	for _, n := range counts {
+		nOut += n
+	}
+	if limit > 0 && limit < nOut {
+		nOut = limit
+	}
+	take := make([]int, len(counts))
+	offs := make([]int, len(counts))
+	rem := nOut
+	for gi, n := range counts {
+		if n > rem {
+			n = rem
+		}
+		take[gi] = n
+		offs[gi] = nOut - rem
+		rem -= n
+	}
+	outCols := make([]dataset.Column, len(p.outCols))
+	for i, c := range p.outCols {
+		outCols[i] = p.idx.Plan.Schema.Columns[c]
+	}
+	out := dataset.NewTable(dataset.NewSchema(outCols...), 0)
+	err := run.Stage("pack", func() error {
+		return run.ForEach(len(outCols), func(i int) error {
+			pos := posOf[p.outCols[i]]
+			if outCols[i].Type == dataset.Categorical {
+				dst := make([]string, nOut)
+				for gi := range blocks {
+					packRows(dst[offs[gi]:offs[gi]+take[gi]], blocks[gi][pos].Str, keeps[gi])
+				}
+				out.Str[i] = dst
+			} else {
+				dst := make([]float64, nOut)
+				for gi := range blocks {
+					packRows(dst[offs[gi]:offs[gi]+take[gi]], blocks[gi][pos].Num, keeps[gi])
+				}
+				out.Num[i] = dst
+			}
+			return nil
+		})
+	})
+	if err != nil {
+		return nil, err
+	}
+	out.SetNumRows(nOut)
+	return out, nil
+}
+
+// packRows gathers the first len(dst) kept rows of src into dst; a nil keep
+// gathers the leading rows.
+func packRows[T string | float64](dst, src []T, keep []bool) {
+	if len(dst) == 0 {
+		return
+	}
+	if keep == nil {
+		copy(dst, src)
+		return
+	}
+	n := 0
+	for r, k := range keep {
+		if k {
+			dst[n] = src[r]
+			n++
+			if n == len(dst) {
+				return
+			}
+		}
+	}
+}
+
+// foldAggs evaluates the aggregates serially over groups in archive order
+// and rows in group order — global row order, so the float operations (and
+// therefore sums) come out bit-identical at every parallelism level.
+func foldAggs(aggs []AggOp, aggCols []int, posOf []int, blocks [][]*core.ColumnBlock, keeps [][]bool, matched int) []Aggregate {
 	out := make([]Aggregate, len(aggs))
 	for i, a := range aggs {
 		out[i].Op = a
@@ -411,57 +503,33 @@ func computeAggs(aggs []AggOp, aggCols []int, keep []bool, num [][]float64, matc
 			out[i].Value = float64(matched)
 		case AggMin, AggMax:
 			v := math.NaN()
-			col := num[aggCols[i]]
-			for r, k := range keep {
-				if !k {
-					continue
-				}
-				x := col[r]
-				if math.IsNaN(v) ||
-					(a.Kind == AggMin && x < v) ||
-					(a.Kind == AggMax && x > v) {
-					v = x
+			pos := posOf[aggCols[i]]
+			for gi := range blocks {
+				keep := keeps[gi]
+				for r, x := range blocks[gi][pos].Num {
+					if keep != nil && !keep[r] {
+						continue
+					}
+					if math.IsNaN(v) ||
+						(a.Kind == AggMin && x < v) ||
+						(a.Kind == AggMax && x > v) {
+						v = x
+					}
 				}
 			}
 			out[i].Value = v
 		case AggSum:
 			var s float64
-			col := num[aggCols[i]]
-			for r, k := range keep {
-				if k {
-					s += col[r]
+			pos := posOf[aggCols[i]]
+			for gi := range blocks {
+				keep := keeps[gi]
+				for r, x := range blocks[gi][pos].Num {
+					if keep == nil || keep[r] {
+						s += x
+					}
 				}
 			}
 			out[i].Value = s
-		}
-	}
-	return out
-}
-
-// appendStage appends only the named stage from a run's stats (the run's
-// earlier stages were already recorded).
-func appendStage(dst, stats []core.StageStats, name string) []core.StageStats {
-	for _, st := range stats {
-		if st.Name == name {
-			dst = append(dst, st)
-		}
-	}
-	return dst
-}
-
-func sortInts(s []int) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
-}
-
-func dedupInts(s []int) []int {
-	out := s[:0]
-	for i, v := range s {
-		if i == 0 || v != out[len(out)-1] {
-			out = append(out, v)
 		}
 	}
 	return out

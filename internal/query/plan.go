@@ -148,62 +148,6 @@ func bind(p Pred, plan *preprocess.Plan) (*bound, error) {
 	return b, nil
 }
 
-// eval evaluates the bound predicate on one decoded row. str and num are
-// indexed by schema column (only the referenced columns need be non-nil).
-func (b *bound) eval(r int, str [][]string, num [][]float64) bool {
-	return b.root.eval(r, str, num)
-}
-
-func (n *bnode) eval(r int, str [][]string, num [][]float64) bool {
-	switch n.kind {
-	case nAnd:
-		for i := range n.kids {
-			if !n.kids[i].eval(r, str, num) {
-				return false
-			}
-		}
-		return true
-	case nOr:
-		for i := range n.kids {
-			if n.kids[i].eval(r, str, num) {
-				return true
-			}
-		}
-		return false
-	case nNot:
-		return !n.kids[0].eval(r, str, num)
-	case nCmp:
-		if n.isStr {
-			return str[n.col][r] == n.sval // bind guarantees op == OpEq
-		}
-		v := num[n.col][r]
-		switch n.op {
-		case OpEq:
-			return v == n.fval
-		case OpLt:
-			return v < n.fval
-		case OpLe:
-			return v <= n.fval
-		case OpGt:
-			return v > n.fval
-		case OpGe:
-			return v >= n.fval
-		}
-	case nIn:
-		if n.isStr {
-			_, ok := n.sset[str[n.col][r]]
-			return ok
-		}
-		v := num[n.col][r]
-		for _, f := range n.fvals {
-			if v == f {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // mayMatch reports whether a row group with the given per-column zones could
 // contain a matching row. It must never return false for a group that holds
 // a match (soundness); returning true for a group that doesn't is merely a

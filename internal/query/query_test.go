@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 
 	"deepsqueeze/internal/core"
@@ -169,9 +170,99 @@ func randPred(rng *rand.Rand, depth int) Pred {
 	}
 }
 
+// checkAgainstReference answers opts the slow way, straight off the fully
+// decoded table, and fails unless res agrees: naiveEval row by row, the
+// projection by column name in archive order, Limit applied to the row
+// output only, and min/max/sum folded serially in row order — compared bit
+// for bit, since the executor promises the same float operation order at
+// every parallelism level.
+func checkAgainstReference(t *testing.T, res *Result, full *dataset.Table, opts Options) {
+	t.Helper()
+	label := fmt.Sprintf("where %v select %v aggs %v limit %d p=%d", opts.Where, opts.Select, opts.Aggs, opts.Limit, opts.Parallelism)
+	want := naiveMatches(t, opts.Where, full)
+	if res.Matched != len(want) {
+		t.Fatalf("%s: matched %d rows, naive says %d", label, res.Matched, len(want))
+	}
+	colOf := func(name string) int {
+		for i, c := range full.Schema.Columns {
+			if c.Name == name {
+				return i
+			}
+		}
+		t.Fatalf("%s: unknown column %q", label, name)
+		return -1
+	}
+	if len(opts.Aggs) > 0 {
+		if res.Table != nil {
+			t.Fatalf("%s: aggregate mode returned a row table", label)
+		}
+		if len(res.Aggregates) != len(opts.Aggs) {
+			t.Fatalf("%s: %d aggregates, want %d", label, len(res.Aggregates), len(opts.Aggs))
+		}
+		for i, op := range opts.Aggs {
+			var v float64
+			switch op.Kind {
+			case AggCount:
+				v = float64(len(want))
+			case AggSum:
+				for _, r := range want {
+					v += full.Num[colOf(op.Col)][r]
+				}
+			default:
+				v = math.NaN()
+				for _, r := range want {
+					x := full.Num[colOf(op.Col)][r]
+					if math.IsNaN(v) || (op.Kind == AggMin && x < v) || (op.Kind == AggMax && x > v) {
+						v = x
+					}
+				}
+			}
+			if got := res.Aggregates[i]; got.Op != op || math.Float64bits(got.Value) != math.Float64bits(v) {
+				t.Fatalf("%s: aggregate %d = %+v, serial fold says %v (not bit-identical)", label, i, got, v)
+			}
+		}
+		return
+	}
+	if opts.Limit > 0 && opts.Limit < len(want) {
+		want = want[:opts.Limit]
+	}
+	rows := full.Sample(want)
+	if opts.Select != nil {
+		selected := map[int]bool{}
+		for _, name := range opts.Select {
+			selected[colOf(name)] = true
+		}
+		var cols []dataset.Column
+		var str [][]string
+		var num [][]float64
+		for i, c := range full.Schema.Columns {
+			if selected[i] {
+				cols = append(cols, c)
+				str = append(str, rows.Str[i])
+				num = append(num, rows.Num[i])
+			}
+		}
+		rows = &dataset.Table{Schema: dataset.NewSchema(cols...), Str: str, Num: num}
+		rows.SetNumRows(len(want))
+	}
+	if !bytes.Equal(tableCSV(t, res.Table), tableCSV(t, rows)) {
+		t.Fatalf("%s: rows differ from decompress-then-filter", label)
+	}
+}
+
+// stageNames lists a result's stage names in order.
+func stageNames(res *Result) string {
+	names := make([]string, len(res.Stages))
+	for i, st := range res.Stages {
+		names[i] = st.Name
+	}
+	return strings.Join(names, " ")
+}
+
 // TestQueryEquivalence is the engine's core contract: for randomized
-// predicates, Query returns byte-for-byte the rows a full decompress-then-
-// filter produces, at parallelism 1, 4, and NumCPU.
+// predicates × projections × aggregates × limits, a query returns byte for
+// byte the rows — and bit for bit the aggregates — that a full decompress-
+// then-filter produces, at parallelism 1, 4, and NumCPU.
 func TestQueryEquivalence(t *testing.T) {
 	archive := compressQueryTable(t, 1000, 61, 100)
 	full, err := core.Decompress(archive)
@@ -179,24 +270,37 @@ func TestQueryEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(62))
-	parallelisms := []int{1, 4, runtime.NumCPU()}
+	projections := [][]string{nil, {"seq"}, {"noise", "tag"}, {"grade", "seq", "grade"}}
+	aggSets := [][]AggOp{
+		nil,
+		{{Kind: AggCount}},
+		{{Kind: AggSum, Col: "noise"}, {Kind: AggMin, Col: "seq"}, {Kind: AggMax, Col: "noise"}},
+	}
 	prunedTotal := 0
-	for trial := 0; trial < 20; trial++ {
-		p := randPred(rng, 2)
-		want := naiveMatches(t, p, full)
-		wantCSV := tableCSV(t, full.Sample(want))
-		for _, par := range parallelisms {
-			res, err := Run(archive, Options{Where: p, Parallelism: par})
+	for trial := 0; trial < 30; trial++ {
+		opts := Options{
+			Select: projections[trial%len(projections)],
+			Aggs:   aggSets[trial%len(aggSets)],
+		}
+		if trial > 0 { // trial 0 has no filter
+			opts.Where = randPred(rng, 2)
+		}
+		if opts.Aggs == nil && trial%2 == 0 {
+			opts.Limit = rng.Intn(200)
+		}
+		var first *Result
+		for _, par := range []int{1, 4, runtime.NumCPU()} {
+			opts.Parallelism = par
+			res, err := Run(archive, opts)
 			if err != nil {
-				t.Fatalf("trial %d (%s) p=%d: %v", trial, p, par, err)
+				t.Fatalf("trial %d (%v) p=%d: %v", trial, opts.Where, par, err)
 			}
-			if res.Matched != len(want) {
-				t.Fatalf("trial %d (%s) p=%d: matched %d rows, naive says %d",
-					trial, p, par, res.Matched, len(want))
-			}
-			if got := tableCSV(t, res.Table); !bytes.Equal(got, wantCSV) {
-				t.Fatalf("trial %d (%s) p=%d: result differs from decompress-then-filter",
-					trial, p, par)
+			checkAgainstReference(t, res, full, opts)
+			if first == nil {
+				first = res
+			} else if res.GroupsPruned != first.GroupsPruned || res.BytesSkipped != first.BytesSkipped {
+				t.Fatalf("trial %d p=%d: pruned %d groups / skipped %d bytes, at p=1 %d / %d",
+					trial, par, res.GroupsPruned, res.BytesSkipped, first.GroupsPruned, first.BytesSkipped)
 			}
 			prunedTotal += res.GroupsPruned
 		}
@@ -228,6 +332,14 @@ func TestQueryPruning(t *testing.T) {
 	if res.BytesSkipped == 0 {
 		t.Fatal("no bytes skipped despite pruned groups")
 	}
+	// A query that decodes from the handle reports the decode's own stages
+	// ahead of filter and pack, and its scan counter as BytesSkipped.
+	if got := stageNames(res); got != "parse scan unpack resolve decode assemble filter pack" {
+		t.Fatalf("stages %q", got)
+	}
+	if res.Stages[1].Bytes != res.BytesSkipped {
+		t.Fatalf("BytesSkipped %d, scan stage skipped %d", res.BytesSkipped, res.Stages[1].Bytes)
+	}
 	want := naiveMatches(t, p, full)
 	if res.Matched != len(want) || !bytes.Equal(tableCSV(t, res.Table), tableCSV(t, full.Sample(want))) {
 		t.Fatal("pruned query differs from decompress-then-filter")
@@ -243,6 +355,10 @@ func TestQueryPruning(t *testing.T) {
 	}
 	if none.GroupsPruned != none.GroupsTotal {
 		t.Fatalf("impossible predicate pruned %d of %d groups", none.GroupsPruned, none.GroupsTotal)
+	}
+	if stageNames(none) != stageNames(res) || none.BytesSkipped <= res.BytesSkipped {
+		t.Fatalf("all-pruned query: stages %q, %d bytes skipped (partial prune skipped %d)",
+			stageNames(none), none.BytesSkipped, res.BytesSkipped)
 	}
 }
 
