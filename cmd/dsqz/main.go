@@ -323,9 +323,41 @@ func (c *countReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
+// tempFile is an output file under construction: written as path+".tmp" and
+// renamed to path only once complete and synced, so a failure or an
+// interrupt never leaves a plausible partial file under the final name.
+type tempFile struct {
+	*os.File
+	path string
+}
+
+func createTemp(path string) (*tempFile, error) {
+	f, err := os.Create(path + ".tmp")
+	if err != nil {
+		return nil, err
+	}
+	return &tempFile{f, path}, nil
+}
+
+// publish makes the file durable and gives it its final name.
+func (t *tempFile) publish() error {
+	if err := t.Sync(); err != nil {
+		return err
+	}
+	if err := t.Close(); err != nil {
+		return err
+	}
+	return os.Rename(t.Name(), t.path)
+}
+
+// abandon removes the temporary file; a no-op after publish.
+func (t *tempFile) abandon() {
+	t.Close()
+	os.Remove(t.Name())
+}
+
 // compressStream pipes the CSV through the row-group archive writer one
-// chunk at a time, writing to out+".tmp" and renaming on success so an
-// interrupt never leaves a partial archive behind.
+// chunk at a time into a tempFile.
 func compressStream(ctx context.Context, f *os.File, out string, schema *deepsqueeze.Schema, errThr float64, opts deepsqueeze.Options) error {
 	thresholds := make([]float64, schema.NumColumns())
 	for i, c := range schema.Columns {
@@ -338,20 +370,15 @@ func compressStream(ctx context.Context, f *os.File, out string, schema *deepsqu
 	if err != nil {
 		return err
 	}
-	tmp := out + ".tmp"
-	of, err := os.Create(tmp)
+	of, err := createTemp(out)
 	if err != nil {
 		return err
 	}
-	fail := func(err error) error {
-		of.Close()
-		os.Remove(tmp)
-		return err
-	}
+	defer of.abandon()
 	bw := bufio.NewWriterSize(of, 1<<20)
 	aw, err := deepsqueeze.NewArchiveWriter(bw, schema, thresholds, opts)
 	if err != nil {
-		return fail(err)
+		return err
 	}
 	chunkRows := opts.RowGroupSize
 	if chunkRows <= 0 {
@@ -359,31 +386,26 @@ func compressStream(ctx context.Context, f *os.File, out string, schema *deepsqu
 	}
 	for {
 		if err := ctx.Err(); err != nil {
-			return fail(err)
+			return err
 		}
 		chunk, err := sc.ReadChunk(chunkRows)
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
-			return fail(err)
+			return err
 		}
 		if err := aw.Write(chunk); err != nil {
-			return fail(err)
+			return err
 		}
 	}
 	if err := aw.Close(); err != nil {
-		return fail(err)
-	}
-	if err := bw.Flush(); err != nil {
-		return fail(err)
-	}
-	if err := of.Close(); err != nil {
-		os.Remove(tmp)
 		return err
 	}
-	if err := os.Rename(tmp, out); err != nil {
-		os.Remove(tmp)
+	if err := bw.Flush(); err != nil {
+		return err
+	}
+	if err := of.publish(); err != nil {
 		return err
 	}
 	stats := aw.Stats()
@@ -558,7 +580,10 @@ func decompressQuery(ctx context.Context, in, out string, opts deepsqueeze.Decom
 }
 
 // decompressStream reads the archive group by group and appends each
-// group's rows to the output CSV, so peak memory is one row group.
+// group's rows to the output CSV, so peak memory is one row group. The
+// reader verifies the footer and the archive checksum only after the last
+// group, by which time every row has been written: the CSV goes to a
+// tempFile and takes its name only once the archive has verified.
 func decompressStream(ctx context.Context, in, out string, verbose bool) error {
 	f, err := os.Open(in)
 	if err != nil {
@@ -569,11 +594,11 @@ func decompressStream(ctx context.Context, in, out string, verbose bool) error {
 	if err != nil {
 		return archiveErr(in, err)
 	}
-	of, err := os.Create(out)
+	of, err := createTemp(out)
 	if err != nil {
 		return err
 	}
-	defer of.Close()
+	defer of.abandon()
 	bw := bufio.NewWriterSize(of, 1<<20)
 	cw := deepsqueeze.NewCSVWriter(bw, ar.Schema())
 	var rows, groups int
@@ -603,8 +628,11 @@ func decompressStream(ctx context.Context, in, out string, verbose bool) error {
 	if err := bw.Flush(); err != nil {
 		return err
 	}
+	if err := of.publish(); err != nil {
+		return err
+	}
 	fmt.Printf("decompressed %d rows in %d row group(s) to %s\n", rows, groups, out)
-	return of.Close()
+	return nil
 }
 
 func runQuery(ctx context.Context, args []string) error {

@@ -1,10 +1,10 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -163,22 +163,7 @@ func TestRunInspectJSON(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	old := os.Stdout
-	r, w, err := os.Pipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	os.Stdout = w
-	runErr := runInspect([]string{"-in", path, "-json"})
-	w.Close()
-	os.Stdout = old
-	out, err := io.ReadAll(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if runErr != nil {
-		t.Fatal(runErr)
-	}
+	out := captureStdout(t, func() error { return runInspect([]string{"-in", path, "-json"}) })
 
 	var sum deepsqueeze.ArchiveSummary
 	if err := json.Unmarshal(out, &sum); err != nil {
@@ -190,5 +175,66 @@ func TestRunInspectJSON(t *testing.T) {
 	if len(sum.Columns) != 2 || sum.Columns[0].Name != "city" || sum.Columns[0].Type != "cat" ||
 		sum.Columns[1].Name != "temp" || sum.Columns[1].Type != "num" {
 		t.Fatalf("columns = %+v", sum.Columns)
+	}
+}
+
+// TestDecompressPublishesOnlyVerifiedOutput: the streaming reader can verify
+// the footer and the archive checksum only after it has decoded — and
+// decompress has written — every row group. A corrupt tail must therefore
+// fail the command (main exits 1 on any error) without leaving a CSV, whole
+// or partial, under the -out name or its .tmp.
+func TestDecompressPublishesOnlyVerifiedOutput(t *testing.T) {
+	schema := deepsqueeze.NewSchema(
+		deepsqueeze.Column{Name: "city", Type: deepsqueeze.Categorical},
+		deepsqueeze.Column{Name: "temp", Type: deepsqueeze.Numeric},
+	)
+	tb := deepsqueeze.NewTable(schema, 90)
+	for i := 0; i < 90; i++ {
+		tb.AppendRow([]string{[]string{"oslo", "lima"}[i%2]}, []float64{float64(i)})
+	}
+	opts := deepsqueeze.DefaultOptions()
+	opts.Train.Epochs = 2
+	opts.RowGroupSize = 30
+	res, err := deepsqueeze.Compress(tb, deepsqueeze.UniformThresholds(tb, 0.05), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	in, out := filepath.Join(dir, "t.dsqz"), filepath.Join(dir, "t.csv")
+	decompress := func(archive []byte) error {
+		if err := os.WriteFile(in, archive, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var err error
+		captureStdout(t, func() error {
+			err = runDecompress(context.Background(), []string{"-in", in, "-out", out})
+			return nil
+		})
+		return err
+	}
+
+	bad := append([]byte(nil), res.Archive...)
+	bad[len(bad)-14] ^= 0x01 // inside the footer: every segment before it still verifies
+	if err := decompress(bad); !errors.Is(err, deepsqueeze.ErrCorrupt) || !strings.Contains(err.Error(), in) {
+		t.Fatalf("corrupt footer: error %v, want ErrCorrupt naming %s", err, in)
+	}
+	for _, path := range []string{out, out + ".tmp"} {
+		if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("%s exists after a failed decompress (stat error %v)", filepath.Base(path), err)
+		}
+	}
+
+	if err := decompress(res.Archive); err != nil {
+		t.Fatal(err)
+	}
+	csv, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lines := strings.Count(string(csv), "\n"); lines != 91 {
+		t.Errorf("decompressed CSV has %d lines, want 91", lines)
+	}
+	if _, err := os.Stat(out + ".tmp"); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf(".tmp left behind after a successful decompress (stat error %v)", err)
 	}
 }

@@ -6,53 +6,17 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"math"
 )
 
 // ErrCorrupt is returned when an archive fails validation.
 var ErrCorrupt = errors.New("core: corrupt archive")
 
-var magic = [4]byte{'D', 'S', 'Q', 'Z'}
-
-// Archive format versions. Version 2 stores tuples in self-contained row-group
-// segments with a trailing footer index; version 1 (single implicit group,
-// global sections) is still fully readable for old archives and the golden
-// fixtures.
-const (
-	archiveVersion   = 2
-	archiveVersionV1 = 1
-)
-
-// Top-level chunk kinds in a version-2 body, written as a single byte before
-// the chunk so a sequential reader can tell segments from the footer without
-// knowing the group count up front.
-const (
-	kindSegment byte = 1
-	kindFooter  byte = 2
-	// kindStats frames the optional zone-map statistics chunk, written
-	// between the last segment and the footer (flagZoneMaps gates it, so
-	// readers of flag-less archives never see the kind).
-	kindStats byte = 3
-)
-
-// Archive flags.
-const (
-	flagGrouped       byte = 1 << 0 // tuples stored grouped by expert
-	flagHasModel      byte = 1 << 1 // decoders/codes sections present
-	flagRowOrder      byte = 1 << 2 // original row order recoverable
-	flagExternalModel byte = 1 << 3 // decoders live in a separate model archive
-	flagZoneMaps      byte = 1 << 4 // per-group zone-map stats chunk present
-	flagFloat32       byte = 1 << 5 // failure streams computed against float32 inference
-	flagResidual      byte = 1 << 6 // plan routes high-cardinality categoricals as residual digits
-)
-
-// sectionWriter accumulates length-prefixed sections and tracks per-section
-// sizes for the Fig. 6 breakdown.
+// sectionWriter accumulates a segment body's length-prefixed sections,
+// reporting each one's size for the Fig. 6 breakdown, and seals it with the
+// segment checksum.
 type sectionWriter struct {
 	buf bytes.Buffer
 }
-
-func (w *sectionWriter) raw(b []byte) { w.buf.Write(b) }
 
 func (w *sectionWriter) chunk(b []byte) int64 {
 	var lp []byte
@@ -60,13 +24,6 @@ func (w *sectionWriter) chunk(b []byte) int64 {
 	w.buf.Write(lp)
 	w.buf.Write(b)
 	return int64(len(lp) + len(b))
-}
-
-func (w *sectionWriter) uvarint(v uint64) int64 {
-	var lp []byte
-	lp = binary.AppendUvarint(lp, v)
-	w.buf.Write(lp)
-	return int64(len(lp))
 }
 
 func (w *sectionWriter) finish() []byte {
@@ -81,23 +38,6 @@ func (w *sectionWriter) finish() []byte {
 type sectionReader struct {
 	buf []byte
 	pos int
-}
-
-// newSectionReader validates magic, version, and checksum, returning a
-// reader positioned after the version byte, plus the version and flag bytes.
-// Versions 1 and 2 are accepted; the reader's buf excludes the CRC trailer.
-func newSectionReader(buf []byte) (*sectionReader, byte, byte, error) {
-	if len(buf) < 10 || !bytes.Equal(buf[:4], magic[:]) {
-		return nil, 0, 0, fmt.Errorf("%w: bad magic", ErrCorrupt)
-	}
-	if buf[4] != archiveVersionV1 && buf[4] != archiveVersion {
-		return nil, 0, 0, fmt.Errorf("%w: unsupported version %d", ErrCorrupt, buf[4])
-	}
-	body, tail := buf[:len(buf)-4], buf[len(buf)-4:]
-	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(tail) {
-		return nil, 0, 0, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
-	}
-	return &sectionReader{buf: body, pos: 6}, buf[4], buf[5], nil
 }
 
 func (r *sectionReader) uvarint() (uint64, error) {
@@ -176,142 +116,4 @@ func rowGroupSpans(rows, groupSize int) []rowSpan {
 		spans = append(spans, rowSpan{start, count})
 	}
 	return spans
-}
-
-// groupMeta is one footer-index entry: a row group's span, its segment's
-// location in the archive, and the per-section byte sizes inside the segment
-// (for Inspect and the Fig. 6 breakdown).
-type groupMeta struct {
-	start, count int
-	off, segLen  int64 // kind byte offset and framed length (kind + chunk)
-	codes        int64
-	mapping      int64
-	failures     int64
-}
-
-// appendSegmentCRC frames a segment body with its own CRC32-IEEE trailer so a
-// sequential streaming reader can validate each group before the archive's
-// outer checksum arrives.
-func appendSegmentCRC(body []byte) []byte {
-	var f [4]byte
-	binary.LittleEndian.PutUint32(f[:], crc32.ChecksumIEEE(body))
-	return append(body, f[:]...)
-}
-
-// segmentBody validates a framed segment's trailing CRC and returns the body.
-func segmentBody(seg []byte) ([]byte, error) {
-	if len(seg) < 4 {
-		return nil, fmt.Errorf("%w: segment too short", ErrCorrupt)
-	}
-	body, tail := seg[:len(seg)-4], seg[len(seg)-4:]
-	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(tail) {
-		return nil, fmt.Errorf("%w: segment checksum mismatch", ErrCorrupt)
-	}
-	return body, nil
-}
-
-// archiveFooter is the parsed v2 footer index.
-type archiveFooter struct {
-	rows   int
-	groups []groupMeta
-}
-
-// appendFooterPayload serializes the footer chunk payload: total rows, group
-// count, and one groupMeta per group.
-func appendFooterPayload(dst []byte, rows int, groups []groupMeta) []byte {
-	dst = binary.AppendUvarint(dst, uint64(rows))
-	dst = binary.AppendUvarint(dst, uint64(len(groups)))
-	for _, g := range groups {
-		dst = binary.AppendUvarint(dst, uint64(g.start))
-		dst = binary.AppendUvarint(dst, uint64(g.count))
-		dst = binary.AppendUvarint(dst, uint64(g.off))
-		dst = binary.AppendUvarint(dst, uint64(g.segLen))
-		dst = binary.AppendUvarint(dst, uint64(g.codes))
-		dst = binary.AppendUvarint(dst, uint64(g.mapping))
-		dst = binary.AppendUvarint(dst, uint64(g.failures))
-	}
-	return dst
-}
-
-// parseFooter locates and validates the v2 footer in a CRC-stripped body:
-// the trailing 8 bytes give the offset of the footer's kind byte; the footer
-// chunk must end exactly where the trailer begins, group spans must partition
-// [0, rows) in order, and segment extents must be ascending, non-overlapping,
-// and inside (minOff, footOff]. Returns the footer and the kind-byte offset.
-func parseFooter(body []byte, minOff int) (*archiveFooter, int64, error) {
-	if len(body) < minOff+1+8 {
-		return nil, 0, fmt.Errorf("%w: no room for footer", ErrCorrupt)
-	}
-	footOff64 := binary.LittleEndian.Uint64(body[len(body)-8:])
-	if footOff64 < uint64(minOff) || footOff64 > uint64(len(body)-9) {
-		return nil, 0, fmt.Errorf("%w: footer offset %d outside body", ErrCorrupt, footOff64)
-	}
-	footOff := int(footOff64)
-	if body[footOff] != kindFooter {
-		return nil, 0, fmt.Errorf("%w: footer kind byte %d", ErrCorrupt, body[footOff])
-	}
-	r := &sectionReader{buf: body[:len(body)-8], pos: footOff + 1}
-	payload, err := r.chunk()
-	if err != nil {
-		return nil, 0, err
-	}
-	if r.pos != len(r.buf) {
-		return nil, 0, fmt.Errorf("%w: %d bytes between footer and trailer", ErrCorrupt, len(r.buf)-r.pos)
-	}
-	fr := &sectionReader{buf: payload}
-	rows64, err := fr.uvarint()
-	if err != nil {
-		return nil, 0, err
-	}
-	if rows64 > math.MaxInt32 {
-		return nil, 0, fmt.Errorf("%w: %d rows exceeds the format limit", ErrCorrupt, rows64)
-	}
-	n64, err := fr.uvarint()
-	if err != nil {
-		return nil, 0, err
-	}
-	if n64 < 1 || n64 > uint64(len(payload)) {
-		return nil, 0, fmt.Errorf("%w: %d row groups", ErrCorrupt, n64)
-	}
-	ft := &archiveFooter{rows: int(rows64), groups: make([]groupMeta, int(n64))}
-	nextStart := 0
-	prevEnd := int64(minOff)
-	for i := range ft.groups {
-		var vals [7]uint64
-		for j := range vals {
-			v, err := fr.uvarint()
-			if err != nil {
-				return nil, 0, err
-			}
-			vals[j] = v
-		}
-		g := &ft.groups[i]
-		if vals[0] != uint64(nextStart) {
-			return nil, 0, fmt.Errorf("%w: group %d starts at %d, want %d", ErrCorrupt, i, vals[0], nextStart)
-		}
-		if vals[1] > rows64-uint64(nextStart) {
-			return nil, 0, fmt.Errorf("%w: group %d spans past %d rows", ErrCorrupt, i, rows64)
-		}
-		g.start, g.count = nextStart, int(vals[1])
-		nextStart += g.count
-		if vals[2] > uint64(footOff) || vals[3] > uint64(footOff) {
-			return nil, 0, fmt.Errorf("%w: group %d segment outside body", ErrCorrupt, i)
-		}
-		g.off, g.segLen = int64(vals[2]), int64(vals[3])
-		if g.off < prevEnd || g.segLen < 2 || g.off+g.segLen > int64(footOff) {
-			return nil, 0, fmt.Errorf("%w: group %d segment extent [%d,%d)", ErrCorrupt, i, g.off, g.off+g.segLen)
-		}
-		prevEnd = g.off + g.segLen
-		if vals[4] > uint64(g.segLen) || vals[5] > uint64(g.segLen) || vals[6] > uint64(g.segLen) {
-			return nil, 0, fmt.Errorf("%w: group %d section sizes exceed segment", ErrCorrupt, i)
-		}
-		g.codes, g.mapping, g.failures = int64(vals[4]), int64(vals[5]), int64(vals[6])
-	}
-	if nextStart != ft.rows {
-		return nil, 0, fmt.Errorf("%w: groups cover %d of %d rows", ErrCorrupt, nextStart, ft.rows)
-	}
-	if err := fr.done(); err != nil {
-		return nil, 0, err
-	}
-	return ft, int64(footOff), nil
 }

@@ -3,16 +3,17 @@ package core
 import (
 	"bytes"
 	"compress/gzip"
+	"encoding/binary"
 	"errors"
 	"testing"
 )
 
 func TestSectionWriterReaderRoundTrip(t *testing.T) {
 	w := &sectionWriter{}
-	w.raw(magic[:])
-	w.raw([]byte{archiveVersion, flagHasModel})
+	w.buf.Write(magic[:])
+	w.buf.Write([]byte{archiveVersion, flagHasModel})
 	w.chunk([]byte("first"))
-	w.uvarint(300)
+	w.buf.Write(binary.AppendUvarint(nil, 300))
 	w.chunk(nil)
 	w.chunk(bytes.Repeat([]byte{7}, 1000))
 	buf := w.finish()
@@ -47,8 +48,8 @@ func TestSectionWriterReaderRoundTrip(t *testing.T) {
 
 func TestSectionReaderRejects(t *testing.T) {
 	w := &sectionWriter{}
-	w.raw(magic[:])
-	w.raw([]byte{archiveVersion, 0})
+	w.buf.Write(magic[:])
+	w.buf.Write([]byte{archiveVersion, 0})
 	w.chunk([]byte("payload"))
 	good := w.finish()
 
@@ -88,9 +89,9 @@ func TestSectionReaderRejects(t *testing.T) {
 
 func TestSectionReaderChunkOverrun(t *testing.T) {
 	w := &sectionWriter{}
-	w.raw(magic[:])
-	w.raw([]byte{archiveVersion, 0})
-	w.uvarint(1 << 40) // declared chunk far larger than archive
+	w.buf.Write(magic[:])
+	w.buf.Write([]byte{archiveVersion, 0})
+	w.buf.Write(binary.AppendUvarint(nil, 1<<40)) // declared chunk far larger than archive
 	buf := w.finish()
 	r, _, _, err := newSectionReader(buf)
 	if err != nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 
 	"deepsqueeze/internal/codec"
@@ -11,10 +12,17 @@ import (
 	"deepsqueeze/internal/preprocess"
 )
 
-// archiveState bundles everything the archive writer materializes.
+// archiveState is a compression with every decision made and nothing framed
+// yet: the fitted model data, the trained experts, the chosen code width and
+// stored order, and the streams they produce. assembleArchive frames one into
+// an archive; the streaming writer frames its first group from one and keeps
+// the model and the decisions for the groups that follow.
 type archiveState struct {
+	md       *modelData
+	autoenc  []*nn.Autoencoder // nil when the table has no model
 	decoders []*nn.Decoder
-	codeDims [][]int64 // per dimension, stored order
+	decs32   []*nn.Decoder32 // float32 views when the archive carries flagFloat32
+	codeDims [][]int64       // per dimension, stored order
 	codeBits int
 	codeSize int
 	fs       *failureSet
@@ -39,25 +47,22 @@ type segConfig struct {
 	experts   int
 	grouped   bool       // grouped mapping form (vs per-tuple labels)
 	keepOrder bool       // original order recoverable (flagRowOrder)
+	zoneMaps  bool       // groups carry zone maps (flagZoneMaps)
 	mask      codec.Mask // codecs the int-stream best-of selector may try
 }
 
 // segmentData is everything one row-group segment serializes, already cut to
-// the group's rows: dense streams and perm are the group's stored-order
-// slice, sparse queues hold only the group's escapes/corrections. origBase
-// is subtracted from perm values to form group-local indexes (span.start
-// when slicing a global materialization, 0 when the streams are group-local
-// as in the streaming writer).
+// the group's rows: the dense streams in fs and perm are the group's
+// stored-order slice, the sparse queues hold only the group's
+// escapes/corrections. origBase is subtracted from perm values to form
+// group-local indexes (span.start when slicing a global materialization, 0
+// when the streams are group-local as in the streaming writer).
 type segmentData struct {
 	span      rowSpan
 	origBase  int
 	planChunk []byte // group plan override payload; nil = header plan applies
 	dims      [][]int64
-	ints      map[int][]int64
-	res       map[int][][]int64
-	exc       map[int][]int64
-	mask      map[int][]int64
-	vals      map[int][]float64
+	fs        *failureSet
 	perm      []int
 }
 
@@ -78,21 +83,17 @@ func sliceGroups(md *modelData, fs *failureSet, dims [][]int64, perm []int, span
 		for d, col := range dims {
 			g.dims[d] = col[lo:hi]
 		}
-		g.ints = make(map[int][]int64)
-		g.res = make(map[int][][]int64)
-		g.exc = make(map[int][]int64)
-		g.mask = make(map[int][]int64)
-		g.vals = make(map[int][]float64)
+		g.fs = newFailureSet()
 		for col, digits := range fs.resInts {
 			segs := make([][]int64, len(digits))
 			for d, stream := range digits {
 				segs[d] = stream[lo:hi]
 			}
-			g.res[col] = segs
+			g.fs.resInts[col] = segs
 		}
 		for col, ints := range fs.ints {
 			seg := ints[lo:hi]
-			g.ints[col] = seg
+			g.fs.ints[col] = seg
 			if _, ok := fs.exceptions[col]; !ok {
 				continue
 			}
@@ -104,12 +105,12 @@ func sliceGroups(md *modelData, fs *failureSet, dims [][]int64, perm []int, span
 				}
 			}
 			off := excOff[col]
-			g.exc[col] = fs.exceptions[col][off : off+cnt]
+			g.fs.exceptions[col] = fs.exceptions[col][off : off+cnt]
 			excOff[col] = off + cnt
 		}
 		for col, mask := range fs.contMask {
 			seg := mask[lo:hi]
-			g.mask[col] = seg
+			g.fs.contMask[col] = seg
 			cnt := 0
 			for _, m := range seg {
 				if m != 0 {
@@ -117,7 +118,7 @@ func sliceGroups(md *modelData, fs *failureSet, dims [][]int64, perm []int, span
 				}
 			}
 			off := valOff[col]
-			g.vals[col] = fs.contVals[col][off : off+cnt]
+			g.fs.contVals[col] = fs.contVals[col][off : off+cnt]
 			valOff[col] = off + cnt
 		}
 	}
@@ -159,9 +160,9 @@ func buildMappingChunk(assign, perm []int, origBase, experts int, grouped, keepO
 // group plan, the group's code dimensions, expert mapping, and per-column
 // failure chunks (same per-column chunk rules as format v1). t, md, and
 // assign are addressed through g.perm, so they may be the global table or a
-// group-local one. Returns the framed bytes plus the codes/mapping/failures
-// section sizes for the footer index.
-func buildSegment(t *dataset.Table, md *modelData, assign []int, cfg segConfig, g segmentData) ([]byte, int64, int64, int64, error) {
+// group-local one. The codes/mapping/failures section sizes ride along for
+// the footer index.
+func buildSegment(t *dataset.Table, md *modelData, assign []int, cfg segConfig, g segmentData) builtSegment {
 	w := &sectionWriter{}
 	var sh []byte
 	sh = binary.AppendUvarint(sh, uint64(g.span.start))
@@ -175,58 +176,59 @@ func buildSegment(t *dataset.Table, md *modelData, assign []int, cfg segConfig, 
 	if g.planChunk != nil {
 		w.chunk(g.planChunk)
 	}
-	var codes, mapping, failures int64
+	seg := builtSegment{count: g.span.count}
 	if cfg.hasModel {
 		for _, dim := range g.dims {
-			codes += w.chunk(colfile.PackIntsMask(dim, cfg.mask))
+			seg.codes += w.chunk(colfile.PackIntsMask(dim, cfg.mask))
 		}
 	}
 	if cfg.experts > 1 {
-		mapping += w.chunk(buildMappingChunk(assign, g.perm, g.origBase, cfg.experts, cfg.grouped, cfg.keepOrder, cfg.mask))
+		seg.mapping += w.chunk(buildMappingChunk(assign, g.perm, g.origBase, cfg.experts, cfg.grouped, cfg.keepOrder, cfg.mask))
 	}
 	for col := range md.plan.Cols {
 		cp := &md.plan.Cols[col]
 		switch {
 		case md.specOfCol[col] >= 0 && cp.Kind == preprocess.KindNumContinuous:
-			failures += w.chunk(colfile.PackIntsMask(g.mask[col], cfg.mask))
-			failures += w.chunk(colfile.PackFloats(g.vals[col]))
+			seg.failures += w.chunk(colfile.PackIntsMask(g.fs.contMask[col], cfg.mask))
+			seg.failures += w.chunk(colfile.PackFloats(g.fs.contVals[col]))
 		case cp.Kind == preprocess.KindCatResidual:
 			// One failure-rank chunk per digit, no exception chunks:
 			// digits never escape.
-			for _, stream := range g.res[col] {
-				failures += w.chunk(colfile.PackIntsMask(stream, cfg.mask))
+			for _, stream := range g.fs.resInts[col] {
+				seg.failures += w.chunk(colfile.PackIntsMask(stream, cfg.mask))
 			}
 		case md.specOfCol[col] >= 0:
-			failures += w.chunk(colfile.PackIntsMask(g.ints[col], cfg.mask))
+			seg.failures += w.chunk(colfile.PackIntsMask(g.fs.ints[col], cfg.mask))
 			if md.specs[md.specOfCol[col]].Kind == nn.OutCategorical {
-				failures += w.chunk(colfile.PackIntsMask(g.exc[col], cfg.mask))
+				seg.failures += w.chunk(colfile.PackIntsMask(g.fs.exceptions[col], cfg.mask))
 			}
 		case cp.Kind == preprocess.KindFallbackCat:
 			vals := make([]string, g.span.count)
 			for s, orig := range g.perm {
 				vals[s] = t.Str[col][orig]
 			}
-			failures += w.chunk(colfile.PackStrings(vals))
+			seg.failures += w.chunk(colfile.PackStrings(vals))
 		case cp.Kind == preprocess.KindFallbackNum:
 			vals := make([]float64, g.span.count)
 			for s, orig := range g.perm {
 				vals[s] = t.Num[col][orig]
 			}
-			failures += w.chunk(colfile.PackFloats(vals))
+			seg.failures += w.chunk(colfile.PackFloats(vals))
 		default: // trivial: store the (tiny) code stream directly
 			cc := md.codes[col]
 			vals := make([]int64, g.span.count)
 			for s, orig := range g.perm {
 				vals[s] = int64(cc[orig])
 			}
-			failures += w.chunk(colfile.PackIntsMask(vals, cfg.mask))
+			seg.failures += w.chunk(colfile.PackIntsMask(vals, cfg.mask))
 		}
 	}
-	return w.finish(), codes, mapping, failures, nil
+	seg.framed = w.finish()
+	return seg
 }
 
-// archiveFlags derives the flag byte for an archive's state.
-func archiveFlags(st *archiveState, keepRowOrder bool) byte {
+// flags derives the archive's flag byte from the decisions and the options.
+func (st *archiveState) flags(opts Options) byte {
 	flags := byte(0)
 	if st.grouped {
 		flags |= flagGrouped
@@ -234,11 +236,25 @@ func archiveFlags(st *archiveState, keepRowOrder bool) byte {
 	if len(st.decoders) > 0 {
 		flags |= flagHasModel
 	}
-	if keepRowOrder || st.experts <= 1 || !st.grouped {
+	if opts.KeepRowOrder || st.experts <= 1 || !st.grouped {
 		flags |= flagRowOrder
 	}
 	if st.ext != nil {
 		flags |= flagExternalModel
+	}
+	if !opts.NoZoneMaps {
+		flags |= flagZoneMaps
+	}
+	if st.decs32 != nil {
+		// Decode precision is a per-archive contract: the flag tells every
+		// reader that the stored corrections assume float32 inference.
+		flags |= flagFloat32
+	}
+	if planHasResidual(st.md.plan) {
+		// Advisory: residual columns also mark the plan itself (a new
+		// ColKind old readers reject), but the header flag lets Inspect and
+		// operators see the layout without parsing the plan.
+		flags |= flagResidual
 	}
 	return flags
 }
@@ -259,105 +275,79 @@ func appendDecoderChunkPayload(st *archiveState) ([]byte, error) {
 	return compressDecoderSection(db), nil
 }
 
-// assembleArchive writes a version-2 archive — prefix, row-group segments,
-// footer index — and returns it with the per-section size breakdown.
-// Segments build concurrently over the run's pool into index-addressed
-// slots and are concatenated serially, so the bytes are identical at every
-// parallelism level.
-func assembleArchive(run *pipeline.Run, t *dataset.Table, md *modelData, opts Options, st archiveState) ([]byte, Breakdown, error) {
-	var bd Breakdown
-	w := &sectionWriter{}
-	hasModel := len(st.decoders) > 0
-	flags := archiveFlags(&st, opts.KeepRowOrder)
-	zoneOn := !opts.NoZoneMaps
-	if zoneOn {
-		flags |= flagZoneMaps
-	}
-	if opts.Float32Decode && hasModel {
-		// Decode precision is a per-archive contract: the flag tells every
-		// reader that the stored corrections assume float32 inference.
-		flags |= flagFloat32
-	}
-	if planHasResidual(md.plan) {
-		// Advisory: residual columns also mark the plan itself (a new
-		// ColKind old readers reject), but the header flag lets Inspect and
-		// operators see the layout without parsing the plan.
-		flags |= flagResidual
-	}
-	w.raw(magic[:])
-	w.raw([]byte{archiveVersion, flags})
-	w.chunk(appendHeaderPayload(nil, md.plan, st.codeSize, st.codeBits, st.experts, opts.rowGroupSize()))
-
-	if hasModel {
-		payload, err := appendDecoderChunkPayload(&st)
-		if err != nil {
-			return nil, bd, err
+// frameState writes a decided state through f: the prefix, then one segment
+// per span. Segments (and their zone maps) build concurrently over the run's
+// pool into index-addressed slots and are framed serially, so the bytes are
+// identical at every parallelism level. Returns the segment configuration the
+// state's flags imply and the decoder chunk's framed size.
+func frameState(run *pipeline.Run, f *framer, t *dataset.Table, opts Options, st *archiveState) (segConfig, int64, error) {
+	md := st.md
+	flags := st.flags(opts)
+	var decoders []byte
+	if flags&flagHasModel != 0 {
+		var err error
+		if decoders, err = appendDecoderChunkPayload(st); err != nil {
+			return segConfig{}, 0, err
 		}
-		bd.Decoder += w.chunk(payload)
 	}
-
-	spans := st.spans
-	if len(spans) == 0 {
-		spans = rowGroupSpans(md.rows, opts.rowGroupSize())
+	header := appendHeaderPayload(nil, md.plan, st.codeSize, st.codeBits, st.experts, opts.rowGroupSize())
+	decoderBytes, err := f.prefix(flags, header, decoders)
+	if err != nil {
+		return segConfig{}, 0, err
 	}
-	groups := sliceGroups(md, st.fs, st.codeDims, st.perm, spans)
+	groups := sliceGroups(md, st.fs, st.codeDims, st.perm, st.spans)
 	cfg := segConfig{
-		hasModel:  hasModel,
+		hasModel:  flags&flagHasModel != 0,
 		experts:   st.experts,
 		grouped:   st.grouped,
 		keepOrder: flags&flagRowOrder != 0,
+		zoneMaps:  flags&flagZoneMaps != 0,
 		mask:      opts.codecMask(),
 	}
-	type builtSeg struct {
-		framed                   []byte
-		codes, mapping, failures int64
-	}
-	segs := make([]builtSeg, len(groups))
-	zones := make([][]ZoneMap, len(groups))
-	err := run.ForEach(len(groups), func(g int) error {
-		framed, codes, mapping, failures, err := buildSegment(t, md, st.assign, cfg, groups[g])
-		segs[g] = builtSeg{framed, codes, mapping, failures}
-		if zoneOn {
-			zones[g] = computeGroupZones(t, groups[g].perm, md.plan, md.plan)
+	segs := make([]builtSegment, len(groups))
+	err = run.ForEach(len(groups), func(g int) error {
+		segs[g] = buildSegment(t, md, st.assign, cfg, groups[g])
+		if cfg.zoneMaps {
+			segs[g].zones = computeGroupZones(t, groups[g].perm, md.plan, md.plan)
 		}
-		return err
+		return nil
 	})
 	if err != nil {
-		return nil, bd, err
+		return segConfig{}, 0, err
 	}
-
-	metas := make([]groupMeta, len(groups))
-	for g := range groups {
-		off := int64(w.buf.Len())
-		w.raw([]byte{kindSegment})
-		w.chunk(segs[g].framed)
-		metas[g] = groupMeta{
-			start: groups[g].span.start, count: groups[g].span.count,
-			off: off, segLen: int64(w.buf.Len()) - off,
-			codes: segs[g].codes, mapping: segs[g].mapping, failures: segs[g].failures,
+	for _, seg := range segs {
+		if err := f.segment(seg); err != nil {
+			return segConfig{}, 0, err
 		}
-		bd.Codes += segs[g].codes
-		bd.Mapping += segs[g].mapping
-		bd.Failures += segs[g].failures
 	}
+	return cfg, decoderBytes, nil
+}
 
-	if zoneOn {
-		w.raw([]byte{kindStats})
-		w.chunk(appendZoneStatsPayload(nil, zones))
-	}
-
-	footOff := int64(w.buf.Len())
-	w.raw([]byte{kindFooter})
-	w.chunk(appendFooterPayload(nil, md.rows, metas))
-	var trailer [8]byte
-	binary.LittleEndian.PutUint64(trailer[:], uint64(footOff))
-	w.raw(trailer[:])
-
-	out := w.finish()
-	bd.Total = int64(len(out))
-	// Everything that is not decoders, codes, failures, or mapping — the
-	// envelope, plan, segment/footer framing, and checksums — counts as
-	// header, keeping the Fig. 6 components summing exactly to Total.
-	bd.Header = bd.Total - bd.Decoder - bd.Codes - bd.Failures - bd.Mapping
-	return out, bd, nil
+// assembleArchive frames a decided state into a version-2 archive as the
+// run's "assemble" stage, filling res.Archive and the per-section size
+// breakdown.
+func assembleArchive(run *pipeline.Run, t *dataset.Table, opts Options, st *archiveState, res *Result) error {
+	return run.StageBytes("assemble", func() (int64, error) {
+		var buf bytes.Buffer
+		f := newFramer(&buf)
+		_, decoderBytes, err := frameState(run, f, t, opts, st)
+		if err != nil {
+			return 0, err
+		}
+		if err := f.finish(); err != nil {
+			return 0, err
+		}
+		bd := Breakdown{Decoder: decoderBytes, Total: f.off}
+		for _, g := range f.metas {
+			bd.Codes += g.codes
+			bd.Mapping += g.mapping
+			bd.Failures += g.failures
+		}
+		// Everything that is not decoders, codes, failures, or mapping — the
+		// envelope, plan, segment/footer framing, and checksums — counts as
+		// header, keeping the Fig. 6 components summing exactly to Total.
+		bd.Header = bd.Total - bd.Decoder - bd.Codes - bd.Failures - bd.Mapping
+		res.Archive, res.Breakdown = buf.Bytes(), bd
+		return bd.Total, nil
+	})
 }

@@ -46,20 +46,10 @@ const (
 // NumGroups returns the archive's row-group count (1 for a version-1
 // archive), the group-index space DecodeBlocks and DecompressOptions.GroupMask
 // address.
-func (a *Archive) NumGroups() int {
-	if a.meta.version == archiveVersionV1 {
-		return 1
-	}
-	return len(a.meta.footer.groups)
-}
+func (a *Archive) NumGroups() int { return len(a.meta.groups) }
 
 // GroupRows returns row group g's row count.
-func (a *Archive) GroupRows(g int) int {
-	if a.meta.version == archiveVersionV1 {
-		return a.meta.rows
-	}
-	return a.meta.footer.groups[g].count
-}
+func (a *Archive) GroupRows(g int) int { return a.meta.groups[g].count }
 
 // DecodeFlags returns the archive's header flag byte — the per-archive plan
 // flags (row order, grouping, zone maps, Float32Decode) that determine how
@@ -143,7 +133,7 @@ func (d *decompressor) assembleBlocks() ([][]*ColumnBlock, error) {
 		}
 		row := make([]*ColumnBlock, len(d.selCols))
 		for ci, col := range d.selCols {
-			if d.plan.Schema.Columns[col].Type == dataset.Categorical {
+			if d.meta.plan.Schema.Columns[col].Type == dataset.Categorical {
 				row[ci] = &ColumnBlock{Str: make([]string, g.count)}
 			} else {
 				row[ci] = &ColumnBlock{Num: make([]float64, g.count), bytes: sliceHeaderBytes + 8*int64(g.count)}

@@ -133,11 +133,12 @@ func TestDecodeBlocksMatchesFullDecode(t *testing.T) {
 }
 
 // TestReadersAgreeGroupByGroup pins the single assemble behind the three read
-// entry points: on committed goldens (two v2, one v1 whose rows were stored
-// expert-grouped), group g from ArchiveReader.Next, DecodeBlocks({g}, every
+// entry points: on committed goldens (two v2 from Compress, one v2 from the
+// streaming writer whose later groups carry plan overrides, one v1 whose rows
+// were stored expert-grouped), group g from ArchiveReader.Next, DecodeBlocks({g}, every
 // column) and rows [start, start+count) of Decompress hold the same cells.
 func TestReadersAgreeGroupByGroup(t *testing.T) {
-	for _, name := range []string{"multigroup_v2", "f32_v2", "moe"} {
+	for _, name := range []string{"multigroup_v2", "f32_v2", "streamed_v2", "moe"} {
 		archive, err := os.ReadFile(filepath.Join("testdata", name+".dsqz"))
 		if err != nil {
 			t.Fatal(err)

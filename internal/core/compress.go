@@ -30,25 +30,38 @@ func Compress(t *dataset.Table, thresholds []float64, opts Options) (*Result, er
 // between stages, between parallel work items, and between training batches,
 // and returns ctx.Err() promptly once the context is done.
 func CompressContext(ctx context.Context, t *dataset.Table, thresholds []float64, opts Options) (*Result, error) {
-	res, _, _, err := compress(ctx, nil, t, thresholds, opts)
+	res, _, err := compress(ctx, nil, t, thresholds, opts)
 	return res, err
 }
 
-// compress is the staged pipeline behind Compress, plus handles on the
-// trained experts and model data, which the streaming path (stream.go)
-// reuses across batches. pool may be nil (a fresh pool sized by
-// opts.Parallelism); the tuner passes a shared pool so concurrent trials
-// never oversubscribe the machine.
+// compress is the staged pipeline behind Compress, plus the decided state
+// (trained experts, model data), which the streaming path (stream.go) reuses
+// across batches. pool may be nil (a fresh pool sized by opts.Parallelism);
+// the tuner passes a shared pool so concurrent trials never oversubscribe
+// the machine.
 func compress(ctx context.Context, pool *pipeline.Pool, t *dataset.Table, thresholds []float64,
-	opts Options) (*Result, []*nn.Autoencoder, *modelData, error) {
+	opts Options) (*Result, *archiveState, error) {
 	if err := opts.validate(); err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	if pool == nil {
 		pool = pipeline.NewPool(opts.Parallelism)
 	}
 	run := pipeline.NewWithPool(ctx, pool)
+	st, res, err := trainAndDecide(run, t, thresholds, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := assembleArchive(run, t, opts, st, res); err != nil {
+		return nil, nil, err
+	}
+	res.Stages = run.Stats()
+	return res, st, nil
+}
 
+// trainAndDecide runs every stage short of assemble — preprocess, train, then
+// decide's three — over run.
+func trainAndDecide(run *pipeline.Run, t *dataset.Table, thresholds []float64, opts Options) (*archiveState, *Result, error) {
 	var md *modelData
 	err := run.Stage("preprocess", func() error {
 		popts := opts.Preproc
@@ -61,7 +74,7 @@ func compress(ctx context.Context, pool *pipeline.Pool, t *dataset.Table, thresh
 		return err
 	})
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	rng := rand.New(rand.NewSource(opts.Seed))
 
@@ -90,49 +103,40 @@ func compress(ctx context.Context, pool *pipeline.Pool, t *dataset.Table, thresh
 			return nil
 		})
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
 	}
-	res, err := materialize(run, t, md, opts, experts, assign, nil)
+	st, res, err := decide(run, t, md, opts, experts, assign, nil)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	res.TrainHistory = hist
-	res.Stages = run.Stats()
-	return res, experts, md, nil
+	return st, res, nil
 }
 
-// materialize runs the post-training half of the pipeline as stages over
-// run: codes, the truncation search, failures, mapping choice, and archive
-// assembly. experts must already be float32-quantized. When ext is non-nil
-// the archive references an external model (streaming batch archives)
-// instead of embedding the decoders.
-func materialize(run *pipeline.Run, t *dataset.Table, md *modelData, opts Options,
-	experts []*nn.Autoencoder, assign []int, ext *externalModelRef) (*Result, error) {
+// decide runs the post-training decisions as stages over run — codes, the
+// truncation search, the mapping choice — and returns the state they settle
+// on, ready to assemble. experts must already be float32-quantized. When ext
+// is non-nil the archive references an external model (streaming batch
+// archives) instead of embedding the decoders.
+func decide(run *pipeline.Run, t *dataset.Table, md *modelData, opts Options,
+	experts []*nn.Autoencoder, assign []int, ext *externalModelRef) (*archiveState, *Result, error) {
 	hasModel := len(experts) > 0
-	numExperts := len(experts)
-	if numExperts == 0 {
-		numExperts = 1
-	}
+	st := &archiveState{md: md, autoenc: experts, assign: assign, experts: max(len(experts), 1), ext: ext}
 	res := &Result{}
-	origNum := make(map[int][]float64)
-	for col := range md.contVals {
-		origNum[col] = t.Num[col]
-	}
 
-	var decoders []*nn.Decoder
-	var decs32 []*nn.Decoder32
 	var codesF *mat.Matrix
 	if hasModel {
-		decoders = make([]*nn.Decoder, numExperts)
+		st.codeSize = experts[0].CodeSize
+		st.decoders = make([]*nn.Decoder, len(experts))
 		for e, ae := range experts {
-			decoders[e] = &ae.Decoder
+			st.decoders[e] = &ae.Decoder
 		}
 		if opts.Float32Decode {
 			// The archive will carry flagFloat32, so the stored corrections
 			// must be computed against the same float32 inference the decoder
 			// side will replay.
-			decs32 = nn.Decoders32(decoders)
+			st.decs32 = nn.Decoders32(st.decoders)
 		}
 		err := run.Stage("encode", func() error {
 			var err error
@@ -140,10 +144,10 @@ func materialize(run *pipeline.Run, t *dataset.Table, md *modelData, opts Option
 			return err
 		})
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
-	res.ExpertUse = make([]int, numExperts)
+	res.ExpertUse = make([]int, st.experts)
 	for _, e := range assign {
 		res.ExpertUse[e]++
 	}
@@ -155,16 +159,13 @@ func materialize(run *pipeline.Run, t *dataset.Table, md *modelData, opts Option
 	// Row groups: every archive section is segmented at these span
 	// boundaries, so the stored order must keep each group's rows
 	// contiguous — expert grouping happens within each span.
-	spans := rowGroupSpans(md.rows, opts.rowGroupSize())
+	st.spans = rowGroupSpans(md.rows, opts.rowGroupSize())
 
 	// Stored order: grouped by expert when it pays, original otherwise.
-	identity := make([]int, md.rows)
-	for i := range identity {
-		identity[i] = i
-	}
+	identity := identityPerm(md.rows)
 	grouped := identity
-	if numExperts > 1 {
-		grouped = groupedPermSpans(assign, spans)
+	if st.experts > 1 {
+		grouped = groupedPermSpans(assign, st.spans)
 	}
 
 	// Iterative code truncation (paper §6.2): evaluate byte-step widths and
@@ -172,9 +173,7 @@ func materialize(run *pipeline.Run, t *dataset.Table, md *modelData, opts Option
 	// independent quantize→failures→size pass, so the candidates run
 	// concurrently over the pool and the winner is picked deterministically
 	// in candidate order afterwards.
-	var bestFS *failureSet
-	var bestDims [][]int64
-	bestBits := 0
+	st.fs = emptyFailureSet(md)
 	if hasModel {
 		cand := []int{8, 16, 24, 32}
 		if opts.CodeBits != 0 {
@@ -189,8 +188,7 @@ func materialize(run *pipeline.Run, t *dataset.Table, md *modelData, opts Option
 		results := make([]candidate, len(cand))
 		err := run.StageBytes("truncation-search", func() (int64, error) {
 			err := run.ForEach(len(cand), func(i int) error {
-				dims, rec := quantizeCodes(storedCodes, cand[i])
-				fs, err := computeFailures(run, md, origNum, decoders, decs32, assign, rec, grouped)
+				dims, fs, err := groupStreams(run, t, st, storedCodes, grouped, cand[i])
 				if err != nil {
 					return err
 				}
@@ -208,54 +206,26 @@ func materialize(run *pipeline.Run, t *dataset.Table, md *modelData, opts Option
 			for i, bits := range cand {
 				opts.logf("truncation search: %d-bit codes → %d bytes (codes+failures)", bits, results[i].size)
 				if results[i].size < bestSize {
-					bestSize, bestBits, bestDims, bestFS = results[i].size, bits, results[i].dims, results[i].fs
+					bestSize, st.codeBits, st.codeDims, st.fs = results[i].size, bits, results[i].dims, results[i].fs
 				}
 			}
 			return bestSize, nil
 		})
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
-	res.CodeBits = bestBits
-	if bestFS == nil {
-		// Model-less archive (all columns trivial or fallback, or empty
-		// table): failure streams exist but are empty.
-		bestFS = &failureSet{
-			ints:       make(map[int][]int64),
-			resInts:    make(map[int][][]int64),
-			exceptions: make(map[int][]int64),
-			contMask:   make(map[int][]int64),
-			contVals:   make(map[int][]float64),
-		}
-		for si, col := range md.specCols {
-			cp := &md.plan.Cols[col]
-			switch cp.Kind {
-			case preprocess.KindNumContinuous:
-				bestFS.contMask[col] = []int64{}
-			case preprocess.KindCatResidual:
-				if bestFS.resInts[col] == nil {
-					bestFS.resInts[col] = make([][]int64, cp.ResDigits)
-				}
-				bestFS.resInts[col][md.specDigit[si]] = []int64{}
-			default:
-				bestFS.ints[col] = []int64{}
-			}
-		}
-	}
+	res.CodeBits = st.codeBits
 
 	// Expert mapping (paper §6.4): grouped storage with delta-coded indexes
 	// versus per-tuple labels — pick the smaller. Without KeepRowOrder the
 	// grouped form needs no indexes at all.
-	perm := grouped
-	groupedMapping := true
-	if numExperts > 1 && hasModel && opts.KeepRowOrder {
+	st.perm, st.grouped = grouped, true
+	if st.experts > 1 && hasModel && opts.KeepRowOrder {
 		err := run.Stage("mapping", func() error {
-			groupedCost := mappingCost(assign, grouped, spans, numExperts, true, true, cmask)
-			labelsCost := mappingCost(assign, identity, spans, numExperts, false, true, cmask)
-			identCodes := permuteRows(codesF, identity)
-			dimsI, recI := quantizeCodes(identCodes, bestBits)
-			fsI, err := computeFailures(run, md, origNum, decoders, decs32, assign, recI, identity)
+			groupedCost := mappingCost(assign, grouped, st.spans, st.experts, true, true, cmask)
+			labelsCost := mappingCost(assign, identity, st.spans, st.experts, false, true, cmask)
+			dimsI, fsI, err := groupStreams(run, t, st, permuteRows(codesF, identity), identity, st.codeBits)
 			if err != nil {
 				return err
 			}
@@ -263,54 +233,25 @@ func materialize(run *pipeline.Run, t *dataset.Table, md *modelData, opts Option
 			if err != nil {
 				return err
 			}
-			sizeG, err := packedSize(run, bestFS, bestDims, cmask)
+			sizeG, err := packedSize(run, st.fs, st.codeDims, cmask)
 			if err != nil {
 				return err
 			}
 			opts.logf("mapping: grouped %d+%d vs labels %d+%d bytes",
 				sizeG, groupedCost, sizeI, labelsCost)
 			if sizeI+labelsCost < sizeG+groupedCost {
-				perm, groupedMapping = identity, false
-				bestFS, bestDims = fsI, dimsI
+				st.perm, st.grouped = identity, false
+				st.fs, st.codeDims = fsI, dimsI
 			}
 			return nil
 		})
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-	} else if numExperts <= 1 {
-		perm, groupedMapping = identity, false
+	} else if st.experts <= 1 {
+		st.perm, st.grouped = identity, false
 	}
-
-	codeSize := 0
-	if hasModel {
-		codeSize = experts[0].CodeSize
-	}
-	var archive []byte
-	var bd Breakdown
-	err := run.StageBytes("assemble", func() (int64, error) {
-		var err error
-		archive, bd, err = assembleArchive(run, t, md, opts, archiveState{
-			decoders: decoders,
-			codeDims: bestDims,
-			codeBits: bestBits,
-			codeSize: codeSize,
-			fs:       bestFS,
-			perm:     perm,
-			assign:   assign,
-			grouped:  groupedMapping,
-			experts:  numExperts,
-			spans:    spans,
-			ext:      ext,
-		})
-		return int64(len(archive)), err
-	})
-	if err != nil {
-		return nil, err
-	}
-	res.Archive = archive
-	res.Breakdown = bd
-	return res, nil
+	return st, res, nil
 }
 
 // trainModel builds and fits the model under the selected partitioning.
@@ -517,13 +458,19 @@ func groupedPerm(assign []int) []int {
 // are expert-sorted within each span, so every group's rows stay contiguous
 // in stored order and each segment can slice the global streams cleanly.
 func groupedPermSpans(assign []int, spans []rowSpan) []int {
-	perm := make([]int, len(assign))
-	for i := range perm {
-		perm[i] = i
-	}
+	perm := identityPerm(len(assign))
 	for _, sp := range spans {
 		seg := perm[sp.start : sp.start+sp.count]
 		sort.SliceStable(seg, func(a, b int) bool { return assign[seg[a]] < assign[seg[b]] })
+	}
+	return perm
+}
+
+// identityPerm is the stored order that keeps the original one.
+func identityPerm(n int) []int {
+	perm := make([]int, n)
+	for i := range perm {
+		perm[i] = i
 	}
 	return perm
 }

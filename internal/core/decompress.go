@@ -136,7 +136,7 @@ type groupDec struct {
 	planChunk    []byte
 	dimChunks    [][]byte
 	mappingChunk []byte
-	colChunks    [][][]byte // per schema column, colChunkCount chunks each; unselected stay nil
+	colChunks    [][][]byte // per schema column, one per colStreams entry; unselected stay nil
 
 	// Unpacked streams, indexed by schema column (spec streams) or code
 	// dimension; all in the group's stored order.
@@ -169,27 +169,16 @@ type groupDec struct {
 
 // decompressor carries one request's state shared across row groups. The
 // immutable parsed metadata lives in meta (owned by an Archive handle when
-// the request came through one); everything else here is per-request.
+// the request came through one; the streaming reader builds one from the
+// archive prefix, without body, groups or row count); everything else here
+// is per-request.
 type decompressor struct {
 	run  *pipeline.Run
 	opts DecompressOptions
 	ext  *providedModel
 
-	h    *Archive     // owning handle; nil for the streaming reader
-	meta *archiveMeta // parsed-once metadata (nil for the streaming reader)
-
-	r       *sectionReader
-	version byte
-	flags   byte
-
-	rows         int
-	plan         *preprocess.Plan
-	lo           *layout
-	codeSize     int
-	codeBits     int
-	numExperts   int
-	rowGroupSize int
-	hasModel     bool
+	h    *Archive // owning handle; nil for the streaming reader
+	meta *archiveMeta
 
 	sel         []bool // schema column → selected
 	selCols     []int  // selected schema columns, ascending
@@ -198,14 +187,12 @@ type decompressor struct {
 	needMapping bool
 	rlo, rhi    int // selected original-row span [rlo, rhi)
 
-	decoderChunk []byte
-	decoders     []*nn.Decoder
-	decs32       []*nn.Decoder32 // float32 views when flagFloat32, parallel to decoders
+	decoders []*nn.Decoder
+	decs32   []*nn.Decoder32 // float32 views when flagFloat32, parallel to decoders
 	// preds[worker][expert] is the predictor that pool worker reuses for
 	// every group it decodes (see decodeItems); rows are filled lazily.
 	preds [][]func(*mat.Matrix) *nn.Predictions
 
-	footer *archiveFooter // version 2 only
 	groups []*groupDec
 	nOut   int // total output rows across surviving groups
 }
@@ -274,84 +261,56 @@ func (a *Archive) decodeStages(run *pipeline.Run, opts DecompressOptions, ext *p
 	return d, nil
 }
 
-// parse adopts the handle's parsed-once metadata, applies the request's row
-// policy (MaxRows), resolves the projection, and lays out the row groups.
+// parse applies the request's row policy (MaxRows) to the handle's
+// parsed-once metadata, resolves the projection, and lays out the row groups.
 // The envelope, header, footer, and layout were all validated by Open.
 func (d *decompressor) parse() error {
 	m := d.meta
-	d.version, d.flags = m.version, m.flags
-	d.rows = m.rows
-	if d.opts.MaxRows > 0 && d.rows > d.opts.MaxRows {
-		return fmt.Errorf("%w: %d rows exceeds caller limit %d", ErrCorrupt, d.rows, d.opts.MaxRows)
+	if d.opts.MaxRows > 0 && m.rows > d.opts.MaxRows {
+		return fmt.Errorf("%w: %d rows exceeds caller limit %d", ErrCorrupt, m.rows, d.opts.MaxRows)
 	}
-	d.plan = m.plan
-	d.lo = m.layout
-	d.codeSize, d.codeBits, d.numExperts = m.codeSize, m.codeBits, m.numExperts
-	d.rowGroupSize = m.rowGroupSize
-	d.hasModel = m.hasModel
-	d.footer = m.footer
-	// Each request walks the body with its own reader, starting at the first
-	// row-group section (the decoder chunk was already located by Open).
-	d.r = &sectionReader{buf: m.body, pos: m.bodyPos}
-
 	if err := d.initSelection(d.opts.Columns); err != nil {
 		return err
 	}
 
 	// Row range.
-	d.rlo, d.rhi = 0, d.rows
+	d.rlo, d.rhi = 0, m.rows
 	if !d.opts.RowRange.isFull() {
 		rr := d.opts.RowRange
-		if rr.Lo < 0 || rr.Hi < rr.Lo || rr.Hi > d.rows {
-			return fmt.Errorf("core: row range [%d,%d) outside table of %d rows", rr.Lo, rr.Hi, d.rows)
+		if rr.Lo < 0 || rr.Hi < rr.Lo || rr.Hi > m.rows {
+			return fmt.Errorf("core: row range [%d,%d) outside table of %d rows", rr.Lo, rr.Hi, m.rows)
 		}
 		d.rlo, d.rhi = rr.Lo, rr.Hi
 	}
 
-	// Row groups: one implicit group for version 1; one per footer entry for
-	// version 2, active only when it overlaps the request (a full-range
-	// request keeps every group active, including empty ones).
-	if d.version == archiveVersionV1 {
-		g := &groupDec{start: 0, count: d.rows, glo: d.rlo, ghi: d.rhi, active: true}
-		if d.opts.GroupMask != nil {
-			if len(d.opts.GroupMask) != 1 {
-				return fmt.Errorf("core: group mask has %d entries for 1 group", len(d.opts.GroupMask))
-			}
-			if !d.opts.GroupMask[0] {
-				// A v1 body has no footer offsets to skip by, so the group
-				// stays active (its chunks are still walked) but selects
-				// no rows.
-				g.ghi = g.glo
-			}
+	// Row groups: one per footer entry, active only when it overlaps the
+	// request (a full-range request keeps every group active, including
+	// empty ones).
+	if d.opts.GroupMask != nil && len(d.opts.GroupMask) != len(m.groups) {
+		return fmt.Errorf("core: group mask has %d entries for %d groups",
+			len(d.opts.GroupMask), len(m.groups))
+	}
+	full := d.rlo == 0 && d.rhi == m.rows
+	d.groups = make([]*groupDec, len(m.groups))
+	for i, gm := range m.groups {
+		g := &groupDec{start: gm.start, count: gm.count, meta: gm}
+		g.glo = d.rlo - gm.start
+		if g.glo < 0 {
+			g.glo = 0
 		}
-		d.groups = []*groupDec{g}
-	} else {
-		if d.opts.GroupMask != nil && len(d.opts.GroupMask) != len(d.footer.groups) {
-			return fmt.Errorf("core: group mask has %d entries for %d groups",
-				len(d.opts.GroupMask), len(d.footer.groups))
+		g.ghi = d.rhi - gm.start
+		if g.ghi > gm.count {
+			g.ghi = gm.count
 		}
-		full := d.rlo == 0 && d.rhi == d.rows
-		d.groups = make([]*groupDec, len(d.footer.groups))
-		for i, m := range d.footer.groups {
-			g := &groupDec{start: m.start, count: m.count, meta: m}
-			g.glo = d.rlo - m.start
-			if g.glo < 0 {
-				g.glo = 0
-			}
-			g.ghi = d.rhi - m.start
-			if g.ghi > m.count {
-				g.ghi = m.count
-			}
-			if g.ghi < g.glo {
-				g.ghi = g.glo
-			}
-			g.active = full || g.ghi > g.glo
-			if d.opts.GroupMask != nil && !d.opts.GroupMask[i] {
-				g.active = false
-				g.ghi = g.glo
-			}
-			d.groups[i] = g
+		if g.ghi < g.glo {
+			g.ghi = g.glo
 		}
+		g.active = full || g.ghi > g.glo
+		if d.opts.GroupMask != nil && !d.opts.GroupMask[i] {
+			g.active = false
+			g.ghi = g.glo
+		}
+		d.groups[i] = g
 	}
 	// Output layout: surviving groups' selected rows concatenate in archive
 	// order; each group remembers where its slice of the output starts.
@@ -368,10 +327,10 @@ func (d *decompressor) parse() error {
 
 // initSelection resolves a column projection (nil selects everything) into
 // the request's selection state: sel, selCols, wantSpec, needModel, and
-// needMapping. It requires plan, lo, hasModel, numExperts, and flags to be
-// set, and is shared by handle-based requests and the streaming reader.
+// needMapping, against the plan, layout and flags in d.meta. It is shared by
+// handle-based requests and the streaming reader.
 func (d *decompressor) initSelection(columns []string) error {
-	ncols := len(d.plan.Cols)
+	ncols := len(d.meta.plan.Cols)
 	d.sel = make([]bool, ncols)
 	if columns == nil {
 		for col := range d.sel {
@@ -379,7 +338,7 @@ func (d *decompressor) initSelection(columns []string) error {
 		}
 	} else {
 		byName := make(map[string]int, ncols)
-		for col, c := range d.plan.Schema.Columns {
+		for col, c := range d.meta.plan.Schema.Columns {
 			byName[c.Name] = col
 		}
 		for _, name := range columns {
@@ -398,12 +357,12 @@ func (d *decompressor) initSelection(columns []string) error {
 	if len(d.selCols) == 0 {
 		return fmt.Errorf("core: no columns selected")
 	}
-	d.wantSpec = make([]bool, len(d.lo.specs))
-	for si, col := range d.lo.specCols {
+	d.wantSpec = make([]bool, len(d.meta.layout.specs))
+	for si, col := range d.meta.layout.specCols {
 		d.wantSpec[si] = d.sel[col]
 	}
 	d.needModel = false
-	if d.hasModel {
+	if d.meta.hasModel {
 		for _, w := range d.wantSpec {
 			if w {
 				d.needModel = true
@@ -414,8 +373,8 @@ func (d *decompressor) initSelection(columns []string) error {
 	// Mapping is needed for expert routing (decode) and, when rows were
 	// stored expert-grouped with original order preserved, for assembly of
 	// any column. A projection touching neither can skip it.
-	d.needMapping = d.numExperts > 1 &&
-		(d.needModel || (d.flags&flagGrouped != 0 && d.flags&flagRowOrder != 0))
+	d.needMapping = d.meta.numExperts > 1 &&
+		(d.needModel || (d.meta.flags&flagGrouped != 0 && d.meta.flags&flagRowOrder != 0))
 	return nil
 }
 
@@ -424,132 +383,39 @@ func (d *decompressor) initSelection(columns []string) error {
 // segment of any row group outside the requested range — without touching
 // their contents. Returns the number of payload bytes skipped.
 func (d *decompressor) scan() (int64, error) {
+	m := d.meta
 	var skipped int64
-	if d.hasModel {
-		// The decoder chunk was already located by Open: a request that
-		// needs the model adopts it; one that doesn't counts its payload as
-		// skipped, same as when the chunk was walked here.
-		if d.needModel {
-			d.decoderChunk = d.meta.decoderChunk
-		} else {
-			skipped += int64(len(d.meta.decoderChunk))
-		}
+	if m.hasModel && !d.needModel {
+		// The decoder chunk was located by Open; a request that does not
+		// need the model counts its payload as skipped.
+		skipped += int64(len(m.decoderChunk))
 	}
-	if d.version == archiveVersionV1 {
-		if err := d.scanGroupBody(d.r, d.groups[0], &skipped); err != nil {
-			return skipped, err
-		}
-		return skipped, d.r.done()
-	}
+	// Each request walks the body with its own reader, from the first
+	// row-group section on.
+	r := &sectionReader{buf: m.body, pos: m.bodyPos}
 	for _, g := range d.groups {
-		if int64(d.r.pos) != g.meta.off {
-			return skipped, fmt.Errorf("%w: segment at offset %d, footer says %d", ErrCorrupt, d.r.pos, g.meta.off)
-		}
-		kind, err := d.r.byte()
+		plan, body, n, err := m.segment(r, g.meta, g.active)
 		if err != nil {
 			return skipped, err
-		}
-		if kind != kindSegment {
-			return skipped, fmt.Errorf("%w: chunk kind %d, want segment", ErrCorrupt, kind)
 		}
 		if !g.active {
-			n, err := d.r.skip()
-			if err != nil {
-				return skipped, err
-			}
 			skipped += n
-		} else {
-			framed, err := d.r.chunk()
-			if err != nil {
-				return skipped, err
-			}
-			if err := d.scanSegment(framed, g, &skipped); err != nil {
-				return skipped, err
-			}
+			continue
 		}
-		if int64(d.r.pos)-g.meta.off != g.meta.segLen {
-			return skipped, fmt.Errorf("%w: segment length disagrees with footer", ErrCorrupt)
-		}
-	}
-	if d.flags&flagZoneMaps != 0 {
-		// The zone-map stats chunk sits between the last segment and the
-		// footer. It is query metadata, not row data: walk over it without
-		// adding it to the skipped-bytes counter (a full decode still
-		// reports 0 bytes skipped).
-		kind, err := d.r.byte()
-		if err != nil {
+		g.planChunk = plan
+		if err := d.scanGroupBody(body, g, &skipped); err != nil {
 			return skipped, err
 		}
-		if kind != kindStats {
-			return skipped, fmt.Errorf("%w: chunk kind %d, want stats", ErrCorrupt, kind)
-		}
-		if _, err := d.r.chunk(); err != nil {
+		if err := body.done(); err != nil {
 			return skipped, err
 		}
 	}
-	kind, err := d.r.byte()
-	if err != nil {
-		return skipped, err
-	}
-	if kind != kindFooter {
-		return skipped, fmt.Errorf("%w: chunk kind %d, want footer", ErrCorrupt, kind)
-	}
-	if _, err := d.r.chunk(); err != nil { // payload already parsed by parse
-		return skipped, err
-	}
-	if d.r.pos+8 != len(d.r.buf) {
-		return skipped, fmt.Errorf("%w: misplaced footer trailer", ErrCorrupt)
-	}
-	d.r.pos += 8 // footer-offset trailer
-	return skipped, d.r.done()
-}
-
-// scanSegment validates a segment's checksum and header and walks its nested
-// chunk skeleton.
-func (d *decompressor) scanSegment(framed []byte, g *groupDec, skipped *int64) error {
-	body, err := segmentBody(framed)
-	if err != nil {
-		return err
-	}
-	nr := &sectionReader{buf: body}
-	sh, err := nr.chunk()
-	if err != nil {
-		return err
-	}
-	shr := &sectionReader{buf: sh}
-	start64, err := shr.uvarint()
-	if err != nil {
-		return err
-	}
-	count64, err := shr.uvarint()
-	if err != nil {
-		return err
-	}
-	hasPlan, err := shr.byte()
-	if err != nil {
-		return err
-	}
-	if err := shr.done(); err != nil {
-		return err
-	}
-	if start64 != uint64(g.start) || count64 != uint64(g.count) {
-		return fmt.Errorf("%w: segment span [%d,+%d) disagrees with footer", ErrCorrupt, start64, count64)
-	}
-	switch hasPlan {
-	case 0:
-	case 1:
-		pc, err := nr.chunk()
-		if err != nil {
-			return err
-		}
-		g.planChunk = pc
-	default:
-		return fmt.Errorf("%w: segment plan marker %d", ErrCorrupt, hasPlan)
-	}
-	if err := d.scanGroupBody(nr, g, skipped); err != nil {
-		return err
-	}
-	return nr.done()
+	// The zone-map stats chunk between the last segment and the footer is
+	// query metadata, not row data: it is checked to be there and not added
+	// to the skipped-bytes counter (a full decode still reports 0 bytes
+	// skipped). The footer behind it was validated by Open.
+	_, err := m.statsChunk(int64(r.pos))
+	return skipped, err
 }
 
 // scanGroupBody walks one group's section chunks — code dimensions, expert
@@ -571,24 +437,23 @@ func (d *decompressor) scanGroupBody(r *sectionReader, g *groupDec, skipped *int
 		*skipped += n
 		return err
 	}
-	if d.hasModel {
-		g.dimChunks = make([][]byte, d.codeSize)
+	if d.meta.hasModel {
+		g.dimChunks = make([][]byte, d.meta.codeSize)
 		for i := range g.dimChunks {
 			if err := take(&g.dimChunks[i], d.needModel); err != nil {
 				return err
 			}
 		}
 	}
-	if d.numExperts > 1 {
+	if d.meta.numExperts > 1 {
 		if err := take(&g.mappingChunk, d.needMapping); err != nil {
 			return err
 		}
 	}
-	g.colChunks = make([][][]byte, len(d.plan.Cols))
-	for col := range d.plan.Cols {
-		cnt := colChunkCount(d.plan, d.lo, col)
-		g.colChunks[col] = make([][]byte, cnt)
-		for i := 0; i < cnt; i++ {
+	g.colChunks = make([][][]byte, len(d.meta.plan.Cols))
+	for col := range d.meta.plan.Cols {
+		g.colChunks[col] = make([][]byte, len(colStreams(d.meta.plan, d.meta.layout, col)))
+		for i := range g.colChunks[col] {
 			if err := take(&g.colChunks[col][i], d.sel[col]); err != nil {
 				return err
 			}
@@ -597,22 +462,42 @@ func (d *decompressor) scanGroupBody(r *sectionReader, g *groupDec, skipped *int
 	return nil
 }
 
-// colChunkCount is the number of data chunks a column writes per segment —
-// the contract buildSegment, scanGroupBody, and collectGroupStreams must
-// all agree on: continuous model columns store mask+values, categorical
-// model columns store ranks+exceptions, residual columns store one rank
-// stream per digit, everything else stores one chunk.
-func colChunkCount(plan *preprocess.Plan, lo *layout, col int) int {
+// The data chunks a column writes per segment, by serialization branch.
+// "values" and "fallback" chunks are byte frames, the rest integer frames.
+var (
+	streamsContinuous  = []string{"mask", "values"}
+	streamsCategorical = []string{"failures", "exceptions"}
+	streamsDiscrete    = []string{"failures"}
+	streamsFallback    = []string{"fallback"}
+	streamsTrivial     = []string{"trivial"}
+)
+
+// colStreams names the data chunks a column writes per segment, in order —
+// the contract buildSegment, scanGroupBody, unpackGroupItems and
+// collectGroupStreams must all agree on: continuous model columns store
+// mask+values, categorical model columns store ranks+exceptions, residual
+// columns store one rank stream per digit, everything else stores one chunk.
+// The result is shared and must not be modified.
+func colStreams(plan *preprocess.Plan, lo *layout, col int) []string {
 	cp := &plan.Cols[col]
+	modeled := lo.specOfCol[col] >= 0
 	switch {
 	case cp.Kind == preprocess.KindCatResidual:
-		return cp.ResDigits
-	case lo.specOfCol[col] >= 0 &&
-		(cp.Kind == preprocess.KindNumContinuous ||
-			lo.specs[lo.specOfCol[col]].Kind == nn.OutCategorical):
-		return 2
+		digits := make([]string, cp.ResDigits)
+		for d := range digits {
+			digits[d] = "failures"
+		}
+		return digits
+	case modeled && cp.Kind == preprocess.KindNumContinuous:
+		return streamsContinuous
+	case modeled && lo.specs[lo.specOfCol[col]].Kind == nn.OutCategorical:
+		return streamsCategorical
+	case modeled:
+		return streamsDiscrete
+	case cp.Kind == preprocess.KindFallbackCat, cp.Kind == preprocess.KindFallbackNum:
+		return streamsFallback
 	default:
-		return 1
+		return streamsTrivial
 	}
 }
 
@@ -634,19 +519,19 @@ func (d *decompressor) unpack() (int64, error) {
 		// decoders when it read the archive prefix. Either way the chunk's
 		// bytes count as decoded work for the request that loads them.
 		if d.h != nil && d.ext == nil {
-			add(d.decoderChunk, func() error {
+			add(d.meta.decoderChunk, func() error {
 				decs, err := d.h.decoders()
 				if err != nil {
 					return err
 				}
 				d.decoders = decs
-				if d.flags&flagFloat32 != 0 {
+				if d.meta.flags&flagFloat32 != 0 {
 					d.decs32, err = d.h.decoders32()
 				}
 				return err
 			})
 		} else {
-			add(d.decoderChunk, d.unpackDecoders)
+			add(d.meta.decoderChunk, d.unpackDecoders)
 		}
 	}
 	for _, g := range d.groups {
@@ -662,8 +547,8 @@ func (d *decompressor) unpack() (int64, error) {
 // unpackGroupItems initializes a group's decoded-stream slots and appends
 // the group's unpack work items.
 func (d *decompressor) unpackGroupItems(g *groupDec, add func(chunk []byte, fn func() error)) {
-	ncols := len(d.plan.Cols)
-	g.plan = d.plan
+	ncols := len(d.meta.plan.Cols)
+	g.plan = d.meta.plan
 	g.fInts = make([][]int64, ncols)
 	g.fRes = make([][][]int64, ncols)
 	g.fExc = make([][]int64, ncols)
@@ -682,7 +567,7 @@ func (d *decompressor) unpackGroupItems(g *groupDec, add func(chunk []byte, fn f
 		add(g.planChunk, func() error { return d.unpackGroupPlan(g) })
 	}
 	if d.needModel {
-		g.dims = make([][]int64, d.codeSize)
+		g.dims = make([][]int64, d.meta.codeSize)
 		for i, chunk := range g.dimChunks {
 			i, chunk := i, chunk
 			add(chunk, func() error {
@@ -703,7 +588,7 @@ func (d *decompressor) unpackGroupItems(g *groupDec, add func(chunk []byte, fn f
 	}
 	for _, col := range d.selCols {
 		col := col
-		cp := &d.plan.Cols[col]
+		cp := &d.meta.plan.Cols[col]
 		a := g.colChunks[col][0]
 		var b []byte
 		if len(g.colChunks[col]) > 1 {
@@ -727,7 +612,7 @@ func (d *decompressor) unpackGroupItems(g *groupDec, add func(chunk []byte, fn f
 					return nil
 				})
 			}
-		case d.lo.specOfCol[col] >= 0 && cp.Kind == preprocess.KindNumContinuous:
+		case d.meta.layout.specOfCol[col] >= 0 && cp.Kind == preprocess.KindNumContinuous:
 			add(a, func() error {
 				mask, err := colfile.UnpackIntsMax(a, g.count)
 				if err != nil {
@@ -747,7 +632,7 @@ func (d *decompressor) unpackGroupItems(g *groupDec, add func(chunk []byte, fn f
 				g.fVals[col] = vals
 				return nil
 			})
-		case d.lo.specOfCol[col] >= 0:
+		case d.meta.layout.specOfCol[col] >= 0:
 			add(a, func() error {
 				ints, err := colfile.UnpackIntsMax(a, g.count)
 				if err != nil {
@@ -759,7 +644,7 @@ func (d *decompressor) unpackGroupItems(g *groupDec, add func(chunk []byte, fn f
 				g.fInts[col] = ints
 				return nil
 			})
-			if d.lo.specs[d.lo.specOfCol[col]].Kind == nn.OutCategorical {
+			if d.meta.layout.specs[d.meta.layout.specOfCol[col]].Kind == nn.OutCategorical {
 				add(b, func() error {
 					exc, err := colfile.UnpackIntsMax(b, g.count)
 					if err != nil {
@@ -843,24 +728,24 @@ func (d *decompressor) unpackGroupPlan(g *groupDec) error {
 	if used != len(g.planChunk) {
 		return fmt.Errorf("%w: trailing group plan bytes", ErrCorrupt)
 	}
-	if !plan.Schema.Equal(d.plan.Schema) {
+	if !plan.Schema.Equal(d.meta.plan.Schema) {
 		return fmt.Errorf("%w: group plan schema differs from header", ErrCorrupt)
 	}
 	glo, err := deriveLayout(plan)
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-	if len(glo.specs) != len(d.lo.specs) {
-		return fmt.Errorf("%w: group plan has %d model columns, header %d", ErrCorrupt, len(glo.specs), len(d.lo.specs))
+	if len(glo.specs) != len(d.meta.layout.specs) {
+		return fmt.Errorf("%w: group plan has %d model columns, header %d", ErrCorrupt, len(glo.specs), len(d.meta.layout.specs))
 	}
 	for i := range glo.specs {
-		if glo.specs[i] != d.lo.specs[i] {
+		if glo.specs[i] != d.meta.layout.specs[i] {
 			return fmt.Errorf("%w: group plan model column %d differs from header", ErrCorrupt, i)
 		}
 	}
 	for col := range plan.Cols {
-		if glo.specOfCol[col] != d.lo.specOfCol[col] ||
-			colBranch(plan, glo, col) != colBranch(d.plan, d.lo, col) {
+		if glo.specOfCol[col] != d.meta.layout.specOfCol[col] ||
+			colBranch(plan, glo, col) != colBranch(d.meta.plan, d.meta.layout, col) {
 			return fmt.Errorf("%w: group plan column %d structure differs from header", ErrCorrupt, col)
 		}
 	}
@@ -871,23 +756,23 @@ func (d *decompressor) unpackGroupPlan(g *groupDec) error {
 // unpackDecoders parses (or adopts) the decoder section and checks its
 // shape against the header.
 func (d *decompressor) unpackDecoders() error {
-	if d.flags&flagExternalModel != 0 {
+	if d.meta.flags&flagExternalModel != 0 {
 		if d.ext == nil {
 			return fmt.Errorf("%w: streaming batch archive needs its model archive (use DecompressBatch)", ErrCorrupt)
 		}
-		if len(d.decoderChunk) != 32 || !bytes.Equal(d.decoderChunk, d.ext.hash[:]) {
+		if len(d.meta.decoderChunk) != 32 || !bytes.Equal(d.meta.decoderChunk, d.ext.hash[:]) {
 			return fmt.Errorf("%w: batch archive references a different model archive", ErrCorrupt)
 		}
 		d.decoders = d.ext.decoders
-		if len(d.decoders) != d.numExperts {
-			return fmt.Errorf("%w: model archive has %d experts, batch wants %d", ErrCorrupt, len(d.decoders), d.numExperts)
+		if len(d.decoders) != d.meta.numExperts {
+			return fmt.Errorf("%w: model archive has %d experts, batch wants %d", ErrCorrupt, len(d.decoders), d.meta.numExperts)
 		}
-		if err := checkDecoderShapes(d.decoders, d.codeSize, len(d.lo.specs)); err != nil {
+		if err := checkDecoderShapes(d.decoders, d.meta.codeSize, len(d.meta.layout.specs)); err != nil {
 			return err
 		}
 		return d.narrowDecoders()
 	}
-	decoders, err := parseCheckedDecoders(d.decoderChunk, d.numExperts, d.codeSize, len(d.lo.specs))
+	decoders, err := parseCheckedDecoders(d.meta.decoderChunk, d.meta.numExperts, d.meta.codeSize, len(d.meta.layout.specs))
 	if err != nil {
 		return err
 	}
@@ -898,7 +783,7 @@ func (d *decompressor) unpackDecoders() error {
 // narrowDecoders builds the float32 decoder views an archive carrying
 // flagFloat32 decodes through; a no-op otherwise.
 func (d *decompressor) narrowDecoders() error {
-	if d.flags&flagFloat32 != 0 {
+	if d.meta.flags&flagFloat32 != 0 {
 		d.decs32 = nn.Decoders32(d.decoders)
 	}
 	return nil
@@ -935,10 +820,10 @@ func checkDecoderShapes(decoders []*nn.Decoder, codeSize, numSpecs int) error {
 // expert).
 func (d *decompressor) unpackMapping(g *groupDec) error {
 	mb := g.mappingChunk
-	if d.flags&flagGrouped != 0 {
-		keepOrder := d.flags&flagRowOrder != 0
+	if d.meta.flags&flagGrouped != 0 {
+		keepOrder := d.meta.flags&flagRowOrder != 0
 		mpos, s := 0, 0
-		for e := 0; e < d.numExperts; e++ {
+		for e := 0; e < d.meta.numExperts; e++ {
 			cnt64, sz := binary.Uvarint(mb[mpos:])
 			if sz <= 0 {
 				return fmt.Errorf("%w: truncated mapping", ErrCorrupt)
@@ -993,13 +878,13 @@ func (d *decompressor) unpackMapping(g *groupDec) error {
 			return fmt.Errorf("%w: %d labels for %d rows", ErrCorrupt, len(labels), g.count)
 		}
 		for i, l := range labels {
-			if l < 0 || int(l) >= d.numExperts {
+			if l < 0 || int(l) >= d.meta.numExperts {
 				return fmt.Errorf("%w: label %d", ErrCorrupt, l)
 			}
 			g.assign[i] = int(l)
 		}
 	}
-	if d.flags&flagRowOrder == 0 {
+	if d.meta.flags&flagRowOrder == 0 {
 		// Row order was not preserved: the table is reconstructed in stored
 		// order, which perm already reflects (identity).
 		return nil
@@ -1021,7 +906,7 @@ func (d *decompressor) resolve() error {
 			continue
 		}
 		d.resolveGroupInit(g)
-		for si := range d.lo.specs {
+		for si := range d.meta.layout.specs {
 			if d.wantSpec[si] {
 				items = append(items, work{g, si})
 			}
@@ -1038,13 +923,13 @@ func (d *decompressor) resolveGroupInit(g *groupDec) {
 	for s, orig := range g.perm {
 		g.unperm[orig] = s
 	}
-	g.colCodes = make([][]int, len(d.plan.Cols))
-	g.contOut = make([][]float64, len(d.plan.Cols))
-	for si, col := range d.lo.specCols {
+	g.colCodes = make([][]int, len(d.meta.plan.Cols))
+	g.contOut = make([][]float64, len(d.meta.plan.Cols))
+	for si, col := range d.meta.layout.specCols {
 		if !d.wantSpec[si] {
 			continue
 		}
-		if d.plan.Cols[col].Kind == preprocess.KindNumContinuous {
+		if d.meta.plan.Cols[col].Kind == preprocess.KindNumContinuous {
 			g.contOut[col] = make([]float64, g.count)
 		} else if g.colCodes[col] == nil {
 			// Residual columns repeat in specCols (one entry per digit);
@@ -1052,15 +937,15 @@ func (d *decompressor) resolveGroupInit(g *groupDec) {
 			g.colCodes[col] = make([]int, g.count)
 		}
 	}
-	g.excAt = make([]map[int]int64, len(d.lo.specs))
-	g.valAt = make([]map[int]float64, len(d.lo.specs))
+	g.excAt = make([]map[int]int64, len(d.meta.layout.specs))
+	g.valAt = make([]map[int]float64, len(d.meta.layout.specs))
 }
 
 // resolveSpec builds one group × spec column's escape/correction queue map.
 func (d *decompressor) resolveSpec(g *groupDec, si int) error {
-	spec := d.lo.specs[si]
-	col := d.lo.specCols[si]
-	if d.plan.Cols[col].Kind == preprocess.KindNumContinuous {
+	spec := d.meta.layout.specs[si]
+	col := d.meta.layout.specCols[si]
+	if d.meta.plan.Cols[col].Kind == preprocess.KindNumContinuous {
 		at := make(map[int]float64)
 		queue := g.fVals[col]
 		qi := 0
@@ -1079,7 +964,7 @@ func (d *decompressor) resolveSpec(g *groupDec, si int) error {
 		g.valAt[si] = at
 		return nil
 	}
-	if spec.Kind != nn.OutCategorical || d.plan.Cols[col].Kind == preprocess.KindCatResidual {
+	if spec.Kind != nn.OutCategorical || d.meta.plan.Cols[col].Kind == preprocess.KindCatResidual {
 		// Residual digits never escape: there is no exception queue to
 		// resolve, and rank validation happens when the digit is applied.
 		return nil
@@ -1125,7 +1010,7 @@ func (d *decompressor) decode() error {
 			continue
 		}
 		d.decodeGroupInit(g)
-		for e := 0; e < d.numExperts; e++ {
+		for e := 0; e < d.meta.numExperts; e++ {
 			items = append(items, work{g, e})
 		}
 	}
@@ -1135,8 +1020,8 @@ func (d *decompressor) decode() error {
 // decodeGroupInit reconstructs a group's float codes and groups its stored
 // positions by expert, restricted to the selected local row span.
 func (d *decompressor) decodeGroupInit(g *groupDec) {
-	g.rec = reconstructCodes(g.dims, d.codeBits)
-	g.posBy = expertPositionsRange(g.assign, g.perm, d.numExperts, g.glo, g.ghi)
+	g.rec = reconstructCodes(g.dims, d.meta.codeBits)
+	g.posBy = expertPositionsRange(g.assign, g.perm, d.meta.numExperts, g.glo, g.ghi)
 }
 
 // decodeItems runs n group × expert work items over the pool. Each pool
@@ -1151,7 +1036,7 @@ func (d *decompressor) decodeItems(n int, item func(i int) (*groupDec, int)) err
 	return d.run.ForEachWorker(n, func(w, i int) error {
 		g, e := item(i)
 		if d.preds[w] == nil {
-			d.preds[w] = make([]func(*mat.Matrix) *nn.Predictions, d.numExperts)
+			d.preds[w] = make([]func(*mat.Matrix) *nn.Predictions, d.meta.numExperts)
 		}
 		if d.preds[w][e] == nil {
 			// The precision is the one the archive header mandates
@@ -1168,7 +1053,7 @@ func (d *decompressor) decodeItems(n int, item func(i int) (*groupDec, int)) err
 
 // decodeExpert runs one group × expert through the decoder.
 func (d *decompressor) decodeExpert(g *groupDec, e int, predict func(*mat.Matrix) *nn.Predictions) error {
-	scratch := make([]bool, maxCard(d.lo.specs)+1)
+	scratch := make([]bool, maxCard(d.meta.layout.specs)+1)
 	var derr error
 	expertBatches(predict, g.rec, g.posBy[e], func(chunk []int, p *nn.Predictions) {
 		if derr != nil {
@@ -1182,11 +1067,11 @@ func (d *decompressor) decodeExpert(g *groupDec, e int, predict func(*mat.Matrix
 // applyChunk merges one batch of predictions with a group's failure streams.
 // Dictionaries, scalers, and quantizers come from the group plan.
 func (d *decompressor) applyChunk(g *groupDec, dec *nn.Decoder, chunk []int, p *nn.Predictions, scratch []bool) error {
-	for si, spec := range d.lo.specs {
+	for si, spec := range d.meta.layout.specs {
 		if !d.wantSpec[si] {
 			continue
 		}
-		col := d.lo.specCols[si]
+		col := d.meta.layout.specCols[si]
 		cp := &g.plan.Cols[col]
 		switch spec.Kind {
 		case nn.OutNumeric:
@@ -1235,7 +1120,7 @@ func (d *decompressor) applyChunk(g *groupDec, dec *nn.Decoder, chunk []int, p *
 				// Ranks are strict — digits have no escape, so anything
 				// outside [0, Base) is corruption, and the recomposed rank
 				// is bounds-checked against the dictionary on assembly.
-				dg := d.lo.specDigit[si]
+				dg := d.meta.layout.specDigit[si]
 				ranks := g.fRes[col][dg]
 				mult := 1
 				for k := 0; k < dg; k++ {
@@ -1298,7 +1183,7 @@ func (d *decompressor) assemble(dst func(gi, ci int) ([]string, []float64)) erro
 // groups' selected rows concatenate in archive order, each group writing the
 // span of every output column that starts at its outOff.
 func (d *decompressor) assembleTable() (*dataset.Table, error) {
-	schema := d.plan.Schema
+	schema := d.meta.plan.Schema
 	if d.opts.Columns != nil {
 		cols := make([]dataset.Column, len(d.selCols))
 		for k, col := range d.selCols {
@@ -1350,12 +1235,12 @@ func (d *decompressor) assembleColumn(g *groupDec, col int, dstStr []string, dst
 		return nil
 	}
 	switch {
-	case d.lo.specOfCol[col] >= 0 && cp.Kind == preprocess.KindNumContinuous:
+	case d.meta.layout.specOfCol[col] >= 0 && cp.Kind == preprocess.KindNumContinuous:
 		src := g.contOut[col]
 		for i := range dstNum {
 			dstNum[i] = src[g.unperm[g.glo+i]]
 		}
-	case d.lo.specOfCol[col] >= 0:
+	case d.meta.layout.specOfCol[col] >= 0:
 		codes := make([]int, m)
 		src := g.colCodes[col]
 		for i := range codes {

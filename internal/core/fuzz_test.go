@@ -28,8 +28,10 @@ func refreshCRC(data []byte) []byte {
 }
 
 // fuzzSeedArchives compresses a few tiny tables covering the format's
-// branches: plain, mixture of experts, multi-group, empty — plus a frozen
-// v1 golden fixture so mutations explore the legacy decode path too.
+// branches: plain, mixture of experts, multi-group, empty, streamed (later
+// groups carry plan overrides, the shape nearly every production segment
+// has), an external-model batch — plus a frozen v1 golden fixture so
+// mutations explore the legacy decode path too.
 func fuzzSeedArchives(f *testing.F) [][]byte {
 	f.Helper()
 	opts := quickOpts()
@@ -62,6 +64,27 @@ func fuzzSeedArchives(f *testing.F) [][]byte {
 	res.Preproc.ResidualCats = true
 	res.Preproc.MaxModelCardinality = 8 // force residual; 70 values → 2 digits
 	add(Compress(clickTable(200, 70, 57), []float64{0, 0, 0.1}, res))
+	// Three groups from the streaming writer: segments 1 and 2 have
+	// hasPlan = 1, so mutations start inside unpackGroupPlan.
+	var streamed bytes.Buffer
+	aw, err := NewArchiveWriter(&streamed, latentTable(1, 58).Schema, []float64{0, 0, 0.1, 0.1, 0}, grouped)
+	if err != nil {
+		f.Fatal(err)
+	}
+	if err := aw.Write(latentTable(70, 58)); err != nil {
+		f.Fatal(err)
+	}
+	if err := aw.Close(); err != nil {
+		f.Fatal(err)
+	}
+	seeds = append(seeds, streamed.Bytes())
+	// A batch archive: a model hash where the decoders would be. Alone it
+	// must fail as corrupt at decode and still index and inspect.
+	stream, _, err := NewStream(latentTable(60, 59), []float64{0, 0, 0.1, 0.1, 0}, opts)
+	if err != nil {
+		f.Fatal(err)
+	}
+	add(stream.CompressBatch(latentTable(40, 60)))
 	v1, err := os.ReadFile(filepath.Join("testdata", "categorical.dsqz"))
 	if err != nil {
 		f.Fatal(err)
@@ -173,6 +196,11 @@ func FuzzDecompress(f *testing.F) {
 		// stats parser too.)
 		if _, err := ReadIndex(archive); err != nil && !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("unclassified index error: %v", err)
+		}
+		// So does the stream inspector, which enters every segment through
+		// the same walker the decode does.
+		if _, err := InspectStreams(archive); err != nil && !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("unclassified stream-inspection error: %v", err)
 		}
 		res, err := DecompressContext(context.Background(), archive,
 			DecompressOptions{MaxRows: 4096, Parallelism: 2})

@@ -24,11 +24,14 @@ type goldenCase struct {
 	name    string
 	version byte
 	build   func() (*dataset.Table, []float64, Options)
+	// writeRows, when positive, regenerates the fixture through an
+	// ArchiveWriter fed writeRows rows per Write instead of through Compress.
+	writeRows int
 }
 
 func goldenCases() []goldenCase {
 	cases := []goldenCase{
-		{"categorical", 1, func() (*dataset.Table, []float64, Options) {
+		{name: "categorical", version: 1, build: func() (*dataset.Table, []float64, Options) {
 			// Pure categorical: model columns with escapes plus a
 			// high-cardinality fallback column.
 			schema := dataset.NewSchema(
@@ -49,7 +52,7 @@ func goldenCases() []goldenCase {
 			}
 			return tb, []float64{0, 0, 0}, goldenOpts(1)
 		}},
-		{"numerical", 1, func() (*dataset.Table, []float64, Options) {
+		{name: "numerical", version: 1, build: func() (*dataset.Table, []float64, Options) {
 			// Numeric kinds side by side: quantized lossy, exact value
 			// dictionary, and t=0 high-cardinality fallback.
 			schema := dataset.NewSchema(
@@ -71,7 +74,7 @@ func goldenCases() []goldenCase {
 			opts.Preproc.MaxValueDictLen = 16
 			return tb, []float64{0.1, 0, 0}, opts
 		}},
-		{"moe", 1, func() (*dataset.Table, []float64, Options) {
+		{name: "moe", version: 1, build: func() (*dataset.Table, []float64, Options) {
 			// Mixed table through a two-expert mixture, exercising the
 			// mapping chunk and expert-grouped assembly.
 			return latentTable(180, 103), []float64{0, 0, 0.1, 0.1, 0}, goldenOpts(2)
@@ -84,13 +87,13 @@ func goldenCases() []goldenCase {
 	// as coverage for flag-less v2 archives.
 	for _, base := range cases[:3] {
 		build := base.build
-		cases = append(cases, goldenCase{base.name + "_v2", 2, func() (*dataset.Table, []float64, Options) {
+		cases = append(cases, goldenCase{name: base.name + "_v2", version: 2, build: func() (*dataset.Table, []float64, Options) {
 			tb, thresholds, opts := build()
 			opts.NoZoneMaps = true
 			return tb, thresholds, opts
 		}})
 	}
-	cases = append(cases, goldenCase{"multigroup_v2", 2, func() (*dataset.Table, []float64, Options) {
+	cases = append(cases, goldenCase{name: "multigroup_v2", version: 2, build: func() (*dataset.Table, []float64, Options) {
 		opts := goldenOpts(2)
 		opts.RowGroupSize = 100
 		opts.NoZoneMaps = true
@@ -99,7 +102,7 @@ func goldenCases() []goldenCase {
 	// stats_v2 pins the zone-map stats chunk: multi-group with default
 	// (enabled) zone maps, so the fixture's flag byte, kindStats framing,
 	// and per-kind zone payloads are all under the golden contract.
-	cases = append(cases, goldenCase{"stats_v2", 2, func() (*dataset.Table, []float64, Options) {
+	cases = append(cases, goldenCase{name: "stats_v2", version: 2, build: func() (*dataset.Table, []float64, Options) {
 		opts := goldenOpts(2)
 		opts.RowGroupSize = 100
 		return latentTable(300, 105), []float64{0, 0, 0.1, 0.1, 0}, opts
@@ -108,7 +111,7 @@ func goldenCases() []goldenCase {
 	// and a failure stream computed against float32 inference. The committed
 	// bytes freeze the float32 kernel semantics — any change to the f32
 	// matmul accumulation order shows up here as a decode mismatch.
-	cases = append(cases, goldenCase{"f32_v2", 2, func() (*dataset.Table, []float64, Options) {
+	cases = append(cases, goldenCase{name: "f32_v2", version: 2, build: func() (*dataset.Table, []float64, Options) {
 		opts := goldenOpts(2)
 		opts.RowGroupSize = 100
 		opts.Float32Decode = true
@@ -119,7 +122,7 @@ func goldenCases() []goldenCase {
 	// selector range-codes. The committed bytes freeze the range frame format
 	// — header layout, CPT table serialization, model increment — so any
 	// codec change that re-frames these streams shows up as a byte diff.
-	cases = append(cases, goldenCase{"entropy_v2", 2, func() (*dataset.Table, []float64, Options) {
+	cases = append(cases, goldenCase{name: "entropy_v2", version: 2, build: func() (*dataset.Table, []float64, Options) {
 		opts := goldenOpts(1)
 		opts.RowGroupSize = 150
 		return skewedCatTable(300, 107), []float64{0, 0, 0.05, 0}, opts
@@ -128,13 +131,50 @@ func goldenCases() []goldenCase {
 	// byte, a KindCatResidual plan entry with its dictionary + digit count,
 	// and per-digit failure streams in every group. The committed bytes
 	// freeze the digit decomposition and the multi-chunk column layout.
-	cases = append(cases, goldenCase{"resbit_v2", 2, func() (*dataset.Table, []float64, Options) {
+	cases = append(cases, goldenCase{name: "resbit_v2", version: 2, build: func() (*dataset.Table, []float64, Options) {
 		opts := goldenOpts(1)
 		opts.RowGroupSize = 300
 		opts.Preproc.ResidualCats = true
 		return clickTable(900, 300, 108), []float64{0, 0, 0.05}, opts
 	}})
+	// streamed_v2 pins what the streaming writer emits: the first group is
+	// the trained one, groups 1–3 carry per-group plan overrides (hasPlan = 1
+	// in their segment headers) and decoded-domain zone maps, the last group
+	// is short.
+	cases = append(cases, goldenCase{name: "streamed_v2", version: 2, writeRows: 70, build: func() (*dataset.Table, []float64, Options) {
+		opts := goldenOpts(2)
+		opts.RowGroupSize = 100
+		return latentTable(350, 109), []float64{0, 0, 0.1, 0.1, 0}, opts
+	}})
 	return cases
+}
+
+// goldenArchive compresses a case's table the way its fixture was made.
+func goldenArchive(t *testing.T, gc goldenCase) []byte {
+	tb, thresholds, opts := gc.build()
+	if gc.writeRows == 0 {
+		res, err := Compress(tb, thresholds, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Archive
+	}
+	var buf bytes.Buffer
+	aw, err := NewArchiveWriter(&buf, tb.Schema, thresholds, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for lo := 0; lo < tb.NumRows(); lo += gc.writeRows {
+		chunk := dataset.NewTable(tb.Schema, gc.writeRows)
+		appendRows(chunk, tb, lo, min(lo+gc.writeRows, tb.NumRows()))
+		if err := aw.Write(chunk); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := aw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 func goldenOpts(experts int) Options {
@@ -159,12 +199,8 @@ func TestGoldenArchives(t *testing.T) {
 			arcPath := filepath.Join("testdata", gc.name+".dsqz")
 			csvPath := filepath.Join("testdata", gc.name+".csv")
 			if *updateGolden && gc.version >= 2 {
-				tb, thresholds, opts := gc.build()
-				res, err := Compress(tb, thresholds, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := Decompress(res.Archive)
+				fresh := goldenArchive(t, gc)
+				got, err := Decompress(fresh)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -172,13 +208,13 @@ func TestGoldenArchives(t *testing.T) {
 				if err := got.WriteCSV(&buf); err != nil {
 					t.Fatal(err)
 				}
-				if err := os.WriteFile(arcPath, res.Archive, 0o644); err != nil {
+				if err := os.WriteFile(arcPath, fresh, 0o644); err != nil {
 					t.Fatal(err)
 				}
 				if err := os.WriteFile(csvPath, buf.Bytes(), 0o644); err != nil {
 					t.Fatal(err)
 				}
-				t.Logf("wrote %s (%d bytes) and %s", arcPath, len(res.Archive), csvPath)
+				t.Logf("wrote %s (%d bytes) and %s", arcPath, len(fresh), csvPath)
 			}
 			archive, err := os.ReadFile(arcPath)
 			if err != nil {
@@ -219,7 +255,7 @@ func TestGoldenArchives(t *testing.T) {
 				t.Fatalf("index declares %d rows, table has %d", idx.Rows, got.NumRows())
 			}
 			if wantStats := gc.name == "stats_v2" || gc.name == "f32_v2" ||
-				gc.name == "entropy_v2" || gc.name == "resbit_v2"; idx.HasZoneMaps != wantStats {
+				gc.name == "entropy_v2" || gc.name == "resbit_v2" || gc.name == "streamed_v2"; idx.HasZoneMaps != wantStats {
 				t.Fatalf("HasZoneMaps = %v, want %v", idx.HasZoneMaps, wantStats)
 			}
 			if idx.HasZoneMaps {
@@ -249,6 +285,27 @@ func TestGoldenArchives(t *testing.T) {
 				}
 				if rangeFrames == 0 {
 					t.Fatal("entropy fixture carries no range-coded frames")
+				}
+			}
+			if gc.name == "streamed_v2" {
+				// This fixture exists to pin what the streaming writer emits
+				// after its first group: every later segment must carry its
+				// re-fitted plan.
+				m, err := parseArchiveMeta(archive)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, g := range m.groups {
+					plan, _, _, err := m.segment(&sectionReader{buf: m.body, pos: int(g.off)}, g, true)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if (plan != nil) != (i > 0) {
+						t.Fatalf("group %d of %d: plan override present = %v", i, len(m.groups), plan != nil)
+					}
+				}
+				if len(m.groups) < 3 {
+					t.Fatalf("streamed fixture has %d groups", len(m.groups))
 				}
 			}
 			if gc.name == "resbit_v2" {

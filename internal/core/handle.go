@@ -34,8 +34,11 @@ type archiveMeta struct {
 	rowGroupSize int
 	hasModel     bool
 
-	footer  *archiveFooter // version 2 only
-	footOff int64          // footer kind-byte offset (version 2 only)
+	// groups is the footer index. A version-1 archive gets one synthetic
+	// entry — every row, the extent of its unframed section chunks — so
+	// nothing downstream of the parse asks which version it is reading.
+	groups  []groupMeta
+	footOff int64 // footer kind-byte offset; where the synthetic group ends
 
 	// decoderChunk is the raw (still compressed) decoder-section payload —
 	// or the 32-byte model hash for streaming batch archives; nil when the
@@ -47,10 +50,9 @@ type archiveMeta struct {
 }
 
 // parseArchiveMeta validates the envelope and checksum, decodes the header
-// (and, for version 2, the footer index), derives the model layout, checks
-// the header's model-shape fields for honesty, and locates the decoder
-// section. It is the single metadata parse behind Open, ReadIndex, Inspect,
-// and every byte-slice decompression entry point.
+// and the footer index, checks the header's model-shape fields for honesty,
+// and locates the decoder section. It is the single metadata parse behind
+// Open, ReadIndex, Inspect, and every byte-slice decompression entry point.
 func parseArchiveMeta(archive []byte) (*archiveMeta, error) {
 	r, version, flags, err := newSectionReader(archive)
 	if err != nil {
@@ -60,53 +62,24 @@ func parseArchiveMeta(archive []byte) (*archiveMeta, error) {
 	if err != nil {
 		return nil, err
 	}
-	h, err := decodeHeader(hdr, version)
+	m, err := newArchiveMeta(version, flags, hdr, len(archive))
 	if err != nil {
 		return nil, err
 	}
-	m := &archiveMeta{
-		raw:          archive,
-		body:         r.buf,
-		version:      version,
-		flags:        flags,
-		plan:         h.plan,
-		codeSize:     h.codeSize,
-		codeBits:     h.codeBits,
-		numExperts:   h.numExperts,
-		rowGroupSize: h.rowGroupSize,
-	}
+	m.raw, m.body = archive, r.buf
 	if version == archiveVersionV1 {
-		m.rows = h.rows
-	} else {
-		ft, footOff, err := parseFooter(r.buf, r.pos)
-		if err != nil {
-			return nil, err
-		}
-		m.footer, m.footOff = ft, footOff
-		m.rows = ft.rows
+		// Version 1 never defined the stats chunk; readers ignored the bit.
+		m.flags &^= flagZoneMaps
+	} else if m.rows, m.groups, m.footOff, err = parseFooter(r.buf, r.pos); err != nil {
+		return nil, err
 	}
-	if m.numExperts < 1 || m.numExperts > m.rows+1 {
+	if m.numExperts > m.rows+1 {
 		return nil, fmt.Errorf("%w: %d experts for %d rows", ErrCorrupt, m.numExperts, m.rows)
 	}
-	lo, err := deriveLayout(m.plan)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	m.layout = lo
-	m.hasModel = flags&flagHasModel != 0
-	if m.hasModel != (len(lo.specs) > 0 && m.rows > 0) {
+	if m.hasModel != (len(m.layout.specs) > 0 && m.rows > 0) {
 		return nil, fmt.Errorf("%w: model flag disagrees with plan", ErrCorrupt)
 	}
 	if m.hasModel {
-		// Each code dimension occupies at least one archive byte, so a code
-		// size past the archive length cannot be honest; code bits outside
-		// [1, 32] would overflow the reconstruction grid.
-		if m.codeSize < 0 || m.codeSize > len(archive) {
-			return nil, fmt.Errorf("%w: code size %d exceeds archive", ErrCorrupt, m.codeSize)
-		}
-		if m.codeBits < 1 || m.codeBits > 32 {
-			return nil, fmt.Errorf("%w: code bits %d outside [1,32]", ErrCorrupt, m.codeBits)
-		}
 		// The decoder chunk sits directly after the header in both formats.
 		// Only its frame is validated here; the weights inside are inflated
 		// and parsed once, on the first request that needs the model.
@@ -115,6 +88,10 @@ func parseArchiveMeta(archive []byte) (*archiveMeta, error) {
 		}
 	}
 	m.bodyPos = r.pos
+	if version == archiveVersionV1 {
+		m.footOff = int64(len(m.body))
+		m.groups = []groupMeta{{count: m.rows, off: int64(m.bodyPos), segLen: m.footOff - int64(m.bodyPos)}}
+	}
 	return m, nil
 }
 
@@ -127,45 +104,20 @@ func (m *archiveMeta) index() (*ArchiveIndex, error) {
 		Rows:     m.rows,
 		Plan:     m.plan,
 		External: m.flags&flagExternalModel != 0,
+		Groups:   make([]IndexGroup, len(m.groups)),
 	}
-	if m.version == archiveVersionV1 {
-		idx.Groups = []IndexGroup{{Start: 0, Count: m.rows, SegmentBytes: int64(len(m.raw))}}
-		return idx, nil
-	}
-	ft := m.footer
-	idx.Groups = make([]IndexGroup, len(ft.groups))
-	for i, g := range ft.groups {
+	for i, g := range m.groups {
 		idx.Groups[i] = IndexGroup{Start: g.start, Count: g.count, SegmentBytes: g.segLen}
 	}
-	last := ft.groups[len(ft.groups)-1]
-	statOff := last.off + last.segLen
-	if m.flags&flagZoneMaps == 0 {
-		if statOff != m.footOff {
-			return nil, fmt.Errorf("%w: %d unclaimed bytes before footer", ErrCorrupt, m.footOff-statOff)
-		}
+	last := m.groups[len(m.groups)-1]
+	payload, err := m.statsChunk(last.off + last.segLen)
+	if err != nil {
+		return nil, err
+	}
+	if payload == nil {
 		return idx, nil
 	}
-	// The stats chunk must fill the gap between the last segment and the
-	// footer exactly.
-	if statOff >= m.footOff {
-		return nil, fmt.Errorf("%w: no room for stats chunk", ErrCorrupt)
-	}
-	sr := &sectionReader{buf: m.body[:m.footOff], pos: int(statOff)}
-	kind, err := sr.byte()
-	if err != nil {
-		return nil, err
-	}
-	if kind != kindStats {
-		return nil, fmt.Errorf("%w: chunk kind %d, want stats", ErrCorrupt, kind)
-	}
-	payload, err := sr.chunk()
-	if err != nil {
-		return nil, err
-	}
-	if err := sr.done(); err != nil {
-		return nil, err
-	}
-	zones, err := parseZoneStats(payload, m.plan, len(ft.groups))
+	zones, err := parseZoneStats(payload, m.plan, len(m.groups))
 	if err != nil {
 		return nil, err
 	}
@@ -190,12 +142,12 @@ func (m *archiveMeta) info() *ArchiveInfo {
 		TotalBytes:        len(m.raw),
 		RowGroupSize:      m.rowGroupSize,
 		DecoderBytes:      int64(len(m.decoderChunk)),
+		HasZoneMaps:       m.flags&flagZoneMaps != 0,
 		Float32Decode:     m.flags&flagFloat32 != 0,
 	}
-	if m.version != archiveVersionV1 {
-		info.HasZoneMaps = m.flags&flagZoneMaps != 0
-		info.Groups = make([]GroupInfo, len(m.footer.groups))
-		for i, g := range m.footer.groups {
+	if m.version == archiveVersion { // the footer index, for archives that store one
+		info.Groups = make([]GroupInfo, len(m.groups))
+		for i, g := range m.groups {
 			info.Groups[i] = GroupInfo{
 				RowStart:     g.start,
 				RowCount:     g.count,

@@ -7,19 +7,6 @@ import (
 	"deepsqueeze/internal/preprocess"
 )
 
-// archiveHeader is the decoded header chunk, shared by both format versions.
-// Version 1 stores the row count in the header; version 2 moves it to the
-// footer (a streaming writer does not know the total up front) and adds the
-// nominal row-group size instead.
-type archiveHeader struct {
-	rows         int // version 1 only; -1 for version 2
-	plan         *preprocess.Plan
-	codeSize     int
-	codeBits     int
-	numExperts   int
-	rowGroupSize int // version 2 only; 0 for version 1
-}
-
 // appendHeaderPayload serializes the version-2 header chunk payload.
 func appendHeaderPayload(dst []byte, plan *preprocess.Plan, codeSize, codeBits, experts, rowGroupSize int) []byte {
 	dst = plan.AppendBinary(dst)
@@ -30,46 +17,43 @@ func appendHeaderPayload(dst []byte, plan *preprocess.Plan, codeSize, codeBits, 
 	return dst
 }
 
-// decodeHeader parses the header chunk payload for the given format version.
-func decodeHeader(hdr []byte, version byte) (*archiveHeader, error) {
-	h := &archiveHeader{rows: -1}
+// decodeHeader parses the header chunk payload into m, under m.version.
+// Version 1 stores the row count in the header; version 2 moves it to the
+// footer (a streaming writer does not know the total up front) and adds the
+// nominal row-group size instead.
+func (m *archiveMeta) decodeHeader(hdr []byte) error {
 	pos := 0
-	if version == archiveVersionV1 {
+	if m.version == archiveVersionV1 {
 		rows64, sz := binary.Uvarint(hdr)
 		if sz <= 0 {
-			return nil, fmt.Errorf("%w: missing row count", ErrCorrupt)
+			return fmt.Errorf("%w: missing row count", ErrCorrupt)
 		}
-		if rows64 > uint64(1)<<31-1 {
-			return nil, fmt.Errorf("%w: %d rows exceeds the format limit", ErrCorrupt, rows64)
+		if rows64 > maxArchiveRows {
+			return fmt.Errorf("%w: %d rows exceeds the format limit", ErrCorrupt, rows64)
 		}
-		h.rows = int(rows64)
+		m.rows = int(rows64)
 		pos = sz
 	}
 	plan, used, err := preprocess.DecodePlan(hdr[pos:])
 	if err != nil {
-		return nil, corrupt(err)
+		return corrupt(err)
 	}
-	h.plan = plan
+	m.plan = plan
 	pos += used
-	nvals := 3 // code size, code bits, experts
-	if version != archiveVersionV1 {
-		nvals = 4 // + row group size
+	vals := []*int{&m.codeSize, &m.codeBits, &m.numExperts}
+	if m.version != archiveVersionV1 {
+		vals = append(vals, &m.rowGroupSize)
 	}
-	vals := make([]uint64, nvals)
-	for i := range vals {
+	for _, dst := range vals {
 		v, sz := binary.Uvarint(hdr[pos:])
 		if sz <= 0 {
-			return nil, fmt.Errorf("%w: truncated header", ErrCorrupt)
+			return fmt.Errorf("%w: truncated header", ErrCorrupt)
 		}
-		vals[i] = v
+		*dst = int(v)
 		pos += sz
 	}
 	if pos != len(hdr) {
-		return nil, fmt.Errorf("%w: trailing header bytes", ErrCorrupt)
+		return fmt.Errorf("%w: trailing header bytes", ErrCorrupt)
 	}
-	h.codeSize, h.codeBits, h.numExperts = int(vals[0]), int(vals[1]), int(vals[2])
-	if version != archiveVersionV1 {
-		h.rowGroupSize = int(vals[3])
-	}
-	return h, nil
+	return nil
 }

@@ -6,6 +6,7 @@ import (
 
 	"deepsqueeze/internal/codec"
 	"deepsqueeze/internal/colfile"
+	"deepsqueeze/internal/dataset"
 	"deepsqueeze/internal/mat"
 	"deepsqueeze/internal/nn"
 	"deepsqueeze/internal/pipeline"
@@ -170,6 +171,49 @@ type failureSet struct {
 	contVals map[int][]float64
 }
 
+// newFailureSet returns a failure set with every column map in place.
+func newFailureSet() *failureSet {
+	return &failureSet{
+		ints:       make(map[int][]int64),
+		resInts:    make(map[int][][]int64),
+		exceptions: make(map[int][]int64),
+		contMask:   make(map[int][]int64),
+		contVals:   make(map[int][]float64),
+	}
+}
+
+// emptyFailureSet is the failure set of a table without a model (all columns
+// trivial or fallback, or no rows): every stream exists and is empty.
+func emptyFailureSet(md *modelData) *failureSet {
+	fs := newFailureSet()
+	for si, col := range md.specCols {
+		cp := &md.plan.Cols[col]
+		switch cp.Kind {
+		case preprocess.KindNumContinuous:
+			fs.contMask[col] = []int64{}
+		case preprocess.KindCatResidual:
+			if fs.resInts[col] == nil {
+				fs.resInts[col] = make([][]int64, cp.ResDigits)
+			}
+			fs.resInts[col][md.specDigit[si]] = []int64{}
+		default:
+			fs.ints[col] = []int64{}
+		}
+	}
+	return fs
+}
+
+// groupStreams is what one stored order costs at one code width: stored holds
+// the float codes in the order of perm; they are quantized to bits and every
+// tuple is run back through its expert's decoder to derive the failure
+// streams. The truncation search, the mapping choice and the streaming
+// writer's later groups all price or emit their rows through it.
+func groupStreams(run *pipeline.Run, t *dataset.Table, st *archiveState, stored *mat.Matrix, perm []int, bits int) ([][]int64, *failureSet, error) {
+	dims, rec := quantizeCodes(stored, bits)
+	fs, err := computeFailures(run, t, st.md, st.decoders, st.decs32, st.assign, rec, perm)
+	return dims, fs, err
+}
+
 type posVal struct {
 	pos int
 	val int64
@@ -189,16 +233,11 @@ type posFloat struct {
 // position afterwards — the result is identical at every parallelism level.
 // decs32, when non-nil, routes inference through the float32 decoder views
 // (positionally parallel to decoders) so the stored corrections match what a
-// float32 decode will predict; nil keeps the float64 path.
-func computeFailures(run *pipeline.Run, md *modelData, origNum map[int][]float64, decoders []*nn.Decoder,
+// float32 decode will predict; nil keeps the float64 path. t supplies the raw
+// values mispredicted continuous tuples store as corrections.
+func computeFailures(run *pipeline.Run, t *dataset.Table, md *modelData, decoders []*nn.Decoder,
 	decs32 []*nn.Decoder32, assign []int, recCodes *mat.Matrix, perm []int) (*failureSet, error) {
-	fs := &failureSet{
-		ints:       make(map[int][]int64),
-		resInts:    make(map[int][][]int64),
-		exceptions: make(map[int][]int64),
-		contMask:   make(map[int][]int64),
-		contVals:   make(map[int][]float64),
-	}
+	fs := newFailureSet()
 	n := len(perm)
 	for si, col := range md.specCols {
 		cp := &md.plan.Cols[col]
@@ -242,7 +281,7 @@ func computeFailures(run *pipeline.Run, md *modelData, origNum map[int][]float64
 								mask[s] = 0
 							} else {
 								mask[s] = 1
-								contws[col] = append(contws[col], posFloat{s, origNum[col][orig]})
+								contws[col] = append(contws[col], posFloat{s, t.Num[col][orig]})
 							}
 						}
 						continue

@@ -36,25 +36,25 @@ type Stream struct {
 // archive is the model archive: keep it, every batch needs it to decompress.
 func NewStream(train *dataset.Table, thresholds []float64, opts Options) (*Stream, *Result, error) {
 	opts.Preproc = streamingResidualHeadroom(opts.Preproc)
-	res, experts, md, err := compress(context.Background(), nil, train, thresholds, opts)
+	res, st, err := compress(context.Background(), nil, train, thresholds, opts)
 	if err != nil {
 		return nil, nil, err
 	}
-	if len(experts) == 0 {
+	if len(st.autoenc) == 0 {
 		return nil, nil, fmt.Errorf("core: streaming needs at least one model column and a non-empty training batch")
 	}
-	hash, err := decoderSectionHash(res.Archive)
+	model, err := modelFromArchive(res.Archive)
 	if err != nil {
 		return nil, nil, err
 	}
 	s := &Stream{
 		opts:       opts,
 		thresholds: append([]float64(nil), thresholds...),
-		trainPlan:  md.plan,
-		experts:    experts,
-		specs:      append([]nn.ColSpec(nil), md.specs...),
+		trainPlan:  st.md.plan,
+		experts:    st.autoenc,
+		specs:      append([]nn.ColSpec(nil), st.md.specs...),
 		model:      res.Archive,
-		hash:       hash,
+		hash:       model.hash,
 	}
 	return s, res, nil
 }
@@ -104,8 +104,11 @@ func (s *Stream) CompressBatchContext(ctx context.Context, batch *dataset.Table)
 			return nil, err
 		}
 	}
-	res, err := materialize(run, batch, md, s.opts, s.experts, assign, &externalModelRef{Hash: s.hash})
+	st, res, err := decide(run, batch, md, s.opts, s.experts, assign, &externalModelRef{Hash: s.hash})
 	if err != nil {
+		return nil, err
+	}
+	if err := assembleArchive(run, batch, s.opts, st, res); err != nil {
 		return nil, err
 	}
 	res.Stages = run.Stats()
@@ -235,11 +238,32 @@ func DecompressBatch(modelArchive, batchArchive []byte) (*dataset.Table, error) 
 // pipeline as DecompressContext, with the model archive supplying the
 // decoders.
 func DecompressBatchContext(ctx context.Context, modelArchive, batchArchive []byte, opts DecompressOptions) (*DecompressResult, error) {
-	decoders, hash, err := extractDecoders(modelArchive)
+	model, err := modelFromArchive(modelArchive)
 	if err != nil {
 		return nil, fmt.Errorf("model archive: %w", err)
 	}
-	return decompressPipeline(ctx, batchArchive, opts, &providedModel{decoders: decoders, hash: hash})
+	return decompressPipeline(ctx, batchArchive, opts, model)
+}
+
+// modelFromArchive opens a self-contained model archive and returns its
+// decoders with the hash of its decoder section, the identity batch archives
+// reference it by.
+func modelFromArchive(archive []byte) (*providedModel, error) {
+	a, err := Open(archive)
+	if err != nil {
+		return nil, err
+	}
+	if a.External() {
+		return nil, fmt.Errorf("%w: a batch archive cannot serve as a model archive", ErrCorrupt)
+	}
+	if !a.meta.hasModel {
+		return nil, fmt.Errorf("%w: model archive has no model section", ErrCorrupt)
+	}
+	decoders, err := a.decoders()
+	if err != nil {
+		return nil, err
+	}
+	return &providedModel{decoders: decoders, hash: sha256.Sum256(a.meta.decoderChunk)}, nil
 }
 
 // parseDecoderSection splits a (inflated-on-demand) decoder section into
@@ -271,63 +295,4 @@ func parseDecoderSection(section []byte, numExperts int) ([]*nn.Decoder, error) 
 		return nil, fmt.Errorf("%w: trailing decoder bytes", ErrCorrupt)
 	}
 	return decoders, nil
-}
-
-// extractDecoders pulls the decoder section out of a self-contained model
-// archive and returns the decoders plus the section hash batch archives
-// reference.
-func extractDecoders(archive []byte) ([]*nn.Decoder, [32]byte, error) {
-	var zero [32]byte
-	r, version, flags, err := newSectionReader(archive)
-	if err != nil {
-		return nil, zero, err
-	}
-	if flags&flagHasModel == 0 {
-		return nil, zero, fmt.Errorf("%w: model archive has no model section", ErrCorrupt)
-	}
-	if flags&flagExternalModel != 0 {
-		return nil, zero, fmt.Errorf("%w: a batch archive cannot serve as a model archive", ErrCorrupt)
-	}
-	hdr, err := r.chunk()
-	if err != nil {
-		return nil, zero, err
-	}
-	h, err := decodeHeader(hdr, version)
-	if err != nil {
-		return nil, zero, err
-	}
-	section, err := r.chunk()
-	if err != nil {
-		return nil, zero, err
-	}
-	decoders, err := parseDecoderSection(section, h.numExperts)
-	if err != nil {
-		return nil, zero, err
-	}
-	return decoders, decoderSectionHashBytes(section), nil
-}
-
-// decoderSectionHash locates the decoder section of a model archive and
-// hashes it.
-func decoderSectionHash(archive []byte) ([32]byte, error) {
-	var zero [32]byte
-	r, _, flags, err := newSectionReader(archive)
-	if err != nil {
-		return zero, err
-	}
-	if flags&flagHasModel == 0 {
-		return zero, fmt.Errorf("%w: archive has no model section", ErrCorrupt)
-	}
-	if _, err := r.chunk(); err != nil { // header
-		return zero, err
-	}
-	section, err := r.chunk()
-	if err != nil {
-		return zero, err
-	}
-	return decoderSectionHashBytes(section), nil
-}
-
-func decoderSectionHashBytes(section []byte) [32]byte {
-	return sha256.Sum256(section)
 }

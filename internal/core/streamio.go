@@ -10,17 +10,9 @@ import (
 	"io"
 
 	"deepsqueeze/internal/dataset"
-	"deepsqueeze/internal/mat"
 	"deepsqueeze/internal/nn"
 	"deepsqueeze/internal/pipeline"
-	"deepsqueeze/internal/preprocess"
 )
-
-// maxStreamChunk bounds a single length-prefixed chunk an untrusted
-// streaming archive may ask the reader to buffer (the chunk framing uses a
-// uvarint, so a corrupt length could otherwise demand an absurd allocation
-// before any content is validated).
-const maxStreamChunk = 1 << 30
 
 // WriterStats instruments an ArchiveWriter for bounded-memory verification.
 type WriterStats struct {
@@ -48,35 +40,24 @@ type WriterStats struct {
 // The resulting archive is a normal self-contained v2 archive: Decompress,
 // DecompressContext, Inspect, and ArchiveReader all accept it.
 type ArchiveWriter struct {
-	w          io.Writer
+	f          *framer
 	schema     *dataset.Schema
 	thresholds []float64
 	opts       Options
-	pool       *pipeline.Pool
 	run        *pipeline.Run
 
 	buf       *dataset.Table
 	groupSize int
 
-	started    bool
-	trainPlan  *preprocess.Plan
-	experts    []*nn.Autoencoder
-	decoders   []*nn.Decoder
-	decs32     []*nn.Decoder32 // float32 views when the pilot set flagFloat32
-	specs      []nn.ColSpec
-	flags      byte
-	codeBits   int
-	codeSize   int
-	numExperts int
+	// first is the first group's decided state, nil until start: the trained
+	// experts, the training plan and the decisions (code bits, mapping form)
+	// every later group is written under.
+	first *archiveState
+	cfg   segConfig
 
-	crc     hash.Hash32
-	written int64
-	rows    int
-	metas   []groupMeta
-	zones   [][]ZoneMap // per flushed group, when flagZoneMaps is set
-	stats   WriterStats
-	closed  bool
-	err     error
+	maxBuffered int
+	closed      bool
+	err         error
 }
 
 // NewArchiveWriter returns a writer that streams a v2 archive for tables
@@ -87,17 +68,14 @@ func NewArchiveWriter(w io.Writer, schema *dataset.Schema, thresholds []float64,
 		return nil, err
 	}
 	opts.Preproc = streamingResidualHeadroom(opts.Preproc)
-	pool := pipeline.NewPool(opts.Parallelism)
 	return &ArchiveWriter{
-		w:          w,
+		f:          newFramer(w),
 		schema:     schema,
 		thresholds: append([]float64(nil), thresholds...),
 		opts:       opts,
-		pool:       pool,
-		run:        pipeline.NewWithPool(context.Background(), pool),
+		run:        pipeline.New(context.Background(), opts.Parallelism),
 		buf:        dataset.NewTable(schema, 0),
 		groupSize:  opts.rowGroupSize(),
-		crc:        crc32.NewIEEE(),
 	}, nil
 }
 
@@ -115,163 +93,73 @@ func (aw *ArchiveWriter) Write(t *dataset.Table) error {
 		return fmt.Errorf("core: table schema differs from writer schema")
 	}
 	appendRows(aw.buf, t, 0, t.NumRows())
-	aw.stats.Rows += t.NumRows()
-	if n := aw.buf.NumRows(); n > aw.stats.MaxBufferedRows {
-		aw.stats.MaxBufferedRows = n
+	n := aw.buf.NumRows()
+	aw.maxBuffered = max(aw.maxBuffered, n)
+	if n < aw.groupSize {
+		return nil
 	}
-	for aw.buf.NumRows() >= aw.groupSize {
-		chunk, rest := splitRows(aw.buf, aw.groupSize)
-		if err := aw.flushGroup(chunk); err != nil {
-			aw.err = err
-			return err
+	// Each full group is flushed from a view of the buffer; only the partial
+	// tail is copied, once, into the next buffer, which also lets go of the
+	// flushed rows.
+	lo := 0
+	for ; n-lo >= aw.groupSize; lo += aw.groupSize {
+		if aw.err = aw.flushGroup(sliceRows(aw.buf, lo, lo+aw.groupSize)); aw.err != nil {
+			return aw.err
 		}
-		aw.buf = rest
 	}
+	rest := dataset.NewTable(aw.schema, n-lo)
+	appendRows(rest, aw.buf, lo, n)
+	aw.buf = rest
 	return nil
 }
 
-// Close flushes any buffered rows as a final (possibly short) row group,
-// writes the footer index and checksum, and finalizes the archive. It does
-// not close the underlying writer.
+// Close flushes any buffered rows as a final (possibly short) row group — an
+// archive nothing was written to still gets its one, empty, group — writes
+// the footer index and checksum, and finalizes the archive. It does not
+// close the underlying writer.
 func (aw *ArchiveWriter) Close() error {
-	if aw.err != nil {
+	if aw.err != nil || aw.closed {
 		return aw.err
 	}
-	if aw.closed {
-		return nil
-	}
 	aw.closed = true
-	if aw.buf.NumRows() > 0 || !aw.started {
-		if !aw.started && aw.buf.NumRows() == 0 {
-			// Nothing was ever written: an empty in-memory compression
-			// produces the canonical empty archive (one empty group).
-			res, err := CompressContext(context.Background(), aw.buf, aw.thresholds, aw.opts)
-			if err != nil {
-				aw.err = err
-				return err
-			}
-			if _, err := aw.w.Write(res.Archive); err != nil {
-				aw.err = err
-				return err
-			}
-			aw.stats.Groups = 1
-			aw.stats.BytesWritten = int64(len(res.Archive))
-			return nil
-		}
-		if err := aw.flushGroup(aw.buf); err != nil {
-			aw.err = err
-			return err
+	if aw.buf.NumRows() > 0 || aw.first == nil {
+		if aw.err = aw.flushGroup(aw.buf); aw.err != nil {
+			return aw.err
 		}
 		aw.buf = dataset.NewTable(aw.schema, 0)
 	}
-	if aw.flags&flagZoneMaps != 0 {
-		var sb []byte
-		sb = append(sb, kindStats)
-		payload := appendZoneStatsPayload(nil, aw.zones)
-		sb = binary.AppendUvarint(sb, uint64(len(payload)))
-		sb = append(sb, payload...)
-		if err := aw.writeRaw(sb); err != nil {
-			aw.err = err
-			return err
-		}
-	}
-	footOff := aw.written
-	var tail []byte
-	tail = append(tail, kindFooter)
-	payload := appendFooterPayload(nil, aw.rows, aw.metas)
-	tail = binary.AppendUvarint(tail, uint64(len(payload)))
-	tail = append(tail, payload...)
-	var trailer [8]byte
-	binary.LittleEndian.PutUint64(trailer[:], uint64(footOff))
-	tail = append(tail, trailer[:]...)
-	if err := aw.writeRaw(tail); err != nil {
-		aw.err = err
-		return err
-	}
-	var sum [4]byte
-	binary.LittleEndian.PutUint32(sum[:], aw.crc.Sum32())
-	if _, err := aw.w.Write(sum[:]); err != nil {
-		aw.err = err
-		return err
-	}
-	aw.stats.BytesWritten = aw.written + 4
-	return nil
+	aw.err = aw.f.finish()
+	return aw.err
 }
 
 // Stats returns the writer's instrumentation counters.
 func (aw *ArchiveWriter) Stats() WriterStats {
-	st := aw.stats
-	st.Groups = len(aw.metas)
-	if st.Groups == 0 && aw.stats.Groups > 0 {
-		st.Groups = aw.stats.Groups
+	return WriterStats{
+		Rows:            aw.f.rows + aw.buf.NumRows(),
+		Groups:          len(aw.f.metas),
+		MaxBufferedRows: aw.maxBuffered,
+		BytesWritten:    aw.f.off,
 	}
-	if st.BytesWritten == 0 {
-		st.BytesWritten = aw.written
-	}
-	return st
 }
 
-// writeRaw emits bytes to the underlying writer, updating the running
-// checksum and offset.
-func (aw *ArchiveWriter) writeRaw(b []byte) error {
-	if _, err := aw.w.Write(b); err != nil {
+// start trains the model on the first chunk, makes the archive's decisions
+// on it — expert count, code bits, mapping form, flags — exactly as an
+// in-memory compression of the chunk would, and frames the prefix and the
+// first segment straight from that state.
+func (aw *ArchiveWriter) start(chunk *dataset.Table) error {
+	st, _, err := trainAndDecide(aw.run, chunk, aw.thresholds, aw.opts)
+	if err != nil {
 		return err
 	}
-	aw.crc.Write(b)
-	aw.written += int64(len(b))
+	if aw.cfg, _, err = frameState(aw.run, aw.f, chunk, aw.opts, st); err != nil {
+		return err
+	}
+	// Later groups need the model, the decisions, the training plan and its
+	// specs; the first group's rows and streams are let go.
+	st.md = &modelData{layout: st.md.layout, plan: st.md.plan}
+	st.fs, st.codeDims, st.perm, st.assign, st.spans = nil, nil, nil, nil, nil
+	aw.first = st
 	return nil
-}
-
-// start trains the model on the first chunk and writes the archive prefix.
-// It runs a full in-memory compression of the chunk to reuse the compressor's
-// decisions verbatim — expert count, code bits, mapping form, flags — then
-// discards that archive; the chunk is re-materialized as the first segment.
-func (aw *ArchiveWriter) start(chunk *dataset.Table) (*modelData, error) {
-	res, experts, md, err := compress(context.Background(), aw.pool, chunk, aw.thresholds, aw.opts)
-	if err != nil {
-		return nil, err
-	}
-	aw.started = true
-	aw.trainPlan = md.plan
-	aw.experts = experts
-	aw.specs = append([]nn.ColSpec(nil), md.specs...)
-	aw.flags = res.Archive[5]
-	aw.codeBits = res.CodeBits
-	aw.numExperts = len(experts)
-	if aw.numExperts == 0 {
-		aw.numExperts = 1
-	}
-	if len(experts) > 0 {
-		aw.codeSize = experts[0].CodeSize
-		aw.decoders = make([]*nn.Decoder, len(experts))
-		for e, ae := range experts {
-			aw.decoders[e] = &ae.Decoder
-		}
-		if aw.flags&flagFloat32 != 0 {
-			// The pilot archive's flags carry over verbatim, so every later
-			// group's corrections must come from the same float32 inference.
-			aw.decs32 = nn.Decoders32(aw.decoders)
-		}
-	}
-
-	var prefix []byte
-	prefix = append(prefix, magic[:]...)
-	prefix = append(prefix, archiveVersion, aw.flags)
-	hdr := appendHeaderPayload(nil, aw.trainPlan, aw.codeSize, aw.codeBits, aw.numExperts, aw.groupSize)
-	prefix = binary.AppendUvarint(prefix, uint64(len(hdr)))
-	prefix = append(prefix, hdr...)
-	if aw.flags&flagHasModel != 0 {
-		payload, err := appendDecoderChunkPayload(&archiveState{decoders: aw.decoders})
-		if err != nil {
-			return nil, err
-		}
-		prefix = binary.AppendUvarint(prefix, uint64(len(payload)))
-		prefix = append(prefix, payload...)
-	}
-	if err := aw.writeRaw(prefix); err != nil {
-		return nil, err
-	}
-	return md, nil
 }
 
 // flushGroup materializes one chunk of rows as a row-group segment and
@@ -279,123 +167,53 @@ func (aw *ArchiveWriter) start(chunk *dataset.Table) (*modelData, error) {
 // later chunks re-fit their plan against the training plan (pinned kinds,
 // unseen values become escapes) and carry it as a segment-local override.
 func (aw *ArchiveWriter) flushGroup(chunk *dataset.Table) error {
-	var md *modelData
-	var planChunk []byte
-	if !aw.started {
-		var err error
-		if md, err = aw.start(chunk); err != nil {
-			return err
-		}
-	} else {
-		plan, err := refitPlan(chunk, aw.trainPlan, aw.thresholds, aw.opts)
-		if err != nil {
-			return err
-		}
-		if md, err = buildModelData(chunk, plan); err != nil {
-			return err
-		}
-		if err := checkRefitSpecs(md.specs, aw.specs); err != nil {
-			return err
-		}
-		planChunk = plan.AppendBinary(nil)
+	if aw.first == nil {
+		return aw.start(chunk)
 	}
-
-	n := md.rows
-	hasModel := aw.flags&flagHasModel != 0
-	assign := make([]int, n)
-	if hasModel && aw.numExperts > 1 {
-		assign = (&nn.MoE{Experts: aw.experts}).Assign(md.x, md.targets)
-	}
-	perm := make([]int, n)
-	for i := range perm {
-		perm[i] = i
-	}
-	var dims [][]int64
-	fs := &failureSet{
-		ints:       make(map[int][]int64),
-		resInts:    make(map[int][][]int64),
-		exceptions: make(map[int][]int64),
-		contMask:   make(map[int][]int64),
-		contVals:   make(map[int][]float64),
-	}
-	if hasModel {
-		codesF, err := encodeCodes(aw.run, aw.experts, assign, md.x)
-		if err != nil {
-			return err
-		}
-		if aw.flags&flagGrouped != 0 {
-			perm = groupedPerm(assign)
-		}
-		var recM *mat.Matrix
-		dims, recM = quantizeCodes(permuteRows(codesF, perm), aw.codeBits)
-		origNum := make(map[int][]float64)
-		for col := range md.contVals {
-			origNum[col] = chunk.Num[col]
-		}
-		fs, err = computeFailures(aw.run, md, origNum, aw.decoders, aw.decs32, assign, recM, perm)
-		if err != nil {
-			return err
-		}
-	} else {
-		for si, col := range md.specCols {
-			cp := &md.plan.Cols[col]
-			switch cp.Kind {
-			case preprocess.KindNumContinuous:
-				fs.contMask[col] = []int64{}
-			case preprocess.KindCatResidual:
-				if fs.resInts[col] == nil {
-					fs.resInts[col] = make([][]int64, cp.ResDigits)
-				}
-				fs.resInts[col][md.specDigit[si]] = []int64{}
-			default:
-				fs.ints[col] = []int64{}
-			}
-		}
-	}
-
-	g := segmentData{
-		span:      rowSpan{aw.rows, n},
-		origBase:  0,
-		planChunk: planChunk,
-		dims:      dims,
-		ints:      fs.ints,
-		res:       fs.resInts,
-		exc:       fs.exceptions,
-		mask:      fs.contMask,
-		vals:      fs.contVals,
-		perm:      perm,
-	}
-	cfg := segConfig{
-		hasModel:  hasModel,
-		experts:   aw.numExperts,
-		grouped:   aw.flags&flagGrouped != 0,
-		keepOrder: aw.flags&flagRowOrder != 0,
-		mask:      aw.opts.codecMask(),
-	}
-	framed, codes, mapping, failures, err := buildSegment(chunk, md, assign, cfg, g)
+	trainPlan := aw.first.md.plan
+	plan, err := refitPlan(chunk, trainPlan, aw.thresholds, aw.opts)
 	if err != nil {
 		return err
 	}
-	if aw.flags&flagZoneMaps != 0 {
-		// The first group's md.plan is the training plan itself (sameEnc →
-		// encoded-domain zones); re-fit groups get decoded-domain zones.
-		aw.zones = append(aw.zones, computeGroupZones(chunk, perm, aw.trainPlan, md.plan))
-	}
-	off := aw.written
-	var out []byte
-	out = append(out, kindSegment)
-	out = binary.AppendUvarint(out, uint64(len(framed)))
-	out = append(out, framed...)
-	if err := aw.writeRaw(out); err != nil {
+	md, err := buildModelData(chunk, plan)
+	if err != nil {
 		return err
 	}
-	aw.metas = append(aw.metas, groupMeta{
-		start: aw.rows, count: n,
-		off: off, segLen: aw.written - off,
-		codes: codes, mapping: mapping, failures: failures,
-	})
-	aw.rows += n
-	return nil
+	if err := checkRefitSpecs(md.specs, aw.first.md.specs); err != nil {
+		return err
+	}
+	// The group's own state: the first group's model and decisions over this
+	// group's model data, rows and expert assignment.
+	st := *aw.first
+	st.md, st.assign = md, make([]int, md.rows)
+	if aw.cfg.hasModel && st.experts > 1 {
+		st.assign = (&nn.MoE{Experts: st.autoenc}).Assign(md.x, md.targets)
+	}
+	g := segmentData{
+		span:      rowSpan{aw.f.rows, md.rows},
+		planChunk: plan.AppendBinary(nil),
+		fs:        emptyFailureSet(md),
+		perm:      identityPerm(md.rows),
+	}
+	if aw.cfg.hasModel {
+		codesF, err := encodeCodes(aw.run, st.autoenc, st.assign, md.x)
+		if err != nil {
+			return err
+		}
+		if st.grouped {
+			g.perm = groupedPerm(st.assign)
+		}
+		if g.dims, g.fs, err = groupStreams(aw.run, chunk, &st, permuteRows(codesF, g.perm), g.perm, st.codeBits); err != nil {
+			return err
+		}
+	}
+	seg := buildSegment(chunk, md, st.assign, aw.cfg, g)
+	if aw.cfg.zoneMaps {
+		// A re-fit group's plan differs from the header's, so its zones are
+		// in the decoded domain.
+		seg.zones = computeGroupZones(chunk, g.perm, trainPlan, plan)
+	}
+	return aw.f.segment(seg)
 }
 
 // appendRows copies rows [lo, hi) of src onto dst (same schema).
@@ -410,14 +228,19 @@ func appendRows(dst, src *dataset.Table, lo, hi int) {
 	dst.SetNumRows(dst.NumRows() + (hi - lo))
 }
 
-// splitRows cuts t into its first n rows and the remainder (both copies, so
-// the head can be released once flushed).
-func splitRows(t *dataset.Table, n int) (head, rest *dataset.Table) {
-	head = dataset.NewTable(t.Schema, n)
-	rest = dataset.NewTable(t.Schema, t.NumRows()-n)
-	appendRows(head, t, 0, n)
-	appendRows(rest, t, n, t.NumRows())
-	return head, rest
+// sliceRows returns rows [lo, hi) of t as a table sharing t's storage, for
+// read-only use while t stays untouched.
+func sliceRows(t *dataset.Table, lo, hi int) *dataset.Table {
+	v := &dataset.Table{Schema: t.Schema, Str: make([][]string, len(t.Str)), Num: make([][]float64, len(t.Num))}
+	for i, c := range t.Schema.Columns {
+		if c.Type == dataset.Categorical {
+			v.Str[i] = t.Str[i][lo:hi:hi]
+		} else {
+			v.Num[i] = t.Num[i][lo:hi:hi]
+		}
+	}
+	v.SetNumRows(hi - lo)
+	return v
 }
 
 // ArchiveReader decompresses a version-2 archive group by group from an
@@ -481,40 +304,17 @@ func NewArchiveReader(r io.Reader) (*ArchiveReader, error) {
 	if err != nil {
 		return nil, err
 	}
-	h, err := decodeHeader(hdr, version)
+	m, err := newArchiveMeta(version, flags, hdr, maxStreamChunk)
 	if err != nil {
 		return nil, err
 	}
-	lo, err := deriveLayout(h.plan)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	if h.numExperts < 1 || h.numExperts > 1<<20 {
-		return nil, fmt.Errorf("%w: %d experts", ErrCorrupt, h.numExperts)
-	}
-	d := &decompressor{
-		run:        pipeline.New(context.Background(), 0),
-		version:    version,
-		flags:      flags,
-		plan:       h.plan,
-		lo:         lo,
-		codeSize:   h.codeSize,
-		codeBits:   h.codeBits,
-		numExperts: h.numExperts,
-		hasModel:   flags&flagHasModel != 0,
-	}
+	d := &decompressor{run: pipeline.New(context.Background(), 0), meta: m}
 	// Full selection: the streaming reader always decodes every column.
 	if err := d.initSelection(nil); err != nil {
 		return nil, err
 	}
-	if d.hasModel {
-		if d.codeSize < 0 || d.codeSize > maxStreamChunk {
-			return nil, fmt.Errorf("%w: code size %d", ErrCorrupt, d.codeSize)
-		}
-		if d.codeBits < 1 || d.codeBits > 32 {
-			return nil, fmt.Errorf("%w: code bits %d outside [1,32]", ErrCorrupt, d.codeBits)
-		}
-		if d.decoderChunk, err = ar.readChunk(); err != nil {
+	if m.hasModel {
+		if m.decoderChunk, err = ar.readChunk(); err != nil {
 			return nil, err
 		}
 		if err := d.unpackDecoders(); err != nil {
@@ -522,7 +322,7 @@ func NewArchiveReader(r io.Reader) (*ArchiveReader, error) {
 		}
 	}
 	ar.d = d
-	ar.schema = h.plan.Schema
+	ar.schema = m.plan.Schema
 	return ar, nil
 }
 
@@ -566,7 +366,7 @@ func (ar *ArchiveReader) Next() (*dataset.Table, error) {
 			ar.rowsSeen += meta.count
 			return t, nil
 		case kindStats:
-			if ar.d.flags&flagZoneMaps == 0 || ar.sawStats {
+			if ar.d.meta.flags&flagZoneMaps == 0 || ar.sawStats {
 				return nil, fmt.Errorf("%w: unexpected stats chunk", ErrCorrupt)
 			}
 			// Zone maps are query metadata; the streaming reader decodes
@@ -577,7 +377,7 @@ func (ar *ArchiveReader) Next() (*dataset.Table, error) {
 			}
 			ar.sawStats = true
 		case kindFooter:
-			if ar.d.flags&flagZoneMaps != 0 && !ar.sawStats {
+			if ar.d.meta.flags&flagZoneMaps != 0 && !ar.sawStats {
 				return nil, fmt.Errorf("%w: missing stats chunk", ErrCorrupt)
 			}
 			if err := ar.finish(); err != nil {
@@ -595,52 +395,22 @@ func (ar *ArchiveReader) Next() (*dataset.Table, error) {
 func (ar *ArchiveReader) decodeSegment(framed []byte) (*dataset.Table, groupMeta, error) {
 	var meta groupMeta
 	d := ar.d
-	body, err := segmentBody(framed)
+	h, body, err := parseSegment(framed)
 	if err != nil {
 		return nil, meta, err
 	}
-	nr := &sectionReader{buf: body}
-	sh, err := nr.chunk()
-	if err != nil {
-		return nil, meta, err
+	if h.start != uint64(ar.rowsSeen) || h.count > uint64(maxArchiveRows-ar.rowsSeen) {
+		return nil, meta, fmt.Errorf("%w: segment span [%d,+%d), want start %d", ErrCorrupt, h.start, h.count, ar.rowsSeen)
 	}
-	shr := &sectionReader{buf: sh}
-	start64, err := shr.uvarint()
-	if err != nil {
-		return nil, meta, err
-	}
-	count64, err := shr.uvarint()
-	if err != nil {
-		return nil, meta, err
-	}
-	hasPlan, err := shr.byte()
-	if err != nil {
-		return nil, meta, err
-	}
-	if err := shr.done(); err != nil {
-		return nil, meta, err
-	}
-	if start64 != uint64(ar.rowsSeen) || count64 > uint64(maxArchiveRows-ar.rowsSeen) {
-		return nil, meta, fmt.Errorf("%w: segment span [%d,+%d), want start %d", ErrCorrupt, start64, count64, ar.rowsSeen)
-	}
-	g := &groupDec{start: int(start64), count: int(count64), glo: 0, ghi: int(count64), active: true}
-	if g.count > 0 && d.hasModel != (len(d.lo.specs) > 0) {
+	g := &groupDec{start: int(h.start), count: int(h.count), ghi: int(h.count), active: true, planChunk: h.plan}
+	if g.count > 0 && d.meta.hasModel != (len(d.meta.layout.specs) > 0) {
 		return nil, meta, fmt.Errorf("%w: model flag disagrees with plan", ErrCorrupt)
 	}
-	switch hasPlan {
-	case 0:
-	case 1:
-		if g.planChunk, err = nr.chunk(); err != nil {
-			return nil, meta, err
-		}
-	default:
-		return nil, meta, fmt.Errorf("%w: segment plan marker %d", ErrCorrupt, hasPlan)
-	}
 	var skipped int64
-	if err := d.scanGroupBody(nr, g, &skipped); err != nil {
+	if err := d.scanGroupBody(body, g, &skipped); err != nil {
 		return nil, meta, err
 	}
-	if err := nr.done(); err != nil {
+	if err := body.done(); err != nil {
 		return nil, meta, err
 	}
 	// The request stages, over a one-group list: the same functions that
@@ -695,35 +465,20 @@ func (ar *ArchiveReader) finish() error {
 
 // checkFooter verifies the footer payload against the segments actually read.
 func (ar *ArchiveReader) checkFooter(payload []byte) error {
-	fr := &sectionReader{buf: payload}
-	rows64, err := fr.uvarint()
+	rows, groups, err := decodeFooter(payload)
 	if err != nil {
 		return err
 	}
-	n64, err := fr.uvarint()
-	if err != nil {
-		return err
-	}
-	if rows64 != uint64(ar.rowsSeen) || n64 != uint64(len(ar.metas)) {
+	if rows != ar.rowsSeen || len(groups) != len(ar.metas) {
 		return fmt.Errorf("%w: footer declares %d rows in %d groups, read %d rows in %d groups",
-			ErrCorrupt, rows64, n64, ar.rowsSeen, len(ar.metas))
+			ErrCorrupt, rows, len(groups), ar.rowsSeen, len(ar.metas))
 	}
 	for i, m := range ar.metas {
-		var vals [7]uint64
-		for j := range vals {
-			if vals[j], err = fr.uvarint(); err != nil {
-				return err
-			}
-		}
-		if vals[0] != uint64(m.start) || vals[1] != uint64(m.count) ||
-			vals[2] != uint64(m.off) || vals[3] != uint64(m.segLen) {
+		if g := groups[i]; g.start != m.start || g.count != m.count || g.off != m.off || g.segLen != m.segLen {
 			return fmt.Errorf("%w: footer group %d disagrees with segment read", ErrCorrupt, i)
 		}
-		if vals[4] > uint64(m.segLen) || vals[5] > uint64(m.segLen) || vals[6] > uint64(m.segLen) {
-			return fmt.Errorf("%w: footer group %d section sizes exceed segment", ErrCorrupt, i)
-		}
 	}
-	return fr.done()
+	return nil
 }
 
 // readByte consumes one byte, feeding the running checksum.
@@ -771,7 +526,3 @@ func (ar *ArchiveReader) crcWrite(b []byte) {
 type readerFunc func() (byte, error)
 
 func (f readerFunc) ReadByte() (byte, error) { return f() }
-
-// maxArchiveRows is the format's row-count ceiling (2^31-1), shared by the
-// in-memory and streaming readers.
-const maxArchiveRows = 1<<31 - 1

@@ -3,6 +3,8 @@ package core
 import (
 	"bytes"
 	"io"
+	"math/rand"
+	"runtime"
 	"testing"
 
 	"deepsqueeze/internal/dataset"
@@ -128,6 +130,87 @@ func TestArchiveWriterEmpty(t *testing.T) {
 	}
 	if sg := readStream(t, buf.Bytes()); sg.NumRows() != 0 {
 		t.Fatalf("streaming: %d rows", sg.NumRows())
+	}
+}
+
+// TestArchiveWriterOneGroupEqualsCompress is the contract that lets the writer
+// frame its first group straight from the state it trained and decided on: a
+// table of at most one row group streams to exactly the bytes Compress returns.
+func TestArchiveWriterOneGroupEqualsCompress(t *testing.T) {
+	thr := []float64{0, 0, 0.05, 0.05, 0}
+	for _, rows := range []int{0, 60, 250} {
+		for _, experts := range []int{1, 2} {
+			for _, keep := range []bool{true, false} {
+				opts := quickOpts()
+				opts.RowGroupSize = 250
+				opts.NumExperts = experts
+				opts.KeepRowOrder = keep
+				tb := latentTable(rows, 27)
+				res, err := Compress(tb, thr, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				streamed, stats := writeStream(t, tb, 100, opts)
+				if !bytes.Equal(streamed, res.Archive) {
+					t.Errorf("rows %d experts %d keepRowOrder %v: writer emitted %d bytes, Compress %d, and they differ",
+						rows, experts, keep, len(streamed), len(res.Archive))
+				}
+				if stats.Groups != 1 || stats.BytesWritten != int64(len(streamed)) {
+					t.Errorf("rows %d experts %d keepRowOrder %v: stats %+v for a one-group archive of %d bytes",
+						rows, experts, keep, stats, len(streamed))
+				}
+			}
+		}
+	}
+}
+
+// TestArchiveWriterLargeWriteIsLinear pins the cost of one Write spanning many
+// row groups: every row is copied into the buffer once and the partial tail
+// once more, so four times the rows allocate about four times the bytes. (The
+// writer used to re-copy the whole remainder after each flushed group, which
+// made it quadratic.) The columns are lossless high-cardinality numerics
+// under the stored codec — fallback streams, no model, no codec candidates —
+// so that what a group costs to compress does not drown what Write copies.
+func TestArchiveWriterLargeWriteIsLinear(t *testing.T) {
+	schema := dataset.NewSchema(
+		dataset.Column{Name: "a", Type: dataset.Numeric},
+		dataset.Column{Name: "b", Type: dataset.Numeric},
+		dataset.Column{Name: "c", Type: dataset.Numeric},
+		dataset.Column{Name: "d", Type: dataset.Numeric},
+	)
+	opts := quickOpts()
+	opts.RowGroupSize = 32
+	opts.Codec = "stored"
+	measure := func(rows int) (uint64, WriterStats) {
+		tb := dataset.NewTable(schema, rows)
+		rng := rand.New(rand.NewSource(28))
+		for i := 0; i < rows; i++ {
+			tb.AppendRow(nil, []float64{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()})
+		}
+		aw, err := NewArchiveWriter(io.Discard, schema, []float64{0, 0, 0, 0}, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := aw.Write(tb); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if err := aw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return after.TotalAlloc - before.TotalAlloc, aw.Stats()
+	}
+	small, _ := measure(2048 + 10)
+	large, stats := measure(8192 + 10)
+	t.Logf("one Write of 2058 rows allocated %d bytes, of 8202 rows %d (%.1fx)", small, large, float64(large)/float64(small))
+	if float64(large) > 4.5*float64(small) {
+		t.Errorf("4x the rows allocated %.1fx the bytes: Write is not linear in its input", float64(large)/float64(small))
+	}
+	// The buffer held that one Write's rows and never a full group more.
+	if stats.Rows != 8202 || stats.Groups != 257 || stats.MaxBufferedRows != 8202 {
+		t.Errorf("stats %+v", stats)
 	}
 }
 

@@ -4,8 +4,6 @@ import (
 	"fmt"
 
 	"deepsqueeze/internal/codec"
-	"deepsqueeze/internal/nn"
-	"deepsqueeze/internal/preprocess"
 )
 
 // StreamStat aggregates one logical stream's chunks across every row group:
@@ -160,65 +158,18 @@ func (m *archiveMeta) collectGroupStreams(r *sectionReader, count int, acc *stre
 		}
 	}
 	for col := range m.plan.Cols {
-		cp := &m.plan.Cols[col]
 		name := m.plan.Schema.Columns[col].Name
-		switch {
-		case cp.Kind == preprocess.KindCatResidual:
-			// One rank-of-prediction failure stream per residual digit; the
-			// digits share the column's "failures" stat.
-			for d := 0; d < cp.ResDigits; d++ {
-				c, err := r.chunk()
-				if err != nil {
-					return err
-				}
-				if err := acc.addInts(name, "failures", c, count); err != nil {
-					return err
-				}
-			}
-		case lo.specOfCol[col] >= 0 && cp.Kind == preprocess.KindNumContinuous:
+		for _, stream := range colStreams(m.plan, lo, col) {
 			c, err := r.chunk()
 			if err != nil {
 				return err
 			}
-			if err := acc.addInts(name, "mask", c, count); err != nil {
-				return err
+			if stream == "values" || stream == "fallback" {
+				err = acc.addBytes(name, stream, c)
+			} else {
+				err = acc.addInts(name, stream, c, count)
 			}
-			if c, err = r.chunk(); err != nil {
-				return err
-			}
-			if err := acc.addBytes(name, "values", c); err != nil {
-				return err
-			}
-		case lo.specOfCol[col] >= 0:
-			c, err := r.chunk()
 			if err != nil {
-				return err
-			}
-			if err := acc.addInts(name, "failures", c, count); err != nil {
-				return err
-			}
-			if lo.specs[lo.specOfCol[col]].Kind == nn.OutCategorical {
-				if c, err = r.chunk(); err != nil {
-					return err
-				}
-				if err := acc.addInts(name, "exceptions", c, count); err != nil {
-					return err
-				}
-			}
-		case cp.Kind == preprocess.KindFallbackCat, cp.Kind == preprocess.KindFallbackNum:
-			c, err := r.chunk()
-			if err != nil {
-				return err
-			}
-			if err := acc.addBytes(name, "fallback", c); err != nil {
-				return err
-			}
-		default:
-			c, err := r.chunk()
-			if err != nil {
-				return err
-			}
-			if err := acc.addInts(name, "trivial", c, count); err != nil {
 				return err
 			}
 		}
@@ -232,59 +183,17 @@ func (m *archiveMeta) collectGroupStreams(r *sectionReader, count int, acc *stre
 // next to a decompression, but not free.
 func (m *archiveMeta) streamStats() ([]StreamStat, error) {
 	acc := newStreamAcc()
-	if m.version == archiveVersionV1 {
-		r := &sectionReader{buf: m.body, pos: m.bodyPos}
-		if err := m.collectGroupStreams(r, m.rows, acc); err != nil {
-			return nil, corrupt(err)
+	for _, g := range m.groups {
+		// The group's plan override is opaque to stream accounting.
+		_, body, _, err := m.segment(&sectionReader{buf: m.body, pos: int(g.off)}, g, true)
+		if err == nil {
+			err = m.collectGroupStreams(body, g.count, acc)
 		}
-	} else {
-		for _, g := range m.footer.groups {
-			r := &sectionReader{buf: m.body, pos: int(g.off)}
-			kind, err := r.byte()
-			if err != nil {
-				return nil, corrupt(err)
-			}
-			if kind != kindSegment {
-				return nil, fmt.Errorf("%w: chunk kind %d, want segment", ErrCorrupt, kind)
-			}
-			framed, err := r.chunk()
-			if err != nil {
-				return nil, corrupt(err)
-			}
-			body, err := segmentBody(framed)
-			if err != nil {
-				return nil, corrupt(err)
-			}
-			nr := &sectionReader{buf: body}
-			sh, err := nr.chunk()
-			if err != nil {
-				return nil, corrupt(err)
-			}
-			shr := &sectionReader{buf: sh}
-			for range 2 { // row span: start, count
-				if _, err := shr.uvarint(); err != nil {
-					return nil, corrupt(err)
-				}
-			}
-			marker, err := shr.byte()
-			if err != nil {
-				return nil, corrupt(err)
-			}
-			switch marker {
-			case 0:
-			case 1: // group plan override: opaque to stream accounting
-				if _, err := nr.chunk(); err != nil {
-					return nil, corrupt(err)
-				}
-			default:
-				return nil, fmt.Errorf("%w: segment plan marker %d", ErrCorrupt, marker)
-			}
-			if err := m.collectGroupStreams(nr, g.count, acc); err != nil {
-				return nil, corrupt(err)
-			}
-			if err := nr.done(); err != nil {
-				return nil, corrupt(err)
-			}
+		if err == nil {
+			err = body.done()
+		}
+		if err != nil {
+			return nil, corrupt(err)
 		}
 	}
 	// First-seen order is walk order: codes, mapping, then plan-order
