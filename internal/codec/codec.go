@@ -24,8 +24,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
 
 	"deepsqueeze/internal/colenc"
 	"deepsqueeze/internal/rangecoder"
@@ -165,28 +167,63 @@ func CompressBytes(payload []byte, mask Mask) []byte {
 	if mask.normalize()&MaskDeflate != 0 {
 		return DeflateLevel(payload, flate.BestCompression)
 	}
-	out := make([]byte, 0, len(payload)+1)
-	out = append(out, TagStored)
-	return append(out, payload...)
+	return appendStored(nil, payload)
+}
+
+// appendStored appends payload's stored frame to dst.
+func appendStored(dst, payload []byte) []byte {
+	return append(append(slices.Grow(dst, len(payload)+1), TagStored), payload...)
+}
+
+// scratch is the reusable state of one frame's encoding: DEFLATE writers by
+// level, made on first use — flate.NewWriter allocates and zeroes about 1.2 MB
+// of matcher state, far more than the streams compressed here, and
+// Writer.Reset reuses it — and the buffers candidate frames are built in.
+// Callers get copies.
+type scratch struct {
+	fw         [flate.BestCompression - flate.HuffmanOnly + 1]*flate.Writer
+	deflated   bytes.Buffer
+	best, cand []byte // CompressInts: the smallest frame so far, the one on trial
+}
+
+var scratches = sync.Pool{New: func() any { return new(scratch) }}
+
+// deflate returns payload's DEFLATE frame at level, valid until the scratch
+// is used again, or nil for a level flate rejects.
+func (s *scratch) deflate(payload []byte, level int) []byte {
+	i := level - flate.HuffmanOnly
+	if i < 0 || i >= len(s.fw) {
+		return nil
+	}
+	if s.fw[i] == nil {
+		s.fw[i], _ = flate.NewWriter(nil, level) // fails on a bad level only
+	}
+	s.deflated.Reset()
+	s.deflated.WriteByte(TagDeflate)
+	s.fw[i].Reset(&s.deflated)
+	s.fw[i].Write(payload) // a bytes.Buffer takes every write
+	s.fw[i].Close()
+	return s.deflated.Bytes()
+}
+
+// try makes frame the incumbent if it is strictly smaller.
+func (s *scratch) try(frame []byte) {
+	if s.cand = frame; len(frame) < len(s.best) {
+		s.best, s.cand = s.cand, s.best
+	}
 }
 
 // DeflateLevel frames payload at an explicit DEFLATE level, keeping the
-// compressed form only when strictly smaller. Any writer failure — including
-// an invalid level — falls back to the stored form, so the result is always
-// a valid frame and the encoder never panics.
+// compressed form only when strictly smaller. An invalid level falls back to
+// the stored form, so the result is always a valid frame and the encoder
+// never panics.
 func DeflateLevel(payload []byte, level int) []byte {
-	var buf bytes.Buffer
-	buf.WriteByte(TagDeflate)
-	if fw, err := flate.NewWriter(&buf, level); err == nil {
-		if _, err := fw.Write(payload); err == nil {
-			if err := fw.Close(); err == nil && buf.Len() < len(payload)+1 {
-				return buf.Bytes()
-			}
-		}
+	s := scratches.Get().(*scratch)
+	defer scratches.Put(s)
+	if f := s.deflate(payload, level); f != nil && len(f) < len(payload)+1 {
+		return bytes.Clone(f)
 	}
-	out := make([]byte, 0, len(payload)+1)
-	out = append(out, TagStored)
-	return append(out, payload...)
+	return appendStored(nil, payload)
 }
 
 // DecompressBytes inverts CompressBytes. Only the byte codecs are legal
@@ -225,46 +262,39 @@ func inflate(body []byte) ([]byte, error) {
 // modelable alphabet — the two range codecs. Candidates are tried in tag
 // order and replaced only when strictly smaller, so the choice is a pure
 // function of the stream bytes (deterministic at every parallelism level).
+// They are built in reused scratch; only the winner is copied out.
 func CompressInts(values []int64, mask Mask) []byte {
 	mask = mask.normalize()
 	enc := colenc.EncodeBest(values)
-	best := make([]byte, 0, len(enc)+1)
-	best = append(best, TagStored)
-	best = append(best, enc...)
+	s := scratches.Get().(*scratch)
+	defer scratches.Put(s)
+	s.best = appendStored(s.best[:0], enc)
 	if mask&MaskDeflate != 0 {
-		if f := DeflateLevel(enc, flate.BestCompression); len(f) < len(best) {
-			best = f
+		if f := s.deflate(enc, flate.BestCompression); len(f) < len(s.best) {
+			s.best = append(s.best[:0], f...)
 		}
 	}
-	if mask&(MaskRangeAdaptive|MaskRangeCPT) == 0 || len(values) == 0 || len(values) > maxRangeValues {
-		return best
-	}
-	base, hi := values[0], values[0]
-	for _, v := range values[1:] {
-		if v < base {
-			base = v
+	if mask&(MaskRangeAdaptive|MaskRangeCPT) != 0 && len(values) > 0 && len(values) <= maxRangeValues {
+		base, hi := values[0], values[0]
+		for _, v := range values[1:] {
+			if v < base {
+				base = v
+			}
+			if v > hi {
+				hi = v
+			}
 		}
-		if v > hi {
-			hi = v
-		}
-	}
-	// uint64 subtraction is exact for any int64 pair with hi ≥ base.
-	span := uint64(hi) - uint64(base)
-	if span >= maxRangeAlphabet {
-		return best
-	}
-	alphabet := int(span) + 1
-	if mask&MaskRangeAdaptive != 0 {
-		if f := appendRangeAdaptive(values, base, alphabet); len(f) < len(best) {
-			best = f
+		// uint64 subtraction is exact for any int64 pair with hi ≥ base.
+		if span := uint64(hi) - uint64(base); span < maxRangeAlphabet {
+			if mask&MaskRangeAdaptive != 0 {
+				s.try(appendRangeAdaptive(s.cand[:0], values, base, int(span)+1))
+			}
+			if mask&MaskRangeCPT != 0 {
+				s.try(appendRangeCPT(s.cand[:0], values, base, int(span)+1))
+			}
 		}
 	}
-	if mask&MaskRangeCPT != 0 {
-		if f := appendRangeCPT(values, base, alphabet); len(f) < len(best) {
-			best = f
-		}
-	}
-	return best
+	return bytes.Clone(s.best)
 }
 
 // DecompressInts inverts CompressInts, rejecting streams that declare more
@@ -292,9 +322,8 @@ func DecompressInts(frame []byte, max int) ([]int64, error) {
 
 // rangeHeader writes the shared range-frame prefix: tag, symbol count,
 // zigzag-coded base value (the stream minimum), and alphabet size.
-func rangeHeader(tag byte, count int, base int64, alphabet int) []byte {
-	out := make([]byte, 1, 16)
-	out[0] = tag
+func rangeHeader(out []byte, tag byte, count int, base int64, alphabet int) []byte {
+	out = append(out, tag)
 	out = binary.AppendUvarint(out, uint64(count))
 	out = binary.AppendVarint(out, base)
 	out = binary.AppendUvarint(out, uint64(alphabet))
@@ -305,8 +334,8 @@ func rangeHeader(tag byte, count int, base int64, alphabet int) []byte {
 // against an adaptive model that starts uniform and learns the stream's skew
 // as it goes. Nothing but the header is shipped — the decoder rebuilds the
 // identical model trajectory.
-func appendRangeAdaptive(values []int64, base int64, alphabet int) []byte {
-	out := rangeHeader(TagRangeAdaptive, len(values), base, alphabet)
+func appendRangeAdaptive(out []byte, values []int64, base int64, alphabet int) []byte {
+	out = rangeHeader(out, TagRangeAdaptive, len(values), base, alphabet)
 	m := rangecoder.NewAdaptiveModel(alphabet, rangeInc)
 	e := rangecoder.NewEncoder()
 	for _, v := range values {
@@ -320,13 +349,13 @@ func appendRangeAdaptive(values []int64, base int64, alphabet int) []byte {
 // against those static statistics. Pays the table up front in exchange for
 // full-strength statistics from the first symbol — the better trade on short
 // or stationary streams.
-func appendRangeCPT(values []int64, base int64, alphabet int) []byte {
+func appendRangeCPT(out []byte, values []int64, base int64, alphabet int) []byte {
 	counts := make([]int, alphabet)
 	for _, v := range values {
 		counts[v-base]++
 	}
 	t := newStaticTable(counts, alphabet)
-	out := rangeHeader(TagRangeCPT, len(values), base, alphabet)
+	out = rangeHeader(out, TagRangeCPT, len(values), base, alphabet)
 	out = t.appendBinary(out)
 	e := rangecoder.NewEncoder()
 	for _, v := range values {

@@ -1,7 +1,9 @@
 package colenc
 
 import (
+	"bytes"
 	"fmt"
+	"sync"
 
 	"deepsqueeze/internal/huffman"
 )
@@ -44,31 +46,41 @@ func (e Encoding) String() string {
 // still tries Huffman; beyond it the symbol table dwarfs any gain.
 const huffmanMaxAlphabet = 1 << 16
 
+// scratch is what one EncodeBest call builds its candidates in: the smallest
+// so far and the one on trial, which trade places when the trial wins.
+type scratch struct{ best, cand []byte }
+
+var scratches = sync.Pool{New: func() any { return new(scratch) }}
+
 // EncodeBest encodes values with every applicable encoding and returns the
 // smallest result, prefixed by a one-byte encoding tag. This mirrors the
 // per-column encoding selection a columnar format like Parquet performs.
+// Candidates are tried in tag order and replace the incumbent only when
+// strictly smaller; only the winner is copied out of the reused scratch.
 func EncodeBest(values []int64) []byte {
-	best := EncodeVarints(values)
-	bestEnc := EncVarint
-	try := func(enc Encoding, buf []byte) {
-		if len(buf) < len(best) {
-			best, bestEnc = buf, enc
+	s := scratches.Get().(*scratch)
+	defer scratches.Put(s)
+	s.best = appendVarints(append(s.best[:0], byte(EncVarint)), values)
+	try := func(enc Encoding, encode func(out []byte, values []int64) []byte) {
+		s.cand = encode(append(s.cand[:0], byte(enc)), values)
+		if len(s.cand) < len(s.best) {
+			s.best, s.cand = s.cand, s.best
 		}
 	}
-	try(EncDelta, EncodeDelta(values))
-	try(EncRLE, EncodeRLE(values))
-	try(EncFOR, EncodeFOR(values))
-	if distinctUpTo(values, huffmanMaxAlphabet+1) <= huffmanMaxAlphabet {
-		try(EncHuffman, huffman.Encode(values))
+	try(EncDelta, appendDelta)
+	try(EncRLE, appendRLE)
+	try(EncFOR, appendFOR)
+	// No more distinct values than values: only a stream longer than the
+	// alphabet bound has to be counted.
+	if len(values) <= huffmanMaxAlphabet || distinctUpTo(values, huffmanMaxAlphabet+1) <= huffmanMaxAlphabet {
+		try(EncHuffman, func(out []byte, values []int64) []byte { return append(out, huffman.Encode(values)...) })
 	}
 	if isBinaryStream(values) {
 		if bm := EncodeBitmap(values); bm != nil {
-			try(EncBitmap, bm)
+			try(EncBitmap, func(out []byte, _ []int64) []byte { return append(out, bm...) })
 		}
 	}
-	out := make([]byte, 0, len(best)+1)
-	out = append(out, byte(bestEnc))
-	return append(out, best...)
+	return bytes.Clone(s.best)
 }
 
 // DecodeBest inverts EncodeBest with no expected-count bound. Prefer

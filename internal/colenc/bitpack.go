@@ -15,8 +15,10 @@ import (
 // enough for RLE.
 //
 // Layout: count varint | min zigzag-varint | width byte | packed bits.
-func EncodeFOR(values []int64) []byte {
-	out := binary.AppendUvarint(nil, uint64(len(values)))
+func EncodeFOR(values []int64) []byte { return appendFOR(nil, values) }
+
+func appendFOR(out []byte, values []int64) []byte {
+	out = binary.AppendUvarint(out, uint64(len(values)))
 	if len(values) == 0 {
 		return out
 	}

@@ -8,8 +8,10 @@ import (
 // EncodeRLE encodes values as (value, run-length) varint pairs prefixed by
 // the total value count. Long runs — the XOR'd binary failure streams and
 // expert labels DeepSqueeze produces — collapse to a few bytes.
-func EncodeRLE(values []int64) []byte {
-	out := binary.AppendUvarint(nil, uint64(len(values)))
+func EncodeRLE(values []int64) []byte { return appendRLE(nil, values) }
+
+func appendRLE(out []byte, values []int64) []byte {
+	out = binary.AppendUvarint(out, uint64(len(values)))
 	i := 0
 	for i < len(values) {
 		j := i + 1

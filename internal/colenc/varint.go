@@ -62,8 +62,10 @@ func DecodeUvarints(buf []byte) ([]uint64, error) {
 }
 
 // EncodeVarints encodes signed values with zigzag + LEB128.
-func EncodeVarints(values []int64) []byte {
-	out := binary.AppendUvarint(nil, uint64(len(values)))
+func EncodeVarints(values []int64) []byte { return appendVarints(nil, values) }
+
+func appendVarints(out []byte, values []int64) []byte {
+	out = binary.AppendUvarint(out, uint64(len(values)))
 	for _, v := range values {
 		out = binary.AppendUvarint(out, Zigzag(v))
 	}

@@ -65,6 +65,25 @@ func relu32(v float32) float32 {
 	return math.Float32frombits(math.Float32bits(v) & keep)
 }
 
+// reluGate is the ReLU derivative applied to a gradient — g where the
+// activation's output o is positive, +0 elsewhere — as the same kind of mask.
+func reluGate(g, o float64) float64 {
+	keep := ^uint64(0)
+	if o <= 0 {
+		keep = 0
+	}
+	return math.Float64frombits(math.Float64bits(g) & keep)
+}
+
+// reluGate32 is the float32 twin of reluGate.
+func reluGate32(g, o float32) float32 {
+	keep := ^uint32(0)
+	if o <= 0 {
+		keep = 0
+	}
+	return math.Float32frombits(math.Float32bits(g) & keep)
+}
+
 // apply computes the activation element-wise in place.
 func (a Activation) apply(m *mat.Matrix) {
 	switch a {
@@ -94,9 +113,7 @@ func (a Activation) backprop(grad, out *mat.Matrix) {
 	case Identity:
 	case ReLU:
 		for i, o := range out.Data {
-			if o <= 0 {
-				grad.Data[i] = 0
-			}
+			grad.Data[i] = reluGate(grad.Data[i], o)
 		}
 	case Sigmoid:
 		for i, o := range out.Data {
@@ -143,9 +160,7 @@ func (a Activation) backprop32(grad, out *mat.Matrix32) {
 	case Identity:
 	case ReLU:
 		for i, o := range out.Data {
-			if o <= 0 {
-				grad.Data[i] = 0
-			}
+			grad.Data[i] = reluGate32(grad.Data[i], o)
 		}
 	case Sigmoid:
 		for i, o := range out.Data {

@@ -266,24 +266,6 @@ func (d *Dense) signalHidden(s *mat.Matrix, pos int, hid *mat.Matrix) {
 	}
 }
 
-// stackedSharedInput assembles the shared-stack inputs for the listed
-// categorical columns stacked vertically: row k*B + r carries row r's
-// auxiliary activations with column js[k]'s one-hot signal. Scratch comes
-// from ar (nil allocates fresh); either way the unset signal positions are
-// zero. Training only — inference factors the one-hot out (Predictor).
-func (d *Decoder) stackedSharedInput(ar *mat.Arena, aux *mat.Matrix, js []int) *mat.Matrix {
-	b := aux.Rows
-	z := ar.Get(len(js)*b, d.sharedWidth())
-	for k, j := range js {
-		for r := 0; r < b; r++ {
-			row := z.Row(k*b + r)
-			copy(row, aux.Row(r))
-			row[d.catCols+j] = 1
-		}
-	}
-	return z
-}
-
 // sigmoidHead writes the sigmoid of the combined numeric+binary head's
 // logits (row-major; numeric columns first, then binary) into num and bin.
 // Float32 logits widen first, so both precisions evaluate the same
@@ -341,7 +323,8 @@ type Autoencoder struct {
 	Decoder
 	Encoder []*Dense // input → hidden (ReLU) → code (Sigmoid)
 
-	tr *trainer // lazily built shard trainer (train.go); nil until first TrainBatch
+	tr   *trainer // lazily built shard trainer (train.go); nil until first TrainBatch
+	cuts []*Dense // Shared cut to each categorical column's cardinality (sharedStep); nil until first use
 }
 
 // Config controls autoencoder construction.
@@ -479,46 +462,8 @@ func (a *Autoencoder) accumBatch(ar *mat.Arena, x *mat.Matrix, tg *Targets, invB
 	}
 
 	if a.Aux != nil {
-		aux := a.Aux.forward(ar, h)
-		dAux := ar.Get(aux.Rows, aux.Cols)
-		// All categorical columns go through the shared stack in one
-		// vertically-stacked forward/backward pass: rows j*B..(j+1)*B-1
-		// carry column j's evaluation.
-		rows := x.Rows
-		z := a.stackedSharedInput(ar, aux, a.catAll)
-		logits := a.Shared.forward(ar, a.SharedHidden.forward(ar, z))
-		gl := ar.Get(logits.Rows, logits.Cols)
-		for j := 0; j < a.catCols; j++ {
-			card := a.cardOf[j]
-			probs := ar.Get(rows, card)
-			for r := 0; r < rows; r++ {
-				copy(probs.Row(r), logits.Row(j*rows + r)[:card])
-			}
-			Softmax(probs, card)
-			for r := 0; r < rows; r++ {
-				cls := tg.Cat[j][r]
-				if cls < 0 || cls >= card {
-					continue // rare value masked out of training
-				}
-				pr, gr := probs.Row(r), gl.Row(j*rows+r)
-				loss += -math.Log(math.Max(pr[cls], 1e-12)) * invB
-				for c := 0; c < card; c++ {
-					gr[c] = pr[c] * invB
-				}
-				gr[cls] -= invB
-			}
-		}
-		dz := a.SharedHidden.backward(ar, a.Shared.backward(ar, gl))
-		for j := 0; j < a.catCols; j++ {
-			for r := 0; r < rows; r++ {
-				dr, da := dz.Row(j*rows+r), dAux.Row(r)
-				for c := 0; c < a.catCols; c++ {
-					da[c] += dr[c]
-				}
-				// The signal node is an input, not a parameter: its
-				// gradient is discarded.
-			}
-		}
+		dAux, catLoss := a.sharedStep(ar, a.Aux.forward(ar, h), tg.Cat, invB)
+		loss += catLoss
 		mat.AddInPlace(dH, a.Aux.backward(ar, dAux))
 	}
 
@@ -533,15 +478,115 @@ func (a *Autoencoder) accumBatch(ar *mat.Arena, x *mat.Matrix, tg *Targets, invB
 	return loss
 }
 
-// Losses computes each tuple's reconstruction loss (summed over columns)
-// without training. Used by the mixture-of-experts assignment.
-func (a *Autoencoder) Losses(x *mat.Matrix, tg *Targets) []float64 {
-	out := make([]float64, x.Rows)
+// sharedStep runs one shard's categorical columns through the shared output
+// stack, forward and backward, and returns ∂L/∂aux with the invB-scaled loss.
+// Column j's input is [aux | one-hot(j)], which is never built (DESIGN.md
+// §12): as in Predictor, SharedHidden's pre-activation is aux·W_auxᵀ, computed
+// once, plus the column's signal weights and the bias, and Shared is cut to
+// the column's cardinality. Backward, the columns' hidden gradients are summed
+// into d before they meet aux, so W_aux's gradient and ∂L/∂aux take one
+// product each. Every sum runs in column, then row order over the shard's
+// rows alone.
+func (a *Autoencoder) sharedStep(ar *mat.Arena, aux *mat.Matrix, targets [][]int, invB float64) (*mat.Matrix, float64) {
+	sh, cc, rows := a.SharedHidden, a.catCols, aux.Rows
+	if a.cuts == nil {
+		for _, card := range a.cardOf {
+			a.cuts = append(a.cuts, a.Shared.firstOutputsTrain(card))
+		}
+	}
+	wAux := ar.Get(sh.Out, cc) // contiguous for the kernels, as in Predictor
+	for o := 0; o < sh.Out; o++ {
+		copy(wAux.Row(o), sh.W.Row(o)[:cc])
+	}
+	s := mat.MulTInto(aux, wAux, ar.Get(rows, sh.Out))
+	hid, d, sum := ar.Get(rows, sh.Out), ar.Get(rows, sh.Out), ar.Get(1, sh.Out).Data
+	var loss float64
+	for j, cut := range a.cuts {
+		sh.signalHidden(s, cc+j, hid)
+		g := ar.Get(rows, cut.Out)
+		copy(g.Data, cut.forward(ar, hid).Data)
+		loss += softmaxGrad(g, targets[j], invB)
+		dj := cut.backward(ar, g)
+		sh.Act.backprop(dj, hid)
+		foldColumn(dj.Data, d.Data, sum, sh.GradW.Data[cc+j:], sh.In, sh.GradB)
+	}
+	gAux := mat.TMulInto(d, aux, ar.Get(sh.Out, cc))
+	for o := 0; o < sh.Out; o++ {
+		gw := sh.GradW.Row(o)
+		for c, v := range gAux.Row(o) {
+			gw[c] += v
+		}
+	}
+	return mat.MulInto(d, wAux, ar.Get(rows, cc)), loss
+}
+
+// foldColumn adds one column's hidden gradients dj (rows of len(sum) units)
+// into the columns' running sum d, and dj's column sums — the gradient of the
+// column's signal weights, whose input is the constant 1, and its share of
+// the bias's — into gradB and into signalW, unit o's weight at o·stride.
+func foldColumn[T float32 | float64](dj, d, sum, signalW []T, stride int, gradB []T) {
+	clear(sum)
+	for n := len(sum); len(dj) > 0; dj, d = dj[n:], d[n:] {
+		for o, v := range dj[:n] {
+			d[o] += v
+			sum[o] += v
+		}
+	}
+	for o, v := range sum {
+		signalW[o*stride] += v
+		gradB[o] += v
+	}
+}
+
+// softmaxGrad turns one column's logits into the cross-entropy gradient
+// (p − onehot)·invB in place, all zero in a row whose target is masked (a
+// rare value, paper §4.1), and returns the invB-scaled loss sum.
+func softmaxGrad(g *mat.Matrix, target []int, invB float64) float64 {
+	Softmax(g, g.Cols)
+	var loss float64
+	for r, cls := range target {
+		gr := g.Row(r)
+		if cls < 0 || cls >= len(gr) {
+			clear(gr)
+			continue
+		}
+		loss += -math.Log(math.Max(gr[cls], 1e-12)) * invB
+		for c := range gr {
+			gr[c] *= invB
+		}
+		gr[cls] -= invB
+	}
+	return loss
+}
+
+// scorer computes each tuple's reconstruction loss (summed over columns)
+// under one model without training it — what the mixture-of-experts
+// assignment ranks experts by — holding across batches the encoder scratch
+// and the predictor. A Predictor reads the weights in place except
+// SharedHidden's auxiliary block, copied when it is built: once a model with
+// categorical columns has trained on, predict must be reset to nil. One
+// goroutine at a time.
+type scorer struct {
+	a       *Autoencoder
+	ar      mat.Arena
+	predict func(codes *mat.Matrix) *Predictions
+}
+
+func (s *scorer) losses(x *mat.Matrix, tg *Targets) []float64 {
+	a, out := s.a, make([]float64, x.Rows)
 	if x.Rows == 0 {
 		return out
 	}
-	p := a.Predict(a.Encode(x))
-	for r := 0; r < x.Rows; r++ {
+	if s.predict == nil {
+		s.predict = a.Predictor(nil)
+	}
+	s.ar.Reset()
+	h := x
+	for _, l := range a.Encoder {
+		h = l.infer(&s.ar, h)
+	}
+	p := s.predict(h)
+	for r := range out {
 		var l float64
 		for c := 0; c < a.numCols; c++ {
 			diff := p.Num.At(r, c) - tg.Num.At(r, c)

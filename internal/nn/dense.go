@@ -93,6 +93,17 @@ func (d *Dense) firstOutputs(n int) *Dense {
 	return &Dense{In: d.In, Out: n, Act: d.Act, W: &w, B: d.B[:n]}
 }
 
+// firstOutputsTrain is firstOutputs for the training pass: the view also
+// shares the gradient accumulators of its n units, so a forward/backward
+// through it trains exactly the rows of the layer a column of cardinality n
+// reaches and leaves the rest untouched.
+func (d *Dense) firstOutputsTrain(n int) *Dense {
+	v := d.firstOutputs(n)
+	gw := d.GradW.SliceRows(0, n)
+	v.GradW, v.GradB = &gw, d.GradB[:n]
+	return v
+}
+
 // Backward takes ∂L/∂out (same shape as the last Forward output), adds this
 // batch's weight gradients into GradW/GradB, and returns ∂L/∂in. The caller
 // may mutate grad.

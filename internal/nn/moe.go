@@ -89,12 +89,18 @@ func (m *MoE) Assign(x *mat.Matrix, tg *Targets) []int {
 	for i := range best {
 		best[i] = math.Inf(1)
 	}
+	// Scored a training batch's worth of rows at a time, so that a large
+	// group costs one batch of scratch per expert, not one group of it.
+	var rows shardState // used for its row views of x and tg only
 	for e, exp := range m.Experts {
-		losses := exp.Losses(x, tg)
-		for r, l := range losses {
-			if l < best[r] {
-				best[r] = l
-				out[r] = e
+		sc := &scorer{a: exp}
+		for lo := 0; lo < x.Rows; lo += defaultBatchSize {
+			rows.view(x, tg, lo, min(lo+defaultBatchSize, x.Rows))
+			for r, l := range sc.losses(&rows.x, &rows.tg) {
+				if l < best[lo+r] {
+					best[lo+r] = l
+					out[lo+r] = e
+				}
 			}
 		}
 	}
@@ -130,12 +136,15 @@ type TrainOptions struct {
 	Float32 bool
 }
 
+// defaultBatchSize is TrainOptions.BatchSize's default and Assign's stride.
+const defaultBatchSize = 256
+
 func (o *TrainOptions) defaults() {
 	if o.Epochs <= 0 {
 		o.Epochs = 30
 	}
 	if o.BatchSize <= 0 {
-		o.BatchSize = 256
+		o.BatchSize = defaultBatchSize
 	}
 	if o.LR <= 0 {
 		o.LR = 0.01
@@ -167,6 +176,10 @@ func (m *MoE) Train(rng *rand.Rand, x *mat.Matrix, tg *Targets, opts TrainOption
 	if m.Gate != nil {
 		gateOpt = NewAdam(opts.LR)
 	}
+	scorers := make([]*scorer, len(m.Experts))
+	for i, e := range m.Experts {
+		scorers[i] = &scorer{a: e}
+	}
 	order := make([]int, n)
 	for i := range order {
 		order[i] = i
@@ -188,7 +201,7 @@ func (m *MoE) Train(rng *rand.Rand, x *mat.Matrix, tg *Targets, opts TrainOption
 			idx := order[lo:hi]
 			bx := extractRows(x, idx)
 			btg := extractTargets(tg, idx)
-			epochLoss += m.trainBatch(bx, btg, optims, gateOpt, &opts) * float64(len(idx))
+			epochLoss += m.trainBatch(bx, btg, optims, gateOpt, scorers, &opts) * float64(len(idx))
 			tuples += len(idx)
 		}
 		epochLoss /= float64(tuples)
@@ -212,7 +225,7 @@ func (m *MoE) Train(rng *rand.Rand, x *mat.Matrix, tg *Targets, opts TrainOption
 }
 
 // trainBatch trains one batch and returns its mean loss.
-func (m *MoE) trainBatch(bx *mat.Matrix, btg *Targets, optims []*Adam, gateOpt *Adam, opts *TrainOptions) float64 {
+func (m *MoE) trainBatch(bx *mat.Matrix, btg *Targets, optims []*Adam, gateOpt *Adam, scorers []*scorer, opts *TrainOptions) float64 {
 	if len(m.Experts) == 1 {
 		return m.Experts[0].trainer().train(bx, btg, optims[0], opts.Workers, opts.Pool, opts.Float32)
 	}
@@ -227,9 +240,8 @@ func (m *MoE) trainBatch(bx *mat.Matrix, btg *Targets, optims []*Adam, gateOpt *
 	for i := range bestScore {
 		bestScore[i] = math.Inf(1)
 	}
-	for e, exp := range m.Experts {
-		losses := exp.Losses(bx, btg)
-		for r, l := range losses {
+	for e, sc := range scorers {
+		for r, l := range sc.losses(bx, btg) {
 			score := l - logProbs.At(r, e)
 			if score < bestScore[r] {
 				bestScore[r] = score
@@ -252,6 +264,9 @@ func (m *MoE) trainBatch(bx *mat.Matrix, btg *Targets, optims []*Adam, gateOpt *
 		sub := extractRows(bx, idx)
 		stg := extractTargets(btg, idx)
 		total += exp.trainer().train(sub, stg, optims[e], opts.Workers, opts.Pool, opts.Float32) * float64(len(idx))
+		if exp.Aux != nil {
+			scorers[e].predict = nil // it holds a copy of weights this step moved
+		}
 	}
 	total /= float64(bx.Rows)
 	// Train the gate toward the assignment with softmax cross-entropy.

@@ -191,6 +191,21 @@ func TestGradientCheck(t *testing.T) {
 		}
 		// Probe a handful of weights per layer plus one bias.
 		probe := []int{0, len(l.W.Data) / 2, len(l.W.Data) - 1}
+		switch l {
+		case ae.SharedHidden:
+			// The second categorical column's signal weight on every unit:
+			// its gradient is a column sum the factored pass keeps apart
+			// from the auxiliary weights' product.
+			for o := 0; o < l.Out; o++ {
+				probe = append(probe, o*l.In+ae.catCols+1)
+			}
+		case ae.Shared:
+			// A row past the narrow column's cardinality (3): only the
+			// 5-wide column reaches it, the other must contribute nothing.
+			for k := 0; k < l.In; k++ {
+				probe = append(probe, 3*l.In+k)
+			}
+		}
 		for _, pi := range probe {
 			orig := l.W.Data[pi]
 			l.W.Data[pi] = orig + eps
@@ -289,7 +304,7 @@ func TestPredictConsistentWithLosses(t *testing.T) {
 			}
 		}
 	}
-	losses := ae.Losses(x, tg)
+	losses := (&scorer{a: ae}).losses(x, tg)
 	if len(losses) != 9 {
 		t.Fatalf("losses len %d", len(losses))
 	}
@@ -435,6 +450,40 @@ func TestMoEAssignAndTrain(t *testing.T) {
 	}
 	if agree < rows/2 {
 		t.Errorf("gate agrees with loss-argmin on only %d/%d tuples", agree, rows)
+	}
+}
+
+// A held scorer must return, batch after batch and across optimizer steps,
+// the bits a fresh one does — also for a model with categorical
+// columns, whose predictor goes stale when the weights move — and Assign,
+// which scores a large input in batches, must pick each tuple's argmin.
+func TestScorerMatchesOneShotLosses(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	moe, err := NewMoE(rng, testSpecs(), Config{CodeSize: 2}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, tg := randomBatch(rng, testSpecs(), 2*defaultBatchSize+44)
+	opt := NewAdam(0.05)
+	for e, ae := range moe.Experts {
+		sc := &scorer{a: ae}
+		for step := 0; step < 3; step++ {
+			rows := 40 + 30*step // a growing batch reuses and regrows the scratch
+			idx := rng.Perm(x.Rows)[:rows]
+			bx, btg := extractRows(x, idx), extractTargets(tg, idx)
+			if !bitsEqual(sc.losses(bx, btg), (&scorer{a: ae}).losses(bx, btg)) {
+				t.Fatalf("expert %d, step %d: held scorer differs from a fresh one", e, step)
+			}
+			ae.TrainBatch(bx, btg, opt)
+			sc.predict = nil
+		}
+	}
+	assign := moe.Assign(x, tg)
+	l0, l1 := (&scorer{a: moe.Experts[0]}).losses(x, tg), (&scorer{a: moe.Experts[1]}).losses(x, tg)
+	for r, a := range assign {
+		if want := map[bool]int{true: 1, false: 0}[l1[r] < l0[r]]; a != want {
+			t.Fatalf("row %d assigned to expert %d, losses %v and %v", r, a, l0[r], l1[r])
+		}
 	}
 }
 

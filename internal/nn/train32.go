@@ -34,6 +34,7 @@ type ae32 struct {
 	sharedHidden *Dense32
 	shared       *Dense32
 	layers       []*Dense32
+	cuts         []*Dense32 // shared cut to each categorical column's cardinality, gradients included
 }
 
 // newAE32 builds a shard view over the trainer's shared weight set, which
@@ -69,6 +70,12 @@ func newAE32(src *Autoencoder, sharedW []*Dense32) *ae32 {
 	}
 	if src.Shared != nil {
 		a.shared = next()
+		for _, card := range src.cardOf {
+			cut := a.shared.firstOutputs(card)
+			gw := a.shared.GradW.SliceRows(0, card)
+			cut.GradW, cut.GradB = &gw, a.shared.GradB[:card]
+			a.cuts = append(a.cuts, cut)
+		}
 	}
 	return a
 }
@@ -152,53 +159,8 @@ func (a *ae32) accumBatch(ar *mat.Arena, ar32 *mat.Arena32, x *mat.Matrix, tg *T
 	}
 
 	if a.aux != nil {
-		aux := a.aux.forward32(ar32, h)
-		dAux := ar32.Get(aux.Rows, aux.Cols)
-		rows := x.Rows
-		z := ar32.Get(len(src.catAll)*rows, src.sharedWidth())
-		for k, j := range src.catAll {
-			for r := 0; r < rows; r++ {
-				row := z.Row(k*rows + r)
-				copy(row, aux.Row(r))
-				row[src.catCols+j] = 1
-			}
-		}
-		logits := a.shared.forward32(ar32, a.sharedHidden.forward32(ar32, z))
-		gl := ar32.Get(logits.Rows, logits.Cols)
-		for j := 0; j < src.catCols; j++ {
-			card := src.cardOf[j]
-			probs := ar.Get(rows, card)
-			for r := 0; r < rows; r++ {
-				lr := logits.Row(j*rows + r)
-				pr := probs.Row(r)
-				for c := 0; c < card; c++ {
-					pr[c] = float64(lr[c])
-				}
-			}
-			Softmax(probs, card)
-			for r := 0; r < rows; r++ {
-				cls := tg.Cat[j][r]
-				if cls < 0 || cls >= card {
-					continue // rare value masked out of training
-				}
-				pr, gr := probs.Row(r), gl.Row(j*rows+r)
-				loss += -math.Log(math.Max(pr[cls], 1e-12)) * invB
-				for c := 0; c < card; c++ {
-					gr[c] = float32(pr[c] * invB)
-				}
-				gr[cls] = float32((pr[cls] - 1) * invB)
-			}
-		}
-		dz := a.sharedHidden.backward32(ar32, a.shared.backward32(ar32, gl))
-		for j := 0; j < src.catCols; j++ {
-			for r := 0; r < rows; r++ {
-				dr, da := dz.Row(j*rows+r), dAux.Row(r)
-				for c := 0; c < src.catCols; c++ {
-					da[c] += dr[c]
-				}
-				// Signal-node gradient discarded, as in the float64 pass.
-			}
-		}
+		dAux, catLoss := a.sharedStep(ar, ar32, a.aux.forward32(ar32, h), tg.Cat, invB)
+		loss += catLoss
 		mat.AddInPlace32(dH, a.aux.backward32(ar32, dAux))
 	}
 
@@ -210,6 +172,37 @@ func (a *ae32) accumBatch(ar *mat.Arena, ar32 *mat.Arena32, x *mat.Matrix, tg *T
 		g = a.encoder[i].backward32(ar32, g)
 	}
 	return loss
+}
+
+// sharedStep is the float32 twin of Autoencoder.sharedStep: the same
+// accumulations in the same order, the softmax and loss terms in float64. Its
+// forward half is Decoder32.Predictor's: 4-lane partial sums of aux·W_auxᵀ
+// once per shard, finished per column by signalHidden.
+func (a *ae32) sharedStep(ar *mat.Arena, ar32 *mat.Arena32, aux *mat.Matrix32, targets [][]int, invB float64) (*mat.Matrix32, float64) {
+	sh, cc, rows := a.sharedHidden, a.src.catCols, aux.Rows
+	wAux := ar32.Get(sh.Out, cc)
+	for o := 0; o < sh.Out; o++ {
+		copy(wAux.Row(o), sh.W.Row(o)[:cc])
+	}
+	lanes := mat.MulTLanesInto32(aux, sh.W, ar32.Get(rows, 4*sh.Out))
+	hid, d, sum := ar32.Get(rows, sh.Out), ar32.Get(rows, sh.Out), ar32.Get(1, sh.Out).Data
+	var loss float64
+	for j, cut := range a.cuts {
+		sh.signalHidden(lanes, cc+j, hid)
+		g := mat.To64(cut.forward32(ar32, hid), ar.Get(rows, cut.Out))
+		loss += softmaxGrad(g, targets[j], invB)
+		dj := cut.backward32(ar32, mat.To32(g, ar32.Get(rows, cut.Out)))
+		sh.Act.backprop32(dj, hid)
+		foldColumn(dj.Data, d.Data, sum, sh.GradW.Data[cc+j:], sh.In, sh.GradB)
+	}
+	gAux := mat.TMulInto32(d, aux, ar32.Get(sh.Out, cc))
+	for o := 0; o < sh.Out; o++ {
+		gw := sh.GradW.Row(o)
+		for c, v := range gAux.Row(o) {
+			gw[c] += v
+		}
+	}
+	return mat.MulInto32(d, wAux, ar32.Get(rows, cc)), loss
 }
 
 // foldInto widens the shard's float32 gradient accumulators into the given
