@@ -423,6 +423,26 @@ func TestRankHelpers(t *testing.T) {
 			t.Errorf("codeAtRank(%d) = %d, want %d", rank, got, cls)
 		}
 	}
+	// Ties — at the top, where rank 0 takes its own path, and further down —
+	// break toward the lower index, and the two helpers stay inverses for
+	// every class, whatever the scratch held before.
+	for _, probs := range [][]float64{
+		{0.3, 0.3, 0.2, 0.2},
+		{0.25, 0.25, 0.25, 0.25},
+		{0.1, 0.4, 0.4, 0.1},
+		{0.2, 0.1, 0.2, 0.1, 0.2, 0.2},
+		{1},
+	} {
+		scratch := make([]bool, len(probs))
+		for cls := range probs {
+			for i := range scratch {
+				scratch[i] = true
+			}
+			if got := codeAtRank(probs, rankOf(probs, cls), scratch); got != cls {
+				t.Errorf("probs %v: codeAtRank(rankOf(%d) = %d) = %d", probs, cls, rankOf(probs, cls), got)
+			}
+		}
+	}
 }
 
 func TestQuantizeReconstructCodes(t *testing.T) {

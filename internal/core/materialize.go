@@ -74,8 +74,19 @@ func rankOf(probs []float64, actual int) int {
 
 // codeAtRank returns the class at the given rank under the same ordering.
 // Ranks concentrate near 0, so iterative argmax-with-exclusion beats a full
-// sort in the common case. excluded is scratch space of at least len(probs).
+// sort in the common case, and rank 0 — most of them — is the first strict
+// maximum, found without touching excluded: scratch space of at least
+// len(probs).
 func codeAtRank(probs []float64, rank int, excluded []bool) int {
+	if rank == 0 {
+		best := 0
+		for j, p := range probs {
+			if p > probs[best] {
+				best = j
+			}
+		}
+		return best
+	}
 	for i := range excluded[:len(probs)] {
 		excluded[i] = false
 	}

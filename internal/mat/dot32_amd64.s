@@ -1,3 +1,5 @@
+//go:build amd64 && !noasm
+
 // SSE float32 dot kernel behind MulTInto32. Semantics are the fixed 4-lane
 // accumulation contract in dot32_ref.go: packed lanes hold the interleaved
 // partial sums, the k%4 remainder folds into lane 0, and lanes reduce as

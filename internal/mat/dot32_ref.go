@@ -79,20 +79,21 @@ func MulTLanesInto32(a, b, lanes *Matrix32) *Matrix32 {
 	return lanes
 }
 
-// SumLanes32 finishes one row of the dots MulTLanesInto32 started against b,
-// for an input row whose only other non-zero term is a 1 at position pos:
-// b[o][pos] joins the lane the contract assigns pos, and the lanes reduce as
-// (s0+s2) + (s1+s3) into dst[o]. The row's zero terms contribute ±0
-// products, which leave a lane unchanged when the weights are finite (a lane
-// starts at +0 and so is never −0).
-func SumLanes32(lrow []float32, b *Matrix32, pos int, dst []float32) {
-	n := b.Rows
-	if len(lrow) != 4*n || len(dst) != n || pos >= b.Cols {
-		panic(fmt.Sprintf("mat: SumLanes32 over %d lane sums, %d outputs, term %d of %dx%d",
-			len(lrow), len(dst), pos, b.Rows, b.Cols))
+// SumLanes32 finishes one row of the dots MulTLanesInto32 started against a
+// b of cols columns, for an input row whose only other non-zero term is a 1
+// at position pos: w[o], which is b[o][pos] — the caller gathers the column
+// once, not once per row — joins the lane the contract assigns pos, and the
+// lanes reduce as (s0+s2) + (s1+s3) into dst[o]. The row's zero terms
+// contribute ±0 products, which leave a lane unchanged when the weights are
+// finite (a lane starts at +0 and so is never −0).
+func SumLanes32(lrow, w []float32, pos, cols int, dst []float32) {
+	n := len(dst)
+	if len(lrow) != 4*n || len(w) != n || pos >= cols {
+		panic(fmt.Sprintf("mat: SumLanes32 over %d lane sums, %d weights, %d outputs, term %d of %d",
+			len(lrow), len(w), len(dst), pos, cols))
 	}
 	lane := 0
-	if pos < b.Cols&^3 {
+	if pos < cols&^3 {
 		lane = pos & 3
 	}
 	// Addition commutes bit for bit (NaN payloads aside, which nothing
@@ -101,6 +102,6 @@ func SumLanes32(lrow []float32, b *Matrix32, pos int, dst []float32) {
 	plane := func(l int) []float32 { return lrow[l*n:][:n] }
 	own, pair, o1, o2 := plane(lane), plane(lane^2), plane(lane^1), plane(lane^3)
 	for o := range dst {
-		dst[o] = ((own[o] + b.Data[o*b.Cols+pos]) + pair[o]) + (o1[o] + o2[o])
+		dst[o] = ((own[o] + w[o]) + pair[o]) + (o1[o] + o2[o])
 	}
 }

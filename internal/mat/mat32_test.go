@@ -166,10 +166,13 @@ func TestLanePartialsMatchPortableSpec(t *testing.T) {
 		}
 		lanes := MulTLanesInto32(a32, b32, New32(n, 4*rows))
 		pos := c + rng.Intn(width-c)
-		got := make([]float32, rows)
+		got, w := make([]float32, rows), make([]float32, rows)
+		for o := range w {
+			w[o] = b32.At(o, pos)
+		}
 		x, want, kernel := make([]float32, width), make([]float32, rows), make([]float32, rows)
 		for i := 0; i < n; i++ {
-			SumLanes32(lanes.Row(i), b32, pos, got)
+			SumLanes32(lanes.Row(i), w, pos, width, got)
 			for k := range x {
 				x[k] = 0
 			}

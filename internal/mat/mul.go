@@ -82,10 +82,10 @@ func MulInto(a, b, c *Matrix) *Matrix {
 // mulAddRange accumulates rows [lo, hi) of a*b into c (an ikj loop order:
 // the inner loop walks the output row and four b rows sequentially). The
 // middle loop is unrolled four-wide over k so each pass over the output row
-// folds four rank-1 updates into one load/store of crow[j], which both cuts
-// memory traffic 4x and removes the per-k zero-skip branch the old kernel
-// carried (measured on dense inputs the skip cost ~8% in mispredictions and
-// saved nothing; see DESIGN.md §12).
+// folds four rank-1 updates into one load/store of crow[j] — one axpy4 —
+// which both cuts memory traffic 4x and removes the per-k zero-skip branch
+// the old kernel carried (measured on dense inputs the skip cost ~8% in
+// mispredictions and saved nothing; see DESIGN.md §12).
 func mulAddRange(a, b, c *Matrix, lo, hi int) {
 	n := b.Cols
 	kc := a.Cols
@@ -94,22 +94,28 @@ func mulAddRange(a, b, c *Matrix, lo, hi int) {
 		crow := c.Row(i)[:n]
 		k := 0
 		for ; k+4 <= kc; k += 4 {
-			a0, a1, a2, a3 := arow[k], arow[k+1], arow[k+2], arow[k+3]
-			b0 := b.Data[k*n : k*n+n]
-			b1 := b.Data[(k+1)*n : (k+1)*n+n]
-			b2 := b.Data[(k+2)*n : (k+2)*n+n]
-			b3 := b.Data[(k+3)*n : (k+3)*n+n]
-			for j, bv := range b0 {
-				crow[j] += a0*bv + a1*b1[j] + a2*b2[j] + a3*b3[j]
-			}
+			axpy4(crow, b.Data[k*n:], b.Data[(k+1)*n:], b.Data[(k+2)*n:], b.Data[(k+3)*n:],
+				arow[k], arow[k+1], arow[k+2], arow[k+3])
 		}
 		for ; k < kc; k++ {
 			av := arow[k]
 			brow := b.Data[k*n : k*n+n]
 			for j, bv := range brow {
-				crow[j] += av * bv
+				crow[j] += float64(av * bv)
 			}
 		}
+	}
+}
+
+// axpy4Ref is the portable statement of the row primitive under mulAddRange
+// and tMulAddRange: c[j] += ((a0·b0[j] + a1·b1[j]) + a2·b2[j]) + a3·b3[j]
+// over len(c) elements of each b row, every product rounded before it is
+// added. The AVX axpy4 puts four j in the lanes of one register and keeps the
+// expression, so the two agree bit for bit.
+func axpy4Ref(c, b0, b1, b2, b3 []float64, a0, a1, a2, a3 float64) {
+	b0, b1, b2, b3 = b0[:len(c)], b1[:len(c)], b2[:len(c)], b3[:len(c)]
+	for j := range c {
+		c[j] += float64(a0*b0[j]) + float64(a1*b1[j]) + float64(a2*b2[j]) + float64(a3*b3[j])
 	}
 }
 
@@ -134,11 +140,11 @@ func MulTPoolInto(a, b, c *Matrix) *Matrix {
 	if !fansOut(a.Rows, work) {
 		// Checked here as well as in parallelRows: building the closure
 		// below is a heap allocation.
-		mulTRange(a, b, c, 0, a.Rows)
+		mulT(a, b, nil, c, 0, a.Rows)
 		return c
 	}
 	parallelRows(a.Rows, work, func(lo, hi int) {
-		mulTRange(a, b, c, lo, hi)
+		mulT(a, b, nil, c, lo, hi)
 	})
 	return c
 }
@@ -152,14 +158,23 @@ func MulTInto(a, b, c *Matrix) *Matrix {
 	if c.Rows != a.Rows || c.Cols != b.Rows {
 		panic(fmt.Sprintf("mat: MulTInto output %dx%d, want %dx%d", c.Rows, c.Cols, a.Rows, b.Rows))
 	}
-	mulTRange(a, b, c, 0, a.Rows)
+	mulT(a, b, nil, c, 0, a.Rows)
 	return c
 }
+
+// The float64 x·Wᵀ contract (DESIGN.md §12): every output is one sum
+// s += a[k]·w[k] over ascending k, each product rounded to float64 before it
+// is added — the explicit conversions forbid the fused multiply-add that
+// arm64, ppc64le, s390x and riscv64 would otherwise emit, as dot32_ref.go
+// does for float32. Failure streams are computed against these roundings, so
+// an archive replays identically on every platform. mulTRange is the portable
+// statement and the reference; the AVX kernel (packed.go) keeps one output
+// per SIMD lane and so performs the same roundings in the same order.
 
 // mulTRange writes rows [lo, hi) of a*bᵀ into c. Each output element is an
 // inner product of two contiguous rows; the j loop is unrolled four-wide so
 // one pass over arow feeds four independent accumulators (register blocking:
-// the four dot products hide each other's FMA latency and arow is loaded
+// the four dot products hide each other's add latency and arow is loaded
 // once per group instead of once per output).
 func mulTRange(a, b, c *Matrix, lo, hi int) {
 	kc := a.Cols
@@ -174,10 +189,10 @@ func mulTRange(a, b, c *Matrix, lo, hi int) {
 			b3 := b.Data[(j+3)*kc : (j+3)*kc+kc]
 			var s0, s1, s2, s3 float64
 			for k, av := range arow {
-				s0 += av * b0[k]
-				s1 += av * b1[k]
-				s2 += av * b2[k]
-				s3 += av * b3[k]
+				s0 += float64(av * b0[k])
+				s1 += float64(av * b1[k])
+				s2 += float64(av * b2[k])
+				s3 += float64(av * b3[k])
 			}
 			crow[j], crow[j+1], crow[j+2], crow[j+3] = s0, s1, s2, s3
 		}
@@ -185,7 +200,7 @@ func mulTRange(a, b, c *Matrix, lo, hi int) {
 			brow := b.Data[j*kc : j*kc+kc]
 			var s float64
 			for k, av := range arow {
-				s += av * brow[k]
+				s += float64(av * brow[k])
 			}
 			crow[j] = s
 		}
@@ -228,9 +243,9 @@ func TMulAddInto(a, b, c *Matrix) *Matrix {
 
 // tMulAddRange accumulates output rows [lo, hi) of aᵀ*b into c. Output row i
 // is Σ_k a[k][i]·b[k]; the k loop is unrolled four-wide so one pass over the
-// output row folds four b rows at the cost of four strided loads from a's
-// column i. The old kernel's per-k zero-skip branch is gone for the same
-// reason as in mulAddRange.
+// output row — one axpy4 — folds four b rows at the cost of four strided
+// loads from a's column i. The old kernel's per-k zero-skip branch is gone
+// for the same reason as in mulAddRange.
 func tMulAddRange(a, b, c *Matrix, lo, hi int) {
 	n := b.Cols
 	m := a.Cols
@@ -238,23 +253,14 @@ func tMulAddRange(a, b, c *Matrix, lo, hi int) {
 		crow := c.Row(i)[:n]
 		k := 0
 		for ; k+4 <= a.Rows; k += 4 {
-			a0 := a.Data[k*m+i]
-			a1 := a.Data[(k+1)*m+i]
-			a2 := a.Data[(k+2)*m+i]
-			a3 := a.Data[(k+3)*m+i]
-			b0 := b.Data[k*n : k*n+n]
-			b1 := b.Data[(k+1)*n : (k+1)*n+n]
-			b2 := b.Data[(k+2)*n : (k+2)*n+n]
-			b3 := b.Data[(k+3)*n : (k+3)*n+n]
-			for j, bv := range b0 {
-				crow[j] += a0*bv + a1*b1[j] + a2*b2[j] + a3*b3[j]
-			}
+			axpy4(crow, b.Data[k*n:], b.Data[(k+1)*n:], b.Data[(k+2)*n:], b.Data[(k+3)*n:],
+				a.Data[k*m+i], a.Data[(k+1)*m+i], a.Data[(k+2)*m+i], a.Data[(k+3)*m+i])
 		}
 		for ; k < a.Rows; k++ {
 			av := a.Data[k*m+i]
 			brow := b.Data[k*n : k*n+n]
 			for j, bv := range brow {
-				crow[j] += av * bv
+				crow[j] += float64(av * bv)
 			}
 		}
 	}

@@ -7,8 +7,8 @@ import "fmt"
 // accumulation order. Property tests in mat32_test.go pin each kernel to its
 // float64 twin under the tolerance model documented in DESIGN.md §15, and the
 // matching loop structure is what makes that tolerance tight: both widths add
-// the same products in the same order, so divergence is pure rounding, never
-// reassociation.
+// the same products in the same order — each rounded before it is added, the
+// explicit conversions — so divergence is pure rounding, never reassociation.
 //
 // Accumulation happens in float32 (not widened to float64 per element) on
 // purpose — keeping the arithmetic width equal to the storage width is what
@@ -47,14 +47,14 @@ func mulAddRange32(a, b, c *Matrix32, lo, hi int) {
 			b2 := b.Data[(k+2)*n : (k+2)*n+n]
 			b3 := b.Data[(k+3)*n : (k+3)*n+n]
 			for j, bv := range b0 {
-				crow[j] += a0*bv + a1*b1[j] + a2*b2[j] + a3*b3[j]
+				crow[j] += float32(a0*bv) + float32(a1*b1[j]) + float32(a2*b2[j]) + float32(a3*b3[j])
 			}
 		}
 		for ; k < kc; k++ {
 			av := arow[k]
 			brow := b.Data[k*n : k*n+n]
 			for j, bv := range brow {
-				crow[j] += av * bv
+				crow[j] += float32(av * bv)
 			}
 		}
 	}
@@ -126,14 +126,14 @@ func tMulAddRange32(a, b, c *Matrix32, lo, hi int) {
 			b2 := b.Data[(k+2)*n : (k+2)*n+n]
 			b3 := b.Data[(k+3)*n : (k+3)*n+n]
 			for j, bv := range b0 {
-				crow[j] += a0*bv + a1*b1[j] + a2*b2[j] + a3*b3[j]
+				crow[j] += float32(a0*bv) + float32(a1*b1[j]) + float32(a2*b2[j]) + float32(a3*b3[j])
 			}
 		}
 		for ; k < a.Rows; k++ {
 			av := a.Data[k*m+i]
 			brow := b.Data[k*n : k*n+n]
 			for j, bv := range brow {
-				crow[j] += av * bv
+				crow[j] += float32(av * bv)
 			}
 		}
 	}

@@ -6,11 +6,11 @@ import (
 )
 
 // RandUniform fills a new rows×cols matrix with values drawn uniformly from
-// [lo, hi) using rng.
+// [lo, hi) using rng (the product rounded before the sum, on every target).
 func RandUniform(rng *rand.Rand, rows, cols int, lo, hi float64) *Matrix {
 	m := New(rows, cols)
 	for i := range m.Data {
-		m.Data[i] = lo + rng.Float64()*(hi-lo)
+		m.Data[i] = lo + float64(rng.Float64()*(hi-lo))
 	}
 	return m
 }

@@ -184,7 +184,8 @@ func (d *Decoder) wanted(want []bool) (numBin bool, cats []int) {
 // The closure owns its scratch (one arena, one reused Predictions), so
 // calling it repeatedly with same-shaped batches allocates nothing after
 // warmup — one Predictor per goroutine, and each call invalidates the
-// previous call's Predictions.
+// previous call's Predictions. It also owns a packed copy of the weights as
+// they were when it was built.
 //
 // The shared stack's input for column j is [aux | one-hot(j)], but no such
 // row is ever built: SharedHidden's pre-activation splits into aux·W_auxᵀ,
@@ -192,20 +193,33 @@ func (d *Decoder) wanted(want []bool) (numBin bool, cats []int) {
 // the result is bit-identical to multiplying through the zeros (DESIGN.md
 // §12). Shared then runs over the first cardOf[j] of its outputs only.
 func (d *Decoder) Predictor(want []bool) func(codes *mat.Matrix) *Predictions {
+	predict, _ := d.predictor(want)
+	return predict
+}
+
+// predictor is Predictor for a holder that lets the weights move: repack
+// brings its copy of them up to date, in the storage it has.
+func (d *Decoder) predictor(want []bool) (predict func(codes *mat.Matrix) *Predictions, repack func()) {
 	wantNumBin, wantJ := d.wanted(want)
 	ar := &mat.Arena{}
 	p := &Predictions{Cat: make([]*mat.Matrix, d.catCols)}
-	var wAux *mat.Matrix // SharedHidden's weights on the auxiliary inputs, contiguous for the kernel
-	if len(wantJ) > 0 {
-		wAux = mat.New(d.SharedHidden.Out, d.catCols)
-		for o := 0; o < wAux.Rows; o++ {
-			copy(wAux.Row(o), d.SharedHidden.W.Row(o)[:d.catCols])
+	views := make(map[*Dense]*Dense) // the layers this predictor runs, as views holding packed weights of their own
+	for _, l := range d.Layers() {
+		if l == d.SharedHidden || l == d.HeadNum && !wantNumBin || (l == d.Aux || l == d.Shared) && len(wantJ) == 0 {
+			continue // runs factored (sf), or not at all
+		}
+		views[l] = &Dense{In: l.In, Out: l.Out, Act: l.Act, W: l.W, B: l.B, pack: new(mat.Packed)}
+	}
+	var sf sharedFactor
+	repack = func() {
+		for _, v := range views {
+			v.pack.Pack(v.W)
+		}
+		if len(wantJ) > 0 {
+			sf.refresh(d.SharedHidden, d.catCols)
 		}
 	}
-	outs := make([]*Dense, len(wantJ)) // Shared cut to each wanted column's cardinality
-	for k, j := range wantJ {
-		outs[k] = d.Shared.firstOutputs(d.cardOf[j])
-	}
+	repack()
 	return func(codes *mat.Matrix) *Predictions {
 		if codes.Cols != d.CodeSize {
 			panic(fmt.Sprintf("nn: predict with %d-wide codes, want %d", codes.Cols, d.CodeSize))
@@ -215,46 +229,78 @@ func (d *Decoder) Predictor(want []bool) func(codes *mat.Matrix) *Predictions {
 		b := codes.Rows
 		h := codes
 		for _, l := range d.Hidden {
-			h = l.infer(ar, h)
+			h = views[l].infer(ar, h)
 		}
 		if wantNumBin && d.numCols+d.binCols > 0 {
 			p.Num, p.Bin = ar.Get(b, d.numCols), ar.Get(b, d.binCols)
-			sigmoidHead(d.HeadNum.infer(ar, h).Data, p.Num, p.Bin)
+			sigmoidHead(views[d.HeadNum].infer(ar, h).Data, p.Num, p.Bin)
 		} else {
 			p.Num, p.Bin = ar.Get(b, 0), ar.Get(b, 0)
 		}
 		if len(wantJ) > 0 {
-			sh := d.SharedHidden
-			s := mat.MulTPoolInto(d.Aux.infer(ar, h), wAux, ar.Get(b, sh.Out))
+			sh, shared := d.SharedHidden, views[d.Shared]
+			s := mat.MulTPackedInto(views[d.Aux].infer(ar, h), &sf.pack, ar.Get(b, sh.Out), true)
 			hid := ar.Get(b, sh.Out)
-			for k, j := range wantJ {
-				sh.signalHidden(s, d.catCols+j, hid)
+			for _, j := range wantJ {
+				sh.signalHidden(s, sf.signal.Row(j), hid)
+				// The column's cardinality is a prefix of Shared's outputs.
 				// Serial: one column's product is too small for the pool's
 				// fan-out to pay for itself.
-				probs := mat.MulTInto(hid, outs[k].W, ar.Get(b, outs[k].Out))
-				outs[k].biasAct(probs)
+				probs := mat.MulTPackedInto(hid, shared.pack, ar.Get(b, d.cardOf[j]), false)
+				shared.biasAct(probs)
 				Softmax(probs, probs.Cols)
 				p.Cat[j] = probs
 			}
 		}
 		return p
+	}, repack
+}
+
+// sharedFactor is a copy of SharedHidden's weights cut the way the factored
+// shared stack reads them (DESIGN.md §12), refreshed by its holder when they
+// move: the auxiliary block contiguous, and packed; the signal block transposed.
+type sharedFactor struct {
+	wAux   *mat.Matrix // Out × catCols
+	pack   mat.Packed  // wAux, packed
+	signal *mat.Matrix // catCols × Out
+}
+
+func (f *sharedFactor) refresh(sh *Dense, catCols int) {
+	if f.wAux == nil {
+		f.wAux, f.signal = mat.New(sh.Out, catCols), mat.New(catCols, sh.Out)
+	}
+	for o := 0; o < sh.Out; o++ {
+		copy(f.wAux.Row(o), sh.W.Row(o)[:catCols])
+	}
+	f.pack.Pack(f.wAux)
+	signalRows(sh.W.Data, sh.In, sh.Out, catCols, f.signal.Data)
+}
+
+// signalRows transposes the signal block of SharedHidden's out×in weights w,
+// its inputs from catCols on, into dst: column j's weights, a stride-in gather
+// in w, become row j — gathered once for all the rows signalHidden adds them to.
+func signalRows[T float32 | float64](w []T, in, out, catCols int, dst []T) {
+	for o := 0; o < out; o++ {
+		for j, v := range w[o*in+catCols : (o+1)*in] {
+			dst[j*out+o] = v
+		}
 	}
 }
 
 // signalHidden derives one column's activations of the layer — SharedHidden
-// — from s, the batch's product with the auxiliary weights: the layer's
-// weights at input pos, the column's signal node, and the bias are added as
-// hid = act((s + w_pos) + bias), the order in which the stacked product and
+// — from s, the batch's product with the auxiliary weights: w, the layer's
+// weights on the column's signal node, and the bias are added as
+// hid = act((s + w) + bias), the order in which the stacked product and
 // biasAct add the three. ReLU, which every written archive carries here, is
 // fused into the one pass.
-func (d *Dense) signalHidden(s *mat.Matrix, pos int, hid *mat.Matrix) {
+func (d *Dense) signalHidden(s *mat.Matrix, w []float64, hid *mat.Matrix) {
 	n := d.Out
-	w, bias := d.W.Data, d.B[:n]
+	w, bias := w[:n], d.B[:n]
 	fused := d.Act == ReLU
 	for r := 0; r < s.Rows; r++ {
 		sr, hr := s.Row(r)[:n], hid.Row(r)[:n]
 		for o, v := range sr {
-			v = (v + w[o*d.In+pos]) + bias[o]
+			v = (v + w[o]) + bias[o]
 			if fused {
 				v = relu(v)
 			}
@@ -420,7 +466,7 @@ func (a *Autoencoder) TrainBatch(x *mat.Matrix, tg *Targets, opt Optimizer) floa
 // the reciprocal of the full minibatch size — x may be one shard of a larger
 // batch. Scratch matrices come from ar (nil allocates fresh); after warmup
 // an arena-backed pass allocates nothing. Returns the invB-scaled loss sum.
-func (a *Autoencoder) accumBatch(ar *mat.Arena, x *mat.Matrix, tg *Targets, invB float64) float64 {
+func (a *Autoencoder) accumBatch(ar *mat.Arena, f *sharedFactor, x *mat.Matrix, tg *Targets, invB float64) float64 {
 	if x.Rows == 0 {
 		return 0
 	}
@@ -462,7 +508,7 @@ func (a *Autoencoder) accumBatch(ar *mat.Arena, x *mat.Matrix, tg *Targets, invB
 	}
 
 	if a.Aux != nil {
-		dAux, catLoss := a.sharedStep(ar, a.Aux.forward(ar, h), tg.Cat, invB)
+		dAux, catLoss := a.sharedStep(ar, f, a.Aux.forward(ar, h), tg.Cat, invB)
 		loss += catLoss
 		mat.AddInPlace(dH, a.Aux.backward(ar, dAux))
 	}
@@ -487,22 +533,18 @@ func (a *Autoencoder) accumBatch(ar *mat.Arena, x *mat.Matrix, tg *Targets, invB
 // into d before they meet aux, so W_aux's gradient and ∂L/∂aux take one
 // product each. Every sum runs in column, then row order over the shard's
 // rows alone.
-func (a *Autoencoder) sharedStep(ar *mat.Arena, aux *mat.Matrix, targets [][]int, invB float64) (*mat.Matrix, float64) {
+func (a *Autoencoder) sharedStep(ar *mat.Arena, f *sharedFactor, aux *mat.Matrix, targets [][]int, invB float64) (*mat.Matrix, float64) {
 	sh, cc, rows := a.SharedHidden, a.catCols, aux.Rows
 	if a.cuts == nil {
 		for _, card := range a.cardOf {
 			a.cuts = append(a.cuts, a.Shared.firstOutputsTrain(card))
 		}
 	}
-	wAux := ar.Get(sh.Out, cc) // contiguous for the kernels, as in Predictor
-	for o := 0; o < sh.Out; o++ {
-		copy(wAux.Row(o), sh.W.Row(o)[:cc])
-	}
-	s := mat.MulTInto(aux, wAux, ar.Get(rows, sh.Out))
+	s := mat.MulTPackedInto(aux, &f.pack, ar.Get(rows, sh.Out), false)
 	hid, d, sum := ar.Get(rows, sh.Out), ar.Get(rows, sh.Out), ar.Get(1, sh.Out).Data
 	var loss float64
 	for j, cut := range a.cuts {
-		sh.signalHidden(s, cc+j, hid)
+		sh.signalHidden(s, f.signal.Row(j), hid)
 		g := ar.Get(rows, cut.Out)
 		copy(g.Data, cut.forward(ar, hid).Data)
 		loss += softmaxGrad(g, targets[j], invB)
@@ -517,7 +559,7 @@ func (a *Autoencoder) sharedStep(ar *mat.Arena, aux *mat.Matrix, targets [][]int
 			gw[c] += v
 		}
 	}
-	return mat.MulInto(d, wAux, ar.Get(rows, cc)), loss
+	return mat.MulInto(d, f.wAux, ar.Get(rows, cc)), loss
 }
 
 // foldColumn adds one column's hidden gradients dj (rows of len(sum) units)
@@ -562,14 +604,13 @@ func softmaxGrad(g *mat.Matrix, target []int, invB float64) float64 {
 // scorer computes each tuple's reconstruction loss (summed over columns)
 // under one model without training it — what the mixture-of-experts
 // assignment ranks experts by — holding across batches the encoder scratch
-// and the predictor. A Predictor reads the weights in place except
-// SharedHidden's auxiliary block, copied when it is built: once a model with
-// categorical columns has trained on, predict must be reset to nil. One
-// goroutine at a time.
+// and the predictor, whose copy of the weights it brings up to date on every
+// call: the model may have trained on in between. One goroutine at a time.
 type scorer struct {
 	a       *Autoencoder
 	ar      mat.Arena
 	predict func(codes *mat.Matrix) *Predictions
+	repack  func() // predict's
 }
 
 func (s *scorer) losses(x *mat.Matrix, tg *Targets) []float64 {
@@ -578,8 +619,9 @@ func (s *scorer) losses(x *mat.Matrix, tg *Targets) []float64 {
 		return out
 	}
 	if s.predict == nil {
-		s.predict = a.Predictor(nil)
+		s.predict, s.repack = a.predictor(nil)
 	}
+	s.repack()
 	s.ar.Reset()
 	h := x
 	for _, l := range a.Encoder {

@@ -80,15 +80,15 @@ func (d *Dense32) firstOutputs(n int) *Dense32 {
 
 // signalHidden is the float32 twin of Dense.signalHidden. lanes holds the
 // 4-lane partial sums of the batch's product with the auxiliary weights
-// (mat.MulTLanesInto32); the weights at input pos join their lane before the
-// reduction, row by row so that the bias and activation pass finds the row
-// in cache.
-func (d *Dense32) signalHidden(lanes *mat.Matrix32, pos int, hid *mat.Matrix32) {
+// (mat.MulTLanesInto32); w, the weights at input pos (signalRows), join their
+// lane before the reduction, row by row so that the bias and activation pass
+// finds the row in cache.
+func (d *Dense32) signalHidden(lanes *mat.Matrix32, w []float32, pos int, hid *mat.Matrix32) {
 	bias := d.B[:d.Out]
 	fused := d.Act == ReLU
 	for r := 0; r < lanes.Rows; r++ {
 		hr := hid.Row(r)[:d.Out]
-		mat.SumLanes32(lanes.Row(r), d.W, pos, hr)
+		mat.SumLanes32(lanes.Row(r), w, pos, d.In, hr)
 		for o, v := range hr {
 			v += bias[o]
 			if fused {
@@ -114,6 +114,7 @@ type Decoder32 struct {
 
 	SharedHidden *Dense32
 	Shared       *Dense32
+	signal       *mat.Matrix32 // signalRows of SharedHidden
 }
 
 // Float32 builds the decoder's float32 inference view.
@@ -129,7 +130,9 @@ func (d *Decoder) Float32() *Decoder32 {
 		d32.Aux = newDense32(d.Aux)
 	}
 	if d.SharedHidden != nil {
-		d32.SharedHidden = newDense32(d.SharedHidden)
+		sh := newDense32(d.SharedHidden)
+		d32.SharedHidden, d32.signal = sh, mat.New32(d.catCols, sh.Out)
+		signalRows(sh.W.Data, sh.In, sh.Out, d.catCols, d32.signal.Data)
 	}
 	if d.Shared != nil {
 		d32.Shared = newDense32(d.Shared)
@@ -201,7 +204,7 @@ func (d *Decoder32) Predictor(want []bool) func(codes *mat.Matrix) *Predictions 
 			lanes := mat.MulTLanesInto32(d.Aux.infer(ar, h), sh.W, ar.Get(b, 4*sh.Out))
 			hid := ar.Get(b, sh.Out)
 			for k, j := range wantJ {
-				sh.signalHidden(lanes, src.catCols+j, hid)
+				sh.signalHidden(lanes, d.signal.Row(j), src.catCols+j, hid)
 				logits := outs[k].infer(ar, hid)
 				probs := outAr.Get(b, logits.Cols)
 				for i, v := range logits.Data {

@@ -23,6 +23,9 @@ type Dense struct {
 	// Cached forward-pass state for backprop.
 	lastIn  *mat.Matrix
 	lastOut *mat.Matrix
+	// pack is W packed for the kernel by the value's owner, who packs again
+	// when W moves (a Predictor's views, the trainer's replicas); nil reads W.
+	pack *mat.Packed
 }
 
 // NewDense constructs a layer with activation-appropriate initialization.
@@ -52,7 +55,12 @@ func (d *Dense) forward(ar *mat.Arena, x *mat.Matrix) *mat.Matrix {
 	if x.Cols != d.In {
 		panic(fmt.Sprintf("nn: dense forward input %d cols, want %d", x.Cols, d.In))
 	}
-	out := mat.MulTInto(x, d.W, ar.Get(x.Rows, d.Out))
+	out := ar.Get(x.Rows, d.Out)
+	if d.pack != nil {
+		mat.MulTPackedInto(x, d.pack, out, false)
+	} else {
+		mat.MulTInto(x, d.W, out)
+	}
 	d.biasAct(out)
 	d.lastIn, d.lastOut = x, out
 	return out
@@ -67,7 +75,12 @@ func (d *Dense) infer(ar *mat.Arena, x *mat.Matrix) *mat.Matrix {
 	if x.Cols != d.In {
 		panic(fmt.Sprintf("nn: dense infer input %d cols, want %d", x.Cols, d.In))
 	}
-	out := mat.MulTPoolInto(x, d.W, ar.Get(x.Rows, d.Out))
+	out := ar.Get(x.Rows, d.Out)
+	if d.pack != nil {
+		mat.MulTPackedInto(x, d.pack, out, true)
+	} else {
+		mat.MulTPoolInto(x, d.W, out)
+	}
 	d.biasAct(out)
 	return out
 }
@@ -90,7 +103,7 @@ func (d *Dense) biasAct(out *mat.Matrix) {
 // without evaluating the units past it.
 func (d *Dense) firstOutputs(n int) *Dense {
 	w := d.W.SliceRows(0, n)
-	return &Dense{In: d.In, Out: n, Act: d.Act, W: &w, B: d.B[:n]}
+	return &Dense{In: d.In, Out: n, Act: d.Act, W: &w, B: d.B[:n], pack: d.pack}
 }
 
 // firstOutputsTrain is firstOutputs for the training pass: the view also

@@ -264,9 +264,6 @@ func (m *MoE) trainBatch(bx *mat.Matrix, btg *Targets, optims []*Adam, gateOpt *
 		sub := extractRows(bx, idx)
 		stg := extractTargets(btg, idx)
 		total += exp.trainer().train(sub, stg, optims[e], opts.Workers, opts.Pool, opts.Float32) * float64(len(idx))
-		if exp.Aux != nil {
-			scorers[e].predict = nil // it holds a copy of weights this step moved
-		}
 	}
 	total /= float64(bx.Rows)
 	// Train the gate toward the assignment with softmax cross-entropy.

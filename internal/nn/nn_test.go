@@ -454,8 +454,8 @@ func TestMoEAssignAndTrain(t *testing.T) {
 }
 
 // A held scorer must return, batch after batch and across optimizer steps,
-// the bits a fresh one does — also for a model with categorical
-// columns, whose predictor goes stale when the weights move — and Assign,
+// the bits a fresh one does — its predictor holds a packed copy of the
+// weights, which goes stale every time they move — and Assign,
 // which scores a large input in batches, must pick each tuple's argmin.
 func TestScorerMatchesOneShotLosses(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
@@ -475,7 +475,6 @@ func TestScorerMatchesOneShotLosses(t *testing.T) {
 				t.Fatalf("expert %d, step %d: held scorer differs from a fresh one", e, step)
 			}
 			ae.TrainBatch(bx, btg, opt)
-			sc.predict = nil
 		}
 	}
 	assign := moe.Assign(x, tg)

@@ -44,7 +44,7 @@ func numShards(rows int) int {
 // The matrix and target headers are persistent so re-viewing a new batch's
 // rows allocates nothing.
 type shardState struct {
-	rep      *Autoencoder // shard 0: the primary model itself
+	rep      *Autoencoder // shares the primary model's weights (shard 0: its gradients too)
 	layers   []*Dense     // rep.AllLayers(), cached
 	ar       *mat.Arena
 	rep32    *ae32        // float32 training view (train32.go); nil until first f32 batch
@@ -61,15 +61,18 @@ type shardState struct {
 // and layer slices.
 type trainer struct {
 	model    *Autoencoder
-	layers   []*Dense   // model.AllLayers(), cached for clip + step
-	shared32 []*Dense32 // per-batch narrowed weights for f32 shards (train32.go)
+	layers   []*Dense     // model.AllLayers(), cached for clip + step
+	packs    []mat.Packed // per-batch packed weights for f64 shards, parallel to layers
+	sf       sharedFactor // per-batch factored SharedHidden for f64 shards (sharedStep)
+	shared32 []*Dense32   // per-batch narrowed weights for f32 shards (train32.go)
 	shards   []*shardState
 }
 
 // trainer returns the model's cached shard trainer, building it on first use.
 func (a *Autoencoder) trainer() *trainer {
 	if a.tr == nil {
-		a.tr = &trainer{model: a, layers: a.AllLayers()}
+		layers := a.AllLayers()
+		a.tr = &trainer{model: a, layers: layers, packs: make([]mat.Packed, len(layers))}
 	}
 	return a.tr
 }
@@ -116,18 +119,18 @@ func replicaLayers(ls []*Dense) []*Dense {
 	return out
 }
 
-// ensure grows the shard list to ns entries. Shard 0 wraps the primary model
-// itself so the reduced gradients land in the layer pointers the optimizer
-// (and any state keyed on them) already knows.
+// ensure grows the shard list to ns entries, every shard a replica reading the
+// trainer's packed weights. Shard 0's accumulate into the primary model's
+// gradients, where the optimizer (and any state keyed on its layers) looks.
 func (t *trainer) ensure(ns int) {
 	for len(t.shards) < ns {
-		s := &shardState{ar: &mat.Arena{}}
-		if len(t.shards) == 0 {
-			s.rep = t.model
-			s.layers = t.layers
-		} else {
-			s.rep = t.model.replica()
-			s.layers = s.rep.AllLayers()
+		s := &shardState{ar: &mat.Arena{}, rep: t.model.replica()}
+		s.layers = s.rep.AllLayers()
+		for i, l := range s.layers {
+			l.pack = &t.packs[i]
+			if len(t.shards) == 0 {
+				l.GradW, l.GradB = t.layers[i].GradW, t.layers[i].GradB
+			}
 		}
 		t.shards = append(t.shards, s)
 	}
@@ -169,6 +172,14 @@ func (t *trainer) train(x *mat.Matrix, tg *Targets, opt Optimizer, workers int, 
 	if f32 {
 		t.ensure32(ns)
 		t.refresh32()
+	} else {
+		// Likewise: the optimizer step that ends a batch outdates these.
+		for i, l := range t.layers {
+			t.packs[i].Pack(l.W)
+		}
+		if sh := t.model.SharedHidden; sh != nil {
+			t.sf.refresh(sh, t.model.catCols)
+		}
 	}
 	shardRows := (rows + ns - 1) / ns
 	invB := 1 / float64(rows)
@@ -191,7 +202,7 @@ func (t *trainer) train(x *mat.Matrix, tg *Targets, opt Optimizer, workers int, 
 			s.rep32.foldInto(s.layers)
 			return
 		}
-		s.loss = s.rep.accumBatch(s.ar, &s.x, &s.tg, invB)
+		s.loss = s.rep.accumBatch(s.ar, &t.sf, &s.x, &s.tg, invB)
 	}
 	if workers > 1 && pool != nil && ns > 1 {
 		pool.Do(ns, workers, run)

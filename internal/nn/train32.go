@@ -185,10 +185,12 @@ func (a *ae32) sharedStep(ar *mat.Arena, ar32 *mat.Arena32, aux *mat.Matrix32, t
 		copy(wAux.Row(o), sh.W.Row(o)[:cc])
 	}
 	lanes := mat.MulTLanesInto32(aux, sh.W, ar32.Get(rows, 4*sh.Out))
+	signal := ar32.Get(cc, sh.Out)
+	signalRows(sh.W.Data, sh.In, sh.Out, cc, signal.Data)
 	hid, d, sum := ar32.Get(rows, sh.Out), ar32.Get(rows, sh.Out), ar32.Get(1, sh.Out).Data
 	var loss float64
 	for j, cut := range a.cuts {
-		sh.signalHidden(lanes, cc+j, hid)
+		sh.signalHidden(lanes, signal.Row(j), cc+j, hid)
 		g := mat.To64(cut.forward32(ar32, hid), ar.Get(rows, cut.Out))
 		loss += softmaxGrad(g, targets[j], invB)
 		dj := cut.backward32(ar32, mat.To32(g, ar32.Get(rows, cut.Out)))

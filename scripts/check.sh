@@ -39,6 +39,16 @@ go build ./...
 step "go test -race"
 go test -race ./...
 
+step "arm64 fused multiply-add check"
+# Go fuses x*y + z into one rounding on arm64 (and ppc64le, s390x, riscv64)
+# unless the product is explicitly converted. A fused kernel rounds
+# differently from amd64's, and an archive would replay through different
+# bits: the arm64 listing of internal/mat must hold no fused multiply-add.
+if GOARCH=arm64 go build -gcflags=-S ./internal/mat 2>&1 | grep -E 'F(N)?M(ADD|SUB)[SD]'; then
+    echo "internal/mat compiles to fused multiply-adds on arm64: write the product as float64(a*b)" >&2
+    exit 1
+fi
+
 step "bounded-memory smoke"
 # Streaming compress + decompress of a CSV under a GOMEMLIMIT far below the
 # file size: only the row-group pipeline (O(group) memory) can survive this.
@@ -64,6 +74,22 @@ if [ "$back_rows" -ne 400001 ]; then
     exit 1
 fi
 echo "bounded-memory smoke ok ($csv_bytes CSV bytes under GOMEMLIMIT=8MiB)"
+
+step "portable kernels (-tags noasm)"
+# noasm drops the amd64 assembly, so that the portable float64 and float32
+# loops — what every other architecture runs — compile and are tested on this
+# one: the kernel and model suites, the golden archives' decode, and one table
+# compressed by both builds into the same bytes. Without -race: the step above
+# has raced this code already.
+go test -tags noasm ./internal/mat ./internal/nn
+go test -tags noasm -run 'Golden' ./internal/core
+go build -tags noasm -o "$smokedir/dsqz-noasm" ./cmd/dsqz
+head -n 20001 "$smokedir/big.csv" > "$smokedir/small.csv"
+for b in dsqz dsqz-noasm; do
+    "$smokedir/$b" compress -in "$smokedir/small.csv" -out "$smokedir/small-$b.dsqz" \
+        -schema "city:cat,temp:num,load:num" -error 0.05
+done
+cmp "$smokedir/small-dsqz.dsqz" "$smokedir/small-dsqz-noasm.dsqz"
 
 step "benchmark smoke"
 # One iteration of the training and categorical-inference benchmarks
@@ -134,6 +160,9 @@ step ""
 echo "all checks passed in ${SECONDS}s"
 # A warning, not a failure — host noise moves it — so that a step that grew
 # shows here (see the per-step times above) before a pipeline timeout does.
+# The arm64 listing and the noasm step together add ≈ 5 s on warm Go caches
+# and ≈ 15 s on cold ones (the arm64 standard library, and a second compile
+# of mat, nn, core and dsqz); the budget stands.
 budget=240
 if [ "$SECONDS" -le "$budget" ]; then
     echo "budget $budget s: ok"
