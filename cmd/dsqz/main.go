@@ -301,7 +301,11 @@ func compressTuned(ctx context.Context, f *os.File, out string, schema *deepsque
 	if verbose {
 		printStages(res.Stages)
 	}
-	if err := os.WriteFile(out, res.Archive, 0o644); err != nil {
+	err = writeAtomic(out, func(w io.Writer) error {
+		_, err := w.Write(res.Archive)
+		return err
+	})
+	if err != nil {
 		return err
 	}
 	raw := table.CSVSize()
@@ -323,41 +327,40 @@ func (c *countReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// tempFile is an output file under construction: written as path+".tmp" and
-// renamed to path only once complete and synced, so a failure or an
-// interrupt never leaves a plausible partial file under the final name.
-type tempFile struct {
-	*os.File
-	path string
-}
-
-func createTemp(path string) (*tempFile, error) {
+// writeAtomic is how every command writes a file it was asked for: body
+// writes it, buffered, as path+".tmp", and it takes the name path only once
+// body has returned nil and the bytes are synced. A failure or an interrupt
+// therefore never truncates a file already at path, nor leaves a plausible
+// partial one under that name or the temporary one.
+func writeAtomic(path string, body func(w io.Writer) error) (err error) {
 	f, err := os.Create(path + ".tmp")
 	if err != nil {
-		return nil, err
-	}
-	return &tempFile{f, path}, nil
-}
-
-// publish makes the file durable and gives it its final name.
-func (t *tempFile) publish() error {
-	if err := t.Sync(); err != nil {
 		return err
 	}
-	if err := t.Close(); err != nil {
+	defer func() {
+		if err != nil {
+			f.Close()
+			os.Remove(f.Name())
+		}
+	}()
+	bw := bufio.NewWriterSize(f, 1<<20)
+	if err = body(bw); err != nil {
 		return err
 	}
-	return os.Rename(t.Name(), t.path)
-}
-
-// abandon removes the temporary file; a no-op after publish.
-func (t *tempFile) abandon() {
-	t.Close()
-	os.Remove(t.Name())
+	if err = bw.Flush(); err != nil {
+		return err
+	}
+	if err = f.Sync(); err != nil {
+		return err
+	}
+	if err = f.Close(); err != nil {
+		return err
+	}
+	return os.Rename(f.Name(), path)
 }
 
 // compressStream pipes the CSV through the row-group archive writer one
-// chunk at a time into a tempFile.
+// chunk at a time.
 func compressStream(ctx context.Context, f *os.File, out string, schema *deepsqueeze.Schema, errThr float64, opts deepsqueeze.Options) error {
 	thresholds := make([]float64, schema.NumColumns())
 	for i, c := range schema.Columns {
@@ -370,42 +373,32 @@ func compressStream(ctx context.Context, f *os.File, out string, schema *deepsqu
 	if err != nil {
 		return err
 	}
-	of, err := createTemp(out)
-	if err != nil {
-		return err
-	}
-	defer of.abandon()
-	bw := bufio.NewWriterSize(of, 1<<20)
-	aw, err := deepsqueeze.NewArchiveWriter(bw, schema, thresholds, opts)
-	if err != nil {
-		return err
-	}
 	chunkRows := opts.RowGroupSize
 	if chunkRows <= 0 {
 		chunkRows = 4096
 	}
-	for {
-		if err := ctx.Err(); err != nil {
+	var aw *deepsqueeze.ArchiveWriter
+	err = writeAtomic(out, func(w io.Writer) (err error) {
+		if aw, err = deepsqueeze.NewArchiveWriter(w, schema, thresholds, opts); err != nil {
 			return err
 		}
-		chunk, err := sc.ReadChunk(chunkRows)
-		if err == io.EOF {
-			break
+		for {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			chunk, err := sc.ReadChunk(chunkRows)
+			if err == io.EOF {
+				return aw.Close()
+			}
+			if err != nil {
+				return err
+			}
+			if err := aw.Write(chunk); err != nil {
+				return err
+			}
 		}
-		if err != nil {
-			return err
-		}
-		if err := aw.Write(chunk); err != nil {
-			return err
-		}
-	}
-	if err := aw.Close(); err != nil {
-		return err
-	}
-	if err := bw.Flush(); err != nil {
-		return err
-	}
-	if err := of.publish(); err != nil {
+	})
+	if err != nil {
 		return err
 	}
 	stats := aw.Stats()
@@ -562,28 +555,19 @@ func decompressQuery(ctx context.Context, in, out string, opts deepsqueeze.Decom
 		printStages(res.Stages)
 	}
 	table := res.Table
-	of, err := os.Create(out)
-	if err != nil {
-		return err
-	}
-	defer of.Close()
-	bw := bufio.NewWriterSize(of, 1<<20)
-	if err := table.WriteCSV(bw); err != nil {
-		return err
-	}
-	if err := bw.Flush(); err != nil {
+	if err := writeAtomic(out, table.WriteCSV); err != nil {
 		return err
 	}
 	fmt.Printf("decompressed %d rows × %d columns to %s\n",
 		table.NumRows(), table.Schema.NumColumns(), out)
-	return of.Close()
+	return nil
 }
 
 // decompressStream reads the archive group by group and appends each
 // group's rows to the output CSV, so peak memory is one row group. The
 // reader verifies the footer and the archive checksum only after the last
-// group, by which time every row has been written: the CSV goes to a
-// tempFile and takes its name only once the archive has verified.
+// group, by which time every row has been written: the CSV takes its name
+// only once the archive has verified (writeAtomic).
 func decompressStream(ctx context.Context, in, out string, verbose bool) error {
 	f, err := os.Open(in)
 	if err != nil {
@@ -594,41 +578,31 @@ func decompressStream(ctx context.Context, in, out string, verbose bool) error {
 	if err != nil {
 		return archiveErr(in, err)
 	}
-	of, err := createTemp(out)
-	if err != nil {
-		return err
-	}
-	defer of.abandon()
-	bw := bufio.NewWriterSize(of, 1<<20)
-	cw := deepsqueeze.NewCSVWriter(bw, ar.Schema())
 	var rows, groups int
-	for {
-		if err := ctx.Err(); err != nil {
-			return err
+	err = writeAtomic(out, func(w io.Writer) error {
+		cw := deepsqueeze.NewCSVWriter(w, ar.Schema())
+		for {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			g, err := ar.Next()
+			if err == io.EOF {
+				return cw.Flush()
+			}
+			if err != nil {
+				return archiveErr(in, err)
+			}
+			if err := cw.WriteTable(g); err != nil {
+				return err
+			}
+			rows += g.NumRows()
+			groups++
+			if verbose {
+				fmt.Fprintf(os.Stderr, "group %d: %d rows\n", groups-1, g.NumRows())
+			}
 		}
-		g, err := ar.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return archiveErr(in, err)
-		}
-		if err := cw.WriteTable(g); err != nil {
-			return err
-		}
-		rows += g.NumRows()
-		groups++
-		if verbose {
-			fmt.Fprintf(os.Stderr, "group %d: %d rows\n", groups-1, g.NumRows())
-		}
-	}
-	if err := cw.Flush(); err != nil {
-		return err
-	}
-	if err := bw.Flush(); err != nil {
-		return err
-	}
-	if err := of.publish(); err != nil {
+	})
+	if err != nil {
 		return err
 	}
 	fmt.Printf("decompressed %d rows in %d row group(s) to %s\n", rows, groups, out)
@@ -696,27 +670,19 @@ func runQuery(ctx context.Context, args []string) error {
 		}
 		return nil
 	}
-	w := io.Writer(os.Stdout)
-	var of *os.File
 	if *out != "" {
-		if of, err = os.Create(*out); err != nil {
-			return err
+		err = writeAtomic(*out, res.Table.WriteCSV)
+	} else {
+		bw := bufio.NewWriterSize(os.Stdout, 1<<20)
+		if err = res.Table.WriteCSV(bw); err == nil {
+			err = bw.Flush()
 		}
-		defer of.Close()
-		w = of
 	}
-	bw := bufio.NewWriterSize(w, 1<<20)
-	if err := res.Table.WriteCSV(bw); err != nil {
-		return err
-	}
-	if err := bw.Flush(); err != nil {
+	if err != nil {
 		return err
 	}
 	// The match summary goes to stderr so stdout stays a clean CSV stream.
 	fmt.Fprintf(os.Stderr, "matched %d of %d rows\n", res.Matched, resRows(buf))
-	if of != nil {
-		return of.Close()
-	}
 	return nil
 }
 

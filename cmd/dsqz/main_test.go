@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -236,5 +237,51 @@ func TestDecompressPublishesOnlyVerifiedOutput(t *testing.T) {
 	}
 	if _, err := os.Stat(out + ".tmp"); !errors.Is(err, os.ErrNotExist) {
 		t.Errorf(".tmp left behind after a successful decompress (stat error %v)", err)
+	}
+}
+
+// TestWriteAtomic: every file dsqz writes goes through writeAtomic, so a body
+// that fails half way — a write error, a full disk, an interrupt, a corrupt
+// archive tail — must leave what was at the path before untouched and nothing
+// under the temporary name; only a body that returns nil replaces the file.
+func TestWriteAtomic(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "out.csv")
+	if err := os.WriteFile(path, []byte("previous\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	check := func(when, want string) {
+		t.Helper()
+		got, err := os.ReadFile(path)
+		if err != nil || string(got) != want {
+			t.Errorf("%s: %s holds %q (error %v), want %q", when, filepath.Base(path), got, err, want)
+		}
+		if _, err := os.Stat(path + ".tmp"); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("%s: .tmp left behind (stat error %v)", when, err)
+		}
+	}
+	half := make([]byte, 3<<20) // past writeAtomic's buffer: bytes reach the file before the failure
+	failed := errors.New("disk full")
+	err := writeAtomic(path, func(w io.Writer) error {
+		if _, err := w.Write(half); err != nil {
+			return err
+		}
+		return failed
+	})
+	if !errors.Is(err, failed) {
+		t.Fatalf("writeAtomic returned %v, want the body's error", err)
+	}
+	check("after a failed body", "previous\n")
+
+	err = writeAtomic(path, func(w io.Writer) error {
+		_, err := io.WriteString(w, "next\n")
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("after a successful body", "next\n")
+
+	if err := writeAtomic(filepath.Join(t.TempDir(), "missing", "out.csv"), nil); err == nil {
+		t.Error("writeAtomic into a missing directory returned nil")
 	}
 }

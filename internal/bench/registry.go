@@ -29,10 +29,9 @@ func Experiments() []Experiment {
 		{"pipeline", "Staged pipeline parallel speedup", PipelineSpeedup},
 		{"decompress", "Parallel projection-aware decompression speedup", DecompressSpeedup},
 		{"rowgroup", "RowRange decode latency vs. row-group count", RowGroupScan},
-		{"train", "Data-parallel training throughput vs. workers", TrainSpeedup},
+		{"train", "Data-parallel training throughput vs. pool size", TrainSpeedup},
 		{"query", "Predicate-pushdown scan vs. selectivity", QuerySelectivity},
 		{"serve", "Open-once serving: warm handles vs cold open-per-query", ServeBench},
-		{"f32", "Float32 kernel family: decode and training throughput vs float64", Float32Decode},
 		{"ratio", "Stream-codec ratio: best-of range coding vs DEFLATE-only", CodecRatio},
 	}
 }

@@ -17,19 +17,20 @@ import (
 	"deepsqueeze/internal/pipeline"
 )
 
-// trainResult is the JSON record one worker level contributes to
+// trainResult is the JSON record one pool size contributes to
 // BENCH_train.json. AllocsPerBatch is the raw steady-state malloc count per
 // minibatch; it splits into the trainer's own allocations (the serial
 // measurement — the forward/backward/reduce path, documented ≤ 3 in
 // DESIGN.md §12) and scheduler overhead, the helper-goroutine spawns
-// pipeline.Pool.Do performs on every call at Workers > 1. Earlier revisions
-// published only the raw number, which read as a trainer leak at Workers=4
-// (7 vs the documented 3); the split keeps the two accountable separately
-// and the bench errors out if the trainer's own share drifts above 3.
+// pipeline.Pool.Do performs on every call of a pool larger than one. Earlier
+// revisions published only the raw number, which read as a trainer leak at
+// four workers (7 vs the documented 3); the split keeps the two accountable
+// separately and the bench errors out if the trainer's own share drifts
+// above 3.
 type trainResult struct {
-	Workers                 int     `json:"workers"`
+	PoolSize                int     `json:"pool_size"`
 	RowsPerSec              float64 `json:"rows_per_sec"`
-	Speedup                 float64 `json:"speedup_vs_w1"`
+	Speedup                 float64 `json:"speedup_vs_pool1"`
 	AllocsPerBatch          float64 `json:"allocs_per_batch"`
 	TrainerAllocsPerBatch   float64 `json:"trainer_allocs_per_batch"`
 	SchedulerAllocsPerBatch float64 `json:"scheduler_allocs_per_batch"`
@@ -97,10 +98,12 @@ func trainBenchData(rng *rand.Rand, specs []nn.ColSpec, rows int) (*mat.Matrix, 
 }
 
 // TrainSpeedup measures data-parallel training throughput (rows/sec) and
-// steady-state allocations per minibatch at Workers=1 vs 4 vs NumCPU,
-// verifying the trained weights are bit-identical at every level, then
-// cross-checks that compress archives do not change with Train.Workers. The
-// trajectory is written to BENCH_train.json in the working directory.
+// steady-state allocations per minibatch on pools of 1, 4 and NumCPU workers,
+// verifying the trained weights are bit-identical at every size, then
+// cross-checks that compress archives do not change with Options.Parallelism.
+// The repo benchmark runs at Parallelism 1, so this is the one measurement of
+// what sharded training pays. The trajectory is written to BENCH_train.json
+// in the working directory.
 func TrainSpeedup(cfg Config) (*Report, error) {
 	const batch = 256
 	rows := int(16384 * cfg.Scale)
@@ -121,8 +124,8 @@ func TrainSpeedup(cfg Config) (*Report, error) {
 	}
 	rep := &Report{
 		ID:      "train",
-		Title:   "Data-parallel training: rows/sec and allocs/batch vs. workers",
-		Columns: []string{"workers", "rows_per_sec", "speedup", "allocs_per_batch", "trainer_allocs", "scheduler_allocs"},
+		Title:   "Data-parallel training: rows/sec and allocs/batch vs. pool size",
+		Columns: []string{"pool_size", "rows_per_sec", "speedup", "allocs_per_batch", "trainer_allocs", "scheduler_allocs"},
 	}
 	file := trainBenchFile{Rows: rows, BatchSize: batch, Epochs: epochs,
 		NumCPU: runtime.NumCPU(), Gomaxprocs: runtime.GOMAXPROCS(0), WeightsIdentical: true}
@@ -156,7 +159,7 @@ func TrainSpeedup(cfg Config) (*Report, error) {
 		}
 		epoch := func() {
 			for k := 0; k < nb; k++ {
-				ae.TrainBatchWorkers(&bx[k], &btg[k], opt, w, pool)
+				ae.TrainBatch(&bx[k], &btg[k], opt, pool)
 			}
 		}
 		epoch() // warmup: arenas and replicas reach steady state
@@ -175,7 +178,7 @@ func TrainSpeedup(cfg Config) (*Report, error) {
 		if baseWeights == nil {
 			baseWeights = weights
 			baseline = rowsPerSec
-			// Workers=1 never calls Pool.Do, so the serial measurement IS
+			// A pool of one never calls Pool.Do, so the serial measurement IS
 			// the trainer's own steady state — the number DESIGN.md §12
 			// documents as ≤ 3. Assert it at bench time so accounting drift
 			// (a new allocation sneaking into the batch loop) fails loudly
@@ -200,7 +203,7 @@ func TrainSpeedup(cfg Config) (*Report, error) {
 		}
 		speedup := rowsPerSec / baseline
 		file.Results = append(file.Results, trainResult{
-			Workers: w, RowsPerSec: rowsPerSec, Speedup: speedup,
+			PoolSize: w, RowsPerSec: rowsPerSec, Speedup: speedup,
 			AllocsPerBatch: allocs, TrainerAllocsPerBatch: trainerAllocs, SchedulerAllocsPerBatch: sched,
 		})
 		rep.Rows = append(rep.Rows, []string{
@@ -211,27 +214,27 @@ func TrainSpeedup(cfg Config) (*Report, error) {
 			fmt.Sprintf("%.1f", trainerAllocs),
 			fmt.Sprintf("%.1f", sched),
 		})
-		cfg.logf("train w=%d: %.0f rows/s, %.1f allocs/batch (%.1f trainer + %.1f scheduler)",
+		cfg.logf("train pool=%d: %.0f rows/s, %.1f allocs/batch (%.1f trainer + %.1f scheduler)",
 			w, rowsPerSec, allocs, trainerAllocs, sched)
 	}
 	if !file.WeightsIdentical {
-		return nil, fmt.Errorf("bench: trained weights differ across worker counts")
+		return nil, fmt.Errorf("bench: trained weights differ across pool sizes")
 	}
 
 	// Cross-check end to end: compress archives must not change with
-	// Train.Workers either.
+	// Options.Parallelism either.
 	identical, err := trainArchiveIdentity(cfg)
 	if err != nil {
 		return nil, err
 	}
 	file.ArchivesIdentical = identical
 	if !identical {
-		return nil, fmt.Errorf("bench: archives differ across Train.Workers")
+		return nil, fmt.Errorf("bench: archives differ across Parallelism")
 	}
 
 	rep.Notes = append(rep.Notes,
-		"trained weights bit-identical across worker counts",
-		"compress archives bit-identical across Train.Workers",
+		"trained weights bit-identical across pool sizes",
+		"compress archives bit-identical across Parallelism",
 		"trajectory written to BENCH_train.json")
 	buf, err := json.MarshalIndent(&file, "", "  ")
 	if err != nil {
@@ -243,8 +246,8 @@ func TrainSpeedup(cfg Config) (*Report, error) {
 	return rep, nil
 }
 
-// trainArchiveIdentity compresses Monitor with Train.Workers at 1, 4, and
-// NumCPU (pool size held fixed) and reports whether all archives match.
+// trainArchiveIdentity compresses Monitor at Parallelism 1, 4, and NumCPU and
+// reports whether all archives match.
 func trainArchiveIdentity(cfg Config) (bool, error) {
 	tc := newTableCache(cfg)
 	t, _, err := tc.get("monitor")
@@ -255,7 +258,7 @@ func trainArchiveIdentity(cfg Config) (bool, error) {
 	var first []byte
 	for _, w := range []int{1, 4, runtime.NumCPU()} {
 		opts := dsOptions("monitor", cfg)
-		opts.Train.Workers = w
+		opts.Parallelism = w
 		res, err := core.Compress(t, th, opts)
 		if err != nil {
 			return false, err

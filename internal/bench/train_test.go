@@ -25,7 +25,7 @@ func TestTrainSpeedup(t *testing.T) {
 		t.Fatal("nil report")
 	}
 	if len(rep.Rows) < 2 {
-		t.Fatalf("want >= 2 worker levels, got %d rows", len(rep.Rows))
+		t.Fatalf("want >= 2 pool sizes, got %d rows", len(rep.Rows))
 	}
 	buf, err := os.ReadFile(filepath.Join(dir, "BENCH_train.json"))
 	if err != nil {
@@ -36,12 +36,12 @@ func TestTrainSpeedup(t *testing.T) {
 		t.Fatalf("BENCH_train.json malformed: %v", err)
 	}
 	if !file.WeightsIdentical {
-		t.Fatal("weights not identical across worker counts")
+		t.Fatal("weights not identical across pool sizes")
 	}
 	if !file.ArchivesIdentical {
-		t.Fatal("archives not identical across Train.Workers")
+		t.Fatal("archives not identical across Parallelism")
 	}
-	if len(file.Results) < 2 || file.Results[0].Workers != 1 {
+	if len(file.Results) < 2 || file.Results[0].PoolSize != 1 {
 		t.Fatalf("results = %+v", file.Results)
 	}
 	if file.Results[0].RowsPerSec <= 0 {

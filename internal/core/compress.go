@@ -292,16 +292,12 @@ func trainModel(run *pipeline.Run, rng *rand.Rand, md *modelData, numExperts int
 }
 
 // trainOptions wires the run's cancellation and worker pool into the
-// training loop. Training shards minibatches across the run's parallelism by
-// default (Options.Train.Workers overrides); because the sharded math is
-// bit-identical at every worker count, this changes throughput only, never
-// archive bytes.
+// training loop. Training shards minibatches across the run's pool; because
+// the sharded math is bit-identical for every pool, Options.Parallelism
+// changes throughput only, never archive bytes.
 func trainOptions(run *pipeline.Run, opts Options) nn.TrainOptions {
 	topts := opts.Train
 	topts.Stop = func() bool { return run.Err() != nil }
-	if topts.Workers == 0 {
-		topts.Workers = run.Parallelism()
-	}
 	if topts.Pool == nil {
 		topts.Pool = run.Pool()
 	}

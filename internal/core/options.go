@@ -92,10 +92,9 @@ type Options struct {
 	Parallelism int
 	// Preproc tunes preprocessing decisions.
 	Preproc preprocess.Options
-	// Train tunes the training loop. Train.Workers defaults to Parallelism
-	// and Train.Pool to the run's pool, so minibatches shard across the same
-	// bounded worker supply as the rest of the pipeline; trained weights are
-	// bit-identical at every worker count.
+	// Train tunes the training loop. Train.Pool defaults to the run's pool,
+	// so minibatches shard across the same bounded worker supply as the rest
+	// of the pipeline; trained weights are bit-identical at every Parallelism.
 	Train nn.TrainOptions
 	// Seed drives all randomness (init, shuffling, sampling).
 	Seed int64

@@ -48,30 +48,29 @@ func TestParallelismDeterminism(t *testing.T) {
 	}
 }
 
-// TestTrainWorkersDeterminism isolates the data-parallel trainer from the
-// pipeline's other parallelism: with the pool size held fixed, varying only
-// Train.Workers must not change a single archive byte, because the minibatch
-// shard partition and gradient-reduction order depend on batch shape alone.
+// TestTrainWorkersDeterminism: the pool minibatch shards train on is the
+// run's, so Parallelism 1 (serial), 4 and NumCPU must not differ in a single
+// archive byte — the shard partition and gradient-reduction order depend on
+// batch shape alone. Two experts, so the gated per-expert batches shard too.
 func TestTrainWorkersDeterminism(t *testing.T) {
 	tb := latentTable(900, 2)
 	thr := []float64{0, 0, 0.05, 0.05, 0}
 	opts := quickOpts()
 	opts.NumExperts = 2
-	opts.Parallelism = 2
-	opts.Train.Workers = 1
+	opts.Parallelism = 1
 	base, err := Compress(tb, thr, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, w := range []int{4, runtime.NumCPU()} {
-		opts.Train.Workers = w
+	for _, p := range []int{4, runtime.NumCPU()} {
+		opts.Parallelism = p
 		got, err := Compress(tb, thr, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(base.Archive, got.Archive) {
-			t.Fatalf("archive differs between Train.Workers=1 (%d bytes) and %d (%d bytes)",
-				len(base.Archive), w, len(got.Archive))
+			t.Fatalf("archive differs between Parallelism=1 (%d bytes) and %d (%d bytes)",
+				len(base.Archive), p, len(got.Archive))
 		}
 	}
 }

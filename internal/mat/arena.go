@@ -1,29 +1,37 @@
 package mat
 
-// Arena is a grow-only scratch allocator for the matrices a forward/backward
-// pass produces. The first pass through a network allocates headers and
+// ArenaOf is a grow-only scratch allocator for the matrices a forward/backward
+// or inference pass produces, defined once for both element widths (Arena and
+// Arena32 below). The first pass through a network allocates headers and
 // backing slices; Reset rewinds the arena so the next pass re-serves the same
-// memory in the same order, making steady-state training allocation-free.
+// memory in the same order, making steady-state training and inference
+// allocation-free.
 //
 // Ownership rules (see DESIGN.md §12): an arena belongs to exactly one
 // goroutine — the data-parallel trainer gives each minibatch shard its own —
 // and every matrix served by Get is invalidated by the next Reset. Callers
 // must copy anything that outlives the pass into memory they own.
-type Arena struct {
-	mats []*Matrix
+type ArenaOf[E float32 | float64] struct {
+	mats []*Mat[E]
 	next int
 }
 
+// Arena serves float64 scratch, Arena32 the float32 predictor's.
+type (
+	Arena   = ArenaOf[float64]
+	Arena32 = ArenaOf[float32]
+)
+
 // Get serves a zeroed rows×cols matrix from the arena, growing it on first
-// use. A nil arena falls back to New, so code written against an arena also
-// runs without one.
+// use. A nil arena allocates a fresh matrix, so code written against an arena
+// also runs without one.
 //
 // Get zeroes recycled memory before returning it: arena-served matrices are
 // used as accumulators and as sparse one-hot buffers where only set positions
 // are written, exactly like freshly allocated ones.
-func (a *Arena) Get(rows, cols int) *Matrix {
+func (a *ArenaOf[E]) Get(rows, cols int) *Mat[E] {
 	if a == nil {
-		return New(rows, cols)
+		return newMat[E](rows, cols)
 	}
 	if a.next < len(a.mats) {
 		m := a.mats[a.next]
@@ -36,12 +44,12 @@ func (a *Arena) Get(rows, cols int) *Matrix {
 		}
 		// Shape drift (e.g. a smaller final batch followed by a full one):
 		// replace the slot with a large-enough matrix and keep going.
-		m = New(rows, cols)
+		m = newMat[E](rows, cols)
 		a.mats[a.next] = m
 		a.next++
 		return m
 	}
-	m := New(rows, cols)
+	m := newMat[E](rows, cols)
 	a.mats = append(a.mats, m)
 	a.next++
 	return m
@@ -49,7 +57,7 @@ func (a *Arena) Get(rows, cols int) *Matrix {
 
 // Reset rewinds the arena: every matrix previously served by Get becomes
 // reusable (and invalid to its former holder). A nil arena is a no-op.
-func (a *Arena) Reset() {
+func (a *ArenaOf[E]) Reset() {
 	if a != nil {
 		a.next = 0
 	}

@@ -12,8 +12,10 @@ import (
 // values.
 func rand32(rng *rand.Rand, rows, cols int, lo, hi float64) (*Matrix32, *Matrix) {
 	m64 := RandUniform(rng, rows, cols, lo, hi)
-	m32 := To32(m64, nil)
-	return m32, To64(m32, nil)
+	for i, v := range m64.Data {
+		m64.Data[i] = float64(float32(v))
+	}
+	return To32(m64, nil), m64
 }
 
 // randInt32 returns a small-integer-valued matrix pair. Integer operands with
@@ -55,27 +57,18 @@ func checkWithin(t *testing.T, name string, got32 *Matrix32, ref64, bound64 *Mat
 	}
 }
 
-// Property: on float32-valued real operands, every f32 kernel matches its
-// float64 twin within the documented k-term error bound. Shapes straddle the
-// 4-wide unroll boundaries and include degenerate 1-row/1-col cases.
+// Property: on float32-valued real operands, the f32 kernel matches its
+// float64 counterpart within the documented k-term error bound. Shapes
+// straddle the 4-wide unroll boundaries and include degenerate 1-row/1-col
+// cases.
 func TestKernels32MatchFloat64WithinTolerance(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n, m, p := 1+rng.Intn(9), 1+rng.Intn(9), 1+rng.Intn(9)
 		a32, a64 := rand32(rng, n, m, -2, 2)
-		b32, b64 := rand32(rng, m, p, -2, 2)
-		aAbs, bAbs := absMat(a64), absMat(b64)
-
-		checkWithin(t, "MulInto32",
-			MulInto32(a32, b32, New32(n, p)), Mul(a64, b64), Mul(aAbs, bAbs), m)
-
-		bt32, bt64 := To32(b64.T(), nil), b64.T()
+		b32, b64 := rand32(rng, p, m, -2, 2)
 		checkWithin(t, "MulTInto32",
-			MulTInto32(a32, bt32, New32(n, p)), MulT(a64, bt64), MulT(aAbs, absMat(bt64)), m)
-
-		at32, at64 := To32(a64.T(), nil), a64.T()
-		checkWithin(t, "TMulInto32",
-			TMulInto32(at32, b32, New32(n, p)), TMul(at64, b64), TMul(absMat(at64), bAbs), m)
+			MulTInto32(a32, b32, New32(n, p)), MulT(a64, b64), MulT(absMat(a64), absMat(b64)), m)
 		return !t.Failed()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
@@ -85,30 +78,16 @@ func TestKernels32MatchFloat64WithinTolerance(t *testing.T) {
 
 // Property: on small-integer-valued operands with bounded inner dimension,
 // every product and partial sum is exactly representable at both widths, so
-// the f32 kernels must agree with the float64 twins bit-for-bit (ULP
-// distance zero), at every accumulation order.
+// the f32 kernel must agree with its float64 counterpart bit-for-bit (ULP
+// distance zero), whatever the accumulation order.
 func TestKernels32ExactOnSmallIntegers(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n, m, p := 1+rng.Intn(12), 1+rng.Intn(12), 1+rng.Intn(12)
 		a32, a64 := randInt32(rng, n, m)
-		b32, b64 := randInt32(rng, m, p)
-		if d := MaxULPDiff32(MulInto32(a32, b32, New32(n, p)), To32(Mul(a64, b64), nil)); d != 0 {
-			t.Fatalf("MulInto32 off by %d ULPs on integer operands", d)
-		}
-		bt32 := To32(b64.T(), nil)
-		if d := MaxULPDiff32(MulTInto32(a32, bt32, New32(n, p)), To32(MulT(a64, b64.T()), nil)); d != 0 {
+		b32, b64 := randInt32(rng, p, m)
+		if d := MaxULPDiff32(MulTInto32(a32, b32, New32(n, p)), To32(MulT(a64, b64), nil)); d != 0 {
 			t.Fatalf("MulTInto32 off by %d ULPs on integer operands", d)
-		}
-		at32 := To32(a64.T(), nil)
-		if d := MaxULPDiff32(TMulInto32(at32, b32, New32(n, p)), To32(TMul(a64.T(), b64), nil)); d != 0 {
-			t.Fatalf("TMulInto32 off by %d ULPs on integer operands", d)
-		}
-		c32, c64 := randInt32(rng, m, p)
-		TMulAddInto32(a32, To32(Mul(a64, b64), nil), c32) // a is n×m: aᵀ·(a·b) accumulates into m×p
-		TMulAddInto(a64, Mul(a64, b64), c64)
-		if d := MaxULPDiff32(c32, To32(c64, nil)); d != 0 {
-			t.Fatalf("TMulAddInto32 off by %d ULPs on integer operands", d)
 		}
 		return !t.Failed()
 	}
@@ -195,83 +174,28 @@ func TestLanePartialsMatchPortableSpec(t *testing.T) {
 	}
 }
 
-// TMulAddInto32 accumulates rather than overwrites.
-func TestTMulAddInto32Accumulates(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	a32, a64 := rand32(rng, 7, 5, -1, 1)
-	b32, b64 := rand32(rng, 7, 3, -1, 1)
-	c32, c64 := rand32(rng, 5, 3, -1, 1)
-	TMulAddInto32(a32, b32, c32)
-	TMulAddInto(a64, b64, c64)
-	bound := Add(TMul(absMat(a64), absMat(b64)), absMat(c64))
-	checkWithin(t, "TMulAddInto32", c32, c64, bound, 7+1)
-}
-
-// The f32 Into kernels must allocate nothing, exactly like the float64
-// family: they are what keeps steady-state f32 decode allocation-free.
+// The f32 Into kernel must allocate nothing, exactly like the float64
+// family: it is what keeps steady-state f32 decode allocation-free.
 func TestIntoKernels32AllocFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	a, _ := rand32(rng, 33, 17, -1, 1)
-	b, b64 := rand32(rng, 17, 9, -1, 1)
-	bt := To32(b64.T(), nil)
-	at64 := To64(a, nil)
-	at := To32(at64.T(), nil)
+	bt, _ := rand32(rng, 9, 17, -1, 1)
 	c := New32(33, 9)
-	for name, fn := range map[string]func(){
-		"MulInto32":     func() { MulInto32(a, b, c) },
-		"MulTInto32":    func() { MulTInto32(a, bt, c) },
-		"TMulInto32":    func() { TMulInto32(at, b, c) },
-		"TMulAddInto32": func() { TMulAddInto32(at, b, c) },
-	} {
-		if allocs := testing.AllocsPerRun(10, fn); allocs != 0 {
-			t.Errorf("%s allocates %.0f objects per call, want 0", name, allocs)
-		}
+	if allocs := testing.AllocsPerRun(10, func() { MulTInto32(a, bt, c) }); allocs != 0 {
+		t.Errorf("MulTInto32 allocates %.0f objects per call, want 0", allocs)
 	}
 }
 
-func TestMatrix32Accessors(t *testing.T) {
-	m := New32(2, 3)
-	m.Set(1, 2, 5)
-	if m.At(1, 2) != 5 || m.Row(1)[2] != 5 {
-		t.Fatal("Set/At/Row disagree")
-	}
-	v := m.SliceRows(1, 2)
-	if v.Rows != 1 || v.Cols != 3 || v.At(0, 2) != 5 {
-		t.Fatal("SliceRows view wrong")
-	}
-	v.Set(0, 0, 7)
-	if m.At(1, 0) != 7 {
-		t.Fatal("SliceRows must alias the parent")
-	}
-	c := m.Clone()
-	c.Set(0, 0, 9)
-	if m.At(0, 0) == 9 {
-		t.Fatal("Clone must not alias")
-	}
-	m.Fill(2)
-	m.Apply(func(x float32) float32 { return -x })
-	if m.MaxAbs() != 2 || m.At(0, 0) != -2 {
-		t.Fatal("Fill/Apply/MaxAbs wrong")
-	}
-	m.Zero()
-	if m.MaxAbs() != 0 {
-		t.Fatal("Zero left values")
-	}
-}
+func TestMatrix32Accessors(t *testing.T) { testAccessors[float32](t) }
 
 func TestConversionShims(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	m64 := RandUniform(rng, 4, 6, -3, 3)
 	m32 := To32(m64, nil)
-	back := To64(m32, nil)
 	for i, v := range m64.Data {
-		if float64(float32(v)) != back.Data[i] {
-			t.Fatalf("round trip element %d: %v → %v", i, v, back.Data[i])
+		if float32(v) != m32.Data[i] {
+			t.Fatalf("element %d: %v narrowed to %v", i, v, m32.Data[i])
 		}
-	}
-	// Widening a float32-valued matrix then narrowing is the identity.
-	if d := MaxULPDiff32(To32(back, nil), m32); d != 0 {
-		t.Fatalf("narrow∘widen moved values by %d ULPs", d)
 	}
 	dst := New32(4, 6)
 	if To32(m64, dst) != dst {
@@ -283,15 +207,6 @@ func TestConversionShims(t *testing.T) {
 		}
 	}()
 	To32(m64, New32(3, 3))
-}
-
-func TestAddInPlace32(t *testing.T) {
-	a := FromSlice32(1, 3, []float32{1, 2, 3})
-	b := FromSlice32(1, 3, []float32{10, 20, 30})
-	AddInPlace32(a, b)
-	if a.Data[0] != 11 || a.Data[2] != 33 {
-		t.Fatalf("AddInPlace32 got %v", a.Data)
-	}
 }
 
 func TestUlpDiff32(t *testing.T) {
@@ -321,55 +236,9 @@ func TestUlpDiff32(t *testing.T) {
 	}
 }
 
-func TestArena32ReuseAndZeroing(t *testing.T) {
-	ar := &Arena32{}
-	m1 := ar.Get(3, 4)
-	m1.Fill(7)
-	ar.Reset()
-	m2 := ar.Get(3, 4)
-	if &m1.Data[0] != &m2.Data[0] {
-		t.Fatal("Reset must recycle the same backing array")
-	}
-	if m2.MaxAbs() != 0 {
-		t.Fatal("recycled memory must be zeroed")
-	}
-	// Shape drift: a bigger request replaces the slot.
-	ar.Reset()
-	m3 := ar.Get(8, 8)
-	if m3.Rows != 8 || m3.Cols != 8 || m3.MaxAbs() != 0 {
-		t.Fatal("shape drift must serve a fresh zeroed matrix")
-	}
-	// A nil arena falls back to allocation.
-	var nilAr *Arena32
-	if m := nilAr.Get(2, 2); m.Rows != 2 {
-		t.Fatal("nil arena must allocate")
-	}
-	nilAr.Reset() // must not panic
-}
+func TestArena32ReuseAndZeroing(t *testing.T) { testArenaReuseAndZeroing[float32](t) }
 
-func TestArena32SteadyStateAllocFree(t *testing.T) {
-	ar := &Arena32{}
-	warm := func() {
-		ar.Reset()
-		ar.Get(16, 8)
-		ar.Get(8, 4)
-	}
-	warm()
-	if allocs := testing.AllocsPerRun(10, warm); allocs != 0 {
-		t.Fatalf("warm arena allocates %.0f objects per cycle, want 0", allocs)
-	}
-}
-
-func BenchmarkMulInto32_256x256(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	x, _ := rand32(rng, 256, 256, -1, 1)
-	y, _ := rand32(rng, 256, 256, -1, 1)
-	c := New32(256, 256)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		MulInto32(x, y, c)
-	}
-}
+func TestArena32SteadyStateAllocFree(t *testing.T) { testArenaSteadyStateAllocFree[float32](t) }
 
 func BenchmarkMulTInto32_256x64(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
@@ -379,16 +248,5 @@ func BenchmarkMulTInto32_256x64(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		MulTInto32(x, w, c)
-	}
-}
-
-func BenchmarkTMulAddInto32_64x256(b *testing.B) {
-	rng := rand.New(rand.NewSource(3))
-	g, _ := rand32(rng, 256, 64, -1, 1)
-	x, _ := rand32(rng, 256, 32, -1, 1)
-	c := New32(64, 32)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		TMulAddInto32(g, x, c)
 	}
 }

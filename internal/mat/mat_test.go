@@ -24,6 +24,42 @@ func TestNewAndAccessors(t *testing.T) {
 	if m.At(1, 0) != 3 {
 		t.Fatal("Row must alias the matrix data")
 	}
+	testAccessors[float64](t)
+}
+
+// testAccessors walks the methods Mat defines once for both widths.
+func testAccessors[E float32 | float64](t *testing.T) {
+	m := newMat[E](2, 3)
+	m.Set(1, 2, 5)
+	if m.At(1, 2) != 5 || m.Row(1)[2] != 5 {
+		t.Fatal("Set/At/Row disagree")
+	}
+	v := m.SliceRows(1, 2)
+	if v.Rows != 1 || v.Cols != 3 || v.At(0, 2) != 5 {
+		t.Fatal("SliceRows view wrong")
+	}
+	v.Set(0, 0, 7)
+	if m.At(1, 0) != 7 {
+		t.Fatal("SliceRows must alias the parent")
+	}
+	if tr := m.T(); tr.Rows != 3 || tr.Cols != 2 || tr.At(2, 1) != 5 || tr.At(0, 1) != 7 {
+		t.Fatal("T wrong")
+	}
+	c := m.Clone()
+	c.Set(0, 0, 9)
+	if m.At(0, 0) == 9 {
+		t.Fatal("Clone must not alias")
+	}
+	m.Fill(2)
+	m.Apply(func(x E) E { return -x })
+	m.Scale(2)
+	if m.MaxAbs() != 4 || m.At(0, 0) != -4 {
+		t.Fatal("Fill/Apply/Scale/MaxAbs wrong")
+	}
+	m.Zero()
+	if m.MaxAbs() != 0 {
+		t.Fatal("Zero left values")
+	}
 }
 
 func TestNewNegativePanics(t *testing.T) {
@@ -257,8 +293,10 @@ func TestSliceRows(t *testing.T) {
 	m.SliceRows(3, 5)
 }
 
-func TestArenaReuseAndZeroing(t *testing.T) {
-	ar := &Arena{}
+func TestArenaReuseAndZeroing(t *testing.T) { testArenaReuseAndZeroing[float64](t) }
+
+func testArenaReuseAndZeroing[E float32 | float64](t *testing.T) {
+	ar := &ArenaOf[E]{}
 	m1 := ar.Get(3, 4)
 	m1.Fill(7)
 	d1 := &m1.Data[0]
@@ -282,15 +320,17 @@ func TestArenaReuseAndZeroing(t *testing.T) {
 		t.Fatalf("grown slot wrong: %dx%d", big.Rows, big.Cols)
 	}
 	// A nil arena falls back to fresh allocation.
-	var nilAr *Arena
+	var nilAr *ArenaOf[E]
 	if m := nilAr.Get(2, 3); m.Rows != 2 || m.Cols != 3 {
 		t.Fatal("nil Arena.Get must allocate")
 	}
 	nilAr.Reset() // must not panic
 }
 
-func TestArenaSteadyStateAllocFree(t *testing.T) {
-	ar := &Arena{}
+func TestArenaSteadyStateAllocFree(t *testing.T) { testArenaSteadyStateAllocFree[float64](t) }
+
+func testArenaSteadyStateAllocFree[E float32 | float64](t *testing.T) {
+	ar := &ArenaOf[E]{}
 	warm := func() {
 		ar.Reset()
 		ar.Get(8, 8)

@@ -5,115 +5,6 @@ import (
 	"math"
 )
 
-// Matrix32 is the float32 twin of Matrix: a dense row-major matrix sized for
-// the same small MLPs, at half the operand width. The float32 kernel family
-// exists for the inference hot path — decode-time matmuls are memory-bandwidth
-// bound, so halving element size roughly doubles the rows that fit per cache
-// line — while training keeps float64 masters. The two families deliberately
-// share nothing at the type level: a precision mix-up should fail to compile,
-// not silently widen.
-type Matrix32 struct {
-	Rows, Cols int
-	Data       []float32 // len == Rows*Cols, row-major
-}
-
-// New32 returns a zero-valued float32 matrix with the given dimensions.
-func New32(rows, cols int) *Matrix32 {
-	if rows < 0 || cols < 0 {
-		panic(fmt.Sprintf("mat: negative dimensions %dx%d", rows, cols))
-	}
-	return &Matrix32{Rows: rows, Cols: cols, Data: make([]float32, rows*cols)}
-}
-
-// FromSlice32 wraps data (row-major) in a Matrix32 without copying.
-func FromSlice32(rows, cols int, data []float32) *Matrix32 {
-	if len(data) != rows*cols {
-		panic(fmt.Sprintf("mat: data length %d != %d*%d", len(data), rows, cols))
-	}
-	return &Matrix32{Rows: rows, Cols: cols, Data: data}
-}
-
-// At returns the element at row i, column j.
-func (m *Matrix32) At(i, j int) float32 { return m.Data[i*m.Cols+j] }
-
-// Set assigns the element at row i, column j.
-func (m *Matrix32) Set(i, j int, v float32) { m.Data[i*m.Cols+j] = v }
-
-// Row returns a slice aliasing row i.
-func (m *Matrix32) Row(i int) []float32 { return m.Data[i*m.Cols : (i+1)*m.Cols] }
-
-// SliceRows returns a view of rows [lo, hi) sharing m's backing array. Same
-// contract as Matrix.SliceRows: returned by value so slicing allocates
-// nothing; take its address to pass it as a *Matrix32.
-func (m *Matrix32) SliceRows(lo, hi int) Matrix32 {
-	if lo < 0 || hi < lo || hi > m.Rows {
-		panic(fmt.Sprintf("mat: SliceRows [%d, %d) of %d rows", lo, hi, m.Rows))
-	}
-	return Matrix32{Rows: hi - lo, Cols: m.Cols, Data: m.Data[lo*m.Cols : hi*m.Cols]}
-}
-
-// Clone returns a deep copy of m.
-func (m *Matrix32) Clone() *Matrix32 {
-	c := New32(m.Rows, m.Cols)
-	copy(c.Data, m.Data)
-	return c
-}
-
-// Zero sets every element of m to zero.
-func (m *Matrix32) Zero() {
-	for i := range m.Data {
-		m.Data[i] = 0
-	}
-}
-
-// Fill sets every element of m to v.
-func (m *Matrix32) Fill(v float32) {
-	for i := range m.Data {
-		m.Data[i] = v
-	}
-}
-
-// Apply replaces each element x of m with f(x) in place.
-func (m *Matrix32) Apply(f func(float32) float32) {
-	for i, v := range m.Data {
-		m.Data[i] = f(v)
-	}
-}
-
-// MaxAbs returns the largest absolute element value in m, or 0 for an empty
-// matrix.
-func (m *Matrix32) MaxAbs() float32 {
-	max := float32(0)
-	for _, v := range m.Data {
-		a := v
-		if a < 0 {
-			a = -a
-		}
-		if a > max {
-			max = a
-		}
-	}
-	return max
-}
-
-// Equal32 reports whether a and b have identical shape and every pair of
-// elements differs by at most tol.
-func Equal32(a, b *Matrix32, tol float32) bool {
-	if a.Rows != b.Rows || a.Cols != b.Cols {
-		return false
-	}
-	for i, v := range a.Data {
-		d := v - b.Data[i]
-		if d < 0 {
-			d = -d
-		}
-		if d > tol {
-			return false
-		}
-	}
-	return true
-}
-
 // To32 narrows a float64 matrix into dst (allocated when nil), rounding each
 // element to the nearest float32. Weights serialized through the archive
 // format are already float32-valued, so narrowing a deserialized decoder is
@@ -129,31 +20,6 @@ func To32(src *Matrix, dst *Matrix32) *Matrix32 {
 		dst.Data[i] = float32(v)
 	}
 	return dst
-}
-
-// To64 widens a float32 matrix into dst (allocated when nil). Widening is
-// always exact. Returns dst.
-func To64(src *Matrix32, dst *Matrix) *Matrix {
-	if dst == nil {
-		dst = New(src.Rows, src.Cols)
-	}
-	if dst.Rows != src.Rows || dst.Cols != src.Cols {
-		panic(fmt.Sprintf("mat: To64 output %dx%d, want %dx%d", dst.Rows, dst.Cols, src.Rows, src.Cols))
-	}
-	for i, v := range src.Data {
-		dst.Data[i] = float64(v)
-	}
-	return dst
-}
-
-// AddInPlace32 adds b into a element-wise. Shapes must match.
-func AddInPlace32(a, b *Matrix32) {
-	if a.Rows != b.Rows || a.Cols != b.Cols {
-		panic(fmt.Sprintf("mat: AddInPlace32 shape mismatch %dx%d += %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	for i, v := range b.Data {
-		a.Data[i] += v
-	}
 }
 
 // MaxULPDiff32 returns the largest distance, in float32 units-in-last-place,

@@ -2,8 +2,11 @@
 // DeepSqueeze's models: dense layers, the activations and losses the paper
 // uses, SGD/Adam optimizers, full backpropagation, a mixed-type autoencoder
 // with a parameter-sharing categorical output head (paper §5.1), and a
-// sparsely-gated mixture of experts (paper §5.2). Everything is float64 and
-// deterministic given a seed, which the materialization contract relies on.
+// sparsely-gated mixture of experts (paper §5.2). Training is float64 only;
+// inference exists at both widths — Decoder.Predictor, and Decoder32.Predictor
+// for archives written under the float32 decode plan (DESIGN.md §15) — and
+// everything is deterministic given a seed, which the materialization
+// contract relies on.
 package nn
 
 import (
@@ -75,15 +78,6 @@ func reluGate(g, o float64) float64 {
 	return math.Float64frombits(math.Float64bits(g) & keep)
 }
 
-// reluGate32 is the float32 twin of reluGate.
-func reluGate32(g, o float32) float32 {
-	keep := ^uint32(0)
-	if o <= 0 {
-		keep = 0
-	}
-	return math.Float32frombits(math.Float32bits(g) & keep)
-}
-
 // apply computes the activation element-wise in place.
 func (a Activation) apply(m *mat.Matrix) {
 	switch a {
@@ -147,28 +141,6 @@ func (a Activation) apply32(m *mat.Matrix32) {
 	case Tanh:
 		for i, v := range m.Data {
 			m.Data[i] = float32(math.Tanh(float64(v)))
-		}
-	default:
-		panic(fmt.Sprintf("nn: unknown activation %d", a))
-	}
-}
-
-// backprop32 scales grad in place by the activation derivative, in terms of
-// the activation output out; float32 twin of backprop.
-func (a Activation) backprop32(grad, out *mat.Matrix32) {
-	switch a {
-	case Identity:
-	case ReLU:
-		for i, o := range out.Data {
-			grad.Data[i] = reluGate32(grad.Data[i], o)
-		}
-	case Sigmoid:
-		for i, o := range out.Data {
-			grad.Data[i] *= o * (1 - o)
-		}
-	case Tanh:
-		for i, o := range out.Data {
-			grad.Data[i] *= 1 - o*o
 		}
 	default:
 		panic(fmt.Sprintf("nn: unknown activation %d", a))

@@ -452,14 +452,6 @@ func (a *Autoencoder) Encode(x *mat.Matrix) *mat.Matrix {
 	return h
 }
 
-// TrainBatch runs one forward/backward pass on a batch and applies the
-// optimizer. Returns the batch's mean loss (summed over columns). The batch
-// is processed through the deterministic shard partition (see train.go), so
-// the result is bit-identical to TrainBatchWorkers at any worker count.
-func (a *Autoencoder) TrainBatch(x *mat.Matrix, tg *Targets, opt Optimizer) float64 {
-	return a.trainer().train(x, tg, opt, 1, nil, false)
-}
-
 // accumBatch runs one forward/backward pass over x, adding this batch's
 // gradient contribution into the layer accumulators without clipping or
 // applying the optimizer. Every loss and gradient term is scaled by invB,
@@ -566,7 +558,7 @@ func (a *Autoencoder) sharedStep(ar *mat.Arena, f *sharedFactor, aux *mat.Matrix
 // into the columns' running sum d, and dj's column sums — the gradient of the
 // column's signal weights, whose input is the constant 1, and its share of
 // the bias's — into gradB and into signalW, unit o's weight at o·stride.
-func foldColumn[T float32 | float64](dj, d, sum, signalW []T, stride int, gradB []T) {
+func foldColumn(dj, d, sum, signalW []float64, stride int, gradB []float64) {
 	clear(sum)
 	for n := len(sum); len(dj) > 0; dj, d = dj[n:], d[n:] {
 		for o, v := range dj[:n] {

@@ -22,24 +22,15 @@ import (
 // decoder's weights is exact — a Decoder32 computes with the same parameter
 // values as its source, at half the operand width.
 
-// Dense32 is a float32 view of a Dense layer. Inference-only instances carry
-// just weights; the f32 training path (train32.go) adds private gradient
-// accumulators and forward caches.
+// Dense32 is a float32 view of a Dense layer: weights only, for inference.
 type Dense32 struct {
 	In, Out int
 	Act     Activation
 	W       *mat.Matrix32 // Out×In, narrowed from the source layer
 	B       []float32
-
-	// Training-only state; nil on inference instances.
-	GradW   *mat.Matrix32
-	GradB   []float32
-	lastIn  *mat.Matrix32
-	lastOut *mat.Matrix32
 }
 
-// newDense32 narrows a layer's parameters into a fresh inference-only
-// Dense32. Narrowing is exact for float32-valued parameters (see Quantize32).
+// newDense32 narrows a layer's parameters into a fresh Dense32. Narrowing is exact for float32-valued parameters (see Quantize32).
 func newDense32(d *Dense) *Dense32 {
 	b := make([]float32, len(d.B))
 	for i, v := range d.B {
@@ -48,8 +39,8 @@ func newDense32(d *Dense) *Dense32 {
 	return &Dense32{In: d.In, Out: d.Out, Act: d.Act, W: mat.To32(d.W, nil), B: b}
 }
 
-// infer computes act(x·Wᵀ + b) into ar scratch without touching training
-// caches. Allocation-free once the arena is warm.
+// infer computes act(x·Wᵀ + b) into ar scratch. Allocation-free once the
+// arena is warm.
 func (d *Dense32) infer(ar *mat.Arena32, x *mat.Matrix32) *mat.Matrix32 {
 	if x.Cols != d.In {
 		panic(fmt.Sprintf("nn: dense32 infer input %d cols, want %d", x.Cols, d.In))

@@ -3,11 +3,9 @@ package nn
 import (
 	"math"
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"deepsqueeze/internal/mat"
-	"deepsqueeze/internal/pipeline"
 )
 
 // predTol is the absolute tolerance the float32 decode path is held to
@@ -41,7 +39,7 @@ func trainedDecoder(t *testing.T, seed int64, rows int) (*Decoder, *mat.Matrix) 
 	x, tg := randomBatch(rng, testSpecs(), 128)
 	opt := NewAdam(0.01)
 	for i := 0; i < 5; i++ {
-		ae.TrainBatch(x, tg, opt)
+		ae.TrainBatch(x, tg, opt, nil)
 	}
 	ae.Decoder.Quantize32()
 	codes := mat.RandUniform(rng, rows, 3, -2, 2)
@@ -127,77 +125,5 @@ func TestPredictor32SteadyStateAllocFree(t *testing.T) {
 	pred(codes)
 	if allocs := testing.AllocsPerRun(10, func() { pred(codes) }); allocs != 0 {
 		t.Errorf("warm Predictor allocates %.0f objects per call, want 0", allocs)
-	}
-}
-
-// Float32 training carries the same worker-count invariant as float64: loss
-// history and trained weights are bit-identical at Workers = 1, 4, NumCPU,
-// because gradients are widened per shard before the fixed reduction tree.
-func TestFloat32TrainWorkersDeterministic(t *testing.T) {
-	train := func(workers int) ([]float64, []float64) {
-		rng := rand.New(rand.NewSource(107))
-		ae, err := NewAutoencoder(rng, testSpecs(), Config{CodeSize: 3})
-		if err != nil {
-			t.Fatal(err)
-		}
-		x, tg := randomBatch(rand.New(rand.NewSource(108)), testSpecs(), 300)
-		opt := NewAdam(0.01)
-		pool := pipeline.NewPool(workers)
-		var losses []float64
-		for i := 0; i < 25; i++ {
-			losses = append(losses, ae.trainer().train(x, tg, opt, workers, pool, true))
-		}
-		return losses, flattenParams(ae)
-	}
-	baseLosses, baseW := train(1)
-	for _, workers := range []int{4, runtime.NumCPU()} {
-		losses, w := train(workers)
-		if !bitsEqual(losses, baseLosses) {
-			t.Errorf("f32 loss history at Workers=%d differs from Workers=1", workers)
-		}
-		if !bitsEqual(w, baseW) {
-			t.Errorf("f32 trained weights at Workers=%d differ from Workers=1", workers)
-		}
-	}
-}
-
-// Float32 training must actually learn, and stay in the same neighborhood as
-// the float64 run: masters are float64 and only the matmuls run narrow.
-func TestFloat32TrainReducesLoss(t *testing.T) {
-	run := func(f32 bool) []float64 {
-		rng := rand.New(rand.NewSource(109))
-		moe, err := NewMoE(rng, testSpecs(), Config{CodeSize: 2}, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		x, tg := randomBatch(rand.New(rand.NewSource(110)), testSpecs(), 256)
-		return moe.Train(rng, x, tg, TrainOptions{Epochs: 8, BatchSize: 64, Float32: f32})
-	}
-	hist := run(true)
-	if last, first := hist[len(hist)-1], hist[0]; last >= first {
-		t.Fatalf("float32 training did not reduce loss: %v → %v", first, last)
-	}
-	hist64 := run(false)
-	l32, l64 := hist[len(hist)-1], hist64[len(hist64)-1]
-	if math.Abs(l32-l64) > 0.1*math.Abs(l64)+1e-3 {
-		t.Errorf("float32 final loss %v far from float64 %v", l32, l64)
-	}
-}
-
-// Repeated identical float32 runs must be bit-identical (no hidden state in
-// the shared32 weight refresh or the per-shard f32 replicas).
-func TestFloat32TrainRepeatable(t *testing.T) {
-	run := func() []float64 {
-		rng := rand.New(rand.NewSource(111))
-		ae, _ := NewAutoencoder(rng, testSpecs(), Config{CodeSize: 2})
-		x, tg := randomBatch(rand.New(rand.NewSource(112)), testSpecs(), 100)
-		opt := NewAdam(0.01)
-		for i := 0; i < 10; i++ {
-			ae.trainer().train(x, tg, opt, 4, nil, true)
-		}
-		return flattenParams(ae)
-	}
-	if !bitsEqual(run(), run()) {
-		t.Fatal("two identical float32 training runs diverged")
 	}
 }

@@ -63,7 +63,7 @@ func TestMaskedTargetsDoNotTrain(t *testing.T) {
 	x := mat.New(4, 1)
 	tg := &Targets{Num: mat.New(4, 0), Bin: mat.New(4, 0), Cat: [][]int{{-1, -1, -1, -1}}}
 	cap := newCaptureOpt()
-	loss := ae.TrainBatch(x, tg, cap)
+	loss := ae.TrainBatch(x, tg, cap, nil)
 	if loss != 0 {
 		t.Fatalf("all-masked batch produced loss %v", loss)
 	}

@@ -119,21 +119,12 @@ type TrainOptions struct {
 	// pipeline wires this to its context so cancellation interrupts the
 	// dominant training stage promptly rather than at the next epoch.
 	Stop func() bool
-	// Workers caps how many minibatch shards train concurrently on model
-	// replicas (data-parallel SGD, see train.go). <= 1 trains serially.
-	// Loss histories and trained weights are bit-identical at every value,
-	// so Workers is purely a throughput knob.
-	Workers int
-	// Pool supplies the bounded worker pool shards run on, letting training
-	// share one pool with the rest of a compression run. Nil with Workers > 1
-	// gets a private pool of that size.
+	// Pool supplies the bounded worker pool minibatch shards run on
+	// (data-parallel SGD, see train.go), letting training share one pool with
+	// the rest of a compression run; nil trains serially. Loss histories and
+	// trained weights are bit-identical for every pool, so it is purely a
+	// throughput knob.
 	Pool *pipeline.Pool
-	// Float32 runs each shard's forward/backward pass through the float32
-	// kernel family (train32.go): float64 parameters stay the masters, so
-	// optimizer state and the Workers bit-identity contract are unchanged,
-	// but the linear algebra rounds at float32. Expert assignment and the
-	// gate stay float64 either way.
-	Float32 bool
 }
 
 // defaultBatchSize is TrainOptions.BatchSize's default and Assign's stride.
@@ -151,9 +142,6 @@ func (o *TrainOptions) defaults() {
 	}
 	if o.ConvergeEps <= 0 {
 		o.ConvergeEps = 0.002
-	}
-	if o.Workers > 1 && o.Pool == nil {
-		o.Pool = pipeline.NewPool(o.Workers)
 	}
 }
 
@@ -227,7 +215,7 @@ func (m *MoE) Train(rng *rand.Rand, x *mat.Matrix, tg *Targets, opts TrainOption
 // trainBatch trains one batch and returns its mean loss.
 func (m *MoE) trainBatch(bx *mat.Matrix, btg *Targets, optims []*Adam, gateOpt *Adam, scorers []*scorer, opts *TrainOptions) float64 {
 	if len(m.Experts) == 1 {
-		return m.Experts[0].trainer().train(bx, btg, optims[0], opts.Workers, opts.Pool, opts.Float32)
+		return m.Experts[0].TrainBatch(bx, btg, optims[0], opts.Pool)
 	}
 	// Score every tuple under every expert; MAP assignment folds in the
 	// gate's current belief so routing and gating co-adapt.
@@ -263,7 +251,7 @@ func (m *MoE) trainBatch(bx *mat.Matrix, btg *Targets, optims []*Adam, gateOpt *
 		}
 		sub := extractRows(bx, idx)
 		stg := extractTargets(btg, idx)
-		total += exp.trainer().train(sub, stg, optims[e], opts.Workers, opts.Pool, opts.Float32) * float64(len(idx))
+		total += exp.TrainBatch(sub, stg, optims[e], opts.Pool) * float64(len(idx))
 	}
 	total /= float64(bx.Rows)
 	// Train the gate toward the assignment with softmax cross-entropy.

@@ -176,11 +176,11 @@ func TestGradientCheck(t *testing.T) {
 	tg.Cat[1][2] = -1
 
 	cap := newCaptureOpt()
-	ae.TrainBatch(x, tg, cap)
+	ae.TrainBatch(x, tg, cap, nil)
 
 	lossAt := func() float64 {
 		c := newCaptureOpt()
-		return ae.TrainBatch(x, tg, c)
+		return ae.TrainBatch(x, tg, c, nil)
 	}
 	const eps = 1e-6
 	checked := 0
@@ -271,10 +271,10 @@ func TestTrainingReducesLoss(t *testing.T) {
 		tg.Cat[1][r] = c5
 	}
 	opt := NewAdam(0.01)
-	first := ae.TrainBatch(x, tg, opt)
+	first := ae.TrainBatch(x, tg, opt, nil)
 	var last float64
 	for i := 0; i < 120; i++ {
-		last = ae.TrainBatch(x, tg, opt)
+		last = ae.TrainBatch(x, tg, opt, nil)
 	}
 	if last > first*0.5 {
 		t.Fatalf("loss did not halve: first %.4f last %.4f", first, last)
@@ -329,7 +329,7 @@ func TestSingleLayerLinearConfig(t *testing.T) {
 	}
 	x, tg := randomBatch(rng, testSpecs(), 8)
 	opt := NewAdam(0.01)
-	if l := ae.TrainBatch(x, tg, opt); math.IsNaN(l) {
+	if l := ae.TrainBatch(x, tg, opt, nil); math.IsNaN(l) {
 		t.Fatal("NaN loss")
 	}
 }
@@ -341,7 +341,7 @@ func TestDecoderSerializationExactness(t *testing.T) {
 	x, tg := randomBatch(rng, specs, 32)
 	opt := NewAdam(0.01)
 	for i := 0; i < 10; i++ {
-		ae.TrainBatch(x, tg, opt)
+		ae.TrainBatch(x, tg, opt, nil)
 	}
 	// The contract: quantize to float32, serialize, decode — predictions
 	// must be bit-identical to the quantized in-memory model.
@@ -474,7 +474,7 @@ func TestScorerMatchesOneShotLosses(t *testing.T) {
 			if !bitsEqual(sc.losses(bx, btg), (&scorer{a: ae}).losses(bx, btg)) {
 				t.Fatalf("expert %d, step %d: held scorer differs from a fresh one", e, step)
 			}
-			ae.TrainBatch(bx, btg, opt)
+			ae.TrainBatch(bx, btg, opt, nil)
 		}
 	}
 	assign := moe.Assign(x, tg)
@@ -538,7 +538,7 @@ func TestOptimizersConverge(t *testing.T) {
 		opt := mk()
 		var last float64
 		for i := 0; i < 300; i++ {
-			last = ae.TrainBatch(x, tg, opt)
+			last = ae.TrainBatch(x, tg, opt, nil)
 		}
 		if last > 0.01 {
 			t.Errorf("%s: loss %.5f after 300 steps", name, last)
@@ -593,12 +593,18 @@ func bitsEqual(a, b []float64) bool {
 	return true
 }
 
+// poolSizes are the pools every determinism test trains on; nil is the serial
+// path they are all compared with.
+func poolSizes() []*pipeline.Pool {
+	return []*pipeline.Pool{pipeline.NewPool(1), pipeline.NewPool(4), pipeline.NewPool(runtime.NumCPU())}
+}
+
 // TestTrainBatchWorkersDeterministic pins the tentpole invariant: the loss
-// history and every trained weight are bit-identical at Workers = 1, 4, and
-// NumCPU, because the shard partition and gradient-reduction order depend
-// only on the batch's row count.
+// history and every trained weight are bit-identical serially and on pools
+// of 1, 4, and NumCPU workers, because the shard partition and
+// gradient-reduction order depend only on the batch's row count.
 func TestTrainBatchWorkersDeterministic(t *testing.T) {
-	train := func(workers int) ([]float64, []float64) {
+	train := func(pool *pipeline.Pool) ([]float64, []float64) {
 		rng := rand.New(rand.NewSource(99))
 		ae, err := NewAutoencoder(rng, testSpecs(), Config{CodeSize: 3})
 		if err != nil {
@@ -606,21 +612,20 @@ func TestTrainBatchWorkersDeterministic(t *testing.T) {
 		}
 		x, tg := randomBatch(rand.New(rand.NewSource(100)), testSpecs(), 300)
 		opt := NewAdam(0.01)
-		pool := pipeline.NewPool(workers)
 		var losses []float64
 		for i := 0; i < 25; i++ {
-			losses = append(losses, ae.TrainBatchWorkers(x, tg, opt, workers, pool))
+			losses = append(losses, ae.TrainBatch(x, tg, opt, pool))
 		}
 		return losses, flattenParams(ae)
 	}
-	baseLosses, baseW := train(1)
-	for _, workers := range []int{4, runtime.NumCPU()} {
-		losses, w := train(workers)
+	baseLosses, baseW := train(nil)
+	for _, pool := range poolSizes() {
+		losses, w := train(pool)
 		if !bitsEqual(losses, baseLosses) {
-			t.Errorf("loss history at Workers=%d differs from Workers=1", workers)
+			t.Errorf("loss history on a pool of %d differs from serial", pool.Size())
 		}
 		if !bitsEqual(w, baseW) {
-			t.Errorf("trained weights at Workers=%d differ from Workers=1", workers)
+			t.Errorf("trained weights on a pool of %d differ from serial", pool.Size())
 		}
 	}
 }
@@ -628,14 +633,14 @@ func TestTrainBatchWorkersDeterministic(t *testing.T) {
 // TestMoETrainWorkersDeterministic extends the invariant through the full
 // MoE training loop (gate, assignment, per-expert batches).
 func TestMoETrainWorkersDeterministic(t *testing.T) {
-	train := func(workers int) ([]float64, []float64) {
+	train := func(pool *pipeline.Pool) ([]float64, []float64) {
 		rng := rand.New(rand.NewSource(101))
 		moe, err := NewMoE(rng, testSpecs(), Config{CodeSize: 2}, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
 		x, tg := randomBatch(rand.New(rand.NewSource(102)), testSpecs(), 400)
-		hist := moe.Train(rng, x, tg, TrainOptions{Epochs: 4, BatchSize: 128, Workers: workers})
+		hist := moe.Train(rng, x, tg, TrainOptions{Epochs: 4, BatchSize: 128, Pool: pool})
 		var w []float64
 		for _, e := range moe.Experts {
 			w = append(w, flattenParams(e)...)
@@ -646,14 +651,14 @@ func TestMoETrainWorkersDeterministic(t *testing.T) {
 		}
 		return hist, w
 	}
-	baseHist, baseW := train(1)
-	for _, workers := range []int{4, runtime.NumCPU()} {
-		hist, w := train(workers)
+	baseHist, baseW := train(nil)
+	for _, pool := range poolSizes() {
+		hist, w := train(pool)
 		if !bitsEqual(hist, baseHist) {
-			t.Errorf("MoE loss history at Workers=%d differs from Workers=1", workers)
+			t.Errorf("MoE loss history on a pool of %d differs from serial", pool.Size())
 		}
 		if !bitsEqual(w, baseW) {
-			t.Errorf("MoE weights at Workers=%d differ from Workers=1", workers)
+			t.Errorf("MoE weights on a pool of %d differ from serial", pool.Size())
 		}
 	}
 }
@@ -669,7 +674,7 @@ func TestTrainBatchRepeatable(t *testing.T) {
 		x, tg := randomBatch(rand.New(rand.NewSource(104)), testSpecs(), 100)
 		opt := NewAdam(0.01)
 		for i := 0; i < 10; i++ {
-			ae.TrainBatch(x, tg, opt)
+			ae.TrainBatch(x, tg, opt, nil)
 		}
 		return flattenParams(ae)
 	}
@@ -686,21 +691,20 @@ func BenchmarkTrainBatch(b *testing.B) {
 	opt := NewAdam(0.01)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		ae.TrainBatch(x, tg, opt)
+		ae.TrainBatch(x, tg, opt, nil)
 	}
 }
 
-func BenchmarkTrainBatchWorkers(b *testing.B) {
+func BenchmarkTrainBatchPool(b *testing.B) {
 	rng := rand.New(rand.NewSource(20))
 	specs := testSpecs()
 	ae, _ := NewAutoencoder(rng, specs, Config{CodeSize: 4})
 	x, tg := randomBatch(rng, specs, 256)
 	opt := NewAdam(0.01)
-	workers := runtime.NumCPU()
-	pool := pipeline.NewPool(workers)
+	pool := pipeline.NewPool(0)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		ae.TrainBatchWorkers(x, tg, opt, workers, pool)
+		ae.TrainBatch(x, tg, opt, pool)
 	}
 }
 
@@ -713,8 +717,7 @@ func BenchmarkTrainEpoch(b *testing.B) {
 	const rows, batch = 4096, 256
 	x, tg := randomBatch(rng, specs, rows)
 	opt := NewAdam(0.01)
-	workers := runtime.NumCPU()
-	pool := pipeline.NewPool(workers)
+	pool := pipeline.NewPool(0)
 	bx := make([]mat.Matrix, 0, rows/batch)
 	bnum := make([]mat.Matrix, 0, rows/batch)
 	bbin := make([]mat.Matrix, 0, rows/batch)
@@ -734,7 +737,7 @@ func BenchmarkTrainEpoch(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		for k := range bx {
-			ae.TrainBatchWorkers(&bx[k], &btg[k], opt, workers, pool)
+			ae.TrainBatch(&bx[k], &btg[k], opt, pool)
 		}
 	}
 }

@@ -133,122 +133,14 @@ func (a *Autoencoder) accumBatchStacked(ar *mat.Arena, x *mat.Matrix, tg *Target
 	return loss
 }
 
-// accumBatchStacked is the float32 twin of Autoencoder.accumBatchStacked.
-func (a *ae32) accumBatchStacked(ar *mat.Arena, ar32 *mat.Arena32, x *mat.Matrix, tg *Targets, invB float64) float64 {
-	if x.Rows == 0 {
-		return 0
-	}
-	src := a.src
-	x32 := ar32.Get(x.Rows, x.Cols)
-	for i, v := range x.Data {
-		x32.Data[i] = float32(v)
-	}
-	h := x32
-	for _, l := range a.encoder {
-		h = l.forward32(ar32, h)
-	}
-	for _, l := range a.hidden {
-		h = l.forward32(ar32, h)
-	}
-
-	var loss float64
-	dH := ar32.Get(h.Rows, h.Cols)
-
-	if a.headNum != nil {
-		z := a.headNum.forward32(ar32, h)
-		gz := ar32.Get(z.Rows, z.Cols)
-		for r := 0; r < z.Rows; r++ {
-			zr, gr := z.Row(r), gz.Row(r)
-			for c := 0; c < src.numCols; c++ {
-				y := 1 / (1 + math.Exp(-float64(zr[c])))
-				t := tg.Num.At(r, c)
-				diff := y - t
-				loss += diff * diff * invB
-				gr[c] = float32(2 * diff * y * (1 - y) * invB)
-			}
-			for c := 0; c < src.binCols; c++ {
-				p := 1 / (1 + math.Exp(-float64(zr[src.numCols+c])))
-				t := tg.Bin.At(r, c)
-				loss += bce(p, t) * invB
-				gr[src.numCols+c] = float32((p - t) * invB)
-			}
-		}
-		mat.AddInPlace32(dH, a.headNum.backward32(ar32, gz))
-	}
-
-	if a.aux != nil {
-		aux := a.aux.forward32(ar32, h)
-		dAux := ar32.Get(aux.Rows, aux.Cols)
-		rows := x.Rows
-		z := ar32.Get(len(src.catAll)*rows, src.sharedWidth())
-		for k, j := range src.catAll {
-			for r := 0; r < rows; r++ {
-				row := z.Row(k*rows + r)
-				copy(row, aux.Row(r))
-				row[src.catCols+j] = 1
-			}
-		}
-		logits := a.shared.forward32(ar32, a.sharedHidden.forward32(ar32, z))
-		gl := ar32.Get(logits.Rows, logits.Cols)
-		for j := 0; j < src.catCols; j++ {
-			card := src.cardOf[j]
-			probs := ar.Get(rows, card)
-			for r := 0; r < rows; r++ {
-				lr := logits.Row(j*rows + r)
-				pr := probs.Row(r)
-				for c := 0; c < card; c++ {
-					pr[c] = float64(lr[c])
-				}
-			}
-			Softmax(probs, card)
-			for r := 0; r < rows; r++ {
-				cls := tg.Cat[j][r]
-				if cls < 0 || cls >= card {
-					continue // rare value masked out of training
-				}
-				pr, gr := probs.Row(r), gl.Row(j*rows+r)
-				loss += -math.Log(math.Max(pr[cls], 1e-12)) * invB
-				for c := 0; c < card; c++ {
-					gr[c] = float32(pr[c] * invB)
-				}
-				gr[cls] = float32((pr[cls] - 1) * invB)
-			}
-		}
-		dz := a.sharedHidden.backward32(ar32, a.shared.backward32(ar32, gl))
-		for j := 0; j < src.catCols; j++ {
-			for r := 0; r < rows; r++ {
-				dr, da := dz.Row(j*rows+r), dAux.Row(r)
-				for c := 0; c < src.catCols; c++ {
-					da[c] += dr[c]
-				}
-				// Signal-node gradient discarded, as in the float64 pass.
-			}
-		}
-		mat.AddInPlace32(dH, a.aux.backward32(ar32, dAux))
-	}
-
-	g := dH
-	for i := len(a.hidden) - 1; i >= 0; i-- {
-		g = a.hidden[i].backward32(ar32, g)
-	}
-	for i := len(a.encoder) - 1; i >= 0; i-- {
-		g = a.encoder[i].backward32(ar32, g)
-	}
-	return loss
-}
-
 // stackedTrain is trainer.train up to the optimizer step with the stacked
 // pass in place of the factored one: the same shard partition, every shard
 // accumulated into the primary model in order, then the clip. The gradients
 // are left in the model's layers.
-func stackedTrain(ae *Autoencoder, x *mat.Matrix, tg *Targets, f32 bool) float64 {
+func stackedTrain(ae *Autoencoder, x *mat.Matrix, tg *Targets) float64 {
 	tr := ae.trainer()
 	ns := numShards(x.Rows)
 	tr.ensure(ns)
-	if f32 {
-		tr.ensure32(ns)
-		tr.refresh32()
-	}
 	s := tr.shards[0]
 	shardRows := (x.Rows + ns - 1) / ns
 	invB := 1 / float64(x.Rows)
@@ -256,20 +148,14 @@ func stackedTrain(ae *Autoencoder, x *mat.Matrix, tg *Targets, f32 bool) float64
 	for lo := 0; lo < x.Rows; lo += shardRows {
 		s.ar.Reset()
 		s.view(x, tg, lo, min(lo+shardRows, x.Rows))
-		if f32 {
-			s.ar32.Reset()
-			loss += s.rep32.accumBatchStacked(s.ar, s.ar32, &s.x, &s.tg, invB)
-			s.rep32.foldInto(s.layers)
-		} else {
-			loss += ae.accumBatchStacked(s.ar, &s.x, &s.tg, invB)
-		}
+		loss += ae.accumBatchStacked(s.ar, &s.x, &s.tg, invB)
 	}
 	ClipGrads(tr.layers, 5)
 	return loss
 }
 
 // The factored training pass must compute the stacked pass's loss and
-// gradients — every layer, both widths — up to the rounding of its different
+// gradients — every layer — up to the rounding of its different
 // summation order: for all-categorical, mixed, single-column, card-1-to-max
 // and categorical-free models, masked targets included, over batch sizes
 // whose last shard holds anything from 1 to 15 rows.
@@ -312,33 +198,28 @@ func TestFactoredTrainingMatchesStackedReference(t *testing.T) {
 					}
 				}
 			}
-			for _, f32 := range []bool{false, true} {
-				tol := 1e-12
-				if f32 {
-					tol = 1e-5
+			const tol = 1e-12
+			got := newCaptureOpt()
+			loss := ae.TrainBatch(x, tg, got, nil)
+			refLoss := stackedTrain(ae, x, tg)
+			at := fmt.Sprintf("%s, %d rows", name, rows)
+			if math.Abs(loss-refLoss) > tol*math.Abs(refLoss) {
+				t.Errorf("%s: loss %v, stacked reference %v", at, loss, refLoss)
+			}
+			for li, l := range ae.AllLayers() {
+				want := append(append([]float64{}, l.GradW.Data...), l.GradB...)
+				have := append(append([]float64{}, got.gradW[l].Data...), got.gradB[l]...)
+				scale := 0.0
+				for _, v := range want {
+					scale = math.Max(scale, math.Abs(v))
 				}
-				got := newCaptureOpt()
-				loss := ae.trainer().train(x, tg, got, 1, nil, f32)
-				refLoss := stackedTrain(ae, x, tg, f32)
-				at := fmt.Sprintf("%s, %d rows, f32=%v", name, rows, f32)
-				if math.Abs(loss-refLoss) > tol*math.Abs(refLoss) {
-					t.Errorf("%s: loss %v, stacked reference %v", at, loss, refLoss)
-				}
-				for li, l := range ae.AllLayers() {
-					want := append(append([]float64{}, l.GradW.Data...), l.GradB...)
-					have := append(append([]float64{}, got.gradW[l].Data...), got.gradB[l]...)
-					scale := 0.0
-					for _, v := range want {
-						scale = math.Max(scale, math.Abs(v))
+				for i, v := range want {
+					if math.Abs(have[i]-v) > tol*scale {
+						t.Errorf("%s: layer %d gradient %d is %v, stacked reference %v (layer scale %v)", at, li, i, have[i], v, scale)
+						break
 					}
-					for i, v := range want {
-						if math.Abs(have[i]-v) > tol*scale {
-							t.Errorf("%s: layer %d gradient %d is %v, stacked reference %v (layer scale %v)", at, li, i, have[i], v, scale)
-							break
-						}
-					}
-					l.ZeroGrad()
 				}
+				l.ZeroGrad()
 			}
 		}
 	}
@@ -346,7 +227,7 @@ func TestFactoredTrainingMatchesStackedReference(t *testing.T) {
 
 // BenchmarkTrainBatchCategorical is one training step at the repo
 // benchmark's archive-categorical shape: 21 categorical columns of
-// cardinality 3–7, 256 rows, both float widths.
+// cardinality 3–7, 256 rows.
 func BenchmarkTrainBatchCategorical(b *testing.B) {
 	rng := rand.New(rand.NewSource(23))
 	specs := make([]ColSpec, 21)
@@ -359,12 +240,8 @@ func BenchmarkTrainBatchCategorical(b *testing.B) {
 	}
 	x, tg := randomBatch(rng, specs, 256)
 	opt := NewAdam(0.01)
-	for _, f32 := range []bool{false, true} {
-		b.Run(fmt.Sprintf("f32=%v", f32), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				ae.trainer().train(x, tg, opt, 1, nil, f32)
-			}
-		})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		ae.TrainBatch(x, tg, opt, nil)
 	}
 }

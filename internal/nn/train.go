@@ -15,7 +15,7 @@ import (
 // Because both the partition and the reduction order are functions of the
 // row count alone, the floating-point summation order is identical whether
 // the shards ran on one goroutine or sixteen: loss curves and archives are
-// bit-identical at every TrainOptions.Workers value.
+// bit-identical at every pool size, a nil pool (serial) included.
 
 const (
 	// maxShards caps the partition width; it bounds replica memory and is
@@ -47,11 +47,9 @@ type shardState struct {
 	rep      *Autoencoder // shares the primary model's weights (shard 0: its gradients too)
 	layers   []*Dense     // rep.AllLayers(), cached
 	ar       *mat.Arena
-	rep32    *ae32        // float32 training view (train32.go); nil until first f32 batch
-	ar32     *mat.Arena32 // float32 scratch for rep32
-	x        mat.Matrix   // row view into the current batch
-	num, bin mat.Matrix   // row views into the current targets
-	cat      [][]int      // per-column row subslices, outer slice reused
+	x        mat.Matrix // row view into the current batch
+	num, bin mat.Matrix // row views into the current targets
+	cat      [][]int    // per-column row subslices, outer slice reused
 	tg       Targets
 	loss     float64
 }
@@ -60,12 +58,11 @@ type shardState struct {
 // cached on the model, so repeated TrainBatch calls reuse replicas, arenas,
 // and layer slices.
 type trainer struct {
-	model    *Autoencoder
-	layers   []*Dense     // model.AllLayers(), cached for clip + step
-	packs    []mat.Packed // per-batch packed weights for f64 shards, parallel to layers
-	sf       sharedFactor // per-batch factored SharedHidden for f64 shards (sharedStep)
-	shared32 []*Dense32   // per-batch narrowed weights for f32 shards (train32.go)
-	shards   []*shardState
+	model  *Autoencoder
+	layers []*Dense     // model.AllLayers(), cached for clip + step
+	packs  []mat.Packed // per-batch packed weights, parallel to layers
+	sf     sharedFactor // per-batch factored SharedHidden (sharedStep)
+	shards []*shardState
 }
 
 // trainer returns the model's cached shard trainer, building it on first use.
@@ -77,14 +74,14 @@ func (a *Autoencoder) trainer() *trainer {
 	return a.tr
 }
 
-// TrainBatchWorkers is TrainBatch with up to workers shards running
-// concurrently on pool (nil pool or workers <= 1 trains serially). The
-// returned loss — and every weight after the optimizer step — is
-// bit-identical for any (workers, pool) pair, including the serial
-// TrainBatch path, because the shard partition and reduction order depend
-// only on x.Rows.
-func (a *Autoencoder) TrainBatchWorkers(x *mat.Matrix, tg *Targets, opt Optimizer, workers int, pool *pipeline.Pool) float64 {
-	return a.trainer().train(x, tg, opt, workers, pool, false)
+// TrainBatch runs one forward/backward pass on a batch and applies the
+// optimizer, the batch's shards running concurrently on pool (nil, like a
+// pool of one, trains serially). Returns the batch's mean loss (summed over
+// columns). The loss — and every weight after the optimizer step — is
+// bit-identical for any pool, because the shard partition and reduction order
+// depend only on x.Rows.
+func (a *Autoencoder) TrainBatch(x *mat.Matrix, tg *Targets, opt Optimizer, pool *pipeline.Pool) float64 {
+	return a.trainer().train(x, tg, opt, pool)
 }
 
 // replica returns a model sharing a's parameters — every Dense W and B
@@ -159,27 +156,20 @@ func (s *shardState) view(x *mat.Matrix, tg *Targets, lo, hi int) {
 }
 
 // train runs one data-parallel training step: shard, accumulate, reduce,
-// clip, apply the optimizer once. Returns the batch's mean loss. With f32
-// set, each shard's forward/backward runs through the float32 path
-// (train32.go); partition, reduction, and optimizer are identical either way.
-func (t *trainer) train(x *mat.Matrix, tg *Targets, opt Optimizer, workers int, pool *pipeline.Pool, f32 bool) float64 {
+// clip, apply the optimizer once. Returns the batch's mean loss.
+func (t *trainer) train(x *mat.Matrix, tg *Targets, opt Optimizer, pool *pipeline.Pool) float64 {
 	rows := x.Rows
 	if rows == 0 {
 		return 0
 	}
 	ns := numShards(rows)
 	t.ensure(ns)
-	if f32 {
-		t.ensure32(ns)
-		t.refresh32()
-	} else {
-		// Likewise: the optimizer step that ends a batch outdates these.
-		for i, l := range t.layers {
-			t.packs[i].Pack(l.W)
-		}
-		if sh := t.model.SharedHidden; sh != nil {
-			t.sf.refresh(sh, t.model.catCols)
-		}
+	// The optimizer step that ends a batch outdates these.
+	for i, l := range t.layers {
+		t.packs[i].Pack(l.W)
+	}
+	if sh := t.model.SharedHidden; sh != nil {
+		t.sf.refresh(sh, t.model.catCols)
 	}
 	shardRows := (rows + ns - 1) / ns
 	invB := 1 / float64(rows)
@@ -196,16 +186,10 @@ func (t *trainer) train(x *mat.Matrix, tg *Targets, opt Optimizer, workers int, 
 		}
 		s.ar.Reset()
 		s.view(x, tg, lo, hi)
-		if f32 {
-			s.ar32.Reset()
-			s.loss = s.rep32.accumBatch(s.ar, s.ar32, &s.x, &s.tg, invB)
-			s.rep32.foldInto(s.layers)
-			return
-		}
 		s.loss = s.rep.accumBatch(s.ar, &t.sf, &s.x, &s.tg, invB)
 	}
-	if workers > 1 && pool != nil && ns > 1 {
-		pool.Do(ns, workers, run)
+	if pool != nil && pool.Size() > 1 && ns > 1 { // a pool of one would only pay Do's bookkeeping
+		pool.Do(ns, 0, run)
 	} else {
 		for i := 0; i < ns; i++ {
 			run(i)
@@ -213,7 +197,7 @@ func (t *trainer) train(x *mat.Matrix, tg *Targets, opt Optimizer, workers int, 
 	}
 	// Fixed binary-tree reduction into shard 0 (the primary model). The
 	// tree's shape depends only on ns, so the summation order — and thus
-	// the reduced floats — never varies with the worker count. Replica
+	// the reduced floats — never varies with the pool. Replica
 	// accumulators are zeroed as they are folded, restoring the invariant
 	// that all gradients are zero between batches (the optimizer's Step
 	// zeroes the primary's).
