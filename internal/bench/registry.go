@@ -5,15 +5,15 @@ import (
 	"sort"
 )
 
-// Experiment is a named, runnable paper experiment.
+// Experiment is a named, runnable experiment.
 type Experiment struct {
 	ID    string
 	Title string
 	Run   func(cfg Config) (*Report, error)
 }
 
-// Experiments returns the registry of all reproducible tables and figures,
-// in paper order.
+// Experiments returns the registry: the paper's tables and figures in paper
+// order, then train, the one repo experiment (see TrainSpeedup).
 func Experiments() []Experiment {
 	return []Experiment{
 		{"table1", "Dataset summary", Table1},
@@ -26,13 +26,7 @@ func Experiments() []Experiment {
 		{"fig10", "Training sample-size sensitivity", Fig10},
 		{"ablation-truncation", "Code truncation search", func(c Config) (*Report, error) { return AblationCodeTruncation(c) }},
 		{"ablation-mapping", "Expert mapping strategies", func(c Config) (*Report, error) { return AblationExpertMapping(c) }},
-		{"pipeline", "Staged pipeline parallel speedup", PipelineSpeedup},
-		{"decompress", "Parallel projection-aware decompression speedup", DecompressSpeedup},
-		{"rowgroup", "RowRange decode latency vs. row-group count", RowGroupScan},
 		{"train", "Data-parallel training throughput vs. pool size", TrainSpeedup},
-		{"query", "Predicate-pushdown scan vs. selectivity", QuerySelectivity},
-		{"serve", "Open-once serving: warm handles vs cold open-per-query", ServeBench},
-		{"ratio", "Stream-codec ratio: best-of range coding vs DEFLATE-only", CodecRatio},
 	}
 }
 

@@ -99,19 +99,45 @@ func TestCodecDeterministicAcrossParallelism(t *testing.T) {
 	}
 }
 
-// With the range codecs enabled (the default) the skewed fixture must
-// actually use them somewhere, and the auto archive must not exceed the
-// DEFLATE-only one.
-func TestAutoUsesRangeCodecsOnSkewedData(t *testing.T) {
-	tb := skewedCatTable(2500, 13)
-	thr := []float64{0, 0, 0.05, 0}
-	auto, err := Compress(tb, thr, quickOpts())
+// nearDeterministicCatTable is the range codecs' acceptance fixture: every
+// column is a near-deterministic function of a shared latent with a 2% noise
+// floor, so a trained model ranks the true label first ~98% of the time and
+// the failure streams live below one bit per row — under Huffman's
+// integer-bit floor (colenc's stored form) and in exactly the regime range
+// coding was added for.
+func nearDeterministicCatTable(rows int, seed int64) *dataset.Table {
+	cols := make([]dataset.Column, 10)
+	for i := range cols {
+		cols[i] = dataset.Column{Name: fmt.Sprintf("attr%02d", i), Type: dataset.Categorical}
+	}
+	t := dataset.NewTable(dataset.NewSchema(cols...), rows)
+	rng := rand.New(rand.NewSource(seed))
+	for i := 0; i < rows; i++ {
+		z := rng.Float64()
+		vals := make([]string, len(cols))
+		for c := range vals {
+			v := int(z*4) + c%3
+			if rng.Float64() < 0.02 {
+				v = rng.Intn(24)
+			}
+			vals[c] = fmt.Sprintf("v%02d", v)
+		}
+		t.AppendRow(vals, nil)
+	}
+	return t
+}
+
+// autoVsDeflate compresses tb under the default codec selection and under
+// Codec "deflate": the auto archive must use a range codec somewhere and must
+// not exceed the DEFLATE-only one.
+func autoVsDeflate(t *testing.T, tb *dataset.Table, thr []float64, opts Options) (auto, deflate *Result) {
+	t.Helper()
+	auto, err := Compress(tb, thr, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dopts := quickOpts()
-	dopts.Codec = "deflate"
-	deflate, err := Compress(tb, thr, dopts)
+	opts.Codec = "deflate"
+	deflate, err = Compress(tb, thr, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,6 +156,39 @@ func TestAutoUsesRangeCodecsOnSkewedData(t *testing.T) {
 	if rangeFrames == 0 {
 		t.Fatal("no range-coded frames in the skewed fixture's archive")
 	}
+	return auto, deflate
+}
+
+// With the range codecs enabled (the default) a skewed fixture must actually
+// use them somewhere, and the auto archive must not exceed the DEFLATE-only
+// one. The near-deterministic fixture is the acceptance gate of the stream
+// codecs (EXPERIMENTS.md, "Stream-codec ratio"): range coding must shrink its
+// failure+code bytes by at least 10%, and all four sizes are pinned — a
+// change that moves the ratio re-pins them in the same diff.
+func TestAutoUsesRangeCodecsOnSkewedData(t *testing.T) {
+	autoVsDeflate(t, skewedCatTable(2500, 13), []float64{0, 0, 0.05, 0}, quickOpts())
+
+	t.Run("near-deterministic", func(t *testing.T) {
+		if raceEnabled {
+			t.Skip("20 000-row compress pair; runs uninstrumented (see scripts/check.sh)")
+		}
+		opts := DefaultOptions()
+		opts.Train.Epochs = 8
+		opts.TrainSampleRows = 4000
+		auto, deflate := autoVsDeflate(t, nearDeterministicCatTable(20_000, 301), make([]float64, 10), opts)
+		// {auto, deflate} byte counts.
+		streams := [2]int64{auto.Breakdown.Failures + auto.Breakdown.Codes, deflate.Breakdown.Failures + deflate.Breakdown.Codes}
+		archives := [2]int{len(auto.Archive), len(deflate.Archive)}
+		if want := [2]int64{22_780, 29_932}; streams != want {
+			t.Errorf("failure+code bytes %v, pinned %v", streams, want)
+		}
+		if want := [2]int{27_341, 34_494}; archives != want {
+			t.Errorf("archive bytes %v, pinned %v", archives, want)
+		}
+		if shrink := 1 - float64(streams[0])/float64(streams[1]); shrink < 0.10 {
+			t.Errorf("range coding shrank failure+code bytes by %.1f%%, want >= 10%%", 100*shrink)
+		}
+	})
 }
 
 // StreamStats' accounting must be internally consistent: chunk counts match

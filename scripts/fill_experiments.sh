@@ -4,42 +4,35 @@
 set -e
 cd "$(dirname "$0")/.."
 python3 - <<'EOF'
-import glob, re
-
 md = open('EXPERIMENTS.md').read()
 
-def block(path):
+# The one (id, scale) list, shared with run_experiments.sh.
+scale = dict(l.split() for l in open('scripts/experiments.list') if l.strip() and not l.startswith('#'))
+
+def block(exp):
     try:
-        body = open(path).read().strip()
+        body = open(f"results/{exp}-scale{scale[exp]}.txt").read().strip()
     except FileNotFoundError:
         return None
     return "```\n" + body + "\n```"
 
-def fill(marker, path, note=""):
+def fill(marker, exp, note=True):
     global md
-    b = block(path)
+    b = block(exp)
     if b is None:
         return
-    repl = (note + "\n\n" if note else "") + b
-    md = md.replace(f"<!-- {marker} -->", repl)
+    if note:
+        b = f"Measured (`dsbench -exp {exp} -scale {scale[exp]}`):\n\n" + b
+    md = md.replace(f"<!-- {marker} -->", b)
 
-fill("FIG6_RESULTS", "results/fig6-scale1.txt")
-fill("TABLE2_RESULTS", "results/table2-scale0.5.txt",
-     "Measured (`dsbench -exp table2 -scale 0.5`):")
-fill("FIG7_RESULTS", "results/fig7-scale0.5.txt",
-     "Measured (`dsbench -exp fig7 -scale 0.5`):")
-fill("FIG8_RESULTS", "results/fig8-scale1.txt",
-     "Measured (`dsbench -exp fig8 -scale 1`):")
-fill("FIG9_RESULTS", "results/fig9-scale0.3.txt",
-     "Measured (`dsbench -exp fig9 -scale 0.3`):")
-fill("FIG10_RESULTS", "results/fig10-scale1.txt",
-     "Measured (`dsbench -exp fig10 -scale 1`):")
+fill("FIG6_RESULTS", "fig6", note=False)
+fill("TABLE2_RESULTS", "table2")
+fill("FIG7_RESULTS", "fig7")
+fill("FIG8_RESULTS", "fig8")
+fill("FIG9_RESULTS", "fig9")
+fill("FIG10_RESULTS", "fig10")
 
-abl = []
-for p in ("results/ablation-truncation-scale1.txt", "results/ablation-mapping-scale1.txt"):
-    b = block(p)
-    if b:
-        abl.append(b)
+abl = [b for b in map(block, ("ablation-truncation", "ablation-mapping")) if b]
 if abl:
     md = md.replace("<!-- ABLATION_RESULTS -->", "\n\n".join(abl))
 

@@ -1,28 +1,14 @@
 #!/bin/sh
-# Regenerates every paper table/figure and stores the reports under
-# results/. Scales are trimmed so the whole suite finishes on a small
-# machine; pass a scale as $1 to override the default.
+# Runs every paper experiment at its recorded scale (scripts/experiments.list)
+# and stores each report as results/<id>-scale<scale>.txt, the names
+# scripts/fill_experiments.sh splices into EXPERIMENTS.md. Arguments go to
+# dsbench as they are: -quick trims sweeps and training for a smoke pass
+# (minutes on one core) into the same file names, -v logs progress.
 set -e
 cd "$(dirname "$0")/.."
-SCALE="${1:-0.25}"
-SMALL="${2:-0.15}"
 mkdir -p results
-go build -o /tmp/dsbench ./cmd/dsbench
-
-run() {
-  exp="$1"; scale="$2"
+grep -v -e '^#' -e '^$' scripts/experiments.list | while read -r exp scale; do
   echo ">>> $exp (scale $scale)" >&2
-  /tmp/dsbench -exp "$exp" -scale "$scale" -seed 1 -csv results | tee "results/$exp.txt"
-}
-
-run table1 "$SCALE"
-run fig6a "$SCALE"
-run fig6 "$SCALE"
-run fig7 "$SCALE"
-run fig8 "$SCALE"
-run fig10 "$SCALE"
-run ablation-truncation "$SCALE"
-run ablation-mapping "$SCALE"
-run table2 "$SMALL"
-run fig9 "$SMALL"
+  go run ./cmd/dsbench -exp "$exp" -scale "$scale" -seed 1 "$@" < /dev/null > "results/$exp-scale$scale.txt"
+done
 echo "all experiments done" >&2
