@@ -1,29 +1,44 @@
 //go:build amd64 && !noasm
 
-// AVX float64 kernels (declarations and contracts in kernels_amd64.go). Every
-// lane multiplies, rounds, then adds — VMULPD and VADDPD, never a fused
-// multiply-add — so each performs the portable loops' roundings in their
-// order.
+// AVX float64 kernels (declarations and contracts in kernels_amd64.go). Each
+// lane does its portable loop's operations in that loop's order: the matmul
+// and ReLU kernels multiply, round, then add (VMULPD, VADDPD), and the exp
+// kernel fuses exactly where exp calls math.FMA.
 
 #include "textflag.h"
 
-// func hasAVX() bool
-TEXT ·hasAVX(SB), NOSPLIT, $0-1
-	MOVB $0, ret+0(FP)
-	MOVL $1, AX
-	XORL CX, CX
+// func cpuFeatures() (avx, avx2fma bool)
+TEXT ·cpuFeatures(SB), NOSPLIT, $0-2
+	MOVB  $0, avx+0(FP)
+	MOVB  $0, avx2fma+1(FP)
+	XORL  AX, AX
 	CPUID
-	ANDL $0x18000000, CX // OSXSAVE | AVX
-	CMPL CX, $0x18000000
-	JNE  noavx
-	XORL CX, CX
+	MOVL  AX, R9 // highest basic leaf
+	MOVL  $1, AX
+	XORL  CX, CX
+	CPUID
+	MOVL  CX, R8
+	ANDL  $0x18000000, CX // OSXSAVE | AVX
+	CMPL  CX, $0x18000000
+	JNE   cpudone
+	XORL  CX, CX
 	XGETBV
-	ANDL $6, AX // XCR0: XMM and YMM state enabled
-	CMPL AX, $6
-	JNE  noavx
-	MOVB $1, ret+0(FP)
+	ANDL  $6, AX // XCR0: XMM and YMM state enabled
+	CMPL  AX, $6
+	JNE   cpudone
+	MOVB  $1, avx+0(FP)
+	TESTL $0x1000, R8 // FMA
+	JZ    cpudone
+	CMPL  R9, $7
+	JL    cpudone
+	MOVL  $7, AX
+	XORL  CX, CX
+	CPUID
+	TESTL $0x20, BX // AVX2
+	JZ    cpudone
+	MOVB  $1, avx2fma+1(FP)
 
-noavx:
+cpudone:
 	RET
 
 // ROW adds one row's products with the panel in Y4 to its accumulator.
@@ -131,5 +146,103 @@ axpy: // c[j] += ((a0·b0[j] + a1·b1[j]) + a2·b2[j]) + a3·b3[j], four j per p
 	ADDQ $4, AX
 	CMPQ AX, CX
 	JL   axpy
+	VZEROUPPER
+	RET
+
+// func expAVX(x *float64, n int) int
+TEXT ·expAVX(SB), NOSPLIT, $0-24
+	MOVQ    x+0(FP), DI
+	MOVQ    n+8(FP), CX
+	VMOVUPD ·expLanes+384(SB), Y12 // 2
+	XORQ    AX, AX
+
+exp4:
+	CMPQ       AX, CX
+	JGE        expdone
+	VMOVUPD    (DI)(AX*8), Y0
+	VMULPD     ·expLanes+0(SB), Y0, Y1          // x·log₂e
+	VCVTPD2DQY Y1, X2                           // k, to nearest even; 0x80000000 out of range
+	VCVTDQ2PD  X2, Y1
+	VCMPPD     $0x1d, ·expLanes+416(SB), Y1, Y3 // k ≥ −1022
+	VCMPPD     $0x12, ·expLanes+448(SB), Y1, Y4 // k ≤ 1023
+	VANDPD     Y4, Y3, Y3
+	VMOVMSKPD  Y3, BX
+	CMPL       BX, $15
+	JNE        expdone                          // a lane for exp: stop before the block
+	VADDPD     ·expLanes+480(SB), Y1, Y2        // 2⁵² + 1023 + k, exactly: k+1023 in the low bits
+	VPSLLQ     $52, Y2, Y2                      // 2^k
+	VFNMADD231PD ·expLanes+32(SB), Y1, Y0 // r = x − k·ln2Hi
+	VFNMADD231PD ·expLanes+64(SB), Y1, Y0 // r −= k·ln2Lo
+	VMULPD       ·expLanes+96(SB), Y0, Y0 // r·2⁻⁴
+	VMOVUPD      ·expLanes+128(SB), Y1
+	VFMADD213PD  ·expLanes+160(SB), Y0, Y1 // p = r·p + c, c7 down to 1
+	VFMADD213PD  ·expLanes+192(SB), Y0, Y1
+	VFMADD213PD  ·expLanes+224(SB), Y0, Y1
+	VFMADD213PD  ·expLanes+256(SB), Y0, Y1
+	VFMADD213PD  ·expLanes+288(SB), Y0, Y1
+	VFMADD213PD  ·expLanes+320(SB), Y0, Y1
+	VFMADD213PD  ·expLanes+352(SB), Y0, Y1
+	VMULPD       Y1, Y0, Y0 // y = r·p
+	VADDPD       Y12, Y0, Y1
+	VMULPD       Y1, Y0, Y0 // y = y·(y+2), three times
+	VADDPD       Y12, Y0, Y1
+	VMULPD       Y1, Y0, Y0
+	VADDPD       Y12, Y0, Y1
+	VMULPD       Y1, Y0, Y0
+	VADDPD       Y12, Y0, Y1
+	VFMADD213PD  ·expLanes+352(SB), Y1, Y0 // y = (y+2)·y + 1
+	VMULPD       Y2, Y0, Y0
+	VMOVUPD      Y0, (DI)(AX*8)
+	ADDQ         $4, AX
+	JMP          exp4
+
+expdone:
+	MOVQ       AX, ret+16(FP)
+	VZEROUPPER
+	RET
+
+// RELU clears y's lanes below Y15 = 0 (VCMPPD LT): ReLU's mask, NaN and −0 kept.
+#define RELU(y) \
+	VCMPPD  $1, Y15, y, Y1 \
+	VANDNPD y, Y1, y
+
+// func addReLUAVX(x, b *float64, n int)
+TEXT ·addReLUAVX(SB), NOSPLIT, $0-24
+	MOVQ   x+0(FP), DI
+	MOVQ   b+8(FP), SI
+	MOVQ   n+16(FP), CX
+	VXORPD Y15, Y15, Y15
+	XORQ   AX, AX
+
+addrelu:
+	VMOVUPD (DI)(AX*8), Y0
+	VADDPD  (SI)(AX*8), Y0, Y0
+	RELU(Y0)
+	VMOVUPD Y0, (DI)(AX*8)
+	ADDQ    $4, AX
+	CMPQ    AX, CX
+	JL      addrelu
+	VZEROUPPER
+	RET
+
+// func addAddReLUAVX(dst, s, w, b *float64, n int)
+TEXT ·addAddReLUAVX(SB), NOSPLIT, $0-40
+	MOVQ   dst+0(FP), DI
+	MOVQ   s+8(FP), SI
+	MOVQ   w+16(FP), R8
+	MOVQ   b+24(FP), R9
+	MOVQ   n+32(FP), CX
+	VXORPD Y15, Y15, Y15
+	XORQ   AX, AX
+
+addaddrelu:
+	VMOVUPD (SI)(AX*8), Y0
+	VADDPD  (R8)(AX*8), Y0, Y0
+	VADDPD  (R9)(AX*8), Y0, Y0
+	RELU(Y0)
+	VMOVUPD Y0, (DI)(AX*8)
+	ADDQ    $4, AX
+	CMPQ    AX, CX
+	JL      addaddrelu
 	VZEROUPPER
 	RET

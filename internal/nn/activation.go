@@ -48,18 +48,7 @@ func (a Activation) String() string {
 	}
 }
 
-// relu is exactly `if v < 0 { v = 0 }` — NaN and −0 pass through — written
-// as a mask so that it compiles to a conditional move: pre-activation signs
-// are close to random, and a branch mispredicts on every other element.
-func relu(v float64) float64 {
-	keep := ^uint64(0)
-	if v < 0 {
-		keep = 0
-	}
-	return math.Float64frombits(math.Float64bits(v) & keep)
-}
-
-// relu32 is the float32 twin of relu.
+// relu32 is the float32 twin of mat.ReLU.
 func relu32(v float32) float32 {
 	keep := ^uint32(0)
 	if v < 0 {
@@ -84,16 +73,12 @@ func (a Activation) apply(m *mat.Matrix) {
 	case Identity:
 	case ReLU:
 		for i, v := range m.Data {
-			m.Data[i] = relu(v)
+			m.Data[i] = mat.ReLU(v)
 		}
 	case Sigmoid:
-		for i, v := range m.Data {
-			m.Data[i] = 1 / (1 + math.Exp(-v))
-		}
+		sigmoid(m.Data)
 	case Tanh:
-		for i, v := range m.Data {
-			m.Data[i] = math.Tanh(v)
-		}
+		mat.Tanh(m.Data)
 	default:
 		panic(fmt.Sprintf("nn: unknown activation %d", a))
 	}
@@ -115,18 +100,31 @@ func (a Activation) backprop(grad, out *mat.Matrix) {
 		}
 	case Tanh:
 		for i, o := range out.Data {
-			grad.Data[i] *= 1 - o*o
+			grad.Data[i] *= 1 - float64(o*o)
 		}
 	default:
 		panic(fmt.Sprintf("nn: unknown activation %d", a))
 	}
 }
 
+// sigmoid replaces each x[i] with 1/(1+e^−x[i]) in place, the exponentials
+// through mat.Exp's lanes.
+func sigmoid(x []float64) {
+	for i, v := range x {
+		x[i] = -v
+	}
+	mat.Exp(x)
+	for i, e := range x {
+		x[i] = 1 / (1 + e)
+	}
+}
+
 // apply32 computes the activation element-wise in place on a float32 matrix.
 // Transcendentals (Sigmoid, Tanh) widen each element to float64, evaluate the
-// math-library function, and narrow the result: the extra conversion is cheap
-// next to the matmuls, and it keeps f32 activations a pure rounding of the f64
-// path rather than a different approximation (DESIGN.md §15 tolerance model).
+// float64 path's function, and narrow the result: the extra conversion is
+// cheap next to the matmuls, and it keeps f32 activations a pure rounding of
+// the f64 path rather than a different approximation (DESIGN.md §15
+// tolerance model).
 func (a Activation) apply32(m *mat.Matrix32) {
 	switch a {
 	case Identity:
@@ -136,12 +134,12 @@ func (a Activation) apply32(m *mat.Matrix32) {
 		}
 	case Sigmoid:
 		for i, v := range m.Data {
-			m.Data[i] = float32(1 / (1 + math.Exp(-float64(v))))
+			e := [1]float64{-float64(v)}
+			mat.Exp(e[:])
+			m.Data[i] = float32(1 / (1 + e[0]))
 		}
 	case Tanh:
-		for i, v := range m.Data {
-			m.Data[i] = float32(math.Tanh(float64(v)))
-		}
+		mat.Tanh(m.Data)
 	default:
 		panic(fmt.Sprintf("nn: unknown activation %d", a))
 	}
@@ -149,7 +147,9 @@ func (a Activation) apply32(m *mat.Matrix32) {
 
 // Softmax replaces each row of m with its softmax over the first width
 // columns, leaving any remaining columns untouched. Numerically stabilized
-// by max subtraction.
+// by max subtraction. The exponentials run across rows — one mat.Exp over the
+// whole matrix when width is all of it — since a categorical column's rows are
+// a few values wide; each row's sum stays in index order.
 func Softmax(m *mat.Matrix, width int) {
 	if width <= 0 || width > m.Cols {
 		panic(fmt.Sprintf("nn: softmax width %d over %d columns", width, m.Cols))
@@ -162,10 +162,20 @@ func Softmax(m *mat.Matrix, width int) {
 				max = v
 			}
 		}
-		var sum float64
 		for j, v := range row {
-			e := math.Exp(v - max)
-			row[j] = e
+			row[j] = v - max
+		}
+		if width < m.Cols {
+			mat.Exp(row)
+		}
+	}
+	if width == m.Cols {
+		mat.Exp(m.Data)
+	}
+	for i := 0; i < m.Rows; i++ {
+		row := m.Row(i)[:width]
+		var sum float64
+		for _, e := range row {
 			sum += e
 		}
 		for j := range row {

@@ -292,19 +292,19 @@ func signalRows[T float32 | float64](w []T, in, out, catCols int, dst []T) {
 // weights on the column's signal node, and the bias are added as
 // hid = act((s + w) + bias), the order in which the stacked product and
 // biasAct add the three. ReLU, which every written archive carries here, is
-// fused into the one pass.
+// fused into the one pass (mat.AddAddReLU).
 func (d *Dense) signalHidden(s *mat.Matrix, w []float64, hid *mat.Matrix) {
 	n := d.Out
 	w, bias := w[:n], d.B[:n]
 	fused := d.Act == ReLU
 	for r := 0; r < s.Rows; r++ {
 		sr, hr := s.Row(r)[:n], hid.Row(r)[:n]
+		if fused {
+			mat.AddAddReLU(hr, sr, w, bias)
+			continue
+		}
 		for o, v := range sr {
-			v = (v + w[o]) + bias[o]
-			if fused {
-				v = relu(v)
-			}
-			hr[o] = v
+			hr[o] = (v + w[o]) + bias[o]
 		}
 	}
 	if !fused {
@@ -315,18 +315,20 @@ func (d *Dense) signalHidden(s *mat.Matrix, w []float64, hid *mat.Matrix) {
 // sigmoidHead writes the sigmoid of the combined numeric+binary head's
 // logits (row-major; numeric columns first, then binary) into num and bin.
 // Float32 logits widen first, so both precisions evaluate the same
-// math-library exponential.
+// exponential.
 func sigmoidHead[T float32 | float64](logits []T, num, bin *mat.Matrix) {
 	nc, w := num.Cols, num.Cols+bin.Cols
 	for r := 0; r < num.Rows; r++ {
 		row := logits[r*w : (r+1)*w]
 		for c, v := range row[:nc] {
-			num.Data[r*nc+c] = 1 / (1 + math.Exp(-float64(v)))
+			num.Data[r*nc+c] = float64(v)
 		}
 		for c, v := range row[nc:] {
-			bin.Data[r*bin.Cols+c] = 1 / (1 + math.Exp(-float64(v)))
+			bin.Data[r*bin.Cols+c] = float64(v)
 		}
 	}
+	sigmoid(num.Data)
+	sigmoid(bin.Data)
 }
 
 // Layers returns every parameterized layer of the decoder.
@@ -478,7 +480,7 @@ func (a *Autoencoder) accumBatch(ar *mat.Arena, f *sharedFactor, x *mat.Matrix, 
 		z := a.HeadNum.forward(ar, h)
 		y := ar.Get(z.Rows, z.Cols)
 		copy(y.Data, z.Data)
-		y.Apply(func(v float64) float64 { return 1 / (1 + math.Exp(-v)) })
+		sigmoid(y.Data)
 		// Gradient w.r.t. pre-activation z (HeadNum uses Identity).
 		gz := ar.Get(z.Rows, z.Cols)
 		for r := 0; r < z.Rows; r++ {
@@ -486,13 +488,13 @@ func (a *Autoencoder) accumBatch(ar *mat.Arena, f *sharedFactor, x *mat.Matrix, 
 			for c := 0; c < a.numCols; c++ {
 				t := tg.Num.At(r, c)
 				diff := yr[c] - t
-				loss += diff * diff * invB
+				loss += float64(diff * diff * invB)
 				gr[c] = 2 * diff * yr[c] * (1 - yr[c]) * invB
 			}
 			for c := 0; c < a.binCols; c++ {
 				t := tg.Bin.At(r, c)
 				p := yr[a.numCols+c]
-				loss += bce(p, t) * invB
+				loss += float64(bce(p, t) * invB)
 				gr[a.numCols+c] = (p - t) * invB
 			}
 		}
@@ -584,7 +586,7 @@ func softmaxGrad(g *mat.Matrix, target []int, invB float64) float64 {
 			clear(gr)
 			continue
 		}
-		loss += -math.Log(math.Max(gr[cls], 1e-12)) * invB
+		loss += float64(-math.Log(math.Max(gr[cls], 1e-12)) * invB)
 		for c := range gr {
 			gr[c] *= invB
 		}
@@ -624,7 +626,7 @@ func (s *scorer) losses(x *mat.Matrix, tg *Targets) []float64 {
 		var l float64
 		for c := 0; c < a.numCols; c++ {
 			diff := p.Num.At(r, c) - tg.Num.At(r, c)
-			l += diff * diff
+			l += float64(diff * diff)
 		}
 		for c := 0; c < a.binCols; c++ {
 			l += bce(p.Bin.At(r, c), tg.Bin.At(r, c))
@@ -644,5 +646,5 @@ func (s *scorer) losses(x *mat.Matrix, tg *Targets) []float64 {
 // bce is binary cross-entropy with clamped probabilities.
 func bce(p, t float64) float64 {
 	p = math.Min(math.Max(p, 1e-12), 1-1e-12)
-	return -(t*math.Log(p) + (1-t)*math.Log(1-p))
+	return -(float64(t*math.Log(p)) + float64((1-t)*math.Log(1-p)))
 }

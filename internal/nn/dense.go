@@ -86,8 +86,14 @@ func (d *Dense) infer(ar *mat.Arena, x *mat.Matrix) *mat.Matrix {
 }
 
 // biasAct finishes a pre-activation x·Wᵀ in place: add the bias, apply the
-// activation.
+// activation — under ReLU both in one pass (mat.AddReLU).
 func (d *Dense) biasAct(out *mat.Matrix) {
+	if d.Act == ReLU {
+		for i := 0; i < out.Rows; i++ {
+			mat.AddReLU(out.Row(i), d.B)
+		}
+		return
+	}
 	for i := 0; i < out.Rows; i++ {
 		row := out.Row(i)
 		for j := range row {

@@ -189,7 +189,7 @@ func (m *MoE) Train(rng *rand.Rand, x *mat.Matrix, tg *Targets, opts TrainOption
 			idx := order[lo:hi]
 			bx := extractRows(x, idx)
 			btg := extractTargets(tg, idx)
-			epochLoss += m.trainBatch(bx, btg, optims, gateOpt, scorers, &opts) * float64(len(idx))
+			epochLoss += float64(m.trainBatch(bx, btg, optims, gateOpt, scorers, &opts) * float64(len(idx)))
 			tuples += len(idx)
 		}
 		epochLoss /= float64(tuples)
@@ -251,7 +251,7 @@ func (m *MoE) trainBatch(bx *mat.Matrix, btg *Targets, optims []*Adam, gateOpt *
 		}
 		sub := extractRows(bx, idx)
 		stg := extractTargets(btg, idx)
-		total += exp.TrainBatch(sub, stg, optims[e], opts.Pool) * float64(len(idx))
+		total += float64(exp.TrainBatch(sub, stg, optims[e], opts.Pool) * float64(len(idx)))
 	}
 	total /= float64(bx.Rows)
 	// Train the gate toward the assignment with softmax cross-entropy.

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -82,6 +83,65 @@ func TestSoftmaxNumericalStability(t *testing.T) {
 	Softmax(m, 2)
 	if math.IsNaN(m.At(0, 0)) || math.IsNaN(m.At(0, 1)) {
 		t.Fatal("softmax overflowed on large logits")
+	}
+}
+
+// Property: a softmax over the first width of Cols columns leaves the rest
+// bit-identical and gives, row for row, the bits of the whole-matrix path
+// (one mat.Exp across rows) over a width-wide copy — at shapes whose element
+// counts run the exp kernel's lanes and tail, with logits far enough apart
+// that some exponentials underflow and take the reference.
+func TestSoftmaxPartialWidth(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	for rows := 1; rows <= 9; rows++ {
+		for width := 1; width <= 9; width++ {
+			m := mat.New(rows, width+1+rng.Intn(3))
+			for i := range m.Data {
+				m.Data[i] = 4 * rng.NormFloat64()
+				if rng.Intn(10) == 0 {
+					m.Data[i] = -800
+				}
+			}
+			whole := mat.New(rows, width)
+			for r := 0; r < rows; r++ {
+				copy(whole.Row(r), m.Row(r)[:width])
+			}
+			orig := m.Clone()
+			Softmax(m, width)
+			Softmax(whole, width)
+			for r := 0; r < rows; r++ {
+				for c, v := range m.Row(r) {
+					want := orig.At(r, c)
+					if c < width {
+						want = whole.At(r, c)
+					}
+					if math.Float64bits(v) != math.Float64bits(want) {
+						t.Fatalf("%dx%d, width %d: [%d][%d] = %v, want %v", rows, m.Cols, width, r, c, v, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkSoftmaxCensusShapes times the element-wise passes of a Census
+// decode batch: 1 024 rows of a categorical column's softmax at
+// cardinalities 3, 5 and 7, and the 24-wide auxiliary layer's tanh.
+func BenchmarkSoftmaxCensusShapes(b *testing.B) {
+	rng := rand.New(rand.NewSource(42))
+	for _, card := range []int{3, 5, 7, 24} {
+		src := mat.RandUniform(rng, 1024, card, -6, 6)
+		m := mat.New(1024, card)
+		name, pass := fmt.Sprintf("softmax/card=%d", card), func() { Softmax(m, card) }
+		if card == 24 {
+			name, pass = "tanh/aux=24", func() { Tanh.apply(m) }
+		}
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				copy(m.Data, src.Data)
+				pass()
+			}
+		})
 	}
 }
 

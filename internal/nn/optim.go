@@ -38,10 +38,10 @@ func (o *SGD) Step(layers []*Dense) {
 	for _, l := range layers {
 		if o.Momentum == 0 {
 			for i, g := range l.GradW.Data {
-				l.W.Data[i] -= o.LR * g
+				l.W.Data[i] -= float64(o.LR * g)
 			}
 			for i, g := range l.GradB {
-				l.B[i] -= o.LR * g
+				l.B[i] -= float64(o.LR * g)
 			}
 		} else {
 			vw, ok := o.velW[l]
@@ -52,11 +52,11 @@ func (o *SGD) Step(layers []*Dense) {
 			}
 			vb := o.velB[l]
 			for i, g := range l.GradW.Data {
-				vw.Data[i] = o.Momentum*vw.Data[i] - o.LR*g
+				vw.Data[i] = float64(o.Momentum*vw.Data[i]) - float64(o.LR*g)
 				l.W.Data[i] += vw.Data[i]
 			}
 			for i, g := range l.GradB {
-				vb[i] = o.Momentum*vb[i] - o.LR*g
+				vb[i] = float64(o.Momentum*vb[i]) - float64(o.LR*g)
 				l.B[i] += vb[i]
 			}
 		}
@@ -101,13 +101,13 @@ func (o *Adam) Step(layers []*Dense) {
 		}
 		vw, mb, vb := o.vW[l], o.mB[l], o.vB[l]
 		for i, g := range l.GradW.Data {
-			mw.Data[i] = o.Beta1*mw.Data[i] + (1-o.Beta1)*g
-			vw.Data[i] = o.Beta2*vw.Data[i] + (1-o.Beta2)*g*g
+			mw.Data[i] = float64(o.Beta1*mw.Data[i]) + float64((1-o.Beta1)*g)
+			vw.Data[i] = float64(o.Beta2*vw.Data[i]) + float64((1-o.Beta2)*g*g)
 			l.W.Data[i] -= o.LR * (mw.Data[i] / c1) / (math.Sqrt(vw.Data[i]/c2) + o.Eps)
 		}
 		for i, g := range l.GradB {
-			mb[i] = o.Beta1*mb[i] + (1-o.Beta1)*g
-			vb[i] = o.Beta2*vb[i] + (1-o.Beta2)*g*g
+			mb[i] = float64(o.Beta1*mb[i]) + float64((1-o.Beta1)*g)
+			vb[i] = float64(o.Beta2*vb[i]) + float64((1-o.Beta2)*g*g)
 			l.B[i] -= o.LR * (mb[i] / c1) / (math.Sqrt(vb[i]/c2) + o.Eps)
 		}
 		l.ZeroGrad()
@@ -120,10 +120,10 @@ func ClipGrads(layers []*Dense, maxNorm float64) float64 {
 	var sq float64
 	for _, l := range layers {
 		for _, g := range l.GradW.Data {
-			sq += g * g
+			sq += float64(g * g)
 		}
 		for _, g := range l.GradB {
-			sq += g * g
+			sq += float64(g * g)
 		}
 	}
 	norm := math.Sqrt(sq)

@@ -43,13 +43,28 @@ go test -race ./...
 
 step "arm64 fused multiply-add check"
 # Go fuses x*y + z into one rounding on arm64 (and ppc64le, s390x, riscv64)
-# unless the product is explicitly converted. A fused kernel rounds
-# differently from amd64's, and an archive would replay through different
-# bits: the arm64 listing of internal/mat must hold no fused multiply-add.
-if GOARCH=arm64 go build -gcflags=-S ./internal/mat 2>&1 | grep -E 'F(N)?M(ADD|SUB)[SD]'; then
-    echo "internal/mat compiles to fused multiply-adds on arm64: write the product as float64(a*b)" >&2
+# unless the product is explicitly converted. A fused kernel, activation or
+# training step rounds differently from amd64's, and an archive would replay
+# through different bits. In the arm64 listings of internal/mat and
+# internal/nn, counted per TEXT symbol, the only fused instructions allowed
+# are mat.exp's: the reference exponential fuses on purpose, once per
+# math.FMA call, where amd64's Exp does on an FMA CPU.
+exp_sym=deepsqueeze/internal/mat.exp
+exp_fma=$(grep -o 'math\.FMA(' internal/mat/elementwise.go | wc -l)
+fused=$(GOARCH=arm64 go build -gcflags=-S ./internal/mat ./internal/nn 2>&1 |
+    awk -v ref="$exp_sym" -v want="$exp_fma" '
+        /STEXT/ { sym = $1 }
+        /F(N)?M(ADD|SUB)[SD]/ { n[sym]++ }
+        END {
+            for (s in n) if (s != ref) print s ": " n[s] " fused multiply-adds, want 0"
+            if (n[ref] + 0 != want) print ref ": " n[ref] + 0 " fused multiply-adds, want " want
+        }')
+if [ -n "$fused" ]; then
+    echo "$fused" >&2
+    echo "fused multiply-adds on arm64 outside mat.exp's math.FMA calls: write the product as float64(a*b)" >&2
     exit 1
 fi
+echo "arm64: $exp_fma fused multiply-adds, all in $exp_sym"
 
 step "bounded-memory smoke"
 # Streaming compress + decompress of a CSV under a GOMEMLIMIT far below the
@@ -79,10 +94,11 @@ echo "bounded-memory smoke ok ($csv_bytes CSV bytes under GOMEMLIMIT=8MiB)"
 
 step "portable kernels (-tags noasm)"
 # noasm drops the amd64 assembly, so that the portable float64 and float32
-# loops — what every other architecture runs — compile and are tested on this
-# one: the kernel and model suites, the golden archives' decode, and one table
-# compressed by both builds into the same bytes. Without -race: the step above
-# has raced this code already.
+# loops and the reference exp — what every other architecture runs — compile
+# and are tested on this one: the kernel and model suites (the pinned exp and
+# tanh bits among them), the golden archives' decode, and tables compressed by
+# both builds into the same bytes. Without -race: the step above has raced
+# this code already.
 go test -tags noasm ./internal/mat ./internal/nn
 go test -tags noasm -run 'Golden' ./internal/core
 go build -tags noasm -o "$smokedir/dsqz-noasm" ./cmd/dsqz
@@ -92,15 +108,37 @@ for b in dsqz dsqz-noasm; do
         -schema "city:cat,temp:num,load:num" -error 0.05
 done
 cmp "$smokedir/small-dsqz.dsqz" "$smokedir/small-dsqz-noasm.dsqz"
+# A categorical-heavy table — 68 Census columns: the auxiliary layer's tanh,
+# the shared stack's ReLU passes and a softmax per column — under both decode
+# plans. Each plan's archives from the two builds must match, and the noasm
+# binary must decode the asm build's archive to the asm decode's bytes.
+go build -o "$smokedir/dsgen" ./cmd/dsgen
+"$smokedir/dsgen" -dataset census -rows 1000 > "$smokedir/census.csv"
+census_schema=$(head -n 1 "$smokedir/census.csv" | sed 's/,/:cat,/g; s/$/:cat/')
+for plan in f64 f32; do
+    flags=""
+    if [ "$plan" = f32 ]; then
+        flags="-f32 -experts 2"
+    fi
+    for b in dsqz dsqz-noasm; do
+        # shellcheck disable=SC2086 # flags is a word list
+        "$smokedir/$b" compress -in "$smokedir/census.csv" -out "$smokedir/census-$plan-$b.dsqz" \
+            -schema "$census_schema" $flags
+        "$smokedir/$b" decompress -in "$smokedir/census-$plan-dsqz.dsqz" -out "$smokedir/census-$plan-$b.csv"
+    done
+    cmp "$smokedir/census-$plan-dsqz.dsqz" "$smokedir/census-$plan-dsqz-noasm.dsqz"
+    cmp "$smokedir/census-$plan-dsqz.csv" "$smokedir/census-$plan-dsqz-noasm.csv"
+done
 
 step "benchmark smoke"
 # One iteration of the training and categorical-inference benchmarks (the repo
 # benchmark's 21-column shape among them: TrainBatchCategorical, and
-# PredictCategorical at both float widths): catches kernels, the trainer or
+# PredictCategorical at both float widths) and of the element-wise passes at
+# Census shapes (SoftmaxCensusShapes, Exp): catches kernels, the trainer or
 # the predictors panicking under benchmark shapes without paying for a real
 # measurement.
-go test -run='^$' -bench='TrainBatch|TrainEpoch|PredictCategorical' -benchtime=1x ./internal/nn
-go test -run='^$' -bench='Into' -benchtime=1x ./internal/mat
+go test -run='^$' -bench='TrainBatch|TrainEpoch|PredictCategorical|SoftmaxCensusShapes' -benchtime=1x ./internal/nn
+go test -run='^$' -bench='Into|^BenchmarkExp$' -benchtime=1x ./internal/mat
 
 step "repo benchmark smoke"
 # benchmarks/ is a module of its own, which the root module's `go test ./...`
@@ -117,8 +155,10 @@ step "uninstrumented tests"
 # acceptance bounds (range codecs >= 10% off the near-deterministic fixture's
 # failure+code bytes, residual digits >= 10% off the clickstream archive),
 # 20 000- and 30 000-row compress pairs that would cost tens of seconds raced.
+# The exp and tanh sweeps: millions of scalar calls, nothing to race.
 go test -run='^TestWarmCachedQueryAllocs$' -count=1 ./internal/serve
 go test -run='^(TestArchiveWriterAutoCodecAllocs|TestAutoUsesRangeCodecsOnSkewedData|TestResidualShrinksClickstream)$' -count=1 ./internal/core
+go test -run='^(TestExpMatchesReference|TestExpReferenceMatchesMathExp|TestTanhReferenceMatchesMathTanh)$' -count=1 ./internal/mat
 
 step "fuzz smoke"
 # Short coverage-guided runs of the decode-path fuzzers: any panic or
@@ -153,7 +193,9 @@ echo "all checks passed in ${SECONDS}s"
 # shows here (see the per-step times above) before a pipeline timeout does.
 # The arm64 listing and the noasm step together add ≈ 5 s on warm Go caches
 # and ≈ 15 s on cold ones (the arm64 standard library, and a second compile
-# of mat, nn, core and dsqz); the budget stands.
+# of mat, nn, core and dsqz), and the noasm step's Census cross-build ≈ 15 s
+# more (four compresses, one of them the portable f32 plan with two
+# experts); the budget stands.
 budget=240
 if [ "$SECONDS" -le "$budget" ]; then
     echo "budget $budget s: ok"
