@@ -236,7 +236,7 @@ func DecompressBytes(frame []byte) ([]byte, error) {
 	case TagStored:
 		return frame[1:], nil
 	case TagDeflate:
-		return inflate(frame[1:])
+		return Inflate(frame[1:], MaxInflatedBytes)
 	case TagRangeAdaptive, TagRangeCPT:
 		return nil, fmt.Errorf("%w: range frame in a byte stream", ErrCorrupt)
 	default:
@@ -244,17 +244,49 @@ func DecompressBytes(frame []byte) ([]byte, error) {
 	}
 }
 
-// inflate decompresses a raw DEFLATE body under the inflation cap.
-func inflate(body []byte) ([]byte, error) {
-	fr := flate.NewReader(bytes.NewReader(body))
-	out, err := io.ReadAll(io.LimitReader(fr, MaxInflatedBytes+1))
-	if err != nil {
+// inflater is the reusable state of one DEFLATE frame's decoding, the read
+// side of scratch: a reader reset per frame through flate.Resetter —
+// flate.NewReader allocates its 32 KB window and decoding tables on every
+// call — and the buffer it inflates into, which keeps its capacity.
+type inflater struct {
+	src bytes.Reader
+	fr  io.ReadCloser
+	lim io.LimitedReader
+	out bytes.Buffer
+}
+
+var inflaters = sync.Pool{New: func() any { return new(inflater) }}
+
+// inflate decompresses a raw DEFLATE body of at most limit bytes — more is
+// ErrCorrupt — into the inflater's buffer, valid until its next use.
+func (f *inflater) inflate(body []byte, limit int) ([]byte, error) {
+	f.src.Reset(body)
+	if f.fr == nil {
+		f.fr = flate.NewReader(&f.src)
+	} else {
+		f.fr.(flate.Resetter).Reset(&f.src, nil) // fails on a bad dictionary only
+	}
+	f.lim = io.LimitedReader{R: f.fr, N: int64(limit) + 1}
+	f.out.Reset()
+	if _, err := f.out.ReadFrom(&f.lim); err != nil {
 		return nil, fmt.Errorf("%w: inflate: %v", ErrCorrupt, err)
 	}
-	if len(out) > MaxInflatedBytes {
-		return nil, fmt.Errorf("%w: inflated chunk exceeds %d bytes", ErrCorrupt, MaxInflatedBytes)
+	if f.out.Len() > limit {
+		return nil, fmt.Errorf("%w: inflated chunk exceeds %d bytes", ErrCorrupt, limit)
 	}
-	return out, fr.Close()
+	return f.out.Bytes(), nil
+}
+
+// Inflate decompresses a raw DEFLATE body of at most limit bytes into a slice
+// of exactly its length; a longer or malformed body is ErrCorrupt.
+func Inflate(body []byte, limit int) ([]byte, error) {
+	f := inflaters.Get().(*inflater)
+	defer inflaters.Put(f)
+	out, err := f.inflate(body, limit)
+	if err != nil {
+		return nil, err
+	}
+	return bytes.Clone(out), nil
 }
 
 // CompressInts encodes an integer stream with the smallest eligible frame:
@@ -308,11 +340,13 @@ func DecompressInts(frame []byte, max int) ([]int64, error) {
 	case TagStored:
 		return colenc.DecodeBestMax(frame[1:], max)
 	case TagDeflate:
-		body, err := inflate(frame[1:])
+		f := inflaters.Get().(*inflater)
+		defer inflaters.Put(f)
+		body, err := f.inflate(frame[1:], MaxInflatedBytes)
 		if err != nil {
 			return nil, err
 		}
-		return colenc.DecodeBestMax(body, max)
+		return colenc.DecodeBestMax(body, max) // decodes into values of its own
 	case TagRangeAdaptive, TagRangeCPT:
 		return decodeRangeInts(frame, max)
 	default:
@@ -531,7 +565,7 @@ func InspectInts(frame []byte, max int) (FrameInfo, error) {
 	case TagStored:
 		info.RawBytes = int64(len(frame))
 	case TagDeflate:
-		body, err := inflate(frame[1:])
+		body, err := Inflate(frame[1:], MaxInflatedBytes)
 		if err != nil {
 			return FrameInfo{}, err
 		}
@@ -560,7 +594,7 @@ func InspectBytes(frame []byte) (FrameInfo, error) {
 	case TagStored:
 		info.RawBytes = int64(len(frame))
 	case TagDeflate:
-		body, err := inflate(frame[1:])
+		body, err := Inflate(frame[1:], MaxInflatedBytes)
 		if err != nil {
 			return FrameInfo{}, err
 		}

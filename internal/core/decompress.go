@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 
 	"deepsqueeze/internal/colfile"
 	"deepsqueeze/internal/dataset"
@@ -189,9 +190,7 @@ type decompressor struct {
 
 	decoders []*nn.Decoder
 	decs32   []*nn.Decoder32 // float32 views when flagFloat32, parallel to decoders
-	// preds[worker][expert] is the predictor that pool worker reuses for
-	// every group it decodes (see decodeItems); rows are filled lazily.
-	preds [][]func(*mat.Matrix) *nn.Predictions
+	infer    *inferPool      // the reader's retained inference memory
 
 	groups []*groupDec
 	nOut   int // total output rows across surviving groups
@@ -242,7 +241,7 @@ func (a *Archive) decompress(ctx context.Context, opts DecompressOptions, ext *p
 // decompressor holding the decoded groups; the caller picks where assemble
 // writes them (assembleTable or assembleBlocks).
 func (a *Archive) decodeStages(run *pipeline.Run, opts DecompressOptions, ext *providedModel) (*decompressor, error) {
-	d := &decompressor{run: run, opts: opts, ext: ext, h: a, meta: a.meta}
+	d := &decompressor{run: run, opts: opts, ext: ext, h: a, meta: a.meta, infer: &a.infer}
 	stages := []struct {
 		name string
 		fn   func() (int64, error)
@@ -993,9 +992,10 @@ func (d *decompressor) resolveSpec(g *groupDec, si int) error {
 }
 
 // decode replays decoder inference over the pool — one work item per group ×
-// expert — applying the failure streams to recover the selected model
-// columns' codes in stored order. Only selected spec columns are inferred
-// and only stored positions inside the row range are fed through.
+// expert, each in an inference state borrowed from the reader's retained pool
+// — applying the failure streams to recover the selected model columns' codes
+// in stored order. Only selected spec columns are inferred and only stored
+// positions inside the row range are fed through.
 func (d *decompressor) decode() error {
 	if !d.needModel {
 		return nil
@@ -1014,7 +1014,12 @@ func (d *decompressor) decode() error {
 			items = append(items, work{g, e})
 		}
 	}
-	return d.decodeItems(len(items), func(i int) (*groupDec, int) { return items[i].g, items[i].e })
+	return d.run.ForEach(len(items), func(i int) error {
+		g, e := items[i].g, items[i].e
+		st := d.infer.get()
+		defer d.infer.put(st)
+		return d.decodeExpert(g, e, st)
+	})
 }
 
 // decodeGroupInit reconstructs a group's float codes and groups its stored
@@ -1024,44 +1029,55 @@ func (d *decompressor) decodeGroupInit(g *groupDec) {
 	g.posBy = expertPositionsRange(g.assign, g.perm, d.meta.numExperts, g.glo, g.ghi)
 }
 
-// decodeItems runs n group × expert work items over the pool. Each pool
-// worker keeps one predictor per expert for the life of the decompressor —
-// a worker runs one item at a time, so they need no lock — which is what
-// lets inference scratch be allocated once per request (or once per
-// ArchiveReader) rather than once per group.
-func (d *decompressor) decodeItems(n int, item func(i int) (*groupDec, int)) error {
-	if d.preds == nil {
-		d.preds = make([][]func(*mat.Matrix) *nn.Predictions, d.run.Parallelism())
+// decodeExpert runs one group × expert through the decoder, at the precision
+// the archive header mandates (flagFloat32 → float32 inference), in st.
+func (d *decompressor) decodeExpert(g *groupDec, e int, st *inferState) error {
+	var d32 *nn.Decoder32
+	if d.decs32 != nil {
+		d32 = d.decs32[e]
 	}
-	return d.run.ForEachWorker(n, func(w, i int) error {
-		g, e := item(i)
-		if d.preds[w] == nil {
-			d.preds[w] = make([]func(*mat.Matrix) *nn.Predictions, d.meta.numExperts)
-		}
-		if d.preds[w][e] == nil {
-			// The precision is the one the archive header mandates
-			// (flagFloat32 → float32 inference).
-			var d32 *nn.Decoder32
-			if d.decs32 != nil {
-				d32 = d.decs32[e]
-			}
-			d.preds[w][e] = predictorFor(d.decoders[e], d32, d.wantSpec)
-		}
-		return d.decodeExpert(g, e, d.preds[w][e])
-	})
-}
-
-// decodeExpert runs one group × expert through the decoder.
-func (d *decompressor) decodeExpert(g *groupDec, e int, predict func(*mat.Matrix) *nn.Predictions) error {
-	scratch := make([]bool, maxCard(d.meta.layout.specs)+1)
+	if n := maxCard(d.meta.layout.specs) + 1; len(st.excluded) < n {
+		st.excluded = make([]bool, n)
+	}
 	var derr error
-	expertBatches(predict, g.rec, g.posBy[e], func(chunk []int, p *nn.Predictions) {
+	expertBatches(st, d.decoders[e], d32, d.wantSpec, g.rec, g.posBy[e], func(chunk []int, p *nn.Predictions) {
 		if derr != nil {
 			return
 		}
-		derr = d.applyChunk(g, d.decoders[e], chunk, p, scratch)
+		derr = d.applyChunk(g, d.decoders[e], chunk, p, st.excluded)
 	})
 	return derr
+}
+
+// inferPool is the inference memory a reader keeps between requests, held by
+// an Archive handle and by an ArchiveReader for their lifetimes so that a
+// warm reader's decode allocates no inference scratch: a free list of
+// inferStates, which serve any expert (a reader's experts share one
+// architecture). A state is made only when the list is empty, so it never
+// holds more states than the most decode workers that ever ran at once. It is
+// not a sync.Pool, which every GC empties, and it is not keyed by projection:
+// one state serves any (DESIGN.md §14).
+type inferPool struct {
+	mu   sync.Mutex
+	free []*inferState
+}
+
+func (p *inferPool) get() *inferState {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	n := len(p.free)
+	if n == 0 {
+		return new(inferState)
+	}
+	st := p.free[n-1]
+	p.free = p.free[:n-1]
+	return st
+}
+
+func (p *inferPool) put(st *inferState) {
+	p.mu.Lock()
+	p.free = append(p.free, st)
+	p.mu.Unlock()
 }
 
 // applyChunk merges one batch of predictions with a group's failure streams.

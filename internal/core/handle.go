@@ -170,10 +170,12 @@ func (m *archiveMeta) info() *ArchiveInfo {
 // Archive is an open-once/serve-many handle: the archive's header, footer
 // index, zone maps, and decoder section are parsed at most once, and any
 // number of concurrent decompressions and queries execute against the shared
-// parsed state. The handle is immutable after Open and safe for concurrent
-// use; the expensive pieces (decoder weights, zone maps) are materialized
-// lazily on first use and then cached for the handle's lifetime, so a
-// request pattern that never touches the model never pays for it.
+// parsed state. The handle is safe for concurrent use: its parsed state is
+// immutable after Open, and the expensive pieces (decoder weights, zone maps)
+// are materialized lazily on first use and then cached for the handle's
+// lifetime, so a request pattern that never touches the model never pays for
+// it. The one thing requests change is the pool of inference memory they
+// borrow from and return to (inferPool, behind its own lock).
 type Archive struct {
 	meta *archiveMeta
 
@@ -188,6 +190,8 @@ type Archive struct {
 	dec32Once sync.Once
 	decs32    []*nn.Decoder32
 	dec32Err  error
+
+	infer inferPool
 }
 
 // Open parses the archive's metadata (envelope, checksum, header, footer
@@ -251,9 +255,10 @@ func (a *Archive) Index() (*ArchiveIndex, error) {
 }
 
 // decoders inflates and parses the archive's decoder section on first call
-// and caches the parsed experts — the open-once amortization that makes a
-// warm handle cheap to query. Decoders are stateless during inference, so
-// the cached slice is shared across concurrent requests.
+// and caches the parsed experts, their weights packed — the open-once
+// amortization that makes a warm handle cheap to query. Decoders are read-only
+// during inference (its memory is the caller's), so the cached slice is
+// shared across concurrent requests.
 func (a *Archive) decoders() ([]*nn.Decoder, error) {
 	a.decOnce.Do(func() {
 		m := a.meta
@@ -271,7 +276,7 @@ func (a *Archive) decoders() ([]*nn.Decoder, error) {
 
 // decoders32 narrows the cached decoders into their float32 views on first
 // call — the decode path for archives carrying flagFloat32. Like the float64
-// cache, the views are stateless during inference and shared across requests.
+// cache, the views are read-only during inference and shared across requests.
 func (a *Archive) decoders32() ([]*nn.Decoder32, error) {
 	a.dec32Once.Do(func() {
 		decs, err := a.decoders()

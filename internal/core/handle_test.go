@@ -7,11 +7,13 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 
 	"deepsqueeze/internal/dataset"
+	"deepsqueeze/internal/pipeline"
 )
 
 // csvBytes renders a table to CSV for strict byte comparison.
@@ -193,32 +195,47 @@ func TestHandleDecodersParsedOnce(t *testing.T) {
 	}
 }
 
-// TestHandleConcurrentRequests hammers one handle from many goroutines with
-// mixed request shapes under -race: all shared handle state must be
-// immutable or Once-guarded, and every result must match the sequential
-// baseline byte for byte.
+// retainedStates counts the inference states a handle holds.
+func retainedStates(a *Archive) int {
+	a.infer.mu.Lock()
+	defer a.infer.mu.Unlock()
+	return len(a.infer.free)
+}
+
+// TestHandleConcurrentRequests hammers one two-expert handle from many
+// goroutines with mixed projections and row ranges under -race: all shared
+// handle state must be immutable, Once-guarded or behind the inference pool's
+// lock; every result must match a fresh handle's byte for byte; and the
+// handle never retains more inference states than decode workers ran at
+// once: goroutines × per-request parallelism, whatever the expert count.
 func TestHandleConcurrentRequests(t *testing.T) {
-	archive := groupedArchive(t, 500)
+	opts := quickOpts()
+	opts.RowGroupSize = 64
+	opts.NumExperts = 2
+	archive, _ := compressLatent(t, 500, 7, opts)
 	a, err := Open(archive)
 	if err != nil {
 		t.Fatal(err)
 	}
+	const workers, par = 8, 2
 	shapes := []DecompressOptions{
 		{},
 		{Columns: []string{"m2"}},
 		{Columns: []string{"cat", "grade"}},
 		{RowRange: RowRange{Lo: 64, Hi: 256}},
+		{Columns: []string{"bin", "m1"}, RowRange: RowRange{Lo: 10, Hi: 450}},
+		{Columns: []string{"cat"}, RowRange: RowRange{Lo: 300, Hi: 301}},
 	}
 	want := make([][]byte, len(shapes))
-	for i, opts := range shapes {
-		res, err := DecompressContext(context.Background(), archive, opts)
+	for i := range shapes {
+		shapes[i].Parallelism = par
+		res, err := DecompressContext(context.Background(), archive, shapes[i])
 		if err != nil {
 			t.Fatal(err)
 		}
 		want[i] = csvBytes(t, res.Table)
 	}
 
-	const workers = 8
 	var wg sync.WaitGroup
 	errs := make([]error, workers)
 	for w := 0; w < workers; w++ {
@@ -253,5 +270,74 @@ func TestHandleConcurrentRequests(t *testing.T) {
 		if err != nil {
 			t.Fatalf("worker %d: %v", w, err)
 		}
+	}
+	// States are only made when none is free and are never dropped, so the
+	// count after the run is the most the handle ever held.
+	if n := retainedStates(a); n < 1 || n > workers*par {
+		t.Errorf("%d inference states retained, want 1…%d", n, workers*par)
+	}
+}
+
+// warmQueryCeiling bounds the bytes a warm handle allocates per query in
+// TestWarmHandleQueryBytesSurviveGC: 2 048 rows in one group, two experts.
+// Measured 443 KB, all of it the query's own streams, codes and blocks. A
+// handle that builds its inference memory per request (decoder scratch and
+// packed weights) measured 1 113 KB on the same queries: 670 KB above this
+// measurement, 537 KB above the ceiling.
+const warmQueryCeiling = 576 << 10
+
+// A warm handle keeps its inference memory through garbage collections and
+// across projections: 31 column projections in rotation, two runtime.GC()
+// before each, and no query pays for decoder scratch again. The retained states stay
+// bounded: one per expert, the decode running on a pool of one.
+func TestWarmHandleQueryBytesSurviveGC(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation adds allocations; gate runs uninstrumented (see scripts/check.sh)")
+	}
+	opts := quickOpts()
+	opts.NumExperts = 2
+	archive, tb := compressLatent(t, 2048, 11, opts)
+	a, err := Open(archive)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var projections [][]int
+	for mask := 1; mask < 1<<len(tb.Schema.Columns); mask++ {
+		var cols []int
+		for c := range tb.Schema.Columns {
+			if mask&(1<<c) != 0 {
+				cols = append(cols, c)
+			}
+		}
+		projections = append(projections, cols)
+	}
+	pool := pipeline.NewPool(1)
+	query := func(cols []int) {
+		if _, err := a.DecodeBlocks(context.Background(), []int{0}, cols, pool); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, cols := range projections {
+		query(cols) // warm: every projection once
+	}
+	var total uint64
+	var before, after runtime.MemStats
+	for round := 0; round < 2; round++ {
+		for _, cols := range projections {
+			runtime.GC() // twice: a sync.Pool keeps its items through one
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			query(cols)
+			runtime.ReadMemStats(&after)
+			total += after.TotalAlloc - before.TotalAlloc
+		}
+	}
+	perQuery := total / uint64(2*len(projections))
+	t.Logf("%d B per warm query over %d projections", perQuery, len(projections))
+	if perQuery > warmQueryCeiling {
+		t.Errorf("warm query allocates %d B, ceiling %d", perQuery, warmQueryCeiling)
+	}
+	if n := retainedStates(a); n != 1 {
+		t.Errorf("%d inference states retained, want 1", n)
 	}
 }

@@ -130,37 +130,41 @@ func expertPositionsRange(assign []int, perm []int, numExperts, lo, hi int) [][]
 	return posBy
 }
 
-// expertBatches feeds one expert's stored positions through a prediction
-// function in decodeBatchRows-sized chunks, reusing a single scratch matrix.
+// inferState is the memory one worker runs an expert's inference in: the
+// decoder's scratch, the batch of codes expertBatches gathers, and
+// codeAtRank's exclusion marks. Nothing in it outlives a call's use of it, so
+// a state serves any decoder, width and projection, one worker at a time.
+type inferState struct {
+	scratch  nn.Scratch
+	batch    mat.Matrix
+	excluded []bool
+}
+
+// expertBatches feeds one expert's stored positions through its decoder —
+// dec32, the float32 view, when the archive plan carries flagFloat32 —
+// restricted to want, in decodeBatchRows-sized chunks gathered into st.
 // Iteration is expert-major with ascending stored positions inside each
 // expert, which both compression and decompression follow identically; the
 // chunking depends only on the position list, so predictions are independent
 // of parallelism at either precision.
-func expertBatches(predict func(codes *mat.Matrix) *nn.Predictions, recCodes *mat.Matrix, positions []int,
+func expertBatches(st *inferState, dec *nn.Decoder, dec32 *nn.Decoder32, want []bool, recCodes *mat.Matrix, positions []int,
 	fn func(chunk []int, p *nn.Predictions)) {
-	if len(positions) == 0 {
-		return
+	if n := min(decodeBatchRows, len(positions)) * recCodes.Cols; cap(st.batch.Data) < n {
+		st.batch.Data = make([]float64, n)
 	}
-	scratch := make([]float64, min(decodeBatchRows, len(positions))*recCodes.Cols)
 	for lo := 0; lo < len(positions); lo += decodeBatchRows {
 		chunk := positions[lo:min(lo+decodeBatchRows, len(positions))]
-		codes := mat.FromSlice(len(chunk), recCodes.Cols, scratch[:len(chunk)*recCodes.Cols])
+		codes := &st.batch
+		codes.Rows, codes.Cols, codes.Data = len(chunk), recCodes.Cols, codes.Data[:len(chunk)*recCodes.Cols]
 		for i, s := range chunk {
 			copy(codes.Row(i), recCodes.Row(s))
 		}
-		fn(chunk, predict(codes))
+		if dec32 != nil {
+			fn(chunk, dec32.PredictInto(&st.scratch, codes, want))
+		} else {
+			fn(chunk, dec.PredictInto(&st.scratch, codes, want))
+		}
 	}
-}
-
-// predictorFor picks the prediction function expertBatches drives: the
-// float64 decoder's reusable Predictor, or — when dec32 is non-nil, i.e. the
-// archive plan carries flagFloat32 — the float32 view's. The returned closure
-// owns per-call scratch, so each goroutine needs its own.
-func predictorFor(dec *nn.Decoder, dec32 *nn.Decoder32, want []bool) func(*mat.Matrix) *nn.Predictions {
-	if dec32 != nil {
-		return dec32.Predictor(want)
-	}
-	return dec.Predictor(want)
 }
 
 // failureSet holds per-column correction streams in *stored* order.
@@ -275,7 +279,7 @@ func computeFailures(run *pipeline.Run, t *dataset.Table, md *modelData, decoder
 		if decs32 != nil {
 			d32 = decs32[e]
 		}
-		expertBatches(predictorFor(dec, d32, nil), recCodes, posBy[e], func(chunk []int, p *nn.Predictions) {
+		expertBatches(new(inferState), dec, d32, nil, recCodes, posBy[e], func(chunk []int, p *nn.Predictions) {
 			for si, spec := range md.specs {
 				col := md.specCols[si]
 				cp := &md.plan.Cols[col]

@@ -308,7 +308,7 @@ func NewArchiveReader(r io.Reader) (*ArchiveReader, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := &decompressor{run: pipeline.New(context.Background(), 0), meta: m}
+	d := &decompressor{run: pipeline.New(context.Background(), 0), meta: m, infer: new(inferPool)}
 	// Full selection: the streaming reader always decodes every column.
 	if err := d.initSelection(nil); err != nil {
 		return nil, err

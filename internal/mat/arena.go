@@ -30,6 +30,16 @@ type (
 // used as accumulators and as sparse one-hot buffers where only set positions
 // are written, exactly like freshly allocated ones.
 func (a *ArenaOf[E]) Get(rows, cols int) *Mat[E] {
+	m := a.GetUncleared(rows, cols)
+	m.Zero()
+	return m
+}
+
+// GetUncleared is Get without the zeroing: a recycled matrix holds whatever
+// the pass before left in it. It is for the inference passes alone, whose
+// every matrix is the output of a kernel that writes all of it (x·Wᵀ, the
+// sigmoid head, a signal pass) before anything reads it.
+func (a *ArenaOf[E]) GetUncleared(rows, cols int) *Mat[E] {
 	if a == nil {
 		return newMat[E](rows, cols)
 	}
@@ -39,11 +49,11 @@ func (a *ArenaOf[E]) Get(rows, cols int) *Mat[E] {
 			a.next++
 			m.Rows, m.Cols = rows, cols
 			m.Data = m.Data[:rows*cols]
-			m.Zero()
 			return m
 		}
 		// Shape drift (e.g. a smaller final batch followed by a full one):
-		// replace the slot with a large-enough matrix and keep going.
+		// replace the slot with a large-enough matrix and keep going. A slot
+		// only ever grows.
 		m = newMat[E](rows, cols)
 		a.mats[a.next] = m
 		a.next++

@@ -71,7 +71,8 @@ type Decoder struct {
 	numCols, binCols       int
 	catCols, maxCard       int
 	cardOf                 []int // categorical position → cardinality
-	catAll                 []int // all categorical positions, ascending
+
+	sf *sharedFactor // SharedHidden cut for the factored stack; set by pack
 }
 
 // indexSpecs fills the position maps from Specs.
@@ -104,14 +105,10 @@ func (d *Decoder) indexSpecs() error {
 		}
 	}
 	d.cardOf = make([]int, d.catCols)
-	d.catAll = make([]int, d.catCols)
 	for i, s := range d.Specs {
 		if j := d.catPos[i]; j >= 0 {
 			d.cardOf[j] = s.Card
 		}
-	}
-	for j := range d.catAll {
-		d.catAll[j] = j
 	}
 	return nil
 }
@@ -146,22 +143,25 @@ func (d *Decoder) Predict(codes *mat.Matrix) *Predictions {
 	return d.PredictCols(codes, nil)
 }
 
-// PredictCols is the one-shot form of Predictor, for callers that do not
-// care about scratch reuse.
+// PredictCols is PredictInto for callers that keep no scratch. A decoder
+// whose weights are not final yet (never packed: a model still training)
+// predicts through a replica packed for this one call.
 func (d *Decoder) PredictCols(codes *mat.Matrix, want []bool) *Predictions {
-	return d.Predictor(want)(codes)
+	if d.SharedHidden != nil && d.sf == nil {
+		d = d.replica()
+		d.pack()
+	}
+	return d.PredictInto(new(Scratch), codes, want)
 }
 
 // wanted resolves a want mask (indexed by spec position, nil selecting
 // everything) into what inference has to evaluate: whether the combined
 // numeric/binary head runs, and the categorical positions to put through the
-// shared stack, ascending.
-func (d *Decoder) wanted(want []bool) (numBin bool, cats []int) {
-	if want == nil {
-		return true, d.catAll
-	}
+// shared stack, ascending, appended to cats[:0].
+func (d *Decoder) wanted(want []bool, cats []int) (numBin bool, _ []int) {
+	cats = cats[:0]
 	for i, s := range d.Specs {
-		if i >= len(want) || !want[i] {
+		if want != nil && (i >= len(want) || !want[i]) {
 			continue
 		}
 		if s.Kind == OutCategorical {
@@ -173,87 +173,102 @@ func (d *Decoder) wanted(want []bool) (numBin bool, cats []int) {
 	return numBin, cats
 }
 
-// Predictor returns a reusable prediction function restricted to a subset of
-// spec columns: want is indexed by spec position, and nil selects everything.
-// The numeric/binary head is one matmul for all such columns, so it runs
-// whenever at least one of them is wanted and is skipped entirely otherwise.
-// The shared categorical stack is evaluated only for wanted categorical
-// columns; Cat entries of skipped columns stay nil. Per-row outputs are
-// identical to a full Predict because every layer computes row-independently.
-//
-// The closure owns its scratch (one arena, one reused Predictions), so
-// calling it repeatedly with same-shaped batches allocates nothing after
-// warmup — one Predictor per goroutine, and each call invalidates the
-// previous call's Predictions. It also owns a packed copy of the weights as
-// they were when it was built.
+// Scratch is the memory inference runs in, owned by the caller and reused
+// call after call: arenas for the intermediates and outputs, one reused
+// Predictions, the want mask's categorical positions. It holds no weights and
+// no projection, so one scratch serves any want mask at either width; arena
+// slots only grow, so once a scratch has run a batch as large, a call
+// allocates nothing. One goroutine at a time, and each call invalidates the
+// Predictions the previous one returned.
+type Scratch struct {
+	ar   mat.Arena
+	ar32 mat.Arena32
+	p    Predictions
+	cats []int
+}
+
+// begin rewinds the scratch for a pass over d and resolves want into s.cats.
+func (s *Scratch) begin(d *Decoder, want []bool) (p *Predictions, numBin bool) {
+	s.ar.Reset()
+	s.ar32.Reset()
+	if cap(s.p.Cat) < d.catCols {
+		s.p.Cat = make([]*mat.Matrix, d.catCols)
+	}
+	s.p.Cat = s.p.Cat[:d.catCols]
+	clear(s.p.Cat)
+	numBin, s.cats = d.wanted(want, s.cats)
+	return &s.p, numBin
+}
+
+// PredictInto decodes a batch of codes in s, restricted to a subset of spec
+// columns: want is indexed by spec position, and nil selects everything. The
+// numeric/binary head is one matmul for all such columns, so it runs whenever
+// at least one of them is wanted and is skipped entirely otherwise. The
+// shared categorical stack is evaluated only for wanted categorical columns;
+// Cat entries of skipped columns stay nil. Per-row outputs are identical to a
+// full Predict because every layer computes row-independently. The weights
+// are read as pack left them (DecodeDecoder and Quantize32 pack), so d is
+// safe for any number of concurrent calls, each with a scratch of its own.
 //
 // The shared stack's input for column j is [aux | one-hot(j)], but no such
 // row is ever built: SharedHidden's pre-activation splits into aux·W_auxᵀ,
 // computed once per batch, plus column j's signal weights and the bias, and
 // the result is bit-identical to multiplying through the zeros (DESIGN.md
 // §12). Shared then runs over the first cardOf[j] of its outputs only.
-func (d *Decoder) Predictor(want []bool) func(codes *mat.Matrix) *Predictions {
-	predict, _ := d.predictor(want)
-	return predict
+func (d *Decoder) PredictInto(s *Scratch, codes *mat.Matrix, want []bool) *Predictions {
+	if codes.Cols != d.CodeSize {
+		panic(fmt.Sprintf("nn: predict with %d-wide codes, want %d", codes.Cols, d.CodeSize))
+	}
+	p, numBin := s.begin(d, want)
+	ar, b := &s.ar, codes.Rows
+	h := codes
+	for _, l := range d.Hidden {
+		h = l.infer(ar, h)
+	}
+	if numBin && d.numCols+d.binCols > 0 {
+		p.Num, p.Bin = ar.GetUncleared(b, d.numCols), ar.GetUncleared(b, d.binCols)
+		sigmoidHead(d.HeadNum.infer(ar, h).Data, p.Num, p.Bin)
+	} else {
+		p.Num, p.Bin = ar.Get(b, 0), ar.Get(b, 0)
+	}
+	if len(s.cats) > 0 {
+		sh, shared := d.SharedHidden, d.Shared
+		aux := mat.MulTPackedInto(d.Aux.infer(ar, h), &d.sf.pack, ar.GetUncleared(b, sh.Out), true)
+		hid := ar.GetUncleared(b, sh.Out)
+		for _, j := range s.cats {
+			sh.signalHidden(aux, d.sf.signal.Row(j), hid)
+			// The column's cardinality is a prefix of Shared's outputs.
+			// Serial: one column's product is too small for the pool's
+			// fan-out to pay for itself.
+			probs := mat.MulTPackedInto(hid, shared.pack, ar.GetUncleared(b, d.cardOf[j]), false)
+			shared.biasAct(probs)
+			Softmax(probs, probs.Cols)
+			p.Cat[j] = probs
+		}
+	}
+	return p
 }
 
-// predictor is Predictor for a holder that lets the weights move: repack
-// brings its copy of them up to date, in the storage it has.
-func (d *Decoder) predictor(want []bool) (predict func(codes *mat.Matrix) *Predictions, repack func()) {
-	wantNumBin, wantJ := d.wanted(want)
-	ar := &mat.Arena{}
-	p := &Predictions{Cat: make([]*mat.Matrix, d.catCols)}
-	views := make(map[*Dense]*Dense) // the layers this predictor runs, as views holding packed weights of their own
+// pack packs the weights inference reads, into storage the decoder keeps and
+// reuses when it packs again: every layer but SharedHidden, and SharedHidden
+// cut the way the factored stack reads it. Called once the weights are final
+// (DESIGN.md §12), and on every call by a holder of weights that still move.
+func (d *Decoder) pack() {
 	for _, l := range d.Layers() {
-		if l == d.SharedHidden || l == d.HeadNum && !wantNumBin || (l == d.Aux || l == d.Shared) && len(wantJ) == 0 {
-			continue // runs factored (sf), or not at all
+		if l == d.SharedHidden {
+			continue
 		}
-		views[l] = &Dense{In: l.In, Out: l.Out, Act: l.Act, W: l.W, B: l.B, pack: new(mat.Packed)}
+		if l.pack == nil {
+			l.pack = new(mat.Packed)
+		}
+		l.pack.Pack(l.W)
 	}
-	var sf sharedFactor
-	repack = func() {
-		for _, v := range views {
-			v.pack.Pack(v.W)
+	if d.SharedHidden != nil {
+		if d.sf == nil {
+			d.sf = new(sharedFactor)
 		}
-		if len(wantJ) > 0 {
-			sf.refresh(d.SharedHidden, d.catCols)
-		}
+		d.sf.refresh(d.SharedHidden, d.catCols)
 	}
-	repack()
-	return func(codes *mat.Matrix) *Predictions {
-		if codes.Cols != d.CodeSize {
-			panic(fmt.Sprintf("nn: predict with %d-wide codes, want %d", codes.Cols, d.CodeSize))
-		}
-		ar.Reset()
-		clear(p.Cat)
-		b := codes.Rows
-		h := codes
-		for _, l := range d.Hidden {
-			h = views[l].infer(ar, h)
-		}
-		if wantNumBin && d.numCols+d.binCols > 0 {
-			p.Num, p.Bin = ar.Get(b, d.numCols), ar.Get(b, d.binCols)
-			sigmoidHead(views[d.HeadNum].infer(ar, h).Data, p.Num, p.Bin)
-		} else {
-			p.Num, p.Bin = ar.Get(b, 0), ar.Get(b, 0)
-		}
-		if len(wantJ) > 0 {
-			sh, shared := d.SharedHidden, views[d.Shared]
-			s := mat.MulTPackedInto(views[d.Aux].infer(ar, h), &sf.pack, ar.Get(b, sh.Out), true)
-			hid := ar.Get(b, sh.Out)
-			for _, j := range wantJ {
-				sh.signalHidden(s, sf.signal.Row(j), hid)
-				// The column's cardinality is a prefix of Shared's outputs.
-				// Serial: one column's product is too small for the pool's
-				// fan-out to pay for itself.
-				probs := mat.MulTPackedInto(hid, shared.pack, ar.Get(b, d.cardOf[j]), false)
-				shared.biasAct(probs)
-				Softmax(probs, probs.Cols)
-				p.Cat[j] = probs
-			}
-		}
-		return p
-	}, repack
 }
 
 // sharedFactor is a copy of SharedHidden's weights cut the way the factored
@@ -349,11 +364,13 @@ func (d *Decoder) Layers() []*Dense {
 	return out
 }
 
-// Quantize32 rounds all decoder parameters to float32 precision.
+// Quantize32 rounds all decoder parameters to float32 precision — the values
+// an archive stores, final from here on — and packs them for inference.
 func (d *Decoder) Quantize32() {
 	for _, l := range d.Layers() {
 		l.Quantize32()
 	}
+	d.pack()
 }
 
 // ParamCount returns the number of scalar parameters in the decoder.
@@ -521,7 +538,7 @@ func (a *Autoencoder) accumBatch(ar *mat.Arena, f *sharedFactor, x *mat.Matrix, 
 // sharedStep runs one shard's categorical columns through the shared output
 // stack, forward and backward, and returns ∂L/∂aux with the invB-scaled loss.
 // Column j's input is [aux | one-hot(j)], which is never built (DESIGN.md
-// §12): as in Predictor, SharedHidden's pre-activation is aux·W_auxᵀ, computed
+// §12): as in PredictInto, SharedHidden's pre-activation is aux·W_auxᵀ, computed
 // once, plus the column's signal weights and the bias, and Shared is cut to
 // the column's cardinality. Backward, the columns' hidden gradients are summed
 // into d before they meet aux, so W_aux's gradient and ∂L/∂aux take one
@@ -597,14 +614,15 @@ func softmaxGrad(g *mat.Matrix, target []int, invB float64) float64 {
 
 // scorer computes each tuple's reconstruction loss (summed over columns)
 // under one model without training it — what the mixture-of-experts
-// assignment ranks experts by — holding across batches the encoder scratch
-// and the predictor, whose copy of the weights it brings up to date on every
-// call: the model may have trained on in between. One goroutine at a time.
+// assignment ranks experts by — holding across batches the encoder scratch,
+// the inference scratch, and a replica of the decoder whose packed copy of the
+// weights it brings up to date on every call: the model may have trained on
+// in between. One goroutine at a time.
 type scorer struct {
-	a       *Autoencoder
-	ar      mat.Arena
-	predict func(codes *mat.Matrix) *Predictions
-	repack  func() // predict's
+	a   *Autoencoder
+	ar  mat.Arena
+	dec *Decoder // a's, through layers of its own (replica)
+	s   Scratch
 }
 
 func (s *scorer) losses(x *mat.Matrix, tg *Targets) []float64 {
@@ -612,16 +630,16 @@ func (s *scorer) losses(x *mat.Matrix, tg *Targets) []float64 {
 	if x.Rows == 0 {
 		return out
 	}
-	if s.predict == nil {
-		s.predict, s.repack = a.predictor(nil)
+	if s.dec == nil {
+		s.dec = a.Decoder.replica()
 	}
-	s.repack()
+	s.dec.pack()
 	s.ar.Reset()
 	h := x
 	for _, l := range a.Encoder {
 		h = l.infer(&s.ar, h)
 	}
-	p := s.predict(h)
+	p := s.dec.PredictInto(&s.s, h, nil)
 	for r := range out {
 		var l float64
 		for c := 0; c < a.numCols; c++ {

@@ -45,7 +45,7 @@ func (d *Dense32) infer(ar *mat.Arena32, x *mat.Matrix32) *mat.Matrix32 {
 	if x.Cols != d.In {
 		panic(fmt.Sprintf("nn: dense32 infer input %d cols, want %d", x.Cols, d.In))
 	}
-	out := mat.MulTInto32(x, d.W, ar.Get(x.Rows, d.Out))
+	out := mat.MulTInto32(x, d.W, ar.GetUncleared(x.Rows, d.Out)) // every element is the product's
 	d.biasAct(out)
 	return out
 }
@@ -95,8 +95,8 @@ func (d *Dense32) signalHidden(lanes *mat.Matrix32, w []float32, pos int, hid *m
 
 // Decoder32 is the float32 inference view of a Decoder. It shares the source
 // decoder's column indexes (read-only) and owns narrowed copies of its
-// parameters. Safe for concurrent use: per-call scratch lives in the arenas a
-// Predictor closure owns, never on the Decoder32.
+// parameters. Safe for concurrent use: per-call memory lives in the caller's
+// Scratch, never on the Decoder32.
 type Decoder32 struct {
 	src     *Decoder
 	Hidden  []*Dense32
@@ -105,6 +105,7 @@ type Decoder32 struct {
 
 	SharedHidden *Dense32
 	Shared       *Dense32
+	cuts         []*Dense32    // Shared cut to each categorical position's cardinality
 	signal       *mat.Matrix32 // signalRows of SharedHidden
 }
 
@@ -127,6 +128,9 @@ func (d *Decoder) Float32() *Decoder32 {
 	}
 	if d.Shared != nil {
 		d32.Shared = newDense32(d.Shared)
+		for _, card := range d.cardOf {
+			d32.cuts = append(d32.cuts, d32.Shared.firstOutputs(card))
+		}
 	}
 	return d32
 }
@@ -146,73 +150,56 @@ func Decoders32(ds []*Decoder) []*Decoder32 {
 // Source returns the float64 decoder this view was narrowed from.
 func (d *Decoder32) Source() *Decoder { return d.src }
 
-// Predictor returns a reusable prediction function equivalent to the source
-// decoder's Predictor with the given want mask: matmuls in float32,
-// activations widened to float64, outputs ordinary Predictions. The closure
-// owns its scratch (a float32 arena for intermediates, a float64 arena for
-// outputs, one reused Predictions), so calling it repeatedly with same-shaped
-// batches allocates nothing after warmup — one Predictor per goroutine, and
-// each call invalidates the previous call's Predictions.
+// PredictInto is the float32 twin of Decoder.PredictInto, over the same
+// Scratch: matmuls in float32 (its float32 arena), activations widened to
+// float64, outputs ordinary Predictions (its float64 arena).
 //
-// The shared stack is factored as in Decoder.Predictor. Under the 4-lane dot
-// contract the auxiliary part of SharedHidden's pre-activation is four
+// The shared stack is factored as in Decoder.PredictInto. Under the 4-lane
+// dot contract the auxiliary part of SharedHidden's pre-activation is four
 // partial sums per (row, unit), computed once per batch; each wanted column
 // adds its signal weight to the lane its one-hot position falls in and
 // reduces — bit-identical to the stacked product (DESIGN.md §12).
-func (d *Decoder32) Predictor(want []bool) func(codes *mat.Matrix) *Predictions {
+func (d *Decoder32) PredictInto(s *Scratch, codes *mat.Matrix, want []bool) *Predictions {
 	src := d.src
-	wantNumBin, wantJ := src.wanted(want)
-	ar := &mat.Arena32{}
-	outAr := &mat.Arena{}
-	p := &Predictions{Cat: make([]*mat.Matrix, src.catCols)}
-	outs := make([]*Dense32, len(wantJ)) // Shared cut to each wanted column's cardinality
-	for k, j := range wantJ {
-		outs[k] = d.Shared.firstOutputs(src.cardOf[j])
+	if codes.Cols != src.CodeSize {
+		panic(fmt.Sprintf("nn: predict with %d-wide codes, want %d", codes.Cols, src.CodeSize))
 	}
-	return func(codes *mat.Matrix) *Predictions {
-		if codes.Cols != src.CodeSize {
-			panic(fmt.Sprintf("nn: predict with %d-wide codes, want %d", codes.Cols, src.CodeSize))
-		}
-		ar.Reset()
-		outAr.Reset()
-		clear(p.Cat)
-		b := codes.Rows
-		h := ar.Get(b, codes.Cols)
-		for i, v := range codes.Data {
-			h.Data[i] = float32(v)
-		}
-		for _, l := range d.Hidden {
-			h = l.infer(ar, h)
-		}
-		if wantNumBin && src.numCols+src.binCols > 0 {
-			p.Num, p.Bin = outAr.Get(b, src.numCols), outAr.Get(b, src.binCols)
-			sigmoidHead(d.HeadNum.infer(ar, h).Data, p.Num, p.Bin)
-		} else {
-			p.Num, p.Bin = outAr.Get(b, 0), outAr.Get(b, 0)
-		}
-		if len(wantJ) > 0 {
-			sh := d.SharedHidden
-			lanes := mat.MulTLanesInto32(d.Aux.infer(ar, h), sh.W, ar.Get(b, 4*sh.Out))
-			hid := ar.Get(b, sh.Out)
-			for k, j := range wantJ {
-				sh.signalHidden(lanes, d.signal.Row(j), src.catCols+j, hid)
-				logits := outs[k].infer(ar, hid)
-				probs := outAr.Get(b, logits.Cols)
-				for i, v := range logits.Data {
-					probs.Data[i] = float64(v)
-				}
-				Softmax(probs, probs.Cols)
-				p.Cat[j] = probs
+	p, numBin := s.begin(src, want)
+	ar, outAr, b := &s.ar32, &s.ar, codes.Rows
+	h := ar.GetUncleared(b, codes.Cols)
+	for i, v := range codes.Data {
+		h.Data[i] = float32(v)
+	}
+	for _, l := range d.Hidden {
+		h = l.infer(ar, h)
+	}
+	if numBin && src.numCols+src.binCols > 0 {
+		p.Num, p.Bin = outAr.GetUncleared(b, src.numCols), outAr.GetUncleared(b, src.binCols)
+		sigmoidHead(d.HeadNum.infer(ar, h).Data, p.Num, p.Bin)
+	} else {
+		p.Num, p.Bin = outAr.Get(b, 0), outAr.Get(b, 0)
+	}
+	if len(s.cats) > 0 {
+		sh := d.SharedHidden
+		lanes := mat.MulTLanesInto32(d.Aux.infer(ar, h), sh.W, ar.GetUncleared(b, 4*sh.Out))
+		hid := ar.GetUncleared(b, sh.Out)
+		for _, j := range s.cats {
+			sh.signalHidden(lanes, d.signal.Row(j), src.catCols+j, hid)
+			logits := d.cuts[j].infer(ar, hid)
+			probs := outAr.GetUncleared(b, logits.Cols)
+			for i, v := range logits.Data {
+				probs.Data[i] = float64(v)
 			}
+			Softmax(probs, probs.Cols)
+			p.Cat[j] = probs
 		}
-		return p
 	}
+	return p
 }
 
-// PredictCols is the one-shot form of Predictor, for tests and callers that
-// do not care about scratch reuse.
+// PredictCols is PredictInto for callers that keep no scratch.
 func (d *Decoder32) PredictCols(codes *mat.Matrix, want []bool) *Predictions {
-	return d.Predictor(want)(codes)
+	return d.PredictInto(new(Scratch), codes, want)
 }
 
 // Predict decodes a batch of codes into predictions for every column.

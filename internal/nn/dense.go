@@ -23,8 +23,9 @@ type Dense struct {
 	// Cached forward-pass state for backprop.
 	lastIn  *mat.Matrix
 	lastOut *mat.Matrix
-	// pack is W packed for the kernel by the value's owner, who packs again
-	// when W moves (a Predictor's views, the trainer's replicas); nil reads W.
+	// pack is W packed for the kernel by the value's owner: once, for a
+	// decoder's final weights (Decoder.pack); again whenever W moves, for the
+	// trainer's replicas and the scorer's. nil reads W.
 	pack *mat.Packed
 }
 
@@ -75,7 +76,7 @@ func (d *Dense) infer(ar *mat.Arena, x *mat.Matrix) *mat.Matrix {
 	if x.Cols != d.In {
 		panic(fmt.Sprintf("nn: dense infer input %d cols, want %d", x.Cols, d.In))
 	}
-	out := ar.Get(x.Rows, d.Out)
+	out := ar.GetUncleared(x.Rows, d.Out) // every element is the product's
 	if d.pack != nil {
 		mat.MulTPackedInto(x, d.pack, out, true)
 	} else {
@@ -187,14 +188,14 @@ func (d *Dense) Clone() *Dense {
 }
 
 // replica returns a layer sharing d's parameters (W and B alias d's memory)
-// with private gradient accumulators and forward caches. Data-parallel
-// training runs each minibatch shard through a replica: reads of the shared
-// weights are concurrent-safe because the optimizer only steps between
-// batches, while gradients accumulate privately and are reduced afterwards.
+// with forward caches, pack and gradient accumulators of its own — none until
+// its holder gives it some; nil for a nil d. Data-parallel training runs each
+// minibatch shard through a replica: reads of the shared weights are
+// concurrent-safe because the optimizer only steps between batches, while
+// gradients accumulate privately and are reduced afterwards.
 func (d *Dense) replica() *Dense {
-	return &Dense{
-		In: d.In, Out: d.Out, Act: d.Act,
-		W: d.W, B: d.B,
-		GradW: mat.New(d.Out, d.In), GradB: make([]float64, d.Out),
+	if d == nil {
+		return nil
 	}
+	return &Dense{In: d.In, Out: d.Out, Act: d.Act, W: d.W, B: d.B}
 }

@@ -115,15 +115,16 @@ func TestDecoder32Deterministic(t *testing.T) {
 	}
 }
 
-// A Predictor closure must be allocation-free once warm: it owns its arenas
-// and reuses one Predictions value, which is what keeps the decode inner
-// loop off the allocator.
+// Float32 inference must be allocation-free once its scratch is warm: the
+// scratch owns the arenas and one reused Predictions, which is what keeps the
+// decode inner loop off the allocator.
 func TestPredictor32SteadyStateAllocFree(t *testing.T) {
 	dec, codes := trainedDecoder(t, 79, 64)
-	pred := dec.Float32().Predictor(nil)
-	pred(codes)
-	pred(codes)
-	if allocs := testing.AllocsPerRun(10, func() { pred(codes) }); allocs != 0 {
-		t.Errorf("warm Predictor allocates %.0f objects per call, want 0", allocs)
+	d32 := dec.Float32()
+	var s Scratch
+	d32.PredictInto(&s, codes, nil)
+	d32.PredictInto(&s, codes, nil)
+	if allocs := testing.AllocsPerRun(10, func() { d32.PredictInto(&s, codes, nil) }); allocs != 0 {
+		t.Errorf("warm PredictInto allocates %.0f objects per call, want 0", allocs)
 	}
 }

@@ -60,11 +60,8 @@ func decodeDense(buf []byte) (*Dense, int, error) {
 	if len(buf)-pos < need {
 		return nil, 0, fmt.Errorf("%w: layer wants %d weight bytes, have %d", ErrCorrupt, need, len(buf)-pos)
 	}
-	d := &Dense{
-		In: int(in), Out: int(out), Act: act,
-		W: mat.New(int(out), int(in)), B: make([]float64, out),
-		GradW: mat.New(int(out), int(in)), GradB: make([]float64, out),
-	}
+	// A parsed layer only infers: it has no gradient accumulators.
+	d := &Dense{In: int(in), Out: int(out), Act: act, W: mat.New(int(out), int(in)), B: make([]float64, out)}
 	for i := 0; i < nw; i++ {
 		d.W.Data[i] = float64(math.Float32frombits(binary.LittleEndian.Uint32(buf[pos:])))
 		pos += 4
@@ -223,6 +220,7 @@ func DecodeDecoder(buf []byte) (*Decoder, int, error) {
 	if err := d.validateShapes(); err != nil {
 		return nil, 0, err
 	}
+	d.pack() // weights read from an archive are final
 	return d, pos, nil
 }
 

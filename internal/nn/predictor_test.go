@@ -115,9 +115,9 @@ func TestPredictorMatchesStackedReference(t *testing.T) {
 				name := fmt.Sprintf("catCols=%d mask=%d f32=%v", catCols, mi, f32)
 				var p *Predictions
 				if f32 {
-					p = d32.Predictor(want)(codes)
+					p = d32.PredictCols(codes, want)
 				} else {
-					p = dec.Predictor(want)(codes)
+					p = dec.PredictCols(codes, want)
 				}
 				for j := 0; j < catCols; j++ {
 					wanted := want == nil || (2+j < len(want) && want[2+j])
@@ -142,20 +142,83 @@ func TestPredictorMatchesStackedReference(t *testing.T) {
 	}
 }
 
-// The float64 Predictor is allocation-free once warm, like the float32 one.
+// Float64 inference is allocation-free once its scratch is warm, like the
+// float32 one — under any projection the scratch has already run.
 func TestPredictorSteadyStateAllocFree(t *testing.T) {
 	dec, codes := trainedDecoder(t, 83, 64)
-	pred := dec.Predictor(nil)
-	pred(codes)
-	pred(codes)
-	if allocs := testing.AllocsPerRun(10, func() { pred(codes) }); allocs != 0 {
-		t.Errorf("warm Predictor allocates %.0f objects per call, want 0", allocs)
+	masks := [][]bool{nil, {true, false, false, true, false}, {false, false, true, false, true}}
+	var s Scratch
+	for _, want := range masks {
+		dec.PredictInto(&s, codes, want)
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(10, func() {
+		dec.PredictInto(&s, codes, masks[i%len(masks)])
+		i++
+	})
+	if allocs != 0 {
+		t.Errorf("warm PredictInto allocates %.0f objects per call, want 0", allocs)
+	}
+}
+
+// samePredictions reports whether two prediction sets are bit-identical,
+// shapes and skipped columns included.
+func samePredictions(a, b *Predictions) bool {
+	same := func(x, y *mat.Matrix) bool {
+		if x == nil || y == nil {
+			return x == y
+		}
+		return x.Rows == y.Rows && x.Cols == y.Cols && bitsEqual(x.Data, y.Data)
+	}
+	if !same(a.Num, b.Num) || !same(a.Bin, b.Bin) || len(a.Cat) != len(b.Cat) {
+		return false
+	}
+	for j := range a.Cat {
+		if !same(a.Cat[j], b.Cat[j]) {
+			return false
+		}
+	}
+	return true
+}
+
+// A scratch remembers nothing of earlier calls: through projection A, then B,
+// then A again, a short batch then a full one, and batches of NaN codes whose
+// NaNs fill every slot the next call recycles uncleared, each result is
+// bit-identical to a fresh scratch's, at both widths.
+func TestScratchHasNoMemory(t *testing.T) {
+	rng := rand.New(rand.NewSource(227))
+	dec := catDecoder(rng, []int{3, 7, 2, 5, 12})
+	d32 := dec.Float32()
+	full := mat.RandUniform(rng, 64, 2, 0, 1)
+	short := full.SliceRows(0, 9)
+	nan := mat.New(64, 2)
+	nan.Fill(math.NaN())
+	a := []bool{true, false, true, false, false, true, false}
+	b := []bool{false, true, false, true, true, false, true}
+	calls := []struct {
+		codes *mat.Matrix
+		want  []bool
+	}{{nan, nil}, {full, a}, {full, b}, {full, a}, {&short, nil}, {full, nil}, {nan, b}, {&short, a}, {full, b}}
+	for _, f32 := range []bool{false, true} {
+		predict := func(s *Scratch, codes *mat.Matrix, want []bool) *Predictions {
+			if f32 {
+				return d32.PredictInto(s, codes, want)
+			}
+			return dec.PredictInto(s, codes, want)
+		}
+		var s Scratch
+		for i, c := range calls {
+			got := predict(&s, c.codes, c.want)
+			if c.codes != nan && !samePredictions(got, predict(new(Scratch), c.codes, c.want)) {
+				t.Fatalf("f32=%v call %d: a reused scratch predicts differently from a fresh one", f32, i)
+			}
+		}
 	}
 }
 
 // BenchmarkPredictCategorical times the shared categorical stack at the
 // repo benchmark's archive-categorical shape: 24 columns, cardinalities
-// 2–12, one 1 024-row batch per call through a warm Predictor.
+// 2–12, one 1 024-row batch per call in a warm Scratch.
 func BenchmarkPredictCategorical(b *testing.B) {
 	rng := rand.New(rand.NewSource(23))
 	cards := make([]int, 24)
@@ -163,15 +226,22 @@ func BenchmarkPredictCategorical(b *testing.B) {
 		cards[j] = 2 + j%11
 	}
 	dec := catDecoder(rng, cards)
+	d32 := dec.Float32()
 	codes := mat.RandUniform(rng, 1024, 2, 0, 1)
 	for _, bc := range []struct {
-		name string
-		pred func(*mat.Matrix) *Predictions
-	}{{"f64", dec.Predictor(nil)}, {"f32", dec.Float32().Predictor(nil)}} {
+		name    string
+		predict func(*Scratch) *Predictions
+	}{
+		{"f64", func(s *Scratch) *Predictions { return dec.PredictInto(s, codes, nil) }},
+		{"f32", func(s *Scratch) *Predictions { return d32.PredictInto(s, codes, nil) }},
+	} {
 		b.Run(bc.name, func(b *testing.B) {
+			var s Scratch
+			bc.predict(&s)
 			b.ReportAllocs()
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				bc.pred(codes)
+				bc.predict(&s)
 			}
 		})
 	}

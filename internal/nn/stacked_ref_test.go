@@ -85,7 +85,8 @@ func (a *Autoencoder) accumBatchStacked(ar *mat.Arena, x *mat.Matrix, tg *Target
 		// vertically-stacked forward/backward pass: rows j*B..(j+1)*B-1
 		// carry column j's evaluation.
 		rows := x.Rows
-		z := a.stackedSharedInput(ar, aux, a.catAll)
+		_, all := a.wanted(nil, nil)
+		z := a.stackedSharedInput(ar, aux, all)
 		logits := a.Shared.forward(ar, a.SharedHidden.forward(ar, z))
 		gl := ar.Get(logits.Rows, logits.Cols)
 		for j := 0; j < a.catCols; j++ {

@@ -85,27 +85,21 @@ func (a *Autoencoder) TrainBatch(x *mat.Matrix, tg *Targets, opt Optimizer, pool
 }
 
 // replica returns a model sharing a's parameters — every Dense W and B
-// aliases the primary's memory — with private gradient accumulators and
-// forward caches (see Dense.replica). Optimizer steps on the primary are
-// instantly visible to every replica; replicas are never stepped themselves.
+// aliases the primary's memory — with private forward caches (see
+// Dense.replica). Optimizer steps on the primary are instantly visible to
+// every replica; replicas are never stepped themselves.
 func (a *Autoencoder) replica() *Autoencoder {
-	r := &Autoencoder{}
-	r.Decoder = a.Decoder // shares specs and position indexes (read-only)
-	r.Encoder = replicaLayers(a.Encoder)
-	r.Hidden = replicaLayers(a.Hidden)
-	if a.HeadNum != nil {
-		r.HeadNum = a.HeadNum.replica()
-	}
-	if a.Aux != nil {
-		r.Aux = a.Aux.replica()
-	}
-	if a.SharedHidden != nil {
-		r.SharedHidden = a.SharedHidden.replica()
-	}
-	if a.Shared != nil {
-		r.Shared = a.Shared.replica()
-	}
-	return r
+	return &Autoencoder{Decoder: *a.Decoder.replica(), Encoder: replicaLayers(a.Encoder)}
+}
+
+// replica returns a decoder sharing d's specs, position indexes and
+// parameters through layers of its own (Dense.replica), unpacked.
+func (d *Decoder) replica() *Decoder {
+	r := *d
+	r.sf = nil
+	r.Hidden = replicaLayers(d.Hidden)
+	r.HeadNum, r.Aux, r.SharedHidden, r.Shared = d.HeadNum.replica(), d.Aux.replica(), d.SharedHidden.replica(), d.Shared.replica()
+	return &r
 }
 
 func replicaLayers(ls []*Dense) []*Dense {
@@ -118,7 +112,8 @@ func replicaLayers(ls []*Dense) []*Dense {
 
 // ensure grows the shard list to ns entries, every shard a replica reading the
 // trainer's packed weights. Shard 0's accumulate into the primary model's
-// gradients, where the optimizer (and any state keyed on its layers) looks.
+// gradients, where the optimizer (and any state keyed on its layers) looks;
+// every other shard's into accumulators of its own.
 func (t *trainer) ensure(ns int) {
 	for len(t.shards) < ns {
 		s := &shardState{ar: &mat.Arena{}, rep: t.model.replica()}
@@ -127,6 +122,8 @@ func (t *trainer) ensure(ns int) {
 			l.pack = &t.packs[i]
 			if len(t.shards) == 0 {
 				l.GradW, l.GradB = t.layers[i].GradW, t.layers[i].GradB
+			} else {
+				l.GradW, l.GradB = mat.New(l.Out, l.In), make([]float64, l.Out)
 			}
 		}
 		t.shards = append(t.shards, s)

@@ -12,8 +12,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"sort"
+
+	"deepsqueeze/internal/codec"
 )
 
 // ErrCorrupt is returned when serialized preprocessing metadata fails
@@ -145,14 +146,12 @@ func decodePackedDictionary(buf []byte) (*Dictionary, int, error) {
 	if rawLen > (frameLen+64)*1100 {
 		return nil, 0, fmt.Errorf("%w: packed dictionary claims %d raw bytes from a %d-byte frame", ErrCorrupt, rawLen, frameLen)
 	}
-	zr := flate.NewReader(bytes.NewReader(buf[pos : pos+int(frameLen)]))
-	raw := make([]byte, rawLen)
-	if _, err := io.ReadFull(zr, raw); err != nil {
+	raw, err := codec.Inflate(buf[pos:pos+int(frameLen)], int(rawLen))
+	if err != nil {
 		return nil, 0, fmt.Errorf("%w: packed dictionary: %v", ErrCorrupt, err)
 	}
-	var one [1]byte
-	if n, _ := zr.Read(one[:]); n != 0 {
-		return nil, 0, fmt.Errorf("%w: packed dictionary longer than declared", ErrCorrupt)
+	if uint64(len(raw)) != rawLen {
+		return nil, 0, fmt.Errorf("%w: packed dictionary of %d bytes, declared %d", ErrCorrupt, len(raw), rawLen)
 	}
 	d, used, err := DecodeDictionary(raw)
 	if err != nil {

@@ -149,15 +149,16 @@ step "repo benchmark smoke"
 step "uninstrumented tests"
 # The tests that skip themselves under the race detector and only run here.
 # Allocation gates: testing.AllocsPerRun ceiling on the warm cached aggregate
-# query, and the writer's bytes per row group under the default codec
-# selection against the stored codec — race instrumentation adds allocations
-# and makes sync.Pool drop items. Pinned archive sizes: the two ratio
+# query, the bytes a warm handle allocates per query with collections between
+# queries (its inference memory must survive them), and the writer's bytes per
+# row group under the default codec selection against the stored codec — race
+# instrumentation adds allocations and makes sync.Pool drop items. Pinned archive sizes: the two ratio
 # acceptance bounds (range codecs >= 10% off the near-deterministic fixture's
 # failure+code bytes, residual digits >= 10% off the clickstream archive),
 # 20 000- and 30 000-row compress pairs that would cost tens of seconds raced.
 # The exp and tanh sweeps: millions of scalar calls, nothing to race.
 go test -run='^TestWarmCachedQueryAllocs$' -count=1 ./internal/serve
-go test -run='^(TestArchiveWriterAutoCodecAllocs|TestAutoUsesRangeCodecsOnSkewedData|TestResidualShrinksClickstream)$' -count=1 ./internal/core
+go test -run='^(TestWarmHandleQueryBytesSurviveGC|TestArchiveWriterAutoCodecAllocs|TestAutoUsesRangeCodecsOnSkewedData|TestResidualShrinksClickstream)$' -count=1 ./internal/core
 go test -run='^(TestExpMatchesReference|TestExpReferenceMatchesMathExp|TestTanhReferenceMatchesMathTanh)$' -count=1 ./internal/mat
 
 step "fuzz smoke"
