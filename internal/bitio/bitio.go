@@ -20,35 +20,39 @@ var ErrUnexpectedEOF = errors.New("bitio: unexpected end of input")
 // widths often come straight from untrusted archive bytes.
 var ErrBitCount = errors.New("bitio: bit count out of range")
 
-// Writer accumulates bits into an in-memory byte buffer. Invalid writes
-// (bit counts over 64) set a sticky error reported by Err; they never
-// panic. Callers must check Err before trusting Bytes.
+// Writer accumulates bits into an in-memory byte buffer. Bits gather in a
+// 64-bit word and leave it a whole byte at a time, so a write costs a shift
+// and an OR rather than a step per bit. Invalid writes (bit counts over 64)
+// set a sticky error reported by Err; they never panic. Callers must check
+// Err before trusting Bytes.
 type Writer struct {
 	buf  []byte
-	cur  byte
-	nCur uint // number of bits currently held in cur (0..7)
+	base int    // len(buf) when the writer was made: bytes that are not its own
+	acc  uint64 // pending bits in the low nAcc bits; higher bits are stale
+	nAcc uint   // number of pending bits (0..7 between writes)
 	err  error
 }
 
 // NewWriter returns an empty bit writer.
 func NewWriter() *Writer { return &Writer{} }
 
+// NewAppendWriter returns a bit writer whose output continues buf: Bytes
+// returns buf with the written bits appended, so a caller building a larger
+// frame needs no second buffer and no copy.
+func NewAppendWriter(buf []byte) *Writer { return &Writer{buf: buf, base: len(buf)} }
+
 // WriteBit appends a single bit (any non-zero b writes 1).
 func (w *Writer) WriteBit(b int) {
-	w.cur <<= 1
+	var v uint64
 	if b != 0 {
-		w.cur |= 1
+		v = 1
 	}
-	w.nCur++
-	if w.nCur == 8 {
-		w.buf = append(w.buf, w.cur)
-		w.cur, w.nCur = 0, 0
-	}
+	w.WriteBits(v, 1)
 }
 
-// WriteBits appends the low n bits of v, most significant first. n must be
-// in [0, 64]; larger counts write nothing and set the writer's sticky
-// ErrBitCount error.
+// WriteBits appends the low n bits of v, most significant first; bits of v
+// above n are ignored. n must be in [0, 64]; larger counts write nothing and
+// set the writer's sticky ErrBitCount error.
 func (w *Writer) WriteBits(v uint64, n uint) {
 	if n > 64 {
 		if w.err == nil {
@@ -56,8 +60,16 @@ func (w *Writer) WriteBits(v uint64, n uint) {
 		}
 		return
 	}
-	for i := int(n) - 1; i >= 0; i-- {
-		w.WriteBit(int((v >> uint(i)) & 1))
+	if n > 56 {
+		// At most 7 bits are pending, so 56 more still fit the word.
+		w.WriteBits(v>>32, n-32)
+		n = 32
+	}
+	w.acc = w.acc<<n | v&(1<<n-1)
+	w.nAcc += n
+	for w.nAcc >= 8 {
+		w.nAcc -= 8
+		w.buf = append(w.buf, byte(w.acc>>w.nAcc))
 	}
 }
 
@@ -67,15 +79,15 @@ func (w *Writer) WriteBits(v uint64, n uint) {
 func (w *Writer) Err() error { return w.err }
 
 // Len returns the number of whole and partial bits written so far.
-func (w *Writer) Len() int { return len(w.buf)*8 + int(w.nCur) }
+func (w *Writer) Len() int { return (len(w.buf)-w.base)*8 + int(w.nAcc) }
 
 // Bytes flushes any partial byte (zero-padded on the right) and returns the
 // accumulated buffer. The writer remains usable; subsequent writes continue
 // from the flushed state, so call Bytes only once when encoding is done.
 func (w *Writer) Bytes() []byte {
-	if w.nCur > 0 {
-		w.buf = append(w.buf, w.cur<<(8-w.nCur))
-		w.cur, w.nCur = 0, 0
+	if w.nAcc > 0 {
+		w.buf = append(w.buf, byte(w.acc<<(8-w.nAcc)))
+		w.acc, w.nAcc = 0, 0
 	}
 	return w.buf
 }

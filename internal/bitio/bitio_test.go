@@ -1,6 +1,7 @@
 package bitio
 
 import (
+	"bytes"
 	"errors"
 	"math/rand"
 	"testing"
@@ -156,4 +157,150 @@ func TestQuickRoundTrip(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// refWriter is the bit-at-a-time writer Writer replaced, kept as the
+// reference its output must match bit for bit.
+type refWriter struct {
+	buf  []byte
+	cur  byte
+	nCur uint
+	err  error
+}
+
+func (w *refWriter) WriteBit(b int) {
+	w.cur <<= 1
+	if b != 0 {
+		w.cur |= 1
+	}
+	w.nCur++
+	if w.nCur == 8 {
+		w.buf = append(w.buf, w.cur)
+		w.cur, w.nCur = 0, 0
+	}
+}
+
+func (w *refWriter) WriteBits(v uint64, n uint) {
+	if n > 64 {
+		if w.err == nil {
+			w.err = ErrBitCount
+		}
+		return
+	}
+	for i := int(n) - 1; i >= 0; i-- {
+		w.WriteBit(int((v >> uint(i)) & 1))
+	}
+}
+
+func (w *refWriter) Len() int { return len(w.buf)*8 + int(w.nCur) }
+
+func (w *refWriter) Bytes() []byte {
+	if w.nCur > 0 {
+		w.buf = append(w.buf, w.cur<<(8-w.nCur))
+		w.cur, w.nCur = 0, 0
+	}
+	return w.buf
+}
+
+// edgeWidths are the widths around the word writer's byte and split
+// boundaries, plus the overwide count that must set the sticky error.
+var edgeWidths = []uint{0, 1, 7, 8, 56, 57, 63, 64, 65}
+
+// replayOps drives w and ref through the same operations decoded from ops,
+// three bytes at a time: an opcode byte choosing a write width (or a single
+// WriteBit, a Len check, or a mid-stream Bytes), then two bytes seeding the
+// value, whose bits above the width are garbage the writers must ignore. It
+// reports the first disagreement.
+func replayOps(t *testing.T, ops []byte, w *Writer, ref *refWriter) {
+	t.Helper()
+	for i := 0; i+3 <= len(ops); i += 3 {
+		op, seed := ops[i], uint64(ops[i+1])<<8|uint64(ops[i+2])
+		v := seed * 0x9E3779B97F4A7C15 // spread the seed over all 64 bits
+		switch {
+		case op < 128:
+			n := uint(op % 66)
+			if op%4 == 0 {
+				n = edgeWidths[int(op/4)%len(edgeWidths)]
+			}
+			w.WriteBits(v, n)
+			ref.WriteBits(v, n)
+		case op < 192:
+			w.WriteBit(int(seed % 3))
+			ref.WriteBit(int(seed % 3))
+		case op < 240:
+			if w.Len() != ref.Len() {
+				t.Fatalf("op %d: Len = %d, reference %d", i/3, w.Len(), ref.Len())
+			}
+		default:
+			if got, want := w.Bytes(), ref.Bytes(); !bytes.Equal(got, want) {
+				t.Fatalf("op %d: mid-stream Bytes = %x, reference %x", i/3, got, want)
+			}
+		}
+		if (w.Err() == nil) != (ref.err == nil) {
+			t.Fatalf("op %d: Err = %v, reference %v", i/3, w.Err(), ref.err)
+		}
+	}
+	if w.Len() != ref.Len() {
+		t.Fatalf("final Len = %d, reference %d", w.Len(), ref.Len())
+	}
+	if got, want := w.Bytes(), ref.Bytes(); !bytes.Equal(got, want) {
+		t.Fatalf("Bytes = %x, reference %x", got, want)
+	}
+	if w.Err() != nil && !errors.Is(w.Err(), ErrBitCount) {
+		t.Fatalf("Err = %v, want ErrBitCount", w.Err())
+	}
+}
+
+// The word writer is the bit-at-a-time writer, bit for bit: every edge width
+// with garbage above it, interleaved single bits, Len checks and mid-stream
+// flushes, over random operation sequences.
+func TestWriterMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	for trial := 0; trial < 500; trial++ {
+		ops := make([]byte, 3*(1+rng.Intn(300)))
+		rng.Read(ops)
+		replayOps(t, ops, NewWriter(), &refWriter{})
+	}
+	// Every edge width after every pending-bit count 0..7, each followed by a
+	// full word so the split's low half lands on every alignment.
+	for pending := uint(0); pending < 8; pending++ {
+		for _, n := range edgeWidths {
+			w, ref := NewWriter(), &refWriter{}
+			w.WriteBits(^uint64(0), pending)
+			ref.WriteBits(^uint64(0), pending)
+			w.WriteBits(0xA5A5_5A5A_F00F_0FF0, n)
+			ref.WriteBits(0xA5A5_5A5A_F00F_0FF0, n)
+			w.WriteBits(0x0123_4567_89AB_CDEF, 64)
+			ref.WriteBits(0x0123_4567_89AB_CDEF, 64)
+			if w.Len() != ref.Len() || !bytes.Equal(w.Bytes(), ref.Bytes()) {
+				t.Fatalf("pending %d, width %d: writer and reference disagree", pending, n)
+			}
+		}
+	}
+}
+
+// An append writer continues the caller's bytes: they are kept, are not
+// counted by Len, and the bits follow them exactly as a fresh writer's would.
+func TestAppendWriterContinuesBuffer(t *testing.T) {
+	prefix := []byte{0xDE, 0xAD}
+	w, fresh := NewAppendWriter(append([]byte(nil), prefix...)), NewWriter()
+	for _, x := range []*Writer{w, fresh} {
+		x.WriteBits(0b101, 3)
+		x.WriteBits(0xFFFF_FFFF_FFFF, 61)
+		x.WriteBit(1)
+	}
+	if w.Len() != fresh.Len() {
+		t.Fatalf("Len = %d, want %d", w.Len(), fresh.Len())
+	}
+	if got, want := w.Bytes(), append(prefix, fresh.Bytes()...); !bytes.Equal(got, want) {
+		t.Fatalf("Bytes = %x, want %x", got, want)
+	}
+}
+
+func FuzzWriterMatchesReference(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 1, 2, 4, 0xFF, 0xFF, 200, 0, 0, 28, 7, 7, 250, 0, 0, 32, 1, 1})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		replayOps(t, ops, NewWriter(), &refWriter{})
+	})
 }

@@ -73,7 +73,7 @@ func EncodeBest(values []int64) []byte {
 	// No more distinct values than values: only a stream longer than the
 	// alphabet bound has to be counted.
 	if len(values) <= huffmanMaxAlphabet || distinctUpTo(values, huffmanMaxAlphabet+1) <= huffmanMaxAlphabet {
-		try(EncHuffman, func(out []byte, values []int64) []byte { return append(out, huffman.Encode(values)...) })
+		try(EncHuffman, huffman.AppendEncode)
 	}
 	if isBinaryStream(values) {
 		if bm := EncodeBitmap(values); bm != nil {

@@ -35,11 +35,11 @@ func appendFOR(out []byte, values []int64) []byte {
 	span := uint64(max - min)
 	width := uint(bits.Len64(span)) // 0 when all values equal
 	out = append(out, byte(width))
-	w := bitio.NewWriter()
+	w := bitio.NewAppendWriter(out)
 	for _, v := range values {
 		w.WriteBits(uint64(v-min), width)
 	}
-	return append(out, w.Bytes()...)
+	return w.Bytes()
 }
 
 // DecodeFOR inverts EncodeFOR with no expected-count bound.

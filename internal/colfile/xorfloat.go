@@ -24,7 +24,7 @@ func packFloatsXOR(values []float64) []byte {
 		return out
 	}
 	out = binary.LittleEndian.AppendUint64(out, math.Float64bits(values[0]))
-	w := bitio.NewWriter()
+	w := bitio.NewAppendWriter(out)
 	prev := math.Float64bits(values[0])
 	for _, v := range values[1:] {
 		cur := math.Float64bits(v)
@@ -45,7 +45,7 @@ func packFloatsXOR(values []float64) []byte {
 		w.WriteBits(uint64(sig-1), 6)
 		w.WriteBits(x>>uint(tz), uint(sig))
 	}
-	return append(out, w.Bytes()...)
+	return w.Bytes()
 }
 
 // unpackFloatsXOR inverts packFloatsXOR (excluding the leading layout tag,

@@ -26,8 +26,9 @@ type archiveState struct {
 	codeBits int
 	codeSize int
 	fs       *failureSet
-	perm     []int // stored position → original row
-	assign   []int // original row → expert
+	packs    *packings // decide's frames of codeDims and fs; frameState reuses, then drops them
+	perm     []int     // stored position → original row
+	assign   []int     // original row → expert
 	grouped  bool
 	experts  int
 	spans    []rowSpan // row-group partition of [0, rows)
@@ -64,6 +65,7 @@ type segmentData struct {
 	dims      [][]int64
 	fs        *failureSet
 	perm      []int
+	packs     *packings
 }
 
 // sliceGroups cuts the global stored-order streams at span boundaries. The
@@ -178,8 +180,8 @@ func buildSegment(t *dataset.Table, md *modelData, assign []int, cfg segConfig, 
 	}
 	seg := builtSegment{count: g.span.count}
 	if cfg.hasModel {
-		for _, dim := range g.dims {
-			seg.codes += w.chunk(colfile.PackIntsMask(dim, cfg.mask))
+		for d, dim := range g.dims {
+			seg.codes += w.chunk(g.packs.frame(streamKey{codeDim, 0, d}, packedStream{ints: dim}, cfg.mask))
 		}
 	}
 	if cfg.experts > 1 {
@@ -189,18 +191,18 @@ func buildSegment(t *dataset.Table, md *modelData, assign []int, cfg segConfig, 
 		cp := &md.plan.Cols[col]
 		switch {
 		case md.specOfCol[col] >= 0 && cp.Kind == preprocess.KindNumContinuous:
-			seg.failures += w.chunk(colfile.PackIntsMask(g.fs.contMask[col], cfg.mask))
-			seg.failures += w.chunk(colfile.PackFloats(g.fs.contVals[col]))
+			seg.failures += w.chunk(g.packs.frame(streamKey{failContMask, col, 0}, packedStream{ints: g.fs.contMask[col]}, cfg.mask))
+			seg.failures += w.chunk(g.packs.frame(streamKey{failContVals, col, 0}, packedStream{floats: g.fs.contVals[col]}, cfg.mask))
 		case cp.Kind == preprocess.KindCatResidual:
 			// One failure-rank chunk per digit, no exception chunks:
 			// digits never escape.
-			for _, stream := range g.fs.resInts[col] {
-				seg.failures += w.chunk(colfile.PackIntsMask(stream, cfg.mask))
+			for d, stream := range g.fs.resInts[col] {
+				seg.failures += w.chunk(g.packs.frame(streamKey{failDigit, col, d}, packedStream{ints: stream}, cfg.mask))
 			}
 		case md.specOfCol[col] >= 0:
-			seg.failures += w.chunk(colfile.PackIntsMask(g.fs.ints[col], cfg.mask))
+			seg.failures += w.chunk(g.packs.frame(streamKey{failInts, col, 0}, packedStream{ints: g.fs.ints[col]}, cfg.mask))
 			if md.specs[md.specOfCol[col]].Kind == nn.OutCategorical {
-				seg.failures += w.chunk(colfile.PackIntsMask(g.fs.exceptions[col], cfg.mask))
+				seg.failures += w.chunk(g.packs.frame(streamKey{failExceptions, col, 0}, packedStream{ints: g.fs.exceptions[col]}, cfg.mask))
 			}
 		case cp.Kind == preprocess.KindFallbackCat:
 			vals := make([]string, g.span.count)
@@ -278,8 +280,11 @@ func appendDecoderChunkPayload(st *archiveState) ([]byte, error) {
 // frameState writes a decided state through f: the prefix, then one segment
 // per span. Segments (and their zone maps) build concurrently over the run's
 // pool into index-addressed slots and are framed serially, so the bytes are
-// identical at every parallelism level. Returns the segment configuration the
-// state's flags imply and the decoder chunk's framed size.
+// identical at every parallelism level. A group whose streams are the ones
+// the decisions packed — the whole table, when it is one group — writes
+// those frames; st.packs is dropped once the segments are built. Returns the
+// segment configuration the state's flags imply and the decoder chunk's
+// framed size.
 func frameState(run *pipeline.Run, f *framer, t *dataset.Table, opts Options, st *archiveState) (segConfig, int64, error) {
 	md := st.md
 	flags := st.flags(opts)
@@ -306,12 +311,14 @@ func frameState(run *pipeline.Run, f *framer, t *dataset.Table, opts Options, st
 	}
 	segs := make([]builtSegment, len(groups))
 	err = run.ForEach(len(groups), func(g int) error {
+		groups[g].packs = st.packs
 		segs[g] = buildSegment(t, md, st.assign, cfg, groups[g])
 		if cfg.zoneMaps {
 			segs[g].zones = computeGroupZones(t, groups[g].perm, md.plan, md.plan)
 		}
 		return nil
 	})
+	st.packs = nil
 	if err != nil {
 		return segConfig{}, 0, err
 	}

@@ -170,9 +170,11 @@ func decide(run *pipeline.Run, t *dataset.Table, md *modelData, opts Options,
 
 	// Iterative code truncation (paper §6.2): evaluate byte-step widths and
 	// keep the one minimizing codes+failures. Every candidate width is an
-	// independent quantize→failures→size pass, so the candidates run
-	// concurrently over the pool and the winner is picked deterministically
-	// in candidate order afterwards.
+	// independent quantize→failures pass, so the candidates run concurrently
+	// over the pool; then their streams pack together, a stream equal to the
+	// previous candidate's sharing its frame, and the winner is picked
+	// deterministically in candidate order. The winner's frames stay on st
+	// for the mapping choice and assembly.
 	st.fs = emptyFailureSet(md)
 	if hasModel {
 		cand := []int{8, 16, 24, 32}
@@ -183,30 +185,29 @@ func decide(run *pipeline.Run, t *dataset.Table, md *modelData, opts Options,
 		type candidate struct {
 			dims [][]int64
 			fs   *failureSet
-			size int64
 		}
 		results := make([]candidate, len(cand))
+		packs := make([]*packings, len(cand))
 		err := run.StageBytes("truncation-search", func() (int64, error) {
 			err := run.ForEach(len(cand), func(i int) error {
 				dims, fs, err := groupStreams(run, t, st, storedCodes, grouped, cand[i])
 				if err != nil {
 					return err
 				}
-				size, err := packedSize(run, fs, dims, cmask)
-				if err != nil {
-					return err
-				}
-				results[i] = candidate{dims, fs, size}
+				results[i], packs[i] = candidate{dims, fs}, newPackings(fs, dims, cmask)
 				return nil
 			})
 			if err != nil {
 				return 0, err
 			}
+			if err := packAll(run, packs...); err != nil {
+				return 0, err
+			}
 			bestSize := int64(math.MaxInt64)
 			for i, bits := range cand {
-				opts.logf("truncation search: %d-bit codes → %d bytes (codes+failures)", bits, results[i].size)
-				if results[i].size < bestSize {
-					bestSize, st.codeBits, st.codeDims, st.fs = results[i].size, bits, results[i].dims, results[i].fs
+				opts.logf("truncation search: %d-bit codes → %d bytes (codes+failures)", bits, packs[i].size)
+				if packs[i].size < bestSize {
+					bestSize, st.codeBits, st.codeDims, st.fs, st.packs = packs[i].size, bits, results[i].dims, results[i].fs, packs[i]
 				}
 			}
 			return bestSize, nil
@@ -229,19 +230,16 @@ func decide(run *pipeline.Run, t *dataset.Table, md *modelData, opts Options,
 			if err != nil {
 				return err
 			}
-			sizeI, err := packedSize(run, fsI, dimsI, cmask)
-			if err != nil {
+			packsI := newPackings(fsI, dimsI, cmask)
+			if err := packAll(run, st.packs, packsI); err != nil {
 				return err
 			}
-			sizeG, err := packedSize(run, st.fs, st.codeDims, cmask)
-			if err != nil {
-				return err
-			}
+			sizeG, sizeI := st.packs.size, packsI.size
 			opts.logf("mapping: grouped %d+%d vs labels %d+%d bytes",
 				sizeG, groupedCost, sizeI, labelsCost)
 			if sizeI+labelsCost < sizeG+groupedCost {
 				st.perm, st.grouped = identity, false
-				st.fs, st.codeDims = fsI, dimsI
+				st.fs, st.codeDims, st.packs = fsI, dimsI, packsI
 			}
 			return nil
 		})

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"deepsqueeze/internal/codec"
@@ -402,45 +403,145 @@ func nearestLevel(cp *preprocess.ColPlan, pred float64, lv int) int {
 	return idx
 }
 
-// packedSize totals the packed byte size of all failure streams plus the
-// given packed code dimensions — the objective of the truncation search.
-// Every stream packs independently, so the streams are flattened into a
-// work list and packed concurrently over the run's pool; the sum is
-// commutative, so map iteration order does not affect the result.
-func packedSize(run *pipeline.Run, fs *failureSet, codeDims [][]int64, mask codec.Mask) (int64, error) {
-	var ints [][]int64
-	var floats [][]float64
-	ints = append(ints, codeDims...)
-	for _, s := range fs.ints {
-		ints = append(ints, s)
+// streamKind and streamKey name one stream of a decided state by where the
+// archive stores it: a code dimension (digit is the dimension), or one of a
+// failure column's streams (digit is a residual column's digit).
+type streamKind uint8
+
+const (
+	codeDim streamKind = iota
+	failInts
+	failDigit
+	failExceptions
+	failContMask
+	failContVals
+)
+
+type streamKey struct {
+	kind       streamKind
+	col, digit int
+}
+
+// packedStream is one stream and its packed frame, nil until packed. The
+// stream is held by reference: streams never change once computed.
+type packedStream struct {
+	ints   []int64
+	floats []float64 // failContVals streams only
+	frame  []byte
+}
+
+// same reports whether s and o pack to the same frame: equal values, floats
+// compared by bit pattern (-0 and +0 pack differently).
+func (s *packedStream) same(o *packedStream) bool {
+	return slices.Equal(s.ints, o.ints) && slices.EqualFunc(s.floats, o.floats, func(a, b float64) bool {
+		return math.Float64bits(a) == math.Float64bits(b)
+	})
+}
+
+// packings is every stream of one (code dimensions, failure set) pair and,
+// once packAll has run, its frame under one codec mask: what a truncation
+// candidate costs and, for the winner, the frames assembly writes instead of
+// packing the same streams again. A packings lives in one archiveState from
+// decide until frameState has built the segments.
+type packings struct {
+	mask    codec.Mask
+	streams map[streamKey]*packedStream
+	size    int64 // total frame bytes, set by packAll
+}
+
+// newPackings lists the streams of codeDims and fs, none packed yet.
+func newPackings(fs *failureSet, codeDims [][]int64, mask codec.Mask) *packings {
+	p := &packings{mask: mask, streams: make(map[streamKey]*packedStream)}
+	add := func(kind streamKind, col, digit int, s *packedStream) { p.streams[streamKey{kind, col, digit}] = s }
+	for d, s := range codeDims {
+		add(codeDim, 0, d, &packedStream{ints: s})
 	}
-	for _, ds := range fs.resInts {
-		ints = append(ints, ds...)
+	for col, s := range fs.ints {
+		add(failInts, col, 0, &packedStream{ints: s})
 	}
-	for _, s := range fs.exceptions {
-		ints = append(ints, s)
-	}
-	for _, s := range fs.contMask {
-		ints = append(ints, s)
-	}
-	for _, s := range fs.contVals {
-		floats = append(floats, s)
-	}
-	sizes := make([]int64, len(ints)+len(floats))
-	err := run.ForEach(len(sizes), func(i int) error {
-		if i < len(ints) {
-			sizes[i] = int64(len(colfile.PackIntsMask(ints[i], mask)))
-		} else {
-			sizes[i] = int64(len(colfile.PackFloats(floats[i-len(ints)])))
+	for col, ds := range fs.resInts {
+		for d, s := range ds {
+			add(failDigit, col, d, &packedStream{ints: s})
 		}
+	}
+	for col, s := range fs.exceptions {
+		add(failExceptions, col, 0, &packedStream{ints: s})
+	}
+	for col, s := range fs.contMask {
+		add(failContMask, col, 0, &packedStream{ints: s})
+	}
+	for col, s := range fs.contVals {
+		add(failContVals, col, 0, &packedStream{floats: s})
+	}
+	return p
+}
+
+// pack packs s, stored at a key of kind, under mask.
+func (s *packedStream) pack(kind streamKind, mask codec.Mask) []byte {
+	if kind == failContVals {
+		return colfile.PackFloats(s.floats)
+	}
+	return colfile.PackIntsMask(s.ints, mask)
+}
+
+// packAll packs every stream of every set in chain and totals each set's
+// size. A stream that already has a frame keeps it, and one equal to the
+// stream under the same key in the set before it shares that frame — the
+// truncation search's 16-, 24- and 32-bit candidates mostly derive identical
+// failure streams. Which streams share is settled before anything packs, and
+// the rest pack concurrently over run's pool, so the work and the frames are
+// the same at every parallelism level.
+func packAll(run *pipeline.Run, chain ...*packings) error {
+	type job struct {
+		s    *packedStream
+		kind streamKind
+		mask codec.Mask
+	}
+	type alias struct{ dst, src *packedStream }
+	var work []job
+	var aliases []alias // in chain order, so every source resolves first
+	for i, p := range chain {
+		for key, s := range p.streams {
+			if s.frame != nil {
+				continue
+			}
+			if i > 0 && chain[i-1].mask == p.mask {
+				if prev := chain[i-1].streams[key]; prev != nil && prev.same(s) {
+					aliases = append(aliases, alias{s, prev})
+					continue
+				}
+			}
+			work = append(work, job{s, key.kind, p.mask})
+		}
+	}
+	err := run.ForEach(len(work), func(i int) error {
+		j := work[i]
+		j.s.frame = j.s.pack(j.kind, j.mask)
 		return nil
 	})
 	if err != nil {
-		return 0, err
+		return err
 	}
-	var total int64
-	for _, s := range sizes {
-		total += s
+	for _, a := range aliases {
+		a.dst.frame = a.src.frame
 	}
-	return total, nil
+	for _, p := range chain {
+		p.size = 0
+		for _, s := range p.streams {
+			p.size += int64(len(s.frame))
+		}
+	}
+	return nil
+}
+
+// frame returns the frame of stream s stored at key: p's when p holds the
+// same stream packed under mask, a fresh packing otherwise (always, for a nil
+// p).
+func (p *packings) frame(key streamKey, s packedStream, mask codec.Mask) []byte {
+	if p != nil && p.mask == mask {
+		if kept := p.streams[key]; kept != nil && kept.frame != nil && kept.same(&s) {
+			return kept.frame
+		}
+	}
+	return s.pack(key.kind, mask)
 }

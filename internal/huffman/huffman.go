@@ -30,78 +30,64 @@ var ErrCorrupt = errors.New("huffman: corrupt buffer")
 // (≤ 1<<20 symbols) depths stay far below this in practice.
 const maxCodeLen = 58
 
-type node struct {
-	freq        uint64
-	symbol      int64 // valid for leaves
-	left, right *node
-	order       int // insertion order, for deterministic tie-breaks
+// symFreq is one distinct symbol and how often it occurs.
+type symFreq struct {
+	symbol int64
+	freq   uint64
 }
 
-// codeLengths computes Huffman code lengths for each distinct symbol.
-func codeLengths(freq map[int64]uint64) map[int64]uint {
-	if len(freq) == 0 {
-		return map[int64]uint{}
-	}
-	if len(freq) == 1 {
-		for s := range freq {
-			return map[int64]uint{s: 1}
+// codeLengths computes the Huffman code length of each distinct symbol in
+// syms, which it sorts into (freq, symbol) order; lengths[i] belongs to the
+// sorted syms[i]. Ties between a leaf and a merged node go to the leaf, so
+// the lengths are a function of the multiset alone.
+func codeLengths(syms []symFreq) []uint {
+	sort.Slice(syms, func(i, j int) bool {
+		if syms[i].freq != syms[j].freq {
+			return syms[i].freq < syms[j].freq
 		}
-	}
-	nodes := make([]*node, 0, len(freq))
-	for s, f := range freq {
-		nodes = append(nodes, &node{freq: f, symbol: s})
-	}
-	sort.Slice(nodes, func(i, j int) bool {
-		if nodes[i].freq != nodes[j].freq {
-			return nodes[i].freq < nodes[j].freq
-		}
-		return nodes[i].symbol < nodes[j].symbol
+		return syms[i].symbol < syms[j].symbol
 	})
-	for i, n := range nodes {
-		n.order = i
+	n := len(syms)
+	lengths := make([]uint, n)
+	if n == 1 {
+		lengths[0] = 1
 	}
-	// Simple two-queue merge: sorted leaves plus a FIFO of internal nodes
-	// yields O(n log n) overall (dominated by the sort).
-	leaves, internal := nodes, []*node{}
-	next := len(nodes)
-	pop := func() *node {
-		switch {
-		case len(leaves) == 0:
-			n := internal[0]
-			internal = internal[1:]
-			return n
-		case len(internal) == 0:
-			n := leaves[0]
-			leaves = leaves[1:]
-			return n
-		case leaves[0].freq < internal[0].freq ||
-			(leaves[0].freq == internal[0].freq && leaves[0].order < internal[0].order):
-			n := leaves[0]
-			leaves = leaves[1:]
-			return n
-		default:
-			n := internal[0]
-			internal = internal[1:]
-			return n
+	if n <= 1 {
+		return lengths
+	}
+	// Two-queue merge over index-addressed nodes: leaves are 0..n-1 in sorted
+	// order, merged node k is n+k and is created in nondecreasing weight
+	// order, so the internal queue is the slice itself.
+	freq := make([]uint64, 2*n-1)
+	parent := make([]int, 2*n-1)
+	for i, s := range syms {
+		freq[i] = s.freq
+	}
+	leaf, inner := 0, n
+	pop := func(next int) int {
+		if leaf < n && (inner == next || freq[leaf] <= freq[inner]) {
+			leaf++
+			return leaf - 1
 		}
+		inner++
+		return inner - 1
 	}
-	for len(leaves)+len(internal) > 1 {
-		a, b := pop(), pop()
-		internal = append(internal, &node{freq: a.freq + b.freq, left: a, right: b, order: next})
-		next++
+	for next := n; next < 2*n-1; next++ {
+		a := pop(next)
+		b := pop(next)
+		freq[next] = freq[a] + freq[b]
+		parent[a], parent[b] = next, next
 	}
-	root := pop()
-	lengths := make(map[int64]uint, len(freq))
-	var walk func(n *node, depth uint)
-	walk = func(n *node, depth uint) {
-		if n.left == nil {
-			lengths[n.symbol] = depth
-			return
-		}
-		walk(n.left, depth+1)
-		walk(n.right, depth+1)
+	// Depths from the root (the last node) down: every parent is created
+	// after its children, so one backward pass sees each parent first.
+	depth := freq // the weights are no longer needed
+	depth[2*n-2] = 0
+	for k := 2*n - 3; k >= 0; k-- {
+		depth[k] = depth[parent[k]] + 1
 	}
-	walk(root, 0)
+	for i := range lengths {
+		lengths[i] = uint(depth[i])
+	}
 	return lengths
 }
 
@@ -113,10 +99,10 @@ type symCode struct {
 
 // canonicalCodes assigns canonical codes given per-symbol lengths,
 // in (length, symbol) order.
-func canonicalCodes(lengths map[int64]uint) []symCode {
-	codes := make([]symCode, 0, len(lengths))
-	for s, l := range lengths {
-		codes = append(codes, symCode{symbol: s, length: l})
+func canonicalCodes(syms []symFreq, lengths []uint) []symCode {
+	codes := make([]symCode, len(syms))
+	for i, s := range syms {
+		codes[i] = symCode{symbol: s.symbol, length: lengths[i]}
 	}
 	sort.Slice(codes, func(i, j int) bool {
 		if codes[i].length != codes[j].length {
@@ -135,34 +121,98 @@ func canonicalCodes(lengths map[int64]uint) []symCode {
 	return codes
 }
 
+// denseSpan reports whether values in [lo, hi] are few enough to count and
+// look up in slices indexed by v − lo rather than in maps. The uint64
+// difference is exact for any hi ≥ lo, so the widest int64 spans never
+// qualify.
+func denseSpan(lo, hi int64, n int) bool {
+	return uint64(hi)-uint64(lo) < 4*uint64(n)+256
+}
+
 // Encode Huffman-codes values. Layout:
-// count varint | alphabet size varint | symbols (delta-coded varints) |
-// lengths (bytes) | packed bitstream.
-func Encode(values []int64) []byte {
-	freq := make(map[int64]uint64)
-	for _, v := range values {
-		freq[v]++
+// count varint | alphabet size varint | symbols (zigzag varints, canonical
+// order) | lengths (bytes) | packed bitstream.
+func Encode(values []int64) []byte { return AppendEncode(nil, values) }
+
+// AppendEncode appends Encode(values) to out and returns the extended slice.
+func AppendEncode(out []byte, values []int64) []byte {
+	out = binary.AppendUvarint(out, uint64(len(values)))
+	if len(values) == 0 {
+		return binary.AppendUvarint(out, 0)
 	}
-	lengths := codeLengths(freq)
-	codes := canonicalCodes(lengths)
-	bySym := make(map[int64]symCode, len(codes))
-	out := binary.AppendUvarint(nil, uint64(len(values)))
+	lo, hi := values[0], values[0]
+	for _, v := range values[1:] {
+		lo, hi = min(lo, v), max(hi, v)
+	}
+	if denseSpan(lo, hi, len(values)) {
+		return appendDense(out, values, lo, hi)
+	}
+	return appendSparse(out, values)
+}
+
+// appendHeader writes the alphabet size, symbols and lengths of codes.
+func appendHeader(out []byte, codes []symCode) []byte {
 	out = binary.AppendUvarint(out, uint64(len(codes)))
-	// Symbols in canonical order, delta-within-length keeps them small;
-	// here we simply zigzag-varint them in canonical order.
 	for _, c := range codes {
 		out = binary.AppendUvarint(out, zigzag(c.symbol))
-		bySym[c.symbol] = c
 	}
 	for _, c := range codes {
 		out = append(out, byte(c.length))
 	}
-	w := bitio.NewWriter()
+	return out
+}
+
+// appendDense encodes a stream whose values span [lo, hi], a range denseSpan
+// accepts: one table of span+1 words first counts each value, then holds its
+// code (shifted up 6 bits) and length (the low 6 bits: a length past
+// maxCodeLen would take more values than fit in memory).
+func appendDense(out []byte, values []int64, lo, hi int64) []byte {
+	table := make([]uint64, uint64(hi)-uint64(lo)+1)
+	for _, v := range values {
+		table[v-lo]++
+	}
+	var syms []symFreq
+	for i, f := range table {
+		if f != 0 {
+			syms = append(syms, symFreq{lo + int64(i), f})
+		}
+	}
+	codes := canonicalCodes(syms, codeLengths(syms))
+	for _, c := range codes {
+		table[c.symbol-lo] = c.code<<6 | uint64(c.length)
+	}
+	out = appendHeader(out, codes)
+	w := bitio.NewAppendWriter(out)
+	for _, v := range values {
+		e := table[v-lo]
+		w.WriteBits(e>>6, uint(e&63))
+	}
+	return w.Bytes()
+}
+
+// appendSparse encodes a stream whose values span too wide a range for
+// appendDense, counting and looking up codes in maps.
+func appendSparse(out []byte, values []int64) []byte {
+	freq := make(map[int64]uint64)
+	for _, v := range values {
+		freq[v]++
+	}
+	syms := make([]symFreq, 0, len(freq))
+	for s, f := range freq {
+		syms = append(syms, symFreq{s, f})
+	}
+	codes := canonicalCodes(syms, codeLengths(syms))
+	bySym := make(map[int64]symCode, len(codes))
+	for _, c := range codes {
+		bySym[c.symbol] = c
+	}
+	out = appendHeader(out, codes)
+	w := bitio.NewAppendWriter(out)
 	for _, v := range values {
 		c := bySym[v]
 		w.WriteBits(c.code, c.length)
 	}
-	return append(out, w.Bytes()...)
+	return w.Bytes()
 }
 
 // Decode inverts Encode.

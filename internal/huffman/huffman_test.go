@@ -57,9 +57,9 @@ func TestSkewedDistributionCompresses(t *testing.T) {
 }
 
 func TestFrequentSymbolsGetShorterCodes(t *testing.T) {
-	freq := map[int64]uint64{0: 1000, 1: 100, 2: 10, 3: 1}
-	lengths := codeLengths(freq)
-	if lengths[0] > lengths[1] || lengths[1] > lengths[2] || lengths[2] > lengths[3] {
+	syms := []symFreq{{0, 1000}, {1, 100}, {2, 10}, {3, 1}}
+	lengths := codeLengths(syms) // sorted by ascending frequency: 3, 2, 1, 0
+	if lengths[0] < lengths[1] || lengths[1] < lengths[2] || lengths[2] < lengths[3] {
 		t.Fatalf("code lengths not monotone in frequency: %v", lengths)
 	}
 }
@@ -72,7 +72,11 @@ func TestKraftInequality(t *testing.T) {
 		for i := 0; i < n; i++ {
 			freq[int64(rng.Intn(100))] = uint64(1 + rng.Intn(1000))
 		}
-		lengths := codeLengths(freq)
+		var syms []symFreq
+		for s, f := range freq {
+			syms = append(syms, symFreq{s, f})
+		}
+		lengths := codeLengths(syms)
 		sum := 0.0
 		for _, l := range lengths {
 			sum += 1.0 / float64(uint64(1)<<l)

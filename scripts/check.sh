@@ -165,9 +165,11 @@ step "fuzz smoke"
 # Short coverage-guided runs of the decode-path fuzzers: any panic or
 # unclassified error on arbitrary bytes fails the gate. One worker: with the
 # default two on a two-CPU box the time goes to baseline coverage (≈ 30
-# executions in 10 s against thousands).
+# executions in 10 s against thousands). The bitio run pins the word-at-a-time
+# bit writer to the bit-at-a-time reference kept in its test.
 go test -run='^$' -fuzz=FuzzDecompress -fuzztime=10s -parallel=1 ./internal/core
 go test -run='^$' -fuzz=FuzzSectionReader -fuzztime=5s -parallel=1 ./internal/core
+go test -run='^$' -fuzz=FuzzWriterMatchesReference -fuzztime=5s -parallel=1 ./internal/bitio
 
 step "non-test LOC per package"
 # ROADMAP aim 2 tracks these: the design is judged by how little code holds
