@@ -504,13 +504,10 @@ func archiveErr(path string, err error) error {
 }
 
 // validateAgainstArchive checks the requested columns and row span against
-// the archive's schema and row count — metadata only, before any segment is
-// decoded — so typos fail with a clear message instead of a decode error.
-func validateAgainstArchive(archive []byte, cols []string, rr deepsqueeze.RowRange) error {
-	info, err := deepsqueeze.Inspect(archive)
-	if err != nil {
-		return err
-	}
+// the open archive's schema and row count — metadata only, before any segment
+// is decoded — so typos fail with a clear message instead of a decode error.
+func validateAgainstArchive(a *deepsqueeze.Archive, cols []string, rr deepsqueeze.RowRange) error {
+	info := a.Info()
 	for _, name := range cols {
 		found := false
 		for _, c := range info.Schema.Columns {
@@ -540,14 +537,14 @@ func schemaNames(s *deepsqueeze.Schema) string {
 // decompressQuery runs the in-memory query-aware decoder (projection and/or
 // row span) and writes the result as CSV.
 func decompressQuery(ctx context.Context, in, out string, opts deepsqueeze.DecompressOptions, verbose bool) error {
-	buf, err := os.ReadFile(in)
+	a, err := deepsqueeze.OpenFile(in)
 	if err != nil {
 		return err
 	}
-	if err := validateAgainstArchive(buf, opts.Columns, opts.RowRange); err != nil {
-		return archiveErr(in, err)
+	if err := validateAgainstArchive(a, opts.Columns, opts.RowRange); err != nil {
+		return err
 	}
-	res, err := deepsqueeze.DecompressContext(ctx, buf, opts)
+	res, err := a.DecompressContext(ctx, opts)
 	if err != nil {
 		return archiveErr(in, err)
 	}
@@ -647,11 +644,11 @@ func runQuery(ctx context.Context, args []string) error {
 		}
 		opts.Aggs = aggs
 	}
-	buf, err := os.ReadFile(*in)
+	a, err := deepsqueeze.OpenFile(*in)
 	if err != nil {
 		return err
 	}
-	res, err := deepsqueeze.QueryContext(ctx, buf, opts)
+	res, err := deepsqueeze.QueryArchive(ctx, a, opts)
 	if err != nil {
 		return archiveErr(*in, err)
 	}
@@ -682,19 +679,8 @@ func runQuery(ctx context.Context, args []string) error {
 		return err
 	}
 	// The match summary goes to stderr so stdout stays a clean CSV stream.
-	fmt.Fprintf(os.Stderr, "matched %d of %d rows\n", res.Matched, resRows(buf))
+	fmt.Fprintf(os.Stderr, "matched %d of %d rows\n", res.Matched, a.Rows())
 	return nil
-}
-
-// resRows reports the archive's total row count for the query summary; the
-// archive was already parsed once, so errors are impossible here and fall
-// back to 0.
-func resRows(archive []byte) int {
-	info, err := deepsqueeze.Inspect(archive)
-	if err != nil {
-		return 0
-	}
-	return info.Rows
 }
 
 // parseAggs parses the -agg flag: a comma-separated list of "count",
@@ -740,15 +726,12 @@ func runInspect(args []string) error {
 	if *in == "" {
 		return fmt.Errorf("inspect needs -in")
 	}
-	buf, err := os.ReadFile(*in)
+	a, err := deepsqueeze.OpenFile(*in)
 	if err != nil {
 		return err
 	}
-	info, err := deepsqueeze.Inspect(buf)
-	if err != nil {
-		return archiveErr(*in, err)
-	}
-	streams, err := deepsqueeze.InspectStreams(buf)
+	info := a.Info()
+	streams, err := a.StreamStats()
 	if err != nil {
 		return archiveErr(*in, err)
 	}

@@ -95,18 +95,43 @@ func buildTestArchive(t *testing.T) []byte {
 }
 
 func TestValidateAgainstArchive(t *testing.T) {
-	archive := buildTestArchive(t)
-	if err := validateAgainstArchive(archive, []string{"city", "temp"}, deepsqueeze.RowRange{Lo: 0, Hi: 80}); err != nil {
+	a, err := deepsqueeze.Open(buildTestArchive(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := validateAgainstArchive(a, []string{"city", "temp"}, deepsqueeze.RowRange{Lo: 0, Hi: 80}); err != nil {
 		t.Fatalf("valid request rejected: %v", err)
 	}
-	if err := validateAgainstArchive(archive, []string{"nope"}, deepsqueeze.RowRange{}); err == nil {
+	if err := validateAgainstArchive(a, []string{"nope"}, deepsqueeze.RowRange{}); err == nil {
 		t.Error("unknown column accepted")
 	}
-	if err := validateAgainstArchive(archive, nil, deepsqueeze.RowRange{Lo: 0, Hi: 81}); err == nil {
+	if err := validateAgainstArchive(a, nil, deepsqueeze.RowRange{Lo: 0, Hi: 81}); err == nil {
 		t.Error("out-of-bounds row span accepted")
 	}
-	if err := validateAgainstArchive([]byte("not an archive"), nil, deepsqueeze.RowRange{}); err == nil {
-		t.Error("garbage archive accepted")
+}
+
+// The read subcommands open an archive once, and a corrupt one fails each of
+// them with ErrCorrupt naming its path exactly once.
+func TestCorruptArchiveNamedOnce(t *testing.T) {
+	archive := buildTestArchive(t)
+	archive[len(archive)/2] ^= 0x01 // the checksum no longer matches
+	dir := t.TempDir()
+	in := filepath.Join(dir, "bad.dsqz")
+	if err := os.WriteFile(in, archive, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out := filepath.Join(dir, "out.csv")
+	for name, run := range map[string]func() error{
+		"decompress -cols": func() error {
+			return runDecompress(context.Background(), []string{"-in", in, "-out", out, "-cols", "city"})
+		},
+		"query":   func() error { return runQuery(context.Background(), []string{"-in", in}) },
+		"inspect": func() error { return runInspect([]string{"-in", in}) },
+	} {
+		err := run()
+		if !errors.Is(err, deepsqueeze.ErrCorrupt) || strings.Count(err.Error(), in) != 1 {
+			t.Errorf("%s: error %v, want ErrCorrupt naming %s once", name, err, in)
+		}
 	}
 }
 

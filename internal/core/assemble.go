@@ -9,7 +9,6 @@ import (
 	"deepsqueeze/internal/dataset"
 	"deepsqueeze/internal/nn"
 	"deepsqueeze/internal/pipeline"
-	"deepsqueeze/internal/preprocess"
 )
 
 // archiveState is a compression with every decision made and nothing framed
@@ -25,7 +24,7 @@ type archiveState struct {
 	codeDims [][]int64       // per dimension, stored order
 	codeBits int
 	codeSize int
-	fs       *failureSet
+	fs       failureSet
 	packs    *packings // decide's frames of codeDims and fs; frameState reuses, then drops them
 	perm     []int     // stored position → original row
 	assign   []int     // original row → expert
@@ -63,18 +62,43 @@ type segmentData struct {
 	origBase  int
 	planChunk []byte // group plan override payload; nil = header plan applies
 	dims      [][]int64
-	fs        *failureSet
+	fs        failureSet
 	perm      []int
 	packs     *packings
 }
 
-// sliceGroups cuts the global stored-order streams at span boundaries. The
-// sparse exception / continuous-correction queues are split by one serial
-// prefix pass over the dense streams (an escape consumes one exception, a
-// set mask bit consumes one correction).
-func sliceGroups(md *modelData, fs *failureSet, dims [][]int64, perm []int, spans []rowSpan) []segmentData {
-	excOff := make(map[int]int)
-	valOff := make(map[int]int)
+// stream returns what chunk key stores for g, in g's stored order: a model
+// column's stream from g.fs, a fallback column's values from t, a trivial
+// column's codes from md.
+func (g *segmentData) stream(key streamKey, t *dataset.Table, md *modelData) (s stream) {
+	switch key.kind {
+	case fallbackStrs:
+		s.strs = make([]string, len(g.perm))
+		for i, orig := range g.perm {
+			s.strs[i] = t.Str[key.col][orig]
+		}
+	case fallbackNums:
+		s.floats = make([]float64, len(g.perm))
+		for i, orig := range g.perm {
+			s.floats[i] = t.Num[key.col][orig]
+		}
+	case trivialCodes:
+		s.ints = make([]int64, len(g.perm))
+		for i, orig := range g.perm {
+			s.ints[i] = int64(md.codes[key.col][orig])
+		}
+	default:
+		return g.fs[key]
+	}
+	return s
+}
+
+// sliceGroups cuts the global stored-order streams at span boundaries. A
+// sparse queue is split by one serial prefix pass over the dense stream whose
+// escapes consume it: an escaped rank consumes one exception, a set mask flag
+// one correction.
+func sliceGroups(md *modelData, fs failureSet, dims [][]int64, perm []int, spans []rowSpan) []segmentData {
+	taken := make(map[streamKey]int) // queue values handed to earlier groups
 	groups := make([]segmentData, len(spans))
 	for gi, sp := range spans {
 		lo, hi := sp.start, sp.start+sp.count
@@ -85,43 +109,24 @@ func sliceGroups(md *modelData, fs *failureSet, dims [][]int64, perm []int, span
 		for d, col := range dims {
 			g.dims[d] = col[lo:hi]
 		}
-		g.fs = newFailureSet()
-		for col, digits := range fs.resInts {
-			segs := make([][]int64, len(digits))
-			for d, stream := range digits {
-				segs[d] = stream[lo:hi]
-			}
-			g.fs.resInts[col] = segs
-		}
-		for col, ints := range fs.ints {
-			seg := ints[lo:hi]
-			g.fs.ints[col] = seg
-			if _, ok := fs.exceptions[col]; !ok {
+		g.fs = make(failureSet, len(fs))
+		for key, s := range fs {
+			if kindSpecs[key.kind].dense {
+				g.fs[key] = s.slice(key.kind, lo, hi)
 				continue
 			}
-			card := int64(md.specs[md.specOfCol[col]].Card)
-			cnt := 0
-			for _, v := range seg {
-				if v == card {
-					cnt++
+			first, escape := fs[streamKey{failContMask, key.col, 0}], int64(1)
+			if key.kind == failExceptions {
+				first, escape = fs[streamKey{failInts, key.col, 0}], int64(md.specs[md.specOfCol[key.col]].Card)
+			}
+			n := 0
+			for _, v := range first.ints[lo:hi] {
+				if v == escape {
+					n++
 				}
 			}
-			off := excOff[col]
-			g.fs.exceptions[col] = fs.exceptions[col][off : off+cnt]
-			excOff[col] = off + cnt
-		}
-		for col, mask := range fs.contMask {
-			seg := mask[lo:hi]
-			g.fs.contMask[col] = seg
-			cnt := 0
-			for _, m := range seg {
-				if m != 0 {
-					cnt++
-				}
-			}
-			off := valOff[col]
-			g.fs.contVals[col] = fs.contVals[col][off : off+cnt]
-			valOff[col] = off + cnt
+			g.fs[key] = s.slice(key.kind, taken[key], taken[key]+n)
+			taken[key] += n
 		}
 	}
 	return groups
@@ -181,48 +186,16 @@ func buildSegment(t *dataset.Table, md *modelData, assign []int, cfg segConfig, 
 	seg := builtSegment{count: g.span.count}
 	if cfg.hasModel {
 		for d, dim := range g.dims {
-			seg.codes += w.chunk(g.packs.frame(streamKey{codeDim, 0, d}, packedStream{ints: dim}, cfg.mask))
+			seg.codes += w.chunk(g.packs.frame(streamKey{codeDim, 0, d}, stream{ints: dim}, cfg.mask))
 		}
 	}
 	if cfg.experts > 1 {
 		seg.mapping += w.chunk(buildMappingChunk(assign, g.perm, g.origBase, cfg.experts, cfg.grouped, cfg.keepOrder, cfg.mask))
 	}
 	for col := range md.plan.Cols {
-		cp := &md.plan.Cols[col]
-		switch {
-		case md.specOfCol[col] >= 0 && cp.Kind == preprocess.KindNumContinuous:
-			seg.failures += w.chunk(g.packs.frame(streamKey{failContMask, col, 0}, packedStream{ints: g.fs.contMask[col]}, cfg.mask))
-			seg.failures += w.chunk(g.packs.frame(streamKey{failContVals, col, 0}, packedStream{floats: g.fs.contVals[col]}, cfg.mask))
-		case cp.Kind == preprocess.KindCatResidual:
-			// One failure-rank chunk per digit, no exception chunks:
-			// digits never escape.
-			for d, stream := range g.fs.resInts[col] {
-				seg.failures += w.chunk(g.packs.frame(streamKey{failDigit, col, d}, packedStream{ints: stream}, cfg.mask))
-			}
-		case md.specOfCol[col] >= 0:
-			seg.failures += w.chunk(g.packs.frame(streamKey{failInts, col, 0}, packedStream{ints: g.fs.ints[col]}, cfg.mask))
-			if md.specs[md.specOfCol[col]].Kind == nn.OutCategorical {
-				seg.failures += w.chunk(g.packs.frame(streamKey{failExceptions, col, 0}, packedStream{ints: g.fs.exceptions[col]}, cfg.mask))
-			}
-		case cp.Kind == preprocess.KindFallbackCat:
-			vals := make([]string, g.span.count)
-			for s, orig := range g.perm {
-				vals[s] = t.Str[col][orig]
-			}
-			seg.failures += w.chunk(colfile.PackStrings(vals))
-		case cp.Kind == preprocess.KindFallbackNum:
-			vals := make([]float64, g.span.count)
-			for s, orig := range g.perm {
-				vals[s] = t.Num[col][orig]
-			}
-			seg.failures += w.chunk(colfile.PackFloats(vals))
-		default: // trivial: store the (tiny) code stream directly
-			cc := md.codes[col]
-			vals := make([]int64, g.span.count)
-			for s, orig := range g.perm {
-				vals[s] = int64(cc[orig])
-			}
-			seg.failures += w.chunk(colfile.PackIntsMask(vals, cfg.mask))
+		for _, e := range colStreams(md.plan, md.layout, col) {
+			key := streamKey{e.kind, col, e.digit}
+			seg.failures += w.chunk(g.packs.frame(key, g.stream(key, t, md), cfg.mask))
 		}
 	}
 	seg.framed = w.finish()

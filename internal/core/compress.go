@@ -175,7 +175,7 @@ func decide(run *pipeline.Run, t *dataset.Table, md *modelData, opts Options,
 	// previous candidate's sharing its frame, and the winner is picked
 	// deterministically in candidate order. The winner's frames stay on st
 	// for the mapping choice and assembly.
-	st.fs = emptyFailureSet(md)
+	st.fs = newFailureSet(md, 0)
 	if hasModel {
 		cand := []int{8, 16, 24, 32}
 		if opts.CodeBits != 0 {
@@ -184,7 +184,7 @@ func decide(run *pipeline.Run, t *dataset.Table, md *modelData, opts Options,
 		storedCodes := permuteRows(codesF, grouped)
 		type candidate struct {
 			dims [][]int64
-			fs   *failureSet
+			fs   failureSet
 		}
 		results := make([]candidate, len(cand))
 		packs := make([]*packings, len(cand))

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"deepsqueeze/internal/colfile"
@@ -139,20 +140,14 @@ type groupDec struct {
 	mappingChunk []byte
 	colChunks    [][][]byte // per schema column, one per colStreams entry; unselected stay nil
 
-	// Unpacked streams, indexed by schema column (spec streams) or code
-	// dimension; all in the group's stored order.
+	// Unpacked streams, all in the group's stored order: the code dimensions,
+	// and per schema column one stream per colStreams entry (streams[col][i]
+	// is entry i; unselected columns stay nil).
 	plan    *preprocess.Plan // group plan (header plan unless overridden)
 	dims    [][]int64
 	perm    []int // stored position → group-local original row
 	assign  []int // group-local original row → expert
-	fInts   [][]int64
-	fRes    [][][]int64 // residual columns → per-digit failure ranks
-	fExc    [][]int64
-	fMask   [][]int64
-	fVals   [][]float64
-	fbStr   [][]string
-	fbNum   [][]float64
-	trivial [][]int64
+	streams [][]stream
 
 	// Resolved escape/correction queues, indexed by spec position.
 	excAt  []map[int]int64
@@ -353,7 +348,7 @@ func (d *decompressor) initSelection(columns []string) error {
 			d.selCols = append(d.selCols, col)
 		}
 	}
-	if len(d.selCols) == 0 {
+	if len(d.selCols) == 0 && columns != nil {
 		return fmt.Errorf("core: no columns selected")
 	}
 	d.wantSpec = make([]bool, len(d.meta.layout.specs))
@@ -461,45 +456,6 @@ func (d *decompressor) scanGroupBody(r *sectionReader, g *groupDec, skipped *int
 	return nil
 }
 
-// The data chunks a column writes per segment, by serialization branch.
-// "values" and "fallback" chunks are byte frames, the rest integer frames.
-var (
-	streamsContinuous  = []string{"mask", "values"}
-	streamsCategorical = []string{"failures", "exceptions"}
-	streamsDiscrete    = []string{"failures"}
-	streamsFallback    = []string{"fallback"}
-	streamsTrivial     = []string{"trivial"}
-)
-
-// colStreams names the data chunks a column writes per segment, in order —
-// the contract buildSegment, scanGroupBody, unpackGroupItems and
-// collectGroupStreams must all agree on: continuous model columns store
-// mask+values, categorical model columns store ranks+exceptions, residual
-// columns store one rank stream per digit, everything else stores one chunk.
-// The result is shared and must not be modified.
-func colStreams(plan *preprocess.Plan, lo *layout, col int) []string {
-	cp := &plan.Cols[col]
-	modeled := lo.specOfCol[col] >= 0
-	switch {
-	case cp.Kind == preprocess.KindCatResidual:
-		digits := make([]string, cp.ResDigits)
-		for d := range digits {
-			digits[d] = "failures"
-		}
-		return digits
-	case modeled && cp.Kind == preprocess.KindNumContinuous:
-		return streamsContinuous
-	case modeled && lo.specs[lo.specOfCol[col]].Kind == nn.OutCategorical:
-		return streamsCategorical
-	case modeled:
-		return streamsDiscrete
-	case cp.Kind == preprocess.KindFallbackCat, cp.Kind == preprocess.KindFallbackNum:
-		return streamsFallback
-	default:
-		return streamsTrivial
-	}
-}
-
 // unpack decodes every retained section concurrently across all active
 // groups: decoder parse, group plan overrides, code dimensions, expert
 // mappings, and the selected columns' failure streams. Each work item writes
@@ -544,181 +500,47 @@ func (d *decompressor) unpack() (int64, error) {
 }
 
 // unpackGroupItems initializes a group's decoded-stream slots and appends
-// the group's unpack work items.
+// the group's unpack work items: its plan override, its code dimensions and
+// mapping when the request needs them, and one item per colStreams entry of
+// every selected column.
 func (d *decompressor) unpackGroupItems(g *groupDec, add func(chunk []byte, fn func() error)) {
-	ncols := len(d.meta.plan.Cols)
 	g.plan = d.meta.plan
-	g.fInts = make([][]int64, ncols)
-	g.fRes = make([][][]int64, ncols)
-	g.fExc = make([][]int64, ncols)
-	g.fMask = make([][]int64, ncols)
-	g.fVals = make([][]float64, ncols)
-	g.fbStr = make([][]string, ncols)
-	g.fbNum = make([][]float64, ncols)
-	g.trivial = make([][]int64, ncols)
-	g.perm = make([]int, g.count)
-	for i := range g.perm {
-		g.perm[i] = i
-	}
+	g.perm = identityPerm(g.count)
 	g.assign = make([]int, g.count)
-
 	if g.planChunk != nil {
 		add(g.planChunk, func() error { return d.unpackGroupPlan(g) })
 	}
 	if d.needModel {
 		g.dims = make([][]int64, d.meta.codeSize)
 		for i, chunk := range g.dimChunks {
-			i, chunk := i, chunk
 			add(chunk, func() error {
-				vals, err := colfile.UnpackIntsMax(chunk, g.count)
-				if err != nil {
-					return corrupt(err)
-				}
-				if len(vals) != g.count {
-					return fmt.Errorf("%w: code dim %d has %d values, want %d", ErrCorrupt, i, len(vals), g.count)
-				}
-				g.dims[i] = vals
-				return nil
+				s, err := unpackStream(chunk, streamKey{codeDim, 0, i}, g.count)
+				g.dims[i] = s.ints
+				return err
 			})
 		}
 	}
 	if d.needMapping {
 		add(g.mappingChunk, func() error { return d.unpackMapping(g) })
 	}
+	g.streams = make([][]stream, len(d.meta.plan.Cols))
 	for _, col := range d.selCols {
-		col := col
-		cp := &d.meta.plan.Cols[col]
-		a := g.colChunks[col][0]
-		var b []byte
-		if len(g.colChunks[col]) > 1 {
-			b = g.colChunks[col][1]
-		}
-		switch {
-		case cp.Kind == preprocess.KindCatResidual:
-			g.fRes[col] = make([][]int64, cp.ResDigits)
-			for dg := 0; dg < cp.ResDigits; dg++ {
-				dg := dg
-				chunk := g.colChunks[col][dg]
-				add(chunk, func() error {
-					ranks, err := colfile.UnpackIntsMax(chunk, g.count)
-					if err != nil {
-						return corrupt(err)
-					}
-					if len(ranks) != g.count {
-						return fmt.Errorf("%w: column %d digit %d failure length", ErrCorrupt, col, dg)
-					}
-					g.fRes[col][dg] = ranks
-					return nil
-				})
-			}
-		case d.meta.layout.specOfCol[col] >= 0 && cp.Kind == preprocess.KindNumContinuous:
-			add(a, func() error {
-				mask, err := colfile.UnpackIntsMax(a, g.count)
-				if err != nil {
-					return corrupt(err)
-				}
-				if len(mask) != g.count {
-					return fmt.Errorf("%w: column %d mask length", ErrCorrupt, col)
-				}
-				g.fMask[col] = mask
-				return nil
-			})
-			add(b, func() error {
-				vals, err := colfile.UnpackFloatsMax(b, g.count)
-				if err != nil {
-					return corrupt(err)
-				}
-				g.fVals[col] = vals
-				return nil
-			})
-		case d.meta.layout.specOfCol[col] >= 0:
-			add(a, func() error {
-				ints, err := colfile.UnpackIntsMax(a, g.count)
-				if err != nil {
-					return corrupt(err)
-				}
-				if len(ints) != g.count {
-					return fmt.Errorf("%w: column %d failure length", ErrCorrupt, col)
-				}
-				g.fInts[col] = ints
-				return nil
-			})
-			if d.meta.layout.specs[d.meta.layout.specOfCol[col]].Kind == nn.OutCategorical {
-				add(b, func() error {
-					exc, err := colfile.UnpackIntsMax(b, g.count)
-					if err != nil {
-						return corrupt(err)
-					}
-					g.fExc[col] = exc
-					return nil
-				})
-			}
-		case cp.Kind == preprocess.KindFallbackCat:
-			add(a, func() error {
-				vals, err := colfile.UnpackStringsMax(a, g.count)
-				if err != nil {
-					return corrupt(err)
-				}
-				if len(vals) != g.count {
-					return fmt.Errorf("%w: fallback column %d length", ErrCorrupt, col)
-				}
-				g.fbStr[col] = vals
-				return nil
-			})
-		case cp.Kind == preprocess.KindFallbackNum:
-			add(a, func() error {
-				vals, err := colfile.UnpackFloatsMax(a, g.count)
-				if err != nil {
-					return corrupt(err)
-				}
-				if len(vals) != g.count {
-					return fmt.Errorf("%w: fallback column %d length", ErrCorrupt, col)
-				}
-				g.fbNum[col] = vals
-				return nil
-			})
-		default: // trivial
-			add(a, func() error {
-				ints, err := colfile.UnpackIntsMax(a, g.count)
-				if err != nil {
-					return corrupt(err)
-				}
-				if len(ints) != g.count {
-					return fmt.Errorf("%w: trivial column %d length", ErrCorrupt, col)
-				}
-				g.trivial[col] = ints
-				return nil
+		g.streams[col] = make([]stream, len(g.colChunks[col]))
+		for i, e := range colStreams(d.meta.plan, d.meta.layout, col) {
+			chunk, dst := g.colChunks[col][i], &g.streams[col][i]
+			add(chunk, func() (err error) {
+				*dst, err = unpackStream(chunk, streamKey{e.kind, col, e.digit}, g.count)
+				return err
 			})
 		}
-	}
-}
-
-// colBranch classifies a column into the serialization branch the writer and
-// reader switch on: continuous model, discrete model, categorical fallback,
-// numeric fallback, trivial, or residual.
-func colBranch(plan *preprocess.Plan, lo *layout, col int) int {
-	cp := &plan.Cols[col]
-	switch {
-	case cp.Kind == preprocess.KindCatResidual:
-		return 5
-	case lo.specOfCol[col] >= 0 && cp.Kind == preprocess.KindNumContinuous:
-		return 0
-	case lo.specOfCol[col] >= 0:
-		return 1
-	case cp.Kind == preprocess.KindFallbackCat:
-		return 2
-	case cp.Kind == preprocess.KindFallbackNum:
-		return 3
-	default:
-		return 4
 	}
 }
 
 // unpackGroupPlan decodes and validates a group's plan override. The group
 // plan may carry different per-group dictionaries, scalers, and quantizers
 // (the streaming writer re-fits them per batch), but must agree with the
-// header plan on everything structural: schema, model-column specs, and each
-// column's serialization branch.
+// header plan on everything structural: schema, model-column specs, and the
+// chunks each column stores.
 func (d *decompressor) unpackGroupPlan(g *groupDec) error {
 	plan, used, err := preprocess.DecodePlan(g.planChunk)
 	if err != nil {
@@ -744,7 +566,7 @@ func (d *decompressor) unpackGroupPlan(g *groupDec) error {
 	}
 	for col := range plan.Cols {
 		if glo.specOfCol[col] != d.meta.layout.specOfCol[col] ||
-			colBranch(plan, glo, col) != colBranch(d.meta.plan, d.meta.layout, col) {
+			!slices.Equal(colStreams(plan, glo, col), colStreams(d.meta.plan, d.meta.layout, col)) {
 			return fmt.Errorf("%w: group plan column %d structure differs from header", ErrCorrupt, col)
 		}
 	}
@@ -766,12 +588,12 @@ func (d *decompressor) unpackDecoders() error {
 		if len(d.decoders) != d.meta.numExperts {
 			return fmt.Errorf("%w: model archive has %d experts, batch wants %d", ErrCorrupt, len(d.decoders), d.meta.numExperts)
 		}
-		if err := checkDecoderShapes(d.decoders, d.meta.codeSize, len(d.meta.layout.specs)); err != nil {
+		if err := checkDecoderShapes(d.decoders, d.meta.codeSize, d.meta.layout.specs); err != nil {
 			return err
 		}
 		return d.narrowDecoders()
 	}
-	decoders, err := parseCheckedDecoders(d.meta.decoderChunk, d.meta.numExperts, d.meta.codeSize, len(d.meta.layout.specs))
+	decoders, err := parseCheckedDecoders(d.meta.decoderChunk, d.meta.numExperts, d.meta.codeSize, d.meta.layout.specs)
 	if err != nil {
 		return err
 	}
@@ -792,22 +614,24 @@ func (d *decompressor) narrowDecoders() error {
 // expert's shape against the header — the single parsing routine shared by
 // the Archive handle's cache, byte-slice decompression, and the streaming
 // reader (it used to be duplicated across decompress.go and streamio.go).
-func parseCheckedDecoders(section []byte, numExperts, codeSize, numSpecs int) ([]*nn.Decoder, error) {
+func parseCheckedDecoders(section []byte, numExperts, codeSize int, specs []nn.ColSpec) ([]*nn.Decoder, error) {
 	decoders, err := parseDecoderSection(section, numExperts)
 	if err != nil {
 		return nil, corrupt(err)
 	}
-	if err := checkDecoderShapes(decoders, codeSize, numSpecs); err != nil {
+	if err := checkDecoderShapes(decoders, codeSize, specs); err != nil {
 		return nil, err
 	}
 	return decoders, nil
 }
 
 // checkDecoderShapes verifies each decoder agrees with the header on code
-// size and output-spec count.
-func checkDecoderShapes(decoders []*nn.Decoder, codeSize, numSpecs int) error {
+// size and output specs: inference addresses a column's head by the header's
+// spec, so a decoder whose spec list differs only in kinds is as corrupt as
+// one of another length.
+func checkDecoderShapes(decoders []*nn.Decoder, codeSize int, specs []nn.ColSpec) error {
 	for e, dec := range decoders {
-		if dec.CodeSize != codeSize || len(dec.Specs) != numSpecs {
+		if dec.CodeSize != codeSize || !slices.Equal(dec.Specs, specs) {
 			return fmt.Errorf("%w: decoder %d shape mismatch", ErrCorrupt, e)
 		}
 	}
@@ -944,11 +768,12 @@ func (d *decompressor) resolveGroupInit(g *groupDec) {
 func (d *decompressor) resolveSpec(g *groupDec, si int) error {
 	spec := d.meta.layout.specs[si]
 	col := d.meta.layout.specCols[si]
+	fail := g.streams[col] // per-row stream, then its escape queue
 	if d.meta.plan.Cols[col].Kind == preprocess.KindNumContinuous {
 		at := make(map[int]float64)
-		queue := g.fVals[col]
+		queue := fail[1].floats
 		qi := 0
-		for s, m := range g.fMask[col] {
+		for s, m := range fail[0].ints {
 			if m != 0 {
 				if qi >= len(queue) {
 					return fmt.Errorf("%w: column %d correction queue exhausted", ErrCorrupt, col)
@@ -969,9 +794,9 @@ func (d *decompressor) resolveSpec(g *groupDec, si int) error {
 		return nil
 	}
 	at := make(map[int]int64)
-	queue := g.fExc[col]
+	queue := fail[1].ints
 	qi := 0
-	for s, f := range g.fInts[col] {
+	for s, f := range fail[0].ints {
 		if int(f) == spec.Card {
 			if qi >= len(queue) {
 				return fmt.Errorf("%w: column %d exception queue exhausted", ErrCorrupt, col)
@@ -1089,13 +914,14 @@ func (d *decompressor) applyChunk(g *groupDec, dec *nn.Decoder, chunk []int, p *
 		}
 		col := d.meta.layout.specCols[si]
 		cp := &g.plan.Cols[col]
+		fails := g.streams[col][0].ints // per-row failures; residual digits read their own below
 		switch spec.Kind {
 		case nn.OutNumeric:
 			np := dec.NumPos(si)
 			if cp.Kind == preprocess.KindNumContinuous {
 				out := g.contOut[col]
 				for i, s := range chunk {
-					if g.fMask[col][s] != 0 {
+					if fails[s] != 0 {
 						out[s] = g.valAt[si][s]
 					} else {
 						out[s] = cp.Scaler.Unscale(p.Num.At(i, np))
@@ -1106,7 +932,7 @@ func (d *decompressor) applyChunk(g *groupDec, dec *nn.Decoder, chunk []int, p *
 			lv := levels(cp)
 			out := g.colCodes[col]
 			for i, s := range chunk {
-				code := nearestLevel(cp, p.Num.At(i, np), lv) + int(g.fInts[col][s])
+				code := nearestLevel(cp, p.Num.At(i, np), lv) + int(fails[s])
 				if code < 0 || code >= lv {
 					return fmt.Errorf("%w: column %d code %d outside [0,%d)", ErrCorrupt, col, code, lv)
 				}
@@ -1120,7 +946,7 @@ func (d *decompressor) applyChunk(g *groupDec, dec *nn.Decoder, chunk []int, p *
 				if p.Bin.At(i, bp) >= 0.5 {
 					predBit = 1
 				}
-				f := g.fInts[col][s]
+				f := fails[s]
 				if f != 0 && f != 1 {
 					return fmt.Errorf("%w: column %d binary failure %d", ErrCorrupt, col, f)
 				}
@@ -1137,7 +963,7 @@ func (d *decompressor) applyChunk(g *groupDec, dec *nn.Decoder, chunk []int, p *
 				// outside [0, Base) is corruption, and the recomposed rank
 				// is bounds-checked against the dictionary on assembly.
 				dg := d.meta.layout.specDigit[si]
-				ranks := g.fRes[col][dg]
+				ranks := g.streams[col][dg].ints
 				mult := 1
 				for k := 0; k < dg; k++ {
 					mult *= cp.ModelCard
@@ -1152,7 +978,7 @@ func (d *decompressor) applyChunk(g *groupDec, dec *nn.Decoder, chunk []int, p *
 				continue
 			}
 			for i, s := range chunk {
-				rank := int(g.fInts[col][s])
+				rank := int(fails[s])
 				switch {
 				case rank == spec.Card: // escape
 					out[s] = int(g.excAt[si][s])
@@ -1264,18 +1090,18 @@ func (d *decompressor) assembleColumn(g *groupDec, col int, dstStr []string, dst
 		}
 		return decodeCopy(codes)
 	case cp.Kind == preprocess.KindFallbackCat:
-		src := g.fbStr[col]
+		src := g.streams[col][0].strs
 		for i := range dstStr {
 			dstStr[i] = src[g.unperm[g.glo+i]]
 		}
 	case cp.Kind == preprocess.KindFallbackNum:
-		src := g.fbNum[col]
+		src := g.streams[col][0].floats
 		for i := range dstNum {
 			dstNum[i] = src[g.unperm[g.glo+i]]
 		}
 	default: // trivial
 		codes := make([]int, m)
-		src := g.trivial[col]
+		src := g.streams[col][0].ints
 		for i := range codes {
 			v := src[g.unperm[g.glo+i]]
 			if v < 0 || v > math.MaxInt32 {

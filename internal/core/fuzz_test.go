@@ -6,24 +6,47 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"deepsqueeze/internal/dataset"
 	"deepsqueeze/internal/nn"
 )
 
-// refreshCRC rewrites the archive's CRC32-IEEE trailer so fuzz mutations of
-// the body reach the parser instead of dying at the checksum gate. Inputs
-// too short to carry a trailer pass through unchanged.
+// refreshCRC rewrites a mutated archive's checksums so mutations reach the
+// parsers behind them instead of dying at a checksum gate: the CRC32 of every
+// version-2 segment it can walk to from the front, then the archive's
+// trailer. Inputs too short to carry a trailer pass through unchanged.
 func refreshCRC(data []byte) []byte {
 	if len(data) < 10 {
 		return data
 	}
 	out := append([]byte(nil), data...)
-	sum := crc32.ChecksumIEEE(out[:len(out)-4])
-	binary.LittleEndian.PutUint32(out[len(out)-4:], sum)
+	body := out[:len(out)-4]
+	if body[4] == archiveVersion {
+		r := &sectionReader{buf: body, pos: 6}
+		_, err := r.skip() // header
+		if err == nil && body[5]&flagHasModel != 0 {
+			_, err = r.skip() // decoders
+		}
+		for err == nil {
+			var kind byte
+			var seg []byte
+			if kind, err = r.byte(); err == nil && kind != kindFooter {
+				seg, err = r.chunk()
+			}
+			if err != nil || kind == kindFooter {
+				break
+			}
+			if kind == kindSegment && len(seg) >= 4 {
+				binary.LittleEndian.PutUint32(seg[len(seg)-4:], crc32.ChecksumIEEE(seg[:len(seg)-4]))
+			}
+		}
+	}
+	binary.LittleEndian.PutUint32(out[len(out)-4:], crc32.ChecksumIEEE(body))
 	return out
 }
 
@@ -32,14 +55,14 @@ func refreshCRC(data []byte) []byte {
 // groups carry plan overrides, the shape nearly every production segment
 // has), an external-model batch — plus a frozen v1 golden fixture so
 // mutations explore the legacy decode path too.
-func fuzzSeedArchives(f *testing.F) [][]byte {
-	f.Helper()
+func fuzzSeedArchives(tb testing.TB) [][]byte {
+	tb.Helper()
 	opts := quickOpts()
 	opts.Train.Epochs = 2
 	var seeds [][]byte
 	add := func(res *Result, err error) {
 		if err != nil {
-			f.Fatal(err)
+			tb.Fatal(err)
 		}
 		seeds = append(seeds, res.Archive)
 	}
@@ -69,30 +92,30 @@ func fuzzSeedArchives(f *testing.F) [][]byte {
 	var streamed bytes.Buffer
 	aw, err := NewArchiveWriter(&streamed, latentTable(1, 58).Schema, []float64{0, 0, 0.1, 0.1, 0}, grouped)
 	if err != nil {
-		f.Fatal(err)
+		tb.Fatal(err)
 	}
 	if err := aw.Write(latentTable(70, 58)); err != nil {
-		f.Fatal(err)
+		tb.Fatal(err)
 	}
 	if err := aw.Close(); err != nil {
-		f.Fatal(err)
+		tb.Fatal(err)
 	}
 	seeds = append(seeds, streamed.Bytes())
 	// A batch archive: a model hash where the decoders would be. Alone it
 	// must fail as corrupt at decode and still index and inspect.
 	stream, _, err := NewStream(latentTable(60, 59), []float64{0, 0, 0.1, 0.1, 0}, opts)
 	if err != nil {
-		f.Fatal(err)
+		tb.Fatal(err)
 	}
 	add(stream.CompressBatch(latentTable(40, 60)))
 	v1, err := os.ReadFile(filepath.Join("testdata", "categorical.dsqz"))
 	if err != nil {
-		f.Fatal(err)
+		tb.Fatal(err)
 	}
 	seeds = append(seeds, v1)
 	// Crafted weights: an Inf and a NaN where training can only leave finite
 	// numbers. The parser must refuse them (see TestNonFiniteDecoderRejected).
-	seeds = append(seeds, spliceDecoders(f, v1, poisonDecoder))
+	seeds = append(seeds, spliceDecoders(tb, v1, poisonDecoder))
 	return seeds
 }
 
@@ -177,8 +200,41 @@ func TestNonFiniteDecoderRejected(t *testing.T) {
 	}
 }
 
-// FuzzDecompress feeds mutated archives (with a refreshed checksum, so the
-// mutation penetrates past the CRC) to the full decompression pipeline. The
+// A decoder whose spec list has the header's length but not its kinds — here
+// the binary and a numeric head trade places, which leaves every weight shape
+// intact — is corrupt: inference addresses a column's head by the header's
+// spec, and before the full comparison a binary column asked this decoder for
+// a binary head it does not have and indexed its output at -1.
+func TestDecoderSpecMismatchRejected(t *testing.T) {
+	moe, err := os.ReadFile(filepath.Join("testdata", "moe.dsqz"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := spliceDecoders(t, moe, func(decs []*nn.Decoder) {
+		for _, d := range decs {
+			if d.Specs[1].Kind != nn.OutBinary || d.Specs[2].Kind != nn.OutNumeric {
+				t.Fatalf("fixture specs %+v, want a binary head before a numeric one", d.Specs)
+			}
+			d.Specs[1], d.Specs[2] = d.Specs[2], d.Specs[1]
+		}
+	})
+	a, err := Open(bad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := parseDecoderSection(a.meta.decoderChunk, a.meta.numExperts); err != nil {
+		t.Fatalf("swapped heads no longer parse, so the test no longer reaches the spec check: %v", err)
+	}
+	if _, err := a.Decompress(DecompressOptions{}); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("handle Decompress error %v, want ErrCorrupt", err)
+	}
+	if _, err := NewArchiveReader(bytes.NewReader(bad)); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("NewArchiveReader error %v, want ErrCorrupt", err)
+	}
+}
+
+// FuzzDecompress feeds mutated archives (with refreshed checksums, so the
+// mutation penetrates past them) to the full decompression pipeline. The
 // invariant: any input either decodes or fails with an ErrCorrupt-classified
 // error — never a panic, and never an unclassified error. MaxRows caps
 // row-proportional allocation so the fuzzer cannot claim OOMs as crashes.
@@ -212,6 +268,34 @@ func FuzzDecompress(f *testing.F) {
 		}
 		if res.Table.NumRows() > 4096 {
 			t.Fatalf("decoded %d rows past the MaxRows cap", res.Table.NumRows())
+		}
+	})
+}
+
+// FuzzArchiveReader feeds mutated archives, checksums refreshed, to the
+// streaming reader — the one reader that decodes bytes before the archive
+// checksum has vouched for them. Every input ends in decoded groups and then
+// io.EOF, or in an ErrCorrupt-classified error: never a panic, never an
+// unclassified error. The row cap keeps the fuzzer's allocations small.
+func FuzzArchiveReader(f *testing.F) {
+	for _, a := range fuzzSeedArchives(f) {
+		f.Add(a)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		const maxRows = 4096
+		ar, err := newArchiveReader(bytes.NewReader(refreshCRC(data)), maxRows)
+		rows := 0
+		for err == nil {
+			var g *dataset.Table
+			if g, err = ar.Next(); err == nil {
+				rows += g.NumRows()
+			}
+		}
+		if err != io.EOF && !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("unclassified error: %v", err)
+		}
+		if rows > maxRows {
+			t.Fatalf("decoded %d rows past the row cap", rows)
 		}
 	})
 }
@@ -262,4 +346,55 @@ func FuzzSectionReader(f *testing.F) {
 			t.Fatalf("unclassified done error: %v", err)
 		}
 	})
+}
+
+// refreshCRC lets a mutation inside a segment through the segment's own
+// checksum as well as the archive's, so the fuzz targets and the corruption
+// sweeps reach what lies behind them: unpack, resolve and decode.
+func TestRefreshCRCReachesSegments(t *testing.T) {
+	archive := fuzzSeedArchives(t)[3] // four row groups
+	m, err := parseArchiveMeta(archive)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := m.groups[1]
+	mut := append([]byte(nil), archive...)
+	mut[g.off+g.segLen/2] ^= 0x01
+	if _, err := parseArchiveMeta(mut); err == nil {
+		t.Fatal("a flipped byte kept the archive checksum")
+	}
+	m, err = parseArchiveMeta(refreshCRC(mut))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := m.segment(&sectionReader{buf: m.body, pos: int(g.off)}, g, true); err != nil {
+		t.Fatalf("segment 1 after refreshCRC: %v", err)
+	}
+}
+
+// An archive of a table without columns, which Compress writes, reads back
+// as one: every reader used to refuse it as a projection selecting nothing.
+func TestZeroColumnArchiveReads(t *testing.T) {
+	res, err := Compress(dataset.NewTable(dataset.NewSchema(), 0), nil, quickOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Decompress(res.Archive)
+	if err != nil || got.Schema.NumColumns() != 0 || got.NumRows() != 0 {
+		t.Fatalf("Decompress: %v, %v", got, err)
+	}
+	ar, err := NewArchiveReader(bytes.NewReader(res.Archive))
+	for err == nil {
+		_, err = ar.Next()
+	}
+	if err != io.EOF {
+		t.Fatalf("ArchiveReader: %v, want io.EOF", err)
+	}
+	a, err := Open(res.Archive)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.Decompress(DecompressOptions{Columns: []string{}}); err == nil {
+		t.Fatal("an empty projection was accepted")
+	}
 }

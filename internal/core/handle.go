@@ -269,7 +269,7 @@ func (a *Archive) decoders() ([]*nn.Decoder, error) {
 			a.decErr = fmt.Errorf("%w: streaming batch archive needs its model archive (use DecompressBatch)", ErrCorrupt)
 			return
 		}
-		a.decs, a.decErr = parseCheckedDecoders(m.decoderChunk, m.numExperts, m.codeSize, len(m.layout.specs))
+		a.decs, a.decErr = parseCheckedDecoders(m.decoderChunk, m.numExperts, m.codeSize, m.layout.specs)
 	})
 	return a.decs, a.decErr
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"sort"
@@ -168,52 +169,26 @@ func expertBatches(st *inferState, dec *nn.Decoder, dec32 *nn.Decoder32, want []
 	}
 }
 
-// failureSet holds per-column correction streams in *stored* order.
-type failureSet struct {
-	// ints: model (non-trivial, discrete) columns → failure integers,
-	// indexed by stored position.
-	ints map[int][]int64
-	// resInts: residual columns → per-digit failure ranks, each indexed by
-	// stored position. Digits never escape (every digit lies in [0, Base)),
-	// so residual columns have no exception stream.
-	resInts map[int][][]int64
-	// exceptions: categorical columns → escaped actual codes, ordered by
-	// stored position of the escaping tuple.
-	exceptions map[int][]int64
-	// contMask / contVals: continuous columns → 0/1 misprediction flags
-	// (indexed by stored position) and the raw original values of
-	// mispredicted tuples (ordered by stored position).
-	contMask map[int][]int64
-	contVals map[int][]float64
-}
+// failureSet holds the model columns' chunks (colStreams' entries of every
+// column with a spec) in stored order: each dense stream indexed by stored
+// position, each sparse queue — escaped codes, or the values of mispredicted
+// continuous rows — ordered by the stored position of the row that consumes
+// it. A queue is present only when it holds something.
+type failureSet map[streamKey]stream
 
-// newFailureSet returns a failure set with every column map in place.
-func newFailureSet() *failureSet {
-	return &failureSet{
-		ints:       make(map[int][]int64),
-		resInts:    make(map[int][][]int64),
-		exceptions: make(map[int][]int64),
-		contMask:   make(map[int][]int64),
-		contVals:   make(map[int][]float64),
-	}
-}
-
-// emptyFailureSet is the failure set of a table without a model (all columns
-// trivial or fallback, or no rows): every stream exists and is empty.
-func emptyFailureSet(md *modelData) *failureSet {
-	fs := newFailureSet()
-	for si, col := range md.specCols {
-		cp := &md.plan.Cols[col]
-		switch cp.Kind {
-		case preprocess.KindNumContinuous:
-			fs.contMask[col] = []int64{}
-		case preprocess.KindCatResidual:
-			if fs.resInts[col] == nil {
-				fs.resInts[col] = make([][]int64, cp.ResDigits)
+// newFailureSet returns md's failure set with each dense stream n zeros long
+// and no queue: computeFailures fills it in, and with n = 0 it is the failure
+// set of a table without a model (no columns with specs, or no rows).
+func newFailureSet(md *modelData, n int) failureSet {
+	fs := make(failureSet)
+	for col := range md.plan.Cols {
+		if md.specOfCol[col] < 0 {
+			continue
+		}
+		for _, e := range colStreams(md.plan, md.layout, col) {
+			if kindSpecs[e.kind].dense { // every dense model stream is an int stream
+				fs[streamKey{e.kind, col, e.digit}] = stream{ints: make([]int64, n)}
 			}
-			fs.resInts[col][md.specDigit[si]] = []int64{}
-		default:
-			fs.ints[col] = []int64{}
 		}
 	}
 	return fs
@@ -224,57 +199,51 @@ func emptyFailureSet(md *modelData) *failureSet {
 // tuple is run back through its expert's decoder to derive the failure
 // streams. The truncation search, the mapping choice and the streaming
 // writer's later groups all price or emit their rows through it.
-func groupStreams(run *pipeline.Run, t *dataset.Table, st *archiveState, stored *mat.Matrix, perm []int, bits int) ([][]int64, *failureSet, error) {
+func groupStreams(run *pipeline.Run, t *dataset.Table, st *archiveState, stored *mat.Matrix, perm []int, bits int) ([][]int64, failureSet, error) {
 	dims, rec := quantizeCodes(stored, bits)
 	fs, err := computeFailures(run, t, st.md, st.decoders, st.decs32, st.assign, rec, perm)
 	return dims, fs, err
 }
 
-type posVal struct {
+// posVal is one value of a sparse queue and the stored position of the row
+// that consumes it.
+type posVal[T any] struct {
 	pos int
-	val int64
+	val T
 }
 
-type posFloat struct {
-	pos int
-	val float64
+// queue orders a sparse queue's values by stored position, the order the
+// reader consumes them in (stored positions are unique, so the order is
+// total).
+func queue[T any](pv []posVal[T]) []T {
+	sort.Slice(pv, func(i, j int) bool { return pv[i].pos < pv[j].pos })
+	vals := make([]T, len(pv))
+	for i, e := range pv {
+		vals[i] = e.val
+	}
+	return vals
 }
 
 // computeFailures runs every tuple through its expert's decoder using the
 // reconstructed codes and derives the per-column failure streams. Experts are
 // processed concurrently over the run's pool: the dense streams are written
-// into disjoint stored-position slots (the column maps are fully keyed before
-// the fan-out, so workers only read the maps), and the sparse exception /
-// continuous-correction streams are collected per expert and merged by stored
+// into disjoint stored-position slots (the set is fully keyed before the
+// fan-out, so workers only read it), and the sparse exception /
+// continuous-correction queues are collected per expert and merged by stored
 // position afterwards — the result is identical at every parallelism level.
 // decs32, when non-nil, routes inference through the float32 decoder views
 // (positionally parallel to decoders) so the stored corrections match what a
 // float32 decode will predict; nil keeps the float64 path. t supplies the raw
 // values mispredicted continuous tuples store as corrections.
 func computeFailures(run *pipeline.Run, t *dataset.Table, md *modelData, decoders []*nn.Decoder,
-	decs32 []*nn.Decoder32, assign []int, recCodes *mat.Matrix, perm []int) (*failureSet, error) {
-	fs := newFailureSet()
-	n := len(perm)
-	for si, col := range md.specCols {
-		cp := &md.plan.Cols[col]
-		switch cp.Kind {
-		case preprocess.KindNumContinuous:
-			fs.contMask[col] = make([]int64, n)
-		case preprocess.KindCatResidual:
-			if fs.resInts[col] == nil {
-				fs.resInts[col] = make([][]int64, cp.ResDigits)
-			}
-			fs.resInts[col][md.specDigit[si]] = make([]int64, n)
-		default:
-			fs.ints[col] = make([]int64, n)
-		}
-	}
+	decs32 []*nn.Decoder32, assign []int, recCodes *mat.Matrix, perm []int) (failureSet, error) {
+	fs := newFailureSet(md, len(perm))
 	posBy := expertPositions(assign, perm, len(decoders))
-	perExcepts := make([]map[int][]posVal, len(decoders))
-	perContws := make([]map[int][]posFloat, len(decoders))
+	perExcepts := make([]map[int][]posVal[int64], len(decoders))
+	perContws := make([]map[int][]posVal[float64], len(decoders))
 	err := run.ForEach(len(decoders), func(e int) error {
-		excepts := make(map[int][]posVal)
-		contws := make(map[int][]posFloat)
+		excepts := make(map[int][]posVal[int64])
+		contws := make(map[int][]posVal[float64])
 		dec := decoders[e]
 		var d32 *nn.Decoder32
 		if decs32 != nil {
@@ -284,12 +253,13 @@ func computeFailures(run *pipeline.Run, t *dataset.Table, md *modelData, decoder
 			for si, spec := range md.specs {
 				col := md.specCols[si]
 				cp := &md.plan.Cols[col]
+				out := fs[streamKey{failInts, col, 0}].ints
 				switch spec.Kind {
 				case nn.OutNumeric:
 					np := dec.NumPos(si)
 					if cp.Kind == preprocess.KindNumContinuous {
 						vals := md.contVals[col]
-						mask := fs.contMask[col]
+						mask := fs[streamKey{failContMask, col, 0}].ints
 						for i, s := range chunk {
 							orig := perm[s]
 							pred := p.Num.At(i, np)
@@ -297,13 +267,12 @@ func computeFailures(run *pipeline.Run, t *dataset.Table, md *modelData, decoder
 								mask[s] = 0
 							} else {
 								mask[s] = 1
-								contws[col] = append(contws[col], posFloat{s, t.Num[col][orig]})
+								contws[col] = append(contws[col], posVal[float64]{s, t.Num[col][orig]})
 							}
 						}
 						continue
 					}
 					lv := levels(cp)
-					out := fs.ints[col]
 					cc := md.codes[col]
 					for i, s := range chunk {
 						predIdx := nearestLevel(cp, p.Num.At(i, np), lv)
@@ -311,7 +280,6 @@ func computeFailures(run *pipeline.Run, t *dataset.Table, md *modelData, decoder
 					}
 				case nn.OutBinary:
 					bp := dec.BinPos(si)
-					out := fs.ints[col]
 					cc := md.codes[col]
 					for i, s := range chunk {
 						predBit := 0
@@ -329,18 +297,17 @@ func computeFailures(run *pipeline.Run, t *dataset.Table, md *modelData, decoder
 						// the failure is a plain rank with no escape.
 						l := cp.ResLayout()
 						d := md.specDigit[si]
-						out := fs.resInts[col][d]
+						out := fs[streamKey{failDigit, col, d}].ints
 						for i, s := range chunk {
 							out[s] = int64(rankOf(probs.Row(i), l.Digit(cc[perm[s]], d)))
 						}
 						continue
 					}
-					out := fs.ints[col]
 					for i, s := range chunk {
 						actual := cc[perm[s]]
 						if actual >= spec.Card {
 							out[s] = int64(spec.Card) // escape
-							excepts[col] = append(excepts[col], posVal{s, int64(actual)})
+							excepts[col] = append(excepts[col], posVal[int64]{s, int64(actual)})
 							continue
 						}
 						out[s] = int64(rankOf(probs.Row(i), actual))
@@ -355,11 +322,9 @@ func computeFailures(run *pipeline.Run, t *dataset.Table, md *modelData, decoder
 	if err != nil {
 		return nil, err
 	}
-	// Exceptions and continuous corrections are consumed by stored position
-	// during decompression; merge the per-expert collections and sort them
-	// accordingly (stored positions are unique, so the order is total).
-	excepts := make(map[int][]posVal)
-	contws := make(map[int][]posFloat)
+	// Merge the per-expert queues, then order each by stored position.
+	excepts := make(map[int][]posVal[int64])
+	contws := make(map[int][]posVal[float64])
 	for e := range decoders {
 		for col, pv := range perExcepts[e] {
 			excepts[col] = append(excepts[col], pv...)
@@ -369,20 +334,10 @@ func computeFailures(run *pipeline.Run, t *dataset.Table, md *modelData, decoder
 		}
 	}
 	for col, pv := range excepts {
-		sort.Slice(pv, func(i, j int) bool { return pv[i].pos < pv[j].pos })
-		vals := make([]int64, len(pv))
-		for i, e := range pv {
-			vals[i] = e.val
-		}
-		fs.exceptions[col] = vals
+		fs[streamKey{failExceptions, col, 0}] = stream{ints: queue(pv)}
 	}
 	for col, pv := range contws {
-		sort.Slice(pv, func(i, j int) bool { return pv[i].pos < pv[j].pos })
-		vals := make([]float64, len(pv))
-		for i, e := range pv {
-			vals[i] = e.val
-		}
-		fs.contVals[col] = vals
+		fs[streamKey{failContVals, col, 0}] = stream{floats: queue(pv)}
 	}
 	return fs, nil
 }
@@ -403,18 +358,21 @@ func nearestLevel(cp *preprocess.ColPlan, pred float64, lv int) int {
 	return idx
 }
 
-// streamKind and streamKey name one stream of a decided state by where the
-// archive stores it: a code dimension (digit is the dimension), or one of a
-// failure column's streams (digit is a residual column's digit).
+// streamKind and streamKey name one chunk of a segment by what it stores: a
+// code dimension (digit is the dimension), or one of a column's chunks (digit
+// is a residual column's digit).
 type streamKind uint8
 
 const (
-	codeDim streamKind = iota
-	failInts
-	failDigit
-	failExceptions
-	failContMask
-	failContVals
+	codeDim        streamKind = iota
+	failInts                  // model column: one failure per row
+	failDigit                 // residual column: one digit's failure ranks
+	failExceptions            // categorical model column: the escaped codes
+	failContMask              // continuous column: misprediction flags
+	failContVals              // continuous column: the mispredicted values
+	fallbackStrs              // categorical fallback column: its values
+	fallbackNums              // numeric fallback column: its values
+	trivialCodes              // trivial column: its codes
 )
 
 type streamKey struct {
@@ -422,20 +380,148 @@ type streamKey struct {
 	col, digit int
 }
 
+// frameType is what a chunk's frame decodes to.
+type frameType uint8
+
+const (
+	frameInts frameType = iota
+	frameFloats
+	frameStrings
+)
+
+// kindSpecs says how each kind is stored: the name StreamStat.Stream reports,
+// the frame type, and whether the stream is dense — exactly one value per row
+// of its group — or a sparse queue of at most that many.
+var kindSpecs = [...]struct {
+	name  string
+	frame frameType
+	dense bool
+}{
+	codeDim:        {"codes", frameInts, true},
+	failInts:       {"failures", frameInts, true},
+	failDigit:      {"failures", frameInts, true},
+	failExceptions: {"exceptions", frameInts, false},
+	failContMask:   {"mask", frameInts, true},
+	failContVals:   {"values", frameFloats, false},
+	fallbackStrs:   {"fallback", frameStrings, true},
+	fallbackNums:   {"fallback", frameFloats, true},
+	trivialCodes:   {"trivial", frameInts, true},
+}
+
+// colStream is one chunk a column writes per segment.
+type colStream struct {
+	kind  streamKind
+	digit int
+}
+
+var (
+	streamsContinuous  = []colStream{{failContMask, 0}, {failContVals, 0}}
+	streamsCategorical = []colStream{{failInts, 0}, {failExceptions, 0}}
+	streamsDiscrete    = []colStream{{failInts, 0}}
+	streamsFallbackCat = []colStream{{fallbackStrs, 0}}
+	streamsFallbackNum = []colStream{{fallbackNums, 0}}
+	streamsTrivial     = []colStream{{trivialCodes, 0}}
+)
+
+// colStreams is the one place that says what a column stores: its chunks per
+// segment, in chunk order, each kind's name, frame type and density in
+// kindSpecs. A model column's first chunk holds one value per row and a second
+// is the queue its escapes consume; a residual column stores one rank chunk
+// per digit and never escapes. The result is shared and must not be modified.
+func colStreams(plan *preprocess.Plan, lo *layout, col int) []colStream {
+	cp := &plan.Cols[col]
+	modeled := lo.specOfCol[col] >= 0
+	switch {
+	case cp.Kind == preprocess.KindCatResidual:
+		digits := make([]colStream, cp.ResDigits)
+		for d := range digits {
+			digits[d] = colStream{failDigit, d}
+		}
+		return digits
+	case modeled && cp.Kind == preprocess.KindNumContinuous:
+		return streamsContinuous
+	case modeled && lo.specs[lo.specOfCol[col]].Kind == nn.OutCategorical:
+		return streamsCategorical
+	case modeled:
+		return streamsDiscrete
+	case cp.Kind == preprocess.KindFallbackCat:
+		return streamsFallbackCat
+	case cp.Kind == preprocess.KindFallbackNum:
+		return streamsFallbackNum
+	default:
+		return streamsTrivial
+	}
+}
+
+// stream is one chunk's values, in the field its kind's frame type names.
+type stream struct {
+	ints   []int64
+	floats []float64
+	strs   []string
+}
+
+// slice returns values [lo, hi) of s, a stream of kind.
+func (s stream) slice(kind streamKind, lo, hi int) stream {
+	switch kindSpecs[kind].frame {
+	case frameFloats:
+		return stream{floats: s.floats[lo:hi]}
+	case frameStrings:
+		return stream{strs: s.strs[lo:hi]}
+	}
+	return stream{ints: s.ints[lo:hi]}
+}
+
+// pack frames s, a stream of kind, under mask.
+func (s *stream) pack(kind streamKind, mask codec.Mask) []byte {
+	switch kindSpecs[kind].frame {
+	case frameFloats:
+		return colfile.PackFloats(s.floats)
+	case frameStrings:
+		return colfile.PackStrings(s.strs)
+	}
+	return colfile.PackIntsMask(s.ints, mask)
+}
+
+// unpackStream decodes a chunk of stream key, holding a dense stream to
+// exactly count values and a sparse queue to at most count: the one length
+// check every chunk of a segment passes.
+func unpackStream(chunk []byte, key streamKey, count int) (s stream, err error) {
+	n := 0
+	switch kindSpecs[key.kind].frame {
+	case frameFloats:
+		s.floats, err = colfile.UnpackFloatsMax(chunk, count)
+		n = len(s.floats)
+	case frameStrings:
+		s.strs, err = colfile.UnpackStringsMax(chunk, count)
+		n = len(s.strs)
+	default:
+		s.ints, err = colfile.UnpackIntsMax(chunk, count)
+		n = len(s.ints)
+	}
+	if err != nil {
+		return s, corrupt(err)
+	}
+	if kindSpecs[key.kind].dense && n != count {
+		return s, fmt.Errorf("%w: %s chunk %d of column %d has %d values, want %d",
+			ErrCorrupt, kindSpecs[key.kind].name, key.digit, key.col, n, count)
+	}
+	return s, nil
+}
+
 // packedStream is one stream and its packed frame, nil until packed. The
 // stream is held by reference: streams never change once computed.
 type packedStream struct {
-	ints   []int64
-	floats []float64 // failContVals streams only
-	frame  []byte
+	stream
+	frame []byte
 }
 
 // same reports whether s and o pack to the same frame: equal values, floats
 // compared by bit pattern (-0 and +0 pack differently).
-func (s *packedStream) same(o *packedStream) bool {
-	return slices.Equal(s.ints, o.ints) && slices.EqualFunc(s.floats, o.floats, func(a, b float64) bool {
-		return math.Float64bits(a) == math.Float64bits(b)
-	})
+func (s *stream) same(o *stream) bool {
+	return slices.Equal(s.ints, o.ints) && slices.Equal(s.strs, o.strs) &&
+		slices.EqualFunc(s.floats, o.floats, func(a, b float64) bool {
+			return math.Float64bits(a) == math.Float64bits(b)
+		})
 }
 
 // packings is every stream of one (code dimensions, failure set) pair and,
@@ -450,38 +536,15 @@ type packings struct {
 }
 
 // newPackings lists the streams of codeDims and fs, none packed yet.
-func newPackings(fs *failureSet, codeDims [][]int64, mask codec.Mask) *packings {
-	p := &packings{mask: mask, streams: make(map[streamKey]*packedStream)}
-	add := func(kind streamKind, col, digit int, s *packedStream) { p.streams[streamKey{kind, col, digit}] = s }
+func newPackings(fs failureSet, codeDims [][]int64, mask codec.Mask) *packings {
+	p := &packings{mask: mask, streams: make(map[streamKey]*packedStream, len(codeDims)+len(fs))}
 	for d, s := range codeDims {
-		add(codeDim, 0, d, &packedStream{ints: s})
+		p.streams[streamKey{codeDim, 0, d}] = &packedStream{stream: stream{ints: s}}
 	}
-	for col, s := range fs.ints {
-		add(failInts, col, 0, &packedStream{ints: s})
-	}
-	for col, ds := range fs.resInts {
-		for d, s := range ds {
-			add(failDigit, col, d, &packedStream{ints: s})
-		}
-	}
-	for col, s := range fs.exceptions {
-		add(failExceptions, col, 0, &packedStream{ints: s})
-	}
-	for col, s := range fs.contMask {
-		add(failContMask, col, 0, &packedStream{ints: s})
-	}
-	for col, s := range fs.contVals {
-		add(failContVals, col, 0, &packedStream{floats: s})
+	for key, s := range fs {
+		p.streams[key] = &packedStream{stream: s}
 	}
 	return p
-}
-
-// pack packs s, stored at a key of kind, under mask.
-func (s *packedStream) pack(kind streamKind, mask codec.Mask) []byte {
-	if kind == failContVals {
-		return colfile.PackFloats(s.floats)
-	}
-	return colfile.PackIntsMask(s.ints, mask)
 }
 
 // packAll packs every stream of every set in chain and totals each set's
@@ -506,7 +569,7 @@ func packAll(run *pipeline.Run, chain ...*packings) error {
 				continue
 			}
 			if i > 0 && chain[i-1].mask == p.mask {
-				if prev := chain[i-1].streams[key]; prev != nil && prev.same(s) {
+				if prev := chain[i-1].streams[key]; prev != nil && prev.same(&s.stream) {
 					aliases = append(aliases, alias{s, prev})
 					continue
 				}
@@ -537,7 +600,7 @@ func packAll(run *pipeline.Run, chain ...*packings) error {
 // frame returns the frame of stream s stored at key: p's when p holds the
 // same stream packed under mask, a fresh packing otherwise (always, for a nil
 // p).
-func (p *packings) frame(key streamKey, s packedStream, mask codec.Mask) []byte {
+func (p *packings) frame(key streamKey, s stream, mask codec.Mask) []byte {
 	if p != nil && p.mask == mask {
 		if kept := p.streams[key]; kept != nil && kept.frame != nil && kept.same(&s) {
 			return kept.frame

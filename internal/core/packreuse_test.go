@@ -22,7 +22,7 @@ func checkPackingsFresh(t *testing.T, p *packings) {
 	var size int64
 	for key, s := range p.streams {
 		want := colfile.PackIntsMask(s.ints, p.mask)
-		if key.kind == failContVals {
+		if kindSpecs[key.kind].frame == frameFloats {
 			want = colfile.PackFloats(s.floats)
 		}
 		if !bytes.Equal(s.frame, want) {
@@ -92,12 +92,12 @@ func TestPackingReuseIsByteIdentical(t *testing.T) {
 // under the same key and mask, keeps frames already packed, and packs the
 // rest afresh; -0 and +0 are different streams.
 func TestPackAllSharesOnlyEqualStreams(t *testing.T) {
-	mk := func(ints []int64, vals []float64) *failureSet {
-		fs := newFailureSet()
-		fs.ints[3] = ints
-		fs.contMask[5] = []int64{0, 1, 0, 1}
-		fs.contVals[5] = vals
-		return fs
+	mk := func(ints []int64, vals []float64) failureSet {
+		return failureSet{
+			{failInts, 3, 0}:     {ints: ints},
+			{failContMask, 5, 0}: {ints: []int64{0, 1, 0, 1}},
+			{failContVals, 5, 0}: {floats: vals},
+		}
 	}
 	ranks := []int64{0, 0, 1, 0, 2, 0, 0, 5}
 	a := newPackings(mk(ranks, []float64{1.5, 0}), [][]int64{{1, 2, 3}}, codec.Auto)

@@ -8,6 +8,7 @@ import (
 	"hash"
 	"hash/crc32"
 	"io"
+	"slices"
 
 	"deepsqueeze/internal/dataset"
 	"deepsqueeze/internal/nn"
@@ -192,7 +193,7 @@ func (aw *ArchiveWriter) flushGroup(chunk *dataset.Table) error {
 	g := segmentData{
 		span:      rowSpan{aw.f.rows, md.rows},
 		planChunk: plan.AppendBinary(nil),
-		fs:        emptyFailureSet(md),
+		fs:        newFailureSet(md, 0),
 		perm:      identityPerm(md.rows),
 	}
 	if aw.cfg.hasModel {
@@ -273,6 +274,13 @@ type ArchiveReader struct {
 // NewArchiveReader reads the archive prefix (envelope, header, decoders)
 // from r and prepares group-by-group decompression.
 func NewArchiveReader(r io.Reader) (*ArchiveReader, error) {
+	return newArchiveReader(r, 0)
+}
+
+// newArchiveReader is NewArchiveReader rejecting, when maxRows is positive,
+// an archive whose groups declare more than maxRows rows as corrupt before
+// any row-proportional allocation (DecompressOptions.MaxRows).
+func newArchiveReader(r io.Reader, maxRows int) (*ArchiveReader, error) {
 	ar := &ArchiveReader{br: bufio.NewReader(r), crc: crc32.NewIEEE()}
 	head := make([]byte, 6)
 	if _, err := io.ReadFull(ar.br, head); err != nil {
@@ -287,12 +295,12 @@ func NewArchiveReader(r io.Reader) (*ArchiveReader, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 		}
-		t, err := Decompress(append(head, rest...))
+		res, err := DecompressContext(context.Background(), append(head, rest...), DecompressOptions{MaxRows: maxRows})
 		if err != nil {
 			return nil, err
 		}
-		ar.v1Table = t
-		ar.schema = t.Schema
+		ar.v1Table = res.Table
+		ar.schema = res.Table.Schema
 		return ar, nil
 	}
 	if version != archiveVersion {
@@ -308,7 +316,7 @@ func NewArchiveReader(r io.Reader) (*ArchiveReader, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := &decompressor{run: pipeline.New(context.Background(), 0), meta: m, infer: new(inferPool)}
+	d := &decompressor{run: pipeline.New(context.Background(), 0), opts: DecompressOptions{MaxRows: maxRows}, meta: m, infer: new(inferPool)}
 	// Full selection: the streaming reader always decodes every column.
 	if err := d.initSelection(nil); err != nil {
 		return nil, err
@@ -401,6 +409,9 @@ func (ar *ArchiveReader) decodeSegment(framed []byte) (*dataset.Table, groupMeta
 	}
 	if h.start != uint64(ar.rowsSeen) || h.count > uint64(maxArchiveRows-ar.rowsSeen) {
 		return nil, meta, fmt.Errorf("%w: segment span [%d,+%d), want start %d", ErrCorrupt, h.start, h.count, ar.rowsSeen)
+	}
+	if limit := d.opts.MaxRows; limit > 0 && h.count > uint64(limit-ar.rowsSeen) {
+		return nil, meta, fmt.Errorf("%w: %d rows exceeds caller limit %d", ErrCorrupt, uint64(ar.rowsSeen)+h.count, limit)
 	}
 	g := &groupDec{start: int(h.start), count: int(h.count), ghi: int(h.count), active: true, planChunk: h.plan}
 	if g.count > 0 && d.meta.hasModel != (len(d.meta.layout.specs) > 0) {
@@ -510,9 +521,17 @@ func (ar *ArchiveReader) readChunk() ([]byte, error) {
 	if l > maxStreamChunk {
 		return nil, fmt.Errorf("%w: chunk of %d bytes", ErrCorrupt, l)
 	}
-	b := make([]byte, int(l))
-	if err := ar.readFull(b); err != nil {
-		return nil, err
+	// A corrupt length must not allocate more than the stream delivers: the
+	// chunk grows a step at a time as its bytes arrive.
+	const step = 1 << 20
+	b := make([]byte, 0, min(l, step))
+	for uint64(len(b)) < l {
+		n := int(min(l-uint64(len(b)), step))
+		b = slices.Grow(b, n)
+		if err := ar.readFull(b[len(b) : len(b)+n]); err != nil {
+			return nil, err
+		}
+		b = b[:len(b)+n]
 	}
 	return b, nil
 }

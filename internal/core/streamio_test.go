@@ -2,8 +2,12 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"io"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"runtime"
 	"testing"
 
@@ -303,6 +307,68 @@ func TestArchiveReaderCorrupt(t *testing.T) {
 			if err == io.EOF {
 				t.Fatalf("len %d: truncated archive read to EOF", n)
 			}
+		}
+	}
+}
+
+// A chunk length the stream cannot back is corrupt without the reader first
+// allocating it: the length prefix below claims 256 MiB and five bytes
+// follow.
+func TestArchiveReaderCorruptLengthAllocatesLittle(t *testing.T) {
+	head := binary.AppendUvarint([]byte("DSQZ\x02\x00"), 1<<28)
+	bad := append(head, 1, 2, 3, 4, 5)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := NewArchiveReader(bytes.NewReader(bad))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("error %v, want ErrCorrupt", err)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n > 16<<20 {
+		t.Fatalf("a %d-byte stream made the reader allocate %d bytes", len(bad), n)
+	}
+}
+
+// The streaming reader's row cap refuses a group that would take the rows
+// past it before decoding the group, at either format version.
+func TestArchiveReaderRowCap(t *testing.T) {
+	opts := quickOpts()
+	opts.RowGroupSize = 100
+	archive, _ := writeStream(t, latentTable(250, 27), 250, opts)
+	v1, err := os.ReadFile(filepath.Join("testdata", "categorical.dsqz"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rowsOf := func(archive []byte, maxRows int) (int, error) {
+		ar, err := newArchiveReader(bytes.NewReader(archive), maxRows)
+		rows := 0
+		for err == nil {
+			var g *dataset.Table
+			if g, err = ar.Next(); err == nil {
+				rows += g.NumRows()
+			}
+		}
+		if err == io.EOF {
+			err = nil
+		}
+		return rows, err
+	}
+	for _, tc := range []struct {
+		archive []byte
+		rows    int
+	}{{archive, 250}, {v1, 0}} {
+		if tc.rows == 0 {
+			info, err := Inspect(tc.archive)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.rows = info.Rows
+		}
+		if n, err := rowsOf(tc.archive, tc.rows); n != tc.rows || err != nil {
+			t.Fatalf("cap %d: read %d rows, error %v", tc.rows, n, err)
+		}
+		if n, err := rowsOf(tc.archive, tc.rows-1); !errors.Is(err, ErrCorrupt) || n >= tc.rows {
+			t.Fatalf("cap %d: read %d rows, error %v, want ErrCorrupt", tc.rows-1, n, err)
 		}
 	}
 }

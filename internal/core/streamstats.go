@@ -52,27 +52,19 @@ func (a *streamAcc) at(column, stream string) *StreamStat {
 	return st
 }
 
-// addInts classifies one integer-stream frame into the (column, stream) stat.
-func (a *streamAcc) addInts(column, stream string, frame []byte, max int) error {
-	fi, err := codec.InspectInts(frame, max)
+// add classifies one chunk of stream kind into the (column, kind) stat.
+func (a *streamAcc) add(column string, kind streamKind, frame []byte, count int) error {
+	var fi codec.FrameInfo
+	var err error
+	if kindSpecs[kind].frame == frameInts {
+		fi, err = codec.InspectInts(frame, count)
+	} else {
+		fi, err = codec.InspectBytes(frame)
+	}
 	if err != nil {
 		return err
 	}
-	st := a.at(column, stream)
-	st.Chunks++
-	st.Codecs[fi.Codec]++
-	st.FrameBytes += fi.FrameBytes
-	st.RawBytes += fi.RawBytes
-	return nil
-}
-
-// addBytes classifies one byte-stream frame (string/float chunk layouts).
-func (a *streamAcc) addBytes(column, stream string, frame []byte) error {
-	fi, err := codec.InspectBytes(frame)
-	if err != nil {
-		return err
-	}
-	st := a.at(column, stream)
+	st := a.at(column, kindSpecs[kind].name)
 	st.Chunks++
 	st.Codecs[fi.Codec]++
 	st.FrameBytes += fi.FrameBytes
@@ -136,14 +128,13 @@ func (a *streamAcc) addMapping(m *archiveMeta, mb []byte, count int) error {
 // order scanGroupBody consumes — classifying every chunk. r must be
 // positioned at the first code-dimension chunk; count is the group's rows.
 func (m *archiveMeta) collectGroupStreams(r *sectionReader, count int, acc *streamAcc) error {
-	lo := m.layout
 	if m.hasModel {
 		for i := 0; i < m.codeSize; i++ {
 			c, err := r.chunk()
 			if err != nil {
 				return err
 			}
-			if err := acc.addInts("", "codes", c, count); err != nil {
+			if err := acc.add("", codeDim, c, count); err != nil {
 				return err
 			}
 		}
@@ -159,17 +150,12 @@ func (m *archiveMeta) collectGroupStreams(r *sectionReader, count int, acc *stre
 	}
 	for col := range m.plan.Cols {
 		name := m.plan.Schema.Columns[col].Name
-		for _, stream := range colStreams(m.plan, lo, col) {
+		for _, e := range colStreams(m.plan, m.layout, col) {
 			c, err := r.chunk()
 			if err != nil {
 				return err
 			}
-			if stream == "values" || stream == "fallback" {
-				err = acc.addBytes(name, stream, c)
-			} else {
-				err = acc.addInts(name, stream, c, count)
-			}
-			if err != nil {
+			if err := acc.add(name, e.kind, c, count); err != nil {
 				return err
 			}
 		}

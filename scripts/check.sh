@@ -163,11 +163,15 @@ go test -run='^(TestExpMatchesReference|TestExpReferenceMatchesMathExp|TestTanhR
 
 step "fuzz smoke"
 # Short coverage-guided runs of the decode-path fuzzers: any panic or
-# unclassified error on arbitrary bytes fails the gate. One worker: with the
-# default two on a two-CPU box the time goes to baseline coverage (≈ 30
-# executions in 10 s against thousands). The bitio run pins the word-at-a-time
-# bit writer to the bit-at-a-time reference kept in its test.
+# unclassified error on arbitrary bytes fails the gate. Their seeds' segment
+# and archive checksums are refreshed after every mutation, so mutations reach
+# unpack, resolve and decode; FuzzArchiveReader drives the streaming reader,
+# which decodes groups before the archive checksum can vouch for them. One
+# worker: with the default two on a two-CPU box the time goes to baseline
+# coverage (≈ 30 executions in 10 s against thousands). The bitio run pins the
+# word-at-a-time bit writer to the bit-at-a-time reference kept in its test.
 go test -run='^$' -fuzz=FuzzDecompress -fuzztime=10s -parallel=1 ./internal/core
+go test -run='^$' -fuzz=FuzzArchiveReader -fuzztime=5s -parallel=1 ./internal/core
 go test -run='^$' -fuzz=FuzzSectionReader -fuzztime=5s -parallel=1 ./internal/core
 go test -run='^$' -fuzz=FuzzWriterMatchesReference -fuzztime=5s -parallel=1 ./internal/bitio
 
