@@ -526,7 +526,7 @@ func parseStaticTable(buf []byte, alphabet int) (*staticTable, int, error) {
 func (t *staticTable) decode(d *rangecoder.Decoder) int {
 	target := d.DecodeFreq(t.tot)
 	s := sort.Search(len(t.freq), func(i int) bool { return t.cum[i+1] > target })
-	d.Update(t.cum[s], uint32(t.freq[s]), t.tot)
+	d.Update(t.cum[s], uint32(t.freq[s]))
 	return s
 }
 

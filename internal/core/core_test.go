@@ -5,11 +5,13 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
 	"deepsqueeze/internal/dataset"
 	"deepsqueeze/internal/mat"
+	"deepsqueeze/internal/nn"
 )
 
 // latentTable builds a table with strong many-column latent structure: all
@@ -414,18 +416,17 @@ func TestRankHelpers(t *testing.T) {
 	probs := []float64{0.1, 0.5, 0.3, 0.1}
 	// Order: 1 (0.5), 2 (0.3), 0 (0.1, lower index), 3 (0.1).
 	wantRank := map[int]int{1: 0, 2: 1, 0: 2, 3: 3}
-	scratch := make([]bool, 4)
 	for cls, rank := range wantRank {
 		if got := rankOf(probs, cls); got != rank {
 			t.Errorf("rankOf(%d) = %d, want %d", cls, got, rank)
 		}
-		if got := codeAtRank(probs, rank, scratch); got != cls {
+		if got := codeAtRank(probs, rank); got != cls {
 			t.Errorf("codeAtRank(%d) = %d, want %d", rank, got, cls)
 		}
 	}
 	// Ties — at the top, where rank 0 takes its own path, and further down —
 	// break toward the lower index, and the two helpers stay inverses for
-	// every class, whatever the scratch held before.
+	// every class.
 	for _, probs := range [][]float64{
 		{0.3, 0.3, 0.2, 0.2},
 		{0.25, 0.25, 0.25, 0.25},
@@ -433,15 +434,110 @@ func TestRankHelpers(t *testing.T) {
 		{0.2, 0.1, 0.2, 0.1, 0.2, 0.2},
 		{1},
 	} {
-		scratch := make([]bool, len(probs))
 		for cls := range probs {
-			for i := range scratch {
-				scratch[i] = true
-			}
-			if got := codeAtRank(probs, rankOf(probs, cls), scratch); got != cls {
+			if got := codeAtRank(probs, rankOf(probs, cls)); got != cls {
 				t.Errorf("probs %v: codeAtRank(rankOf(%d) = %d) = %d", probs, cls, rankOf(probs, cls), got)
 			}
 		}
+	}
+}
+
+// Property: classesAtRank — mat.ClassAtRank's lanes over whole blocks of four
+// rows, codeAtRank over the blocks they leave and the last rows — is
+// codeAtRank row for row, and inverts rankOf: widths 1 to one past
+// mat.MaxLaneWidth, every rank in every lane, 1–9 and 1 024 rows, softmax-like
+// rows and constructed ties (all-equal rows, tied top pairs, ties further
+// down, +0 and −0 entries), and rows holding a NaN, whose block the lanes
+// leave to codeAtRank. The long sweep skips under -race; check.sh runs it
+// uninstrumented.
+func TestClassAtRankMatchesReference(t *testing.T) {
+	trials := 40
+	if raceEnabled || testing.Short() {
+		trials = 2
+	}
+	rng := rand.New(rand.NewSource(44))
+	fill := func(p []float64) {
+		for j := range p {
+			p[j] = rng.ExpFloat64()
+		}
+		switch rng.Intn(6) {
+		case 0: // all equal
+			for j := range p {
+				p[j] = p[0]
+			}
+		case 1: // a tied top pair
+			p[rng.Intn(len(p))], p[rng.Intn(len(p))] = 9, 9
+		case 2: // ties further down, and zeros of both signs
+			for j := range p {
+				p[j] = []float64{0, math.Copysign(0, -1), 0.25, 0.5}[rng.Intn(4)]
+			}
+			p[rng.Intn(len(p))] = 1
+		case 3: // +0 entries
+			p[rng.Intn(len(p))], p[rng.Intn(len(p))] = 0, 0
+		}
+	}
+	rowCounts := []int{1024}
+	for r := 1; r <= 9; r++ {
+		rowCounts = append(rowCounts, r)
+	}
+	for trial := 0; trial < trials; trial++ {
+		for c := 1; c <= mat.MaxLaneWidth+1; c++ {
+			for _, rows := range rowCounts {
+				probs := mat.New(rows, c)
+				ranks, classes := make([]int, rows), make([]int, rows)
+				for i := range ranks {
+					fill(probs.Row(i))
+					if trial%2 == 1 && rng.Intn(50) == 0 {
+						probs.Row(i)[rng.Intn(c)] = math.NaN()
+					}
+					ranks[i] = (i + trial) % c
+				}
+				classesAtRank(probs, ranks, classes)
+				for i, got := range classes {
+					row := probs.Row(i)
+					if want := codeAtRank(row, ranks[i]); got != want {
+						t.Fatalf("%d rows of %d, row %d %v: class at rank %d = %d, codeAtRank says %d",
+							rows, c, i, row, ranks[i], got, want)
+					}
+					if !slices.ContainsFunc(row, math.IsNaN) && rankOf(row, got) != ranks[i] {
+						t.Fatalf("row %v: class %d at rank %d has rank %d", row, got, ranks[i], rankOf(row, got))
+					}
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkClassAtRankCensus turns 1 024 softmax rows' ranks into classes at
+// the Census cardinalities 3, 5 and 7, with ranks 0–6 drawn at the 34, 26,
+// 15, 12, 8, 4 and 1 % archive-categorical decodes them at (cut at the
+// cardinality).
+func BenchmarkClassAtRankCensus(b *testing.B) {
+	weights := []float64{34, 26, 15, 12, 8, 4, 1}
+	rng := rand.New(rand.NewSource(45))
+	for _, card := range []int{3, 5, 7} {
+		probs := mat.New(1024, card)
+		for i := range probs.Data {
+			probs.Data[i] = 2 * rng.NormFloat64()
+		}
+		nn.Softmax(probs, card)
+		total := 0.0
+		for _, w := range weights[:card] {
+			total += w
+		}
+		ranks, classes := make([]int, probs.Rows), make([]int, probs.Rows)
+		for i := range ranks {
+			u := rng.Float64() * total
+			for u >= weights[ranks[i]] && ranks[i] < card-1 {
+				u -= weights[ranks[i]]
+				ranks[i]++
+			}
+		}
+		b.Run(fmt.Sprintf("card=%d", card), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				classesAtRank(probs, ranks, classes)
+			}
+		})
 	}
 }
 

@@ -861,15 +861,15 @@ func (d *decompressor) decodeExpert(g *groupDec, e int, st *inferState) error {
 	if d.decs32 != nil {
 		d32 = d.decs32[e]
 	}
-	if n := maxCard(d.meta.layout.specs) + 1; len(st.excluded) < n {
-		st.excluded = make([]bool, n)
+	if n := min(decodeBatchRows, len(g.posBy[e])); len(st.ranks) < n {
+		st.ranks, st.classes = make([]int, n), make([]int, n)
 	}
 	var derr error
 	expertBatches(st, d.decoders[e], d32, d.wantSpec, g.rec, g.posBy[e], func(chunk []int, p *nn.Predictions) {
 		if derr != nil {
 			return
 		}
-		derr = d.applyChunk(g, d.decoders[e], chunk, p, st.excluded)
+		derr = d.applyChunk(g, d.decoders[e], chunk, p, st.ranks[:len(chunk)], st.classes[:len(chunk)])
 	})
 	return derr
 }
@@ -906,8 +906,10 @@ func (p *inferPool) put(st *inferState) {
 }
 
 // applyChunk merges one batch of predictions with a group's failure streams.
-// Dictionaries, scalers, and quantizers come from the group plan.
-func (d *decompressor) applyChunk(g *groupDec, dec *nn.Decoder, chunk []int, p *nn.Predictions, scratch []bool) error {
+// Dictionaries, scalers, and quantizers come from the group plan. A
+// categorical column's ranks are gathered into ranks, one per row of the
+// chunk, and turned into classes in one classesAtRank call.
+func (d *decompressor) applyChunk(g *groupDec, dec *nn.Decoder, chunk []int, p *nn.Predictions, ranks, classes []int) error {
 	for si, spec := range d.meta.layout.specs {
 		if !d.wantSpec[si] {
 			continue
@@ -963,29 +965,40 @@ func (d *decompressor) applyChunk(g *groupDec, dec *nn.Decoder, chunk []int, p *
 				// outside [0, Base) is corruption, and the recomposed rank
 				// is bounds-checked against the dictionary on assembly.
 				dg := d.meta.layout.specDigit[si]
-				ranks := g.streams[col][dg].ints
+				digits := g.streams[col][dg].ints
 				mult := 1
 				for k := 0; k < dg; k++ {
 					mult *= cp.ModelCard
 				}
 				for i, s := range chunk {
-					rank := int(ranks[s])
+					rank := int(digits[s])
 					if rank < 0 || rank >= spec.Card {
 						return fmt.Errorf("%w: column %d digit %d rank %d", ErrCorrupt, col, dg, rank)
 					}
-					out[s] += codeAtRank(probs.Row(i), rank, scratch) * mult
+					ranks[i] = rank
+				}
+				classesAtRank(probs, ranks, classes)
+				for i, s := range chunk {
+					out[s] += classes[i] * mult
 				}
 				continue
 			}
 			for i, s := range chunk {
 				rank := int(fails[s])
 				switch {
-				case rank == spec.Card: // escape
-					out[s] = int(g.excAt[si][s])
-				case rank >= 0 && rank < spec.Card:
-					out[s] = codeAtRank(probs.Row(i), rank, scratch)
-				default:
+				case rank == spec.Card: // escape: the class is the exception, below
+					rank = 0
+				case rank < 0 || rank > spec.Card:
 					return fmt.Errorf("%w: column %d rank %d", ErrCorrupt, col, rank)
+				}
+				ranks[i] = rank
+			}
+			classesAtRank(probs, ranks, classes)
+			for i, s := range chunk {
+				if fails[s] == int64(spec.Card) {
+					out[s] = int(g.excAt[si][s])
+				} else {
+					out[s] = classes[i]
 				}
 			}
 		}
@@ -1132,14 +1145,4 @@ func validatePerm(perm []int) error {
 		seen[p] = true
 	}
 	return nil
-}
-
-func maxCard(specs []nn.ColSpec) int {
-	m := 1
-	for _, s := range specs {
-		if s.Kind == nn.OutCategorical && s.Card > m {
-			m = s.Card
-		}
-	}
-	return m
 }

@@ -74,38 +74,45 @@ func rankOf(probs []float64, actual int) int {
 	return rank
 }
 
-// codeAtRank returns the class at the given rank under the same ordering.
-// Ranks concentrate near 0, so iterative argmax-with-exclusion beats a full
-// sort in the common case, and rank 0 — most of them — is the first strict
-// maximum, found without touching excluded: scratch space of at least
-// len(probs).
-func codeAtRank(probs []float64, rank int, excluded []bool) int {
-	if rank == 0 {
-		best := 0
+// codeAtRank returns the class at the given rank, in [0, len(probs)), under
+// the same ordering: the reference mat.ClassAtRank's lanes keep. Ranks
+// concentrate near 0, so it walks the order from the first strict maximum,
+// one successor per pass, rather than sorting. Probabilities with a NaN have
+// no such order; it then stops where no class follows and returns a class in
+// range all the same.
+func codeAtRank(probs []float64, rank int) int {
+	best := 0
+	for j, p := range probs {
+		if p > probs[best] {
+			best = j
+		}
+	}
+	for ; rank > 0; rank-- {
+		// best's successor: the first maximum of the classes ordered after it.
+		prev, pp := best, probs[best]
 		for j, p := range probs {
-			if p > probs[best] {
+			if (p < pp || (p == pp && j > prev)) && (best == prev || p > probs[best]) {
 				best = j
 			}
 		}
-		return best
-	}
-	for i := range excluded[:len(probs)] {
-		excluded[i] = false
-	}
-	best := -1
-	for k := 0; k <= rank; k++ {
-		best = -1
-		for j, p := range probs {
-			if excluded[j] {
-				continue
-			}
-			if best < 0 || p > probs[best] {
-				best = j
-			}
+		if best == prev {
+			break
 		}
-		excluded[best] = true
 	}
 	return best
+}
+
+// classesAtRank sets classes[i] = codeAtRank(probs.Row(i), ranks[i]) for
+// every row of probs: four rows at a time in mat.ClassAtRank's lanes where it
+// takes them, and by codeAtRank where it leaves a block or the last rows.
+func classesAtRank(probs *mat.Matrix, ranks, classes []int) {
+	for i := 0; i < probs.Rows; {
+		rest := probs.SliceRows(i, probs.Rows)
+		i += mat.ClassAtRank(&rest, ranks[i:], classes[i:])
+		for end := min(i+4, probs.Rows); i < end; i++ {
+			classes[i] = codeAtRank(probs.Row(i), ranks[i])
+		}
+	}
 }
 
 // decodeBatchRows is the chunk size per decoder matmul.
@@ -133,13 +140,14 @@ func expertPositionsRange(assign []int, perm []int, numExperts, lo, hi int) [][]
 }
 
 // inferState is the memory one worker runs an expert's inference in: the
-// decoder's scratch, the batch of codes expertBatches gathers, and
-// codeAtRank's exclusion marks. Nothing in it outlives a call's use of it, so
-// a state serves any decoder, width and projection, one worker at a time.
+// decoder's scratch, the batch of codes expertBatches gathers, and one
+// categorical column's ranks and classes over a chunk. Nothing in it outlives
+// a call's use of it, so a state serves any decoder, width and projection,
+// one worker at a time.
 type inferState struct {
-	scratch  nn.Scratch
-	batch    mat.Matrix
-	excluded []bool
+	scratch        nn.Scratch
+	batch          mat.Matrix
+	ranks, classes []int
 }
 
 // expertBatches feeds one expert's stored positions through its decoder —

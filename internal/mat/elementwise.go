@@ -127,6 +127,11 @@ func ReLU(v float64) float64 {
 	return math.Float64frombits(math.Float64bits(v) & keep)
 }
 
+// MaxLaneWidth is the widest row Softmax and ClassAtRank take into their
+// lanes, which hold one row each, four rows to a register: ClassAtRank keeps
+// a row's eight counts in eight registers. Wider rows are their callers'.
+const MaxLaneWidth = 8
+
 // addReLURef is AddReLU's portable statement: x[i] = ReLU(x[i] + b[i]).
 func addReLURef(x, b []float64) {
 	for i, v := range x {

@@ -2,6 +2,8 @@
 
 package mat
 
+import "math"
+
 // useAVX selects the AVX kernels below over the portable loops: the CPU
 // reports AVX and the operating system saves the YMM registers. useAVX2FMA
 // also needs AVX2 and FMA, which the exp kernel uses. Nothing else chooses
@@ -74,6 +76,93 @@ func Exp(x []float64) {
 	for ; i < len(x); i++ {
 		x[i] = exp(x[i])
 	}
+}
+
+// softmaxMaxSubAVX and softmaxSumDivAVX are Softmax's passes over blocks
+// (≥ 1) blocks of four c-wide rows at x, row l of a block in lane l. The
+// first sets v = (v + b) − max over the row of (v + b), b the bias block's
+// entry for v's place in its block; the second v = v / Σ v, the sum in index
+// order from +0. perm is softmaxPerm[c].
+//
+//go:noescape
+func softmaxMaxSubAVX(x *float64, blocks, c int, bias *float64, perm *[8]int32)
+
+//go:noescape
+func softmaxSumDivAVX(x *float64, blocks, c int, perm *[8]int32)
+
+// softmaxPerm[c] takes a block's per-row value (max or sum, row l in lane l)
+// to its four-element chunks: chunk k holds elements 4k…4k+3 of the block's
+// 4c, element p of row p/c, so VPERMPS puts that row's quadword in its place.
+var softmaxPerm = func() (t [MaxLaneWidth + 1][MaxLaneWidth][8]int32) {
+	for c := 1; c <= MaxLaneWidth; c++ {
+		for p := 0; p < 4*c; p++ {
+			r := int32(p / c)
+			t[c][p/4][2*(p%4)], t[c][p/4][2*(p%4)+1] = 2*r, 2*r+1
+		}
+	}
+	return t
+}()
+
+// Softmax replaces each of m's leading rows, in whole blocks of four, with
+// the softmax of the row plus bias (nil adds nothing): v = v + b, max over
+// the row, v − max, Exp, the sum in index order, v / sum — the loops nn's
+// softmax states, with every rounding theirs. It takes the blocks in lanes,
+// row l of a block in lane l, when the CPU has AVX2 and FMA and m is at most
+// MaxLaneWidth wide, and returns how many rows it did: none otherwise.
+func Softmax(m *Matrix, bias []float64) int {
+	c, n := m.Cols, m.Rows&^3
+	if !useAVX2FMA || c == 0 || c > MaxLaneWidth || n == 0 {
+		return 0
+	}
+	// The bias block: b[p] is added to element p of every block, column p mod
+	// c. With no bias it is −0, and v + (−0) is v.
+	var b [4 * MaxLaneWidth]float64
+	for p := range b[:4*c] {
+		b[p] = math.Copysign(0, -1)
+		if bias != nil {
+			b[p] = bias[p%c]
+		}
+	}
+	x := m.Data[:n*c]
+	softmaxMaxSubAVX(&x[0], n/4, c, &b[0], &softmaxPerm[c][0])
+	Exp(x)
+	softmaxSumDivAVX(&x[0], n/4, c, &softmaxPerm[c][0])
+	return n
+}
+
+// classAtRankAVX writes classes[4i+l], for each of blocks (≥ 1) blocks of
+// four c-wide rows at p, as ClassAtRank states it, row l of the block in lane
+// l, and returns how many rows it wrote: it stops before the first block
+// whose probabilities sum to NaN.
+//
+//go:noescape
+func classAtRankAVX(p *float64, blocks, c int, ranks, classes *int) int
+
+// rankLanes[i] is i in four lanes: a class's index, and what its count of
+// predecessors starts from.
+var rankLanes = func() (t [MaxLaneWidth][4]int64) {
+	for i := range t {
+		t[i] = [4]int64{int64(i), int64(i), int64(i), int64(i)}
+	}
+	return t
+}()
+
+// ClassAtRank sets classes[i], for p's leading rows in whole blocks of four,
+// to the class at rank ranks[i] (in [0, p.Cols)) of row i, classes ordered by
+// descending probability, ties to the lower index: the class with exactly
+// ranks[i] predecessors, class a going before class b when p_a > p_b, or p_a
+// == p_b and a < b. It counts them four rows at a time, one compare per pair
+// of classes, when the CPU has AVX2 and FMA and p is at most MaxLaneWidth
+// wide, and returns how many rows it did: none otherwise, and it stops before
+// a block whose probabilities sum to NaN — a NaN among them, where the counts
+// are no ranking, or both infinities.
+func ClassAtRank(p *Matrix, ranks, classes []int) int {
+	c, n := p.Cols, p.Rows&^3
+	if !useAVX2FMA || c == 0 || c > MaxLaneWidth || n == 0 {
+		return 0
+	}
+	_, _ = ranks[n-1], classes[n-1]
+	return classAtRankAVX(&p.Data[0], n/4, c, &ranks[0], &classes[0])
 }
 
 // addReLUAVX is addReLURef over n elements, n a positive multiple of four.

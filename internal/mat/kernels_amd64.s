@@ -2,8 +2,9 @@
 
 // AVX float64 kernels (declarations and contracts in kernels_amd64.go). Each
 // lane does its portable loop's operations in that loop's order: the matmul
-// and ReLU kernels multiply, round, then add (VMULPD, VADDPD), and the exp
-// kernel fuses exactly where exp calls math.FMA.
+// and ReLU kernels multiply, round, then add (VMULPD, VADDPD), the exp
+// kernel fuses exactly where exp calls math.FMA, and the softmax and
+// rank-to-class kernels hold one row per lane, four rows at a time.
 
 #include "textflag.h"
 
@@ -244,5 +245,252 @@ addaddrelu:
 	ADDQ    $4, AX
 	CMPQ    AX, CX
 	JL      addaddrelu
+	VZEROUPPER
+	RET
+
+// ROWS4 points R11, R12 and R13 at rows 1–3 of the block whose row 0 is at
+// DI, R9 bytes apart.
+#define ROWS4 \
+	LEAQ (DI)(R9*1), R11  \
+	LEAQ (R11)(R9*1), R12 \
+	LEAQ (R12)(R9*1), R13
+
+// COL4 loads column AX of that block into y, row l in lane l (x is y's low
+// half; tx is clobbered).
+#define COL4(y, x, tx) \
+	VMOVSD      (DI)(AX*8), x      \
+	VMOVHPD     (R11)(AX*8), x, x  \
+	VMOVSD      (R12)(AX*8), tx    \
+	VMOVHPD     (R13)(AX*8), tx, tx \
+	VINSERTF128 $1, tx, y, y
+
+// func softmaxMaxSubAVX(x *float64, blocks, c int, bias *float64, perm *[8]int32)
+TEXT ·softmaxMaxSubAVX(SB), NOSPLIT, $0-40
+	MOVQ x+0(FP), DI
+	MOVQ blocks+8(FP), R8
+	MOVQ c+16(FP), CX
+	MOVQ bias+24(FP), SI
+	MOVQ perm+32(FP), DX
+	LEAQ (CX*8), R9 // row stride in bytes
+
+maxsub: // Y0 = each row's max of v + b, in index order: m = v > m ? v : m
+	ROWS4
+	XORQ         AX, AX
+	COL4(Y0, X0, X2)
+	VBROADCASTSD (SI), Y3
+	VADDPD       Y3, Y0, Y0
+	INCQ         AX
+
+maxcol:
+	CMPQ         AX, CX
+	JGE          subtract
+	COL4(Y1, X1, X2)
+	VBROADCASTSD (SI)(AX*8), Y3
+	VADDPD       Y3, Y1, Y1
+	VMAXPD       Y0, Y1, Y0
+	INCQ         AX
+	JMP          maxcol
+
+subtract: // the block's c chunks of four: v = (v + b) − its row's max
+	XORQ    AX, AX
+	MOVQ    CX, BX
+
+subchunk:
+	VMOVUPD (DI)(AX*1), Y1
+	VADDPD  (SI)(AX*1), Y1, Y1
+	VMOVDQU (DX)(AX*1), Y2
+	VPERMPS Y0, Y2, Y3
+	VSUBPD  Y3, Y1, Y1
+	VMOVUPD Y1, (DI)(AX*1)
+	ADDQ    $32, AX
+	DECQ    BX
+	JNZ     subchunk
+	LEAQ    (DI)(R9*4), DI
+	DECQ    R8
+	JNZ     maxsub
+	VZEROUPPER
+	RET
+
+// func softmaxSumDivAVX(x *float64, blocks, c int, perm *[8]int32)
+TEXT ·softmaxSumDivAVX(SB), NOSPLIT, $0-32
+	MOVQ x+0(FP), DI
+	MOVQ blocks+8(FP), R8
+	MOVQ c+16(FP), CX
+	MOVQ perm+24(FP), DX
+	LEAQ (CX*8), R9
+
+sumdiv: // Y0 = each row's sum, +0 + v₀ + v₁ + … in index order
+	ROWS4
+	VXORPD Y0, Y0, Y0
+	XORQ   AX, AX
+
+sumcol:
+	COL4(Y1, X1, X2)
+	VADDPD Y1, Y0, Y0
+	INCQ   AX
+	CMPQ   AX, CX
+	JL     sumcol
+	XORQ   AX, AX
+	MOVQ   CX, BX
+
+divchunk: // v = v / its row's sum: a true divide
+	VMOVUPD (DI)(AX*1), Y1
+	VMOVDQU (DX)(AX*1), Y2
+	VPERMPS Y0, Y2, Y3
+	VDIVPD  Y3, Y1, Y1
+	VMOVUPD Y1, (DI)(AX*1)
+	ADDQ    $32, AX
+	DECQ    BX
+	JNZ     divchunk
+	LEAQ    (DI)(R9*4), DI
+	DECQ    R8
+	JNZ     sumdiv
+	VZEROUPPER
+	RET
+
+// PAIR compares classes i < j of the block's rows, p_j in Y8 and p_i at pi:
+// i goes first when p_j ≤ p_i (Y9 = −1), so i's count, which began by
+// counting j, drops by one, and j's rises by one.
+#define PAIR(pi, ci, cj) \
+	VCMPPD $0x12, pi, Y8, Y9 \
+	VPADDQ Y9, ci, ci        \
+	VPSUBQ Y9, cj, cj
+
+// PICK makes the result class j (its index at lane) in the lanes whose rank
+// is j's count.
+#define PICK(cj, lane) \
+	VPCMPEQQ  Y10, cj, Y9 \
+	VBLENDVPD Y9, lane, Y11, Y11
+
+// func classAtRankAVX(p *float64, blocks, c int, ranks, classes *int) int
+TEXT ·classAtRankAVX(SB), NOSPLIT, $256-48
+	MOVQ         p+0(FP), DI
+	MOVQ         blocks+8(FP), R8
+	MOVQ         c+16(FP), CX
+	MOVQ         ranks+24(FP), SI
+	MOVQ         classes+32(FP), DX
+	LEAQ         (CX*8), R9
+	XORQ         R10, R10 // rows written
+	LEAQ         -1(CX), BX
+	MOVQ         BX, X13
+	VPBROADCASTQ X13, Y13 // c−1
+
+rankblock: // the block's columns to 0(SP), 32(SP), …, row l in lane l
+	ROWS4
+	VXORPD Y12, Y12, Y12
+	XORQ   AX, AX
+	MOVQ   SP, BX
+
+transpose:
+	COL4(Y8, X8, X9)
+	VADDPD  Y8, Y12, Y12
+	VMOVUPD Y8, (BX)
+	ADDQ    $32, BX
+	INCQ    AX
+	CMPQ    AX, CX
+	JL      transpose
+	VCMPPD    $3, Y12, Y12, Y9 // a NaN sum: no ranking, the block is the caller's
+	VMOVMSKPD Y9, BX
+	TESTL     BX, BX
+	JNZ       rankdone
+
+	// Class i's count of predecessors starts at c−1−i, as if every class
+	// after it went first; each pair then settles who did.
+	VPSUBQ ·rankLanes+0(SB), Y13, Y0
+	VPSUBQ ·rankLanes+32(SB), Y13, Y1
+	VPSUBQ ·rankLanes+64(SB), Y13, Y2
+	VPSUBQ ·rankLanes+96(SB), Y13, Y3
+	VPSUBQ ·rankLanes+128(SB), Y13, Y4
+	VPSUBQ ·rankLanes+160(SB), Y13, Y5
+	VPSUBQ ·rankLanes+192(SB), Y13, Y6
+	VPSUBQ ·rankLanes+224(SB), Y13, Y7
+
+	// Pairs by ascending j: those of the first c classes come first.
+	CMPQ    CX, $1
+	JEQ     pick
+	VMOVUPD 32(SP), Y8
+	PAIR(0(SP), Y0, Y1)
+	CMPQ    CX, $2
+	JEQ     pick
+	VMOVUPD 64(SP), Y8
+	PAIR(0(SP), Y0, Y2)
+	PAIR(32(SP), Y1, Y2)
+	CMPQ    CX, $3
+	JEQ     pick
+	VMOVUPD 96(SP), Y8
+	PAIR(0(SP), Y0, Y3)
+	PAIR(32(SP), Y1, Y3)
+	PAIR(64(SP), Y2, Y3)
+	CMPQ    CX, $4
+	JEQ     pick
+	VMOVUPD 128(SP), Y8
+	PAIR(0(SP), Y0, Y4)
+	PAIR(32(SP), Y1, Y4)
+	PAIR(64(SP), Y2, Y4)
+	PAIR(96(SP), Y3, Y4)
+	CMPQ    CX, $5
+	JEQ     pick
+	VMOVUPD 160(SP), Y8
+	PAIR(0(SP), Y0, Y5)
+	PAIR(32(SP), Y1, Y5)
+	PAIR(64(SP), Y2, Y5)
+	PAIR(96(SP), Y3, Y5)
+	PAIR(128(SP), Y4, Y5)
+	CMPQ    CX, $6
+	JEQ     pick
+	VMOVUPD 192(SP), Y8
+	PAIR(0(SP), Y0, Y6)
+	PAIR(32(SP), Y1, Y6)
+	PAIR(64(SP), Y2, Y6)
+	PAIR(96(SP), Y3, Y6)
+	PAIR(128(SP), Y4, Y6)
+	PAIR(160(SP), Y5, Y6)
+	CMPQ    CX, $7
+	JEQ     pick
+	VMOVUPD 224(SP), Y8
+	PAIR(0(SP), Y0, Y7)
+	PAIR(32(SP), Y1, Y7)
+	PAIR(64(SP), Y2, Y7)
+	PAIR(96(SP), Y3, Y7)
+	PAIR(128(SP), Y4, Y7)
+	PAIR(160(SP), Y5, Y7)
+	PAIR(192(SP), Y6, Y7)
+
+pick: // the class whose count is the rank; class 0 unless another's is
+	VMOVDQU (SI), Y10
+	VPXOR   Y11, Y11, Y11
+	CMPQ    CX, $1
+	JEQ     rankstore
+	PICK(Y1, ·rankLanes+32(SB))
+	CMPQ    CX, $2
+	JEQ     rankstore
+	PICK(Y2, ·rankLanes+64(SB))
+	CMPQ    CX, $3
+	JEQ     rankstore
+	PICK(Y3, ·rankLanes+96(SB))
+	CMPQ    CX, $4
+	JEQ     rankstore
+	PICK(Y4, ·rankLanes+128(SB))
+	CMPQ    CX, $5
+	JEQ     rankstore
+	PICK(Y5, ·rankLanes+160(SB))
+	CMPQ    CX, $6
+	JEQ     rankstore
+	PICK(Y6, ·rankLanes+192(SB))
+	CMPQ    CX, $7
+	JEQ     rankstore
+	PICK(Y7, ·rankLanes+224(SB))
+
+rankstore:
+	VMOVDQU Y11, (DX)
+	LEAQ    (DI)(R9*4), DI
+	ADDQ    $32, SI
+	ADDQ    $32, DX
+	ADDQ    $4, R10
+	DECQ    R8
+	JNZ     rankblock
+
+rankdone:
+	MOVQ R10, ret+40(FP)
 	VZEROUPPER
 	RET

@@ -21,6 +21,12 @@ func Exp(x []float64) {
 	}
 }
 
+// Softmax leaves every row to its caller: it has no lanes in this build.
+func Softmax(m *Matrix, bias []float64) int { return 0 }
+
+// ClassAtRank leaves every row to its caller: it has no lanes in this build.
+func ClassAtRank(p *Matrix, ranks, classes []int) int { return 0 }
+
 // AddReLU sets x[i] = ReLU(x[i] + b[i]) for every i < len(x).
 func AddReLU(x, b []float64) { addReLURef(x, b) }
 

@@ -148,15 +148,35 @@ func (a Activation) apply32(m *mat.Matrix32) {
 
 // Softmax replaces each row of m with its softmax over the first width
 // columns, leaving any remaining columns untouched. Numerically stabilized
-// by max subtraction. The exponentials run across rows — one mat.Exp over the
-// whole matrix when width is all of it — since a categorical column's rows are
-// a few values wide; each row's sum stays in index order.
-func Softmax(m *mat.Matrix, width int) {
+// by max subtraction.
+func Softmax(m *mat.Matrix, width int) { biasSoftmax(m, width, nil) }
+
+// biasSoftmax is Softmax of each row's first width values plus bias (nil:
+// nothing added) — an Identity layer's bias and the softmax after it, in one
+// call: v+b rounds the same in either. When width is all of m, whole blocks of
+// four rows run in mat.Softmax's lanes; softmaxRef does the rest.
+func biasSoftmax(m *mat.Matrix, width int, bias []float64) {
 	if width <= 0 || width > m.Cols {
 		panic(fmt.Sprintf("nn: softmax width %d over %d columns", width, m.Cols))
 	}
+	done := 0
+	if width == m.Cols {
+		done = mat.Softmax(m, bias)
+	}
+	rest := m.SliceRows(done, m.Rows)
+	softmaxRef(&rest, width, bias)
+}
+
+// softmaxRef is the softmax's portable statement, which mat.Softmax's lanes
+// keep bit for bit. The exponentials run across rows — one mat.Exp over the
+// whole matrix when width is all of it — since a categorical column's rows
+// are a few values wide; each row's sum stays in index order.
+func softmaxRef(m *mat.Matrix, width int, bias []float64) {
 	for i := 0; i < m.Rows; i++ {
 		row := m.Row(i)[:width]
+		for j, b := range bias {
+			row[j] += b
+		}
 		max := row[0]
 		for _, v := range row[1:] {
 			if v > max {

@@ -241,8 +241,12 @@ func (d *Decoder) PredictInto(s *Scratch, codes *mat.Matrix, want []bool) *Predi
 			// Serial: one column's product is too small for the pool's
 			// fan-out to pay for itself.
 			probs := mat.MulTPackedInto(hid, shared.pack, ar.GetUncleared(b, d.cardOf[j]), false)
-			shared.biasAct(probs)
-			Softmax(probs, probs.Cols)
+			if shared.Act == Identity { // as every writer builds it
+				biasSoftmax(probs, probs.Cols, shared.B[:probs.Cols])
+			} else {
+				shared.biasAct(probs)
+				Softmax(probs, probs.Cols)
+			}
 			p.Cat[j] = probs
 		}
 	}

@@ -124,6 +124,69 @@ func TestSoftmaxPartialWidth(t *testing.T) {
 	}
 }
 
+// Property: the softmax — mat.Softmax's lanes over whole blocks of four rows,
+// softmaxRef over the rest — is softmaxRef bit for bit, with and without a
+// folded bias: widths 1–16 and 24 (the lanes take up to mat.MaxLaneWidth),
+// 1–9 and 1 024 rows (every lane tail), logits of −800 among N(0, 4²) ones so
+// that Exp declines blocks, duplicated maxima, and softmaxes narrower than
+// their matrix. The long sweep skips under -race; check.sh runs it
+// uninstrumented.
+func TestSoftmaxMatchesReference(t *testing.T) {
+	trials := 30
+	if raceEnabled || testing.Short() {
+		trials = 1
+	}
+	rng := rand.New(rand.NewSource(43))
+	widths := []int{24}
+	for w := 1; w <= 16; w++ {
+		widths = append(widths, w)
+	}
+	rowCounts := []int{1024}
+	for r := 1; r <= 9; r++ {
+		rowCounts = append(rowCounts, r)
+	}
+	for trial := 0; trial < trials; trial++ {
+		for _, width := range widths {
+			for _, rows := range rowCounts {
+				cols := width
+				if trial%3 == 2 {
+					cols += 1 + rng.Intn(3)
+				}
+				m := mat.New(rows, cols)
+				for r := 0; r < rows; r++ {
+					row := m.Row(r)
+					for c := range row {
+						row[c] = 4 * rng.NormFloat64()
+						if rng.Intn(10) == 0 {
+							row[c] = -800
+						}
+					}
+					if width > 1 && rng.Intn(4) == 0 { // a tied maximum
+						a, b := rng.Intn(width), rng.Intn(width)
+						row[a], row[b] = 20, 20
+					}
+				}
+				var bias []float64
+				if trial%2 == 1 {
+					bias = make([]float64, width)
+					for j := range bias {
+						bias[j] = rng.NormFloat64()
+					}
+				}
+				want := m.Clone()
+				softmaxRef(want, width, bias)
+				biasSoftmax(m, width, bias)
+				for i, v := range m.Data {
+					if math.Float64bits(v) != math.Float64bits(want.Data[i]) {
+						t.Fatalf("%dx%d, width %d, bias %v: [%d][%d] = %v, want %v",
+							rows, cols, width, bias != nil, i/cols, i%cols, v, want.Data[i])
+					}
+				}
+			}
+		}
+	}
+}
+
 // BenchmarkSoftmaxCensusShapes times the element-wise passes of a Census
 // decode batch: 1 024 rows of a categorical column's softmax at
 // cardinalities 3, 5 and 7, and the 24-wide auxiliary layer's tanh.

@@ -4,15 +4,17 @@ import "fmt"
 
 // AdaptiveModel maintains per-symbol frequencies over a fixed alphabet with
 // a Fenwick (binary indexed) tree for O(log n) cumulative queries, updates,
-// and symbol lookup. Every symbol starts with frequency 1 so the decoder can
-// always make progress; Update bumps the observed symbol and rescales when
-// the total approaches the coder's limit.
+// and symbol lookup, and the frequencies themselves beside it, so that a
+// symbol's own frequency costs no second walk. Every symbol starts with
+// frequency 1 so the decoder can always make progress; Update bumps the
+// observed symbol and rescales when the total approaches the coder's limit.
 //
 // Encoder and decoder must perform identical Update calls in the same order,
 // which keeps their models in lockstep.
 type AdaptiveModel struct {
 	n     int
-	tree  []uint32 // 1-based Fenwick tree over frequencies
+	tree  []uint32 // 1-based Fenwick tree over freq
+	freq  []uint32
 	total uint32
 	inc   uint32
 }
@@ -27,7 +29,8 @@ func NewAdaptiveModel(n int, inc uint32) *AdaptiveModel {
 	if inc == 0 {
 		inc = 1
 	}
-	m := &AdaptiveModel{n: n, tree: make([]uint32, n+1), inc: inc}
+	counts := make([]uint32, 2*n+1) // the tree and freq, one allocation
+	m := &AdaptiveModel{n: n, tree: counts[: n+1 : n+1], freq: counts[n+1:], inc: inc}
 	for s := 0; s < n; s++ {
 		m.add(s, 1)
 	}
@@ -44,7 +47,9 @@ func (m *AdaptiveModel) N() int { return m.n }
 // Total returns the current cumulative frequency total.
 func (m *AdaptiveModel) Total() uint32 { return m.total }
 
+// add adds delta to sym's frequency.
 func (m *AdaptiveModel) add(sym int, delta uint32) {
+	m.freq[sym] += delta
 	for i := sym + 1; i <= m.n; i += i & (-i) {
 		m.tree[i] += delta
 	}
@@ -64,12 +69,12 @@ func (m *AdaptiveModel) Freq(sym int) (uint32, uint32) {
 	if sym < 0 || sym >= m.n {
 		panic(fmt.Sprintf("rangecoder: symbol %d outside alphabet %d", sym, m.n))
 	}
-	c := m.cum(sym)
-	return c, m.cum(sym+1) - c
+	return m.cum(sym), m.freq[sym]
 }
 
-// FindSymbol locates the symbol whose cumulative range contains target and
-// returns (sym, cumFreq, freq). It descends the Fenwick tree in O(log n).
+// FindSymbol locates the symbol whose cumulative range contains target, which
+// is below Total() — DecodeFreq's clamp sees to that — and returns (sym,
+// cumFreq, freq). It descends the Fenwick tree in O(log n).
 func (m *AdaptiveModel) FindSymbol(target uint32) (int, uint32, uint32) {
 	idx := 0
 	var cum uint32
@@ -86,12 +91,7 @@ func (m *AdaptiveModel) FindSymbol(target uint32) (int, uint32, uint32) {
 		}
 	}
 	// idx symbols have cumulative frequency ≤ target, so idx is the symbol.
-	if idx >= m.n {
-		idx = m.n - 1
-		cum -= 0 // target was clamped by the decoder; keep last symbol
-		cum = m.cum(idx)
-	}
-	return idx, cum, m.cum(idx+1) - cum
+	return idx, cum, m.freq[idx]
 }
 
 // Update increases sym's frequency, rescaling all frequencies (halving,
@@ -119,16 +119,11 @@ func (m *AdaptiveModel) Update(sym int) {
 }
 
 func (m *AdaptiveModel) rescale() {
-	freqs := make([]uint32, m.n)
-	for s := 0; s < m.n; s++ {
-		_, f := m.Freq(s)
-		freqs[s] = (f + 1) / 2
-	}
-	for i := range m.tree {
-		m.tree[i] = 0
-	}
+	clear(m.tree)
 	m.total = 0
-	for s, f := range freqs {
+	for s, f := range m.freq {
+		f = (f + 1) / 2
+		m.freq[s] = 0
 		m.add(s, f)
 		m.total += f
 	}
@@ -145,7 +140,7 @@ func (m *AdaptiveModel) EncodeSymbol(e *Encoder, sym int) {
 func (m *AdaptiveModel) DecodeSymbol(d *Decoder) int {
 	target := d.DecodeFreq(m.total)
 	sym, c, f := m.FindSymbol(target)
-	d.Update(c, f, m.total)
+	d.Update(c, f)
 	m.Update(sym)
 	return sym
 }

@@ -82,6 +82,7 @@ type Decoder struct {
 	low  uint32
 	rng  uint32
 	code uint32
+	r    uint32 // rng / totFreq, from DecodeFreq for the Update after it
 	buf  []byte
 	pos  int
 }
@@ -108,26 +109,26 @@ func (d *Decoder) next() byte {
 	return 0
 }
 
-// DecodeFreq returns the scaled cumulative frequency of the next symbol; the
-// caller locates the symbol whose [cumFreq, cumFreq+freq) contains it and
-// then calls Update with that triple.
+// DecodeFreq returns the scaled cumulative frequency of the next symbol,
+// below totFreq; the caller locates the symbol whose [cumFreq, cumFreq+freq)
+// contains it and then calls Update with that pair.
 func (d *Decoder) DecodeFreq(totFreq uint32) uint32 {
 	if totFreq == 0 || totFreq > MaxTotal {
 		panic(fmt.Sprintf("rangecoder: invalid totFreq %d", totFreq))
 	}
-	r := d.rng / totFreq
-	f := (d.code - d.low) / r
+	d.r = d.rng / totFreq
+	f := (d.code - d.low) / d.r
 	if f >= totFreq {
 		f = totFreq - 1
 	}
 	return f
 }
 
-// Update consumes the symbol identified after DecodeFreq.
-func (d *Decoder) Update(cumFreq, freq, totFreq uint32) {
-	r := d.rng / totFreq
-	d.low += cumFreq * r
-	d.rng = freq * r
+// Update consumes the symbol identified after DecodeFreq, out of the total
+// DecodeFreq was given: the division by it is DecodeFreq's, kept.
+func (d *Decoder) Update(cumFreq, freq uint32) {
+	d.low += cumFreq * d.r
+	d.rng = freq * d.r
 	for {
 		if (d.low ^ (d.low + d.rng)) >= top {
 			if d.rng >= bot {

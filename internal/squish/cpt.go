@@ -78,7 +78,7 @@ func (t *cpt) decode(d *rangecoder.Decoder) int {
 	target := d.DecodeFreq(t.tot)
 	// Binary search the cumulative table.
 	s := sort.Search(len(t.freq), func(i int) bool { return uint32(t.cum[i+1]) > target })
-	d.Update(uint32(t.cum[s]), uint32(t.freq[s]), t.tot)
+	d.Update(uint32(t.cum[s]), uint32(t.freq[s]))
 	return s
 }
 

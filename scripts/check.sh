@@ -96,11 +96,11 @@ step "portable kernels (-tags noasm)"
 # noasm drops the amd64 assembly, so that the portable float64 and float32
 # loops and the reference exp — what every other architecture runs — compile
 # and are tested on this one: the kernel and model suites (the pinned exp and
-# tanh bits among them), the golden archives' decode, and tables compressed by
-# both builds into the same bytes. Without -race: the step above has raced
-# this code already.
+# tanh bits and the softmax pin among them), the golden archives' decode, the
+# rank-to-class pin, and tables compressed by both builds into the same bytes.
+# Without -race: the step above has raced this code already.
 go test -tags noasm ./internal/mat ./internal/nn
-go test -tags noasm -run 'Golden' ./internal/core
+go test -tags noasm -run 'Golden|^TestClassAtRankMatchesReference$' ./internal/core
 go build -tags noasm -o "$smokedir/dsqz-noasm" ./cmd/dsqz
 head -n 20001 "$smokedir/big.csv" > "$smokedir/small.csv"
 for b in dsqz dsqz-noasm; do
@@ -133,11 +133,12 @@ done
 step "benchmark smoke"
 # One iteration of the training and categorical-inference benchmarks (the repo
 # benchmark's 21-column shape among them: TrainBatchCategorical, and
-# PredictCategorical at both float widths) and of the element-wise passes at
-# Census shapes (SoftmaxCensusShapes, Exp): catches kernels, the trainer or
-# the predictors panicking under benchmark shapes without paying for a real
-# measurement.
+# PredictCategorical at both float widths) and of the element-wise passes and
+# the rank-to-class step at Census shapes (SoftmaxCensusShapes, Exp,
+# ClassAtRankCensus): catches kernels, the trainer or the predictors panicking
+# under benchmark shapes without paying for a real measurement.
 go test -run='^$' -bench='TrainBatch|TrainEpoch|PredictCategorical|SoftmaxCensusShapes' -benchtime=1x ./internal/nn
+go test -run='^$' -bench='ClassAtRankCensus' -benchtime=1x ./internal/core
 go test -run='^$' -bench='Into|^BenchmarkExp$' -benchtime=1x ./internal/mat
 
 step "repo benchmark smoke"
@@ -156,10 +157,12 @@ step "uninstrumented tests"
 # acceptance bounds (range codecs >= 10% off the near-deterministic fixture's
 # failure+code bytes, residual digits >= 10% off the clickstream archive),
 # 20 000- and 30 000-row compress pairs that would cost tens of seconds raced.
-# The exp and tanh sweeps: millions of scalar calls, nothing to race.
+# The exp and tanh sweeps: millions of scalar calls, nothing to race; and the
+# long sweeps of the softmax and rank-to-class pins, which run a short trial raced.
 go test -run='^TestWarmCachedQueryAllocs$' -count=1 ./internal/serve
-go test -run='^(TestWarmHandleQueryBytesSurviveGC|TestArchiveWriterAutoCodecAllocs|TestAutoUsesRangeCodecsOnSkewedData|TestResidualShrinksClickstream)$' -count=1 ./internal/core
+go test -run='^(TestWarmHandleQueryBytesSurviveGC|TestArchiveWriterAutoCodecAllocs|TestAutoUsesRangeCodecsOnSkewedData|TestResidualShrinksClickstream|TestClassAtRankMatchesReference)$' -count=1 ./internal/core
 go test -run='^(TestExpMatchesReference|TestExpReferenceMatchesMathExp|TestTanhReferenceMatchesMathTanh)$' -count=1 ./internal/mat
+go test -run='^TestSoftmaxMatchesReference$' -count=1 ./internal/nn
 
 step "fuzz smoke"
 # Short coverage-guided runs of the decode-path fuzzers: any panic or
