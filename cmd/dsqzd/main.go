@@ -24,7 +24,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -259,14 +258,12 @@ func (d *daemon) handleQuery(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, "csv format requires a row query (no agg)", http.StatusBadRequest)
 			return
 		}
-		var buf bytes.Buffer
-		if err := res.Table.WriteCSV(&buf); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
 		w.Header().Set("Content-Type", "text/csv")
 		w.Header().Set("X-Matched-Rows", strconv.Itoa(res.Matched))
-		w.Write(buf.Bytes())
+		// Rows stream into the response as they render. The only error left
+		// is a failed write, and the status went out with the first one: the
+		// client hung up, and there is no one to report a 500 to.
+		res.Table.WriteCSV(w)
 		return
 	}
 
@@ -304,20 +301,23 @@ func statusFor(err error) int {
 }
 
 // tableCells renders a table into column names and per-row string cells,
-// formatting numerics exactly as WriteCSV does so the two formats agree.
+// formatting numerics with the CSV writer's own formatter
+// (dataset.AppendNumeric) so the two formats agree.
 func tableCells(t *dataset.Table) ([]string, [][]string) {
 	cols := make([]string, len(t.Schema.Columns))
 	for i, c := range t.Schema.Columns {
 		cols[i] = c.Name
 	}
 	rows := make([][]string, t.NumRows())
+	var cell []byte
 	for r := range rows {
 		row := make([]string, len(cols))
 		for i, c := range t.Schema.Columns {
 			if c.Type == dataset.Categorical {
 				row[i] = t.Str[i][r]
 			} else {
-				row[i] = strconv.FormatFloat(t.Num[i][r], 'g', -1, 64)
+				cell = dataset.AppendNumeric(cell[:0], t.Num[i][r])
+				row[i] = string(cell)
 			}
 		}
 		rows[r] = row

@@ -115,6 +115,42 @@ func TestQueryCSVByteIdentical(t *testing.T) {
 	}
 }
 
+// hungUpWriter is a ResponseWriter whose client has gone away: every body
+// write fails.
+type hungUpWriter struct {
+	header http.Header
+	status int
+}
+
+func (w *hungUpWriter) Header() http.Header { return w.header }
+
+func (w *hungUpWriter) WriteHeader(code int) {
+	if w.status == 0 {
+		w.status = code
+	}
+}
+
+func (w *hungUpWriter) Write([]byte) (int, error) {
+	w.WriteHeader(http.StatusOK)
+	return 0, errors.New("connection reset by peer")
+}
+
+// TestQueryCSVClientHangUp: a CSV response streams into the ResponseWriter,
+// so a write that fails is a client that hung up after the status went out,
+// not a server error to report.
+func TestQueryCSVClientHangUp(t *testing.T) {
+	d, _ := testDaemon(t)
+	w := &hungUpWriter{header: http.Header{}}
+	d.handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/query",
+		strings.NewReader(`{"archive":"t.dsqz","format":"csv"}`)))
+	if w.status != http.StatusOK {
+		t.Fatalf("status %d after the client hung up, want 200", w.status)
+	}
+	if got := w.header.Get("Content-Type"); got != "text/csv" {
+		t.Fatalf("Content-Type %q, want text/csv", got)
+	}
+}
+
 func mustParse(t *testing.T, s string) query.Pred {
 	t.Helper()
 	p, err := query.Parse(s)

@@ -7,32 +7,15 @@ import (
 	"strconv"
 )
 
-// WriteCSV writes the table as CSV with a header row. Numeric values use the
-// shortest representation that round-trips ('g', precision -1).
+// WriteCSV writes the table as CSV with a header row, through CSVWriter.
+// Numeric values use the shortest representation that round-trips ('g',
+// precision -1).
 func (t *Table) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	header := make([]string, len(t.Schema.Columns))
-	for i, c := range t.Schema.Columns {
-		header[i] = c.Name
+	cw := NewCSVWriter(w, t.Schema)
+	if err := cw.WriteTable(t); err != nil {
+		return err
 	}
-	if err := cw.Write(header); err != nil {
-		return fmt.Errorf("dataset: write header: %w", err)
-	}
-	row := make([]string, len(t.Schema.Columns))
-	for r := 0; r < t.rows; r++ {
-		for i, c := range t.Schema.Columns {
-			if c.Type == Categorical {
-				row[i] = t.Str[i][r]
-			} else {
-				row[i] = strconv.FormatFloat(t.Num[i][r], 'g', -1, 64)
-			}
-		}
-		if err := cw.Write(row); err != nil {
-			return fmt.Errorf("dataset: write row %d: %w", r, err)
-		}
-	}
-	cw.Flush()
-	return cw.Error()
+	return cw.Flush()
 }
 
 // ReadCSV reads a table in the format produced by WriteCSV. The schema

@@ -77,66 +77,3 @@ func (s *CSVScanner) ReadChunk(maxRows int) (*Table, error) {
 	}
 	return t, nil
 }
-
-// CSVWriter writes tables incrementally as one CSV stream: the header goes
-// out before the first rows, and every WriteTable appends rows in the same
-// format as Table.WriteCSV (numeric values use 'g' precision -1).
-type CSVWriter struct {
-	cw          *csv.Writer
-	schema      *Schema
-	wroteHeader bool
-}
-
-// NewCSVWriter returns a writer producing one headered CSV stream for
-// tables with the given schema.
-func NewCSVWriter(w io.Writer, schema *Schema) *CSVWriter {
-	return &CSVWriter{cw: csv.NewWriter(w), schema: schema}
-}
-
-// WriteTable appends t's rows. t must have the writer's schema.
-func (w *CSVWriter) WriteTable(t *Table) error {
-	if !t.Schema.Equal(w.schema) {
-		return fmt.Errorf("dataset: table schema differs from writer schema")
-	}
-	if !w.wroteHeader {
-		header := make([]string, len(w.schema.Columns))
-		for i, c := range w.schema.Columns {
-			header[i] = c.Name
-		}
-		if err := w.cw.Write(header); err != nil {
-			return fmt.Errorf("dataset: write header: %w", err)
-		}
-		w.wroteHeader = true
-	}
-	row := make([]string, len(w.schema.Columns))
-	for r := 0; r < t.NumRows(); r++ {
-		for i, c := range w.schema.Columns {
-			if c.Type == Categorical {
-				row[i] = t.Str[i][r]
-			} else {
-				row[i] = strconv.FormatFloat(t.Num[i][r], 'g', -1, 64)
-			}
-		}
-		if err := w.cw.Write(row); err != nil {
-			return fmt.Errorf("dataset: write row %d: %w", r, err)
-		}
-	}
-	return nil
-}
-
-// Flush writes the header if no rows were ever written, flushes buffered
-// rows to the underlying writer, and reports any write error.
-func (w *CSVWriter) Flush() error {
-	if !w.wroteHeader {
-		header := make([]string, len(w.schema.Columns))
-		for i, c := range w.schema.Columns {
-			header[i] = c.Name
-		}
-		if err := w.cw.Write(header); err != nil {
-			return fmt.Errorf("dataset: write header: %w", err)
-		}
-		w.wroteHeader = true
-	}
-	w.cw.Flush()
-	return w.cw.Error()
-}

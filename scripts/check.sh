@@ -135,11 +135,14 @@ step "benchmark smoke"
 # benchmark's 21-column shape among them: TrainBatchCategorical, and
 # PredictCategorical at both float widths) and of the element-wise passes and
 # the rank-to-class step at Census shapes (SoftmaxCensusShapes, Exp,
-# ClassAtRankCensus): catches kernels, the trainer or the predictors panicking
-# under benchmark shapes without paying for a real measurement.
+# ClassAtRankCensus), and of the CSV writer on a decoded Monitor row group and
+# on all-distinct values (CSVWriterQuantized, CSVWriterDistinct): catches
+# kernels, the trainer, the predictors or the writer panicking under benchmark
+# shapes without paying for a real measurement.
 go test -run='^$' -bench='TrainBatch|TrainEpoch|PredictCategorical|SoftmaxCensusShapes' -benchtime=1x ./internal/nn
 go test -run='^$' -bench='ClassAtRankCensus' -benchtime=1x ./internal/core
 go test -run='^$' -bench='Into|^BenchmarkExp$' -benchtime=1x ./internal/mat
+go test -run='^$' -bench='CSVWriter' -benchtime=1x ./internal/dataset
 
 step "repo benchmark smoke"
 # benchmarks/ is a module of its own, which the root module's `go test ./...`
@@ -152,14 +155,17 @@ step "uninstrumented tests"
 # Allocation gates: testing.AllocsPerRun ceiling on the warm cached aggregate
 # query, the bytes a warm handle allocates per query with collections between
 # queries (its inference memory must survive them), and the writer's bytes per
-# row group under the default codec selection against the stored codec — race
-# instrumentation adds allocations and makes sync.Pool drop items. Pinned archive sizes: the two ratio
+# row group under the default codec selection against the stored codec, and
+# WriteCSV of a 205-row × 4-numeric-column table (a serve-pruned point
+# response) — race instrumentation adds allocations and makes sync.Pool drop
+# items. Pinned archive sizes: the two ratio
 # acceptance bounds (range codecs >= 10% off the near-deterministic fixture's
 # failure+code bytes, residual digits >= 10% off the clickstream archive),
 # 20 000- and 30 000-row compress pairs that would cost tens of seconds raced.
 # The exp and tanh sweeps: millions of scalar calls, nothing to race; and the
 # long sweeps of the softmax and rank-to-class pins, which run a short trial raced.
 go test -run='^TestWarmCachedQueryAllocs$' -count=1 ./internal/serve
+go test -run='^TestWriteCSVAllocs$' -count=1 ./internal/dataset
 go test -run='^(TestWarmHandleQueryBytesSurviveGC|TestArchiveWriterAutoCodecAllocs|TestAutoUsesRangeCodecsOnSkewedData|TestResidualShrinksClickstream|TestClassAtRankMatchesReference)$' -count=1 ./internal/core
 go test -run='^(TestExpMatchesReference|TestExpReferenceMatchesMathExp|TestTanhReferenceMatchesMathTanh)$' -count=1 ./internal/mat
 go test -run='^TestSoftmaxMatchesReference$' -count=1 ./internal/nn
@@ -172,11 +178,13 @@ step "fuzz smoke"
 # which decodes groups before the archive checksum can vouch for them. One
 # worker: with the default two on a two-CPU box the time goes to baseline
 # coverage (≈ 30 executions in 10 s against thousands). The bitio run pins the
-# word-at-a-time bit writer to the bit-at-a-time reference kept in its test.
+# word-at-a-time bit writer to the bit-at-a-time reference kept in its test,
+# and the dataset run the CSV writer to encoding/csv, kept in its test.
 go test -run='^$' -fuzz=FuzzDecompress -fuzztime=10s -parallel=1 ./internal/core
 go test -run='^$' -fuzz=FuzzArchiveReader -fuzztime=5s -parallel=1 ./internal/core
 go test -run='^$' -fuzz=FuzzSectionReader -fuzztime=5s -parallel=1 ./internal/core
 go test -run='^$' -fuzz=FuzzWriterMatchesReference -fuzztime=5s -parallel=1 ./internal/bitio
+go test -run='^$' -fuzz=FuzzCSVWriterMatchesEncodingCSV -fuzztime=5s -parallel=1 ./internal/dataset
 
 step "non-test LOC per package"
 # ROADMAP aim 2 tracks these: the design is judged by how little code holds
