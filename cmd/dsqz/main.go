@@ -213,7 +213,6 @@ func runCompress(ctx context.Context, args []string) error {
 	maxcard := fs.Int("maxcard", 0, "alphabet size the model predicts per categorical column (0 = default 256)")
 	fbDistinct := fs.Int("fallback-distinct", 0, "distinct-value ceiling for in-model categoricals (0 = default 65536)")
 	fbRatio := fs.Float64("fallback-ratio", 0, "near-unique distinct/rows ratio above which categoricals fall back (0 = default 0.5)")
-	f32 := fs.Bool("f32", false, "record the float32-decode plan flag: corrections are computed against float32 inference and every reader decodes through the float32 kernel path")
 	tune := fs.Bool("tune", false, "run hyperparameter tuning before compressing")
 	seed := fs.Int64("seed", 1, "random seed")
 	parallel := fs.Int("p", 0, "pipeline parallelism (0 = all CPUs)")
@@ -241,7 +240,6 @@ func runCompress(ctx context.Context, args []string) error {
 	opts.TrainSampleRows = *sample
 	opts.Seed = *seed
 	opts.Parallelism = *parallel
-	opts.Float32Decode = *f32
 	opts.Preproc.ResidualCats = *resbit
 	if *maxcard != 0 {
 		if *maxcard < 1 {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -201,6 +202,40 @@ func TestRunInspectJSON(t *testing.T) {
 	if len(sum.Columns) != 2 || sum.Columns[0].Name != "city" || sum.Columns[0].Type != "cat" ||
 		sum.Columns[1].Name != "temp" || sum.Columns[1].Type != "num" {
 		t.Fatalf("columns = %+v", sum.Columns)
+	}
+}
+
+// TestFloat32ArchiveCLI runs core's committed float32-plan golden through
+// the commands: no writer emits the plan any more, but inspect still names it
+// and decompress still reproduces the committed decode byte for byte.
+func TestFloat32ArchiveCLI(t *testing.T) {
+	fixture := filepath.Join("..", "..", "internal", "core", "testdata", "f32_v2")
+	wantCSV, err := os.ReadFile(fixture + ".csv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := captureStdout(t, func() error { return runInspect([]string{"-in", fixture + ".dsqz"}) })
+	if !strings.Contains(string(out), "float32 decode plan") {
+		t.Fatalf("inspect does not name the float32 plan:\n%s", out)
+	}
+	out = captureStdout(t, func() error { return runInspect([]string{"-in", fixture + ".dsqz", "-json"}) })
+	var sum deepsqueeze.ArchiveSummary
+	if err := json.Unmarshal(out, &sum); err != nil {
+		t.Fatalf("inspect -json emitted invalid JSON: %v\n%s", err, out)
+	}
+	if !sum.Float32Decode || !strings.Contains(string(out), `"float32_decode": true`) {
+		t.Fatalf("inspect -json does not report the float32 plan:\n%s", out)
+	}
+	csvPath := filepath.Join(t.TempDir(), "f32.csv")
+	if err := runDecompress(context.Background(), []string{"-in", fixture + ".dsqz", "-out", csvPath}); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(csvPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, wantCSV) {
+		t.Fatal("decompress of the float32 fixture differs from its committed CSV")
 	}
 }
 

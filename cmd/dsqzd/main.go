@@ -54,7 +54,6 @@ func main() {
 	conc := flag.Int("concurrency", 0, "max queries decoding at once (0 = all CPUs)")
 	queue := flag.Int("queue", 0, "max queries waiting for a slot (0 = 4x concurrency, negative = none)")
 	parallel := flag.Int("p", 0, "worker-pool parallelism shared by all queries (0 = all CPUs)")
-	f32 := flag.Bool("f32", true, "serve archives whose plan mandates float32 decode (set to false to refuse them)")
 	blockcache := flag.String("blockcache", "0", "decoded-block cache budget, e.g. 256M or 1G (0 = disabled)")
 	drain := flag.Duration("drain", 30*time.Second, "shutdown grace period for in-flight queries")
 	flag.Parse()
@@ -68,7 +67,6 @@ func main() {
 		MaxConcurrent:   *conc,
 		MaxQueue:        *queue,
 		Parallelism:     *parallel,
-		NoFloat32:       !*f32,
 		BlockCacheBytes: blockBytes,
 	})
 	if err != nil {

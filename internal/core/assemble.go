@@ -20,8 +20,7 @@ type archiveState struct {
 	md       *modelData
 	autoenc  []*nn.Autoencoder // nil when the table has no model
 	decoders []*nn.Decoder
-	decs32   []*nn.Decoder32 // float32 views when the archive carries flagFloat32
-	codeDims [][]int64       // per dimension, stored order
+	codeDims [][]int64 // per dimension, stored order
 	codeBits int
 	codeSize int
 	fs       failureSet
@@ -219,11 +218,6 @@ func (st *archiveState) flags(opts Options) byte {
 	}
 	if !opts.NoZoneMaps {
 		flags |= flagZoneMaps
-	}
-	if st.decs32 != nil {
-		// Decode precision is a per-archive contract: the flag tells every
-		// reader that the stored corrections assume float32 inference.
-		flags |= flagFloat32
 	}
 	if planHasResidual(st.md.plan) {
 		// Advisory: residual columns also mark the plan itself (a new

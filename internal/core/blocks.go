@@ -52,7 +52,7 @@ func (a *Archive) NumGroups() int { return len(a.meta.groups) }
 func (a *Archive) GroupRows(g int) int { return a.meta.groups[g].count }
 
 // DecodeFlags returns the archive's header flag byte — the per-archive plan
-// flags (row order, grouping, zone maps, Float32Decode) that determine how
+// flags (row order, grouping, zone maps, float32 decode) that determine how
 // its bytes decode. Two archives with identical content but different flags
 // decode differently, so block-cache keys include it.
 func (a *Archive) DecodeFlags() byte { return a.meta.flags }

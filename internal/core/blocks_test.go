@@ -14,9 +14,8 @@ import (
 	"deepsqueeze/internal/dataset"
 )
 
-// blocksTestArchive compresses a small multi-group table; float32 selects the
-// Float32Decode plan flag so both decode-precision contracts are covered.
-func blocksTestArchive(t *testing.T, float32Plan bool) ([]byte, *dataset.Table) {
+// blocksTestArchive compresses a small multi-group table.
+func blocksTestArchive(t *testing.T) ([]byte, *dataset.Table) {
 	t.Helper()
 	schema := dataset.NewSchema(
 		dataset.Column{Name: "tag", Type: dataset.Categorical},
@@ -37,7 +36,6 @@ func blocksTestArchive(t *testing.T, float32Plan bool) ([]byte, *dataset.Table) 
 	opts.Train.Epochs = 2
 	opts.TrainSampleRows = 256
 	opts.RowGroupSize = 64
-	opts.Float32Decode = float32Plan
 	res, err := Compress(tb, []float64{0, 0.001, 0.01}, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -46,85 +44,83 @@ func blocksTestArchive(t *testing.T, float32Plan bool) ([]byte, *dataset.Table) 
 }
 
 // TestDecodeBlocksMatchesFullDecode checks every (group, column) block equals
-// the corresponding span of a full decompression, for both precision plans
-// and several group/column subsets — and that every block owns a backing
-// array of exactly its own length that overlaps no other block's, charged
-// at the cache's accounting rate (assemble writes blocks in place, so no
+// the corresponding span of a full decompression, for several group/column
+// subsets — and that every block owns a backing array of exactly its own
+// length that overlaps no other block's, charged at the cache's accounting
+// rate (assemble writes blocks in place, so no
 // copy guarantees this any more).
 func TestDecodeBlocksMatchesFullDecode(t *testing.T) {
-	for _, f32 := range []bool{false, true} {
-		archive, _ := blocksTestArchive(t, f32)
-		a, err := Open(archive)
+	archive, _ := blocksTestArchive(t)
+	a, err := Open(archive)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := Decompress(archive)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ngroups := a.NumGroups()
+	if ngroups != 8 {
+		t.Fatalf("%d groups, want 8", ngroups)
+	}
+	starts := make([]int, ngroups+1)
+	for g := 0; g < ngroups; g++ {
+		starts[g+1] = starts[g] + a.GroupRows(g)
+	}
+	cases := []struct {
+		groups, cols []int
+	}{
+		{[]int{0}, []int{0}},
+		{[]int{0, 1, 2, 3, 4, 5, 6, 7}, []int{0, 1, 2}},
+		{[]int{2, 5}, []int{1}},
+		{[]int{7}, []int{0, 2}},
+	}
+	for _, tc := range cases {
+		blocks, err := a.DecodeBlocks(context.Background(), tc.groups, tc.cols, nil)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("DecodeBlocks(%v,%v): %v", tc.groups, tc.cols, err)
 		}
-		full, err := Decompress(archive)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ngroups := a.NumGroups()
-		if ngroups != 8 {
-			t.Fatalf("f32=%v: %d groups, want 8", f32, ngroups)
-		}
-		starts := make([]int, ngroups+1)
-		for g := 0; g < ngroups; g++ {
-			starts[g+1] = starts[g] + a.GroupRows(g)
-		}
-		cases := []struct {
-			groups, cols []int
-		}{
-			{[]int{0}, []int{0}},
-			{[]int{0, 1, 2, 3, 4, 5, 6, 7}, []int{0, 1, 2}},
-			{[]int{2, 5}, []int{1}},
-			{[]int{7}, []int{0, 2}},
-		}
-		for _, tc := range cases {
-			blocks, err := a.DecodeBlocks(context.Background(), tc.groups, tc.cols, nil)
-			if err != nil {
-				t.Fatalf("f32=%v DecodeBlocks(%v,%v): %v", f32, tc.groups, tc.cols, err)
-			}
-			type span struct{ lo, hi uintptr }
-			var owned []span
-			for gi, g := range tc.groups {
-				for ci, c := range tc.cols {
-					b := blocks[gi][ci]
-					var sp span
-					wantBytes := int64(24)
+		type span struct{ lo, hi uintptr }
+		var owned []span
+		for gi, g := range tc.groups {
+			for ci, c := range tc.cols {
+				b := blocks[gi][ci]
+				var sp span
+				wantBytes := int64(24)
+				if b.Str != nil {
+					sp.lo = uintptr(unsafe.Pointer(unsafe.SliceData(b.Str)))
+					sp.hi = sp.lo + uintptr(cap(b.Str))*unsafe.Sizeof("")
+					for _, v := range b.Str {
+						wantBytes += 16 + int64(len(v))
+					}
+				} else {
+					sp.lo = uintptr(unsafe.Pointer(unsafe.SliceData(b.Num)))
+					sp.hi = sp.lo + uintptr(cap(b.Num))*8
+					wantBytes += 8 * int64(len(b.Num))
+				}
+				if cap(b.Str) != len(b.Str) || cap(b.Num) != len(b.Num) {
+					t.Fatalf("group %d col %d: block is a prefix of a larger array", g, c)
+				}
+				for _, o := range owned {
+					if sp.lo < o.hi && o.lo < sp.hi {
+						t.Fatalf("group %d col %d: backing array overlaps another block's", g, c)
+					}
+				}
+				owned = append(owned, sp)
+				if b.Bytes() != wantBytes {
+					t.Fatalf("group %d col %d: Bytes() = %d, want %d", g, c, b.Bytes(), wantBytes)
+				}
+				if b.Len() != a.GroupRows(g) {
+					t.Fatalf("group %d col %d: %d rows, want %d", g, c, b.Len(), a.GroupRows(g))
+				}
+				for i := 0; i < b.Len(); i++ {
+					r := starts[g] + i
 					if b.Str != nil {
-						sp.lo = uintptr(unsafe.Pointer(unsafe.SliceData(b.Str)))
-						sp.hi = sp.lo + uintptr(cap(b.Str))*unsafe.Sizeof("")
-						for _, v := range b.Str {
-							wantBytes += 16 + int64(len(v))
+						if b.Str[i] != full.Str[c][r] {
+							t.Fatalf("group %d col %d row %d: %q != %q", g, c, i, b.Str[i], full.Str[c][r])
 						}
-					} else {
-						sp.lo = uintptr(unsafe.Pointer(unsafe.SliceData(b.Num)))
-						sp.hi = sp.lo + uintptr(cap(b.Num))*8
-						wantBytes += 8 * int64(len(b.Num))
-					}
-					if cap(b.Str) != len(b.Str) || cap(b.Num) != len(b.Num) {
-						t.Fatalf("f32=%v group %d col %d: block is a prefix of a larger array", f32, g, c)
-					}
-					for _, o := range owned {
-						if sp.lo < o.hi && o.lo < sp.hi {
-							t.Fatalf("f32=%v group %d col %d: backing array overlaps another block's", f32, g, c)
-						}
-					}
-					owned = append(owned, sp)
-					if b.Bytes() != wantBytes {
-						t.Fatalf("f32=%v group %d col %d: Bytes() = %d, want %d", f32, g, c, b.Bytes(), wantBytes)
-					}
-					if b.Len() != a.GroupRows(g) {
-						t.Fatalf("f32=%v group %d col %d: %d rows, want %d", f32, g, c, b.Len(), a.GroupRows(g))
-					}
-					for i := 0; i < b.Len(); i++ {
-						r := starts[g] + i
-						if b.Str != nil {
-							if b.Str[i] != full.Str[c][r] {
-								t.Fatalf("f32=%v group %d col %d row %d: %q != %q", f32, g, c, i, b.Str[i], full.Str[c][r])
-							}
-						} else if b.Num[i] != full.Num[c][r] {
-							t.Fatalf("f32=%v group %d col %d row %d: %v != %v", f32, g, c, i, b.Num[i], full.Num[c][r])
-						}
+					} else if b.Num[i] != full.Num[c][r] {
+						t.Fatalf("group %d col %d row %d: %v != %v", g, c, i, b.Num[i], full.Num[c][r])
 					}
 				}
 			}
@@ -203,7 +199,7 @@ func TestReadersAgreeGroupByGroup(t *testing.T) {
 
 // TestDecodeBlocksValidation checks the ascending/bounds contract errors.
 func TestDecodeBlocksValidation(t *testing.T) {
-	archive, _ := blocksTestArchive(t, false)
+	archive, _ := blocksTestArchive(t)
 	a, err := Open(archive)
 	if err != nil {
 		t.Fatal(err)

@@ -132,12 +132,6 @@ func decide(run *pipeline.Run, t *dataset.Table, md *modelData, opts Options,
 		for e, ae := range experts {
 			st.decoders[e] = &ae.Decoder
 		}
-		if opts.Float32Decode {
-			// The archive will carry flagFloat32, so the stored corrections
-			// must be computed against the same float32 inference the decoder
-			// side will replay.
-			st.decs32 = nn.Decoders32(st.decoders)
-		}
 		err := run.Stage("encode", func() error {
 			var err error
 			codesF, err = encodeCodes(run, experts, assign, md.x)

@@ -56,7 +56,7 @@ const (
 	flagRowOrder      byte = 1 << 2 // original row order recoverable
 	flagExternalModel byte = 1 << 3 // decoders live in a separate model archive
 	flagZoneMaps      byte = 1 << 4 // per-group zone-map stats chunk present
-	flagFloat32       byte = 1 << 5 // failure streams computed against float32 inference
+	flagFloat32       byte = 1 << 5 // failure streams computed against float32 inference (read only: no writer sets it)
 	flagResidual      byte = 1 << 6 // plan routes high-cardinality categoricals as residual digits
 )
 

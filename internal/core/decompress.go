@@ -474,15 +474,8 @@ func (d *decompressor) unpack() (int64, error) {
 		// decoders when it read the archive prefix. Either way the chunk's
 		// bytes count as decoded work for the request that loads them.
 		if d.h != nil && d.ext == nil {
-			add(d.meta.decoderChunk, func() error {
-				decs, err := d.h.decoders()
-				if err != nil {
-					return err
-				}
-				d.decoders = decs
-				if d.meta.flags&flagFloat32 != 0 {
-					d.decs32, err = d.h.decoders32()
-				}
+			add(d.meta.decoderChunk, func() (err error) {
+				d.decoders, d.decs32, err = d.h.decoders()
 				return err
 			})
 		} else {
@@ -591,23 +584,25 @@ func (d *decompressor) unpackDecoders() error {
 		if err := checkDecoderShapes(d.decoders, d.meta.codeSize, d.meta.layout.specs); err != nil {
 			return err
 		}
-		return d.narrowDecoders()
+	} else {
+		decoders, err := parseCheckedDecoders(d.meta.decoderChunk, d.meta.numExperts, d.meta.codeSize, d.meta.layout.specs)
+		if err != nil {
+			return err
+		}
+		d.decoders = decoders
 	}
-	decoders, err := parseCheckedDecoders(d.meta.decoderChunk, d.meta.numExperts, d.meta.codeSize, d.meta.layout.specs)
-	if err != nil {
-		return err
-	}
-	d.decoders = decoders
-	return d.narrowDecoders()
+	d.decs32 = d.meta.narrow(d.decoders)
+	return nil
 }
 
-// narrowDecoders builds the float32 decoder views an archive carrying
-// flagFloat32 decodes through; a no-op otherwise.
-func (d *decompressor) narrowDecoders() error {
-	if d.meta.flags&flagFloat32 != 0 {
-		d.decs32 = nn.Decoders32(d.decoders)
+// narrow returns the float32 views of decoders that an archive carrying
+// flagFloat32 decodes through, nil otherwise. No writer sets the flag any
+// more; the archives that carry it still decode bit for bit (DESIGN.md §15).
+func (m *archiveMeta) narrow(decoders []*nn.Decoder) []*nn.Decoder32 {
+	if m.flags&flagFloat32 == 0 {
+		return nil
 	}
-	return nil
+	return nn.Decoders32(decoders)
 }
 
 // parseCheckedDecoders inflates a decoder section and validates every

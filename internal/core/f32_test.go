@@ -2,185 +2,104 @@ package core
 
 import (
 	"bytes"
+	"context"
+	"os"
+	"path/filepath"
 	"runtime"
 	"testing"
-	"testing/quick"
 
 	"deepsqueeze/internal/dataset"
+	"deepsqueeze/internal/pipeline"
 )
 
-// f32Opts is quickOpts with the per-archive float32-decode plan flag set.
-func f32Opts() Options {
-	o := quickOpts()
-	o.Float32Decode = true
-	return o
-}
+// No writer emits the float32 decode plan any more (DESIGN.md §15); the
+// committed f32_v2 golden is the archive that carries it, and these tests
+// read it through every reader.
 
-// tableCSV renders a table for byte-identity comparisons.
-func tableCSV(t *testing.T, tb *dataset.Table) []byte {
+// f32Fixture returns the committed float32-plan archive and its decode.
+func f32Fixture(t *testing.T) (archive, wantCSV []byte) {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := tb.WriteCSV(&buf); err != nil {
+	archive, err := os.ReadFile(filepath.Join("testdata", "f32_v2.dsqz"))
+	if err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	wantCSV, err = os.ReadFile(filepath.Join("testdata", "f32_v2.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return archive, wantCSV
 }
 
-// A float32-plan archive must round-trip within the same per-column error
-// bounds as the float64 plan: corrections are computed against the same
-// float32 inference decode replays, so precision never leaks into accuracy.
+// A float32-plan archive decodes to what its writer decoded, and the plan
+// flag is surfaced on every metadata path.
 func TestFloat32RoundTrip(t *testing.T) {
-	tb := latentTable(1200, 81)
-	thr := []float64{0, 0, 0.05, 0.05, 0}
-	for _, experts := range []int{1, 2} {
-		opts := f32Opts()
-		opts.NumExperts = experts
-		res, got := roundTrip(t, tb, thr, opts)
-		if err := tb.EqualWithin(got, tolerances(tb, thr)); err != nil {
-			t.Fatalf("experts %d: %v", experts, err)
-		}
-		// The plan flag must be recorded and surfaced on every metadata path.
-		info, err := Inspect(res.Archive)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !info.Float32Decode {
-			t.Fatalf("experts %d: Inspect does not report the float32 plan", experts)
-		}
-		if !info.Summary().Float32Decode {
-			t.Fatalf("experts %d: Summary does not report the float32 plan", experts)
-		}
-		a, err := Open(res.Archive)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !a.Float32() {
-			t.Fatalf("experts %d: handle does not report the float32 plan", experts)
-		}
-		// And the default plan must stay off.
-		res64, err := Compress(tb, thr, quickOpts())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if info64, err := Inspect(res64.Archive); err != nil || info64.Float32Decode {
-			t.Fatalf("experts %d: float64 plan flagged as float32 (err %v)", experts, err)
-		}
-	}
-}
-
-// Float32 decode must be bit-identical across parallelism levels and across
-// group-mask subsets: chunking is constant, so the float32 inference stream
-// every row sees is independent of how work is scheduled.
-func TestFloat32DecodeDeterminism(t *testing.T) {
-	opts := f32Opts()
-	opts.NumExperts = 2
-	opts.RowGroupSize = 200
-	tb := latentTable(900, 83)
-	res, err := Compress(tb, []float64{0, 0, 0.1, 0.1, 0}, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	full := decodeOpts(t, res.Archive, DecompressOptions{})
-	fullCSV := tableCSV(t, full)
-	for _, p := range []int{1, 4, runtime.NumCPU()} {
-		got := decodeOpts(t, res.Archive, DecompressOptions{Parallelism: p})
-		if !bytes.Equal(fullCSV, tableCSV(t, got)) {
-			t.Fatalf("parallelism %d decoded a different table", p)
-		}
-	}
-	// Single-group masks, concatenated in group order, must reproduce the
-	// full decode exactly — each at more than one parallelism level.
-	idx, err := ReadIndex(res.Archive)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(idx.Groups) < 2 {
-		t.Fatalf("want a multi-group archive, got %d groups", len(idx.Groups))
-	}
-	stitched := dataset.NewTable(full.Schema, 0)
-	for g := range idx.Groups {
-		mask := make([]bool, len(idx.Groups))
-		mask[g] = true
-		part := decodeOpts(t, res.Archive, DecompressOptions{GroupMask: mask})
-		if !bytes.Equal(tableCSV(t, part),
-			tableCSV(t, decodeOpts(t, res.Archive, DecompressOptions{GroupMask: mask, Parallelism: 4}))) {
-			t.Fatalf("group %d mask decode differs across parallelism", g)
-		}
-		appendRows(stitched, part, 0, part.NumRows())
-	}
-	if !bytes.Equal(fullCSV, tableCSV(t, stitched)) {
-		t.Fatal("stitched single-group decodes differ from the full decode")
-	}
-}
-
-// Property: under the float32 plan, every continuous column still honors its
-// Threshold×Range bound on randomized schemas and data — the satellite
-// error-bound guarantee for the narrow kernels.
-func TestQuickFloat32ErrorBound(t *testing.T) {
-	f := func(seed int64) bool {
-		tb, thresholds, opts := genRandomTable(seed)
-		opts.Float32Decode = true
-		cols := tb.Schema.Columns
-		res, err := Compress(tb, thresholds, opts)
-		if err != nil {
-			t.Logf("seed %d: compress: %v", seed, err)
-			return false
-		}
-		got, err := Decompress(res.Archive)
-		if err != nil {
-			t.Logf("seed %d: decompress: %v", seed, err)
-			return false
-		}
-		stats := tb.Stats()
-		tol := make([]float64, len(cols))
-		for i := range tol {
-			if cols[i].Type == dataset.Numeric {
-				tol[i] = thresholds[i] * (stats[i].Max - stats[i].Min) * (1 + 1e-9)
-			}
-		}
-		if err := tb.EqualWithin(got, tol); err != nil {
-			t.Logf("seed %d: %v", seed, err)
-			return false
-		}
-		return true
-	}
-	cfg := &quick.Config{MaxCount: 8}
-	if testing.Short() {
-		cfg.MaxCount = 3
-	}
-	if err := quick.Check(f, cfg); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// The streaming writer inherits the float32 plan from its pilot compression
-// and the streaming reader replays it, so both halves of the bounded-memory
-// path stay on the per-archive precision contract.
-func TestFloat32Streaming(t *testing.T) {
-	tb := latentTable(700, 85)
-	thr := []float64{0, 0, 0.05, 0.05, 0}
-	opts := f32Opts()
-	opts.RowGroupSize = 250
-	archive, stats := writeStream(t, tb, 170, opts)
-	if stats.Rows != 700 {
-		t.Fatalf("stats %+v", stats)
+	archive, wantCSV := f32Fixture(t)
+	if got := csvBytes(t, decodeOpts(t, archive, DecompressOptions{})); !bytes.Equal(got, wantCSV) {
+		t.Fatal("float32 fixture decoded differently than when committed")
 	}
 	info, err := Inspect(archive)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !info.Float32Decode {
-		t.Fatal("streamed archive lost the float32 plan flag")
+		t.Fatal("Inspect does not report the float32 plan")
 	}
-	tol := tolerances(tb, thr)
-	got, err := Decompress(archive)
+	if !info.Summary().Float32Decode {
+		t.Fatal("Summary does not report the float32 plan")
+	}
+}
+
+// Float32 decode is bit-identical across readers, parallelism levels and
+// group-mask subsets: chunking is constant, so the float32 inference every
+// row sees is independent of how the work is scheduled.
+func TestFloat32DecodeDeterminism(t *testing.T) {
+	archive, wantCSV := f32Fixture(t)
+	a, err := Open(archive)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tb.EqualWithin(got, tol); err != nil {
-		t.Fatalf("in-memory decode: %v", err)
+	if a.NumGroups() < 2 {
+		t.Fatalf("want a multi-group fixture, got %d groups", a.NumGroups())
 	}
-	if err := tb.EqualWithin(readStream(t, archive), tol); err != nil {
-		t.Fatalf("streaming decode: %v", err)
+	cols := make([]int, len(a.Schema().Columns))
+	for c := range cols {
+		cols[c] = c
+	}
+	for _, p := range []int{1, 4, runtime.NumCPU()} {
+		if !bytes.Equal(wantCSV, csvBytes(t, decodeOpts(t, archive, DecompressOptions{Parallelism: p}))) {
+			t.Fatalf("parallelism %d: Decompress decoded a different table", p)
+		}
+		stitched := dataset.NewTable(a.Schema(), 0)
+		pool := pipeline.NewPool(p)
+		for g := 0; g < a.NumGroups(); g++ {
+			mask := make([]bool, a.NumGroups())
+			mask[g] = true
+			part := decodeOpts(t, archive, DecompressOptions{GroupMask: mask, Parallelism: p})
+			blocks, err := a.DecodeBlocks(context.Background(), []int{g}, cols, pool)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for c, col := range a.Schema().Columns {
+				for i := 0; i < part.NumRows(); i++ {
+					if col.Type == dataset.Categorical && blocks[0][c].Str[i] != part.Str[c][i] ||
+						col.Type == dataset.Numeric && blocks[0][c].Num[i] != part.Num[c][i] {
+						t.Fatalf("parallelism %d group %d col %d row %d: DecodeBlocks differs from the mask decode", p, g, c, i)
+					}
+				}
+			}
+			appendRows(stitched, part, 0, part.NumRows())
+		}
+		if !bytes.Equal(wantCSV, csvBytes(t, stitched)) {
+			t.Fatalf("parallelism %d: stitched single-group decodes differ from the full decode", p)
+		}
+	}
+}
+
+// The streaming reader replays the float32 plan group by group, to the same
+// bytes as the in-memory decode.
+func TestFloat32Streaming(t *testing.T) {
+	archive, wantCSV := f32Fixture(t)
+	if !bytes.Equal(wantCSV, csvBytes(t, readStream(t, archive))) {
+		t.Fatal("ArchiveReader decoded the float32 fixture differently")
 	}
 }

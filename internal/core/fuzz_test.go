@@ -53,8 +53,8 @@ func refreshCRC(data []byte) []byte {
 // fuzzSeedArchives compresses a few tiny tables covering the format's
 // branches: plain, mixture of experts, multi-group, empty, streamed (later
 // groups carry plan overrides, the shape nearly every production segment
-// has), an external-model batch — plus a frozen v1 golden fixture so
-// mutations explore the legacy decode path too.
+// has), an external-model batch — plus two frozen golden fixtures, v1 and
+// the float32 plan, so mutations explore those decode paths too.
 func fuzzSeedArchives(tb testing.TB) [][]byte {
 	tb.Helper()
 	opts := quickOpts()
@@ -74,9 +74,13 @@ func fuzzSeedArchives(tb testing.TB) [][]byte {
 	grouped := opts
 	grouped.RowGroupSize = 25
 	add(Compress(latentTable(60, 54), []float64{0, 0, 0.1, 0.1, 0}, grouped))
-	f32 := opts
-	f32.Float32Decode = true
-	add(Compress(latentTable(60, 55), []float64{0, 0, 0.1, 0.1, 0}, f32))
+	// The committed float32-plan golden: no writer emits the plan any more,
+	// but its decode path stays open to mutations.
+	f32, err := os.ReadFile(filepath.Join("testdata", "f32_v2.dsqz"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	seeds = append(seeds, f32)
 	// A skewed categorical table range-codes its failure streams, so
 	// mutations reach the range-frame decoder (headers, CPT tables, coder
 	// body) rather than only the stored/DEFLATE paths.

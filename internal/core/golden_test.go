@@ -18,12 +18,13 @@ var updateGolden = flag.Bool("update", false, "regenerate version-2 golden archi
 // options it was compressed with, and the fixture's base name under
 // testdata/. The committed .dsqz bytes are the format-stability contract:
 // decoder changes must keep decoding them to the committed .csv exactly.
-// Version-1 fixtures are frozen — the writer no longer emits v1, so they
-// can never be regenerated; -update rewrites only the v2 fixtures.
+// Version-1 fixtures and f32_v2 are frozen — the writer no longer emits v1
+// or the float32 plan, so they can never be regenerated; -update rewrites
+// only the v2 fixtures that have a builder.
 type goldenCase struct {
 	name    string
 	version byte
-	build   func() (*dataset.Table, []float64, Options)
+	build   func() (*dataset.Table, []float64, Options) // nil: frozen v2 fixture
 	// writeRows, when positive, regenerates the fixture through an
 	// ArchiveWriter fed writeRows rows per Write instead of through Compress.
 	writeRows int
@@ -107,16 +108,13 @@ func goldenCases() []goldenCase {
 		opts.RowGroupSize = 100
 		return latentTable(300, 105), []float64{0, 0, 0.1, 0.1, 0}, opts
 	}})
-	// f32_v2 pins the float32 decode plan: flagFloat32 in the header byte
-	// and a failure stream computed against float32 inference. The committed
-	// bytes freeze the float32 kernel semantics — any change to the f32
-	// matmul accumulation order shows up here as a decode mismatch.
-	cases = append(cases, goldenCase{name: "f32_v2", version: 2, build: func() (*dataset.Table, []float64, Options) {
-		opts := goldenOpts(2)
-		opts.RowGroupSize = 100
-		opts.Float32Decode = true
-		return latentTable(300, 106), []float64{0, 0, 0.1, 0.1, 0}, opts
-	}})
+	// f32_v2 pins the float32 decode plan, which writers emitted until they
+	// stopped (DESIGN.md §15): flagFloat32 in the header byte and failure
+	// streams computed against float32 inference, 300 rows of latentTable
+	// seed 106 at goldenOpts(2) and 100-row groups. The committed bytes freeze
+	// the float32 kernel semantics — any change to the f32 matmul
+	// accumulation order shows up here as a decode mismatch.
+	cases = append(cases, goldenCase{name: "f32_v2", version: 2})
 	// entropy_v2 pins the stream-codec layer under default (auto) selection:
 	// a heavily skewed categorical fixture whose failure streams the best-of
 	// selector range-codes. The committed bytes freeze the range frame format
@@ -192,13 +190,13 @@ func goldenOpts(experts int) Options {
 // byte-for-byte to its committed .csv — v1 fixtures prove the v2 reader
 // keeps decoding legacy archives identically. Run with -update to
 // regenerate the v2 fixtures after a deliberate, versioned format change;
-// v1 fixtures are frozen and never rewritten.
+// v1 fixtures and f32_v2 are frozen and never rewritten.
 func TestGoldenArchives(t *testing.T) {
 	for _, gc := range goldenCases() {
 		t.Run(gc.name, func(t *testing.T) {
 			arcPath := filepath.Join("testdata", gc.name+".dsqz")
 			csvPath := filepath.Join("testdata", gc.name+".csv")
-			if *updateGolden && gc.version >= 2 {
+			if *updateGolden && gc.version >= 2 && gc.build != nil {
 				fresh := goldenArchive(t, gc)
 				got, err := Decompress(fresh)
 				if err != nil {

@@ -185,11 +185,8 @@ type Archive struct {
 
 	decOnce sync.Once
 	decs    []*nn.Decoder
+	decs32  []*nn.Decoder32 // float32 views, for archives carrying flagFloat32
 	decErr  error
-
-	dec32Once sync.Once
-	decs32    []*nn.Decoder32
-	dec32Err  error
 
 	infer inferPool
 }
@@ -234,11 +231,6 @@ func (a *Archive) Size() int { return len(a.meta.raw) }
 // cannot decode it alone).
 func (a *Archive) External() bool { return a.meta.flags&flagExternalModel != 0 }
 
-// Float32 reports whether the archive's plan mandates float32 decode
-// (flagFloat32): its stored corrections assume float32 inference, so every
-// reader — including this handle — replays the float32 kernel path.
-func (a *Archive) Float32() bool { return a.meta.flags&flagFloat32 != 0 }
-
 // Info returns the archive's metadata summary (what Inspect reports),
 // built from the already-parsed header and footer.
 func (a *Archive) Info() *ArchiveInfo { return a.meta.info() }
@@ -258,8 +250,10 @@ func (a *Archive) Index() (*ArchiveIndex, error) {
 // and caches the parsed experts, their weights packed — the open-once
 // amortization that makes a warm handle cheap to query. Decoders are read-only
 // during inference (its memory is the caller's), so the cached slice is
-// shared across concurrent requests.
-func (a *Archive) decoders() ([]*nn.Decoder, error) {
+// shared across concurrent requests. An archive carrying flagFloat32 also
+// gets the experts' float32 views, which its decode runs through; nil
+// otherwise.
+func (a *Archive) decoders() ([]*nn.Decoder, []*nn.Decoder32, error) {
 	a.decOnce.Do(func() {
 		m := a.meta
 		if !m.hasModel {
@@ -270,23 +264,9 @@ func (a *Archive) decoders() ([]*nn.Decoder, error) {
 			return
 		}
 		a.decs, a.decErr = parseCheckedDecoders(m.decoderChunk, m.numExperts, m.codeSize, m.layout.specs)
+		a.decs32 = m.narrow(a.decs)
 	})
-	return a.decs, a.decErr
-}
-
-// decoders32 narrows the cached decoders into their float32 views on first
-// call — the decode path for archives carrying flagFloat32. Like the float64
-// cache, the views are read-only during inference and shared across requests.
-func (a *Archive) decoders32() ([]*nn.Decoder32, error) {
-	a.dec32Once.Do(func() {
-		decs, err := a.decoders()
-		if err != nil {
-			a.dec32Err = err
-			return
-		}
-		a.decs32 = nn.Decoders32(decs)
-	})
-	return a.decs32, a.dec32Err
+	return a.decs, a.decs32, a.decErr
 }
 
 // Decompress reconstructs the table (or the projection opts selects) against

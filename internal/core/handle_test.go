@@ -172,26 +172,33 @@ func TestHandleIndexMatchesReadIndex(t *testing.T) {
 }
 
 // TestHandleDecodersParsedOnce checks the decoder section is inflated
-// exactly once per handle no matter how many requests need the model.
+// exactly once per handle no matter how many requests need the model, and
+// that the float32 views exist, narrowed in the same parse, only for an
+// archive carrying the float32 plan.
 func TestHandleDecodersParsedOnce(t *testing.T) {
-	archive := groupedArchive(t, 300)
-	a, err := Open(archive)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d1, err := a.decoders()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := a.Decompress(DecompressOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	d2, err := a.decoders()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(d1) == 0 || &d1[0] != &d2[0] {
-		t.Fatal("decoder slice reparsed between requests; want one cached parse")
+	f32, _ := f32Fixture(t)
+	for name, archive := range map[string][]byte{"float64": groupedArchive(t, 300), "float32": f32} {
+		a, err := Open(archive)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d1, v1, err := a.decoders()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := a.Decompress(DecompressOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		d2, v2, err := a.decoders()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(d1) == 0 || &d1[0] != &d2[0] {
+			t.Fatalf("%s: decoder slice reparsed between requests; want one cached parse", name)
+		}
+		if (v1 != nil) != (name == "float32") || (v1 != nil && (len(v1) != len(d1) || &v1[0] != &v2[0])) {
+			t.Fatalf("%s: float32 views %v then %v for %d decoders", name, v1, v2, len(d1))
+		}
 	}
 }
 

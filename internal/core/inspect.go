@@ -42,7 +42,8 @@ type ArchiveInfo struct {
 	HasZoneMaps bool
 	// Float32Decode reports whether the archive's failure streams were
 	// computed against float32 decoder inference (flagFloat32): every
-	// reader decodes it through the float32 kernel path.
+	// reader decodes it through the float32 kernel path. Only archives from
+	// earlier writers carry it.
 	Float32Decode bool
 	// DecoderBytes is the stored decoder section's size: the compressed
 	// model weights (32 for a streaming batch archive's model hash; 0 when

@@ -209,7 +209,7 @@ func newFailureSet(md *modelData, n int) failureSet {
 // writer's later groups all price or emit their rows through it.
 func groupStreams(run *pipeline.Run, t *dataset.Table, st *archiveState, stored *mat.Matrix, perm []int, bits int) ([][]int64, failureSet, error) {
 	dims, rec := quantizeCodes(stored, bits)
-	fs, err := computeFailures(run, t, st.md, st.decoders, st.decs32, st.assign, rec, perm)
+	fs, err := computeFailures(run, t, st.md, st.decoders, st.assign, rec, perm)
 	return dims, fs, err
 }
 
@@ -239,12 +239,10 @@ func queue[T any](pv []posVal[T]) []T {
 // fan-out, so workers only read it), and the sparse exception /
 // continuous-correction queues are collected per expert and merged by stored
 // position afterwards — the result is identical at every parallelism level.
-// decs32, when non-nil, routes inference through the float32 decoder views
-// (positionally parallel to decoders) so the stored corrections match what a
-// float32 decode will predict; nil keeps the float64 path. t supplies the raw
-// values mispredicted continuous tuples store as corrections.
+// Inference is float64: no writer emits the float32 plan (DESIGN.md §15). t
+// supplies the raw values mispredicted continuous tuples store as corrections.
 func computeFailures(run *pipeline.Run, t *dataset.Table, md *modelData, decoders []*nn.Decoder,
-	decs32 []*nn.Decoder32, assign []int, recCodes *mat.Matrix, perm []int) (failureSet, error) {
+	assign []int, recCodes *mat.Matrix, perm []int) (failureSet, error) {
 	fs := newFailureSet(md, len(perm))
 	posBy := expertPositions(assign, perm, len(decoders))
 	perExcepts := make([]map[int][]posVal[int64], len(decoders))
@@ -253,11 +251,7 @@ func computeFailures(run *pipeline.Run, t *dataset.Table, md *modelData, decoder
 		excepts := make(map[int][]posVal[int64])
 		contws := make(map[int][]posVal[float64])
 		dec := decoders[e]
-		var d32 *nn.Decoder32
-		if decs32 != nil {
-			d32 = decs32[e]
-		}
-		expertBatches(new(inferState), dec, d32, nil, recCodes, posBy[e], func(chunk []int, p *nn.Predictions) {
+		expertBatches(new(inferState), dec, nil, nil, recCodes, posBy[e], func(chunk []int, p *nn.Predictions) {
 			for si, spec := range md.specs {
 				col := md.specCols[si]
 				cp := &md.plan.Cols[col]

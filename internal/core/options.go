@@ -60,15 +60,6 @@ type Options struct {
 	// groups and the streaming writer buffers at most one group. 0 selects
 	// defaultRowGroupSize.
 	RowGroupSize int
-	// Float32Decode records flagFloat32 in the archive header: failure
-	// streams are computed against float32 decoder inference, and every
-	// reader replays the same float32 path. Decode precision is therefore a
-	// per-archive contract — a given archive always decodes bit-identically
-	// regardless of reader version or parallelism — and the lossy error
-	// bound (Threshold×Range) holds at either precision because corrections
-	// are stored wherever the chosen-precision prediction misses. Default
-	// off: archives stay byte-identical to prior releases.
-	Float32Decode bool
 	// NoZoneMaps disables the per-row-group zone-map statistics chunk
 	// (format v2). Zone maps are on by default: they cost a few bytes per
 	// group × column and let Query prune row groups whose min/max bounds or

@@ -259,7 +259,7 @@ func modelFromArchive(archive []byte) (*providedModel, error) {
 	if !a.meta.hasModel {
 		return nil, fmt.Errorf("%w: model archive has no model section", ErrCorrupt)
 	}
-	decoders, err := a.decoders()
+	decoders, _, err := a.decoders()
 	if err != nil {
 		return nil, err
 	}

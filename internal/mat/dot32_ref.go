@@ -6,12 +6,12 @@ import "fmt"
 // archives under the float32 plan decode identically on every platform
 // (DESIGN.md §15): products accumulate into four interleaved partial sums
 // (lane j holds terms j, j+4, j+8, …), the k%4 remainder folds into lane 0,
-// and the lanes reduce pairwise as (s0+s2) + (s1+s3). mulTRowRef is the
-// portable statement of that contract; the amd64 SSE kernel implements the
-// same order with packed instructions and is pinned bit-identical to this
-// function by TestMulTRow32MatchesPortableSpec. Every product is rounded to
-// float32 before it is added (the explicit conversions forbid the fused
-// multiply-add some targets would otherwise emit), as MULPS/ADDPS do.
+// and the lanes reduce pairwise as (s0+s2) + (s1+s3). mulTRowRef is that
+// contract and the only kernel that runs it: no writer emits the float32 plan
+// any more, so its archives decode through this portable loop on every
+// platform, and the committed f32_v2 golden pins it. Every product is rounded
+// to float32 before it is added (the explicit conversions forbid the fused
+// multiply-add some targets would otherwise emit).
 
 // mulTRowRef computes crow[o] = dot(arow, b.Row(o)) for every o under the
 // fixed 4-lane accumulation order.

@@ -17,9 +17,9 @@ import "fmt"
 // b.Rows and must not alias a or b. Serial and allocation-free; returns c.
 //
 // Every Dense32 inference is one of these, so each output row goes through
-// mulTRow32 — the packed-SSE dot kernel on amd64, the portable 4-lane loop
-// elsewhere. The lane contract is part of the archive format: float32-plan
-// failure streams are computed against it, so it can never change.
+// mulTRowRef, the portable 4-lane loop, on every platform. The lane contract
+// is part of the archive format: float32-plan failure streams were computed
+// against it, so it can never change.
 func MulTInto32(a, b, c *Matrix32) *Matrix32 {
 	if a.Cols != b.Cols {
 		panic(fmt.Sprintf("mat: MulTInto32 dimension mismatch %dx%d * (%dx%d)ᵀ", a.Rows, a.Cols, b.Rows, b.Cols))
@@ -28,7 +28,7 @@ func MulTInto32(a, b, c *Matrix32) *Matrix32 {
 		panic(fmt.Sprintf("mat: MulTInto32 output %dx%d, want %dx%d", c.Rows, c.Cols, a.Rows, b.Rows))
 	}
 	for i := 0; i < a.Rows; i++ {
-		mulTRow32(a.Row(i), b, c.Row(i))
+		mulTRowRef(a.Row(i), b, c.Row(i))
 	}
 	return c
 }

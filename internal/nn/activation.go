@@ -4,8 +4,8 @@
 // with a parameter-sharing categorical output head (paper §5.1), and a
 // sparsely-gated mixture of experts (paper §5.2). Training is float64 only;
 // inference exists at both widths — Decoder.PredictInto, and
-// Decoder32.PredictInto for archives written under the float32 decode plan
-// (DESIGN.md §15) — and
+// Decoder32.PredictInto for archives written under the float32 decode plan,
+// which readers still decode and writers no longer emit (DESIGN.md §15) — and
 // everything is deterministic given a seed, which the materialization
 // contract relies on.
 package nn

@@ -13,7 +13,7 @@ import (
 // blockKey identifies one cached decoded block. id is the owning handle's
 // epoch (a fresh id is minted every time a path is (re)opened, so a file
 // swapped on disk can never serve stale blocks); flags is the archive's plan
-// flag byte (row order, grouping, Float32Decode — the knobs that change how
+// flag byte (row order, grouping, float32 decode — the knobs that change how
 // identical bytes decode); group and col address the block.
 type blockKey struct {
 	id    uint64

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -245,9 +246,14 @@ func TestBlockCacheMixedWorkloadInvalidation(t *testing.T) {
 	dir := t.TempDir()
 	oldBytes, newBytes := testArchive(t), altArchive(t)
 	mutable := writeArchive(t, dir, "m.dsqz")
-	f32path := f32Archive(t, dir)
-	f32bytes, err := os.ReadFile(f32path)
+	// The float32-plan variant is core's committed golden: no writer emits
+	// the plan any more.
+	f32bytes, err := os.ReadFile(filepath.Join("..", "core", "testdata", "f32_v2.dsqz"))
 	if err != nil {
+		t.Fatal(err)
+	}
+	f32path := filepath.Join(dir, "f32.dsqz")
+	if err := os.WriteFile(f32path, f32bytes, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -257,8 +263,8 @@ func TestBlockCacheMixedWorkloadInvalidation(t *testing.T) {
 
 	mq := mixedQueries()
 	f32q := []query.Options{
-		{Where: query.Ge("seq", 200)},
-		{Where: query.Lt("seq", 128), Aggs: []query.AggOp{{Kind: query.AggSum, Col: "seq"}}},
+		{Where: query.Ge("m1", 50)},
+		{Where: query.Lt("m2", 40), Aggs: []query.AggOp{{Kind: query.AggSum, Col: "m1"}}},
 	}
 	wantOld := make([]string, len(mq))
 	wantNew := make([]string, len(mq))

@@ -48,12 +48,6 @@ type Config struct {
 	// over. <= 0 selects runtime.NumCPU().
 	Parallelism int
 
-	// NoFloat32 refuses archives whose plan mandates float32 decode
-	// (an operator policy switch: such archives decode through the float32
-	// kernel path, which a fleet may want to gate on explicitly). Default
-	// off: float32-plan archives are served like any other.
-	NoFloat32 bool
-
 	// BlockCacheBytes, when positive, enables the decoded-block cache: a
 	// byte-budgeted LRU of immutable per-(row group, column) decoded blocks
 	// shared across queries and archives. Repeat queries over warm groups
@@ -290,10 +284,6 @@ func (s *Server) Query(ctx context.Context, path string, opts query.Options) (*q
 	if err != nil {
 		s.recordError(path)
 		return nil, err
-	}
-	if s.cfg.NoFloat32 && a.Float32() {
-		s.recordError(path)
-		return nil, fmt.Errorf("%s: archive mandates float32 decode, refused by server policy", path)
 	}
 	opts.Pool = s.pool
 	if s.blocks != nil {

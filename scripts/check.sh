@@ -93,12 +93,13 @@ fi
 echo "bounded-memory smoke ok ($csv_bytes CSV bytes under GOMEMLIMIT=8MiB)"
 
 step "portable kernels (-tags noasm)"
-# noasm drops the amd64 assembly, so that the portable float64 and float32
-# loops and the reference exp — what every other architecture runs — compile
-# and are tested on this one: the kernel and model suites (the pinned exp and
-# tanh bits and the softmax pin among them), the golden archives' decode, the
-# rank-to-class pin, and tables compressed by both builds into the same bytes.
-# Without -race: the step above has raced this code already.
+# noasm drops the amd64 assembly, so that the portable float64 loops and the
+# reference exp — what every other architecture runs — compile and are tested
+# on this one: the kernel and model suites (the pinned exp and tanh bits and
+# the softmax pin among them), the golden archives' decode (f32_v2's through
+# the float32 loop, which has no assembly to drop), the rank-to-class pin, and
+# tables compressed by both builds into the same bytes. Without -race: the
+# step above has raced this code already.
 go test -tags noasm ./internal/mat ./internal/nn
 go test -tags noasm -run 'Golden|^TestClassAtRankMatchesReference$' ./internal/core
 go build -tags noasm -o "$smokedir/dsqz-noasm" ./cmd/dsqz
@@ -109,26 +110,19 @@ for b in dsqz dsqz-noasm; do
 done
 cmp "$smokedir/small-dsqz.dsqz" "$smokedir/small-dsqz-noasm.dsqz"
 # A categorical-heavy table — 68 Census columns: the auxiliary layer's tanh,
-# the shared stack's ReLU passes and a softmax per column — under both decode
-# plans. Each plan's archives from the two builds must match, and the noasm
-# binary must decode the asm build's archive to the asm decode's bytes.
+# the shared stack's ReLU passes and a softmax per column. The archives from
+# the two builds must match, and the noasm binary must decode the asm build's
+# archive to the asm decode's bytes.
 go build -o "$smokedir/dsgen" ./cmd/dsgen
 "$smokedir/dsgen" -dataset census -rows 1000 > "$smokedir/census.csv"
 census_schema=$(head -n 1 "$smokedir/census.csv" | sed 's/,/:cat,/g; s/$/:cat/')
-for plan in f64 f32; do
-    flags=""
-    if [ "$plan" = f32 ]; then
-        flags="-f32 -experts 2"
-    fi
-    for b in dsqz dsqz-noasm; do
-        # shellcheck disable=SC2086 # flags is a word list
-        "$smokedir/$b" compress -in "$smokedir/census.csv" -out "$smokedir/census-$plan-$b.dsqz" \
-            -schema "$census_schema" $flags
-        "$smokedir/$b" decompress -in "$smokedir/census-$plan-dsqz.dsqz" -out "$smokedir/census-$plan-$b.csv"
-    done
-    cmp "$smokedir/census-$plan-dsqz.dsqz" "$smokedir/census-$plan-dsqz-noasm.dsqz"
-    cmp "$smokedir/census-$plan-dsqz.csv" "$smokedir/census-$plan-dsqz-noasm.csv"
+for b in dsqz dsqz-noasm; do
+    "$smokedir/$b" compress -in "$smokedir/census.csv" -out "$smokedir/census-$b.dsqz" \
+        -schema "$census_schema"
+    "$smokedir/$b" decompress -in "$smokedir/census-dsqz.dsqz" -out "$smokedir/census-$b.csv"
 done
+cmp "$smokedir/census-dsqz.dsqz" "$smokedir/census-dsqz-noasm.dsqz"
+cmp "$smokedir/census-dsqz.csv" "$smokedir/census-dsqz-noasm.csv"
 
 step "benchmark smoke"
 # One iteration of the training and categorical-inference benchmarks (the repo
@@ -211,9 +205,8 @@ echo "all checks passed in ${SECONDS}s"
 # shows here (see the per-step times above) before a pipeline timeout does.
 # The arm64 listing and the noasm step together add ≈ 5 s on warm Go caches
 # and ≈ 15 s on cold ones (the arm64 standard library, and a second compile
-# of mat, nn, core and dsqz), and the noasm step's Census cross-build ≈ 15 s
-# more (four compresses, one of them the portable f32 plan with two
-# experts); the budget stands.
+# of mat, nn, core and dsqz), and the noasm step's Census cross-build a few
+# seconds more (two compresses, two decodes); the budget stands.
 budget=240
 if [ "$SECONDS" -le "$budget" ]; then
     echo "budget $budget s: ok"
