@@ -2,6 +2,7 @@ package colenc
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"sync"
 
@@ -52,11 +53,13 @@ type scratch struct{ best, cand []byte }
 
 var scratches = sync.Pool{New: func() any { return new(scratch) }}
 
-// EncodeBest encodes values with every applicable encoding and returns the
-// smallest result, prefixed by a one-byte encoding tag. This mirrors the
-// per-column encoding selection a columnar format like Parquet performs.
-// Candidates are tried in tag order and replace the incumbent only when
-// strictly smaller; only the winner is copied out of the reused scratch.
+// EncodeBest encodes values with varint, delta, frame-of-reference and
+// Huffman and returns the smallest result, prefixed by a one-byte encoding
+// tag. This mirrors the per-column encoding selection a columnar format like
+// Parquet performs. Candidates are tried in tag order and replace the
+// incumbent only when strictly smaller; only the winner is copied out of the
+// reused scratch. Run-length and bitmap streams are not offered: behind the
+// codec layer's DEFLATE and range passes they never paid (DESIGN.md §16).
 func EncodeBest(values []int64) []byte {
 	s := scratches.Get().(*scratch)
 	defer scratches.Put(s)
@@ -68,17 +71,11 @@ func EncodeBest(values []int64) []byte {
 		}
 	}
 	try(EncDelta, appendDelta)
-	try(EncRLE, appendRLE)
 	try(EncFOR, appendFOR)
 	// No more distinct values than values: only a stream longer than the
 	// alphabet bound has to be counted.
 	if len(values) <= huffmanMaxAlphabet || distinctUpTo(values, huffmanMaxAlphabet+1) <= huffmanMaxAlphabet {
 		try(EncHuffman, huffman.AppendEncode)
-	}
-	if isBinaryStream(values) {
-		if bm := EncodeBitmap(values); bm != nil {
-			try(EncBitmap, func(out []byte, _ []int64) []byte { return append(out, bm...) })
-		}
 	}
 	return bytes.Clone(s.best)
 }
@@ -92,13 +89,23 @@ func DecodeBest(buf []byte) ([]int64, error) {
 	return DecodeBestMax(buf, -1)
 }
 
-// DecodeBestMax inverts EncodeBest, rejecting streams that declare more than
-// max values before allocating for them. max < 0 disables the bound.
+// DecodeBestMax inverts EncodeBest — and decodes the run-length and bitmap
+// streams earlier writers also chose — rejecting streams that declare more
+// than max values before allocating for them. max < 0 disables the bound.
 func DecodeBestMax(buf []byte, max int) ([]int64, error) {
 	if len(buf) == 0 {
 		return nil, fmt.Errorf("%w: empty buffer", ErrCorrupt)
 	}
 	enc, body := Encoding(buf[0]), buf[1:]
+	if enc > EncBitmap {
+		return nil, fmt.Errorf("%w: unknown encoding tag %d", ErrCorrupt, buf[0])
+	}
+	// Every encoding leads with its value count: bound it here, for all six.
+	if n, sz := binary.Uvarint(body); sz > 0 {
+		if err := checkCount(n, max); err != nil {
+			return nil, err
+		}
+	}
 	switch enc {
 	case EncVarint:
 		return DecodeVarints(body)
@@ -110,10 +117,8 @@ func DecodeBestMax(buf []byte, max int) ([]int64, error) {
 		return DecodeFORMax(body, max)
 	case EncHuffman:
 		return huffman.Decode(body)
-	case EncBitmap:
-		return DecodeBitmapMax(body, max)
 	default:
-		return nil, fmt.Errorf("%w: unknown encoding tag %d", ErrCorrupt, buf[0])
+		return DecodeBitmapMax(body, max)
 	}
 }
 

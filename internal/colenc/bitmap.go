@@ -3,20 +3,21 @@ package colenc
 import (
 	"encoding/binary"
 	"fmt"
-	"math/bits"
 )
 
-// Roaring-style bitmap encoding for 0/1 streams (the paper's §6.3.1 cites
-// Roaring for the XOR-materialized binary failure columns). The value
-// stream is treated as a set of positions holding 1, chunked into 2^16
-// blocks; each block picks the cheapest of three container layouts:
+// Roaring-style bitmap streams (tag EncBitmap) hold a 0/1 stream — the paper's
+// §6.3.1 cites Roaring for the XOR-materialized binary failure columns — as
+// the set of positions holding 1, chunked into 2^16 blocks, each block in one
+// of three container layouts:
 //
 //	array  — sorted uint16 positions (sparse blocks)
 //	bitmap — 8 KiB raw bitset (dense, irregular blocks)
-//	runs   — (start, length) pairs (long runs, the XOR-failure common case)
+//	runs   — (start, length-1) pairs (long runs)
 //
 // Layout: count varint | #blocks varint | per block: key varint, kind byte,
-// payload. EncodeBest considers this encoding for two-valued streams.
+// payload. Writers no longer produce them — under the codec layer's DEFLATE
+// and range passes they won at most a few bytes an archive — but archives
+// written before that still hold them, so they decode.
 const (
 	containerArray byte = iota
 	containerBitmap
@@ -25,92 +26,8 @@ const (
 
 const blockBits = 1 << 16
 
-// EncodeBitmap encodes a 0/1 stream. Values outside {0,1} are rejected by
-// returning nil (the caller falls back to other encodings).
-func EncodeBitmap(values []int64) []byte {
-	out := binary.AppendUvarint(nil, uint64(len(values)))
-	nBlocks := (len(values) + blockBits - 1) / blockBits
-	out = binary.AppendUvarint(out, uint64(nBlocks))
-	for b := 0; b < nBlocks; b++ {
-		lo := b * blockBits
-		hi := lo + blockBits
-		if hi > len(values) {
-			hi = len(values)
-		}
-		block := values[lo:hi]
-		var ones []uint16
-		for i, v := range block {
-			switch v {
-			case 0:
-			case 1:
-				ones = append(ones, uint16(i))
-			default:
-				return nil
-			}
-		}
-		out = binary.AppendUvarint(out, uint64(b))
-		out = appendContainer(out, block, ones)
-	}
-	return out
-}
-
-// appendContainer picks the cheapest container for one block.
-func appendContainer(dst []byte, block []int64, ones []uint16) []byte {
-	// Candidate sizes.
-	arraySize := 2 * len(ones)
-	bitmapSize := (len(block) + 7) / 8
-	runs := runPairs(ones)
-	runsSize := 4 * len(runs)
-	switch {
-	case runsSize <= arraySize && runsSize <= bitmapSize:
-		dst = append(dst, containerRuns)
-		dst = binary.AppendUvarint(dst, uint64(len(runs)))
-		for _, r := range runs {
-			dst = binary.LittleEndian.AppendUint16(dst, r[0])
-			dst = binary.LittleEndian.AppendUint16(dst, r[1])
-		}
-	case arraySize <= bitmapSize:
-		dst = append(dst, containerArray)
-		dst = binary.AppendUvarint(dst, uint64(len(ones)))
-		for _, p := range ones {
-			dst = binary.LittleEndian.AppendUint16(dst, p)
-		}
-	default:
-		dst = append(dst, containerBitmap)
-		dst = binary.AppendUvarint(dst, uint64(len(block)))
-		var cur byte
-		for i, v := range block {
-			if v != 0 {
-				cur |= 1 << uint(i%8)
-			}
-			if i%8 == 7 || i == len(block)-1 {
-				dst = append(dst, cur)
-				cur = 0
-			}
-		}
-	}
-	return dst
-}
-
-// runPairs converts sorted one-positions into (start, length-1) pairs.
-func runPairs(ones []uint16) [][2]uint16 {
-	var runs [][2]uint16
-	for i := 0; i < len(ones); {
-		j := i + 1
-		for j < len(ones) && ones[j] == ones[j-1]+1 {
-			j++
-		}
-		runs = append(runs, [2]uint16{ones[i], uint16(j - i - 1)})
-		i = j
-	}
-	return runs
-}
-
-// DecodeBitmap inverts EncodeBitmap with no expected-count bound.
-func DecodeBitmap(buf []byte) ([]int64, error) { return DecodeBitmapMax(buf, -1) }
-
-// DecodeBitmapMax inverts EncodeBitmap, rejecting counts above max (max < 0
-// disables the bound). Before allocating the output it also requires the
+// DecodeBitmapMax decodes a bitmap stream, rejecting counts above max (max <
+// 0 disables the bound). Before allocating the output it also requires the
 // buffer to be at least large enough to hold every declared block's minimal
 // framing, so a short corrupt buffer cannot command a huge allocation.
 func DecodeBitmapMax(buf []byte, max int) ([]int64, error) {
@@ -155,7 +72,7 @@ func DecodeBitmapMax(buf []byte, max int) ([]int64, error) {
 		switch kind {
 		case containerArray:
 			cnt, sz := binary.Uvarint(buf[pos:])
-			if sz <= 0 || len(buf)-pos-sz < int(cnt)*2 {
+			if sz <= 0 || cnt > uint64(len(buf)-pos-sz)/2 {
 				return nil, fmt.Errorf("%w: array container", ErrCorrupt)
 			}
 			pos += sz
@@ -185,7 +102,7 @@ func DecodeBitmapMax(buf []byte, max int) ([]int64, error) {
 			pos += nb
 		case containerRuns:
 			cnt, sz := binary.Uvarint(buf[pos:])
-			if sz <= 0 || len(buf)-pos-sz < int(cnt)*4 {
+			if sz <= 0 || cnt > uint64(len(buf)-pos-sz)/4 {
 				return nil, fmt.Errorf("%w: run container", ErrCorrupt)
 			}
 			pos += sz
@@ -208,23 +125,4 @@ func DecodeBitmapMax(buf []byte, max int) ([]int64, error) {
 		return nil, fmt.Errorf("%w: %d trailing bitmap bytes", ErrCorrupt, len(buf)-pos)
 	}
 	return out, nil
-}
-
-// isBinaryStream reports whether all values are 0 or 1.
-func isBinaryStream(values []int64) bool {
-	for _, v := range values {
-		if v != 0 && v != 1 {
-			return false
-		}
-	}
-	return true
-}
-
-// popcount is exposed for tests.
-func popcount(b []byte) int {
-	n := 0
-	for _, x := range b {
-		n += bits.OnesCount8(x)
-	}
-	return n
 }

@@ -1,19 +1,67 @@
 package colenc
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"reflect"
 	"testing"
 	"testing/quick"
 )
 
+// encodeBitmapRef is the bitmap encoder as writers ran it until they stopped
+// offering the encoding, kept as the reference the decoder is tested
+// against: each 2^16 block in the cheapest of the array, bitmap and runs
+// containers. The stream must hold only 0 and 1.
+func encodeBitmapRef(values []int64) []byte {
+	out := binary.AppendUvarint(nil, uint64(len(values)))
+	nBlocks := (len(values) + blockBits - 1) / blockBits
+	out = binary.AppendUvarint(out, uint64(nBlocks))
+	for b := 0; b < nBlocks; b++ {
+		block := values[b*blockBits : min((b+1)*blockBits, len(values))]
+		var ones []uint16
+		for i, v := range block {
+			if v == 1 {
+				ones = append(ones, uint16(i))
+			}
+		}
+		var runs [][2]uint16 // (start, length-1)
+		for i := 0; i < len(ones); {
+			j := i + 1
+			for j < len(ones) && ones[j] == ones[j-1]+1 {
+				j++
+			}
+			runs = append(runs, [2]uint16{ones[i], uint16(j - i - 1)})
+			i = j
+		}
+		out = binary.AppendUvarint(out, uint64(b))
+		arraySize, bitmapSize, runsSize := 2*len(ones), (len(block)+7)/8, 4*len(runs)
+		switch {
+		case runsSize <= arraySize && runsSize <= bitmapSize:
+			out = binary.AppendUvarint(append(out, containerRuns), uint64(len(runs)))
+			for _, r := range runs {
+				out = binary.LittleEndian.AppendUint16(binary.LittleEndian.AppendUint16(out, r[0]), r[1])
+			}
+		case arraySize <= bitmapSize:
+			out = binary.AppendUvarint(append(out, containerArray), uint64(len(ones)))
+			for _, p := range ones {
+				out = binary.LittleEndian.AppendUint16(out, p)
+			}
+		default:
+			out = binary.AppendUvarint(append(out, containerBitmap), uint64(len(block)))
+			bits := make([]byte, bitmapSize)
+			for _, p := range ones {
+				bits[p/8] |= 1 << (p % 8)
+			}
+			out = append(out, bits...)
+		}
+	}
+	return out
+}
+
 func bitmapRoundTrip(t *testing.T, values []int64) []byte {
 	t.Helper()
-	buf := EncodeBitmap(values)
-	if buf == nil {
-		t.Fatal("EncodeBitmap rejected a binary stream")
-	}
-	got, err := DecodeBitmap(buf)
+	buf := encodeBitmapRef(values)
+	got, err := DecodeBitmapMax(buf, -1)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -57,15 +105,6 @@ func TestBitmapCrossesBlockBoundary(t *testing.T) {
 	bitmapRoundTrip(t, values)
 }
 
-func TestBitmapRejectsNonBinary(t *testing.T) {
-	if EncodeBitmap([]int64{0, 1, 2}) != nil {
-		t.Fatal("non-binary stream accepted")
-	}
-	if EncodeBitmap([]int64{-1}) != nil {
-		t.Fatal("negative value accepted")
-	}
-}
-
 func TestBitmapContainerSelection(t *testing.T) {
 	// Sparse: array container should make it tiny.
 	sparse := make([]int64, blockBits)
@@ -93,38 +132,31 @@ func TestBitmapContainerSelection(t *testing.T) {
 	}
 }
 
-func TestBitmapInEncodeBest(t *testing.T) {
-	// A sparse binary failure stream: bitmap should win over RLE/Huffman.
-	values := make([]int64, 100000)
-	rng := rand.New(rand.NewSource(2))
-	for i := 0; i < 30; i++ {
-		values[rng.Intn(len(values))] = 1
-	}
-	buf := EncodeBest(values)
-	got, err := DecodeBest(buf)
-	if err != nil || !reflect.DeepEqual(got, values) {
-		t.Fatalf("EncodeBest round trip failed: %v", err)
-	}
-	if len(buf) > 300 {
-		t.Fatalf("sparse binary stream encoded to %d bytes", len(buf))
-	}
-}
-
 func TestBitmapDecodeCorrupt(t *testing.T) {
-	good := EncodeBitmap([]int64{0, 1, 1, 0, 1})
+	good := encodeBitmapRef([]int64{0, 1, 1, 0, 1})
 	for _, cut := range []int{0, 1, 2, len(good) - 1} {
-		if _, err := DecodeBitmap(good[:cut]); err == nil {
+		if _, err := DecodeBitmapMax(good[:cut], -1); err == nil {
 			t.Errorf("truncation at %d accepted", cut)
 		}
 	}
-	if _, err := DecodeBitmap(append(good, 9)); err == nil {
+	if _, err := DecodeBitmapMax(append(good, 9), -1); err == nil {
 		t.Error("trailing bytes accepted")
 	}
 	// Wrong block count.
 	bad := append([]byte{}, good...)
 	bad[1] = 7
-	if _, err := DecodeBitmap(bad); err == nil {
+	if _, err := DecodeBitmapMax(bad, -1); err == nil {
 		t.Error("wrong block count accepted")
+	}
+	// Container counts no buffer could hold, up to ones that overflow an int
+	// when scaled to bytes.
+	for _, kind := range []byte{containerArray, containerRuns} {
+		for _, cnt := range []uint64{1 << 20, 1<<63 + 1, 1<<64 - 1} {
+			buf := binary.AppendUvarint([]byte{5, 1, 0, kind}, cnt)
+			if _, err := DecodeBitmapMax(buf, -1); err == nil {
+				t.Errorf("container %d declaring %d entries accepted", kind, cnt)
+			}
+		}
 	}
 }
 
@@ -139,11 +171,7 @@ func TestQuickBitmapRoundTrip(t *testing.T) {
 				values[i] = 1
 			}
 		}
-		buf := EncodeBitmap(values)
-		if buf == nil {
-			return false
-		}
-		got, err := DecodeBitmap(buf)
+		got, err := DecodeBitmapMax(encodeBitmapRef(values), -1)
 		if err != nil {
 			return false
 		}
@@ -154,11 +182,5 @@ func TestQuickBitmapRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestPopcount(t *testing.T) {
-	if got := popcount([]byte{0xFF, 0x01, 0x00}); got != 9 {
-		t.Fatalf("popcount = %d", got)
 	}
 }

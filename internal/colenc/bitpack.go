@@ -11,8 +11,8 @@ import (
 // EncodeFOR applies frame-of-reference bit-packing: the minimum value is
 // stored once and every value is packed as (v - min) in the fewest bits that
 // hold the range. This is the workhorse for quantized bucket indexes and
-// integerized codes, whose ranges are small but whose values do not repeat
-// enough for RLE.
+// integerized codes, whose ranges are small; an all-equal stream packs into
+// zero bits.
 //
 // Layout: count varint | min zigzag-varint | width byte | packed bits.
 func EncodeFOR(values []int64) []byte { return appendFOR(nil, values) }

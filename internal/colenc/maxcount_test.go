@@ -51,7 +51,7 @@ func TestBitmapBlockFramingBound(t *testing.T) {
 	const n = uint64(1) << 40
 	buf := binary.AppendUvarint(nil, n)
 	buf = binary.AppendUvarint(buf, (n+blockBits-1)/blockBits)
-	if _, err := DecodeBitmap(buf); !errors.Is(err, ErrCorrupt) {
+	if _, err := DecodeBitmapMax(buf, -1); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("DecodeBitmap(%d blocks, empty body) = %v, want ErrCorrupt", n/blockBits, err)
 	}
 }

@@ -5,33 +5,15 @@ import (
 	"fmt"
 )
 
-// EncodeRLE encodes values as (value, run-length) varint pairs prefixed by
-// the total value count. Long runs — the XOR'd binary failure streams and
-// expert labels DeepSqueeze produces — collapse to a few bytes.
-func EncodeRLE(values []int64) []byte { return appendRLE(nil, values) }
+// Run-length streams (tag EncRLE) are (value, run-length) varint pairs
+// prefixed by the total value count. Writers no longer produce them — under
+// the codec layer's DEFLATE and range passes they never won archive bytes —
+// but archives written before that still hold them, so they decode.
 
-func appendRLE(out []byte, values []int64) []byte {
-	out = binary.AppendUvarint(out, uint64(len(values)))
-	i := 0
-	for i < len(values) {
-		j := i + 1
-		for j < len(values) && values[j] == values[i] {
-			j++
-		}
-		out = binary.AppendUvarint(out, Zigzag(values[i]))
-		out = binary.AppendUvarint(out, uint64(j-i))
-		i = j
-	}
-	return out
-}
-
-// DecodeRLE inverts EncodeRLE with no expected-count bound.
-func DecodeRLE(buf []byte) ([]int64, error) { return DecodeRLEMax(buf, -1) }
-
-// DecodeRLEMax inverts EncodeRLE, rejecting counts above max (max < 0
-// disables the bound). A single run pair a few bytes long can legally cover
-// the whole declared count, so without an external bound a corrupt count
-// drives an arbitrarily large output allocation.
+// DecodeRLEMax decodes a run-length stream, rejecting counts above max (max
+// < 0 disables the bound). A single run pair a few bytes long can legally
+// cover the whole declared count, so without an external bound a corrupt
+// count drives an arbitrarily large output allocation.
 func DecodeRLEMax(buf []byte, max int) ([]int64, error) {
 	n, sz := binary.Uvarint(buf)
 	if sz <= 0 {

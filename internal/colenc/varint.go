@@ -1,8 +1,9 @@
 // Package colenc implements the lightweight columnar encodings DeepSqueeze
-// materializes failures and codes with: varint, zigzag, delta, run-length,
-// frame-of-reference bit-packing, and a generic "pick the smallest"
-// selector. Every encoding is self-describing: the value count is embedded,
-// and decoding validates the buffer before trusting it.
+// materializes failures and codes with: varint, zigzag, delta,
+// frame-of-reference bit-packing, Huffman, and a generic "pick the smallest"
+// selector, plus decoders for the run-length and bitmap streams earlier
+// writers also chose. Every encoding is self-describing: the value count is
+// embedded, and decoding validates the buffer before trusting it.
 package colenc
 
 import (

@@ -179,10 +179,10 @@ func TestAutoUsesRangeCodecsOnSkewedData(t *testing.T) {
 		// {auto, deflate} byte counts.
 		streams := [2]int64{auto.Breakdown.Failures + auto.Breakdown.Codes, deflate.Breakdown.Failures + deflate.Breakdown.Codes}
 		archives := [2]int{len(auto.Archive), len(deflate.Archive)}
-		if want := [2]int64{22_780, 29_932}; streams != want {
+		if want := [2]int64{22_780, 27_994}; streams != want {
 			t.Errorf("failure+code bytes %v, pinned %v", streams, want)
 		}
-		if want := [2]int{27_341, 34_494}; archives != want {
+		if want := [2]int{27_341, 32_555}; archives != want {
 			t.Errorf("archive bytes %v, pinned %v", archives, want)
 		}
 		if shrink := 1 - float64(streams[0])/float64(streams[1]); shrink < 0.10 {
