@@ -15,8 +15,6 @@
 //	-code 2            code size (representation-layer width)
 //	-experts 1         number of experts
 //	-rowgroup 4096     rows per archive row group (0 = default)
-//	-codec auto        stream codecs the best-of selector may try: auto,
-//	                   stored, deflate, range, range-adaptive, range-cpt
 //	-sample 0          training sample rows (0 = full data)
 //	-resbit            keep high-cardinality categoricals in the model as
 //	                   stacked residual digits instead of the colfile fallback
@@ -207,7 +205,6 @@ func runCompress(ctx context.Context, args []string) error {
 	code := fs.Int("code", 2, "code size")
 	experts := fs.Int("experts", 1, "number of experts")
 	rowgroup := fs.Int("rowgroup", 0, "rows per archive row group (0 = default)")
-	codecName := fs.String("codec", "", "stream codec selection: auto (default), stored, deflate, range, range-adaptive, range-cpt")
 	sample := fs.Int("sample", 0, "training sample rows (0 = all)")
 	resbit := fs.Bool("resbit", false, "keep high-cardinality categorical columns in the model as stacked residual digits instead of the colfile fallback")
 	maxcard := fs.Int("maxcard", 0, "alphabet size the model predicts per categorical column (0 = default 256)")
@@ -236,7 +233,6 @@ func runCompress(ctx context.Context, args []string) error {
 	opts.CodeSize = *code
 	opts.NumExperts = *experts
 	opts.RowGroupSize = *rowgroup
-	opts.Codec = *codecName
 	opts.TrainSampleRows = *sample
 	opts.Seed = *seed
 	opts.Parallelism = *parallel
@@ -286,10 +282,7 @@ func compressTuned(ctx context.Context, f *os.File, out string, schema *deepsque
 	if err != nil {
 		return fmt.Errorf("tuning: %w", err)
 	}
-	rowgroup, codecName := opts.RowGroupSize, opts.Codec
-	opts = tres.Best
-	opts.RowGroupSize = rowgroup
-	opts.Codec = codecName
+	opts = tres.Best // the tuned fields over opts, -rowgroup included
 	fmt.Fprintf(os.Stderr, "tuned: code=%d experts=%d sample=%d (%d trials)\n",
 		opts.CodeSize, opts.NumExperts, opts.TrainSampleRows, len(tres.Trials))
 	res, err := deepsqueeze.CompressContext(ctx, table, thresholds, opts)

@@ -1,20 +1,21 @@
-// Package codec is the pluggable per-stream compression layer behind every
-// archive chunk. A stream is wrapped in a self-describing frame whose first
-// byte names the codec; tags 0 (stored) and 1 (DEFLATE) are the historical
-// colfile tag byte, so every archive ever written decodes unchanged, and tags
-// 2–3 add range coding against learned symbol models (paper §6.3's entropy
-// stage; the Squish-style arithmetic coder applied to DeepSqueeze's streams).
+// Package codec is the per-stream compression layer behind every archive
+// chunk. A stream is wrapped in a self-describing frame whose first byte names
+// the codec; tags 0 (stored) and 1 (DEFLATE) are the historical colfile tag
+// byte, so every archive ever written decodes unchanged, and tags 2–3 are
+// range coding against learned symbol models (paper §6.3's entropy stage; the
+// Squish-style arithmetic coder applied to DeepSqueeze's streams).
 //
-// Integer streams — failure ranks, truncated codes, dictionary codes — are
-// the range codecs' territory: their alphabets are small and heavily skewed
+// Integer streams — failure ranks, truncated codes, expert mappings — are the
+// range coder's territory: their alphabets are small and heavily skewed
 // (ranks concentrate at 0 by construction), which adaptive range coding
 // exploits below the 1-bit-per-symbol floor a Huffman-based byte codec
 // cannot cross. Byte streams (string/float chunk layouts, the decoder
-// section) use the stored/DEFLATE pair only.
+// section) are stored or DEFLATE.
 //
-// CompressInts is a best-of selector: it builds a frame per eligible codec
-// and keeps the smallest, so enabling the range codecs can never lose to
-// DEFLATE by more than the shared tag byte.
+// Writers offer, readers keep: CompressInts builds a stored frame, its
+// DEFLATE pass and an adaptive range frame and keeps the smallest, while
+// DecompressInts still reads the static-table range frames (tag 3) earlier
+// writers built.
 package codec
 
 import (
@@ -26,7 +27,6 @@ import (
 	"io"
 	"slices"
 	"sort"
-	"strings"
 	"sync"
 
 	"deepsqueeze/internal/colenc"
@@ -42,27 +42,26 @@ const (
 	TagStored        byte = 0 // payload as-is
 	TagDeflate       byte = 1 // raw DEFLATE (compress/flate, not gzip)
 	TagRangeAdaptive byte = 2 // range-coded ints, adaptive frequency model
-	TagRangeCPT      byte = 3 // range-coded ints, static quantized table
+	TagRangeCPT      byte = 3 // range-coded ints, static quantized table; decoded only
 )
 
-// Mask selects which codecs the best-of selector may try. The zero Mask
-// means Auto; Stored is always implied — every stream needs a fallback that
-// can represent it.
+// Mask selects which frames CompressInts may build. The zero Mask means
+// Auto; Stored is always implied — every stream needs a fallback that can
+// represent it.
 type Mask uint8
 
-// Mask bits, one per frame tag.
+// Mask bits, one per frame tag a writer builds.
 const (
 	MaskStored Mask = 1 << iota
 	MaskDeflate
 	MaskRangeAdaptive
-	MaskRangeCPT
 )
 
-// Auto enables every codec: the default best-of-all selection.
-const Auto = MaskStored | MaskDeflate | MaskRangeAdaptive | MaskRangeCPT
+// Auto enables every frame: what archive writers use.
+const Auto = MaskStored | MaskDeflate | MaskRangeAdaptive
 
-// ByteOnly is the historical stored/DEFLATE pair — the only codecs byte
-// (non-integer) streams can use, and the pre-codec archive behavior.
+// ByteOnly is the historical stored/DEFLATE pair, the pre-codec archive
+// behavior.
 const ByteOnly = MaskStored | MaskDeflate
 
 // normalize resolves the zero value to Auto and forces the Stored fallback.
@@ -71,56 +70,6 @@ func (m Mask) normalize() Mask {
 		return Auto
 	}
 	return m | MaskStored
-}
-
-// String names the mask in ParseMask's vocabulary.
-func (m Mask) String() string {
-	switch m.normalize() {
-	case Auto:
-		return "auto"
-	case MaskStored:
-		return "stored"
-	case MaskStored | MaskDeflate:
-		return "deflate"
-	case MaskStored | MaskRangeAdaptive | MaskRangeCPT:
-		return "range"
-	case MaskStored | MaskRangeAdaptive:
-		return "range-adaptive"
-	case MaskStored | MaskRangeCPT:
-		return "range-cpt"
-	}
-	var parts []string
-	for _, c := range []struct {
-		bit  Mask
-		name string
-	}{{MaskStored, "stored"}, {MaskDeflate, "deflate"}, {MaskRangeAdaptive, "range-adaptive"}, {MaskRangeCPT, "range-cpt"}} {
-		if m.normalize()&c.bit != 0 {
-			parts = append(parts, c.name)
-		}
-	}
-	return strings.Join(parts, "+")
-}
-
-// ParseMask resolves a codec-selection name: "auto" (or empty) tries every
-// codec, "deflate" is the pre-codec stored/DEFLATE behavior, "stored"
-// disables compression, and "range" / "range-adaptive" / "range-cpt" force
-// the learned codecs (with the stored fallback streams always keep).
-func ParseMask(s string) (Mask, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "", "auto":
-		return Auto, nil
-	case "stored":
-		return MaskStored, nil
-	case "deflate":
-		return MaskStored | MaskDeflate, nil
-	case "range":
-		return MaskStored | MaskRangeAdaptive | MaskRangeCPT, nil
-	case "range-adaptive":
-		return MaskStored | MaskRangeAdaptive, nil
-	case "range-cpt":
-		return MaskStored | MaskRangeCPT, nil
-	}
-	return 0, fmt.Errorf("codec: unknown codec %q (want auto, stored, deflate, range, range-adaptive, or range-cpt)", s)
 }
 
 // Name returns the human-readable codec name for a frame tag.
@@ -152,20 +101,22 @@ const maxRangeValues = 1 << 25
 
 // maxRangeAlphabet bounds the symbol alphabet (max−min+1) a range frame may
 // declare. Wide alphabets make poor range candidates — the adaptive model
-// starts uniform and the CPT frame ships one table byte per symbol — and the
-// bound keeps model totals comfortably inside rangecoder.MaxTotal.
+// starts uniform, and a static-table frame carries one table byte per
+// symbol — and the bound keeps model totals comfortably inside
+// rangecoder.MaxTotal.
 const maxRangeAlphabet = 1 << 15
 
 // rangeInc is the adaptive model's frequency increment. It is part of the
 // frame format: encoder and decoder must agree on it for lockstep adaptation.
 const rangeInc = 32
 
-// CompressBytes wraps an opaque byte payload in the smallest eligible frame.
-// Byte streams are stored/DEFLATE territory; range bits in the mask are
-// ignored (a byte payload has no symbol alphabet to model).
-func CompressBytes(payload []byte, mask Mask) []byte {
-	if mask.normalize()&MaskDeflate != 0 {
-		return DeflateLevel(payload, flate.BestCompression)
+// CompressBytes wraps an opaque byte payload in its DEFLATE frame when that
+// is strictly smaller than the stored one, and in the stored frame otherwise.
+func CompressBytes(payload []byte) []byte {
+	s := scratches.Get().(*scratch)
+	defer scratches.Put(s)
+	if f := s.deflate(payload); len(f) < len(payload)+1 {
+		return bytes.Clone(f)
 	}
 	return appendStored(nil, payload)
 }
@@ -175,34 +126,30 @@ func appendStored(dst, payload []byte) []byte {
 	return append(append(slices.Grow(dst, len(payload)+1), TagStored), payload...)
 }
 
-// scratch is the reusable state of one frame's encoding: DEFLATE writers by
-// level, made on first use — flate.NewWriter allocates and zeroes about 1.2 MB
-// of matcher state, far more than the streams compressed here, and
-// Writer.Reset reuses it — and the buffers candidate frames are built in.
+// scratch is the reusable state of one frame's encoding: a BestCompression
+// DEFLATE writer, made on first use — flate.NewWriter allocates and zeroes
+// about 1.2 MB of matcher state, far more than the streams compressed here,
+// and Writer.Reset reuses it — and the buffers candidate frames are built in.
 // Callers get copies.
 type scratch struct {
-	fw         [flate.BestCompression - flate.HuffmanOnly + 1]*flate.Writer
+	fw         *flate.Writer
 	deflated   bytes.Buffer
 	best, cand []byte // CompressInts: the smallest frame so far, the one on trial
 }
 
 var scratches = sync.Pool{New: func() any { return new(scratch) }}
 
-// deflate returns payload's DEFLATE frame at level, valid until the scratch
-// is used again, or nil for a level flate rejects.
-func (s *scratch) deflate(payload []byte, level int) []byte {
-	i := level - flate.HuffmanOnly
-	if i < 0 || i >= len(s.fw) {
-		return nil
-	}
-	if s.fw[i] == nil {
-		s.fw[i], _ = flate.NewWriter(nil, level) // fails on a bad level only
+// deflate returns payload's DEFLATE frame, valid until the scratch is used
+// again.
+func (s *scratch) deflate(payload []byte) []byte {
+	if s.fw == nil {
+		s.fw, _ = flate.NewWriter(nil, flate.BestCompression) // fails on a bad level only
 	}
 	s.deflated.Reset()
 	s.deflated.WriteByte(TagDeflate)
-	s.fw[i].Reset(&s.deflated)
-	s.fw[i].Write(payload) // a bytes.Buffer takes every write
-	s.fw[i].Close()
+	s.fw.Reset(&s.deflated)
+	s.fw.Write(payload) // a bytes.Buffer takes every write
+	s.fw.Close()
 	return s.deflated.Bytes()
 }
 
@@ -211,19 +158,6 @@ func (s *scratch) try(frame []byte) {
 	if s.cand = frame; len(frame) < len(s.best) {
 		s.best, s.cand = s.cand, s.best
 	}
-}
-
-// DeflateLevel frames payload at an explicit DEFLATE level, keeping the
-// compressed form only when strictly smaller. An invalid level falls back to
-// the stored form, so the result is always a valid frame and the encoder
-// never panics.
-func DeflateLevel(payload []byte, level int) []byte {
-	s := scratches.Get().(*scratch)
-	defer scratches.Put(s)
-	if f := s.deflate(payload, level); f != nil && len(f) < len(payload)+1 {
-		return bytes.Clone(f)
-	}
-	return appendStored(nil, payload)
 }
 
 // DecompressBytes inverts CompressBytes. Only the byte codecs are legal
@@ -289,9 +223,9 @@ func Inflate(body []byte, limit int) ([]byte, error) {
 	return bytes.Clone(out), nil
 }
 
-// CompressInts encodes an integer stream with the smallest eligible frame:
+// CompressInts encodes an integer stream with the smallest frame mask allows:
 // the colenc stored form, its DEFLATE pass, and — when the stream has a
-// modelable alphabet — the two range codecs. Candidates are tried in tag
+// modelable alphabet — the adaptive range frame. Candidates are tried in tag
 // order and replaced only when strictly smaller, so the choice is a pure
 // function of the stream bytes (deterministic at every parallelism level).
 // They are built in reused scratch; only the winner is copied out.
@@ -302,11 +236,11 @@ func CompressInts(values []int64, mask Mask) []byte {
 	defer scratches.Put(s)
 	s.best = appendStored(s.best[:0], enc)
 	if mask&MaskDeflate != 0 {
-		if f := s.deflate(enc, flate.BestCompression); len(f) < len(s.best) {
+		if f := s.deflate(enc); len(f) < len(s.best) {
 			s.best = append(s.best[:0], f...)
 		}
 	}
-	if mask&(MaskRangeAdaptive|MaskRangeCPT) != 0 && len(values) > 0 && len(values) <= maxRangeValues {
+	if mask&MaskRangeAdaptive != 0 && len(values) > 0 && len(values) <= maxRangeValues {
 		base, hi := values[0], values[0]
 		for _, v := range values[1:] {
 			if v < base {
@@ -318,12 +252,7 @@ func CompressInts(values []int64, mask Mask) []byte {
 		}
 		// uint64 subtraction is exact for any int64 pair with hi ≥ base.
 		if span := uint64(hi) - uint64(base); span < maxRangeAlphabet {
-			if mask&MaskRangeAdaptive != 0 {
-				s.try(appendRangeAdaptive(s.cand[:0], values, base, int(span)+1))
-			}
-			if mask&MaskRangeCPT != 0 {
-				s.try(appendRangeCPT(s.cand[:0], values, base, int(span)+1))
-			}
+			s.try(appendRangeAdaptive(s.cand[:0], values, base, int(span)+1))
 		}
 	}
 	return bytes.Clone(s.best)
@@ -338,7 +267,7 @@ func DecompressInts(frame []byte, max int) ([]int64, error) {
 	}
 	switch frame[0] {
 	case TagStored:
-		return colenc.DecodeBestMax(frame[1:], max)
+		return decodeStored(frame[1:], max)
 	case TagDeflate:
 		f := inflaters.Get().(*inflater)
 		defer inflaters.Put(f)
@@ -346,12 +275,22 @@ func DecompressInts(frame []byte, max int) ([]int64, error) {
 		if err != nil {
 			return nil, err
 		}
-		return colenc.DecodeBestMax(body, max) // decodes into values of its own
+		return decodeStored(body, max) // decodes into values of its own
 	case TagRangeAdaptive, TagRangeCPT:
 		return decodeRangeInts(frame, max)
 	default:
 		return nil, fmt.Errorf("%w: unknown stream codec tag %d", ErrCorrupt, frame[0])
 	}
+}
+
+// decodeStored decodes a stored-form body, classifying its errors — colenc's
+// and those of the Huffman decoder it delegates to — under ErrCorrupt.
+func decodeStored(body []byte, max int) ([]int64, error) {
+	out, err := colenc.DecodeBestMax(body, max)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrCorrupt, err)
+	}
+	return out, nil
 }
 
 // rangeHeader writes the shared range-frame prefix: tag, symbol count,
@@ -374,27 +313,6 @@ func appendRangeAdaptive(out []byte, values []int64, base int64, alphabet int) [
 	e := rangecoder.NewEncoder()
 	for _, v := range values {
 		m.EncodeSymbol(e, int(v-base))
-	}
-	return append(out, e.Bytes()...)
-}
-
-// appendRangeCPT builds a TagRangeCPT frame: a squish-style quantized
-// frequency table (one byte per alphabet symbol) followed by symbols coded
-// against those static statistics. Pays the table up front in exchange for
-// full-strength statistics from the first symbol — the better trade on short
-// or stationary streams.
-func appendRangeCPT(out []byte, values []int64, base int64, alphabet int) []byte {
-	counts := make([]int, alphabet)
-	for _, v := range values {
-		counts[v-base]++
-	}
-	t := newStaticTable(counts, alphabet)
-	out = rangeHeader(out, TagRangeCPT, len(values), base, alphabet)
-	out = t.appendBinary(out)
-	e := rangecoder.NewEncoder()
-	for _, v := range values {
-		s := int(v - base)
-		e.Encode(t.cum[s], uint32(t.freq[s]), t.tot)
 	}
 	return append(out, e.Bytes()...)
 }
@@ -456,41 +374,14 @@ func decodeRangeInts(frame []byte, max int) ([]int64, error) {
 	return out, nil
 }
 
-// staticTable is a quantized frequency table over a frame's alphabet, the
-// in-frame twin of squish's CPT: frequencies 1..256 serialized as one byte
-// each (freq−1), cumulative totals kept within the range coder's budget.
+// staticTable is the quantized frequency table a TagRangeCPT frame carries,
+// the in-frame twin of squish's CPT: frequencies 1..256 serialized as one
+// byte each (freq−1). Writers no longer build these frames; the table is
+// parsed to decode the ones archives hold.
 type staticTable struct {
 	freq []uint16
 	cum  []uint32 // cumulative, len = alphabet+1
 	tot  uint32
-}
-
-// newStaticTable quantizes raw counts, giving every symbol frequency ≥ 1
-// (Laplace smoothing) and scaling the largest count to the byte budget.
-func newStaticTable(counts []int, alphabet int) *staticTable {
-	maxCount := 1
-	for _, c := range counts {
-		if c > maxCount {
-			maxCount = c
-		}
-	}
-	limit := 255
-	if alphabet*256 > int(rangecoder.MaxTotal) {
-		limit = int(rangecoder.MaxTotal)/alphabet - 1
-		if limit < 1 {
-			limit = 1
-		}
-	}
-	t := &staticTable{freq: make([]uint16, alphabet)}
-	for s := range t.freq {
-		f := 1
-		if s < len(counts) && counts[s] > 0 {
-			f = 1 + counts[s]*(limit-1)/maxCount
-		}
-		t.freq[s] = uint16(f)
-	}
-	t.finish()
-	return t
 }
 
 func (t *staticTable) finish() {
@@ -528,15 +419,6 @@ func (t *staticTable) decode(d *rangecoder.Decoder) int {
 	s := sort.Search(len(t.freq), func(i int) bool { return t.cum[i+1] > target })
 	d.Update(t.cum[s], uint32(t.freq[s]))
 	return s
-}
-
-// appendBinary serializes the frequency table (freq−1 always fits a byte:
-// wide alphabets shrink the quantization limit accordingly).
-func (t *staticTable) appendBinary(dst []byte) []byte {
-	for _, f := range t.freq {
-		dst = append(dst, byte(f-1))
-	}
-	return dst
 }
 
 // FrameInfo describes one frame for inspection tooling: which codec was

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"deepsqueeze/internal/colenc"
@@ -26,24 +27,18 @@ func skewedValues(n int, alphabet int, seed int64) []int64 {
 	return out
 }
 
-func roundTripInts(t *testing.T, values []int64, mask Mask) []byte {
-	t.Helper()
-	frame := CompressInts(values, mask)
-	got, err := DecompressInts(frame, len(values))
-	if err != nil {
-		t.Fatalf("mask %v: decompress: %v", mask, err)
+// smaller returns cand when it is strictly smaller than best, best otherwise:
+// the selector's rule.
+func smaller(best, cand []byte) []byte {
+	if cand != nil && len(cand) < len(best) {
+		return cand
 	}
-	if len(got) != len(values) {
-		t.Fatalf("mask %v: got %d values, want %d", mask, len(got), len(values))
-	}
-	for i := range got {
-		if got[i] != values[i] {
-			t.Fatalf("mask %v: value %d = %d, want %d", mask, i, got[i], values[i])
-		}
-	}
-	return frame
+	return best
 }
 
+// Every selection a writer has made decodes: the masks writers use, and the
+// "range" and "range-cpt" selections of earlier writers, rebuilt with the
+// retired static-table encoder (cptFrame).
 func TestCompressIntsRoundTripAllMasks(t *testing.T) {
 	streams := map[string][]int64{
 		"empty":      nil,
@@ -58,11 +53,28 @@ func TestCompressIntsRoundTripAllMasks(t *testing.T) {
 	for i := range streams["constant"] {
 		streams["constant"][i] = 9
 	}
-	masks := []Mask{0, Auto, MaskStored, ByteOnly, MaskStored | MaskRangeAdaptive, MaskStored | MaskRangeCPT, MaskStored | MaskRangeAdaptive | MaskRangeCPT}
+	arms := []struct {
+		name  string
+		frame func([]int64) []byte
+	}{
+		{"auto", func(v []int64) []byte { return CompressInts(v, 0) }},
+		{"auto", func(v []int64) []byte { return CompressInts(v, Auto) }},
+		{"stored", func(v []int64) []byte { return CompressInts(v, MaskStored) }},
+		{"deflate", func(v []int64) []byte { return CompressInts(v, ByteOnly) }},
+		{"range-adaptive", func(v []int64) []byte { return CompressInts(v, MaskStored|MaskRangeAdaptive) }},
+		{"range-cpt", func(v []int64) []byte { return smaller(CompressInts(v, MaskStored), cptFrame(v)) }},
+		{"range", func(v []int64) []byte { return smaller(CompressInts(v, MaskStored|MaskRangeAdaptive), cptFrame(v)) }},
+	}
 	for name, values := range streams {
-		for _, mask := range masks {
-			t.Run(name+"/"+mask.String(), func(t *testing.T) {
-				roundTripInts(t, values, mask)
+		for _, arm := range arms {
+			t.Run(name+"/"+arm.name, func(t *testing.T) {
+				got, err := DecompressInts(arm.frame(values), len(values))
+				if err != nil {
+					t.Fatalf("decompress: %v", err)
+				}
+				if !slices.Equal(got, values) {
+					t.Fatalf("decoded %d values, want the %d compressed", len(got), len(values))
+				}
 			})
 		}
 	}
@@ -94,13 +106,13 @@ func TestBestOfNeverLosesToDeflate(t *testing.T) {
 	}
 }
 
-// On heavily skewed streams the range codecs must actually win — that is the
-// point of shipping them.
+// On heavily skewed streams the range coder must actually win — that is the
+// point of shipping it.
 func TestRangeWinsOnSkewedStream(t *testing.T) {
 	values := skewedValues(20000, 256, 6)
 	auto := CompressInts(values, Auto)
 	deflate := CompressInts(values, ByteOnly)
-	if auto[0] != TagRangeAdaptive && auto[0] != TagRangeCPT {
+	if auto[0] != TagRangeAdaptive {
 		t.Fatalf("auto chose %s on a skewed stream", Name(auto[0]))
 	}
 	if len(auto) >= len(deflate) {
@@ -128,63 +140,17 @@ func TestCompressBytesRoundTrip(t *testing.T) {
 		{0x01, 0x9f, 0x3a, 0xc4}, // incompressible: stored frame
 	}
 	for i, p := range payloads {
-		for _, mask := range []Mask{Auto, ByteOnly, MaskStored} {
-			frame := CompressBytes(p, mask)
-			got, err := DecompressBytes(frame)
-			if err != nil {
-				t.Fatalf("payload %d mask %v: %v", i, mask, err)
-			}
-			if !bytes.Equal(got, p) {
-				t.Fatalf("payload %d mask %v: round trip mismatch", i, mask)
-			}
-		}
-	}
-	if frame := CompressBytes([]byte{0x01, 0x9f, 0x3a, 0xc4}, Auto); frame[0] != TagStored {
-		t.Fatalf("incompressible payload framed as %s", Name(frame[0]))
-	}
-}
-
-func TestDeflateLevelInvalidLevelFallsBack(t *testing.T) {
-	p := bytes.Repeat([]byte("abc"), 100)
-	frame := DeflateLevel(p, 1234) // invalid level → stored fallback, no panic
-	if frame[0] != TagStored {
-		t.Fatalf("invalid level framed as %s", Name(frame[0]))
-	}
-	got, err := DecompressBytes(frame)
-	if err != nil || !bytes.Equal(got, p) {
-		t.Fatalf("fallback frame did not round trip: %v", err)
-	}
-}
-
-func TestParseMaskAndString(t *testing.T) {
-	cases := map[string]Mask{
-		"":               Auto,
-		"auto":           Auto,
-		" Auto ":         Auto,
-		"stored":         MaskStored,
-		"deflate":        MaskStored | MaskDeflate,
-		"range":          MaskStored | MaskRangeAdaptive | MaskRangeCPT,
-		"range-adaptive": MaskStored | MaskRangeAdaptive,
-		"range-cpt":      MaskStored | MaskRangeCPT,
-	}
-	for s, want := range cases {
-		got, err := ParseMask(s)
+		frame := CompressBytes(p)
+		got, err := DecompressBytes(frame)
 		if err != nil {
-			t.Fatalf("ParseMask(%q): %v", s, err)
+			t.Fatalf("payload %d: %v", i, err)
 		}
-		if got != want {
-			t.Fatalf("ParseMask(%q) = %v, want %v", s, got, want)
+		if !bytes.Equal(got, p) {
+			t.Fatalf("payload %d: round trip mismatch", i)
 		}
 	}
-	if _, err := ParseMask("lzma"); err == nil {
-		t.Fatal("ParseMask accepted an unknown codec")
-	}
-	// String must invert ParseMask for every accepted name.
-	for _, s := range []string{"auto", "stored", "deflate", "range", "range-adaptive", "range-cpt"} {
-		m, _ := ParseMask(s)
-		if m.String() != s {
-			t.Fatalf("Mask(%q).String() = %q", s, m.String())
-		}
+	if frame := CompressBytes([]byte{0x01, 0x9f, 0x3a, 0xc4}); frame[0] != TagStored {
+		t.Fatalf("incompressible payload framed as %s", Name(frame[0]))
 	}
 }
 
@@ -235,10 +201,12 @@ func TestDecompressCorruptFrames(t *testing.T) {
 		"huge count":       header(TagRangeAdaptive, maxRangeValues+1, 0, 4),
 		// The coder's final flush bytes may go unread, so trim deep into the
 		// body rather than just off the tail.
-		"truncated body":     valid[:len(valid)/2],
-		"missing cpt table":  header(TagRangeCPT, 5, 0, 64),
-		"truncated deflate":  {TagDeflate, 0x01},
-		"range in cpt table": append(header(TagRangeCPT, 1, 0, 3), 0xff, 0xff), // table shorter than alphabet
+		"truncated body":    valid[:len(valid)/2],
+		"missing cpt table": header(TagRangeCPT, 5, 0, 64),
+		"truncated deflate": {TagDeflate, 0x01},
+		// colenc hands a Huffman body's errors up unclassified.
+		"huffman body without a count": {TagStored, byte(colenc.EncHuffman)},
+		"range in cpt table":           append(header(TagRangeCPT, 1, 0, 3), 0xff, 0xff), // table shorter than alphabet
 	}
 	for name, frame := range cases {
 		_, err := DecompressInts(frame, -1)
@@ -300,13 +268,14 @@ func TestInspectInts(t *testing.T) {
 			t.Fatalf("mask %v: RawBytes %d, want stored size %d", mask, info.RawBytes, stored)
 		}
 	}
-	frame := CompressInts(values, Auto)
-	if frame[0] != TagRangeAdaptive && frame[0] != TagRangeCPT {
-		t.Fatalf("setup: auto frame is %s", Name(frame[0]))
-	}
-	info, _ := InspectInts(frame, len(values))
-	if info.Values != len(values) {
-		t.Fatalf("range frame Values = %d, want %d", info.Values, len(values))
+	for _, frame := range [][]byte{CompressInts(values, Auto), cptFrame(values)} {
+		if frame[0] != TagRangeAdaptive && frame[0] != TagRangeCPT {
+			t.Fatalf("setup: frame is %s", Name(frame[0]))
+		}
+		info, err := InspectInts(frame, len(values))
+		if err != nil || info.Values != len(values) || info.RawBytes != stored {
+			t.Fatalf("%s frame: %+v, %v; want %d values of stored size %d", Name(frame[0]), info, err, len(values), stored)
+		}
 	}
 	if _, err := InspectInts(nil, -1); !errors.Is(err, ErrCorrupt) {
 		t.Fatal("InspectInts accepted an empty frame")
@@ -315,7 +284,7 @@ func TestInspectInts(t *testing.T) {
 
 func TestInspectBytes(t *testing.T) {
 	p := bytes.Repeat([]byte("col"), 400)
-	frame := CompressBytes(p, Auto)
+	frame := CompressBytes(p)
 	info, err := InspectBytes(frame)
 	if err != nil {
 		t.Fatal(err)

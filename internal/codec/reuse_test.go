@@ -12,12 +12,12 @@ import (
 	"deepsqueeze/internal/rangecoder"
 )
 
-// freshDeflateLevel is DeflateLevel as it was before writers were reused: a
-// new flate.Writer and a new buffer per call.
-func freshDeflateLevel(payload []byte, level int) []byte {
+// freshDeflate is CompressBytes as it was before writers were reused: a new
+// flate.Writer and a new buffer per call.
+func freshDeflate(payload []byte) []byte {
 	var buf bytes.Buffer
 	buf.WriteByte(TagDeflate)
-	if fw, err := flate.NewWriter(&buf, level); err == nil {
+	if fw, err := flate.NewWriter(&buf, flate.BestCompression); err == nil {
 		if _, err := fw.Write(payload); err == nil {
 			if err := fw.Close(); err == nil && buf.Len() < len(payload)+1 {
 				return buf.Bytes()
@@ -35,11 +35,11 @@ func freshCompressInts(values []int64, mask Mask) []byte {
 	enc := colenc.EncodeBest(values)
 	best := append([]byte{TagStored}, enc...)
 	if mask&MaskDeflate != 0 {
-		if f := freshDeflateLevel(enc, flate.BestCompression); len(f) < len(best) {
+		if f := freshDeflate(enc); len(f) < len(best) {
 			best = f
 		}
 	}
-	if mask&(MaskRangeAdaptive|MaskRangeCPT) == 0 || len(values) == 0 || len(values) > maxRangeValues {
+	if mask&MaskRangeAdaptive == 0 || len(values) == 0 || len(values) > maxRangeValues {
 		return best
 	}
 	base, hi := values[0], values[0]
@@ -50,31 +50,14 @@ func freshCompressInts(values []int64, mask Mask) []byte {
 	if span >= maxRangeAlphabet {
 		return best
 	}
-	header := func(tag byte) []byte {
-		out := binary.AppendUvarint([]byte{tag}, uint64(len(values)))
-		return binary.AppendUvarint(binary.AppendVarint(out, base), span+1)
+	f := binary.AppendUvarint([]byte{TagRangeAdaptive}, uint64(len(values)))
+	f = binary.AppendUvarint(binary.AppendVarint(f, base), span+1)
+	m, e := rangecoder.NewAdaptiveModel(int(span)+1, rangeInc), rangecoder.NewEncoder()
+	for _, v := range values {
+		m.EncodeSymbol(e, int(v-base))
 	}
-	if mask&MaskRangeAdaptive != 0 {
-		m, e := rangecoder.NewAdaptiveModel(int(span)+1, rangeInc), rangecoder.NewEncoder()
-		for _, v := range values {
-			m.EncodeSymbol(e, int(v-base))
-		}
-		if f := append(header(TagRangeAdaptive), e.Bytes()...); len(f) < len(best) {
-			best = f
-		}
-	}
-	if mask&MaskRangeCPT != 0 {
-		counts := make([]int, span+1)
-		for _, v := range values {
-			counts[v-base]++
-		}
-		t, e := newStaticTable(counts, len(counts)), rangecoder.NewEncoder()
-		for _, v := range values {
-			e.Encode(t.cum[v-base], uint32(t.freq[v-base]), t.tot)
-		}
-		if f := append(t.appendBinary(header(TagRangeCPT)), e.Bytes()...); len(f) < len(best) {
-			best = f
-		}
+	if f = append(f, e.Bytes()...); len(f) < len(best) {
+		best = f
 	}
 	return best
 }
@@ -128,11 +111,11 @@ func TestCompressIntsReusedStateIsByteIdentical(t *testing.T) {
 			tags[want[0]]++
 			jobs = append(jobs, job{name, values, mask, want})
 			if mask == ByteOnly {
-				bytesWant[name] = freshDeflateLevel(want, flate.BestCompression)
+				bytesWant[name] = freshDeflate(want)
 			}
 		}
 	}
-	for tag := TagStored; tag <= TagRangeCPT; tag++ {
+	for tag := TagStored; tag <= TagRangeAdaptive; tag++ {
 		if tags[tag] == 0 {
 			t.Errorf("no stream of the corpus is framed as %s", Name(tag))
 		}
@@ -150,7 +133,7 @@ func TestCompressIntsReusedStateIsByteIdentical(t *testing.T) {
 						j.name, j.mask, Name(got[0]), len(got), Name(j.want[0]), len(j.want))
 				}
 				if j.mask == ByteOnly { // byte streams share the writers
-					if got := CompressBytes(j.want, ByteOnly); !bytes.Equal(got, bytesWant[j.name]) {
+					if got := CompressBytes(j.want); !bytes.Equal(got, bytesWant[j.name]) {
 						t.Errorf("%s: CompressBytes differs from a fresh writer's frame", j.name)
 					}
 				}
@@ -158,23 +141,4 @@ func TestCompressIntsReusedStateIsByteIdentical(t *testing.T) {
 		}(int64(g))
 	}
 	wg.Wait()
-}
-
-// An invalid level yields the stored frame and leaves nothing behind for the
-// next caller, at that level or a valid one; every valid level matches a
-// fresh writer's output.
-func TestDeflateLevelReusedStateIsByteIdentical(t *testing.T) {
-	p := bytes.Repeat([]byte("deepsqueeze "), 300)
-	for round := 0; round < 2; round++ {
-		for _, level := range []int{1234, flate.HuffmanOnly - 1, flate.HuffmanOnly, flate.DefaultCompression, flate.NoCompression, 1, 6, flate.BestCompression} {
-			got, want := DeflateLevel(p, level), freshDeflateLevel(p, level)
-			if !bytes.Equal(got, want) {
-				t.Errorf("round %d, level %d: %s frame of %d bytes, a fresh writer builds a %s frame of %d",
-					round, level, Name(got[0]), len(got), Name(want[0]), len(want))
-			}
-			if out, err := DecompressBytes(got); err != nil || !bytes.Equal(out, p) {
-				t.Errorf("round %d, level %d: frame does not round trip: %v", round, level, err)
-			}
-		}
-	}
 }

@@ -1,11 +1,12 @@
 // Package colfile implements a compact columnar file format ("parquet-lite")
-// in the spirit of Apache Parquet, which the paper uses both as a lossless
-// baseline and as the materialization backend for DeepSqueeze's failure
-// streams. Each column is stored as an independently-encoded chunk:
-// integer-valued data goes through the colenc encoding selector
-// (dictionary / RLE / delta / frame-of-reference / Huffman), string data
-// through a dictionary or raw layout, and every chunk gets an optional
-// DEFLATE pass kept only when it pays.
+// in the spirit of Apache Parquet, which the paper uses as a lossless
+// baseline; DeepSqueeze's archives reuse its string and float chunk layouts
+// for the failure streams that are not integers. Each column is stored as an
+// independently-encoded chunk: string data in a dictionary or raw layout,
+// float data as raw bits, Gorilla-style XOR or a value dictionary — integer
+// dictionary codes and ranks going through colenc's selector (varint, delta,
+// frame-of-reference or Huffman) — and every chunk gets a DEFLATE pass kept
+// only when it pays.
 package colfile
 
 import (
@@ -52,48 +53,12 @@ func wrapCodecErr(err error) error {
 // Deflate wraps payload with a 1-byte tag: 0 = stored, 1 = DEFLATE. The
 // compressed form is kept only when strictly smaller.
 func Deflate(payload []byte) []byte {
-	return codec.CompressBytes(payload, codec.ByteOnly)
+	return codec.CompressBytes(payload)
 }
-
-// deflateLevel is Deflate at an explicit compression level. Any writer
-// failure — including an invalid level — falls back to the stored form, so
-// the result is always a valid chunk and the encoder never panics.
-func deflateLevel(payload []byte, level int) []byte {
-	return codec.DeflateLevel(payload, level)
-}
-
-// maxInflatedBytes caps the output of a single DEFLATE chunk; the codec
-// layer owns the bound, this package re-exposes it for its own bomb tests.
-const maxInflatedBytes = codec.MaxInflatedBytes
 
 // Inflate inverts Deflate.
 func Inflate(buf []byte) ([]byte, error) {
 	out, err := codec.DecompressBytes(buf)
-	return out, wrapCodecErr(err)
-}
-
-// PackInts encodes an integer stream with the best columnar encoding and the
-// full codec best-of pass (DEFLATE plus the range codecs when eligible).
-// This is the entry point DeepSqueeze's materialization uses for codes,
-// failures, and expert mappings.
-func PackInts(values []int64) []byte {
-	return codec.CompressInts(values, codec.Auto)
-}
-
-// PackIntsMask is PackInts with an explicit codec selection, for callers
-// plumbing a user-chosen codec policy (Options.Codec) down to the streams.
-func PackIntsMask(values []int64, mask codec.Mask) []byte {
-	return codec.CompressInts(values, mask)
-}
-
-// UnpackInts inverts PackInts with no expected-count bound. Prefer
-// UnpackIntsMax when decoding untrusted bytes with a known value count.
-func UnpackInts(buf []byte) ([]int64, error) { return UnpackIntsMax(buf, -1) }
-
-// UnpackIntsMax inverts PackInts, rejecting streams that declare more than
-// max values before allocating for them. max < 0 disables the bound.
-func UnpackIntsMax(buf []byte, max int) ([]int64, error) {
-	out, err := codec.DecompressInts(buf, max)
 	return out, wrapCodecErr(err)
 }
 
@@ -145,7 +110,7 @@ func UnpackStringsMax(buf []byte, max int) ([]string, error) {
 		}
 		codes64, err := colenc.DecodeBestMax(body[1+used:], max)
 		if err != nil {
-			return nil, err
+			return nil, wrapCodecErr(err)
 		}
 		codes := make([]int, len(codes64))
 		for i, c := range codes64 {
@@ -258,7 +223,7 @@ func UnpackFloatsMax(buf []byte, max int) ([]float64, error) {
 		}
 		ranks, err := colenc.DecodeBestMax(body[1+used:], max)
 		if err != nil {
-			return nil, err
+			return nil, wrapCodecErr(err)
 		}
 		out := make([]float64, len(ranks))
 		for i, r := range ranks {
@@ -332,6 +297,9 @@ func Read(r io.Reader) (*dataset.Table, error) {
 	if ncols > uint64(len(data)) {
 		return nil, fmt.Errorf("%w: column count %d", ErrCorrupt, ncols)
 	}
+	if rows > math.MaxInt {
+		return nil, fmt.Errorf("%w: row count %d", ErrCorrupt, rows)
+	}
 	schema := &dataset.Schema{Columns: make([]dataset.Column, ncols)}
 	chunks := make([][]byte, ncols)
 	crc := crc32.NewIEEE()
@@ -367,26 +335,25 @@ func Read(r io.Reader) (*dataset.Table, error) {
 	if binary.LittleEndian.Uint32(data[pos:]) != crc.Sum32() {
 		return nil, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
 	}
-	t := dataset.NewTable(schema, int(rows))
+	// The table is built from the unpacked columns, never sized by the
+	// declared row count: the checksum covers the chunks, not the header. The
+	// count bounds each column's decode before it allocates; a table without
+	// columns holds nothing to check it against.
+	t := dataset.NewTable(schema, 0)
 	for i, c := range schema.Columns {
+		n := 0
 		if c.Type == dataset.Categorical {
-			vals, err := UnpackStrings(chunks[i])
-			if err != nil {
-				return nil, fmt.Errorf("column %q: %w", c.Name, err)
-			}
-			if uint64(len(vals)) != rows {
-				return nil, fmt.Errorf("%w: column %q has %d rows, want %d", ErrCorrupt, c.Name, len(vals), rows)
-			}
-			t.Str[i] = vals
+			t.Str[i], err = UnpackStringsMax(chunks[i], int(rows))
+			n = len(t.Str[i])
 		} else {
-			vals, err := UnpackFloats(chunks[i])
-			if err != nil {
-				return nil, fmt.Errorf("column %q: %w", c.Name, err)
-			}
-			if uint64(len(vals)) != rows {
-				return nil, fmt.Errorf("%w: column %q has %d rows, want %d", ErrCorrupt, c.Name, len(vals), rows)
-			}
-			t.Num[i] = vals
+			t.Num[i], err = UnpackFloatsMax(chunks[i], int(rows))
+			n = len(t.Num[i])
+		}
+		if err != nil {
+			return nil, fmt.Errorf("column %q: %w", c.Name, err)
+		}
+		if n != int(rows) {
+			return nil, fmt.Errorf("%w: column %q has %d rows, want %d", ErrCorrupt, c.Name, n, rows)
 		}
 	}
 	t.SetNumRows(int(rows))

@@ -49,26 +49,6 @@ func TestInflateCorrupt(t *testing.T) {
 	}
 }
 
-func TestPackIntsRoundTrip(t *testing.T) {
-	cases := [][]int64{
-		{},
-		{0, 0, 0, 0},
-		{1, -1, 100000, -100000},
-	}
-	for _, c := range cases {
-		got, err := UnpackInts(PackInts(c))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(c) == 0 && len(got) == 0 {
-			continue
-		}
-		if !reflect.DeepEqual(got, c) {
-			t.Fatalf("PackInts round trip: %v != %v", got, c)
-		}
-	}
-}
-
 func TestPackStringsRoundTrip(t *testing.T) {
 	cases := [][]string{
 		{},

@@ -4,25 +4,14 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"math"
 	"testing"
 
+	"deepsqueeze/internal/codec"
 	"deepsqueeze/internal/colenc"
+	"deepsqueeze/internal/dataset"
 )
-
-// TestDeflateInvalidLevelFallsBack: a bad compression level must degrade to
-// the stored form, not panic.
-func TestDeflateInvalidLevelFallsBack(t *testing.T) {
-	payload := []byte("the quick brown fox")
-	got := deflateLevel(payload, 42)
-	if len(got) == 0 || got[0] != 0 {
-		t.Fatalf("invalid level should produce stored form, got tag %d", got[0])
-	}
-	out, err := Inflate(got)
-	if err != nil || !bytes.Equal(out, payload) {
-		t.Fatalf("stored fallback round-trip = %q, %v", out, err)
-	}
-}
 
 // TestDeflateValidLevelStillCompresses guards the refactor: compressible
 // input at a valid level keeps the DEFLATE form.
@@ -47,14 +36,6 @@ func isCorrupt(err error) bool {
 // TestUnpackMaxRejectsOversizedCounts covers each typed unpacker's
 // expected-count bound.
 func TestUnpackMaxRejectsOversizedCounts(t *testing.T) {
-	ints := PackInts([]int64{1, 1, 1, 1, 1, 1, 1, 1})
-	if _, err := UnpackIntsMax(ints, 3); !isCorrupt(err) {
-		t.Fatalf("UnpackIntsMax(8 values, max 3) = %v, want corrupt error", err)
-	}
-	if got, err := UnpackIntsMax(ints, 8); err != nil || len(got) != 8 {
-		t.Fatalf("UnpackIntsMax at exact bound = %d values, %v", len(got), err)
-	}
-
 	strs := PackStrings([]string{"a", "b", "c", "d"})
 	if _, err := UnpackStringsMax(strs, 2); !isCorrupt(err) {
 		t.Fatalf("UnpackStringsMax(4 values, max 2) = %v, want corrupt error", err)
@@ -94,19 +75,68 @@ func TestXORFloatCountBounds(t *testing.T) {
 	}
 }
 
-// TestInflateBombCap: a chunk inflating past maxInflatedBytes is rejected
+// TestInflateBombCap: a chunk inflating past codec.MaxInflatedBytes is rejected
 // instead of exhausting memory. Built by deflating all-zero input, whose
 // compressed form is tiny relative to its expansion.
 func TestInflateBombCap(t *testing.T) {
 	if testing.Short() {
-		t.Skip("allocates maxInflatedBytes once")
+		t.Skip("allocates codec.MaxInflatedBytes once")
 	}
-	payload := make([]byte, maxInflatedBytes+1)
+	payload := make([]byte, codec.MaxInflatedBytes+1)
 	chunk := Deflate(payload)
 	if chunk[0] != 1 {
 		t.Fatal("zero payload should have taken the DEFLATE form")
 	}
 	if _, err := Inflate(chunk); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("Inflate(bomb) = %v, want ErrCorrupt", err)
+	}
+}
+
+// craftFile builds a parquet-lite file declaring rows, with one column per
+// chunk (numeric, named c0, c1, …) and a valid checksum: the checksum covers
+// the chunks only, so the declared row count is whatever the writer says.
+func craftFile(rows uint64, chunks ...[]byte) []byte {
+	out := append(magic[:], version)
+	out = binary.AppendUvarint(out, rows)
+	out = binary.AppendUvarint(out, uint64(len(chunks)))
+	crc := crc32.NewIEEE()
+	for i, c := range chunks {
+		out = binary.AppendUvarint(out, 2)
+		out = append(out, 'c', byte('0'+i), byte(dataset.Numeric))
+		out = binary.AppendUvarint(out, uint64(len(c)))
+		out = append(out, c...)
+		crc.Write(c)
+	}
+	return binary.LittleEndian.AppendUint32(out, crc.Sum32())
+}
+
+// TestReadBoundsDeclaredRows: Read never sizes anything by the declared row
+// count. A 24-byte file declaring 2^62 or 2^40 rows over an empty chunk used
+// to panic in makeslice or exhaust memory before looking at the chunk; a
+// count beyond int, or one its column does not hold, is corrupt; and a table
+// without columns, which has nothing to allocate, keeps its row count.
+func TestReadBoundsDeclaredRows(t *testing.T) {
+	three := PackFloats([]float64{1, 2, 3})
+	for _, c := range []struct {
+		name string
+		file []byte
+	}{
+		{"2^62 rows, empty chunk", craftFile(1<<62, nil)},
+		{"2^40 rows, empty chunk", craftFile(1<<40, nil)},
+		{"2^40 rows, three values", craftFile(1<<40, three)},
+		{"2^64-1 rows, three values", craftFile(math.MaxUint64, three)},
+		{"2^64-1 rows, no columns", craftFile(math.MaxUint64)},
+	} {
+		if _, err := Read(bytes.NewReader(c.file)); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: Read = %v, want ErrCorrupt", c.name, err)
+		}
+	}
+	got, err := Read(bytes.NewReader(craftFile(3, three)))
+	if err != nil || got.NumRows() != 3 {
+		t.Fatalf("three declared rows over three values: %v", err)
+	}
+	got, err = Read(bytes.NewReader(craftFile(1 << 62)))
+	if err != nil || got.NumRows() != 1<<62 || got.Schema.NumColumns() != 0 {
+		t.Fatalf("2^62 rows without columns: %v", err)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 
 	"deepsqueeze/internal/codec"
-	"deepsqueeze/internal/colfile"
 	"deepsqueeze/internal/dataset"
 	"deepsqueeze/internal/nn"
 	"deepsqueeze/internal/pipeline"
@@ -44,10 +43,9 @@ type externalModelRef struct {
 type segConfig struct {
 	hasModel  bool
 	experts   int
-	grouped   bool       // grouped mapping form (vs per-tuple labels)
-	keepOrder bool       // original order recoverable (flagRowOrder)
-	zoneMaps  bool       // groups carry zone maps (flagZoneMaps)
-	mask      codec.Mask // codecs the int-stream best-of selector may try
+	grouped   bool // grouped mapping form (vs per-tuple labels)
+	keepOrder bool // original order recoverable (flagRowOrder)
+	zoneMaps  bool // groups carry zone maps (flagZoneMaps)
 }
 
 // segmentData is everything one row-group segment serializes, already cut to
@@ -136,13 +134,13 @@ func sliceGroups(md *modelData, fs failureSet, dims [][]int64, perm []int, spans
 // original indexes when row order is kept); the labels form stores one
 // expert label per tuple. perm is the group's stored-order slice; origBase
 // is subtracted to make indexes group-local.
-func buildMappingChunk(assign, perm []int, origBase, experts int, grouped, keepOrder bool, mask codec.Mask) []byte {
+func buildMappingChunk(assign, perm []int, origBase, experts int, grouped, keepOrder bool) []byte {
 	if !grouped {
 		labels := make([]int64, len(perm))
 		for i, orig := range perm {
 			labels[i] = int64(assign[orig])
 		}
-		return colfile.PackIntsMask(labels, mask)
+		return codec.CompressInts(labels, codec.Auto)
 	}
 	byExpert := make([][]int64, experts)
 	for _, orig := range perm {
@@ -153,7 +151,7 @@ func buildMappingChunk(assign, perm []int, origBase, experts int, grouped, keepO
 	for _, idx := range byExpert {
 		mb = binary.AppendUvarint(mb, uint64(len(idx)))
 		if keepOrder {
-			packed := colfile.PackIntsMask(idx, mask)
+			packed := codec.CompressInts(idx, codec.Auto)
 			mb = binary.AppendUvarint(mb, uint64(len(packed)))
 			mb = append(mb, packed...)
 		}
@@ -185,16 +183,16 @@ func buildSegment(t *dataset.Table, md *modelData, assign []int, cfg segConfig, 
 	seg := builtSegment{count: g.span.count}
 	if cfg.hasModel {
 		for d, dim := range g.dims {
-			seg.codes += w.chunk(g.packs.frame(streamKey{codeDim, 0, d}, stream{ints: dim}, cfg.mask))
+			seg.codes += w.chunk(g.packs.frame(streamKey{codeDim, 0, d}, stream{ints: dim}))
 		}
 	}
 	if cfg.experts > 1 {
-		seg.mapping += w.chunk(buildMappingChunk(assign, g.perm, g.origBase, cfg.experts, cfg.grouped, cfg.keepOrder, cfg.mask))
+		seg.mapping += w.chunk(buildMappingChunk(assign, g.perm, g.origBase, cfg.experts, cfg.grouped, cfg.keepOrder))
 	}
 	for col := range md.plan.Cols {
 		for _, e := range colStreams(md.plan, md.layout, col) {
 			key := streamKey{e.kind, col, e.digit}
-			seg.failures += w.chunk(g.packs.frame(key, g.stream(key, t, md), cfg.mask))
+			seg.failures += w.chunk(g.packs.frame(key, g.stream(key, t, md)))
 		}
 	}
 	seg.framed = w.finish()
@@ -274,7 +272,6 @@ func frameState(run *pipeline.Run, f *framer, t *dataset.Table, opts Options, st
 		grouped:   st.grouped,
 		keepOrder: flags&flagRowOrder != 0,
 		zoneMaps:  flags&flagZoneMaps != 0,
-		mask:      opts.codecMask(),
 	}
 	segs := make([]builtSegment, len(groups))
 	err = run.ForEach(len(groups), func(g int) error {

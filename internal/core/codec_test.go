@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
@@ -44,32 +45,116 @@ func skewedCatTable(rows int, seed int64) *dataset.Table {
 	return t
 }
 
-func TestOptionsCodecValidation(t *testing.T) {
-	for _, name := range []string{"", "auto", "stored", "deflate", "range", "range-adaptive", "range-cpt"} {
-		o := quickOpts()
-		o.Codec = name
-		if err := o.validate(); err != nil {
-			t.Fatalf("Codec %q rejected: %v", name, err)
+// reframeInts rewrites a version-2 archive with every integer-stream frame —
+// code dimensions, mapping labels and indexes, integer failure streams —
+// decoded and framed again by frame; every other chunk, the zone maps and the
+// decoder section are copied as they are. It is how a test reaches frames the
+// writer does not choose for a given archive.
+func reframeInts(t *testing.T, archive []byte, frame func([]int64) []byte) []byte {
+	t.Helper()
+	m, err := parseArchiveMeta(archive)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again := func(chunk []byte, count int) []byte {
+		v, err := codec.DecompressInts(chunk, count)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return frame(v)
+	}
+	// What each chunk index of a segment holds, in the order readers walk it.
+	const codes, mapping, ints, other = 0, 1, 2, 3
+	var layout []int
+	if m.hasModel {
+		for d := 0; d < m.codeSize; d++ {
+			layout = append(layout, codes)
 		}
 	}
-	o := quickOpts()
-	o.Codec = "lzma"
-	if err := o.validate(); err == nil {
-		t.Fatal("Codec \"lzma\" accepted")
+	if m.numExperts > 1 {
+		layout = append(layout, mapping)
 	}
+	for col := range m.plan.Cols {
+		for _, e := range colStreams(m.plan, m.layout, col) {
+			if kindSpecs[e.kind].frame == frameInts {
+				layout = append(layout, ints)
+			} else {
+				layout = append(layout, other)
+			}
+		}
+	}
+	return rewriteChunks(t, archive, func(g, i int, c []byte) []byte {
+		count := m.groups[g].count
+		switch {
+		case layout[i] == codes || layout[i] == ints || layout[i] == mapping && m.flags&flagGrouped == 0:
+			return again(c, count)
+		case layout[i] == mapping && m.flags&flagRowOrder != 0:
+			// Grouped with row order kept: per expert, a count and an
+			// index frame.
+			r, out := &sectionReader{buf: c}, []byte(nil)
+			for e := 0; e < m.numExperts; e++ {
+				n, err := r.uvarint()
+				if err != nil {
+					t.Fatal(err)
+				}
+				idx, err := r.chunk()
+				if err != nil {
+					t.Fatal(err)
+				}
+				out = appendChunk(binary.AppendUvarint(out, n), again(idx, int(n)))
+			}
+			return out
+		}
+		return c
+	})
 }
 
-// Every codec selection must produce a decodable archive that reconstructs
-// the table within tolerance.
+// streamBytes totals an archive's code and failure sections from its footer.
+func streamBytes(t *testing.T, archive []byte) int64 {
+	t.Helper()
+	info, err := Inspect(archive)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var n int64
+	for _, g := range info.Groups {
+		n += g.CodesBytes + g.FailureBytes
+	}
+	return n
+}
+
+// Every integer frame a writer has chosen decodes inside an archive: the auto
+// archive's streams re-framed as stored, DEFLATE or adaptive range frames
+// decode to the auto archive's table, and re-framing under Auto gives the
+// auto archive back byte for byte. (The retired static-table range frames
+// are cpt_v2's, a golden.)
 func TestRoundTripEveryCodec(t *testing.T) {
 	tb := skewedCatTable(1200, 11)
 	thr := []float64{0, 0, 0.05, 0}
-	for _, name := range []string{"auto", "stored", "deflate", "range", "range-adaptive", "range-cpt"} {
-		t.Run(name, func(t *testing.T) {
-			opts := quickOpts()
-			opts.Codec = name
-			_, got := roundTrip(t, tb, thr, opts)
-			if err := tb.EqualWithin(got, tolerances(tb, thr)); err != nil {
+	opts := quickOpts()
+	opts.NumExperts = 2
+	opts.RowGroupSize = 500
+	res, want := roundTrip(t, tb, thr, opts)
+	if err := tb.EqualWithin(want, tolerances(tb, thr)); err != nil {
+		t.Fatal(err)
+	}
+	for _, arm := range []struct {
+		name string
+		mask codec.Mask
+	}{{"auto", codec.Auto}, {"stored", codec.MaskStored}, {"deflate", codec.ByteOnly}, {"range-adaptive", codec.MaskStored | codec.MaskRangeAdaptive}} {
+		t.Run(arm.name, func(t *testing.T) {
+			archive := reframeInts(t, res.Archive, func(v []int64) []byte { return codec.CompressInts(v, arm.mask) })
+			switch same := bytes.Equal(archive, res.Archive); {
+			case arm.mask == codec.Auto && !same:
+				t.Fatal("re-framing under Auto changed the archive")
+			case arm.mask&codec.MaskRangeAdaptive == 0 && same:
+				t.Fatal("re-framing without the range coder left the archive as it was")
+			}
+			got, err := Decompress(archive)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := want.EqualWithin(got, nil); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -127,22 +212,18 @@ func nearDeterministicCatTable(rows int, seed int64) *dataset.Table {
 	return t
 }
 
-// autoVsDeflate compresses tb under the default codec selection and under
-// Codec "deflate": the auto archive must use a range codec somewhere and must
-// not exceed the DEFLATE-only one.
-func autoVsDeflate(t *testing.T, tb *dataset.Table, thr []float64, opts Options) (auto, deflate *Result) {
+// autoVsDeflate compresses tb and re-frames the archive's integer streams
+// with the stored/DEFLATE pair alone: the auto archive must use a range codec
+// somewhere and must not exceed the DEFLATE-only one.
+func autoVsDeflate(t *testing.T, tb *dataset.Table, thr []float64, opts Options) (auto *Result, deflate []byte) {
 	t.Helper()
 	auto, err := Compress(tb, thr, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.Codec = "deflate"
-	deflate, err = Compress(tb, thr, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(auto.Archive) > len(deflate.Archive) {
-		t.Fatalf("auto archive %dB > deflate archive %dB", len(auto.Archive), len(deflate.Archive))
+	deflate = reframeInts(t, auto.Archive, func(v []int64) []byte { return codec.CompressInts(v, codec.ByteOnly) })
+	if len(auto.Archive) > len(deflate) {
+		t.Fatalf("auto archive %dB > deflate archive %dB", len(auto.Archive), len(deflate))
 	}
 	stats, err := InspectStreams(auto.Archive)
 	if err != nil {
@@ -151,7 +232,6 @@ func autoVsDeflate(t *testing.T, tb *dataset.Table, thr []float64, opts Options)
 	rangeFrames := 0
 	for _, st := range stats {
 		rangeFrames += st.Codecs[codec.Name(codec.TagRangeAdaptive)]
-		rangeFrames += st.Codecs[codec.Name(codec.TagRangeCPT)]
 	}
 	if rangeFrames == 0 {
 		t.Fatal("no range-coded frames in the skewed fixture's archive")
@@ -159,12 +239,12 @@ func autoVsDeflate(t *testing.T, tb *dataset.Table, thr []float64, opts Options)
 	return auto, deflate
 }
 
-// With the range codecs enabled (the default) a skewed fixture must actually
-// use them somewhere, and the auto archive must not exceed the DEFLATE-only
-// one. The near-deterministic fixture is the acceptance gate of the stream
-// codecs (EXPERIMENTS.md, "Stream-codec ratio"): range coding must shrink its
-// failure+code bytes by at least 10%, and all four sizes are pinned — a
-// change that moves the ratio re-pins them in the same diff.
+// A skewed fixture's archive must actually use the range coder somewhere,
+// and must not exceed the same archive with its integer streams re-framed as
+// stored/DEFLATE. The near-deterministic fixture is the acceptance gate of the
+// stream codecs (EXPERIMENTS.md, "Stream-codec ratio"): range coding must
+// shrink its failure+code bytes by at least 10%, and all four sizes are
+// pinned — a change that moves the ratio re-pins them in the same diff.
 func TestAutoUsesRangeCodecsOnSkewedData(t *testing.T) {
 	autoVsDeflate(t, skewedCatTable(2500, 13), []float64{0, 0, 0.05, 0}, quickOpts())
 
@@ -177,8 +257,11 @@ func TestAutoUsesRangeCodecsOnSkewedData(t *testing.T) {
 		opts.TrainSampleRows = 4000
 		auto, deflate := autoVsDeflate(t, nearDeterministicCatTable(20_000, 301), make([]float64, 10), opts)
 		// {auto, deflate} byte counts.
-		streams := [2]int64{auto.Breakdown.Failures + auto.Breakdown.Codes, deflate.Breakdown.Failures + deflate.Breakdown.Codes}
-		archives := [2]int{len(auto.Archive), len(deflate.Archive)}
+		streams := [2]int64{auto.Breakdown.Failures + auto.Breakdown.Codes, streamBytes(t, deflate)}
+		if n := streamBytes(t, auto.Archive); n != streams[0] {
+			t.Fatalf("footer counts %d failure+code bytes, the breakdown %d", n, streams[0])
+		}
+		archives := [2]int{len(auto.Archive), len(deflate)}
 		if want := [2]int64{22_780, 27_994}; streams != want {
 			t.Errorf("failure+code bytes %v, pinned %v", streams, want)
 		}

@@ -11,7 +11,6 @@ import (
 	"strings"
 	"testing"
 
-	"deepsqueeze/internal/codec"
 	"deepsqueeze/internal/dataset"
 )
 
@@ -55,6 +54,17 @@ func contractTable(rows int, seed int64) *dataset.Table {
 // section sizes all follow, so the archive is well-formed around the new
 // chunk; an identity edit gives back the archive's own bytes.
 func rewriteChunk(t *testing.T, archive []byte, group, index int, edit func([]byte) []byte) []byte {
+	return rewriteChunks(t, archive, func(g, i int, c []byte) []byte {
+		if g == group && i == index {
+			return edit(c)
+		}
+		return c
+	})
+}
+
+// rewriteChunks is rewriteChunk over every section chunk of every group:
+// edit gets each chunk with its group and index and returns its replacement.
+func rewriteChunks(t *testing.T, archive []byte, edit func(group, index int, chunk []byte) []byte) []byte {
 	t.Helper()
 	m, err := parseArchiveMeta(archive)
 	if err != nil {
@@ -79,6 +89,10 @@ func rewriteChunk(t *testing.T, archive []byte, group, index int, edit func([]by
 			t.Fatal(err)
 		}
 	}
+	codeChunks := 0
+	if m.hasModel {
+		codeChunks = m.codeSize
+	}
 	var out bytes.Buffer
 	f := newFramer(&out)
 	if _, err := f.prefix(flags, hdr, m.decoderChunk); err != nil {
@@ -90,42 +104,39 @@ func rewriteChunk(t *testing.T, archive []byte, group, index int, edit func([]by
 		if err != nil {
 			t.Fatal(err)
 		}
-		seg := builtSegment{framed: framed, count: g.count, codes: g.codes, mapping: g.mapping, failures: g.failures}
+		seg := builtSegment{count: g.count}
 		if zones != nil {
 			seg.zones = zones[gi]
 		}
-		if gi == group {
-			body := &sectionReader{buf: framed[:len(framed)-4]}
-			w := &sectionWriter{}
-			sh, err := body.chunk()
+		body := &sectionReader{buf: framed[:len(framed)-4]}
+		w := &sectionWriter{}
+		sh, err := body.chunk()
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.chunk(sh)
+		if sh[len(sh)-1] == 1 { // a plan override follows
+			plan, err := body.chunk()
 			if err != nil {
 				t.Fatal(err)
 			}
-			w.chunk(sh)
-			if sh[len(sh)-1] == 1 { // a plan override follows
-				plan, err := body.chunk()
-				if err != nil {
-					t.Fatal(err)
-				}
-				w.chunk(plan)
+			w.chunk(plan)
+		}
+		for i := 0; body.pos < len(body.buf); i++ {
+			c, err := body.chunk()
+			if err != nil {
+				t.Fatal(err)
 			}
-			for i := 0; body.pos < len(body.buf); i++ {
-				c, err := body.chunk()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if i == index {
-					c = edit(c)
-				}
-				w.chunk(c)
-			}
-			seg.framed = w.finish()
-			if delta := int64(len(seg.framed) - len(framed)); m.hasModel && index < m.codeSize {
-				seg.codes += delta
-			} else {
-				seg.failures += delta
+			switch n := w.chunk(edit(gi, i, c)); {
+			case i < codeChunks:
+				seg.codes += n
+			case i == codeChunks && m.numExperts > 1:
+				seg.mapping += n
+			default:
+				seg.failures += n
 			}
 		}
+		seg.framed = w.finish()
 		if err := f.segment(seg); err != nil {
 			t.Fatal(err)
 		}
@@ -264,7 +275,7 @@ func TestColStreamsContract(t *testing.T) {
 						t.Fatal(err)
 					}
 					short := s.slice(c.key.kind, 0, g.count-1)
-					return short.pack(c.key.kind, codec.Auto)
+					return short.pack(c.key.kind)
 				})
 				what := fmt.Sprintf("%s chunk %d of column %d has %d values, want %d",
 					kindSpecs[c.key.kind].name, c.key.digit, c.key.col, g.count-1, g.count)

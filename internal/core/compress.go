@@ -145,11 +145,6 @@ func decide(run *pipeline.Run, t *dataset.Table, md *modelData, opts Options,
 	for _, e := range assign {
 		res.ExpertUse[e]++
 	}
-	// The codec mask shapes every size objective below (truncation search,
-	// mapping choice) as well as the final assembly, so the decisions optimize
-	// the bytes the archive will actually contain.
-	cmask := opts.codecMask()
-
 	// Row groups: every archive section is segmented at these span
 	// boundaries, so the stored order must keep each group's rows
 	// contiguous — expert grouping happens within each span.
@@ -188,7 +183,7 @@ func decide(run *pipeline.Run, t *dataset.Table, md *modelData, opts Options,
 				if err != nil {
 					return err
 				}
-				results[i], packs[i] = candidate{dims, fs}, newPackings(fs, dims, cmask)
+				results[i], packs[i] = candidate{dims, fs}, newPackings(fs, dims)
 				return nil
 			})
 			if err != nil {
@@ -218,13 +213,13 @@ func decide(run *pipeline.Run, t *dataset.Table, md *modelData, opts Options,
 	st.perm, st.grouped = grouped, true
 	if st.experts > 1 && hasModel && opts.KeepRowOrder {
 		err := run.Stage("mapping", func() error {
-			groupedCost := mappingCost(assign, grouped, st.spans, st.experts, true, true, cmask)
-			labelsCost := mappingCost(assign, identity, st.spans, st.experts, false, true, cmask)
+			groupedCost := mappingCost(assign, grouped, st.spans, st.experts, true, true)
+			labelsCost := mappingCost(assign, identity, st.spans, st.experts, false, true)
 			dimsI, fsI, err := groupStreams(run, t, st, permuteRows(codesF, identity), identity, st.codeBits)
 			if err != nil {
 				return err
 			}
-			packsI := newPackings(fsI, dimsI, cmask)
+			packsI := newPackings(fsI, dimsI)
 			if err := packAll(run, st.packs, packsI); err != nil {
 				return err
 			}
@@ -474,10 +469,10 @@ func permuteRows(m *mat.Matrix, perm []int) *mat.Matrix {
 
 // mappingCost totals the exact per-group mapping chunk sizes a stored order
 // would produce — the objective of the grouped-vs-labels decision.
-func mappingCost(assign, perm []int, spans []rowSpan, numExperts int, grouped, keepOrder bool, mask codec.Mask) int64 {
+func mappingCost(assign, perm []int, spans []rowSpan, numExperts int, grouped, keepOrder bool) int64 {
 	var total int64
 	for _, sp := range spans {
-		mb := buildMappingChunk(assign, perm[sp.start:sp.start+sp.count], sp.start, numExperts, grouped, keepOrder, mask)
+		mb := buildMappingChunk(assign, perm[sp.start:sp.start+sp.count], sp.start, numExperts, grouped, keepOrder)
 		total += int64(len(mb))
 	}
 	return total
@@ -488,7 +483,7 @@ func mappingCost(assign, perm []int, spans []rowSpan, numExperts int, grouped, k
 // pays. Earlier releases gzipped this section; the raw-flate frame saves the
 // gzip header and trailer and shares the codec layer's decode hardening.
 func compressDecoderSection(b []byte) []byte {
-	return codec.CompressBytes(b, codec.ByteOnly)
+	return codec.CompressBytes(b)
 }
 
 // inflateDecoderSection inverts compressDecoderSection, still reading the

@@ -10,7 +10,7 @@ import (
 	"slices"
 	"sync"
 
-	"deepsqueeze/internal/colfile"
+	"deepsqueeze/internal/codec"
 	"deepsqueeze/internal/dataset"
 	"deepsqueeze/internal/mat"
 	"deepsqueeze/internal/nn"
@@ -660,7 +660,7 @@ func (d *decompressor) unpackMapping(g *groupDec) error {
 					return fmt.Errorf("%w: truncated mapping indexes", ErrCorrupt)
 				}
 				mpos += sz
-				idx, err := colfile.UnpackIntsMax(mb[mpos:mpos+int(l)], cnt)
+				idx, err := codec.DecompressInts(mb[mpos:mpos+int(l)], cnt)
 				if err != nil {
 					return corrupt(err)
 				}
@@ -688,7 +688,7 @@ func (d *decompressor) unpackMapping(g *groupDec) error {
 			return fmt.Errorf("%w: mapping does not cover all rows", ErrCorrupt)
 		}
 	} else {
-		labels, err := colfile.UnpackIntsMax(mb, g.count)
+		labels, err := codec.DecompressInts(mb, g.count)
 		if err != nil {
 			return corrupt(err)
 		}

@@ -18,9 +18,9 @@ var updateGolden = flag.Bool("update", false, "regenerate version-2 golden archi
 // options it was compressed with, and the fixture's base name under
 // testdata/. The committed .dsqz bytes are the format-stability contract:
 // decoder changes must keep decoding them to the committed .csv exactly.
-// Version-1 fixtures and f32_v2 are frozen — the writer no longer emits v1
-// or the float32 plan, so they can never be regenerated; -update rewrites
-// only the v2 fixtures that have a builder.
+// Version-1 fixtures, f32_v2 and cpt_v2 are frozen — the writer no longer
+// emits v1, the float32 plan or static-table range frames, so they can never
+// be regenerated; -update rewrites only the v2 fixtures that have a builder.
 type goldenCase struct {
 	name    string
 	version byte
@@ -102,7 +102,9 @@ func goldenCases() []goldenCase {
 	}})
 	// stats_v2 pins the zone-map stats chunk: multi-group with default
 	// (enabled) zone maps, so the fixture's flag byte, kindStats framing,
-	// and per-kind zone payloads are all under the golden contract.
+	// and per-kind zone payloads are all under the golden contract. It is
+	// also the one golden carrying run-length stored frames, which writers no
+	// longer build: -update would rewrite them away, so never regenerate it.
 	cases = append(cases, goldenCase{name: "stats_v2", version: 2, build: func() (*dataset.Table, []float64, Options) {
 		opts := goldenOpts(2)
 		opts.RowGroupSize = 100
@@ -115,11 +117,19 @@ func goldenCases() []goldenCase {
 	// the float32 kernel semantics — any change to the f32 matmul
 	// accumulation order shows up here as a decode mismatch.
 	cases = append(cases, goldenCase{name: "f32_v2", version: 2})
+	// cpt_v2 pins the static-table range frames (tag 3) writers built until
+	// they stopped offering them: 1 000 rows of skewedCatTable seed 110 at
+	// goldenOpts(2), 8-bit codes, one group, written with every integer
+	// stream restricted to the stored and static-table frames. Its code,
+	// mapping and failure streams carry tag-3 frames — the header layout and
+	// the one-byte-per-symbol table the decoder still parses.
+	cases = append(cases, goldenCase{name: "cpt_v2", version: 2})
 	// entropy_v2 pins the stream-codec layer under default (auto) selection:
 	// a heavily skewed categorical fixture whose failure streams the best-of
-	// selector range-codes. The committed bytes freeze the range frame format
-	// — header layout, CPT table serialization, model increment — so any
-	// codec change that re-frames these streams shows up as a byte diff.
+	// selector range-codes. The committed bytes freeze the adaptive range
+	// frame — header layout, model increment — so any codec change that
+	// re-frames these streams shows up as a byte diff; cpt_v2 pins the
+	// static-table frame.
 	cases = append(cases, goldenCase{name: "entropy_v2", version: 2, build: func() (*dataset.Table, []float64, Options) {
 		opts := goldenOpts(1)
 		opts.RowGroupSize = 150
@@ -252,7 +262,7 @@ func TestGoldenArchives(t *testing.T) {
 			if idx.Rows != got.NumRows() {
 				t.Fatalf("index declares %d rows, table has %d", idx.Rows, got.NumRows())
 			}
-			if wantStats := gc.name == "stats_v2" || gc.name == "f32_v2" ||
+			if wantStats := gc.name == "stats_v2" || gc.name == "f32_v2" || gc.name == "cpt_v2" ||
 				gc.name == "entropy_v2" || gc.name == "resbit_v2" || gc.name == "streamed_v2"; idx.HasZoneMaps != wantStats {
 				t.Fatalf("HasZoneMaps = %v, want %v", idx.HasZoneMaps, wantStats)
 			}
@@ -279,10 +289,25 @@ func TestGoldenArchives(t *testing.T) {
 				}
 				rangeFrames := 0
 				for _, st := range stats {
-					rangeFrames += st.Codecs["range-adaptive"] + st.Codecs["range-cpt"]
+					rangeFrames += st.Codecs["range-adaptive"]
 				}
 				if rangeFrames == 0 {
 					t.Fatal("entropy fixture carries no range-coded frames")
+				}
+			}
+			if gc.name == "cpt_v2" {
+				// This fixture exists to pin the static-table range frame in
+				// every kind of integer stream.
+				stats, err := InspectStreams(archive)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cpt := map[string]int{}
+				for _, st := range stats {
+					cpt[st.Stream] += st.Codecs["range-cpt"]
+				}
+				if cpt["codes"] == 0 || cpt["mapping"] == 0 || cpt["failures"] == 0 {
+					t.Fatalf("static-table range frames per stream: %v", cpt)
 				}
 			}
 			if gc.name == "streamed_v2" {

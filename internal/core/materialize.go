@@ -473,15 +473,15 @@ func (s stream) slice(kind streamKind, lo, hi int) stream {
 	return stream{ints: s.ints[lo:hi]}
 }
 
-// pack frames s, a stream of kind, under mask.
-func (s *stream) pack(kind streamKind, mask codec.Mask) []byte {
+// pack frames s, a stream of kind.
+func (s *stream) pack(kind streamKind) []byte {
 	switch kindSpecs[kind].frame {
 	case frameFloats:
 		return colfile.PackFloats(s.floats)
 	case frameStrings:
 		return colfile.PackStrings(s.strs)
 	}
-	return colfile.PackIntsMask(s.ints, mask)
+	return codec.CompressInts(s.ints, codec.Auto)
 }
 
 // unpackStream decodes a chunk of stream key, holding a dense stream to
@@ -497,7 +497,7 @@ func unpackStream(chunk []byte, key streamKey, count int) (s stream, err error) 
 		s.strs, err = colfile.UnpackStringsMax(chunk, count)
 		n = len(s.strs)
 	default:
-		s.ints, err = colfile.UnpackIntsMax(chunk, count)
+		s.ints, err = codec.DecompressInts(chunk, count)
 		n = len(s.ints)
 	}
 	if err != nil {
@@ -527,19 +527,18 @@ func (s *stream) same(o *stream) bool {
 }
 
 // packings is every stream of one (code dimensions, failure set) pair and,
-// once packAll has run, its frame under one codec mask: what a truncation
+// once packAll has run, its frame: what a truncation
 // candidate costs and, for the winner, the frames assembly writes instead of
 // packing the same streams again. A packings lives in one archiveState from
 // decide until frameState has built the segments.
 type packings struct {
-	mask    codec.Mask
 	streams map[streamKey]*packedStream
 	size    int64 // total frame bytes, set by packAll
 }
 
 // newPackings lists the streams of codeDims and fs, none packed yet.
-func newPackings(fs failureSet, codeDims [][]int64, mask codec.Mask) *packings {
-	p := &packings{mask: mask, streams: make(map[streamKey]*packedStream, len(codeDims)+len(fs))}
+func newPackings(fs failureSet, codeDims [][]int64) *packings {
+	p := &packings{streams: make(map[streamKey]*packedStream, len(codeDims)+len(fs))}
 	for d, s := range codeDims {
 		p.streams[streamKey{codeDim, 0, d}] = &packedStream{stream: stream{ints: s}}
 	}
@@ -560,7 +559,6 @@ func packAll(run *pipeline.Run, chain ...*packings) error {
 	type job struct {
 		s    *packedStream
 		kind streamKind
-		mask codec.Mask
 	}
 	type alias struct{ dst, src *packedStream }
 	var work []job
@@ -570,18 +568,18 @@ func packAll(run *pipeline.Run, chain ...*packings) error {
 			if s.frame != nil {
 				continue
 			}
-			if i > 0 && chain[i-1].mask == p.mask {
+			if i > 0 {
 				if prev := chain[i-1].streams[key]; prev != nil && prev.same(&s.stream) {
 					aliases = append(aliases, alias{s, prev})
 					continue
 				}
 			}
-			work = append(work, job{s, key.kind, p.mask})
+			work = append(work, job{s, key.kind})
 		}
 	}
 	err := run.ForEach(len(work), func(i int) error {
 		j := work[i]
-		j.s.frame = j.s.pack(j.kind, j.mask)
+		j.s.frame = j.s.pack(j.kind)
 		return nil
 	})
 	if err != nil {
@@ -600,13 +598,12 @@ func packAll(run *pipeline.Run, chain ...*packings) error {
 }
 
 // frame returns the frame of stream s stored at key: p's when p holds the
-// same stream packed under mask, a fresh packing otherwise (always, for a nil
-// p).
-func (p *packings) frame(key streamKey, s stream, mask codec.Mask) []byte {
-	if p != nil && p.mask == mask {
+// same stream packed, a fresh packing otherwise (always, for a nil p).
+func (p *packings) frame(key streamKey, s stream) []byte {
+	if p != nil {
 		if kept := p.streams[key]; kept != nil && kept.frame != nil && kept.same(&s) {
 			return kept.frame
 		}
 	}
-	return s.pack(key.kind, mask)
+	return s.pack(key.kind)
 }

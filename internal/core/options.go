@@ -8,7 +8,6 @@ package core
 import (
 	"fmt"
 
-	"deepsqueeze/internal/codec"
 	"deepsqueeze/internal/nn"
 	"deepsqueeze/internal/pipeline"
 	"deepsqueeze/internal/preprocess"
@@ -65,16 +64,6 @@ type Options struct {
 	// group × column and let Query prune row groups whose min/max bounds or
 	// dictionary presence bits cannot match a predicate.
 	NoZoneMaps bool
-	// Codec selects the per-stream compression codecs the best-of selector
-	// may try on integer streams (failure ranks, truncated codes, expert
-	// mappings): "auto" (or empty, the default) tries stored, DEFLATE, and
-	// both range codecs and keeps the smallest frame per stream; "deflate"
-	// reproduces the pre-codec stored/DEFLATE behavior; "stored" disables
-	// compression; "range" / "range-adaptive" / "range-cpt" force the learned
-	// range codecs (streams always keep the stored fallback). Selection is a
-	// pure function of each stream's bytes, so archives stay byte-identical
-	// at every parallelism level.
-	Codec string
 	// Parallelism bounds the pipeline's worker pool: the number of
 	// goroutines scheduling independent stage work (truncation-search
 	// candidates, per-expert training and encoding, per-column packing,
@@ -126,21 +115,7 @@ func (o *Options) validate() error {
 	if o.RowGroupSize < 0 {
 		return fmt.Errorf("core: negative row group size")
 	}
-	if _, err := codec.ParseMask(o.Codec); err != nil {
-		return fmt.Errorf("core: %v", err)
-	}
 	return nil
-}
-
-// codecMask resolves Options.Codec to the codec-selection mask. Invalid
-// names were rejected by validate; an unvalidated bad value degrades to the
-// Auto default rather than panicking.
-func (o *Options) codecMask() codec.Mask {
-	m, err := codec.ParseMask(o.Codec)
-	if err != nil {
-		return codec.Auto
-	}
-	return m
 }
 
 // defaultRowGroupSize is the row-group row count when Options.RowGroupSize

@@ -21,7 +21,7 @@ func checkPackingsFresh(t *testing.T, p *packings) {
 	}
 	var size int64
 	for key, s := range p.streams {
-		want := colfile.PackIntsMask(s.ints, p.mask)
+		want := codec.CompressInts(s.ints, codec.Auto)
 		if kindSpecs[key.kind].frame == frameFloats {
 			want = colfile.PackFloats(s.floats)
 		}
@@ -40,7 +40,7 @@ func checkPackingsFresh(t *testing.T, p *packings) {
 // at Parallelism 1, 4 and NumCPU, in one row group (assembly writes the
 // decisions' frames) and in several (it packs slices afresh), the archive
 // equals the one assembled from the same decisions with no packings kept —
-// every segment packed by colfile directly — and Compress's.
+// every segment packed afresh — and Compress's.
 func TestPackingReuseIsByteIdentical(t *testing.T) {
 	tb := latentTable(1500, 27)
 	thr := []float64{0, 0, 0.05, 0.05, 0}
@@ -89,8 +89,8 @@ func TestPackingReuseIsByteIdentical(t *testing.T) {
 }
 
 // packAll shares a frame exactly when the previous set holds the same stream
-// under the same key and mask, keeps frames already packed, and packs the
-// rest afresh; -0 and +0 are different streams.
+// under the same key, keeps frames already packed, and packs the rest
+// afresh; -0 and +0 are different streams.
 func TestPackAllSharesOnlyEqualStreams(t *testing.T) {
 	mk := func(ints []int64, vals []float64) failureSet {
 		return failureSet{
@@ -100,11 +100,10 @@ func TestPackAllSharesOnlyEqualStreams(t *testing.T) {
 		}
 	}
 	ranks := []int64{0, 0, 1, 0, 2, 0, 0, 5}
-	a := newPackings(mk(ranks, []float64{1.5, 0}), [][]int64{{1, 2, 3}}, codec.Auto)
-	b := newPackings(mk(append([]int64(nil), ranks...), []float64{1.5, math.Copysign(0, -1)}), [][]int64{{1, 2, 4}}, codec.Auto)
-	c := newPackings(mk(ranks, []float64{1.5, 0}), [][]int64{{1, 2, 4}}, codec.ByteOnly)
+	a := newPackings(mk(ranks, []float64{1.5, 0}), [][]int64{{1, 2, 3}})
+	b := newPackings(mk(append([]int64(nil), ranks...), []float64{1.5, math.Copysign(0, -1)}), [][]int64{{1, 2, 4}})
 	run := pipeline.New(context.Background(), 2)
-	if err := packAll(run, a, b, c); err != nil {
+	if err := packAll(run, a, b); err != nil {
 		t.Fatal(err)
 	}
 	shared := func(p, q *packings, key streamKey) bool {
@@ -112,20 +111,17 @@ func TestPackAllSharesOnlyEqualStreams(t *testing.T) {
 	}
 	ints, mask, vals, dim := streamKey{failInts, 3, 0}, streamKey{failContMask, 5, 0}, streamKey{failContVals, 5, 0}, streamKey{codeDim, 0, 0}
 	if !shared(a, b, ints) || !shared(a, b, mask) {
-		t.Fatal("equal streams under the same mask were packed twice")
+		t.Fatal("equal streams were packed twice")
 	}
 	if shared(a, b, vals) || shared(a, b, dim) {
 		t.Fatal("different streams share a frame")
 	}
-	if shared(b, c, ints) || shared(b, c, dim) {
-		t.Fatal("streams share a frame across codec masks")
-	}
-	for _, p := range []*packings{a, b, c} {
+	for _, p := range []*packings{a, b} {
 		checkPackingsFresh(t, p)
 	}
 	// A frame already packed is kept, and a later set still shares it.
 	kept := a.streams[ints].frame
-	d := newPackings(mk(ranks, []float64{1.5, 0}), [][]int64{{1, 2, 3}}, codec.Auto)
+	d := newPackings(mk(ranks, []float64{1.5, 0}), [][]int64{{1, 2, 3}})
 	if err := packAll(run, a, d); err != nil {
 		t.Fatal(err)
 	}

@@ -188,7 +188,7 @@ func TestResidualShrinksClickstream(t *testing.T) {
 	if n := info.KindCensus["residual"]; n != 2 {
 		t.Errorf("%d residual columns, want the 2 id columns", n)
 	}
-	const wantResidual, wantFallback = 231_704, 268_474
+	const wantResidual, wantFallback = 231_712, 268_479
 	if len(rres.Archive) != wantResidual || len(fres.Archive) != wantFallback {
 		t.Errorf("residual archive %d B, fallback %d B; pinned %d, %d",
 			len(rres.Archive), len(fres.Archive), wantResidual, wantFallback)

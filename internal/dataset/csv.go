@@ -1,10 +1,8 @@
 package dataset
 
 import (
-	"encoding/csv"
-	"fmt"
 	"io"
-	"strconv"
+	"math"
 )
 
 // WriteCSV writes the table as CSV with a header row, through CSVWriter.
@@ -22,41 +20,13 @@ func (t *Table) WriteCSV(w io.Writer) error {
 // supplies column types; the CSV header must match the schema's column names
 // in order.
 func ReadCSV(r io.Reader, schema *Schema) (*Table, error) {
-	cr := csv.NewReader(r)
-	cr.ReuseRecord = true
-	header, err := cr.Read()
+	s, err := NewCSVScanner(r, schema)
 	if err != nil {
-		return nil, fmt.Errorf("dataset: read header: %w", err)
-	}
-	if len(header) != len(schema.Columns) {
-		return nil, fmt.Errorf("dataset: header has %d columns, schema %d", len(header), len(schema.Columns))
-	}
-	for i, c := range schema.Columns {
-		if header[i] != c.Name {
-			return nil, fmt.Errorf("dataset: header column %d is %q, schema says %q", i, header[i], c.Name)
-		}
+		return nil, err
 	}
 	t := NewTable(schema, 1024)
-	for rowNum := 0; ; rowNum++ {
-		rec, err := cr.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("dataset: read row %d: %w", rowNum, err)
-		}
-		for i, c := range schema.Columns {
-			if c.Type == Categorical {
-				t.Str[i] = append(t.Str[i], rec[i])
-			} else {
-				v, err := strconv.ParseFloat(rec[i], 64)
-				if err != nil {
-					return nil, fmt.Errorf("dataset: row %d column %q: %w", rowNum, c.Name, err)
-				}
-				t.Num[i] = append(t.Num[i], v)
-			}
-		}
-		t.rows++
+	if _, err := s.readRows(t, math.MaxInt); err != nil {
+		return nil, err
 	}
 	return t, nil
 }

@@ -10,7 +10,8 @@ import (
 // CSVScanner reads a headered CSV file in bounded row chunks, so tables
 // larger than memory can flow through the streaming compressor. The header
 // is read and validated against the schema up front; each ReadChunk then
-// returns at most maxRows rows.
+// returns at most maxRows rows. ReadCSV is a scanner read to the end into one
+// table.
 type CSVScanner struct {
 	cr     *csv.Reader
 	schema *Schema
@@ -49,14 +50,27 @@ func (s *CSVScanner) ReadChunk(maxRows int) (*Table, error) {
 		return nil, fmt.Errorf("dataset: chunk of %d rows", maxRows)
 	}
 	t := NewTable(s.schema, maxRows)
-	for t.NumRows() < maxRows {
+	eof, err := s.readRows(t, maxRows)
+	if err != nil {
+		return nil, err
+	}
+	s.done = eof
+	if t.NumRows() == 0 {
+		return nil, io.EOF
+	}
+	return t, nil
+}
+
+// readRows appends rows to t until it holds maxRows of them or the file
+// ends, reporting which: the one row loop behind ReadChunk and ReadCSV.
+func (s *CSVScanner) readRows(t *Table, maxRows int) (eof bool, err error) {
+	for t.rows < maxRows {
 		rec, err := s.cr.Read()
 		if err == io.EOF {
-			s.done = true
-			break
+			return true, nil
 		}
 		if err != nil {
-			return nil, fmt.Errorf("dataset: read row %d: %w", s.rowNum, err)
+			return false, fmt.Errorf("dataset: read row %d: %w", s.rowNum, err)
 		}
 		for i, c := range s.schema.Columns {
 			if c.Type == Categorical {
@@ -64,16 +78,13 @@ func (s *CSVScanner) ReadChunk(maxRows int) (*Table, error) {
 			} else {
 				v, err := strconv.ParseFloat(rec[i], 64)
 				if err != nil {
-					return nil, fmt.Errorf("dataset: row %d column %q: %w", s.rowNum, c.Name, err)
+					return false, fmt.Errorf("dataset: row %d column %q: %w", s.rowNum, c.Name, err)
 				}
 				t.Num[i] = append(t.Num[i], v)
 			}
 		}
-		t.SetNumRows(t.NumRows() + 1)
+		t.rows++
 		s.rowNum++
 	}
-	if t.NumRows() == 0 {
-		return nil, io.EOF
-	}
-	return t, nil
+	return false, nil
 }

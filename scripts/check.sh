@@ -148,8 +148,8 @@ step "uninstrumented tests"
 # The tests that skip themselves under the race detector and only run here.
 # Allocation gates: testing.AllocsPerRun ceiling on the warm cached aggregate
 # query, the bytes a warm handle allocates per query with collections between
-# queries (its inference memory must survive them), and the writer's bytes per
-# row group under the default codec selection against the stored codec, and
+# queries (its inference memory must survive them), the writer's bytes per row
+# group against an absolute ceiling and per Write against linear growth, and
 # WriteCSV of a 205-row × 4-numeric-column table (a serve-pruned point
 # response) — race instrumentation adds allocations and makes sync.Pool drop
 # items. Pinned archive sizes: the two ratio
@@ -160,7 +160,7 @@ step "uninstrumented tests"
 # long sweeps of the softmax and rank-to-class pins, which run a short trial raced.
 go test -run='^TestWarmCachedQueryAllocs$' -count=1 ./internal/serve
 go test -run='^TestWriteCSVAllocs$' -count=1 ./internal/dataset
-go test -run='^(TestWarmHandleQueryBytesSurviveGC|TestArchiveWriterAutoCodecAllocs|TestAutoUsesRangeCodecsOnSkewedData|TestResidualShrinksClickstream|TestClassAtRankMatchesReference)$' -count=1 ./internal/core
+go test -run='^(TestWarmHandleQueryBytesSurviveGC|TestArchiveWriterAutoCodecAllocs|TestArchiveWriterLargeWriteIsLinear|TestAutoUsesRangeCodecsOnSkewedData|TestResidualShrinksClickstream|TestClassAtRankMatchesReference)$' -count=1 ./internal/core
 go test -run='^(TestExpMatchesReference|TestExpReferenceMatchesMathExp|TestTanhReferenceMatchesMathTanh)$' -count=1 ./internal/mat
 go test -run='^TestSoftmaxMatchesReference$' -count=1 ./internal/nn
 
@@ -171,12 +171,15 @@ step "fuzz smoke"
 # unpack, resolve and decode; FuzzArchiveReader drives the streaming reader,
 # which decodes groups before the archive checksum can vouch for them. One
 # worker: with the default two on a two-CPU box the time goes to baseline
-# coverage (≈ 30 executions in 10 s against thousands). The bitio run pins the
-# word-at-a-time bit writer to the bit-at-a-time reference kept in its test,
-# and the dataset run the CSV writer to encoding/csv, kept in its test.
+# coverage (≈ 30 executions in 10 s against thousands). FuzzDecompressInts
+# holds the integer-stream decoders — every frame tag, the ones writers no
+# longer build included — to "at most max values or ErrCorrupt". The bitio run
+# pins the word-at-a-time bit writer to the bit-at-a-time reference kept in its
+# test, and the dataset run the CSV writer to encoding/csv, kept in its test.
 go test -run='^$' -fuzz=FuzzDecompress -fuzztime=10s -parallel=1 ./internal/core
 go test -run='^$' -fuzz=FuzzArchiveReader -fuzztime=5s -parallel=1 ./internal/core
 go test -run='^$' -fuzz=FuzzSectionReader -fuzztime=5s -parallel=1 ./internal/core
+go test -run='^$' -fuzz=FuzzDecompressInts -fuzztime=5s -parallel=1 ./internal/codec
 go test -run='^$' -fuzz=FuzzWriterMatchesReference -fuzztime=5s -parallel=1 ./internal/bitio
 go test -run='^$' -fuzz=FuzzCSVWriterMatchesEncodingCSV -fuzztime=5s -parallel=1 ./internal/dataset
 
