@@ -448,15 +448,16 @@ func runDecompress(ctx context.Context, args []string) error {
 			opts.Columns = append(opts.Columns, name)
 		}
 	}
+	emptySpan := false
 	if *rows != "" {
 		rr, err := parseRowRange(*rows)
 		if err != nil {
 			return err
 		}
-		opts.RowRange = rr
+		opts.RowRange, emptySpan = rr, rr.Lo == rr.Hi
 	}
 	return withProfiles(*cpuprof, *memprof, func() error {
-		return decompressQuery(ctx, *in, *out, opts, *verbose)
+		return decompressQuery(ctx, *in, *out, opts, emptySpan, *verbose)
 	})
 }
 
@@ -526,14 +527,20 @@ func schemaNames(s *deepsqueeze.Schema) string {
 }
 
 // decompressQuery runs the in-memory query-aware decoder (projection and/or
-// row span) and writes the result as CSV.
-func decompressQuery(ctx context.Context, in, out string, opts deepsqueeze.DecompressOptions, verbose bool) error {
+// row span) and writes the result as CSV. emptySpan marks a requested row
+// span that selects no rows, which writes only the header.
+func decompressQuery(ctx context.Context, in, out string, opts deepsqueeze.DecompressOptions, emptySpan, verbose bool) error {
 	a, err := deepsqueeze.OpenFile(in)
 	if err != nil {
 		return err
 	}
 	if err := validateAgainstArchive(a, opts.Columns, opts.RowRange); err != nil {
 		return err
+	}
+	if emptySpan {
+		// RowRange's zero value selects every row, so "-rows 0:0" goes to
+		// the decoder as the empty span past the last row.
+		opts.RowRange = deepsqueeze.RowRange{Lo: a.Rows(), Hi: a.Rows()}
 	}
 	res, err := a.DecompressContext(ctx, opts)
 	if err != nil {

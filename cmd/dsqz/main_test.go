@@ -111,6 +111,37 @@ func TestValidateAgainstArchive(t *testing.T) {
 	}
 }
 
+// An empty -rows span writes only the header, wherever it starts: "0:0" is
+// not RowRange's select-everything zero value.
+func TestDecompressEmptyRowSpan(t *testing.T) {
+	dir := t.TempDir()
+	in := filepath.Join(dir, "t.dsqz")
+	if err := os.WriteFile(in, buildTestArchive(t), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out := filepath.Join(dir, "out.csv")
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-rows", "0:0"}, "city,temp\n"},
+		{[]string{"-rows", "5:5"}, "city,temp\n"},
+		{[]string{"-rows", "80:80"}, "city,temp\n"},
+		{[]string{"-rows", "0:0", "-cols", "temp"}, "temp\n"},
+	} {
+		captureStdout(t, func() error {
+			return runDecompress(context.Background(), append([]string{"-in", in, "-out", out}, tc.args...))
+		})
+		got, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != tc.want {
+			t.Errorf("%v: wrote %q, want %q", tc.args, got, tc.want)
+		}
+	}
+}
+
 // The read subcommands open an archive once, and a corrupt one fails each of
 // them with ErrCorrupt naming its path exactly once.
 func TestCorruptArchiveNamedOnce(t *testing.T) {

@@ -188,21 +188,11 @@ func TuneContext(ctx context.Context, t *Table, thresholds []float64, topts Tune
 	return core.TuneContext(ctx, t, thresholds, topts)
 }
 
-// Stream is the paper's streaming-archival mode (§3): train once on an
-// initial batch, then compress subsequent message batches into small
-// archives that reference the trained model by hash instead of embedding
-// it. Decompress batches with DecompressBatch.
-type Stream = core.Stream
-
-// NewStream trains on the initial batch and returns the stream compressor
-// plus the initial batch's result. The result's archive doubles as the
-// model archive every later batch depends on.
-func NewStream(train *Table, thresholds []float64, opts Options) (*Stream, *Result, error) {
-	return core.NewStream(train, thresholds, opts)
-}
-
-// DecompressBatch reconstructs a batch produced by Stream.CompressBatch,
-// given the stream's model archive.
+// DecompressBatch reconstructs a streaming batch archive — a batch that
+// references a separate model archive by hash instead of embedding the
+// decoders — given that model archive. Nothing writes batch archives any
+// more: an ArchiveWriter trains on its first row group and re-fits every
+// later one inside one self-contained archive.
 func DecompressBatch(modelArchive, batchArchive []byte) (*Table, error) {
 	return core.DecompressBatch(modelArchive, batchArchive)
 }

@@ -1,12 +1,15 @@
 // Streaming archival: the paper's second usage scenario (§3). A fleet of
-// vehicles sends message batches; the model is trained once on an initial
-// batch and every later batch compresses into a small archive that
-// references the shared model instead of embedding it. When the data
-// distribution drifts, failure streams grow — the retraining signal.
+// vehicles sends one upload window a day; an ArchiveWriter trains the model
+// once, on day 0's row group, and every later day becomes a row group that
+// re-fits only the cheap preprocessing (dictionaries, scalers, quantizers)
+// and reuses the trained experts. When the data distribution drifts,
+// failure streams grow — the retraining signal.
 package main
 
 import (
+	"bytes"
 	"fmt"
+	"io"
 	"log"
 	"math/rand"
 
@@ -48,32 +51,60 @@ func batch(rows int, seed int64, drift float64) *deepsqueeze.Table {
 	return t
 }
 
+// dayRows is one upload window and one row group: the writer flushes a day
+// as soon as its rows arrive. Days from driftDay on come from a drifted
+// distribution.
+const (
+	dayRows  = 2000
+	driftDay = 6
+)
+
 func main() {
 	thresholds := []float64{0, 0, 0.05, 0.05, 0.01}
 	opts := deepsqueeze.DefaultOptions()
 	opts.CodeSize = 2
 	opts.Train.Epochs = 15
+	opts.RowGroupSize = dayRows
 
-	train := batch(5000, 1, 0)
-	stream, trainRes, err := deepsqueeze.NewStream(train, thresholds, opts)
+	// Day 0 trains the model; then a week of upload windows, the last two
+	// drifting.
+	days := []*deepsqueeze.Table{batch(dayRows, 1, 0)}
+	for day := int64(1); day <= 7; day++ {
+		drift := 0.0
+		if day >= driftDay {
+			drift = 0.5
+		}
+		days = append(days, batch(dayRows, 100+day, drift))
+	}
+
+	var archive bytes.Buffer
+	w, err := deepsqueeze.NewArchiveWriter(&archive, vehicleSchema(), thresholds, opts)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("model archive (initial batch, self-contained): %d bytes\n", trainRes.Breakdown.Total)
-
-	// Compress a week of upload windows; the last two drift.
-	var totalRaw, totalBatch int64
-	for day := int64(1); day <= 7; day++ {
-		drift := 0.0
-		if day >= 6 {
-			drift = 0.5
-		}
-		b := batch(2000, 100+day, drift)
-		res, err := stream.CompressBatch(b)
-		if err != nil {
+	written := make([]int64, len(days))
+	for day, b := range days {
+		before := w.Stats().BytesWritten
+		if err := w.Write(b); err != nil {
 			log.Fatalf("day %d: %v", day, err)
 		}
-		back, err := deepsqueeze.DecompressBatch(stream.ModelArchive(), res.Archive)
+		written[day] = w.Stats().BytesWritten - before
+	}
+	if err := w.Close(); err != nil {
+		log.Fatal(err)
+	}
+
+	info, err := deepsqueeze.Inspect(archive.Bytes())
+	if err != nil {
+		log.Fatal(err)
+	}
+	r, err := deepsqueeze.NewArchiveReader(bytes.NewReader(archive.Bytes()))
+	if err != nil {
+		log.Fatal(err)
+	}
+	var weekRaw, weekBytes int64
+	for day, b := range days {
+		back, err := r.Next()
 		if err != nil {
 			log.Fatalf("day %d: %v", day, err)
 		}
@@ -81,15 +112,23 @@ func main() {
 			log.Fatalf("day %d: bound violated: %v", day, err)
 		}
 		raw := b.CSVSize()
-		totalRaw += raw
-		totalBatch += res.Breakdown.Total
 		note := ""
-		if drift > 0 {
+		switch {
+		case day == 0:
+			note = "  ← training group: header and decoders included"
+		case day >= driftDay:
 			note = "  ← drifted distribution: no retraining, bound still holds"
 		}
+		if day > 0 {
+			weekRaw += raw
+			weekBytes += written[day]
+		}
 		fmt.Printf("day %d: %7d → %6d bytes (%.2f%%), failures %5d bytes%s\n",
-			day, raw, res.Breakdown.Total, 100*res.Ratio(raw), res.Breakdown.Failures, note)
+			day, raw, written[day], 100*float64(written[day])/float64(raw), info.Groups[day].FailureBytes, note)
 	}
-	fmt.Printf("week total: %d → %d bytes (%.2f%%) + one %d-byte model archive\n",
-		totalRaw, totalBatch, 100*float64(totalBatch)/float64(totalRaw), trainRes.Breakdown.Total)
+	if _, err := r.Next(); err != io.EOF {
+		log.Fatalf("archive does not end after the last day: %v", err)
+	}
+	fmt.Printf("week total: %d → %d bytes (%.2f%%); one %d-byte archive holds all %d days\n",
+		weekRaw, weekBytes, 100*float64(weekBytes)/float64(weekRaw), archive.Len(), len(days))
 }

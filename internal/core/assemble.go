@@ -29,14 +29,6 @@ type archiveState struct {
 	grouped  bool
 	experts  int
 	spans    []rowSpan // row-group partition of [0, rows)
-	// ext, when non-nil, marks a streaming batch archive: the decoders are
-	// not embedded, only the SHA-256 of the model archive's decoder section.
-	ext *externalModelRef
-}
-
-// externalModelRef identifies the model archive a batch archive depends on.
-type externalModelRef struct {
-	Hash [32]byte
 }
 
 // segConfig is the per-archive context a segment writer needs.
@@ -211,9 +203,6 @@ func (st *archiveState) flags(opts Options) byte {
 	if opts.KeepRowOrder || st.experts <= 1 || !st.grouped {
 		flags |= flagRowOrder
 	}
-	if st.ext != nil {
-		flags |= flagExternalModel
-	}
 	if !opts.NoZoneMaps {
 		flags |= flagZoneMaps
 	}
@@ -227,19 +216,15 @@ func (st *archiveState) flags(opts Options) byte {
 }
 
 // appendDecoderChunkPayload serializes the decoder section payload: the
-// external-model hash for streaming batch archives, the DEFLATE-framed
-// length-prefixed decoders otherwise.
-func appendDecoderChunkPayload(st *archiveState) ([]byte, error) {
-	if st.ext != nil {
-		return st.ext.Hash[:], nil
-	}
+// DEFLATE-framed, length-prefixed decoders.
+func appendDecoderChunkPayload(st *archiveState) []byte {
 	var db []byte
 	for _, d := range st.decoders {
 		body := d.AppendBinary(nil)
 		db = binary.AppendUvarint(db, uint64(len(body)))
 		db = append(db, body...)
 	}
-	return compressDecoderSection(db), nil
+	return compressDecoderSection(db)
 }
 
 // frameState writes a decided state through f: the prefix, then one segment
@@ -255,10 +240,7 @@ func frameState(run *pipeline.Run, f *framer, t *dataset.Table, opts Options, st
 	flags := st.flags(opts)
 	var decoders []byte
 	if flags&flagHasModel != 0 {
-		var err error
-		if decoders, err = appendDecoderChunkPayload(st); err != nil {
-			return segConfig{}, 0, err
-		}
+		decoders = appendDecoderChunkPayload(st)
 	}
 	header := appendHeaderPayload(nil, md.plan, st.codeSize, st.codeBits, st.experts, opts.rowGroupSize())
 	decoderBytes, err := f.prefix(flags, header, decoders)

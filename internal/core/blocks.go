@@ -44,8 +44,7 @@ const (
 )
 
 // NumGroups returns the archive's row-group count (1 for a version-1
-// archive), the group-index space DecodeBlocks and DecompressOptions.GroupMask
-// address.
+// archive), the group-index space DecodeBlocks addresses.
 func (a *Archive) NumGroups() int { return len(a.meta.groups) }
 
 // GroupRows returns row group g's row count.
@@ -65,7 +64,7 @@ func (a *Archive) DecodeFlags() byte { return a.meta.flags }
 // indexed [len(groups)][len(cols)], and every block's contents are
 // byte-identical to the corresponding span of a full decompression: the
 // request runs the same parse→scan→unpack→resolve→decode stages, restricted
-// by GroupMask and column projection, so unrequested groups' segments and
+// to the requested groups and columns, so unrequested groups' segments and
 // unselected columns' streams are never read, and assemble writes each
 // (group, column) once, straight into the block's own backing array. pool,
 // when non-nil, bounds the decode over the caller's shared worker pool.
@@ -73,7 +72,10 @@ func (a *Archive) DecodeBlocks(ctx context.Context, groups []int, cols []int, po
 	if len(groups) == 0 {
 		return nil, fmt.Errorf("core: DecodeBlocks needs at least one group")
 	}
-	return a.DecodeBlocksRun(newRun(ctx, DecompressOptions{Pool: pool}), groups, cols)
+	if pool == nil {
+		pool = pipeline.NewPool(0)
+	}
+	return a.DecodeBlocksRun(pipeline.NewWithPool(ctx, pool), groups, cols)
 }
 
 // DecodeBlocksRun is DecodeBlocks over the caller's run: its context and
@@ -107,7 +109,7 @@ func (a *Archive) DecodeBlocksRun(run *pipeline.Run, groups []int, cols []int) (
 		}
 		names[i] = schema.Columns[c].Name
 	}
-	d, err := a.decodeStages(run, DecompressOptions{Columns: names, GroupMask: mask}, nil)
+	d, err := a.decodeStages(run, DecompressOptions{Columns: names}, mask)
 	if err != nil {
 		return nil, err
 	}
@@ -128,7 +130,7 @@ func (d *decompressor) assembleBlocks() ([][]*ColumnBlock, error) {
 	var out [][]*ColumnBlock
 	rowOf := make([][]*ColumnBlock, len(d.groups))
 	for gi, g := range d.groups {
-		if !d.opts.GroupMask[gi] {
+		if !d.mask[gi] {
 			continue
 		}
 		row := make([]*ColumnBlock, len(d.selCols))

@@ -30,19 +30,15 @@ func Compress(t *dataset.Table, thresholds []float64, opts Options) (*Result, er
 // between stages, between parallel work items, and between training batches,
 // and returns ctx.Err() promptly once the context is done.
 func CompressContext(ctx context.Context, t *dataset.Table, thresholds []float64, opts Options) (*Result, error) {
-	res, _, err := compress(ctx, nil, t, thresholds, opts)
-	return res, err
+	return compress(ctx, nil, t, thresholds, opts)
 }
 
-// compress is the staged pipeline behind Compress, plus the decided state
-// (trained experts, model data), which the streaming path (stream.go) reuses
-// across batches. pool may be nil (a fresh pool sized by opts.Parallelism);
-// the tuner passes a shared pool so concurrent trials never oversubscribe
-// the machine.
-func compress(ctx context.Context, pool *pipeline.Pool, t *dataset.Table, thresholds []float64,
-	opts Options) (*Result, *archiveState, error) {
+// compress is the staged pipeline behind Compress. pool may be nil (a fresh
+// pool sized by opts.Parallelism); the tuner passes a shared pool so
+// concurrent trials never oversubscribe the machine.
+func compress(ctx context.Context, pool *pipeline.Pool, t *dataset.Table, thresholds []float64, opts Options) (*Result, error) {
 	if err := opts.validate(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if pool == nil {
 		pool = pipeline.NewPool(opts.Parallelism)
@@ -50,13 +46,13 @@ func compress(ctx context.Context, pool *pipeline.Pool, t *dataset.Table, thresh
 	run := pipeline.NewWithPool(ctx, pool)
 	st, res, err := trainAndDecide(run, t, thresholds, opts)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if err := assembleArchive(run, t, opts, st, res); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	res.Stages = run.Stats()
-	return res, st, nil
+	return res, nil
 }
 
 // trainAndDecide runs every stage short of assemble — preprocess, train, then
@@ -106,7 +102,7 @@ func trainAndDecide(run *pipeline.Run, t *dataset.Table, thresholds []float64, o
 			return nil, nil, err
 		}
 	}
-	st, res, err := decide(run, t, md, opts, experts, assign, nil)
+	st, res, err := decide(run, t, md, opts, experts, assign)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -116,13 +112,11 @@ func trainAndDecide(run *pipeline.Run, t *dataset.Table, thresholds []float64, o
 
 // decide runs the post-training decisions as stages over run — codes, the
 // truncation search, the mapping choice — and returns the state they settle
-// on, ready to assemble. experts must already be float32-quantized. When ext
-// is non-nil the archive references an external model (streaming batch
-// archives) instead of embedding the decoders.
+// on, ready to assemble. experts must already be float32-quantized.
 func decide(run *pipeline.Run, t *dataset.Table, md *modelData, opts Options,
-	experts []*nn.Autoencoder, assign []int, ext *externalModelRef) (*archiveState, *Result, error) {
+	experts []*nn.Autoencoder, assign []int) (*archiveState, *Result, error) {
 	hasModel := len(experts) > 0
-	st := &archiveState{md: md, autoenc: experts, assign: assign, experts: max(len(experts), 1), ext: ext}
+	st := &archiveState{md: md, autoenc: experts, assign: assign, experts: max(len(experts), 1)}
 	res := &Result{}
 
 	var codesF *mat.Matrix

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -48,25 +47,10 @@ type DecompressOptions struct {
 	// skipped entirely — their segments are never parsed or decoded.
 	RowRange RowRange
 
-	// GroupMask, when non-nil, restricts decoding to the row groups whose
-	// entry is true — the query engine's pruning hook. It must carry one
-	// entry per row group (a version-1 archive counts as one group).
-	// Masked-out groups contribute no output rows and, in a version-2
-	// archive, their segments are skipped without decoding; the output
-	// concatenates the surviving groups' rows in archive order. Composes
-	// with RowRange: a group decodes only if its mask entry is true AND it
-	// overlaps the range.
-	GroupMask []bool
-
 	// MaxRows, when positive, rejects archives declaring more rows as
 	// corrupt before any row-proportional allocation happens. Intended for
 	// fuzzing and for callers handling untrusted archives.
 	MaxRows int
-
-	// Pool, when non-nil, runs the request's stages over the caller's shared
-	// worker pool instead of a fresh one, and Parallelism is ignored — how a
-	// server bounds total decode concurrency across concurrent requests.
-	Pool *pipeline.Pool
 }
 
 // DecompressResult is a decompression outcome: the (possibly projected)
@@ -86,7 +70,7 @@ type DecompressResult struct {
 // archived error thresholds. Row order is preserved unless the archive was
 // written with KeepRowOrder disabled.
 //
-// Streaming batch archives (which reference an external model) must go
+// Streaming batch archives (which reference an external model) are read
 // through DecompressBatch instead.
 func Decompress(archive []byte) (*dataset.Table, error) {
 	res, err := DecompressContext(context.Background(), archive, DecompressOptions{})
@@ -102,14 +86,11 @@ func Decompress(archive []byte) (*dataset.Table, error) {
 // pool and check ctx between stages and between parallel work items; output
 // is byte-for-byte identical at every parallelism level.
 func DecompressContext(ctx context.Context, archive []byte, opts DecompressOptions) (*DecompressResult, error) {
-	return decompressPipeline(ctx, archive, opts, nil)
-}
-
-// providedModel carries externally-supplied decoders for streaming batch
-// archives, plus the hash of the model archive's decoder section.
-type providedModel struct {
-	decoders []*nn.Decoder
-	hash     [32]byte
+	a, err := Open(archive)
+	if err != nil {
+		return nil, err
+	}
+	return a.decompress(ctx, opts)
 }
 
 // corrupt classifies an error from a decoding sub-package as archive
@@ -171,7 +152,7 @@ type groupDec struct {
 type decompressor struct {
 	run  *pipeline.Run
 	opts DecompressOptions
-	ext  *providedModel
+	mask []bool // DecodeBlocksRun's row groups; nil selects every group
 
 	h    *Archive // owning handle; nil for the streaming reader
 	meta *archiveMeta
@@ -191,33 +172,13 @@ type decompressor struct {
 	nOut   int // total output rows across surviving groups
 }
 
-// decompressPipeline opens the archive and runs one request against the
-// fresh handle. ext supplies decoders for streaming batch archives
-// (flagExternalModel); nil otherwise.
-func decompressPipeline(ctx context.Context, archive []byte, opts DecompressOptions, ext *providedModel) (*DecompressResult, error) {
-	a, err := Open(archive)
-	if err != nil {
-		return nil, err
-	}
-	return a.decompress(ctx, opts, ext)
-}
-
-// newRun returns the run a request's stages execute on: over opts.Pool when
-// the caller supplied one, else over a fresh pool of opts.Parallelism workers.
-func newRun(ctx context.Context, opts DecompressOptions) *pipeline.Run {
-	if opts.Pool != nil {
-		return pipeline.NewWithPool(ctx, opts.Pool)
-	}
-	return pipeline.New(ctx, opts.Parallelism)
-}
-
 // decompress runs the staged decompression — parse → scan → unpack →
 // resolve → decode → assemble — as one request against the handle's parsed
 // metadata. Requests are independent: all shared state on the handle is
 // immutable or guarded by sync.Once, so concurrent calls are safe.
-func (a *Archive) decompress(ctx context.Context, opts DecompressOptions, ext *providedModel) (*DecompressResult, error) {
-	run := newRun(ctx, opts)
-	d, err := a.decodeStages(run, opts, ext)
+func (a *Archive) decompress(ctx context.Context, opts DecompressOptions) (*DecompressResult, error) {
+	run := pipeline.New(ctx, opts.Parallelism)
+	d, err := a.decodeStages(run, opts, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -234,9 +195,10 @@ func (a *Archive) decompress(ctx context.Context, opts DecompressOptions, ext *p
 
 // decodeStages runs every stage short of assemble on run and returns the
 // decompressor holding the decoded groups; the caller picks where assemble
-// writes them (assembleTable or assembleBlocks).
-func (a *Archive) decodeStages(run *pipeline.Run, opts DecompressOptions, ext *providedModel) (*decompressor, error) {
-	d := &decompressor{run: run, opts: opts, ext: ext, h: a, meta: a.meta, infer: &a.infer}
+// writes them (assembleTable or assembleBlocks). mask, when non-nil, has one
+// entry per row group and decodes only the groups whose entry is true.
+func (a *Archive) decodeStages(run *pipeline.Run, opts DecompressOptions, mask []bool) (*decompressor, error) {
+	d := &decompressor{run: run, opts: opts, mask: mask, h: a, meta: a.meta, infer: &a.infer}
 	stages := []struct {
 		name string
 		fn   func() (int64, error)
@@ -279,11 +241,7 @@ func (d *decompressor) parse() error {
 
 	// Row groups: one per footer entry, active only when it overlaps the
 	// request (a full-range request keeps every group active, including
-	// empty ones).
-	if d.opts.GroupMask != nil && len(d.opts.GroupMask) != len(m.groups) {
-		return fmt.Errorf("core: group mask has %d entries for %d groups",
-			len(d.opts.GroupMask), len(m.groups))
-	}
+	// empty ones) and is not masked out.
 	full := d.rlo == 0 && d.rhi == m.rows
 	d.groups = make([]*groupDec, len(m.groups))
 	for i, gm := range m.groups {
@@ -300,7 +258,7 @@ func (d *decompressor) parse() error {
 			g.ghi = g.glo
 		}
 		g.active = full || g.ghi > g.glo
-		if d.opts.GroupMask != nil && !d.opts.GroupMask[i] {
+		if d.mask != nil && !d.mask[i] {
 			g.active = false
 			g.ghi = g.glo
 		}
@@ -468,19 +426,15 @@ func (d *decompressor) unpack() (int64, error) {
 		items = append(items, fn)
 	}
 	if d.needModel && d.decoders == nil {
-		// Internal-model requests through a handle share its parsed-once
-		// decoder cache; streaming batch archives (externally supplied
-		// decoders) parse per request, and the streaming reader parsed its
-		// decoders when it read the archive prefix. Either way the chunk's
-		// bytes count as decoded work for the request that loads them.
-		if d.h != nil && d.ext == nil {
-			add(d.meta.decoderChunk, func() (err error) {
-				d.decoders, d.decs32, err = d.h.decoders()
-				return err
-			})
-		} else {
-			add(d.meta.decoderChunk, d.unpackDecoders)
-		}
+		// Requests through a handle share its parsed-once decoder cache (a
+		// batch archive's handle holds its model's decoders there); the
+		// streaming reader parsed its decoders when it read the archive
+		// prefix. The chunk's bytes count as decoded work for the request
+		// that loads them.
+		add(d.meta.decoderChunk, func() (err error) {
+			d.decoders, d.decs32, err = d.h.decoders()
+			return err
+		})
 	}
 	for _, g := range d.groups {
 		if !g.active {
@@ -564,34 +518,6 @@ func (d *decompressor) unpackGroupPlan(g *groupDec) error {
 		}
 	}
 	g.plan = plan
-	return nil
-}
-
-// unpackDecoders parses (or adopts) the decoder section and checks its
-// shape against the header.
-func (d *decompressor) unpackDecoders() error {
-	if d.meta.flags&flagExternalModel != 0 {
-		if d.ext == nil {
-			return fmt.Errorf("%w: streaming batch archive needs its model archive (use DecompressBatch)", ErrCorrupt)
-		}
-		if len(d.meta.decoderChunk) != 32 || !bytes.Equal(d.meta.decoderChunk, d.ext.hash[:]) {
-			return fmt.Errorf("%w: batch archive references a different model archive", ErrCorrupt)
-		}
-		d.decoders = d.ext.decoders
-		if len(d.decoders) != d.meta.numExperts {
-			return fmt.Errorf("%w: model archive has %d experts, batch wants %d", ErrCorrupt, len(d.decoders), d.meta.numExperts)
-		}
-		if err := checkDecoderShapes(d.decoders, d.meta.codeSize, d.meta.layout.specs); err != nil {
-			return err
-		}
-	} else {
-		decoders, err := parseCheckedDecoders(d.meta.decoderChunk, d.meta.numExperts, d.meta.codeSize, d.meta.layout.specs)
-		if err != nil {
-			return err
-		}
-		d.decoders = decoders
-	}
-	d.decs32 = d.meta.narrow(d.decoders)
 	return nil
 }
 

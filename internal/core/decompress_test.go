@@ -257,21 +257,12 @@ func TestDecompressStagesReported(t *testing.T) {
 }
 
 func TestDecompressBatchContextProjection(t *testing.T) {
-	train := latentTable(600, 40)
-	st, model, err := NewStream(train, []float64{0, 0, 0.1, 0.1, 0}, quickOpts())
+	model, batch, _ := batchFixture(t)
+	full, err := DecompressBatch(model, batch)
 	if err != nil {
 		t.Fatal(err)
 	}
-	batchTable := latentTable(250, 41)
-	bres, err := st.CompressBatch(batchTable)
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err := DecompressBatch(model.Archive, bres.Archive)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := DecompressBatchContext(context.Background(), model.Archive, bres.Archive,
+	res, err := DecompressBatchContext(context.Background(), model, batch,
 		DecompressOptions{Columns: []string{"cat", "m2"}, Parallelism: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -286,9 +277,8 @@ func TestDecompressBatchContextProjection(t *testing.T) {
 	if err := columnEqual(full, got, 3, 1, 0); err != nil { // m2
 		t.Fatal(err)
 	}
-	// A plain archive is not a batch, and a batch archive is not
-	// self-contained: both directions must fail cleanly.
-	if _, err := DecompressContext(context.Background(), bres.Archive, DecompressOptions{}); err == nil {
+	// A batch archive is not self-contained.
+	if _, err := DecompressContext(context.Background(), batch, DecompressOptions{}); err == nil {
 		t.Fatal("batch archive decompressed without its model")
 	}
 }

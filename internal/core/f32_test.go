@@ -50,7 +50,7 @@ func TestFloat32RoundTrip(t *testing.T) {
 }
 
 // Float32 decode is bit-identical across readers, parallelism levels and
-// group-mask subsets: chunking is constant, so the float32 inference every
+// single-group decodes: chunking is constant, so the float32 inference every
 // row sees is independent of how the work is scheduled.
 func TestFloat32DecodeDeterminism(t *testing.T) {
 	archive, wantCSV := f32Fixture(t)
@@ -71,10 +71,8 @@ func TestFloat32DecodeDeterminism(t *testing.T) {
 		}
 		stitched := dataset.NewTable(a.Schema(), 0)
 		pool := pipeline.NewPool(p)
-		for g := 0; g < a.NumGroups(); g++ {
-			mask := make([]bool, a.NumGroups())
-			mask[g] = true
-			part := decodeOpts(t, archive, DecompressOptions{GroupMask: mask, Parallelism: p})
+		for g, start := 0, 0; g < a.NumGroups(); g, start = g+1, start+a.GroupRows(g) {
+			part := decodeOpts(t, archive, DecompressOptions{RowRange: RowRange{Lo: start, Hi: start + a.GroupRows(g)}, Parallelism: p})
 			blocks, err := a.DecodeBlocks(context.Background(), []int{g}, cols, pool)
 			if err != nil {
 				t.Fatal(err)
@@ -83,7 +81,7 @@ func TestFloat32DecodeDeterminism(t *testing.T) {
 				for i := 0; i < part.NumRows(); i++ {
 					if col.Type == dataset.Categorical && blocks[0][c].Str[i] != part.Str[c][i] ||
 						col.Type == dataset.Numeric && blocks[0][c].Num[i] != part.Num[c][i] {
-						t.Fatalf("parallelism %d group %d col %d row %d: DecodeBlocks differs from the mask decode", p, g, c, i)
+						t.Fatalf("parallelism %d group %d col %d row %d: DecodeBlocks differs from the row-range decode", p, g, c, i)
 					}
 				}
 			}

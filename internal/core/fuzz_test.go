@@ -107,11 +107,8 @@ func fuzzSeedArchives(tb testing.TB) [][]byte {
 	seeds = append(seeds, streamed.Bytes())
 	// A batch archive: a model hash where the decoders would be. Alone it
 	// must fail as corrupt at decode and still index and inspect.
-	stream, _, err := NewStream(latentTable(60, 59), []float64{0, 0, 0.1, 0.1, 0}, opts)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	add(stream.CompressBatch(latentTable(40, 60)))
+	_, batch, _ := batchFixture(tb)
+	seeds = append(seeds, batch)
 	v1, err := os.ReadFile(filepath.Join("testdata", "categorical.dsqz"))
 	if err != nil {
 		tb.Fatal(err)
@@ -139,10 +136,7 @@ func spliceDecoders(tb testing.TB, archive []byte, edit func([]*nn.Decoder)) []b
 		tb.Fatal(err)
 	}
 	edit(decs)
-	section, err := appendDecoderChunkPayload(&archiveState{decoders: decs})
-	if err != nil {
-		tb.Fatal(err)
-	}
+	section := appendDecoderChunkPayload(&archiveState{decoders: decs})
 	prefix := binary.AppendUvarint(nil, uint64(len(old)))
 	at := bytes.Index(archive, old) - len(prefix)
 	if at < 0 || !bytes.Equal(archive[at:at+len(prefix)], prefix) {

@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -372,5 +374,96 @@ func TestGoldenArchives(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// batchFixture reads the frozen streaming batch pair: batch_v2_model.dsqz is
+// an ordinary archive of 300 rows of latentTable seed 111 (goldenOpts(2),
+// 100-row groups), batch_v2.dsqz 250 rows of latentTable seed 112 with a
+// novel category and an out-of-range m1 every 25th row, written against that
+// model in three groups with the model's hash where its decoders would be.
+// No writer emits batch archives any more, so -update never touches them.
+func batchFixture(tb testing.TB) (model, batch, wantCSV []byte) {
+	tb.Helper()
+	var out [3][]byte
+	for i, name := range []string{"batch_v2_model.dsqz", "batch_v2.dsqz", "batch_v2.csv"} {
+		b, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		out[i] = b
+	}
+	return out[0], out[1], out[2]
+}
+
+// TestGoldenBatchArchive is the format-stability gate for streaming batch
+// archives: the frozen pair decodes — in full, projected and by row range —
+// to the committed CSV, Inspect names it, and every reader but
+// DecompressBatch refuses it with the error it always gave.
+func TestGoldenBatchArchive(t *testing.T) {
+	model, batch, wantCSV := batchFixture(t)
+	got, err := DecompressBatch(model, batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(csvBytes(t, got), wantCSV) {
+		t.Fatal("batch archive decoded differently than when committed")
+	}
+	ctx := context.Background()
+	proj, err := DecompressBatchContext(ctx, model, batch, DecompressOptions{Columns: []string{"bin", "m1"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for gotCol, fullCol := range []int{1, 2} {
+		if err := columnEqual(got, proj.Table, fullCol, gotCol, 0); err != nil {
+			t.Fatalf("projection drifted from golden decode: %v", err)
+		}
+	}
+	rng, err := DecompressBatchContext(ctx, model, batch, DecompressOptions{RowRange: RowRange{Lo: 90, Hi: 210}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rng.Table.NumRows() != 120 {
+		t.Fatalf("row range decoded %d rows, want 120", rng.Table.NumRows())
+	}
+	for col := range got.Schema.Columns {
+		if err := columnEqual(got, rng.Table, col, col, 90); err != nil {
+			t.Fatalf("row range drifted from golden decode: %v", err)
+		}
+	}
+
+	info, err := Inspect(batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !info.Streaming || info.Rows != 250 || len(info.Groups) != 3 || info.DecoderBytes != 32 {
+		t.Fatalf("batch info = %+v", info)
+	}
+	if minfo, err := Inspect(model); err != nil || minfo.Streaming {
+		t.Fatalf("model archive reported as a batch archive (%v)", err)
+	}
+
+	other, err := os.ReadFile(filepath.Join("testdata", "moe_v2.dsqz"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const needsModel = "core: corrupt archive: streaming batch archive needs its model archive (use DecompressBatch)"
+	_, errDecompress := Decompress(batch)
+	_, errReader := NewArchiveReader(bytes.NewReader(batch))
+	_, errWrongModel := DecompressBatch(other, batch)
+	_, errBatchAsModel := DecompressBatch(batch, batch)
+	for _, tc := range []struct {
+		name string
+		err  error
+		want string
+	}{
+		{"Decompress", errDecompress, needsModel},
+		{"NewArchiveReader", errReader, needsModel},
+		{"wrong model", errWrongModel, "core: corrupt archive: batch archive references a different model archive"},
+		{"batch as model", errBatchAsModel, "model archive: core: corrupt archive: a batch archive cannot serve as a model archive"},
+	} {
+		if tc.err == nil || tc.err.Error() != tc.want || !errors.Is(tc.err, ErrCorrupt) {
+			t.Errorf("%s: error %v, want %q", tc.name, tc.err, tc.want)
+		}
 	}
 }

@@ -41,8 +41,8 @@ type archiveMeta struct {
 	footOff int64 // footer kind-byte offset; where the synthetic group ends
 
 	// decoderChunk is the raw (still compressed) decoder-section payload —
-	// or the 32-byte model hash for streaming batch archives; nil when the
-	// archive has no model.
+	// or, in a streaming batch archive, the 32-byte hash of its model
+	// archive's; nil when the archive has no model.
 	decoderChunk []byte
 	// bodyPos is the body offset of the first row-group section, i.e. just
 	// past the decoder chunk: where a per-request scan resumes.
@@ -246,6 +246,11 @@ func (a *Archive) Index() (*ArchiveIndex, error) {
 	return a.idx, a.idxErr
 }
 
+// errBatchArchive refuses a streaming batch archive to every reader but
+// DecompressBatch: its decoder section is the hash of a separate model
+// archive's.
+var errBatchArchive = fmt.Errorf("%w: streaming batch archive needs its model archive (use DecompressBatch)", ErrCorrupt)
+
 // decoders inflates and parses the archive's decoder section on first call
 // and caches the parsed experts, their weights packed — the open-once
 // amortization that makes a warm handle cheap to query. Decoders are read-only
@@ -260,7 +265,7 @@ func (a *Archive) decoders() ([]*nn.Decoder, []*nn.Decoder32, error) {
 			return // no model columns: callers gate on needModel
 		}
 		if m.flags&flagExternalModel != 0 {
-			a.decErr = fmt.Errorf("%w: streaming batch archive needs its model archive (use DecompressBatch)", ErrCorrupt)
+			a.decErr = errBatchArchive
 			return
 		}
 		a.decs, a.decErr = parseCheckedDecoders(m.decoderChunk, m.numExperts, m.codeSize, m.layout.specs)
@@ -272,7 +277,7 @@ func (a *Archive) decoders() ([]*nn.Decoder, []*nn.Decoder32, error) {
 // Decompress reconstructs the table (or the projection opts selects) against
 // the open handle. See DecompressContext.
 func (a *Archive) Decompress(opts DecompressOptions) (*DecompressResult, error) {
-	return a.decompress(context.Background(), opts, nil)
+	return a.decompress(context.Background(), opts)
 }
 
 // DecompressContext runs one decompression request against the open handle:
@@ -280,5 +285,5 @@ func (a *Archive) Decompress(opts DecompressOptions) (*DecompressResult, error) 
 // warm handle pays only for the rows and columns the request actually
 // touches. Concurrent requests against one handle are safe and independent.
 func (a *Archive) DecompressContext(ctx context.Context, opts DecompressOptions) (*DecompressResult, error) {
-	return a.decompress(ctx, opts, nil)
+	return a.decompress(ctx, opts)
 }

@@ -34,20 +34,12 @@ func TestInspect(t *testing.T) {
 		t.Fatal("size mismatch")
 	}
 	// Streaming batch archives report Streaming.
-	s, _, err := NewStream(tb, thr, opts)
+	_, batch, _ := batchFixture(t)
+	binfo, err := Inspect(batch)
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch := latentTable(100, 32)
-	bres, err := s.CompressBatch(batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	binfo, err := Inspect(bres.Archive)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !binfo.Streaming || binfo.Rows != 100 {
+	if !binfo.Streaming || binfo.Rows != 250 {
 		t.Fatalf("batch info = %+v", binfo)
 	}
 	// Corruption is rejected.

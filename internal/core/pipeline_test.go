@@ -249,34 +249,24 @@ func TestTuneContextDeterminism(t *testing.T) {
 	}
 }
 
+// The batch reader runs the ordinary staged request: it reports its stages
+// and stops on a cancelled context.
 func TestStreamBatchContext(t *testing.T) {
-	tb := latentTable(1000, 7)
-	thr := []float64{0, 0, 0.05, 0.05, 0}
-	opts := quickOpts()
-	opts.Parallelism = 2
-	s, _, err := NewStream(tb, thr, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	batch := latentTable(400, 11)
-	res, err := s.CompressBatchContext(context.Background(), batch)
+	model, batch, wantCSV := batchFixture(t)
+	res, err := DecompressBatchContext(context.Background(), model, batch, DecompressOptions{Parallelism: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Stages) == 0 {
 		t.Fatal("batch result has no stage stats")
 	}
-	got, err := DecompressBatch(s.ModelArchive(), res.Archive)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := batch.EqualWithin(got, tolerances(batch, thr)); err != nil {
-		t.Fatal(err)
+	if !bytes.Equal(csvBytes(t, res.Table), wantCSV) {
+		t.Fatal("batch decoded differently at parallelism 2")
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := s.CompressBatchContext(ctx, batch); !errors.Is(err, context.Canceled) {
+	if _, err := DecompressBatchContext(ctx, model, batch, DecompressOptions{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled batch err = %v", err)
 	}
 }

@@ -234,46 +234,6 @@ func TestResidualCorruptStreams(t *testing.T) {
 	}
 }
 
-// TestResidualStreamBatches runs the streaming scenario over the residual
-// path: batches with unseen values re-fit their dictionary and round-trip as
-// long as the alphabet fits the trained digit capacity; a batch whose
-// alphabet outgrows Base^Digits is rejected as a retrain signal.
-func TestResidualStreamBatches(t *testing.T) {
-	train := clickTable(1500, 400, 76)
-	thr := []float64{0, 0, 0.05}
-	s, _, err := NewStream(train, thr, residualOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The streaming entry points size the digit layout with 2x headroom over
-	// the pilot alphabet — residual digits have no escape path, so the
-	// trained capacity must absorb alphabets later batches grow. A batch with
-	// 500 distinct IDs, shifted so 120 of them were never seen in training,
-	// re-fits its dictionary and still fits the digits.
-	batch := clickTableFrom(1500, 500, 20, 77)
-	bres, err := s.CompressBatch(batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecompressBatch(s.ModelArchive(), bres.Archive)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := batch.EqualWithin(got, tolerances(batch, thr)); err != nil {
-		t.Fatal(err)
-	}
-	// A batch whose alphabet outgrows Base^Digits must be rejected.
-	m, err := parseArchiveMeta(s.ModelArchive())
-	if err != nil {
-		t.Fatal(err)
-	}
-	capacity := m.plan.Cols[0].ResLayout().Max()
-	over := clickTable(3*(capacity+1), capacity+1, 78)
-	if _, err := s.CompressBatch(over); err == nil {
-		t.Fatalf("batch with %d distinct values accepted beyond capacity %d", capacity+1, capacity)
-	}
-}
-
 // TestResidualWriterAlphabetGrowth streams a table whose second row group
 // carries a larger alphabet than the pilot group the plan is trained on. The
 // 2x layout headroom NewArchiveWriter applies must absorb the growth (pilot

@@ -7,6 +7,9 @@ import (
 	"path/filepath"
 	"runtime"
 	"testing"
+
+	"deepsqueeze/internal/dataset"
+	"deepsqueeze/internal/pipeline"
 )
 
 // groupOpts compresses with a small row-group size so modest test tables
@@ -249,20 +252,55 @@ func TestInspectGroupSections(t *testing.T) {
 	}
 }
 
-// TestGroupMaskSkipsGroups pins the query engine's pruning hook: a GroupMask
-// decode must skip every masked-out group's segment (scan-stage skipped
-// bytes), concatenate the surviving groups' rows in archive order, and charge
-// nothing on a full mask.
+// decodeGroups runs DecodeBlocksRun over every column of the given row
+// groups and returns the blocks with the scan stage's skipped-bytes counter.
+func decodeGroups(t *testing.T, a *Archive, groups ...int) ([][]*ColumnBlock, int64) {
+	t.Helper()
+	cols := make([]int, len(a.Schema().Columns))
+	for c := range cols {
+		cols[c] = c
+	}
+	run := pipeline.New(context.Background(), 0)
+	blocks, err := a.DecodeBlocksRun(run, groups, cols)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, st := range run.Stats() {
+		if st.Name == "scan" {
+			return blocks, st.Bytes
+		}
+	}
+	t.Fatal("no scan stage recorded")
+	return nil, 0
+}
+
+// blocksEqual checks that one group's blocks hold rows [lo, lo+n) of full.
+func blocksEqual(t *testing.T, full *dataset.Table, row []*ColumnBlock, lo int) {
+	t.Helper()
+	for c, b := range row {
+		for i := 0; i < b.Len(); i++ {
+			if b.Str != nil && b.Str[i] != full.Str[c][lo+i] || b.Str == nil && b.Num[i] != full.Num[c][lo+i] {
+				t.Fatalf("col %d row %d: block differs from the full decode", c, lo+i)
+			}
+		}
+	}
+}
+
+// TestGroupMaskSkipsGroups pins the query engine's pruning hook: a
+// DecodeBlocksRun over some row groups must skip every other group's segment
+// (scan-stage skipped bytes), return the requested groups' rows in archive
+// order, and charge nothing when every group is requested.
 func TestGroupMaskSkipsGroups(t *testing.T) {
 	tb := latentTable(1000, 18)
 	res, err := Compress(tb, []float64{0, 0, 0.05, 0.05, 0}, groupOpts(100, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	info, err := Inspect(res.Archive)
+	a, err := Open(res.Archive)
 	if err != nil {
 		t.Fatal(err)
 	}
+	info := a.Info()
 	if len(info.Groups) != 10 {
 		t.Fatalf("%d groups, want 10", len(info.Groups))
 	}
@@ -272,100 +310,40 @@ func TestGroupMaskSkipsGroups(t *testing.T) {
 	}
 
 	// Keep only groups 4 and 5: identical to decoding rows [400, 600).
-	mask := make([]bool, 10)
-	mask[4], mask[5] = true, true
 	var wantSkipped int64
 	for i, g := range info.Groups {
-		if !mask[i] {
+		if i != 4 && i != 5 {
 			wantSkipped += g.SegmentBytes
 		}
 	}
-	dres, err := DecompressContext(context.Background(), res.Archive,
-		DecompressOptions{GroupMask: mask})
-	if err != nil {
-		t.Fatal(err)
+	blocks, skipped := decodeGroups(t, a, 4, 5)
+	if len(blocks) != 2 {
+		t.Fatalf("%d groups of blocks, want 2", len(blocks))
 	}
-	if dres.Table.NumRows() != 200 {
-		t.Fatalf("%d rows, want 200", dres.Table.NumRows())
-	}
-	for col := range tb.Schema.Columns {
-		if err := columnEqual(full, dres.Table, col, col, 400); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var scanSkipped int64
-	for _, st := range dres.Stages {
-		if st.Name == "scan" {
-			scanSkipped = st.Bytes
-		}
-	}
-	if scanSkipped < wantSkipped-int64(len(info.Groups)*12) {
-		t.Fatalf("scan skipped %d bytes, want ≈%d (8 pruned segments)", scanSkipped, wantSkipped)
+	blocksEqual(t, full, blocks[0], 400)
+	blocksEqual(t, full, blocks[1], 500)
+	if skipped < wantSkipped-int64(len(info.Groups)*12) {
+		t.Fatalf("scan skipped %d bytes, want ≈%d (8 pruned segments)", skipped, wantSkipped)
 	}
 
-	// A non-contiguous mask concatenates the surviving groups' rows.
-	mask = make([]bool, 10)
-	mask[1], mask[4], mask[7] = true, true, true
-	got := decodeOpts(t, res.Archive, DecompressOptions{GroupMask: mask})
-	if got.NumRows() != 300 {
-		t.Fatalf("%d rows, want 300", got.NumRows())
-	}
-	for col := range tb.Schema.Columns {
-		for k, lo := range []int{100, 400, 700} {
-			idx := make([]int, 100)
-			for i := range idx {
-				idx[i] = k*100 + i
-			}
-			window := got.Sample(idx)
-			if err := columnEqual(full, window, col, col, lo); err != nil {
-				t.Fatalf("group window starting at %d: %v", lo, err)
-			}
+	// A non-contiguous selection returns each surviving group's rows.
+	blocks, _ = decodeGroups(t, a, 1, 4, 7)
+	for k, lo := range []int{100, 400, 700} {
+		if blocks[k][0].Len() != 100 {
+			t.Fatalf("group at %d: %d rows, want 100", lo, blocks[k][0].Len())
 		}
+		blocksEqual(t, full, blocks[k], lo)
 	}
 
-	// GroupMask composes with RowRange: the group must be unmasked AND
-	// overlap the range.
-	mask = []bool{true, true, true, true, true, false, false, false, false, false}
-	got = decodeOpts(t, res.Archive, DecompressOptions{
-		GroupMask: mask, RowRange: RowRange{Lo: 450, Hi: 550},
-	})
-	if got.NumRows() != 50 {
-		t.Fatalf("%d rows, want 50", got.NumRows())
-	}
-	for col := range tb.Schema.Columns {
-		if err := columnEqual(full, got, col, col, 450); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	// An all-true mask decodes everything and skips nothing.
-	all := make([]bool, 10)
-	for i := range all {
-		all[i] = true
-	}
-	fres, err := DecompressContext(context.Background(), res.Archive,
-		DecompressOptions{GroupMask: all})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fres.Table.NumRows() != 1000 {
-		t.Fatalf("%d rows, want 1000", fres.Table.NumRows())
-	}
-	for _, st := range fres.Stages {
-		if st.Name == "scan" && st.Bytes != 0 {
-			t.Fatalf("all-true mask skipped %d bytes", st.Bytes)
-		}
-	}
-
-	// A mask of the wrong length is a caller error, not corruption.
-	if _, err := DecompressContext(context.Background(), res.Archive,
-		DecompressOptions{GroupMask: make([]bool, 3)}); err == nil {
-		t.Fatal("short mask accepted")
+	// Every group decodes everything and skips nothing.
+	_, skipped = decodeGroups(t, a, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9)
+	if skipped != 0 {
+		t.Fatalf("decoding every group skipped %d bytes", skipped)
 	}
 }
 
-// TestGroupMaskV1 covers the version-1 single-group semantics: the mask has
-// exactly one entry; false selects no rows.
+// TestGroupMaskV1 covers the version-1 single-group semantics: group 0 is
+// every row, an empty group list decodes none, and there is no group 1.
 func TestGroupMaskV1(t *testing.T) {
 	archive, err := os.ReadFile(filepath.Join("testdata", "categorical.dsqz"))
 	if err != nil {
@@ -375,16 +353,19 @@ func TestGroupMaskV1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := decodeOpts(t, archive, DecompressOptions{GroupMask: []bool{true}})
-	if got.NumRows() != full.NumRows() {
-		t.Fatalf("%d rows, want %d", got.NumRows(), full.NumRows())
+	a, err := Open(archive)
+	if err != nil {
+		t.Fatal(err)
 	}
-	got = decodeOpts(t, archive, DecompressOptions{GroupMask: []bool{false}})
-	if got.NumRows() != 0 {
-		t.Fatalf("masked-out v1 decode returned %d rows", got.NumRows())
+	blocks, _ := decodeGroups(t, a, 0)
+	if blocks[0][0].Len() != full.NumRows() {
+		t.Fatalf("%d rows, want %d", blocks[0][0].Len(), full.NumRows())
 	}
-	if _, err := DecompressContext(context.Background(), archive,
-		DecompressOptions{GroupMask: []bool{true, false}}); err == nil {
-		t.Fatal("two-entry mask accepted for a v1 archive")
+	blocksEqual(t, full, blocks[0], 0)
+	if blocks, _ = decodeGroups(t, a); len(blocks) != 0 {
+		t.Fatalf("an empty group list decoded %d groups", len(blocks))
+	}
+	if _, err := a.DecodeBlocksRun(pipeline.New(context.Background(), 0), []int{1}, []int{0}); err == nil {
+		t.Fatal("group 1 accepted for a v1 archive")
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
@@ -8,118 +9,8 @@ import (
 
 	"deepsqueeze/internal/dataset"
 	"deepsqueeze/internal/nn"
-	"deepsqueeze/internal/pipeline"
 	"deepsqueeze/internal/preprocess"
 )
-
-// Stream implements the paper's streaming-archival scenario (§3): the model
-// is trained once on an initial batch, its decoders live in a single *model
-// archive* (the initial batch's own archive), and subsequent message
-// batches compress into small *batch archives* that reference the model by
-// the SHA-256 of its decoder section instead of embedding it. Per batch,
-// only the cheap preprocessing state (dictionaries, scalers, quantizers) is
-// re-fitted; the trained experts are reused, so batch cost is encoding +
-// materialization with no training. Distribution drift surfaces as growing
-// failure streams — the signal to retrain, as the paper suggests.
-type Stream struct {
-	opts       Options
-	thresholds []float64
-	trainPlan  *preprocess.Plan
-	experts    []*nn.Autoencoder
-	specs      []nn.ColSpec
-	model      []byte
-	hash       [32]byte
-}
-
-// NewStream trains on the initial batch and returns the stream compressor
-// together with the initial batch's compression result. The result's
-// archive is the model archive: keep it, every batch needs it to decompress.
-func NewStream(train *dataset.Table, thresholds []float64, opts Options) (*Stream, *Result, error) {
-	opts.Preproc = streamingResidualHeadroom(opts.Preproc)
-	res, st, err := compress(context.Background(), nil, train, thresholds, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	if len(st.autoenc) == 0 {
-		return nil, nil, fmt.Errorf("core: streaming needs at least one model column and a non-empty training batch")
-	}
-	model, err := modelFromArchive(res.Archive)
-	if err != nil {
-		return nil, nil, err
-	}
-	s := &Stream{
-		opts:       opts,
-		thresholds: append([]float64(nil), thresholds...),
-		trainPlan:  st.md.plan,
-		experts:    st.autoenc,
-		specs:      append([]nn.ColSpec(nil), st.md.specs...),
-		model:      res.Archive,
-		hash:       model.hash,
-	}
-	return s, res, nil
-}
-
-// ModelArchive returns the self-contained model archive (the compressed
-// initial batch). DecompressBatch needs it for every batch archive.
-func (s *Stream) ModelArchive() []byte { return s.model }
-
-// CompressBatch compresses one message batch against the trained model.
-// The batch must have the training schema. Batch archives are decompressed
-// with DecompressBatch(model, batch).
-func (s *Stream) CompressBatch(batch *dataset.Table) (*Result, error) {
-	return s.CompressBatchContext(context.Background(), batch)
-}
-
-// CompressBatchContext is CompressBatch with cancellation: the batch
-// pipeline (preprocess → assign → materialize) checks ctx between stages and
-// between parallel work items and returns ctx.Err() promptly once the
-// context is done.
-func (s *Stream) CompressBatchContext(ctx context.Context, batch *dataset.Table) (*Result, error) {
-	if !batch.Schema.Equal(s.trainPlan.Schema) {
-		return nil, fmt.Errorf("core: batch schema differs from training schema")
-	}
-	run := pipeline.New(ctx, s.opts.Parallelism)
-	var md *modelData
-	err := run.Stage("preprocess", func() error {
-		plan, err := s.fitBatchPlan(batch)
-		if err != nil {
-			return err
-		}
-		md, err = buildModelData(batch, plan)
-		if err != nil {
-			return err
-		}
-		return checkRefitSpecs(md.specs, s.specs)
-	})
-	if err != nil {
-		return nil, err
-	}
-	assign := make([]int, md.rows)
-	if len(s.experts) > 1 {
-		err := run.Stage("assign", func() error {
-			assign = (&nn.MoE{Experts: s.experts}).Assign(md.x, md.targets)
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	st, res, err := decide(run, batch, md, s.opts, s.experts, assign, &externalModelRef{Hash: s.hash})
-	if err != nil {
-		return nil, err
-	}
-	if err := assembleArchive(run, batch, s.opts, st, res); err != nil {
-		return nil, err
-	}
-	res.Stages = run.Stats()
-	return res, nil
-}
-
-// fitBatchPlan re-fits per-batch preprocessing state against the stream's
-// training plan.
-func (s *Stream) fitBatchPlan(batch *dataset.Table) (*preprocess.Plan, error) {
-	return refitPlan(batch, s.trainPlan, s.thresholds, s.opts)
-}
 
 // streamingResidualHeadroom applies the streaming default for residual
 // layout slack: the plan is fitted on a pilot batch that undercounts the
@@ -136,9 +27,8 @@ func streamingResidualHeadroom(p preprocess.Options) preprocess.Options {
 // refitPlan re-fits per-batch preprocessing state while pinning the
 // decisions the trained model depends on: every column keeps its training
 // kind, and categorical model alphabets keep their training size. Values
-// unseen during training become ordinary escape failures. Both the streaming
-// batch compressor and the bounded-memory ArchiveWriter refit their
-// non-initial chunks this way.
+// unseen during training become ordinary escape failures. The ArchiveWriter
+// refits every row group after its first this way.
 func refitPlan(batch *dataset.Table, trainPlan *preprocess.Plan, thresholds []float64, opts Options) (*preprocess.Plan, error) {
 	popts := opts.Preproc
 	popts.NoQuantization = popts.NoQuantization || opts.NoQuantization
@@ -223,8 +113,10 @@ func checkRefitSpecs(got, want []nn.ColSpec) error {
 	return nil
 }
 
-// DecompressBatch reconstructs a batch compressed by Stream.CompressBatch,
-// given the stream's model archive.
+// DecompressBatch reconstructs a streaming batch archive, given the model
+// archive it references. No writer emits batch archives any more — an
+// ArchiveWriter's refit groups serve the same scenario inside one
+// self-contained archive — but the ones already written stay readable.
 func DecompressBatch(modelArchive, batchArchive []byte) (*dataset.Table, error) {
 	res, err := DecompressBatchContext(context.Background(), modelArchive, batchArchive, DecompressOptions{})
 	if err != nil {
@@ -234,21 +126,29 @@ func DecompressBatch(modelArchive, batchArchive []byte) (*dataset.Table, error) 
 }
 
 // DecompressBatchContext is DecompressBatch with cancellation and
-// query-aware projection — the batch archive runs through the same staged
-// pipeline as DecompressContext, with the model archive supplying the
-// decoders.
+// query-aware projection: the batch archive's handle takes the model
+// archive's decoders into its decoder cache and then runs the same request
+// as DecompressContext.
 func DecompressBatchContext(ctx context.Context, modelArchive, batchArchive []byte, opts DecompressOptions) (*DecompressResult, error) {
 	model, err := modelFromArchive(modelArchive)
 	if err != nil {
 		return nil, fmt.Errorf("model archive: %w", err)
 	}
-	return decompressPipeline(ctx, batchArchive, opts, model)
+	a, err := Open(batchArchive)
+	if err != nil {
+		return nil, err
+	}
+	if a.External() && a.meta.hasModel {
+		if err := a.useModel(model); err != nil {
+			return nil, err
+		}
+	}
+	return a.decompress(ctx, opts)
 }
 
-// modelFromArchive opens a self-contained model archive and returns its
-// decoders with the hash of its decoder section, the identity batch archives
-// reference it by.
-func modelFromArchive(archive []byte) (*providedModel, error) {
+// modelFromArchive opens a self-contained model archive and parses its
+// decoders, which the batch archives referencing it borrow.
+func modelFromArchive(archive []byte) (*Archive, error) {
 	a, err := Open(archive)
 	if err != nil {
 		return nil, err
@@ -259,11 +159,31 @@ func modelFromArchive(archive []byte) (*providedModel, error) {
 	if !a.meta.hasModel {
 		return nil, fmt.Errorf("%w: model archive has no model section", ErrCorrupt)
 	}
-	decoders, _, err := a.decoders()
-	if err != nil {
+	if _, _, err := a.decoders(); err != nil {
 		return nil, err
 	}
-	return &providedModel{decoders: decoders, hash: sha256.Sum256(a.meta.decoderChunk)}, nil
+	return a, nil
+}
+
+// useModel puts the decoders of the model archive a batch archive references
+// into the handle's decoder cache, once they check out as that model's: a
+// batch archive stores the SHA-256 of the model's decoder section where its
+// own decoders would be, and the model must have the batch's expert count
+// and shapes.
+func (a *Archive) useModel(model *Archive) error {
+	m, decoders := a.meta, model.decs
+	hash := sha256.Sum256(model.meta.decoderChunk)
+	if !bytes.Equal(m.decoderChunk, hash[:]) {
+		return fmt.Errorf("%w: batch archive references a different model archive", ErrCorrupt)
+	}
+	if len(decoders) != m.numExperts {
+		return fmt.Errorf("%w: model archive has %d experts, batch wants %d", ErrCorrupt, len(decoders), m.numExperts)
+	}
+	if err := checkDecoderShapes(decoders, m.codeSize, m.layout.specs); err != nil {
+		return err
+	}
+	a.decOnce.Do(func() { a.decs, a.decs32 = decoders, m.narrow(decoders) })
+	return nil
 }
 
 // parseDecoderSection splits a (inflated-on-demand) decoder section into

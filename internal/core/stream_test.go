@@ -1,8 +1,11 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
+	"io"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"deepsqueeze/internal/dataset"
@@ -42,43 +45,73 @@ func streamOpts() Options {
 	return o
 }
 
-func TestStreamRoundTrip(t *testing.T) {
-	train := streamBatch(1000, 1, 0)
-	thr := []float64{0, 0, 0.05, 0.05}
-	s, trainRes, err := NewStream(train, thr, streamOpts())
+// newBatchWriter returns an ArchiveWriter whose row groups hold rows rows
+// each: the first batch written trains the model, every later one becomes a
+// refit group.
+func newBatchWriter(t *testing.T, w io.Writer, rows int, thr []float64) *ArchiveWriter {
+	t.Helper()
+	opts := streamOpts()
+	opts.RowGroupSize = rows
+	aw, err := NewArchiveWriter(w, streamBatch(1, 0, 0).Schema, thr, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if trainRes.Breakdown.Total == 0 {
-		t.Fatal("empty model archive")
+	return aw
+}
+
+// writeBatches writes each batch as one row group and returns the archive.
+func writeBatches(t *testing.T, thr []float64, batches ...*dataset.Table) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	aw := newBatchWriter(t, &buf, batches[0].NumRows(), thr)
+	for i, b := range batches {
+		if err := aw.Write(b); err != nil {
+			t.Fatalf("batch %d: %v", i, err)
+		}
 	}
-	for b := int64(2); b <= 4; b++ {
-		batch := streamBatch(500, b, 0)
-		res, err := s.CompressBatch(batch)
+	if err := aw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// checkBatches reads the archive group by group and checks group i against
+// batch i within the thresholds.
+func checkBatches(t *testing.T, archive []byte, thr []float64, batches ...*dataset.Table) {
+	t.Helper()
+	ar, err := NewArchiveReader(bytes.NewReader(archive))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, b := range batches {
+		got, err := ar.Next()
 		if err != nil {
-			t.Fatalf("batch %d: %v", b, err)
+			t.Fatalf("batch %d: %v", i, err)
 		}
-		got, err := DecompressBatch(s.ModelArchive(), res.Archive)
-		if err != nil {
-			t.Fatalf("batch %d decompress: %v", b, err)
+		if err := b.EqualWithin(got, tolerances(b, thr)); err != nil {
+			t.Fatalf("batch %d: %v", i, err)
 		}
-		stats := batch.Stats()
-		tol := []float64{0, 0, 0.05 * (stats[2].Max - stats[2].Min), 0.05 * (stats[3].Max - stats[3].Min)}
-		if err := batch.EqualWithin(got, tol); err != nil {
-			t.Fatalf("batch %d: %v", b, err)
-		}
+	}
+	if _, err := ar.Next(); err != io.EOF {
+		t.Fatalf("Next after the last batch: %v, want io.EOF", err)
 	}
 }
 
-func TestStreamBatchSmallerThanSelfContained(t *testing.T) {
-	train := streamBatch(2000, 5, 0)
+func TestStreamRoundTrip(t *testing.T) {
 	thr := []float64{0, 0, 0.05, 0.05}
-	s, _, err := NewStream(train, thr, streamOpts())
-	if err != nil {
-		t.Fatal(err)
+	batches := []*dataset.Table{streamBatch(500, 1, 0)}
+	for b := int64(2); b <= 4; b++ {
+		batches = append(batches, streamBatch(500, b, 0))
 	}
+	checkBatches(t, writeBatches(t, thr, batches...), thr, batches...)
+}
+
+// A refit group carries no decoders and no training: it must be smaller
+// than a self-contained archive of the same rows.
+func TestStreamBatchSmallerThanSelfContained(t *testing.T) {
+	thr := []float64{0, 0, 0.05, 0.05}
 	batch := streamBatch(1000, 6, 0)
-	bres, err := s.CompressBatch(batch)
+	info, err := Inspect(writeBatches(t, thr, streamBatch(1000, 5, 0), batch))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,75 +119,38 @@ func TestStreamBatchSmallerThanSelfContained(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The batch archive skips the decoders and training; it must be
-	// smaller than the self-contained archive of the same data.
-	if bres.Breakdown.Total >= full.Breakdown.Total {
-		t.Fatalf("batch archive %d ≥ self-contained %d", bres.Breakdown.Total, full.Breakdown.Total)
-	}
-	if bres.Breakdown.Decoder > 64 {
-		t.Fatalf("batch archive embeds %d decoder bytes; want just a hash", bres.Breakdown.Decoder)
+	if seg := info.Groups[1].SegmentBytes; seg >= full.Breakdown.Total {
+		t.Fatalf("refit group %d bytes ≥ self-contained %d", seg, full.Breakdown.Total)
 	}
 }
 
 func TestStreamUnseenValuesRoundTrip(t *testing.T) {
-	train := streamBatch(800, 7, 0)
 	thr := []float64{0, 0, 0.05, 0.05}
-	s, _, err := NewStream(train, thr, streamOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Batch with categorical values never seen in training and numeric
+	// A batch with categorical values never seen in training and numeric
 	// values outside the training range.
 	batch := streamBatch(400, 8, 0)
 	for i := 0; i < 40; i++ {
 		batch.Str[0][i] = fmt.Sprintf("novel-%d", i%7)
 		batch.Num[2][i] = 500 + float64(i) // far outside training range
 	}
-	res, err := s.CompressBatch(batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecompressBatch(s.ModelArchive(), res.Archive)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stats := batch.Stats()
-	tol := []float64{0, 0, 0.05 * (stats[2].Max - stats[2].Min), 0.05 * (stats[3].Max - stats[3].Min)}
-	if err := batch.EqualWithin(got, tol); err != nil {
-		t.Fatal(err)
-	}
+	train := streamBatch(400, 7, 0)
+	checkBatches(t, writeBatches(t, thr, train, batch), thr, train, batch)
 }
 
 func TestStreamDriftStillBounded(t *testing.T) {
-	train := streamBatch(1000, 9, 0)
 	thr := []float64{0, 0, 0.1, 0.1}
-	s, _, err := NewStream(train, thr, streamOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Heavy drift: the model mispredicts more (bigger failures) but the
 	// error bound must still hold.
-	batch := streamBatch(600, 10, 0.6)
-	res, err := s.CompressBatch(batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecompressBatch(s.ModelArchive(), res.Archive)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stats := batch.Stats()
-	tol := []float64{0, 0, 0.1 * (stats[2].Max - stats[2].Min), 0.1 * (stats[3].Max - stats[3].Min)}
-	if err := batch.EqualWithin(got, tol); err != nil {
-		t.Fatal(err)
-	}
+	train, batch := streamBatch(600, 9, 0), streamBatch(600, 10, 0.6)
+	checkBatches(t, writeBatches(t, thr, train, batch), thr, train, batch)
 }
 
+// TestStreamValidation: a refit group must keep what the trained model
+// depends on, or the writer refuses it as a retrain signal.
 func TestStreamValidation(t *testing.T) {
-	train := streamBatch(500, 11, 0)
 	thr := []float64{0, 0, 0.05, 0.05}
-	s, res, err := NewStream(train, thr, streamOpts())
-	if err != nil {
+	aw := newBatchWriter(t, io.Discard, 500, thr)
+	if err := aw.Write(streamBatch(500, 11, 0)); err != nil {
 		t.Fatal(err)
 	}
 	// Wrong schema.
@@ -162,53 +158,29 @@ func TestStreamValidation(t *testing.T) {
 		dataset.Column{Name: "x", Type: dataset.Numeric},
 	), 1)
 	other.AppendRow(nil, []float64{1})
-	if _, err := s.CompressBatch(other); err == nil {
-		t.Error("schema mismatch accepted")
+	if err := aw.Write(other); err == nil || !strings.Contains(err.Error(), "schema differs") {
+		t.Errorf("schema mismatch: got %v", err)
 	}
-	// Binary column growing a third value must demand a retrain.
-	bad := streamBatch(300, 12, 0)
+	// A binary column growing a third value must demand a retrain.
+	bad := streamBatch(500, 12, 0)
 	bad.Str[1][0] = "2"
-	if _, err := s.CompressBatch(bad); err == nil {
-		t.Error("binary column with 3 values accepted")
+	if err := aw.Write(bad); err == nil || !strings.Contains(err.Error(), "retrain") {
+		t.Errorf("binary column with 3 values: got %v, want a retrain-needed rejection", err)
 	}
-	// Batch archives must be rejected by plain Decompress.
-	batch := streamBatch(200, 13, 0)
-	bres, err := s.CompressBatch(batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Decompress(bres.Archive); err == nil {
-		t.Error("plain Decompress accepted a batch archive")
-	}
-	// And must be rejected against the wrong model archive.
-	otherTrain := streamBatch(500, 14, 0.5)
-	s2, _, err := NewStream(otherTrain, thr, streamOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := DecompressBatch(s2.ModelArchive(), bres.Archive); err == nil {
-		t.Error("batch decompressed against the wrong model archive")
-	}
-	// A batch archive cannot serve as a model archive.
-	if _, err := DecompressBatch(bres.Archive, bres.Archive); err == nil {
-		t.Error("batch archive accepted as model archive")
-	}
-	_ = res
 }
 
+// The model archive of a streaming batch pair is an ordinary self-contained
+// archive.
 func TestStreamModelArchiveIsSelfContained(t *testing.T) {
-	train := streamBatch(600, 15, 0)
-	thr := []float64{0, 0, 0.05, 0.05}
-	s, res, err := NewStream(train, thr, streamOpts())
+	model, _, _ := batchFixture(t)
+	got, err := Decompress(model)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Decompress(s.ModelArchive())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.NumRows() != train.NumRows() {
+	if got.NumRows() != 300 {
 		t.Fatalf("model archive decodes to %d rows", got.NumRows())
 	}
-	_ = res
+	if got := readStream(t, model); got.NumRows() != 300 {
+		t.Fatalf("ArchiveReader reads %d rows of the model archive", got.NumRows())
+	}
 }

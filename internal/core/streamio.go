@@ -255,7 +255,7 @@ func sliceRows(t *dataset.Table, lo, hi int) *dataset.Table {
 // Version-1 archives (no row groups) are accepted for compatibility by
 // buffering the whole archive and decompressing in memory; the single table
 // is returned by the first Next. Streaming batch archives (external model)
-// are rejected — use DecompressBatch.
+// are rejected at open — use DecompressBatch.
 type ArchiveReader struct {
 	br  *bufio.Reader
 	crc hash.Hash32
@@ -306,6 +306,9 @@ func newArchiveReader(r io.Reader, maxRows int) (*ArchiveReader, error) {
 	if version != archiveVersion {
 		return nil, fmt.Errorf("%w: unsupported version %d", ErrCorrupt, version)
 	}
+	if flags&flagExternalModel != 0 {
+		return nil, errBatchArchive
+	}
 	ar.crcWrite(head)
 
 	hdr, err := ar.readChunk()
@@ -325,9 +328,10 @@ func newArchiveReader(r io.Reader, maxRows int) (*ArchiveReader, error) {
 		if m.decoderChunk, err = ar.readChunk(); err != nil {
 			return nil, err
 		}
-		if err := d.unpackDecoders(); err != nil {
+		if d.decoders, err = parseCheckedDecoders(m.decoderChunk, m.numExperts, m.codeSize, m.layout.specs); err != nil {
 			return nil, err
 		}
+		d.decs32 = m.narrow(d.decoders)
 	}
 	ar.d = d
 	ar.schema = m.plan.Schema

@@ -143,7 +143,7 @@ func TuneContext(ctx context.Context, t *dataset.Table, thresholds []float64, to
 			pair := [2]*dataset.Table{x1, x2}
 			var sizes [2]int64
 			err = run.ForEach(2, func(i int) error {
-				r, _, err := compress(run.Context(), run.Pool(), pair[i], thresholds, best)
+				r, err := compress(run.Context(), run.Pool(), pair[i], thresholds, best)
 				if err != nil {
 					return err
 				}
@@ -214,7 +214,7 @@ func minimizeSample(run *pipeline.Run, sample *dataset.Table, thresholds []float
 			opts := topts.Base
 			opts.CodeSize = cells[batch[i]].code
 			opts.NumExperts = cells[batch[i]].experts
-			r, _, err := compress(run.Context(), run.Pool(), sample, thresholds, opts)
+			r, err := compress(run.Context(), run.Pool(), sample, thresholds, opts)
 			if err != nil {
 				return err
 			}

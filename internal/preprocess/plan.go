@@ -105,7 +105,7 @@ type Options struct {
 	// sample — the streaming writer trains on its first chunk — needs the
 	// layout to cover alphabets later batches may grow. Values <= 1 size
 	// the layout exactly (the in-memory compressor sees the whole table
-	// and needs no slack); NewStream and NewArchiveWriter default it to 2.
+	// and needs no slack); NewArchiveWriter defaults it to 2.
 	ResidualHeadroom float64
 }
 

@@ -156,7 +156,7 @@ func RunArchive(ctx context.Context, a *core.Archive, opts Options) (*Result, er
 		return nil, err
 	}
 	if idx.External {
-		return nil, fmt.Errorf("query: archive references an external model; re-assemble it before querying")
+		return nil, fmt.Errorf("query: archive references an external model; decode it with DecompressBatch and its model archive")
 	}
 	res := &Result{GroupsTotal: len(idx.Groups)}
 	p := plan{idx: idx, aggMode: len(opts.Aggs) > 0}

@@ -144,6 +144,15 @@ step "repo benchmark smoke"
 # checked.
 (cd benchmarks && go test ./...)
 
+step "examples"
+# The two library examples that finish in about a second, each exiting 1 on a
+# failed bound audit: quickstart's compress/decompress round trip, and
+# streaming's one ArchiveWriter — a training group, then seven refit groups,
+# each read back by an ArchiveReader and checked against its bounds. The
+# other three examples take 7–14 s each and stay out of the gate.
+go run ./examples/quickstart > /dev/null
+go run ./examples/streaming > /dev/null
+
 step "uninstrumented tests"
 # The tests that skip themselves under the race detector and only run here.
 # Allocation gates: testing.AllocsPerRun ceiling on the warm cached aggregate
