@@ -26,26 +26,27 @@
 //	-fallback-ratio 0.5
 //	                   near-unique ratio (distinct/rows) above which a
 //	                   categorical column always falls back
-//	-tune              run Bayesian hyperparameter tuning first
+//	-tune              tune code size and experts (Bayesian optimization) on
+//	                   the input's first rows, at most twice the largest
+//	                   tuning sample (100 000 by default), before compressing
 //	-seed 1            random seed
 //	-p 0               pipeline parallelism (0 = all CPUs)
-//	-v                 verbose progress + per-stage pipeline report
+//	-v                 verbose progress
 //	-cpuprofile f      write a CPU profile to f (inspect with go tool pprof)
 //	-memprofile f      write a heap profile to f on exit
 //
 // Compression streams the CSV through the row-group archive writer one
-// group at a time, so peak memory is bounded by the row-group size, not
-// the file size. With -tune the whole table is loaded instead (the tuner
-// needs it) and compressed in memory. Decompression without -cols/-rows
-// likewise streams group by group; with a projection or row span it uses
-// the in-memory query-aware decoder.
+// group at a time, so peak memory is bounded by the row-group size (plus,
+// with -tune, the prefix the tuner reads), not the file size. Decompression
+// streams group by group through the archive reader, projection and row
+// span included: groups outside the span are checksummed but not decoded.
 //
 // Decompression flags:
 //
 //	-cols a,b          decode only the named columns (projection)
 //	-rows lo:hi        decode only the half-open row span, original order
 //	-p 0               pipeline parallelism (0 = all CPUs)
-//	-v                 per-stage pipeline report
+//	-v                 one line per decoded row group: rows and wall time
 //	-cpuprofile f      write a CPU profile to f
 //	-memprofile f      write a heap profile to f on exit
 //
@@ -78,12 +79,12 @@ import (
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
 
 	"deepsqueeze"
-	"deepsqueeze/internal/core"
 )
 
 func main() {
@@ -213,7 +214,7 @@ func runCompress(ctx context.Context, args []string) error {
 	tune := fs.Bool("tune", false, "run hyperparameter tuning before compressing")
 	seed := fs.Int64("seed", 1, "random seed")
 	parallel := fs.Int("p", 0, "pipeline parallelism (0 = all CPUs)")
-	verbose := fs.Bool("v", false, "verbose progress + per-stage pipeline report")
+	verbose := fs.Bool("v", false, "verbose progress")
 	cpuprof := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memprof := fs.String("memprofile", "", "write a heap profile to this file on exit")
 	fs.Parse(args)
@@ -261,49 +262,8 @@ func runCompress(ctx context.Context, args []string) error {
 		}
 	}
 	return withProfiles(*cpuprof, *memprof, func() error {
-		if *tune {
-			return compressTuned(ctx, f, *out, schema, *errThr, opts, *verbose)
-		}
-		return compressStream(ctx, f, *out, schema, *errThr, opts)
+		return compressStream(ctx, f, *out, schema, *errThr, opts, *tune)
 	})
-}
-
-// compressTuned loads the whole table (the tuner needs it), tunes, and
-// compresses in memory.
-func compressTuned(ctx context.Context, f *os.File, out string, schema *deepsqueeze.Schema, errThr float64, opts deepsqueeze.Options, verbose bool) error {
-	table, err := deepsqueeze.ReadCSV(f, schema)
-	if err != nil {
-		return err
-	}
-	thresholds := deepsqueeze.UniformThresholds(table, errThr)
-	topts := deepsqueeze.DefaultTuneOptions()
-	topts.Base = opts
-	tres, err := deepsqueeze.TuneContext(ctx, table, thresholds, topts)
-	if err != nil {
-		return fmt.Errorf("tuning: %w", err)
-	}
-	opts = tres.Best // the tuned fields over opts, -rowgroup included
-	fmt.Fprintf(os.Stderr, "tuned: code=%d experts=%d sample=%d (%d trials)\n",
-		opts.CodeSize, opts.NumExperts, opts.TrainSampleRows, len(tres.Trials))
-	res, err := deepsqueeze.CompressContext(ctx, table, thresholds, opts)
-	if err != nil {
-		return err
-	}
-	if verbose {
-		printStages(res.Stages)
-	}
-	err = writeAtomic(out, func(w io.Writer) error {
-		_, err := w.Write(res.Archive)
-		return err
-	})
-	if err != nil {
-		return err
-	}
-	raw := table.CSVSize()
-	fmt.Printf("compressed %d rows: %d → %d bytes (%.2f%%), code bits %d\n",
-		table.NumRows(), raw, res.Breakdown.Total, 100*res.Ratio(raw), res.CodeBits)
-	printBreakdown(res.Breakdown)
-	return nil
 }
 
 // countReader counts raw bytes consumed from the input CSV.
@@ -351,8 +311,10 @@ func writeAtomic(path string, body func(w io.Writer) error) (err error) {
 }
 
 // compressStream pipes the CSV through the row-group archive writer one
-// chunk at a time.
-func compressStream(ctx context.Context, f *os.File, out string, schema *deepsqueeze.Schema, errThr float64, opts deepsqueeze.Options) error {
+// chunk at a time. With tune, the options are first tuned on a prefix of the
+// input — the writer trains on its first row group, so a prefix is what the
+// model sees — and the prefix is then written ahead of the rest.
+func compressStream(ctx context.Context, f *os.File, out string, schema *deepsqueeze.Schema, errThr float64, opts deepsqueeze.Options, tune bool) error {
 	thresholds := make([]float64, schema.NumColumns())
 	for i, c := range schema.Columns {
 		if c.Type == deepsqueeze.Numeric {
@@ -364,6 +326,25 @@ func compressStream(ctx context.Context, f *os.File, out string, schema *deepsqu
 	if err != nil {
 		return err
 	}
+	prefix := deepsqueeze.NewTable(schema, 0)
+	if tune {
+		topts := deepsqueeze.DefaultTuneOptions()
+		topts.Base = opts
+		// The tuner reads no more than twice its largest sample.
+		if prefix, err = sc.ReadChunk(2 * slices.Max(topts.Samples)); err == io.EOF {
+			prefix, err = deepsqueeze.NewTable(schema, 0), nil
+		}
+		if err != nil {
+			return err
+		}
+		tres, err := deepsqueeze.TuneContext(ctx, prefix, thresholds, topts)
+		if err != nil {
+			return fmt.Errorf("tuning: %w", err)
+		}
+		opts = tres.Best // the tuned fields over opts, -rowgroup included
+		fmt.Fprintf(os.Stderr, "tuned on %d rows: code=%d experts=%d sample=%d (%d trials)\n",
+			prefix.NumRows(), opts.CodeSize, opts.NumExperts, opts.TrainSampleRows, len(tres.Trials))
+	}
 	chunkRows := opts.RowGroupSize
 	if chunkRows <= 0 {
 		chunkRows = 4096
@@ -371,6 +352,9 @@ func compressStream(ctx context.Context, f *os.File, out string, schema *deepsqu
 	var aw *deepsqueeze.ArchiveWriter
 	err = writeAtomic(out, func(w io.Writer) (err error) {
 		if aw, err = deepsqueeze.NewArchiveWriter(w, schema, thresholds, opts); err != nil {
+			return err
+		}
+		if err := aw.Write(prefix); err != nil {
 			return err
 		}
 		for {
@@ -402,7 +386,7 @@ func compressStream(ctx context.Context, f *os.File, out string, schema *deepsqu
 	return nil
 }
 
-// printStages renders the per-stage pipeline report (-v).
+// printStages renders the per-stage pipeline report (query -v).
 func printStages(stages []deepsqueeze.StageStats) {
 	fmt.Fprintln(os.Stderr, "pipeline stages:")
 	for _, st := range stages {
@@ -421,19 +405,12 @@ func runDecompress(ctx context.Context, args []string) error {
 	cols := fs.String("cols", "", "comma-separated column names to decode (default: all)")
 	rows := fs.String("rows", "", "row span lo:hi (half-open, original order; default: all)")
 	parallel := fs.Int("p", 0, "pipeline parallelism (0 = all CPUs)")
-	verbose := fs.Bool("v", false, "per-stage pipeline report")
+	verbose := fs.Bool("v", false, "one line per decoded row group: rows and wall time")
 	cpuprof := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memprof := fs.String("memprofile", "", "write a heap profile to this file on exit")
 	fs.Parse(args)
 	if *in == "" || *out == "" {
 		return fmt.Errorf("decompress needs -in and -out")
-	}
-	if *cols == "" && *rows == "" {
-		// No projection or row span: stream group by group, holding at
-		// most one row group of output in memory.
-		return withProfiles(*cpuprof, *memprof, func() error {
-			return decompressStream(ctx, *in, *out, *verbose)
-		})
 	}
 	// Flags are validated before any file IO: a reversed or negative row
 	// span can never be satisfied, so it fails here rather than after the
@@ -448,16 +425,15 @@ func runDecompress(ctx context.Context, args []string) error {
 			opts.Columns = append(opts.Columns, name)
 		}
 	}
-	emptySpan := false
 	if *rows != "" {
 		rr, err := parseRowRange(*rows)
 		if err != nil {
 			return err
 		}
-		opts.RowRange, emptySpan = rr, rr.Lo == rr.Hi
+		opts.RowRange = &rr
 	}
 	return withProfiles(*cpuprof, *memprof, func() error {
-		return decompressQuery(ctx, *in, *out, opts, emptySpan, *verbose)
+		return decompressStream(ctx, *in, *out, opts, *verbose)
 	})
 }
 
@@ -489,87 +465,24 @@ func parseRowRange(s string) (deepsqueeze.RowRange, error) {
 // logs spanning many archives stay attributable. Other errors (bad flags,
 // unknown columns, cancellation) already name their cause and pass through.
 func archiveErr(path string, err error) error {
-	if err != nil && errors.Is(err, core.ErrCorrupt) {
+	if err != nil && errors.Is(err, deepsqueeze.ErrCorrupt) {
 		return fmt.Errorf("%s: %w", path, err)
 	}
 	return err
 }
 
-// validateAgainstArchive checks the requested columns and row span against
-// the open archive's schema and row count — metadata only, before any segment
-// is decoded — so typos fail with a clear message instead of a decode error.
-func validateAgainstArchive(a *deepsqueeze.Archive, cols []string, rr deepsqueeze.RowRange) error {
-	info := a.Info()
-	for _, name := range cols {
-		found := false
-		for _, c := range info.Schema.Columns {
-			if c.Name == name {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return fmt.Errorf("archive has no column %q (columns: %s)", name, schemaNames(info.Schema))
-		}
-	}
-	if rr.Hi > info.Rows {
-		return fmt.Errorf("-rows %d:%d exceeds the archive's %d rows", rr.Lo, rr.Hi, info.Rows)
-	}
-	return nil
-}
-
-func schemaNames(s *deepsqueeze.Schema) string {
-	names := make([]string, len(s.Columns))
-	for i, c := range s.Columns {
-		names[i] = c.Name
-	}
-	return strings.Join(names, ", ")
-}
-
-// decompressQuery runs the in-memory query-aware decoder (projection and/or
-// row span) and writes the result as CSV. emptySpan marks a requested row
-// span that selects no rows, which writes only the header.
-func decompressQuery(ctx context.Context, in, out string, opts deepsqueeze.DecompressOptions, emptySpan, verbose bool) error {
-	a, err := deepsqueeze.OpenFile(in)
-	if err != nil {
-		return err
-	}
-	if err := validateAgainstArchive(a, opts.Columns, opts.RowRange); err != nil {
-		return err
-	}
-	if emptySpan {
-		// RowRange's zero value selects every row, so "-rows 0:0" goes to
-		// the decoder as the empty span past the last row.
-		opts.RowRange = deepsqueeze.RowRange{Lo: a.Rows(), Hi: a.Rows()}
-	}
-	res, err := a.DecompressContext(ctx, opts)
-	if err != nil {
-		return archiveErr(in, err)
-	}
-	if verbose {
-		printStages(res.Stages)
-	}
-	table := res.Table
-	if err := writeAtomic(out, table.WriteCSV); err != nil {
-		return err
-	}
-	fmt.Printf("decompressed %d rows × %d columns to %s\n",
-		table.NumRows(), table.Schema.NumColumns(), out)
-	return nil
-}
-
 // decompressStream reads the archive group by group and appends each
-// group's rows to the output CSV, so peak memory is one row group. The
-// reader verifies the footer and the archive checksum only after the last
-// group, by which time every row has been written: the CSV takes its name
-// only once the archive has verified (writeAtomic).
-func decompressStream(ctx context.Context, in, out string, verbose bool) error {
+// selected group's rows to the output CSV, so peak memory is one row group.
+// The reader verifies the footer, the archive checksum and a row span's end
+// only after the last group, by which time every row has been written: the
+// CSV takes its name only once all three have (writeAtomic).
+func decompressStream(ctx context.Context, in, out string, opts deepsqueeze.DecompressOptions, verbose bool) error {
 	f, err := os.Open(in)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	ar, err := deepsqueeze.NewArchiveReader(bufio.NewReaderSize(f, 1<<20))
+	ar, err := deepsqueeze.NewArchiveReader(bufio.NewReaderSize(f, 1<<20), opts)
 	if err != nil {
 		return archiveErr(in, err)
 	}
@@ -580,6 +493,7 @@ func decompressStream(ctx context.Context, in, out string, verbose bool) error {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
+			t0 := time.Now()
 			g, err := ar.Next()
 			if err == io.EOF {
 				return cw.Flush()
@@ -593,7 +507,7 @@ func decompressStream(ctx context.Context, in, out string, verbose bool) error {
 			rows += g.NumRows()
 			groups++
 			if verbose {
-				fmt.Fprintf(os.Stderr, "group %d: %d rows\n", groups-1, g.NumRows())
+				fmt.Fprintf(os.Stderr, "group %d: %d rows in %v\n", groups-1, g.NumRows(), time.Since(t0).Round(time.Microsecond))
 			}
 		}
 	})
@@ -817,9 +731,4 @@ func codecHistogram(codecs map[string]int) string {
 		return "-"
 	}
 	return strings.Join(parts, " ")
-}
-
-func printBreakdown(bd core.Breakdown) {
-	fmt.Printf("  header   %8d bytes\n  decoder  %8d bytes\n  codes    %8d bytes\n  failures %8d bytes\n  mapping  %8d bytes\n",
-		bd.Header, bd.Decoder, bd.Codes, bd.Failures, bd.Mapping)
 }

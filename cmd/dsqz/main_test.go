@@ -95,19 +95,36 @@ func buildTestArchive(t *testing.T) []byte {
 	return res.Archive
 }
 
-func TestValidateAgainstArchive(t *testing.T) {
-	a, err := deepsqueeze.Open(buildTestArchive(t))
-	if err != nil {
+// A request the archive cannot serve fails naming what is wrong — an
+// unknown column with the archive's columns, a span past the last row with
+// the row count — and publishes nothing: a file already at -out survives.
+func TestDecompressRejectsBadRequest(t *testing.T) {
+	dir := t.TempDir()
+	in, out := filepath.Join(dir, "t.dsqz"), filepath.Join(dir, "out.csv")
+	if err := os.WriteFile(in, buildTestArchive(t), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := validateAgainstArchive(a, []string{"city", "temp"}, deepsqueeze.RowRange{Lo: 0, Hi: 80}); err != nil {
-		t.Fatalf("valid request rejected: %v", err)
+	if err := os.WriteFile(out, []byte("previous\n"), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if err := validateAgainstArchive(a, []string{"nope"}, deepsqueeze.RowRange{}); err == nil {
-		t.Error("unknown column accepted")
-	}
-	if err := validateAgainstArchive(a, nil, deepsqueeze.RowRange{Lo: 0, Hi: 81}); err == nil {
-		t.Error("out-of-bounds row span accepted")
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-cols", "nope"}, `unknown column "nope" (columns: city, temp)`},
+		{[]string{"-rows", "0:81"}, "row range [0,81) outside table of 80 rows"},
+		{[]string{"-rows", "70:90", "-cols", "temp"}, "row range [70,90) outside table of 80 rows"},
+	} {
+		err := runDecompress(context.Background(), append([]string{"-in", in, "-out", out}, tc.args...))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%v: error %v, want one containing %q", tc.args, err, tc.want)
+		}
+		if got, _ := os.ReadFile(out); string(got) != "previous\n" {
+			t.Errorf("%v: -out holds %q after a failed decompress", tc.args, got)
+		}
+		if _, err := os.Stat(out + ".tmp"); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("%v: .tmp left behind (stat error %v)", tc.args, err)
+		}
 	}
 }
 
@@ -374,5 +391,71 @@ func TestWriteAtomic(t *testing.T) {
 
 	if err := writeAtomic(filepath.Join(t.TempDir(), "missing", "out.csv"), nil); err == nil {
 		t.Error("writeAtomic into a missing directory returned nil")
+	}
+}
+
+// writeTestCSV writes rows rows of a two-column table as a headered CSV.
+func writeTestCSV(t *testing.T, path string, rows int) {
+	t.Helper()
+	var b strings.Builder
+	b.WriteString("city,temp\n")
+	for i := 0; i < rows; i++ {
+		fmt.Fprintf(&b, "%s,%d\n", []string{"oslo", "lima", "pune"}[i%3], i%17+i/5)
+	}
+	if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// The tuner's trials run one after another whatever -p says, so a tuned
+// archive is the same bytes at every parallelism.
+func TestCompressTuneIndependentOfParallelism(t *testing.T) {
+	dir := t.TempDir()
+	in := filepath.Join(dir, "t.csv")
+	writeTestCSV(t, in, 120)
+	var archives [2][]byte
+	for i, p := range []string{"1", "2"} {
+		out := filepath.Join(dir, "t"+p+".dsqz")
+		captureStdout(t, func() error {
+			return runCompress(context.Background(), []string{"-in", in, "-out", out,
+				"-schema", "city:cat,temp:num", "-error", "0.05", "-tune", "-p", p})
+		})
+		b, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		archives[i] = b
+	}
+	if !bytes.Equal(archives[0], archives[1]) {
+		t.Fatal("compress -tune wrote different archives at -p 1 and -p 2")
+	}
+}
+
+// -p reaches the reader on every invocation and never changes the CSV, with
+// or without a projection and a row span.
+func TestDecompressIndependentOfParallelism(t *testing.T) {
+	dir := t.TempDir()
+	in, archive := filepath.Join(dir, "t.csv"), filepath.Join(dir, "t.dsqz")
+	writeTestCSV(t, in, 300)
+	captureStdout(t, func() error {
+		return runCompress(context.Background(), []string{"-in", in, "-out", archive,
+			"-schema", "city:cat,temp:num", "-error", "0.05", "-rowgroup", "100"})
+	})
+	for _, args := range [][]string{nil, {"-cols", "temp"}, {"-rows", "50:250"}, {"-rows", "150:300", "-cols", "city"}} {
+		var csv [2][]byte
+		for i, p := range []string{"1", "2"} {
+			out := filepath.Join(dir, "out"+p+".csv")
+			captureStdout(t, func() error {
+				return runDecompress(context.Background(), append([]string{"-in", archive, "-out", out, "-p", p}, args...))
+			})
+			b, err := os.ReadFile(out)
+			if err != nil {
+				t.Fatal(err)
+			}
+			csv[i] = b
+		}
+		if !bytes.Equal(csv[0], csv[1]) || len(csv[0]) == 0 {
+			t.Errorf("%v: -p 1 and -p 2 wrote different CSV", args)
+		}
 	}
 }

@@ -91,7 +91,7 @@ func TestV1Behaviour(t *testing.T) {
 		cols := full.Schema.Columns
 		last := cols[len(cols)-1].Name
 		decode("project "+last, deepsqueeze.DecompressOptions{Columns: []string{last}})
-		decode("rows [40,90)", deepsqueeze.DecompressOptions{RowRange: deepsqueeze.RowRange{Lo: 40, Hi: 90}})
+		decode("rows [40,90)", deepsqueeze.DecompressOptions{RowRange: &deepsqueeze.RowRange{Lo: 40, Hi: 90}})
 
 		// A masked-out group selects no rows: an empty group list decodes
 		// nothing. How many bytes the scan steps over to get there is not

@@ -23,7 +23,6 @@ package deepsqueeze
 
 import (
 	"context"
-	"fmt"
 	"io"
 	"math"
 
@@ -72,8 +71,9 @@ type (
 	// StageStats is one pipeline stage's wall-clock and byte instrumentation
 	// (Result.Stages, TuneResult.Stages).
 	StageStats = core.StageStats
-	// DecompressOptions configures DecompressContext: parallelism, column
-	// projection, row range, and an untrusted-input row cap.
+	// DecompressOptions configures DecompressContext and NewArchiveReader:
+	// parallelism, column projection, row range, and an untrusted-input row
+	// cap.
 	DecompressOptions = core.DecompressOptions
 	// DecompressResult is a decompression outcome: the (possibly projected)
 	// table plus per-stage instrumentation.
@@ -152,28 +152,6 @@ func DecompressContext(ctx context.Context, archive []byte, opts DecompressOptio
 	return core.DecompressContext(ctx, archive, opts)
 }
 
-// CompressTo compresses t and writes the archive to w, returning the result
-// metadata.
-func CompressTo(w io.Writer, t *Table, thresholds []float64, opts Options) (*Result, error) {
-	res, err := core.Compress(t, thresholds, opts)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := w.Write(res.Archive); err != nil {
-		return nil, fmt.Errorf("deepsqueeze: write archive: %w", err)
-	}
-	return res, nil
-}
-
-// DecompressFrom reads an entire archive from r and decompresses it.
-func DecompressFrom(r io.Reader) (*Table, error) {
-	buf, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("deepsqueeze: read archive: %w", err)
-	}
-	return core.Decompress(buf)
-}
-
 // Tune searches (code size × expert count) with Bayesian optimization over
 // growing training samples (paper Fig. 5) and returns options ready to pass
 // to Compress.
@@ -181,9 +159,10 @@ func Tune(t *Table, thresholds []float64, topts TuneOptions) (*TuneResult, error
 	return core.Tune(t, thresholds, topts)
 }
 
-// TuneContext is Tune with cancellation and concurrent trial evaluation over
-// a pool sized by topts.Base.Parallelism. The tuner's outcome is
-// deterministic for a fixed (seed, Parallelism) pair.
+// TuneContext is Tune with cancellation, each trial's stages running over a
+// pool sized by topts.Base.Parallelism. Trials run one after another, as in
+// the paper's loop, so the outcome depends on the seed, never on
+// Parallelism.
 func TuneContext(ctx context.Context, t *Table, thresholds []float64, topts TuneOptions) (*TuneResult, error) {
 	return core.TuneContext(ctx, t, thresholds, topts)
 }
@@ -233,8 +212,11 @@ func NewArchiveWriter(w io.Writer, schema *Schema, thresholds []float64, opts Op
 // NewArchiveReader returns a streaming decompressor over an archive in r.
 // Call Next repeatedly for one table per row group until io.EOF; the
 // archive's checksum and footer index are verified before EOF is returned.
-func NewArchiveReader(r io.Reader) (*ArchiveReader, error) {
-	return core.NewArchiveReader(r)
+// An optional DecompressOptions selects columns, a row span, a row cap and
+// the parallelism, as DecompressContext's does; the tables Next returns
+// concatenate to DecompressContext's table.
+func NewArchiveReader(r io.Reader, opts ...DecompressOptions) (*ArchiveReader, error) {
+	return core.NewArchiveReader(r, opts...)
 }
 
 // NewCSVScanner reads a headered CSV against the schema in bounded chunks —

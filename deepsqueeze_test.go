@@ -1,7 +1,6 @@
 package deepsqueeze
 
 import (
-	"bytes"
 	"math/rand"
 	"strings"
 	"testing"
@@ -54,23 +53,6 @@ func TestUniformThresholds(t *testing.T) {
 		if thr[i] != want[i] {
 			t.Fatalf("thresholds = %v", thr)
 		}
-	}
-}
-
-func TestStreamingHelpers(t *testing.T) {
-	tb := demoTable(300, 3)
-	opts := DefaultOptions()
-	opts.Train.Epochs = 5
-	var buf bytes.Buffer
-	if _, err := CompressTo(&buf, tb, UniformThresholds(tb, 0.1), opts); err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecompressFrom(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.NumRows() != tb.NumRows() {
-		t.Fatalf("rows %d != %d", got.NumRows(), tb.NumRows())
 	}
 }
 

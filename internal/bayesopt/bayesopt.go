@@ -53,22 +53,13 @@ func New(rng *rand.Rand, grid [][]float64) (*Optimizer, error) {
 // Exhausted reports whether every candidate has been observed.
 func (o *Optimizer) Exhausted() bool { return len(o.obsIdx) >= len(o.grid) }
 
-// Next proposes the index of the next candidate to evaluate: random for the
-// first two trials (the GP needs a prior), expected improvement afterwards.
+// Next proposes the index of the next candidate to evaluate: random among
+// the unobserved candidates for the first two trials (the GP needs a prior),
+// the one of highest expected improvement afterwards. It panics when every
+// candidate has been observed.
 func (o *Optimizer) Next() int {
-	return o.NextBatch(1)[0]
-}
-
-// NextBatch proposes up to k distinct candidate indexes from a single
-// posterior — the batch a parallel tuner evaluates concurrently before
-// observing all results. While the GP lacks a prior (fewer than two
-// observations) proposals are random without replacement; afterwards the
-// top-k candidates by expected improvement are returned in descending EI
-// order. Fewer than k indexes come back when the grid is nearly exhausted;
-// the call panics only when nothing is left at all.
-func (o *Optimizer) NextBatch(k int) []int {
 	if o.Exhausted() {
-		panic("bayesopt: NextBatch on exhausted grid")
+		panic("bayesopt: Next on exhausted grid")
 	}
 	unseen := make([]int, 0, len(o.grid))
 	for i := range o.grid {
@@ -76,17 +67,8 @@ func (o *Optimizer) NextBatch(k int) []int {
 			unseen = append(unseen, i)
 		}
 	}
-	if k > len(unseen) {
-		k = len(unseen)
-	}
 	if len(o.obsIdx) < 2 {
-		out := make([]int, 0, k)
-		for len(out) < k {
-			pick := o.rng.Intn(len(unseen))
-			out = append(out, unseen[pick])
-			unseen = append(unseen[:pick], unseen[pick+1:]...)
-		}
-		return out
+		return unseen[o.rng.Intn(len(unseen))]
 	}
 	mu, sigma := o.posterior(unseen)
 	// Normalize observations so EI works on a standard scale.
@@ -96,23 +78,13 @@ func (o *Optimizer) NextBatch(k int) []int {
 			best = y
 		}
 	}
-	eis := make([]float64, len(unseen))
+	sel, selEI := -1, math.Inf(-1)
 	for i := range unseen {
-		eis[i] = expectedImprovement(best, mu[i], sigma[i], o.Xi)
-	}
-	taken := make([]bool, len(unseen))
-	out := make([]int, 0, k)
-	for len(out) < k {
-		sel, selEI := -1, math.Inf(-1)
-		for i := range unseen {
-			if !taken[i] && eis[i] > selEI {
-				selEI, sel = eis[i], i
-			}
+		if ei := expectedImprovement(best, mu[i], sigma[i], o.Xi); ei > selEI {
+			selEI, sel = ei, i
 		}
-		taken[sel] = true
-		out = append(out, unseen[sel])
 	}
-	return out
+	return unseen[sel]
 }
 
 // Observe records the objective value for a previously proposed candidate.

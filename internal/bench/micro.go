@@ -37,7 +37,7 @@ func Fig7(cfg Config, datasets ...string) (*Report, error) {
 			mod  func(core.Options) core.Options
 		}{
 			{"single_layer_linear", func(o core.Options) core.Options { o.SingleLayerLinear = true; return o }},
-			{"no_quantization", func(o core.Options) core.Options { o.NoQuantization = true; return o }},
+			{"no_quantization", func(o core.Options) core.Options { o.Preproc.NoQuantization = true; return o }},
 			{"single_expert", func(o core.Options) core.Options { o.NumExperts = 1; return o }},
 			{"deepsqueeze", func(o core.Options) core.Options { return o }},
 		}

@@ -166,7 +166,7 @@ func TestColStreamsContract(t *testing.T) {
 		opts := quickOpts()
 		opts.Train.Epochs = 2
 		opts.RowGroupSize = 200
-		opts.NoQuantization = continuous
+		opts.Preproc.NoQuantization = continuous
 		opts.Preproc.ResidualCats = true
 		opts.Preproc.MaxModelCardinality = 8
 		opts.Preproc.MaxValueDictLen = 16

@@ -35,7 +35,7 @@ func CompressContext(ctx context.Context, t *dataset.Table, thresholds []float64
 
 // compress is the staged pipeline behind Compress. pool may be nil (a fresh
 // pool sized by opts.Parallelism); the tuner passes a shared pool so
-// concurrent trials never oversubscribe the machine.
+// its cross-validation pair never oversubscribes the machine.
 func compress(ctx context.Context, pool *pipeline.Pool, t *dataset.Table, thresholds []float64, opts Options) (*Result, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
@@ -60,9 +60,7 @@ func compress(ctx context.Context, pool *pipeline.Pool, t *dataset.Table, thresh
 func trainAndDecide(run *pipeline.Run, t *dataset.Table, thresholds []float64, opts Options) (*archiveState, *Result, error) {
 	var md *modelData
 	err := run.Stage("preprocess", func() error {
-		popts := opts.Preproc
-		popts.NoQuantization = popts.NoQuantization || opts.NoQuantization
-		plan, err := preprocess.Fit(t, popts, thresholds)
+		plan, err := preprocess.Fit(t, opts.Preproc, thresholds)
 		if err != nil {
 			return err
 		}

@@ -162,7 +162,7 @@ func TestRoundTripNoQuantization(t *testing.T) {
 	tb := latentTable(800, 5)
 	thr := []float64{0, 0, 0.08, 0.08, 0}
 	opts := quickOpts()
-	opts.NoQuantization = true
+	opts.Preproc.NoQuantization = true
 	_, got := roundTrip(t, tb, thr, opts)
 	if err := tb.EqualWithin(got, tolerances(tb, thr)); err != nil {
 		t.Fatal(err)

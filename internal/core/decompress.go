@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strings"
 	"sync"
 
 	"deepsqueeze/internal/codec"
@@ -18,18 +19,32 @@ import (
 )
 
 // RowRange selects the half-open span [Lo, Hi) of rows in original row
-// order. The zero value selects every row. For archives written with
-// KeepRowOrder disabled, "original order" is the stored (expert-grouped)
-// order the full decompression would produce.
+// order; every span, [0, 0) included, means itself. For archives written
+// with KeepRowOrder disabled, "original order" is the stored
+// (expert-grouped) order the full decompression would produce.
 type RowRange struct {
 	Lo, Hi int
 }
 
-// isFull reports whether the range is the zero value (select everything).
-func (rr RowRange) isFull() bool { return rr.Lo == 0 && rr.Hi == 0 }
+// check rejects a span no table can satisfy: a negative bound or hi < lo.
+func (rr *RowRange) check() error {
+	if rr.Lo < 0 || rr.Hi < rr.Lo {
+		return fmt.Errorf("core: bad row range [%d,%d)", rr.Lo, rr.Hi)
+	}
+	return nil
+}
 
-// DecompressOptions configures DecompressContext. The zero value decompresses
-// everything at NumCPU parallelism — equivalent to plain Decompress.
+// within rejects a span that ends past a table of rows rows.
+func (rr *RowRange) within(rows int) error {
+	if rr.Hi > rows {
+		return fmt.Errorf("core: row range [%d,%d) outside table of %d rows", rr.Lo, rr.Hi, rows)
+	}
+	return nil
+}
+
+// DecompressOptions configures DecompressContext and NewArchiveReader. The
+// zero value decompresses everything at NumCPU parallelism — equivalent to
+// plain Decompress.
 type DecompressOptions struct {
 	// Parallelism bounds the worker pool; <= 0 selects runtime.NumCPU().
 	// Output is byte-for-byte identical at every parallelism level.
@@ -42,10 +57,11 @@ type DecompressOptions struct {
 	// unselected columns are never evaluated.
 	Columns []string
 
-	// RowRange restricts the output to a span of rows in original order.
-	// In a version-2 archive, row groups that do not overlap the span are
-	// skipped entirely — their segments are never parsed or decoded.
-	RowRange RowRange
+	// RowRange, when non-nil, restricts the output to a span of rows in
+	// original order; nil selects every row. In a version-2 archive, row
+	// groups that do not overlap the span are skipped entirely — their
+	// segments are never unpacked or decoded.
+	RowRange *RowRange
 
 	// MaxRows, when positive, rejects archives declaring more rows as
 	// corrupt before any row-proportional allocation happens. Intended for
@@ -231,10 +247,12 @@ func (d *decompressor) parse() error {
 
 	// Row range.
 	d.rlo, d.rhi = 0, m.rows
-	if !d.opts.RowRange.isFull() {
-		rr := d.opts.RowRange
-		if rr.Lo < 0 || rr.Hi < rr.Lo || rr.Hi > m.rows {
-			return fmt.Errorf("core: row range [%d,%d) outside table of %d rows", rr.Lo, rr.Hi, m.rows)
+	if rr := d.opts.RowRange; rr != nil {
+		if err := rr.check(); err != nil {
+			return err
+		}
+		if err := rr.within(m.rows); err != nil {
+			return err
 		}
 		d.rlo, d.rhi = rr.Lo, rr.Hi
 	}
@@ -246,18 +264,7 @@ func (d *decompressor) parse() error {
 	d.groups = make([]*groupDec, len(m.groups))
 	for i, gm := range m.groups {
 		g := &groupDec{start: gm.start, count: gm.count, meta: gm}
-		g.glo = d.rlo - gm.start
-		if g.glo < 0 {
-			g.glo = 0
-		}
-		g.ghi = d.rhi - gm.start
-		if g.ghi > gm.count {
-			g.ghi = gm.count
-		}
-		if g.ghi < g.glo {
-			g.ghi = g.glo
-		}
-		g.active = full || g.ghi > g.glo
+		d.clip(g, full)
 		if d.mask != nil && !d.mask[i] {
 			g.active = false
 			g.ghi = g.glo
@@ -277,6 +284,15 @@ func (d *decompressor) parse() error {
 	return nil
 }
 
+// clip sets a group's selected local span [glo, ghi) from the request's
+// row span [rlo, rhi), and activates the group when that span is not empty
+// or the request selects every row.
+func (d *decompressor) clip(g *groupDec, full bool) {
+	g.glo = max(d.rlo-g.start, 0)
+	g.ghi = max(min(d.rhi-g.start, g.count), g.glo)
+	g.active = full || g.ghi > g.glo
+}
+
 // initSelection resolves a column projection (nil selects everything) into
 // the request's selection state: sel, selCols, wantSpec, needModel, and
 // needMapping, against the plan, layout and flags in d.meta. It is shared by
@@ -290,13 +306,14 @@ func (d *decompressor) initSelection(columns []string) error {
 		}
 	} else {
 		byName := make(map[string]int, ncols)
+		names := make([]string, ncols)
 		for col, c := range d.meta.plan.Schema.Columns {
-			byName[c.Name] = col
+			byName[c.Name], names[col] = col, c.Name
 		}
 		for _, name := range columns {
 			col, ok := byName[name]
 			if !ok {
-				return fmt.Errorf("core: unknown column %q", name)
+				return fmt.Errorf("core: unknown column %q (columns: %s)", name, strings.Join(names, ", "))
 			}
 			d.sel[col] = true
 		}
@@ -959,14 +976,7 @@ func (d *decompressor) assemble(dst func(gi, ci int) ([]string, []float64)) erro
 // groups' selected rows concatenate in archive order, each group writing the
 // span of every output column that starts at its outOff.
 func (d *decompressor) assembleTable() (*dataset.Table, error) {
-	schema := d.meta.plan.Schema
-	if d.opts.Columns != nil {
-		cols := make([]dataset.Column, len(d.selCols))
-		for k, col := range d.selCols {
-			cols[k] = schema.Columns[col]
-		}
-		schema = dataset.NewSchema(cols...)
-	}
+	schema := d.outSchema()
 	out := dataset.NewTable(schema, d.nOut)
 	for k := range schema.Columns {
 		if out.Str[k] != nil {
@@ -988,6 +998,20 @@ func (d *decompressor) assembleTable() (*dataset.Table, error) {
 		return nil, err
 	}
 	return out, nil
+}
+
+// outSchema is the schema of the tables the request assembles: the archive's,
+// or under a projection its selected columns in archive order.
+func (d *decompressor) outSchema() *dataset.Schema {
+	schema := d.meta.plan.Schema
+	if d.opts.Columns == nil {
+		return schema
+	}
+	cols := make([]dataset.Column, len(d.selCols))
+	for k, col := range d.selCols {
+		cols[k] = schema.Columns[col]
+	}
+	return dataset.NewSchema(cols...)
 }
 
 // assembleColumn materializes one group × column into dstStr or dstNum

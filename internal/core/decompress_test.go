@@ -130,7 +130,7 @@ func TestDecompressRowRange(t *testing.T) {
 	archive, _ := compressLatent(t, 700, 33, quickOpts())
 	full := decodeOpts(t, archive, DecompressOptions{})
 	for _, rr := range []RowRange{{0, 700}, {0, 1}, {699, 700}, {123, 456}, {350, 350}} {
-		got := decodeOpts(t, archive, DecompressOptions{RowRange: rr})
+		got := decodeOpts(t, archive, DecompressOptions{RowRange: &rr})
 		if got.NumRows() != rr.Hi-rr.Lo {
 			t.Fatalf("range %v: %d rows", rr, got.NumRows())
 		}
@@ -149,7 +149,7 @@ func TestDecompressRowRangeWithProjectionMoE(t *testing.T) {
 	full := decodeOpts(t, archive, DecompressOptions{})
 	got := decodeOpts(t, archive, DecompressOptions{
 		Columns:  []string{"bin", "m1"},
-		RowRange: RowRange{Lo: 200, Hi: 500},
+		RowRange: &RowRange{Lo: 200, Hi: 500},
 	})
 	if got.NumRows() != 300 || got.Schema.NumColumns() != 2 {
 		t.Fatalf("got %d rows × %d cols", got.NumRows(), got.Schema.NumColumns())
@@ -201,9 +201,9 @@ func TestDecompressOptionErrors(t *testing.T) {
 	}{
 		{"unknown column", DecompressOptions{Columns: []string{"nope"}}, `unknown column "nope"`},
 		{"empty selection", DecompressOptions{Columns: []string{}}, "no columns selected"},
-		{"negative lo", DecompressOptions{RowRange: RowRange{Lo: -1, Hi: 5}}, "row range"},
-		{"hi past end", DecompressOptions{RowRange: RowRange{Lo: 0, Hi: 301}}, "row range"},
-		{"inverted", DecompressOptions{RowRange: RowRange{Lo: 20, Hi: 10}}, "row range"},
+		{"negative lo", DecompressOptions{RowRange: &RowRange{Lo: -1, Hi: 5}}, "row range"},
+		{"hi past end", DecompressOptions{RowRange: &RowRange{Lo: 0, Hi: 301}}, "row range"},
+		{"inverted", DecompressOptions{RowRange: &RowRange{Lo: 20, Hi: 10}}, "row range"},
 	}
 	for _, c := range cases {
 		_, err := DecompressContext(context.Background(), archive, c.opts)

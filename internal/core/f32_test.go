@@ -72,7 +72,7 @@ func TestFloat32DecodeDeterminism(t *testing.T) {
 		stitched := dataset.NewTable(a.Schema(), 0)
 		pool := pipeline.NewPool(p)
 		for g, start := 0, 0; g < a.NumGroups(); g, start = g+1, start+a.GroupRows(g) {
-			part := decodeOpts(t, archive, DecompressOptions{RowRange: RowRange{Lo: start, Hi: start + a.GroupRows(g)}, Parallelism: p})
+			part := decodeOpts(t, archive, DecompressOptions{RowRange: &RowRange{Lo: start, Hi: start + a.GroupRows(g)}, Parallelism: p})
 			blocks, err := a.DecodeBlocks(context.Background(), []int{g}, cols, pool)
 			if err != nil {
 				t.Fatal(err)

@@ -274,26 +274,53 @@ func FuzzDecompress(f *testing.F) {
 // streaming reader — the one reader that decodes bytes before the archive
 // checksum has vouched for them. Every input ends in decoded groups and then
 // io.EOF, or in an ErrCorrupt-classified error: never a panic, never an
-// unclassified error. The row cap keeps the fuzzer's allocations small.
+// unclassified error. Each input is read twice: whole, then under a
+// projection and a row span derived from its bytes, the span inside the rows
+// the first read returned. The row cap keeps the fuzzer's allocations small.
 func FuzzArchiveReader(f *testing.F) {
 	for _, a := range fuzzSeedArchives(f) {
 		f.Add(a)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const maxRows = 4096
-		ar, err := newArchiveReader(bytes.NewReader(refreshCRC(data)), maxRows)
-		rows := 0
-		for err == nil {
-			var g *dataset.Table
-			if g, err = ar.Next(); err == nil {
-				rows += g.NumRows()
+		archive := refreshCRC(data)
+		read := func(opts DecompressOptions) (*dataset.Schema, int, error) {
+			opts.MaxRows = maxRows
+			ar, err := NewArchiveReader(bytes.NewReader(archive), opts)
+			rows := 0
+			for err == nil {
+				var g *dataset.Table
+				if g, err = ar.Next(); err == nil {
+					rows += g.NumRows()
+				}
+			}
+			if err != io.EOF && !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("%+v: unclassified error: %v", opts, err)
+			}
+			if rows > maxRows {
+				t.Fatalf("decoded %d rows past the row cap", rows)
+			}
+			if ar == nil {
+				return nil, rows, err
+			}
+			return ar.Schema(), rows, err
+		}
+		schema, rows, err := read(DecompressOptions{})
+		if schema == nil || len(data) < 3 {
+			return
+		}
+		var opts DecompressOptions
+		for i, c := range schema.Columns {
+			if data[0]>>(i%8)&1 != 0 {
+				opts.Columns = append(opts.Columns, c.Name)
 			}
 		}
-		if err != io.EOF && !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("unclassified error: %v", err)
-		}
-		if rows > maxRows {
-			t.Fatalf("decoded %d rows past the row cap", rows)
+		lo := int(data[1]) % (rows + 1)
+		hi := lo + int(data[2])%(rows-lo+1)
+		opts.RowRange = &RowRange{Lo: lo, Hi: hi}
+		_, n, perr := read(opts)
+		if err == io.EOF && perr == io.EOF && n != hi-lo {
+			t.Fatalf("span [%d,%d) of %d rows read %d rows", lo, hi, rows, n)
 		}
 	})
 }

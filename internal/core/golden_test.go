@@ -366,7 +366,7 @@ func TestGoldenArchives(t *testing.T) {
 					t.Fatalf("groups cover %d rows, table has %d", next, got.NumRows())
 				}
 				lo, hi := got.NumRows()/3, 2*got.NumRows()/3
-				rng := decodeOpts(t, archive, DecompressOptions{RowRange: RowRange{Lo: lo, Hi: hi}})
+				rng := decodeOpts(t, archive, DecompressOptions{RowRange: &RowRange{Lo: lo, Hi: hi}})
 				for col := range got.Schema.Columns {
 					if err := columnEqual(got, rng, col, col, lo); err != nil {
 						t.Fatalf("row range drifted from golden decode: %v", err)
@@ -419,7 +419,7 @@ func TestGoldenBatchArchive(t *testing.T) {
 			t.Fatalf("projection drifted from golden decode: %v", err)
 		}
 	}
-	rng, err := DecompressBatchContext(ctx, model, batch, DecompressOptions{RowRange: RowRange{Lo: 90, Hi: 210}})
+	rng, err := DecompressBatchContext(ctx, model, batch, DecompressOptions{RowRange: &RowRange{Lo: 90, Hi: 210}})
 	if err != nil {
 		t.Fatal(err)
 	}

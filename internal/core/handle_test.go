@@ -51,7 +51,7 @@ func TestOpenMatchesByteAPI(t *testing.T) {
 	}{
 		{"full", DecompressOptions{}},
 		{"projection", DecompressOptions{Columns: []string{"m1", "cat"}}},
-		{"rowrange", DecompressOptions{RowRange: RowRange{Lo: 100, Hi: 300}}},
+		{"rowrange", DecompressOptions{RowRange: &RowRange{Lo: 100, Hi: 300}}},
 		{"parallel", DecompressOptions{Parallelism: 4}},
 	}
 	for _, c := range cases {
@@ -229,9 +229,9 @@ func TestHandleConcurrentRequests(t *testing.T) {
 		{},
 		{Columns: []string{"m2"}},
 		{Columns: []string{"cat", "grade"}},
-		{RowRange: RowRange{Lo: 64, Hi: 256}},
-		{Columns: []string{"bin", "m1"}, RowRange: RowRange{Lo: 10, Hi: 450}},
-		{Columns: []string{"cat"}, RowRange: RowRange{Lo: 300, Hi: 301}},
+		{RowRange: &RowRange{Lo: 64, Hi: 256}},
+		{Columns: []string{"bin", "m1"}, RowRange: &RowRange{Lo: 10, Hi: 450}},
+		{Columns: []string{"cat"}, RowRange: &RowRange{Lo: 300, Hi: 301}},
 	}
 	want := make([][]byte, len(shapes))
 	for i := range shapes {

@@ -51,8 +51,6 @@ type Options struct {
 	KeepRowOrder bool
 	// SingleLayerLinear builds the Fig. 7 baseline model.
 	SingleLayerLinear bool
-	// NoQuantization disables numeric quantization (Fig. 7 ablation).
-	NoQuantization bool
 	// RowGroupSize is the number of rows per archive row group (format v2).
 	// Each group is a self-contained segment — codes, failure streams, and
 	// expert mapping for its row span — so RowRange decodes skip whole
@@ -67,8 +65,9 @@ type Options struct {
 	// Parallelism bounds the pipeline's worker pool: the number of
 	// goroutines scheduling independent stage work (truncation-search
 	// candidates, per-expert training and encoding, per-column packing,
-	// tuning trials). 0 selects runtime.NumCPU(). Archives are byte-for-byte
-	// identical at every parallelism level for a fixed seed.
+	// the tuner's cross-validation pair). 0 selects runtime.NumCPU().
+	// Archives are byte-for-byte identical at every parallelism level for a
+	// fixed seed, tuned ones included.
 	Parallelism int
 	// Preproc tunes preprocessing decisions.
 	Preproc preprocess.Options

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -219,27 +221,34 @@ func TestTuneContextDeterminism(t *testing.T) {
 	thr := []float64{0, 0, 0.05, 0.05, 0}
 	topts := DefaultTuneOptions()
 	topts.Base = quickOpts()
-	topts.Base.Parallelism = 2
 	topts.Samples = []int{400}
-	topts.Codes = []int{1, 2}
+	topts.Codes = []int{1, 2, 4}
 	topts.Experts = []int{1, 2}
-	topts.Budget = 3
-	run := func() *TuneResult {
+	topts.Budget = 5
+	run := func(p int) *TuneResult {
+		topts := topts
+		topts.Base.Parallelism = p
 		res, err := TuneContext(context.Background(), tb, thr, topts)
 		if err != nil {
 			t.Fatal(err)
 		}
+		res.Best.Parallelism = 0
 		return res
 	}
-	a, b := run(), run()
-	if a.Best.CodeSize != b.Best.CodeSize || a.Best.NumExperts != b.Best.NumExperts {
-		t.Fatalf("tuner not deterministic: %+v vs %+v", a.Best, b.Best)
+	// The trials run one after another whatever the pool's size, so the
+	// trajectory and the choice are the same at every Parallelism.
+	a := run(1)
+	for _, p := range []int{1, 2, 4} {
+		b := run(p)
+		if !reflect.DeepEqual(a.Best, b.Best) {
+			t.Fatalf("parallelism %d: best %+v, want %+v", p, b.Best, a.Best)
+		}
+		if !slices.Equal(a.Trials, b.Trials) {
+			t.Fatalf("parallelism %d: trials %+v, want %+v", p, b.Trials, a.Trials)
+		}
 	}
-	if len(a.Trials) != len(b.Trials) {
-		t.Fatalf("trial counts differ: %d vs %d", len(a.Trials), len(b.Trials))
-	}
-	if len(a.Stages) == 0 || !strings.HasPrefix(a.Stages[0].Name, "tune-") {
-		t.Fatalf("tune stages = %+v", a.Stages)
+	if len(a.Trials) == 0 || len(a.Stages) == 0 || !strings.HasPrefix(a.Stages[0].Name, "tune-") {
+		t.Fatalf("trials %d, tune stages = %+v", len(a.Trials), a.Stages)
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())

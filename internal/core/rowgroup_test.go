@@ -137,7 +137,7 @@ func TestRowRangeSkipsGroups(t *testing.T) {
 		}
 	}
 	dres, err := DecompressContext(context.Background(), res.Archive,
-		DecompressOptions{RowRange: RowRange{Lo: 450, Hi: 550}})
+		DecompressOptions{RowRange: &RowRange{Lo: 450, Hi: 550}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestRowRangeAcrossGroups(t *testing.T) {
 		{0, 1}, {0, 128}, {127, 129}, {128, 256}, {100, 500}, {639, 640}, {0, 640},
 	}
 	for _, rr := range ranges {
-		got := decodeOpts(t, archive, DecompressOptions{RowRange: rr})
+		got := decodeOpts(t, archive, DecompressOptions{RowRange: &rr})
 		if got.NumRows() != rr.Hi-rr.Lo {
 			t.Fatalf("range %+v: %d rows", rr, got.NumRows())
 		}
@@ -206,7 +206,7 @@ func TestRowGroupProjectionAcrossGroups(t *testing.T) {
 	full := decodeOpts(t, archive, DecompressOptions{})
 	got := decodeOpts(t, archive, DecompressOptions{
 		Columns:  []string{"cat", "m2"},
-		RowRange: RowRange{Lo: 60, Hi: 400},
+		RowRange: &RowRange{Lo: 60, Hi: 400},
 	})
 	if got.NumRows() != 340 || got.Schema.NumColumns() != 2 {
 		t.Fatalf("got %d rows × %d cols", got.NumRows(), got.Schema.NumColumns())

@@ -30,9 +30,7 @@ func streamingResidualHeadroom(p preprocess.Options) preprocess.Options {
 // unseen during training become ordinary escape failures. The ArchiveWriter
 // refits every row group after its first this way.
 func refitPlan(batch *dataset.Table, trainPlan *preprocess.Plan, thresholds []float64, opts Options) (*preprocess.Plan, error) {
-	popts := opts.Preproc
-	popts.NoQuantization = popts.NoQuantization || opts.NoQuantization
-	fresh, err := preprocess.Fit(batch, popts, thresholds)
+	fresh, err := preprocess.Fit(batch, opts.Preproc, thresholds)
 	if err != nil {
 		return nil, err
 	}

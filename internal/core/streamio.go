@@ -252,6 +252,12 @@ func sliceRows(t *dataset.Table, lo, hi int) *dataset.Table {
 // end, after the footer index and the archive checksum have been verified
 // against everything read.
 //
+// It takes the DecompressOptions a handle takes, and Next's tables
+// concatenate to the handle's: Columns projects every group, and a RowRange
+// passes over the groups outside it (read and checksummed, never unpacked)
+// and decodes only the selected rows of the groups at its edges. A span
+// ending past the last row fails at the footer, where the row count is known.
+//
 // Version-1 archives (no row groups) are accepted for compatibility by
 // buffering the whole archive and decompressing in memory; the single table
 // is returned by the first Next. Streaming batch archives (external model)
@@ -272,15 +278,18 @@ type ArchiveReader struct {
 }
 
 // NewArchiveReader reads the archive prefix (envelope, header, decoders)
-// from r and prepares group-by-group decompression.
-func NewArchiveReader(r io.Reader) (*ArchiveReader, error) {
-	return newArchiveReader(r, 0)
-}
-
-// newArchiveReader is NewArchiveReader rejecting, when maxRows is positive,
-// an archive whose groups declare more than maxRows rows as corrupt before
-// any row-proportional allocation (DecompressOptions.MaxRows).
-func newArchiveReader(r io.Reader, maxRows int) (*ArchiveReader, error) {
+// from r and prepares group-by-group decompression of what opts — at most
+// one; none selects everything at NumCPU parallelism — selects. A positive
+// MaxRows rejects an archive whose groups declare more rows as corrupt
+// before any row-proportional allocation.
+func NewArchiveReader(r io.Reader, opts ...DecompressOptions) (*ArchiveReader, error) {
+	if len(opts) > 1 {
+		return nil, fmt.Errorf("core: NewArchiveReader takes at most one DecompressOptions")
+	}
+	var o DecompressOptions
+	if len(opts) == 1 {
+		o = opts[0]
+	}
 	ar := &ArchiveReader{br: bufio.NewReader(r), crc: crc32.NewIEEE()}
 	head := make([]byte, 6)
 	if _, err := io.ReadFull(ar.br, head); err != nil {
@@ -295,7 +304,7 @@ func newArchiveReader(r io.Reader, maxRows int) (*ArchiveReader, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 		}
-		res, err := DecompressContext(context.Background(), append(head, rest...), DecompressOptions{MaxRows: maxRows})
+		res, err := DecompressContext(context.Background(), append(head, rest...), o)
 		if err != nil {
 			return nil, err
 		}
@@ -319,31 +328,41 @@ func newArchiveReader(r io.Reader, maxRows int) (*ArchiveReader, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := &decompressor{run: pipeline.New(context.Background(), 0), opts: DecompressOptions{MaxRows: maxRows}, meta: m, infer: new(inferPool)}
-	// Full selection: the streaming reader always decodes every column.
-	if err := d.initSelection(nil); err != nil {
+	// The row count is not known before the footer: a span is checked for
+	// sense here and against the rows at the footer.
+	d := &decompressor{run: pipeline.New(context.Background(), o.Parallelism), opts: o, meta: m, infer: new(inferPool), rhi: maxArchiveRows}
+	if err := d.initSelection(o.Columns); err != nil {
 		return nil, err
+	}
+	if rr := o.RowRange; rr != nil {
+		if err := rr.check(); err != nil {
+			return nil, err
+		}
+		d.rlo, d.rhi = rr.Lo, rr.Hi
 	}
 	if m.hasModel {
 		if m.decoderChunk, err = ar.readChunk(); err != nil {
 			return nil, err
 		}
-		if d.decoders, err = parseCheckedDecoders(m.decoderChunk, m.numExperts, m.codeSize, m.layout.specs); err != nil {
-			return nil, err
+		if d.needModel {
+			if d.decoders, err = parseCheckedDecoders(m.decoderChunk, m.numExperts, m.codeSize, m.layout.specs); err != nil {
+				return nil, err
+			}
+			d.decs32 = m.narrow(d.decoders)
 		}
-		d.decs32 = m.narrow(d.decoders)
 	}
 	ar.d = d
-	ar.schema = m.plan.Schema
+	ar.schema = d.outSchema()
 	return ar, nil
 }
 
-// Schema returns the archived table's schema.
+// Schema returns the schema of the tables Next returns: the archived
+// table's, or its projection.
 func (ar *ArchiveReader) Schema() *dataset.Schema { return ar.schema }
 
-// Next returns the next row group's rows, or io.EOF after the last group
-// once the footer and archive checksum verify. Empty groups (an empty
-// archive still has one) yield an empty table.
+// Next returns the next selected row group's rows, or io.EOF after the last
+// group once the footer and archive checksum verify. Without a RowRange,
+// empty groups (an empty archive still has one) yield an empty table.
 func (ar *ArchiveReader) Next() (*dataset.Table, error) {
 	if ar.v1Table != nil {
 		t := ar.v1Table
@@ -376,14 +395,16 @@ func (ar *ArchiveReader) Next() (*dataset.Table, error) {
 			meta.off, meta.segLen = off, ar.pos-off
 			ar.metas = append(ar.metas, meta)
 			ar.rowsSeen += meta.count
-			return t, nil
+			if t != nil {
+				return t, nil
+			}
 		case kindStats:
 			if ar.d.meta.flags&flagZoneMaps == 0 || ar.sawStats {
 				return nil, fmt.Errorf("%w: unexpected stats chunk", ErrCorrupt)
 			}
-			// Zone maps are query metadata; the streaming reader decodes
-			// every group anyway, so the payload is only consumed (the
-			// archive CRC still covers it).
+			// Zone maps are query metadata the streaming reader does not
+			// prune by, so the payload is only consumed (the archive CRC
+			// still covers it).
 			if _, err := ar.readChunk(); err != nil {
 				return nil, err
 			}
@@ -395,6 +416,11 @@ func (ar *ArchiveReader) Next() (*dataset.Table, error) {
 			if err := ar.finish(); err != nil {
 				return nil, err
 			}
+			if rr := ar.d.opts.RowRange; rr != nil {
+				if err := rr.within(ar.rowsSeen); err != nil {
+					return nil, err
+				}
+			}
 			ar.finished = true
 			return nil, io.EOF
 		default:
@@ -403,7 +429,9 @@ func (ar *ArchiveReader) Next() (*dataset.Table, error) {
 	}
 }
 
-// decodeSegment parses, validates, and fully decodes one row-group segment.
+// decodeSegment parses and validates one row-group segment and decodes its
+// selected rows; a segment outside the row span is not unpacked, and its
+// table is nil.
 func (ar *ArchiveReader) decodeSegment(framed []byte) (*dataset.Table, groupMeta, error) {
 	var meta groupMeta
 	d := ar.d
@@ -417,9 +445,13 @@ func (ar *ArchiveReader) decodeSegment(framed []byte) (*dataset.Table, groupMeta
 	if limit := d.opts.MaxRows; limit > 0 && h.count > uint64(limit-ar.rowsSeen) {
 		return nil, meta, fmt.Errorf("%w: %d rows exceeds caller limit %d", ErrCorrupt, uint64(ar.rowsSeen)+h.count, limit)
 	}
-	g := &groupDec{start: int(h.start), count: int(h.count), ghi: int(h.count), active: true, planChunk: h.plan}
+	g := &groupDec{start: int(h.start), count: int(h.count), planChunk: h.plan}
 	if g.count > 0 && d.meta.hasModel != (len(d.meta.layout.specs) > 0) {
 		return nil, meta, fmt.Errorf("%w: model flag disagrees with plan", ErrCorrupt)
+	}
+	meta.start, meta.count = g.start, g.count
+	if d.clip(g, d.opts.RowRange == nil); !g.active {
+		return nil, meta, nil
 	}
 	var skipped int64
 	if err := d.scanGroupBody(body, g, &skipped); err != nil {
@@ -430,7 +462,7 @@ func (ar *ArchiveReader) decodeSegment(framed []byte) (*dataset.Table, groupMeta
 	}
 	// The request stages, over a one-group list: the same functions that
 	// decode every handle-based request.
-	d.groups, d.nOut = []*groupDec{g}, g.count
+	d.groups, d.nOut = []*groupDec{g}, g.ghi-g.glo
 	if _, err := d.unpack(); err != nil {
 		return nil, meta, err
 	}
@@ -441,11 +473,7 @@ func (ar *ArchiveReader) decodeSegment(framed []byte) (*dataset.Table, groupMeta
 		return nil, meta, err
 	}
 	t, err := d.assembleTable()
-	if err != nil {
-		return nil, meta, err
-	}
-	meta.start, meta.count = g.start, g.count
-	return t, meta, nil
+	return t, meta, err
 }
 
 // finish consumes and verifies the footer chunk, trailer, and archive CRC.

@@ -2,8 +2,10 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"os"
@@ -260,7 +262,7 @@ func TestArchiveWriterRange(t *testing.T) {
 	opts.RowGroupSize = 100
 	archive, _ := writeStream(t, tb, 800, opts)
 	full := decodeOpts(t, archive, DecompressOptions{})
-	got := decodeOpts(t, archive, DecompressOptions{RowRange: RowRange{Lo: 350, Hi: 420}})
+	got := decodeOpts(t, archive, DecompressOptions{RowRange: &RowRange{Lo: 350, Hi: 420}})
 	if got.NumRows() != 70 {
 		t.Fatalf("%d rows", got.NumRows())
 	}
@@ -350,7 +352,7 @@ func TestArchiveReaderRowCap(t *testing.T) {
 		t.Fatal(err)
 	}
 	rowsOf := func(archive []byte, maxRows int) (int, error) {
-		ar, err := newArchiveReader(bytes.NewReader(archive), maxRows)
+		ar, err := NewArchiveReader(bytes.NewReader(archive), DecompressOptions{MaxRows: maxRows})
 		rows := 0
 		for err == nil {
 			var g *dataset.Table
@@ -380,5 +382,135 @@ func TestArchiveReaderRowCap(t *testing.T) {
 		if n, err := rowsOf(tc.archive, tc.rows-1); !errors.Is(err, ErrCorrupt) || n >= tc.rows {
 			t.Fatalf("cap %d: read %d rows, error %v, want ErrCorrupt", tc.rows-1, n, err)
 		}
+	}
+}
+
+// readerCSV drains an ArchiveReader opened with opts into one CSV stream.
+func readerCSV(archive []byte, opts DecompressOptions) ([]byte, error) {
+	ar, err := NewArchiveReader(bytes.NewReader(archive), opts)
+	if err != nil {
+		return nil, err
+	}
+	var buf bytes.Buffer
+	cw := dataset.NewCSVWriter(&buf, ar.Schema())
+	for {
+		g, err := ar.Next()
+		if err == io.EOF {
+			err = cw.Flush()
+			return buf.Bytes(), err
+		}
+		if err != nil {
+			return nil, err
+		}
+		if err := cw.WriteTable(g); err != nil {
+			return nil, err
+		}
+	}
+}
+
+// TestArchiveReaderMatchesHandle runs the streaming reader and a handle's
+// DecompressContext with the same options over every committed fixture: the
+// reader's groups, concatenated, render the handle's table byte for byte,
+// and a request one of them refuses fails both with the same error.
+func TestArchiveReaderMatchesHandle(t *testing.T) {
+	names := []string{"batch_v2"}
+	for _, gc := range goldenCases() {
+		names = append(names, gc.name)
+	}
+	for _, name := range names {
+		archive, err := os.ReadFile(filepath.Join("testdata", name+".dsqz"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		info, err := Inspect(archive)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, cols := info.Rows, info.Schema.Columns
+		bound := rows // the first group boundary
+		if len(info.Groups) > 1 {
+			bound = info.Groups[0].RowCount
+		}
+		spans := []*RowRange{
+			nil,
+			{0, 0},
+			{bound, bound},
+			{bound / 4, bound / 2}, // inside one group
+			{bound / 2, min(bound+(rows-bound)/2+1, rows)}, // across groups
+			{rows / 3, rows},     // ending at the last row
+			{rows / 2, rows + 1}, // past the last row
+		}
+		if name == "batch_v2" {
+			// The handle checks a span against the row count before it
+			// needs the model; the reader refuses a batch archive at open,
+			// before it can know the row count.
+			spans = spans[:len(spans)-1]
+		}
+		for _, sel := range [][]string{nil, {cols[len(cols)-1].Name}, {cols[len(cols)-1].Name, cols[0].Name}} {
+			for _, rr := range spans {
+				opts := DecompressOptions{Columns: sel, RowRange: rr, Parallelism: 2}
+				label := fmt.Sprintf("%s columns %v span %v", name, sel, rr)
+				var want []byte
+				res, herr := DecompressContext(context.Background(), archive, opts)
+				if herr == nil {
+					want = csvBytes(t, res.Table)
+				}
+				got, rerr := readerCSV(archive, opts)
+				if fmt.Sprint(herr) != fmt.Sprint(rerr) {
+					t.Fatalf("%s: handle error %v, reader error %v", label, herr, rerr)
+				}
+				if name == "batch_v2" && (herr == nil || !errors.Is(herr, errBatchArchive)) {
+					t.Fatalf("%s: error %v, want %v", label, herr, errBatchArchive)
+				}
+				if !bytes.Equal(got, want) {
+					t.Fatalf("%s: reader wrote\n%s\nhandle wrote\n%s", label, got, want)
+				}
+			}
+		}
+	}
+}
+
+// A segment outside the row span is read and checksummed but never unpacked:
+// damage to any byte of the first group's streams, its checksums refreshed so
+// that only decoding could notice, fails a whole read somewhere yet never a
+// read of the last group, which still matches the handle's.
+func TestArchiveReaderSkipsGroupsOutsideSpan(t *testing.T) {
+	archive, err := os.ReadFile(filepath.Join("testdata", "multigroup_v2.dsqz"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := parseArchiveMeta(archive)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, last := m.groups[0], m.groups[len(m.groups)-1]
+	_, body, n, err := m.segment(&sectionReader{buf: m.body, pos: int(first.off)}, first, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The segment's framed chunk ends the segment; its streams start where
+	// the segment header leaves off and stop at its checksum.
+	framed := int(first.off+first.segLen) - int(n)
+	opts := DecompressOptions{RowRange: &RowRange{last.start, last.start + last.count}}
+	res, err := DecompressContext(context.Background(), archive, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := csvBytes(t, res.Table)
+	damaging := 0
+	for pos := framed + body.pos; pos < framed+int(n)-4; pos++ {
+		bad := append([]byte(nil), archive...)
+		bad[pos] ^= 0x5a
+		bad = refreshCRC(bad)
+		if _, err := readerCSV(bad, DecompressOptions{}); err != nil {
+			damaging++
+		}
+		got, err := readerCSV(bad, opts)
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("byte %d of the first group damaged: reading the last group: error %v, same CSV %v", pos, err, bytes.Equal(got, want))
+		}
+	}
+	if damaging == 0 {
+		t.Fatal("no damage to the first group's streams failed a whole read")
 	}
 }

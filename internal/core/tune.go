@@ -28,8 +28,8 @@ type TuneOptions struct {
 	Budget int
 	// Base supplies everything else (seed, training options, preprocessing,
 	// parallelism). CodeSize/NumExperts/TrainSampleRows are overwritten by
-	// the tuner. Base.Parallelism sizes one worker pool shared by every
-	// concurrent trial, so trials never oversubscribe the machine.
+	// the tuner. Base.Parallelism sizes the one worker pool every trial's
+	// stages run over; it does not change the outcome.
 	Base Options
 }
 
@@ -86,12 +86,10 @@ func Tune(t *dataset.Table, thresholds []float64, topts TuneOptions) (*TuneResul
 	return TuneContext(context.Background(), t, thresholds, topts)
 }
 
-// TuneContext is Tune with cancellation and parallel trial evaluation.
-// Trials proposed together by the Bayesian optimizer run concurrently over
-// one pool sized by topts.Base.Parallelism (shared with the trials' own
-// internal stage parallelism), so the tuner's outcome is deterministic for a
-// fixed (seed, Parallelism) pair; individual Compress results remain
-// parallelism-independent.
+// TuneContext is Tune with cancellation. Trials run one after another, as in
+// the paper's loop, each over one pool sized by topts.Base.Parallelism (the
+// cross-validation pair runs concurrently over it); since every compression
+// is parallelism-independent, so is the tuner's outcome for a fixed seed.
 func TuneContext(ctx context.Context, t *dataset.Table, thresholds []float64, topts TuneOptions) (*TuneResult, error) {
 	if len(topts.Codes) == 0 || len(topts.Experts) == 0 {
 		return nil, fmt.Errorf("core: tune needs candidate codes and experts")
@@ -178,10 +176,10 @@ func TuneContext(ctx context.Context, t *dataset.Table, thresholds []float64, to
 }
 
 // minimizeSample runs Bayesian optimization of (code size, experts) on the
-// given table (a sample or the full data). Proposals come in batches of up
-// to the run's parallelism; each batch evaluates concurrently over the
-// shared pool and is observed in proposal order, keeping the optimizer's
-// trajectory deterministic for a fixed (seed, Parallelism) pair.
+// given table (a sample or the full data): the paper's sequential loop, one
+// proposal observed before the next is made, each trial's stages running
+// over the shared pool. The trajectory is therefore a function of the seed
+// alone, never of the pool's size.
 func minimizeSample(run *pipeline.Run, sample *dataset.Table, thresholds []float64, topts TuneOptions,
 	rng *rand.Rand, sampleRows int, res *TuneResult) (Options, error) {
 	grid := make([][]float64, 0, len(topts.Codes)*len(topts.Experts))
@@ -207,36 +205,26 @@ func minimizeSample(run *pipeline.Run, sample *dataset.Table, thresholds []float
 		budget = len(grid)
 	}
 	rawSize := sample.CSVSize()
-	for done := 0; done < budget; {
-		batch := bo.NextBatch(min(run.Parallelism(), budget-done))
-		sizes := make([]int64, len(batch))
-		err := run.ForEach(len(batch), func(i int) error {
-			opts := topts.Base
-			opts.CodeSize = cells[batch[i]].code
-			opts.NumExperts = cells[batch[i]].experts
-			r, err := compress(run.Context(), run.Pool(), sample, thresholds, opts)
-			if err != nil {
-				return err
-			}
-			sizes[i] = r.Breakdown.Total
-			return nil
-		})
+	for trial := 0; trial < budget; trial++ {
+		idx := bo.Next()
+		opts := topts.Base
+		opts.CodeSize = cells[idx].code
+		opts.NumExperts = cells[idx].experts
+		r, err := compress(run.Context(), run.Pool(), sample, thresholds, opts)
 		if err != nil {
 			return Options{}, err
 		}
-		for i, idx := range batch {
-			bo.Observe(idx, float64(sizes[i]))
-			res.Trials = append(res.Trials, Trial{
-				CodeSize:   cells[idx].code,
-				NumExperts: cells[idx].experts,
-				SampleRows: sampleRows,
-				Size:       sizes[i],
-				Ratio:      float64(sizes[i]) / float64(rawSize),
-			})
-			topts.Base.logf("tune trial %d: code=%d experts=%d → %d bytes",
-				done+i, cells[idx].code, cells[idx].experts, sizes[i])
-		}
-		done += len(batch)
+		size := r.Breakdown.Total
+		bo.Observe(idx, float64(size))
+		res.Trials = append(res.Trials, Trial{
+			CodeSize:   cells[idx].code,
+			NumExperts: cells[idx].experts,
+			SampleRows: sampleRows,
+			Size:       size,
+			Ratio:      float64(size) / float64(rawSize),
+		})
+		topts.Base.logf("tune trial %d: code=%d experts=%d → %d bytes",
+			trial, cells[idx].code, cells[idx].experts, size)
 	}
 	bestIdx, _ := bo.Best()
 	out := topts.Base

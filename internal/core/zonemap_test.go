@@ -110,7 +110,7 @@ func TestZoneMapSoundness(t *testing.T) {
 // zones must absorb the lossy reconstruction error.
 func TestZoneMapSoundnessContinuous(t *testing.T) {
 	opts := groupOpts(100, 1)
-	opts.NoQuantization = true
+	opts.Preproc.NoQuantization = true
 	res, err := Compress(latentTable(400, 42), []float64{0, 0, 0.05, 0.05, 0}, opts)
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,6 @@
 // Package pipeline provides the staged-execution substrate the DeepSqueeze
 // compression pipeline runs on: a bounded worker pool shared by every stage
-// of a run (and across nested runs, e.g. the tuner's concurrent trials),
+// of a run (and across nested runs, e.g. the tuner's cross-validation pair),
 // context cancellation threaded end-to-end, and per-stage wall-clock and
 // byte instrumentation.
 //
