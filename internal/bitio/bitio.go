@@ -92,12 +92,14 @@ func (w *Writer) Bytes() []byte {
 	return w.buf
 }
 
-// Reader consumes bits from a byte slice, most-significant-bit first.
+// Reader consumes bits from a byte slice, most-significant-bit first. Bits
+// gather in a 64-bit word a byte at a time, as the writer's leave it, so a
+// read of bits already buffered is one shift and a mask.
 type Reader struct {
-	buf []byte
-	pos int  // index of next byte
-	cur byte // remaining bits of the current byte, left-aligned
-	n   uint // number of valid bits in cur
+	buf  []byte
+	pos  int    // index of the next byte to buffer
+	acc  uint64 // buffered bits in the low nAcc bits; higher bits are stale
+	nAcc uint   // number of buffered bits
 }
 
 // NewReader returns a reader over buf. The reader does not copy buf.
@@ -105,37 +107,42 @@ func NewReader(buf []byte) *Reader { return &Reader{buf: buf} }
 
 // ReadBit reads one bit.
 func (r *Reader) ReadBit() (int, error) {
-	if r.n == 0 {
-		if r.pos >= len(r.buf) {
-			return 0, ErrUnexpectedEOF
-		}
-		r.cur = r.buf[r.pos]
-		r.pos++
-		r.n = 8
-	}
-	bit := int(r.cur >> 7)
-	r.cur <<= 1
-	r.n--
-	return bit, nil
+	v, err := r.ReadBits(1)
+	return int(v), err
 }
 
 // ReadBits reads n bits into the low bits of the result. n must be in
 // [0, 64]; larger counts return ErrBitCount (never panic — n is typically
-// decoded from untrusted input).
+// decoded from untrusted input) and consume nothing. A read past the end
+// returns ErrUnexpectedEOF and consumes what was left.
 func (r *Reader) ReadBits(n uint) (uint64, error) {
 	if n > 64 {
 		return 0, fmt.Errorf("%w: ReadBits n=%d > 64", ErrBitCount, n)
 	}
-	var v uint64
-	for i := uint(0); i < n; i++ {
-		b, err := r.ReadBit()
+	if n > 56 {
+		// Buffering stops at most 7 bits past n, and the word holds 64.
+		hi, err := r.ReadBits(n - 32)
 		if err != nil {
 			return 0, err
 		}
-		v = v<<1 | uint64(b)
+		lo, err := r.ReadBits(32)
+		if err != nil {
+			return 0, err
+		}
+		return hi<<32 | lo, nil
 	}
-	return v, nil
+	for r.nAcc < n {
+		if r.pos == len(r.buf) {
+			r.nAcc = 0
+			return 0, ErrUnexpectedEOF
+		}
+		r.acc = r.acc<<8 | uint64(r.buf[r.pos])
+		r.pos++
+		r.nAcc += 8
+	}
+	r.nAcc -= n
+	return r.acc >> r.nAcc & (1<<n - 1), nil
 }
 
 // Remaining returns the number of unread bits.
-func (r *Reader) Remaining() int { return (len(r.buf)-r.pos)*8 + int(r.n) }
+func (r *Reader) Remaining() int { return (len(r.buf)-r.pos)*8 + int(r.nAcc) }

@@ -304,3 +304,106 @@ func FuzzWriterMatchesReference(f *testing.F) {
 		replayOps(t, ops, NewWriter(), &refWriter{})
 	})
 }
+
+// refReader is the bit-at-a-time reader Reader replaced, kept as the
+// reference its values, errors and Remaining must match.
+type refReader struct {
+	buf []byte
+	pos int
+	cur byte
+	n   uint
+}
+
+func (r *refReader) ReadBit() (int, error) {
+	if r.n == 0 {
+		if r.pos >= len(r.buf) {
+			return 0, ErrUnexpectedEOF
+		}
+		r.cur, r.n = r.buf[r.pos], 8
+		r.pos++
+	}
+	bit := int(r.cur >> 7)
+	r.cur <<= 1
+	r.n--
+	return bit, nil
+}
+
+func (r *refReader) ReadBits(n uint) (uint64, error) {
+	if n > 64 {
+		return 0, ErrBitCount
+	}
+	var v uint64
+	for i := uint(0); i < n; i++ {
+		b, err := r.ReadBit()
+		if err != nil {
+			return 0, err
+		}
+		v = v<<1 | uint64(b)
+	}
+	return v, nil
+}
+
+func (r *refReader) Remaining() int { return (len(r.buf)-r.pos)*8 + int(r.n) }
+
+// replayReads reads buf through Reader and the reference with one width per
+// byte of widths — 0..70, with 71 a ReadBit — and reports the first read
+// whose value, error or Remaining differ.
+func replayReads(t *testing.T, buf, widths []byte) {
+	t.Helper()
+	r, ref := NewReader(buf), &refReader{buf: buf}
+	for i, w := range widths {
+		var got, want uint64
+		var err, refErr error
+		if n := uint(w % 72); n == 71 {
+			b, e := r.ReadBit()
+			rb, re := ref.ReadBit()
+			got, err, want, refErr = uint64(b), e, uint64(rb), re
+		} else {
+			got, err = r.ReadBits(n)
+			want, refErr = ref.ReadBits(n)
+		}
+		if got != want || errClass(err) != errClass(refErr) || r.Remaining() != ref.Remaining() {
+			t.Fatalf("read %d (width byte %d): %x, %v, %d remaining; reference %x, %v, %d",
+				i, w, got, err, r.Remaining(), want, refErr, ref.Remaining())
+		}
+	}
+}
+
+// errClass names an error by the sentinel it wraps.
+func errClass(err error) string {
+	switch {
+	case err == nil:
+		return "nil"
+	case errors.Is(err, ErrUnexpectedEOF):
+		return "eof"
+	case errors.Is(err, ErrBitCount):
+		return "bitcount"
+	}
+	return err.Error()
+}
+
+// The word reader is the bit-at-a-time reader, read for read: random buffers
+// and width sequences that run past the end, and every width 0..70 after
+// every buffered-bit count 0..7, followed by a full word.
+func TestReaderMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	for trial := 0; trial < 500; trial++ {
+		buf, widths := make([]byte, rng.Intn(40)), make([]byte, rng.Intn(60))
+		rng.Read(buf)
+		rng.Read(widths)
+		replayReads(t, buf, widths)
+	}
+	buf := make([]byte, 24)
+	rng.Read(buf)
+	for pending := byte(0); pending < 8; pending++ {
+		for w := byte(0); w <= 71; w++ {
+			replayReads(t, buf, []byte{pending, w, 64, 64})
+		}
+	}
+}
+
+func FuzzReaderMatchesReference(f *testing.F) {
+	f.Add([]byte{}, []byte{1, 0, 64})
+	f.Add([]byte{0xDE, 0xAD, 0xBE, 0xEF, 0xCA, 0xFE, 0xBA, 0xBE, 0x01}, []byte{3, 57, 71, 64, 70, 8})
+	f.Fuzz(replayReads)
+}

@@ -317,10 +317,12 @@ func appendRangeAdaptive(out []byte, values []int64, base int64, alphabet int) [
 	return append(out, e.Bytes()...)
 }
 
-// decodeRangeInts decodes a range frame of either flavor. Every declared
-// quantity is bounds-checked before allocation, and the coder's overrun
-// counter is consulted per symbol so a truncated body fails with ErrCorrupt
-// instead of silently decoding zero padding.
+// decodeRangeInts decodes a range frame of either flavor: an adaptive one in
+// rangecoder.DecodeAdaptive's single loop, a static-table one symbol by
+// symbol. The declared count and alphabet are bounds-checked before
+// allocation, and the coder's overrun counter is consulted per symbol so a
+// truncated body fails with ErrCorrupt instead of silently decoding zero
+// padding.
 func decodeRangeInts(frame []byte, max int) ([]int64, error) {
 	r := frame[1:]
 	count64, n := binary.Uvarint(r)
@@ -348,26 +350,20 @@ func decodeRangeInts(frame []byte, max int) ([]int64, error) {
 		return nil, fmt.Errorf("%w: range alphabet %d", ErrCorrupt, alphabet64)
 	}
 	alphabet := int(alphabet64)
-	var decodeSym func(*rangecoder.Decoder) int
-	if frame[0] == TagRangeCPT {
-		t, used, err := parseStaticTable(r, alphabet)
-		if err != nil {
-			return nil, err
-		}
-		r = r[used:]
-		decodeSym = t.decode
-	} else {
-		m := rangecoder.NewAdaptiveModel(alphabet, rangeInc)
-		decodeSym = m.DecodeSymbol
-	}
 	out := make([]int64, count64)
-	if count64 == 0 {
+	if frame[0] == TagRangeAdaptive {
+		if at := rangecoder.DecodeAdaptive(r, alphabet, rangeInc, base, out); at >= 0 {
+			return nil, fmt.Errorf("%w: range frame truncated at symbol %d", ErrCorrupt, at)
+		}
 		return out, nil
 	}
-	d := rangecoder.NewDecoder(r)
+	t, used, err := parseStaticTable(r, alphabet)
+	if err != nil {
+		return nil, err
+	}
+	d := rangecoder.NewDecoder(r[used:])
 	for i := range out {
-		out[i] = base + int64(decodeSym(d))
-		if d.Overrun() {
+		if out[i] = base + int64(t.decode(d)); d.Overrun() {
 			return nil, fmt.Errorf("%w: range frame truncated at symbol %d", ErrCorrupt, i)
 		}
 	}

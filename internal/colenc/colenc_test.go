@@ -162,7 +162,7 @@ func TestDecodeCorruptInputs(t *testing.T) {
 		}
 	}
 	// Count larger than buffer.
-	if _, err := DecodeUvarints([]byte{0xFF, 0xFF, 0xFF, 0x7F}); err == nil {
+	if _, err := DecodeVarints([]byte{0xFF, 0xFF, 0xFF, 0x7F}); err == nil {
 		t.Error("oversized count accepted")
 	}
 	// RLE run overflowing declared count.

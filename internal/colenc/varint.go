@@ -27,41 +27,6 @@ func AppendUvarint(dst []byte, v uint64) []byte {
 	return binary.AppendUvarint(dst, v)
 }
 
-// EncodeUvarints encodes values as a count-prefixed sequence of LEB128
-// varints.
-func EncodeUvarints(values []uint64) []byte {
-	out := binary.AppendUvarint(nil, uint64(len(values)))
-	for _, v := range values {
-		out = binary.AppendUvarint(out, v)
-	}
-	return out
-}
-
-// DecodeUvarints decodes a buffer produced by EncodeUvarints.
-func DecodeUvarints(buf []byte) ([]uint64, error) {
-	n, sz := binary.Uvarint(buf)
-	if sz <= 0 {
-		return nil, fmt.Errorf("%w: missing count", ErrCorrupt)
-	}
-	buf = buf[sz:]
-	if n > uint64(len(buf))+1 { // each value takes ≥1 byte
-		return nil, fmt.Errorf("%w: count %d exceeds buffer", ErrCorrupt, n)
-	}
-	out := make([]uint64, n)
-	for i := range out {
-		v, sz := binary.Uvarint(buf)
-		if sz <= 0 {
-			return nil, fmt.Errorf("%w: truncated varint at %d", ErrCorrupt, i)
-		}
-		out[i] = v
-		buf = buf[sz:]
-	}
-	if len(buf) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(buf))
-	}
-	return out, nil
-}
-
 // EncodeVarints encodes signed values with zigzag + LEB128.
 func EncodeVarints(values []int64) []byte { return appendVarints(nil, values) }
 
@@ -75,13 +40,25 @@ func appendVarints(out []byte, values []int64) []byte {
 
 // DecodeVarints decodes a buffer produced by EncodeVarints.
 func DecodeVarints(buf []byte) ([]int64, error) {
-	u, err := DecodeUvarints(buf)
-	if err != nil {
-		return nil, err
+	n, sz := binary.Uvarint(buf)
+	if sz <= 0 {
+		return nil, fmt.Errorf("%w: missing count", ErrCorrupt)
 	}
-	out := make([]int64, len(u))
-	for i, v := range u {
+	buf = buf[sz:]
+	if n > uint64(len(buf))+1 { // each value takes ≥1 byte
+		return nil, fmt.Errorf("%w: count %d exceeds buffer", ErrCorrupt, n)
+	}
+	out := make([]int64, n)
+	for i := range out {
+		v, sz := binary.Uvarint(buf)
+		if sz <= 0 {
+			return nil, fmt.Errorf("%w: truncated varint at %d", ErrCorrupt, i)
+		}
 		out[i] = Unzigzag(v)
+		buf = buf[sz:]
+	}
+	if len(buf) != 0 {
+		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(buf))
 	}
 	return out, nil
 }

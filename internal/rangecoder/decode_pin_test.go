@@ -6,6 +6,42 @@ import (
 	"testing"
 )
 
+// FindSymbol and DecodeSymbol are the per-symbol adaptive decoder the codec
+// used until DecodeAdaptive fused it into one loop: DecodeFreq, a Fenwick
+// descent, Decoder.Update and AdaptiveModel.Update per symbol. They stay here
+// as the reference DecodeAdaptive must reproduce.
+
+// FindSymbol locates the symbol whose cumulative range contains target, which
+// is below Total() — DecodeFreq's clamp sees to that — and returns (sym,
+// cumFreq, freq). It descends the Fenwick tree in O(log n).
+func (m *AdaptiveModel) FindSymbol(target uint32) (int, uint32, uint32) {
+	idx := 0
+	var cum uint32
+	// Highest power of two ≤ n.
+	mask := 1
+	for mask<<1 <= m.n {
+		mask <<= 1
+	}
+	for ; mask > 0; mask >>= 1 {
+		next := idx + mask
+		if next <= m.n && cum+m.tree[next] <= target {
+			idx = next
+			cum += m.tree[next]
+		}
+	}
+	// idx symbols have cumulative frequency ≤ target, so idx is the symbol.
+	return idx, cum, m.freq[idx]
+}
+
+// DecodeSymbol decodes one symbol and adapts, mirroring EncodeSymbol.
+func (m *AdaptiveModel) DecodeSymbol(d *Decoder) int {
+	target := d.DecodeFreq(m.total)
+	sym, c, f := m.FindSymbol(target)
+	d.Update(c, f)
+	m.Update(sym)
+	return sym
+}
+
 // refDecoder and refModel are the decoder and the adaptive model as they were
 // before DecodeFreq kept its quotient for Update and the model kept its
 // frequencies beside the tree: two divisions and two tree walks per symbol.
@@ -138,7 +174,8 @@ func (m *refModel) update(sym int) {
 // skewed and uniform streams, the adaptive codec encodes the bytes the
 // reference model encodes, and the decoder — one division and one tree walk
 // per symbol — returns the reference pair's symbols and ends in its
-// low/rng/code/pos, with the same model.
+// low/rng/code/pos, with the same model; DecodeAdaptive, the per-symbol
+// decoder fused into one loop, returns the same symbols.
 func TestDecoderMatchesTwoCallReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	for trial := 0; trial < 200; trial++ {
@@ -168,6 +205,10 @@ func TestDecoderMatchesTwoCallReference(t *testing.T) {
 		if !bytes.Equal(buf, refEnc.Bytes()) {
 			t.Fatalf("alphabet %d, inc %d: encoded bytes differ from the reference model's", alphabet, inc)
 		}
+		fused := make([]int64, len(symbols))
+		if at := DecodeAdaptive(buf, alphabet, inc, 0, fused); at >= 0 {
+			t.Fatalf("alphabet %d, inc %d: DecodeAdaptive overran at symbol %d", alphabet, inc, at)
+		}
 		d, dm := NewDecoder(buf), NewAdaptiveModel(alphabet, inc)
 		rd, rm := newRefDecoder(buf), newRefModel(alphabet, inc)
 		for i, want := range symbols {
@@ -175,8 +216,8 @@ func TestDecoderMatchesTwoCallReference(t *testing.T) {
 			sym, c, f := rm.findSymbol(rd.decodeFreq(rm.total))
 			rd.update(c, f, rm.total)
 			rm.update(sym)
-			if got != sym || sym != want {
-				t.Fatalf("alphabet %d, inc %d, symbol %d: decoded %d, reference %d, want %d", alphabet, inc, i, got, sym, want)
+			if got != sym || sym != want || fused[i] != int64(sym) {
+				t.Fatalf("alphabet %d, inc %d, symbol %d: decoded %d, fused %d, reference %d, want %d", alphabet, inc, i, got, fused[i], sym, want)
 			}
 		}
 		if d.low != rd.low || d.rng != rd.rng || d.code != rd.code || d.pos != rd.pos {

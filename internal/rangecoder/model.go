@@ -1,6 +1,9 @@
 package rangecoder
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // AdaptiveModel maintains per-symbol frequencies over a fixed alphabet with
 // a Fenwick (binary indexed) tree for O(log n) cumulative queries, updates,
@@ -72,28 +75,6 @@ func (m *AdaptiveModel) Freq(sym int) (uint32, uint32) {
 	return m.cum(sym), m.freq[sym]
 }
 
-// FindSymbol locates the symbol whose cumulative range contains target, which
-// is below Total() — DecodeFreq's clamp sees to that — and returns (sym,
-// cumFreq, freq). It descends the Fenwick tree in O(log n).
-func (m *AdaptiveModel) FindSymbol(target uint32) (int, uint32, uint32) {
-	idx := 0
-	var cum uint32
-	// Highest power of two ≤ n.
-	mask := 1
-	for mask<<1 <= m.n {
-		mask <<= 1
-	}
-	for ; mask > 0; mask >>= 1 {
-		next := idx + mask
-		if next <= m.n && cum+m.tree[next] <= target {
-			idx = next
-			cum += m.tree[next]
-		}
-	}
-	// idx symbols have cumulative frequency ≤ target, so idx is the symbol.
-	return idx, cum, m.freq[idx]
-}
-
 // Update increases sym's frequency, rescaling all frequencies (halving,
 // floored at 1) when the total would exceed the coder limit. Near the limit
 // a rescale may not free a full increment — the frequency-1 floor makes the
@@ -136,11 +117,105 @@ func (m *AdaptiveModel) EncodeSymbol(e *Encoder, sym int) {
 	m.Update(sym)
 }
 
-// DecodeSymbol decodes one symbol and adapts, mirroring EncodeSymbol.
-func (m *AdaptiveModel) DecodeSymbol(d *Decoder) int {
-	target := d.DecodeFreq(m.total)
-	sym, c, f := m.FindSymbol(target)
-	d.Update(c, f)
-	m.Update(sym)
-	return sym
+// DecodeAdaptive decodes len(out) symbols that EncodeSymbol coded against a
+// fresh NewAdaptiveModel(n, inc), storing base+symbol in out. It returns -1,
+// or the index of the first symbol after which the decoder had read past buf
+// and the encoder's four bytes of padding (Decoder.Overrun): a truncated
+// stream, whose out is valid only below that index.
+//
+// It is one loop over the coder state and the model in locals, and it
+// reproduces DecodeFreq, Update and AdaptiveModel.Update symbol for symbol.
+// Alphabets of at most 16 symbols keep their frequencies in an array and
+// scan it: (cum+f)·r ≤ code−low with r = rng/total is ⌊(code−low)/r⌋ ≥
+// cum+f without the second division, and stopping at the last symbol is
+// DecodeFreq's clamp of a target ≥ total. Larger alphabets descend a Fenwick
+// tree from a top bit computed once.
+func DecodeAdaptive(buf []byte, n int, inc uint32, base int64, out []int64) int {
+	if n <= 0 || n > MaxTotal {
+		panic(fmt.Sprintf("rangecoder: alphabet size %d", n))
+	}
+	inc = max(inc, 1)
+	var small [16]uint32
+	freq, tree := small[:min(n, len(small))], []uint32(nil) // tree stays nil for a small alphabet
+	if n > len(small) {
+		counts := make([]uint32, 2*n+1)
+		tree, freq = counts[:n+1:n+1], counts[n+1:]
+	}
+	for s := range freq {
+		freq[s] = 1
+	}
+	fenwick(tree, freq)
+	total := uint32(n)
+	topBit := 1 << (bits.Len(uint(n)) - 1)
+	low, rng, pos := uint32(0), uint32(0xFFFFFFFF), 4
+	code := byteAt(buf, 0)<<24 | byteAt(buf, 1)<<16 | byteAt(buf, 2)<<8 | byteAt(buf, 3)
+	for i := range out {
+		r := rng / total
+		t := code - low
+		s, cum := 0, uint32(0)
+		if tree == nil {
+			for s < n-1 && (cum+freq[s])*r <= t {
+				cum += freq[s]
+				s++
+			}
+		} else {
+			target := t / r
+			if target >= total {
+				target = total - 1
+			}
+			for bit := topBit; bit > 0; bit >>= 1 {
+				if next := s + bit; next <= n && cum+tree[next] <= target {
+					s, cum = next, cum+tree[next]
+				}
+			}
+		}
+		low += cum * r
+		rng = freq[s] * r
+		for {
+			if (low ^ (low + rng)) >= top {
+				if rng >= bot {
+					break
+				}
+				rng = -low & (bot - 1)
+			}
+			code = code<<8 | byteAt(buf, pos)
+			pos++
+			low <<= 8
+			rng <<= 8
+		}
+		out[i] = base + int64(s)
+		if pos > len(buf)+4 {
+			return i
+		}
+		if total+inc > MaxTotal {
+			total = 0
+			for k, f := range freq {
+				freq[k] = (f + 1) / 2
+				total += freq[k]
+			}
+			fenwick(tree, freq)
+		}
+		bump := inc
+		if total+bump > MaxTotal {
+			bump = MaxTotal - total
+		}
+		freq[s] += bump
+		total += bump
+		for k := s + 1; k < len(tree); k += k & -k {
+			tree[k] += bump
+		}
+	}
+	return -1
+}
+
+// fenwick rebuilds the Fenwick tree over freq in place, in O(n): each node
+// takes its own frequency after its children's sums, then adds to its parent.
+func fenwick(tree, freq []uint32) {
+	clear(tree)
+	for k := 1; k < len(tree); k++ {
+		tree[k] += freq[k-1]
+		if p := k + k&-k; p < len(tree) {
+			tree[p] += tree[k]
+		}
+	}
 }

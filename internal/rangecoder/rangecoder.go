@@ -91,22 +91,25 @@ type Decoder struct {
 func NewDecoder(buf []byte) *Decoder {
 	d := &Decoder{rng: 0xFFFFFFFF, buf: buf}
 	for i := 0; i < 4; i++ {
-		d.code = d.code<<8 | uint32(d.next())
+		d.code = d.code<<8 | d.next()
 	}
 	return d
 }
 
-// next returns the next input byte, or zero padding past the end. The
-// trailing-zero convention matches the encoder's 4-byte flush; genuinely
-// corrupt streams are caught by the callers' symbol-count bookkeeping.
-func (d *Decoder) next() byte {
-	if d.pos < len(d.buf) {
-		b := d.buf[d.pos]
-		d.pos++
-		return b
+// byteAt returns buf[pos], or zero padding past the end. The trailing-zero
+// convention matches the encoder's 4-byte flush; genuinely corrupt streams
+// are caught by the callers' symbol-count bookkeeping.
+func byteAt(buf []byte, pos int) uint32 {
+	if pos < len(buf) {
+		return uint32(buf[pos])
 	}
-	d.pos++
 	return 0
+}
+
+// next returns the next input byte.
+func (d *Decoder) next() uint32 {
+	d.pos++
+	return byteAt(d.buf, d.pos-1)
 }
 
 // DecodeFreq returns the scaled cumulative frequency of the next symbol,
@@ -136,7 +139,7 @@ func (d *Decoder) Update(cumFreq, freq uint32) {
 			}
 			d.rng = -d.low & (bot - 1)
 		}
-		d.code = d.code<<8 | uint32(d.next())
+		d.code = d.code<<8 | d.next()
 		d.low <<= 8
 		d.rng <<= 8
 	}

@@ -7,7 +7,8 @@ import (
 	"testing/quick"
 )
 
-// encodeDecode round-trips symbols through fresh adaptive models.
+// encodeDecode round-trips symbols through a fresh adaptive model and
+// DecodeAdaptive.
 func encodeDecode(t *testing.T, alphabet int, symbols []int) {
 	t.Helper()
 	enc := NewEncoder()
@@ -15,16 +16,14 @@ func encodeDecode(t *testing.T, alphabet int, symbols []int) {
 	for _, s := range symbols {
 		em.EncodeSymbol(enc, s)
 	}
-	buf := enc.Bytes()
-	dec := NewDecoder(buf)
-	dm := NewAdaptiveModel(alphabet, 32)
-	for i, want := range symbols {
-		if got := dm.DecodeSymbol(dec); got != want {
-			t.Fatalf("symbol %d: got %d want %d", i, got, want)
-		}
+	got := make([]int64, len(symbols))
+	if at := DecodeAdaptive(enc.Bytes(), alphabet, 32, 0, got); at >= 0 {
+		t.Fatalf("decoder overran its input at symbol %d", at)
 	}
-	if dec.Overrun() {
-		t.Fatal("decoder overran its input")
+	for i, want := range symbols {
+		if got[i] != int64(want) {
+			t.Fatalf("symbol %d: got %d want %d", i, got[i], want)
+		}
 	}
 }
 
@@ -104,10 +103,12 @@ func TestQuickRoundTrip(t *testing.T) {
 		for _, s := range symbols {
 			em.EncodeSymbol(enc, s)
 		}
-		dec := NewDecoder(enc.Bytes())
-		dm := NewAdaptiveModel(alphabet, em.inc)
-		for _, want := range symbols {
-			if dm.DecodeSymbol(dec) != want {
+		got := make([]int64, n)
+		if DecodeAdaptive(enc.Bytes(), alphabet, em.inc, 0, got) >= 0 {
+			return false
+		}
+		for i, want := range symbols {
+			if got[i] != int64(want) {
 				return false
 			}
 		}

@@ -178,12 +178,14 @@ step "uninstrumented tests"
 # failure+code bytes, residual digits >= 10% off the clickstream archive),
 # 20 000- and 30 000-row compress pairs that would cost tens of seconds raced.
 # The exp and tanh sweeps: millions of scalar calls, nothing to race; and the
-# long sweeps of the softmax and rank-to-class pins, which run a short trial raced.
+# long sweeps of the softmax, rank-to-class and fused range-decode pins, which
+# run a short trial raced.
 go test -run='^TestWarmCachedQueryAllocs$' -count=1 ./internal/serve
 go test -run='^TestWriteCSVAllocs$' -count=1 ./internal/dataset
 go test -run='^(TestWarmHandleQueryBytesSurviveGC|TestArchiveWriterAutoCodecAllocs|TestArchiveWriterLargeWriteIsLinear|TestAutoUsesRangeCodecsOnSkewedData|TestResidualShrinksClickstream|TestClassAtRankMatchesReference)$' -count=1 ./internal/core
 go test -run='^(TestExpMatchesReference|TestExpReferenceMatchesMathExp|TestTanhReferenceMatchesMathTanh)$' -count=1 ./internal/mat
 go test -run='^TestSoftmaxMatchesReference$' -count=1 ./internal/nn
+go test -run='^TestDecodeAdaptiveMatchesReference$' -count=1 ./internal/rangecoder
 
 step "fuzz smoke"
 # Short coverage-guided runs of the decode-path fuzzers: any panic or
@@ -194,14 +196,18 @@ step "fuzz smoke"
 # worker: with the default two on a two-CPU box the time goes to baseline
 # coverage (≈ 30 executions in 10 s against thousands). FuzzDecompressInts
 # holds the integer-stream decoders — every frame tag, the ones writers no
-# longer build included — to "at most max values or ErrCorrupt". The bitio run
-# pins the word-at-a-time bit writer to the bit-at-a-time reference kept in its
-# test, and the dataset run the CSV writer to encoding/csv, kept in its test.
+# longer build included — to "at most max values or ErrCorrupt". The bitio runs
+# pin the word-at-a-time bit writer and reader to the bit-at-a-time references
+# kept in their test, the rangecoder run the fused adaptive decode loop to the
+# per-symbol decoder kept in its tests, and the dataset run the CSV writer to
+# encoding/csv, kept in its test.
 go test -run='^$' -fuzz=FuzzDecompress -fuzztime=10s -parallel=1 ./internal/core
 go test -run='^$' -fuzz=FuzzArchiveReader -fuzztime=5s -parallel=1 ./internal/core
 go test -run='^$' -fuzz=FuzzSectionReader -fuzztime=5s -parallel=1 ./internal/core
 go test -run='^$' -fuzz=FuzzDecompressInts -fuzztime=5s -parallel=1 ./internal/codec
 go test -run='^$' -fuzz=FuzzWriterMatchesReference -fuzztime=5s -parallel=1 ./internal/bitio
+go test -run='^$' -fuzz=FuzzReaderMatchesReference -fuzztime=5s -parallel=1 ./internal/bitio
+go test -run='^$' -fuzz=FuzzDecodeAdaptiveMatchesReference -fuzztime=5s -parallel=1 ./internal/rangecoder
 go test -run='^$' -fuzz=FuzzCSVWriterMatchesEncodingCSV -fuzztime=5s -parallel=1 ./internal/dataset
 
 step "non-test LOC per package"
