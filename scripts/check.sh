@@ -109,11 +109,12 @@ step "portable kernels (-tags noasm)"
 # reference exp — what every other architecture runs — compile and are tested
 # on this one: the kernel and model suites (the pinned exp and tanh bits and
 # the softmax pin among them), the golden archives' decode (f32_v2's through
-# the float32 loop, which has no assembly to drop), the rank-to-class pin, and
-# tables compressed by both builds into the same bytes. Without -race: the
+# the float32 loop, which has no assembly to drop), the writer fingerprints
+# (the bytes Compress emits, pinned), the rank-to-class pin, and tables
+# compressed by both builds into the same bytes. Without -race: the
 # step above has raced this code already.
 go test -tags noasm ./internal/mat ./internal/nn
-go test -tags noasm -run 'Golden|^TestClassAtRankMatchesReference$' ./internal/core
+go test -tags noasm -run 'Golden|Fingerprint|^TestClassAtRankMatchesReference$' ./internal/core
 go build -tags noasm -o "$smokedir/dsqz-noasm" ./cmd/dsqz
 head -n 20001 "$smokedir/big.csv" > "$smokedir/small.csv"
 for b in dsqz dsqz-noasm; do
