@@ -36,9 +36,12 @@ func (a *ArenaOf[E]) Get(rows, cols int) *Mat[E] {
 }
 
 // GetUncleared is Get without the zeroing: a recycled matrix holds whatever
-// the pass before left in it. It is for the inference passes alone, whose
-// every matrix is the output of a kernel that writes all of it (x·Wᵀ, the
-// sigmoid head, a signal pass) before anything reads it.
+// the pass before left in it. It is for matrices that something writes whole
+// before anything reads them: in inference every one (x·Wᵀ, the sigmoid
+// head, a signal pass), in training each layer's output and ∂L/∂in, and the
+// training step's products, signal passes and copies — but not its sums,
+// which start from Get's zeros. nn's TestScratchHasNoMemory and
+// TestTrainArenaHasNoMemory fill recycled memory with NaN to show it.
 func (a *ArenaOf[E]) GetUncleared(rows, cols int) *Mat[E] {
 	if a == nil {
 		return newMat[E](rows, cols)

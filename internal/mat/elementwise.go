@@ -145,3 +145,25 @@ func addAddReLURef(dst, s, w, b []float64) {
 		dst[i] = ReLU((s[i] + w[i]) + b[i])
 	}
 }
+
+// reluGateRef is ReLUGate's portable statement: the ReLU derivative applied
+// to a gradient, g[i] kept where the activation's output o[i] is not ≤ 0 and
+// +0 where it is — a mask, like ReLU's, so NaN outputs keep g.
+func reluGateRef(g, o []float64) {
+	for i, v := range o[:len(g)] {
+		keep := ^uint64(0)
+		if v <= 0 {
+			keep = 0
+		}
+		g[i] = math.Float64frombits(math.Float64bits(g[i]) & keep)
+	}
+}
+
+// addToBothRef is AddToBoth's: d[i] += v[i] and sum[i] += v[i].
+func addToBothRef(d, sum, v []float64) {
+	d, sum = d[:len(v)], sum[:len(v)]
+	for i, x := range v {
+		d[i] += x
+		sum[i] += x
+	}
+}

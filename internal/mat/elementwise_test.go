@@ -158,9 +158,10 @@ func TestElementwisePinnedBits(t *testing.T) {
 	}
 }
 
-// Property: both ReLU passes are their portable loops bit for bit — lanes
-// and tail, at every length from 0 to 70, with NaN, ±0 and denormals among
-// the operands and sums that land on −0.
+// Property: both ReLU passes, the ReLU gate and the column fold are their
+// portable loops bit for bit — lanes and tail, at every length from 0 to 70,
+// with NaN, ±0 and denormals among the operands (the gate's outputs too) and
+// sums that land on −0.
 func TestReLUPassesMatchPortable(t *testing.T) {
 	rng := rand.New(rand.NewSource(34))
 	value := func() float64 {
@@ -197,6 +198,20 @@ func TestReLUPassesMatchPortable(t *testing.T) {
 			AddAddReLU(got, s, w, b)
 			if !sameBits(got, want) {
 				t.Fatalf("AddAddReLU over %d elements differs from relu((s+w)+b)", n)
+			}
+			want, o := vec(n), vec(n+2)
+			got = append([]float64{}, want...)
+			reluGateRef(want, o)
+			ReLUGate(got, o)
+			if !sameBits(got, want) {
+				t.Fatalf("ReLUGate over %d elements differs from its portable loop", n)
+			}
+			wantD, wantSum := vec(n+1), vec(n+2)
+			gotD, gotSum := append([]float64{}, wantD...), append([]float64{}, wantSum...)
+			addToBothRef(wantD, wantSum, x)
+			AddToBoth(gotD, gotSum, x)
+			if !sameBits(gotD, wantD) || !sameBits(gotSum, wantSum) {
+				t.Fatalf("AddToBoth over %d elements differs from its portable loop", n)
 			}
 		}
 	}

@@ -24,21 +24,23 @@ func cpuFeatures() (avx, avx2fma bool)
 //go:noescape
 func mulTPanelAVX(a *float64, rows, k int, w, c *float64, ldc int, mask *[4]int64)
 
-// axpy4AVX is axpy4Ref over n elements, n a positive multiple of four.
+// mulRowAVX is mulRowRef over a row's first n4 elements, n4 a positive
+// multiple of four and kc ≥ 1, with lda and ldb in elements: the whole k loop
+// in one call, its four-wide passes and then its leftover k.
 //
 //go:noescape
-func axpy4AVX(c, b0, b1, b2, b3 *float64, n int, a0, a1, a2, a3 float64)
+func mulRowAVX(c, a *float64, lda, kc int, b *float64, ldb, n4 int)
 
-// axpy4 is axpy4Ref with lanes across j where the CPU has AVX.
-func axpy4(c, b0, b1, b2, b3 []float64, a0, a1, a2, a3 float64) {
+// mulRow is mulRowRef with lanes across j where the CPU has AVX.
+func mulRow(c, a []float64, lda, kc int, b []float64, ldb int) {
 	n := 0
-	if useAVX && len(c) >= 4 {
+	if useAVX && len(c) >= 4 && kc > 0 {
 		n = len(c) &^ 3
-		_, _, _, _ = b0[n-1], b1[n-1], b2[n-1], b3[n-1] // the kernel reads n of each
-		axpy4AVX(&c[0], &b0[0], &b1[0], &b2[0], &b3[0], n, a0, a1, a2, a3)
+		_, _ = a[(kc-1)*lda], b[(kc-1)*ldb+n-1] // the kernel reads these and everything before
+		mulRowAVX(&c[0], &a[0], lda, kc, &b[0], ldb, n)
 	}
 	if n < len(c) {
-		axpy4Ref(c[n:], b0[n:], b1[n:], b2[n:], b3[n:], a0, a1, a2, a3)
+		mulRowRef(c[n:], a, lda, kc, b[n:], ldb)
 	}
 }
 
@@ -196,4 +198,37 @@ func AddAddReLU(dst, s, w, b []float64) {
 		addAddReLUAVX(&dst[0], &s[0], &w[0], &b[0], n)
 	}
 	addAddReLURef(dst[n:], s[n:], w[n:], b[n:])
+}
+
+// reluGateAVX is reluGateRef over n elements, n a positive multiple of four.
+//
+//go:noescape
+func reluGateAVX(grad, o *float64, n int)
+
+// addToBothAVX is addToBothRef over n elements, n as above.
+//
+//go:noescape
+func addToBothAVX(d, sum, v *float64, n int)
+
+// ReLUGate sets g[i] = +0 where o[i] ≤ 0 and keeps it elsewhere, NaN o[i]
+// included, for every i < len(g), in AVX lanes where the CPU has them.
+func ReLUGate(g, o []float64) {
+	n := 0
+	if useAVX && len(g) >= 4 {
+		n = len(g) &^ 3
+		_ = o[n-1]
+		reluGateAVX(&g[0], &o[0], n)
+	}
+	reluGateRef(g[n:], o[n:])
+}
+
+// AddToBoth adds v[i] to d[i] and to sum[i] for every i < len(v).
+func AddToBoth(d, sum, v []float64) {
+	n := 0
+	if useAVX && len(v) >= 4 {
+		n = len(v) &^ 3
+		_, _ = d[n-1], sum[n-1]
+		addToBothAVX(&d[0], &sum[0], &v[0], n)
+	}
+	addToBothRef(d[n:], sum[n:], v[n:])
 }

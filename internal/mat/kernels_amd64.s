@@ -120,33 +120,83 @@ done:
 	VZEROUPPER
 	RET
 
-// func axpy4AVX(c, b0, b1, b2, b3 *float64, n int, a0, a1, a2, a3 float64)
-TEXT ·axpy4AVX(SB), NOSPLIT, $0-80
+// func mulRowAVX(c, a *float64, lda, kc int, b *float64, ldb, n4 int)
+TEXT ·mulRowAVX(SB), NOSPLIT, $0-56
 	MOVQ c+0(FP), DI
-	MOVQ b0+8(FP), R8
-	MOVQ b1+16(FP), R9
-	MOVQ b2+24(FP), R10
-	MOVQ b3+32(FP), R11
-	MOVQ n+40(FP), CX
-	VBROADCASTSD a0+48(FP), Y0
-	VBROADCASTSD a1+56(FP), Y1
-	VBROADCASTSD a2+64(FP), Y2
-	VBROADCASTSD a3+72(FP), Y3
-	XORQ AX, AX
+	MOVQ a+8(FP), SI
+	MOVQ lda+16(FP), R8
+	MOVQ kc+24(FP), CX
+	MOVQ b+32(FP), BX
+	MOVQ ldb+40(FP), R9
+	MOVQ n4+48(FP), DX
+	SHLQ $3, R8 // strides in bytes
+	SHLQ $3, R9
 
-axpy: // c[j] += ((a0·b0[j] + a1·b1[j]) + a2·b2[j]) + a3·b3[j], four j per pass
-	VMULPD (R8)(AX*8), Y0, Y4
-	VMULPD (R9)(AX*8), Y1, Y5
-	VADDPD Y5, Y4, Y4
-	VMULPD (R10)(AX*8), Y2, Y5
-	VADDPD Y5, Y4, Y4
-	VMULPD (R11)(AX*8), Y3, Y5
-	VADDPD Y5, Y4, Y4
-	VADDPD (DI)(AX*8), Y4, Y4
+row4: // four k: c[j] += ((a0·b0[j] + a1·b1[j]) + a2·b2[j]) + a3·b3[j], four j per pass
+	CMPQ         CX, $4
+	JL           row1
+	LEAQ         (SI)(R8*2), R13
+	VBROADCASTSD (SI), Y0
+	VBROADCASTSD (SI)(R8*1), Y1
+	VBROADCASTSD (R13), Y2
+	VBROADCASTSD (R13)(R8*1), Y3
+	LEAQ         (BX)(R9*1), R10
+	LEAQ         (R10)(R9*1), R11
+	LEAQ         (R11)(R9*1), R12
+	XORQ         AX, AX
+
+pass4:
+	VMULPD  (BX)(AX*8), Y0, Y4
+	VMULPD  (R10)(AX*8), Y1, Y5
+	VADDPD  Y5, Y4, Y4
+	VMULPD  (R11)(AX*8), Y2, Y5
+	VADDPD  Y5, Y4, Y4
+	VMULPD  (R12)(AX*8), Y3, Y5
+	VADDPD  Y5, Y4, Y4
+	VADDPD  (DI)(AX*8), Y4, Y4
 	VMOVUPD Y4, (DI)(AX*8)
-	ADDQ $4, AX
-	CMPQ AX, CX
-	JL   axpy
+	ADDQ    $4, AX
+	CMPQ    AX, DX
+	JL      pass4
+	LEAQ    (R13)(R8*2), SI
+	LEAQ    (R12)(R9*1), BX
+	SUBQ    $4, CX
+	JMP     row4
+
+row1: // the leftover k, one to three, in one pass: c[j] += a·b[j] for each in turn
+	TESTQ        CX, CX
+	JZ           rowdone
+	LEAQ         (BX)(R9*1), R10
+	LEAQ         (R10)(R9*1), R11
+	XORQ         AX, AX
+	VBROADCASTSD (SI), Y0
+	CMPQ         CX, $2
+	JL           pass1
+	VBROADCASTSD (SI)(R8*1), Y1
+	CMPQ         CX, $3
+	JL           pass1
+	VBROADCASTSD (SI)(R8*2), Y2
+
+pass1:
+	VMOVUPD (DI)(AX*8), Y4
+	VMULPD  (BX)(AX*8), Y0, Y5
+	VADDPD  Y5, Y4, Y4
+	CMPQ    CX, $2
+	JL      store1
+	VMULPD  (R10)(AX*8), Y1, Y5
+	VADDPD  Y5, Y4, Y4
+	CMPQ    CX, $3
+	JL      store1
+	VMULPD  (R11)(AX*8), Y2, Y5
+	VADDPD  Y5, Y4, Y4
+
+store1:
+	VMOVUPD Y4, (DI)(AX*8)
+	ADDQ    $4, AX
+	CMPQ    AX, DX
+	JL      pass1
+
+rowdone:
 	VZEROUPPER
 	RET
 
@@ -245,6 +295,45 @@ addaddrelu:
 	ADDQ    $4, AX
 	CMPQ    AX, CX
 	JL      addaddrelu
+	VZEROUPPER
+	RET
+
+// func reluGateAVX(grad, o *float64, n int)
+TEXT ·reluGateAVX(SB), NOSPLIT, $0-24
+	MOVQ   grad+0(FP), DI
+	MOVQ   o+8(FP), SI
+	MOVQ   n+16(FP), CX
+	VXORPD Y15, Y15, Y15
+	XORQ   AX, AX
+
+gate: // g = g &^ (o ≤ 0): VCMPPD LE is false on NaN, so a NaN o keeps g
+	VMOVUPD (SI)(AX*8), Y0
+	VCMPPD  $2, Y15, Y0, Y1
+	VANDNPD (DI)(AX*8), Y1, Y0
+	VMOVUPD Y0, (DI)(AX*8)
+	ADDQ    $4, AX
+	CMPQ    AX, CX
+	JL      gate
+	VZEROUPPER
+	RET
+
+// func addToBothAVX(d, sum, v *float64, n int)
+TEXT ·addToBothAVX(SB), NOSPLIT, $0-32
+	MOVQ d+0(FP), DI
+	MOVQ sum+8(FP), SI
+	MOVQ v+16(FP), DX
+	MOVQ n+24(FP), CX
+	XORQ AX, AX
+
+both: // d += v; sum += v
+	VMOVUPD (DX)(AX*8), Y0
+	VADDPD  (DI)(AX*8), Y0, Y1
+	VMOVUPD Y1, (DI)(AX*8)
+	VADDPD  (SI)(AX*8), Y0, Y2
+	VMOVUPD Y2, (SI)(AX*8)
+	ADDQ    $4, AX
+	CMPQ    AX, CX
+	JL      both
 	VZEROUPPER
 	RET
 

@@ -10,8 +10,8 @@ func mulTPanelAVX(a *float64, rows, k int, w, c *float64, ldc int, mask *[4]int6
 	panic("mat: no AVX kernel in this build")
 }
 
-func axpy4(c, b0, b1, b2, b3 []float64, a0, a1, a2, a3 float64) {
-	axpy4Ref(c, b0, b1, b2, b3, a0, a1, a2, a3)
+func mulRow(c, a []float64, lda, kc int, b []float64, ldb int) {
+	mulRowRef(c, a, lda, kc, b, ldb)
 }
 
 // Exp replaces every x[i] with exp(x[i]).
@@ -32,3 +32,10 @@ func AddReLU(x, b []float64) { addReLURef(x, b) }
 
 // AddAddReLU sets dst[i] = ReLU((s[i] + w[i]) + b[i]) for every i < len(dst).
 func AddAddReLU(dst, s, w, b []float64) { addAddReLURef(dst, s, w, b) }
+
+// ReLUGate sets g[i] = +0 where o[i] ≤ 0 and keeps it elsewhere, NaN o[i]
+// included, for every i < len(g).
+func ReLUGate(g, o []float64) { reluGateRef(g, o) }
+
+// AddToBoth adds v[i] to d[i] and to sum[i] for every i < len(v).
+func AddToBoth(d, sum, v []float64) { addToBothRef(d, sum, v) }

@@ -89,23 +89,28 @@ func TestMulTPackedPoolMatchesSerial(t *testing.T) {
 	}
 }
 
-// Property: axpy4 — lanes across j under AVX — is axpy4Ref bit for bit at
-// every length, vector body and scalar tail, and at unaligned offsets; so
-// are the two backward kernels built on it against a plain statement of
+// Property: mulRow — lanes across j under AVX — is mulRowRef bit for bit at
+// every row length, vector body and scalar tail, for every k count, four-wide
+// passes and leftover k, with a's multipliers contiguous (mulAddRange) and
+// strided (tMulAddRange), b's rows wider than c, and at unaligned offsets;
+// so are the two backward kernels built on it against a plain statement of
 // their sums.
-func TestAxpy4MatchesPortable(t *testing.T) {
+func TestMulRowMatchesPortable(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
 	for n := 0; n <= 45; n++ {
-		off := rng.Intn(4)
-		rowsOf := func() []float64 { return kernelMatrix(rng, 1, off+n+3).Data[off:] }
-		b0, b1, b2, b3 := rowsOf(), rowsOf(), rowsOf(), rowsOf()
-		a0, a1, a2, a3 := kernelValue(rng), kernelValue(rng), kernelValue(rng), kernelValue(rng)
-		want := rowsOf()[:n]
-		got := append([]float64{}, want...)
-		axpy4Ref(want, b0, b1, b2, b3, a0, a1, a2, a3)
-		axpy4(got, b0, b1, b2, b3, a0, a1, a2, a3)
-		if !sameBits(got, want) {
-			t.Fatalf("axpy4 over %d elements differs from axpy4Ref", n)
+		for kc := 0; kc <= 13; kc++ {
+			for _, lda := range []int{1, 2 + rng.Intn(6)} {
+				off, ldb := rng.Intn(4), n+rng.Intn(3)
+				a := kernelMatrix(rng, 1, off+kc*lda).Data[off:]
+				b := kernelMatrix(rng, 1, off+kc*ldb).Data[off:]
+				want := kernelMatrix(rng, 1, off+n).Data[off:]
+				got := append([]float64{}, want...)
+				mulRowRef(want, a, lda, kc, b, ldb)
+				mulRow(got, a, lda, kc, b, ldb)
+				if !sameBits(got, want) {
+					t.Fatalf("mulRow over %d elements, %d k, lda %d, ldb %d differs from mulRowRef", n, kc, lda, ldb)
+				}
+			}
 		}
 	}
 	for trial := 0; trial < 100; trial++ {
@@ -154,6 +159,33 @@ func BenchmarkMulTDecodeShapes(b *testing.B) {
 					bc.fn()
 				}
 				b.ReportMetric(float64(2*1024*48*outs)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+			})
+		}
+	}
+}
+
+// BenchmarkBackwardIntoCensusShapes times the two backward products at the
+// repo benchmark's categorical training shapes: a column's gradient g, 256
+// rows of its cardinality, times its cut of the shared output layer (card ×
+// 48) — ∂L/∂in, MulInto — and gᵀ times the 48-wide hidden activations added
+// into the cut's weight gradient, TMulAddInto.
+func BenchmarkBackwardIntoCensusShapes(b *testing.B) {
+	rng := rand.New(rand.NewSource(27))
+	for _, card := range []int{3, 5, 7} {
+		g, w, h := RandUniform(rng, 256, card, -1, 1), RandUniform(rng, card, 48, -1, 1), RandUniform(rng, 256, 48, -1, 1)
+		dx, gw := New(256, 48), New(card, 48)
+		for _, bc := range []struct {
+			name string
+			fn   func()
+		}{
+			{"MulInto", func() { MulInto(g, w, dx) }},
+			{"TMulAddInto", func() { TMulAddInto(g, h, gw) }},
+		} {
+			b.Run(fmt.Sprintf("%s/card=%d", bc.name, card), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					bc.fn()
+				}
+				b.ReportMetric(float64(2*256*card*48)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
 			})
 		}
 	}

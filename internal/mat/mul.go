@@ -80,38 +80,41 @@ func MulInto(a, b, c *Matrix) *Matrix {
 }
 
 // mulAddRange accumulates rows [lo, hi) of a*b into c (an ikj loop order:
-// the inner loop walks the output row and four b rows sequentially). The
-// middle loop is unrolled four-wide over k so each pass over the output row
-// folds four rank-1 updates into one load/store of crow[j] — one axpy4 —
-// which both cuts memory traffic 4x and removes the per-k zero-skip branch
-// the old kernel carried (measured on dense inputs the skip cost ~8% in
-// mispredictions and saved nothing; see DESIGN.md §12).
+// the inner loop walks the output row and the b rows sequentially), one
+// mulRow per output row, a's row its multipliers.
 func mulAddRange(a, b, c *Matrix, lo, hi int) {
 	n := b.Cols
-	kc := a.Cols
 	for i := lo; i < hi; i++ {
-		arow := a.Row(i)
-		crow := c.Row(i)[:n]
-		k := 0
-		for ; k+4 <= kc; k += 4 {
-			axpy4(crow, b.Data[k*n:], b.Data[(k+1)*n:], b.Data[(k+2)*n:], b.Data[(k+3)*n:],
-				arow[k], arow[k+1], arow[k+2], arow[k+3])
-		}
-		for ; k < kc; k++ {
-			av := arow[k]
-			brow := b.Data[k*n : k*n+n]
-			for j, bv := range brow {
-				crow[j] += float64(av * bv)
-			}
+		mulRow(c.Row(i)[:n], a.Row(i), 1, a.Cols, b.Data, n)
+	}
+}
+
+// mulRowRef is the portable statement of mulRow, the row kernel under
+// mulAddRange and tMulAddRange: c[j] += Σ_k a[k·lda]·b[k·ldb+j] for k < kc
+// over the len(c) elements of the row. The k loop is unrolled four-wide so
+// each pass over the row folds four rank-1 updates into one load/store of
+// c[j], cutting memory traffic 4x; each leftover k is one more pass. There is
+// no per-k zero-skip branch: on dense inputs it cost ~8% in mispredictions and
+// saved nothing (DESIGN.md §12). The AVX kernel keeps four j in the lanes of
+// one register and each element's operations in this order, so the two agree
+// bit for bit.
+func mulRowRef(c, a []float64, lda, kc int, b []float64, ldb int) {
+	k := 0
+	for ; k+4 <= kc; k += 4 {
+		axpy4Ref(c, b[k*ldb:], b[(k+1)*ldb:], b[(k+2)*ldb:], b[(k+3)*ldb:],
+			a[k*lda], a[(k+1)*lda], a[(k+2)*lda], a[(k+3)*lda])
+	}
+	for ; k < kc; k++ {
+		av := a[k*lda]
+		for j, bv := range b[k*ldb : k*ldb+len(c)] {
+			c[j] += float64(av * bv)
 		}
 	}
 }
 
-// axpy4Ref is the portable statement of the row primitive under mulAddRange
-// and tMulAddRange: c[j] += ((a0·b0[j] + a1·b1[j]) + a2·b2[j]) + a3·b3[j]
-// over len(c) elements of each b row, every product rounded before it is
-// added. The AVX axpy4 puts four j in the lanes of one register and keeps the
-// expression, so the two agree bit for bit.
+// axpy4Ref is one four-wide pass of mulRowRef: c[j] += ((a0·b0[j] +
+// a1·b1[j]) + a2·b2[j]) + a3·b3[j] over len(c) elements of each b row, every
+// product rounded before it is added.
 func axpy4Ref(c, b0, b1, b2, b3 []float64, a0, a1, a2, a3 float64) {
 	b0, b1, b2, b3 = b0[:len(c)], b1[:len(c)], b2[:len(c)], b3[:len(c)]
 	for j := range c {
@@ -242,26 +245,14 @@ func TMulAddInto(a, b, c *Matrix) *Matrix {
 }
 
 // tMulAddRange accumulates output rows [lo, hi) of aᵀ*b into c. Output row i
-// is Σ_k a[k][i]·b[k]; the k loop is unrolled four-wide so one pass over the
-// output row — one axpy4 — folds four b rows at the cost of four strided
-// loads from a's column i. The old kernel's per-k zero-skip branch is gone
-// for the same reason as in mulAddRange.
+// is Σ_k a[k][i]·b[k]: one mulRow whose multipliers are a's column i, read
+// with a's row stride.
 func tMulAddRange(a, b, c *Matrix, lo, hi int) {
 	n := b.Cols
-	m := a.Cols
+	if a.Rows == 0 { // nothing to add, and no column i of a to slice from
+		return
+	}
 	for i := lo; i < hi; i++ {
-		crow := c.Row(i)[:n]
-		k := 0
-		for ; k+4 <= a.Rows; k += 4 {
-			axpy4(crow, b.Data[k*n:], b.Data[(k+1)*n:], b.Data[(k+2)*n:], b.Data[(k+3)*n:],
-				a.Data[k*m+i], a.Data[(k+1)*m+i], a.Data[(k+2)*m+i], a.Data[(k+3)*m+i])
-		}
-		for ; k < a.Rows; k++ {
-			av := a.Data[k*m+i]
-			brow := b.Data[k*n : k*n+n]
-			for j, bv := range brow {
-				crow[j] += float64(av * bv)
-			}
-		}
+		mulRow(c.Row(i)[:n], a.Data[i:], a.Cols, a.Rows, b.Data, n)
 	}
 }

@@ -58,16 +58,6 @@ func relu32(v float32) float32 {
 	return math.Float32frombits(math.Float32bits(v) & keep)
 }
 
-// reluGate is the ReLU derivative applied to a gradient — g where the
-// activation's output o is positive, +0 elsewhere — as the same kind of mask.
-func reluGate(g, o float64) float64 {
-	keep := ^uint64(0)
-	if o <= 0 {
-		keep = 0
-	}
-	return math.Float64frombits(math.Float64bits(g) & keep)
-}
-
 // apply computes the activation element-wise in place.
 func (a Activation) apply(m *mat.Matrix) {
 	switch a {
@@ -92,9 +82,7 @@ func (a Activation) backprop(grad, out *mat.Matrix) {
 	switch a {
 	case Identity:
 	case ReLU:
-		for i, o := range out.Data {
-			grad.Data[i] = reluGate(grad.Data[i], o)
-		}
+		mat.ReLUGate(grad.Data, out.Data)
 	case Sigmoid:
 		for i, o := range out.Data {
 			grad.Data[i] *= o * (1 - o)

@@ -499,11 +499,12 @@ func (a *Autoencoder) accumBatch(ar *mat.Arena, f *sharedFactor, x *mat.Matrix, 
 
 	if a.HeadNum != nil {
 		z := a.HeadNum.forward(ar, h)
-		y := ar.Get(z.Rows, z.Cols)
+		y := ar.GetUncleared(z.Rows, z.Cols)
 		copy(y.Data, z.Data)
 		sigmoid(y.Data)
-		// Gradient w.r.t. pre-activation z (HeadNum uses Identity).
-		gz := ar.Get(z.Rows, z.Cols)
+		// Gradient w.r.t. pre-activation z (HeadNum uses Identity); every
+		// column is written below.
+		gz := ar.GetUncleared(z.Rows, z.Cols)
 		for r := 0; r < z.Rows; r++ {
 			yr, gr := y.Row(r), gz.Row(r)
 			for c := 0; c < a.numCols; c++ {
@@ -555,26 +556,28 @@ func (a *Autoencoder) sharedStep(ar *mat.Arena, f *sharedFactor, aux *mat.Matrix
 			a.cuts = append(a.cuts, a.Shared.firstOutputsTrain(card))
 		}
 	}
-	s := mat.MulTPackedInto(aux, &f.pack, ar.Get(rows, sh.Out), false)
-	hid, d, sum := ar.Get(rows, sh.Out), ar.Get(rows, sh.Out), ar.Get(1, sh.Out).Data
+	// Scratch every element of which a product, signalHidden or a copy writes
+	// is served uncleared; the sums d and sum start from zero.
+	s := mat.MulTPackedInto(aux, &f.pack, ar.GetUncleared(rows, sh.Out), false)
+	hid, d, sum := ar.GetUncleared(rows, sh.Out), ar.Get(rows, sh.Out), ar.Get(1, sh.Out).Data
 	var loss float64
 	for j, cut := range a.cuts {
 		sh.signalHidden(s, f.signal.Row(j), hid)
-		g := ar.Get(rows, cut.Out)
+		g := ar.GetUncleared(rows, cut.Out)
 		copy(g.Data, cut.forward(ar, hid).Data)
 		loss += softmaxGrad(g, targets[j], invB)
 		dj := cut.backward(ar, g)
 		sh.Act.backprop(dj, hid)
 		foldColumn(dj.Data, d.Data, sum, sh.GradW.Data[cc+j:], sh.In, sh.GradB)
 	}
-	gAux := mat.TMulInto(d, aux, ar.Get(sh.Out, cc))
+	gAux := mat.TMulInto(d, aux, ar.GetUncleared(sh.Out, cc))
 	for o := 0; o < sh.Out; o++ {
 		gw := sh.GradW.Row(o)
 		for c, v := range gAux.Row(o) {
 			gw[c] += v
 		}
 	}
-	return mat.MulInto(d, f.wAux, ar.Get(rows, cc)), loss
+	return mat.MulInto(d, f.wAux, ar.GetUncleared(rows, cc)), loss
 }
 
 // foldColumn adds one column's hidden gradients dj (rows of len(sum) units)
@@ -584,10 +587,7 @@ func (a *Autoencoder) sharedStep(ar *mat.Arena, f *sharedFactor, aux *mat.Matrix
 func foldColumn(dj, d, sum, signalW []float64, stride int, gradB []float64) {
 	clear(sum)
 	for n := len(sum); len(dj) > 0; dj, d = dj[n:], d[n:] {
-		for o, v := range dj[:n] {
-			d[o] += v
-			sum[o] += v
-		}
+		mat.AddToBoth(d[:n], sum, dj[:n])
 	}
 	for o, v := range sum {
 		signalW[o*stride] += v

@@ -56,7 +56,7 @@ func (d *Dense) forward(ar *mat.Arena, x *mat.Matrix) *mat.Matrix {
 	if x.Cols != d.In {
 		panic(fmt.Sprintf("nn: dense forward input %d cols, want %d", x.Cols, d.In))
 	}
-	out := ar.Get(x.Rows, d.Out)
+	out := ar.GetUncleared(x.Rows, d.Out) // every element is the product's
 	if d.pack != nil {
 		mat.MulTPackedInto(x, d.pack, out, false)
 	} else {
@@ -148,8 +148,7 @@ func (d *Dense) backward(ar *mat.Arena, grad *mat.Matrix) *mat.Matrix {
 			d.GradB[j] += v
 		}
 	}
-	dx := ar.Get(grad.Rows, d.In)
-	return mat.MulInto(grad, d.W, dx)
+	return mat.MulInto(grad, d.W, ar.GetUncleared(grad.Rows, d.In)) // MulInto zeroes it
 }
 
 // ZeroGrad clears the gradient accumulators.

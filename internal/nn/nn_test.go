@@ -806,6 +806,91 @@ func TestTrainBatchRepeatable(t *testing.T) {
 	}
 }
 
+// gradRecorder is an optimizer that appends every gradient it is handed to
+// grads before its own optimizer steps.
+type gradRecorder struct {
+	Optimizer
+	grads []float64
+}
+
+func (o *gradRecorder) Step(layers []*Dense) {
+	for _, l := range layers {
+		o.grads = append(append(o.grads, l.GradW.Data...), l.GradB...)
+	}
+	o.Optimizer.Step(layers)
+}
+
+// poisonArena fills with NaN the memory of every matrix ar has served: after
+// a Reset, GetUncleared(0, 0) hands out each slot in turn — any slot is large
+// enough — until it has to append one, which has no capacity. It returns how
+// many slots it poisoned.
+func poisonArena(ar *mat.Arena) int {
+	ar.Reset()
+	for n := 0; ; n++ {
+		m := ar.GetUncleared(0, 0)
+		if cap(m.Data) == 0 {
+			return n
+		}
+		d := m.Data[:cap(m.Data)]
+		for i := range d {
+			d[i] = math.NaN()
+		}
+	}
+}
+
+// A training arena remembers nothing of earlier batches: with every slot of
+// every shard's arena filled with NaN between batches, the losses, the
+// gradients the optimizer sees and the trained weights are bit-identical to a
+// run whose every batch starts from fresh arenas — for all-categorical, mixed
+// and numeric-only models, serially and on four workers, through batches of
+// 241–255 rows, whose last of 16 shards holds 1–15 rows.
+func TestTrainArenaHasNoMemory(t *testing.T) {
+	models := []struct {
+		name  string
+		specs []ColSpec
+	}{
+		{"categorical", []ColSpec{{Kind: OutCategorical, Card: 3}, {Kind: OutCategorical, Card: 7},
+			{Kind: OutCategorical, Card: 2}, {Kind: OutCategorical, Card: 5}, {Kind: OutCategorical, Card: 12}}},
+		{"mixed", testSpecs()},
+		{"numeric", []ColSpec{{Kind: OutNumeric}, {Kind: OutBinary}, {Kind: OutNumeric}, {Kind: OutNumeric}}},
+	}
+	for _, m := range models {
+		for _, workers := range []int{1, 4} {
+			pool := pipeline.NewPool(workers)
+			train := func(poison bool) (losses, grads, weights []float64) {
+				ae, err := NewAutoencoder(rand.New(rand.NewSource(61)), m.specs, Config{CodeSize: 3})
+				if err != nil {
+					t.Fatal(err)
+				}
+				opt := &gradRecorder{Optimizer: NewAdam(0.01)}
+				rng := rand.New(rand.NewSource(62))
+				for rows := 256; rows >= 241; rows-- {
+					x, tg := randomBatch(rng, m.specs, rows)
+					switch {
+					case !poison:
+						ae.tr = nil // a new trainer: new arenas
+					case ae.tr != nil:
+						slots := 0
+						for _, s := range ae.tr.shards {
+							slots += poisonArena(s.ar)
+						}
+						if slots == 0 {
+							t.Fatalf("%s: no arena slots to poison", m.name)
+						}
+					}
+					losses = append(losses, ae.TrainBatch(x, tg, opt, pool))
+				}
+				return losses, opt.grads, flattenParams(ae)
+			}
+			wantL, wantG, wantW := train(false)
+			gotL, gotG, gotW := train(true)
+			if !bitsEqual(gotL, wantL) || !bitsEqual(gotG, wantG) || !bitsEqual(gotW, wantW) {
+				t.Errorf("%s on %d workers: training through NaN-filled arenas differs from fresh arenas", m.name, workers)
+			}
+		}
+	}
+}
+
 func BenchmarkTrainBatch(b *testing.B) {
 	rng := rand.New(rand.NewSource(18))
 	specs := testSpecs()
