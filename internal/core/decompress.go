@@ -147,9 +147,10 @@ type groupDec struct {
 	streams [][]stream
 
 	// Resolved escape/correction queues, indexed by spec position.
-	excAt  []map[int]int64
-	valAt  []map[int]float64
-	unperm []int // group-local original row → stored position
+	excAt   []map[int]int64
+	valAt   []map[int]float64
+	unperm  []int // group-local original row → stored position
+	inOrder bool  // unperm is the identity: rows are stored in original order
 
 	// Decoded model-column values in stored order, indexed by schema column.
 	colCodes [][]int
@@ -681,8 +682,10 @@ func (d *decompressor) resolve() error {
 // resolveGroupInit inverts a group's perm and allocates its decode slots.
 func (d *decompressor) resolveGroupInit(g *groupDec) {
 	g.unperm = make([]int, g.count)
+	g.inOrder = true
 	for s, orig := range g.perm {
 		g.unperm[orig] = s
+		g.inOrder = g.inOrder && orig == s
 	}
 	g.colCodes = make([][]int, len(d.meta.plan.Cols))
 	g.contOut = make([][]float64, len(d.meta.plan.Cols))
@@ -755,34 +758,61 @@ func (d *decompressor) resolveSpec(g *groupDec, si int) error {
 }
 
 // decode replays decoder inference over the pool — one work item per group ×
-// expert, each in an inference state borrowed from the reader's retained pool
-// — applying the failure streams to recover the selected model columns' codes
-// in stored order. Only selected spec columns are inferred and only stored
-// positions inside the row range are fed through.
+// expert × part (decodeItems), each in an inference state borrowed from the
+// reader's retained pool — applying the failure streams to recover the
+// selected model columns' codes in stored order. Only selected spec columns
+// are inferred and only stored positions inside the row range are fed
+// through.
 func (d *decompressor) decode() error {
 	if !d.needModel {
 		return nil
 	}
-	type work struct {
-		g *groupDec
-		e int
-	}
-	var items []work
+	items := d.decodeItems()
+	return d.run.ForEach(len(items), func(i int) error {
+		it := items[i]
+		st := d.infer.get()
+		defer d.infer.put(st)
+		return d.decodeExpert(it.g, it.e, it.pos, st)
+	})
+}
+
+// minPartRows is the fewest stored positions decodeItems splits a group ×
+// expert into parts of: smaller parts would pay the per-batch fixed costs of
+// inference for too few rows.
+const minPartRows = 256
+
+// decodeItem is one decode work item: a contiguous part of group g × expert
+// e's stored positions.
+type decodeItem struct {
+	g   *groupDec
+	e   int
+	pos []int
+}
+
+// decodeItems prepares every decoded group (decodeGroupInit) and splits each
+// group × expert's stored positions into min(Parallelism, ⌈n/minPartRows⌉)
+// contiguous parts of near-equal size, at least one, so that a group with
+// one expert still decodes on every worker. At Parallelism 1 that is one
+// item per group × expert. Parts write disjoint stored positions, and every
+// decoder layer computes each row independently of the batch it rides in,
+// so where a part boundary falls cannot move a bit of the output.
+func (d *decompressor) decodeItems() []decodeItem {
+	par := d.run.Parallelism()
+	var items []decodeItem
 	for _, g := range d.groups {
 		if !g.active || g.ghi <= g.glo {
 			continue
 		}
 		d.decodeGroupInit(g)
-		for e := 0; e < d.meta.numExperts; e++ {
-			items = append(items, work{g, e})
+		for e, pos := range g.posBy {
+			n := len(pos)
+			k := max(1, min(par, (n+minPartRows-1)/minPartRows))
+			for i := range k {
+				items = append(items, decodeItem{g, e, pos[i*n/k : (i+1)*n/k]})
+			}
 		}
 	}
-	return d.run.ForEach(len(items), func(i int) error {
-		g, e := items[i].g, items[i].e
-		st := d.infer.get()
-		defer d.infer.put(st)
-		return d.decodeExpert(g, e, st)
-	})
+	return items
 }
 
 // decodeGroupInit reconstructs a group's float codes and groups its stored
@@ -792,18 +822,19 @@ func (d *decompressor) decodeGroupInit(g *groupDec) {
 	g.posBy = expertPositionsRange(g.assign, g.perm, d.meta.numExperts, g.glo, g.ghi)
 }
 
-// decodeExpert runs one group × expert through the decoder, at the precision
-// the archive header mandates (flagFloat32 → float32 inference), in st.
-func (d *decompressor) decodeExpert(g *groupDec, e int, st *inferState) error {
+// decodeExpert runs stored positions pos of group g, all assigned to expert
+// e, through the decoder, at the precision the archive header mandates
+// (flagFloat32 → float32 inference), in st.
+func (d *decompressor) decodeExpert(g *groupDec, e int, pos []int, st *inferState) error {
 	var d32 *nn.Decoder32
 	if d.decs32 != nil {
 		d32 = d.decs32[e]
 	}
-	if n := min(decodeBatchRows, len(g.posBy[e])); len(st.ranks) < n {
+	if n := min(decodeBatchRows, len(pos)); len(st.ranks) < n {
 		st.ranks, st.classes = make([]int, n), make([]int, n)
 	}
 	var derr error
-	expertBatches(st, d.decoders[e], d32, d.wantSpec, g.rec, g.posBy[e], func(chunk []int, p *nn.Predictions) {
+	expertBatches(st, d.decoders[e], d32, d.wantSpec, g.rec, pos, func(chunk []int, p *nn.Predictions) {
 		if derr != nil {
 			return
 		}
@@ -1016,24 +1047,12 @@ func (d *decompressor) outSchema() *dataset.Schema {
 
 // assembleColumn materializes one group × column into dstStr or dstNum
 // (whichever matches the column's type), each exactly the group's selected
-// row count long. Model and trivial columns decode through the group plan
-// into a scratch table (plan.DecodeColumn addresses whole columns by schema
-// index) and are copied across.
+// row count long. Model and trivial columns decode their codes, in original
+// row order (gathered through unperm unless the group stores rows in that
+// order), through the group plan straight into the destination.
 func (d *decompressor) assembleColumn(g *groupDec, col int, dstStr []string, dstNum []float64) error {
 	m := g.ghi - g.glo
 	cp := &g.plan.Cols[col]
-	decodeCopy := func(codes []int) error {
-		scratch := dataset.NewTable(g.plan.Schema, 0)
-		if err := decodeColumnChecked(g.plan, scratch, col, codes); err != nil {
-			return err
-		}
-		if dstStr != nil {
-			copy(dstStr, scratch.Str[col])
-		} else {
-			copy(dstNum, scratch.Num[col])
-		}
-		return nil
-	}
 	switch {
 	case d.meta.layout.specOfCol[col] >= 0 && cp.Kind == preprocess.KindNumContinuous:
 		src := g.contOut[col]
@@ -1041,12 +1060,15 @@ func (d *decompressor) assembleColumn(g *groupDec, col int, dstStr []string, dst
 			dstNum[i] = src[g.unperm[g.glo+i]]
 		}
 	case d.meta.layout.specOfCol[col] >= 0:
-		codes := make([]int, m)
 		src := g.colCodes[col]
-		for i := range codes {
-			codes[i] = src[g.unperm[g.glo+i]]
+		codes := src[g.glo:g.ghi]
+		if !g.inOrder {
+			codes = make([]int, m)
+			for i := range codes {
+				codes[i] = src[g.unperm[g.glo+i]]
+			}
 		}
-		return decodeCopy(codes)
+		return decodeInto(g.plan, col, codes, dstStr, dstNum)
 	case cp.Kind == preprocess.KindFallbackCat:
 		src := g.streams[col][0].strs
 		for i := range dstStr {
@@ -1067,14 +1089,14 @@ func (d *decompressor) assembleColumn(g *groupDec, col int, dstStr []string, dst
 			}
 			codes[i] = int(v)
 		}
-		return decodeCopy(codes)
+		return decodeInto(g.plan, col, codes, dstStr, dstNum)
 	}
 	return nil
 }
 
-// decodeColumnChecked wraps Plan.DecodeColumn with corruption classification.
-func decodeColumnChecked(plan *preprocess.Plan, dst *dataset.Table, col int, codes []int) error {
-	if err := plan.DecodeColumn(dst, col, codes); err != nil {
+// decodeInto wraps Plan.DecodeInto with corruption classification.
+func decodeInto(plan *preprocess.Plan, col int, codes []int, str []string, num []float64) error {
+	if err := plan.DecodeInto(col, codes, str, num); err != nil {
 		return fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	return nil

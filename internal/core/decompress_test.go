@@ -8,11 +8,12 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"testing"
 
 	"deepsqueeze/internal/dataset"
+	"deepsqueeze/internal/pipeline"
+	"deepsqueeze/internal/preprocess"
 )
 
 // compressLatent compresses a latentTable archive once for the projection
@@ -162,22 +163,109 @@ func TestDecompressRowRangeWithProjectionMoE(t *testing.T) {
 	}
 }
 
+// blocksCSV renders what Archive.DecodeBlocks decodes of every group and
+// column on a pool of par workers as one CSV, groups in archive order.
+func blocksCSV(t *testing.T, archive []byte, par int) []byte {
+	t.Helper()
+	a, err := Open(archive)
+	if err != nil {
+		t.Fatal(err)
+	}
+	groups := make([]int, a.NumGroups())
+	for g := range groups {
+		groups[g] = g
+	}
+	schema := a.meta.plan.Schema
+	cols := make([]int, len(schema.Columns))
+	for c := range cols {
+		cols[c] = c
+	}
+	blocks, err := a.DecodeBlocks(context.Background(), groups, cols, pipeline.NewPool(par))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := dataset.NewTable(schema, 0)
+	rows := 0
+	for g := range groups {
+		for c := range cols {
+			out.Str[c] = append(out.Str[c], blocks[g][c].Str...)
+			out.Num[c] = append(out.Num[c], blocks[g][c].Num...)
+		}
+		rows += a.GroupRows(g)
+	}
+	out.SetNumRows(rows)
+	return csvBytes(t, out)
+}
+
+// Every read path decodes the same bytes at every Parallelism: a two-expert
+// table, and two one-expert tables whose groups hold at least 512 rows, so
+// that decode splits each group × expert into row parts (a lossless Census
+// head, and a residual-digit categorical whose digits accumulate within a
+// part). DecompressContext, ArchiveReader and Archive.DecodeBlocks at
+// Parallelism 1, 2, 3 and 8 each render the CSV of DecompressContext at 1;
+// and at Parallelism 2 the one-expert archives' decode makes more work items
+// than groups × experts. Under -race only Parallelism 1 and 2 run; the full
+// sweep runs uninstrumented (scripts/check.sh).
 func TestDecompressParallelDeterminism(t *testing.T) {
-	opts := quickOpts()
-	opts.NumExperts = 2
-	archive, _ := compressLatent(t, 900, 35, opts)
-	levels := []int{1, 2, 3, runtime.NumCPU()}
-	var want []byte
-	for _, p := range levels {
-		got := decodeOpts(t, archive, DecompressOptions{Parallelism: p})
-		var buf bytes.Buffer
-		if err := got.WriteCSV(&buf); err != nil {
+	levels := []int{1, 2, 3, 8}
+	if raceEnabled {
+		levels = levels[:2]
+	}
+	twoExperts := quickOpts()
+	twoExperts.NumExperts = 2
+	moe, _ := compressLatent(t, 900, 35, twoExperts)
+
+	resOpts := residualOpts()
+	resOpts.RowGroupSize = 600
+	clicks := clickTable(1200, 500, 74)
+	clicksRes, err := Compress(clicks, []float64{0, 0, 0.05}, resOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m, err := parseArchiveMeta(clicksRes.Archive); err != nil || m.plan.Cols[0].Kind != preprocess.KindCatResidual {
+		t.Fatalf("user column is not residual digits (err %v)", err)
+	}
+
+	cases := []struct {
+		name    string
+		archive []byte
+		split   bool // one expert, ≥ 512 rows per group
+	}{
+		{"two experts", moe, false},
+		{"census head", censusArchive(t), true},
+		{"residual digits", clicksRes.Archive, true},
+	}
+	for _, c := range cases {
+		want := csvBytes(t, decodeOpts(t, c.archive, DecompressOptions{Parallelism: 1}))
+		for _, p := range levels {
+			got := map[string][]byte{
+				"DecompressContext":    csvBytes(t, decodeOpts(t, c.archive, DecompressOptions{Parallelism: p})),
+				"Archive.DecodeBlocks": blocksCSV(t, c.archive, p),
+			}
+			var err error
+			if got["ArchiveReader"], err = readerCSV(c.archive, DecompressOptions{Parallelism: p}); err != nil {
+				t.Fatal(err)
+			}
+			for path, csv := range got {
+				if !bytes.Equal(csv, want) {
+					t.Fatalf("%s: %s at parallelism %d decoded a different table than DecompressContext at 1", c.name, path, p)
+				}
+			}
+		}
+		if !c.split {
+			continue
+		}
+		a, err := Open(c.archive)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if want == nil {
-			want = buf.Bytes()
-		} else if !bytes.Equal(want, buf.Bytes()) {
-			t.Fatalf("parallelism %d decoded a different table than parallelism %d", p, levels[0])
+		opts := DecompressOptions{Parallelism: 2}
+		d, err := a.decodeStages(pipeline.New(context.Background(), opts.Parallelism), opts, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n, whole := len(d.decodeItems()), len(d.groups)*d.meta.numExperts; n <= whole {
+			t.Errorf("%s: %d decode items at parallelism 2 for %d groups × experts, want more", c.name, n, whole)
 		}
 	}
 }

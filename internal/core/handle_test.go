@@ -202,11 +202,11 @@ func TestHandleDecodersParsedOnce(t *testing.T) {
 	}
 }
 
-// retainedStates counts the inference states a handle holds.
-func retainedStates(a *Archive) int {
-	a.infer.mu.Lock()
-	defer a.infer.mu.Unlock()
-	return len(a.infer.free)
+// retainedStates counts the inference states a pool holds.
+func retainedStates(p *inferPool) int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return len(p.free)
 }
 
 // TestHandleConcurrentRequests hammers one two-expert handle from many
@@ -280,7 +280,7 @@ func TestHandleConcurrentRequests(t *testing.T) {
 	}
 	// States are only made when none is free and are never dropped, so the
 	// count after the run is the most the handle ever held.
-	if n := retainedStates(a); n < 1 || n > workers*par {
+	if n := retainedStates(&a.infer); n < 1 || n > workers*par {
 		t.Errorf("%d inference states retained, want 1…%d", n, workers*par)
 	}
 }
@@ -344,7 +344,7 @@ func TestWarmHandleQueryBytesSurviveGC(t *testing.T) {
 	if perQuery > warmQueryCeiling {
 		t.Errorf("warm query allocates %d B, ceiling %d", perQuery, warmQueryCeiling)
 	}
-	if n := retainedStates(a); n != 1 {
+	if n := retainedStates(&a.infer); n != 1 {
 		t.Errorf("%d inference states retained, want 1", n)
 	}
 }

@@ -12,8 +12,10 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/debug"
+	"sync"
 	"testing"
 
+	"deepsqueeze/internal/datagen"
 	"deepsqueeze/internal/dataset"
 )
 
@@ -391,6 +393,11 @@ func readerCSV(archive []byte, opts DecompressOptions) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
+	return readAllCSV(ar)
+}
+
+// readAllCSV renders every group ar has left as one CSV.
+func readAllCSV(ar *ArchiveReader) ([]byte, error) {
 	var buf bytes.Buffer
 	cw := dataset.NewCSVWriter(&buf, ar.Schema())
 	for {
@@ -512,5 +519,146 @@ func TestArchiveReaderSkipsGroupsOutsideSpan(t *testing.T) {
 	}
 	if damaging == 0 {
 		t.Fatal("no damage to the first group's streams failed a whole read")
+	}
+}
+
+// censusArchive is a lossless one-expert archive of a 24-column Census head
+// in two 520-row groups, compressed once for the tests that read it.
+func censusArchive(t *testing.T) []byte {
+	t.Helper()
+	archive, err := censusOnce()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return archive
+}
+
+var censusOnce = sync.OnceValues(func() ([]byte, error) {
+	opts := fingerprintOpts()
+	opts.RowGroupSize = 520
+	tb := censusHead(rand.New(rand.NewSource(44)), 1040, 24)
+	res, err := Compress(tb, datagen.Thresholds(tb, 0), opts)
+	if err != nil {
+		return nil, err
+	}
+	return res.Archive, nil
+})
+
+// TestConcurrentReaders runs streaming readers over mixed archives and
+// projections from many goroutines at once under -race: each renders the CSV
+// a reader running alone does, and each reader's own inference pool never
+// holds more states than the decode workers it ran at once.
+func TestConcurrentReaders(t *testing.T) {
+	twoExperts := quickOpts()
+	twoExperts.NumExperts = 2
+	twoExperts.RowGroupSize = 300
+	moe, _ := compressLatent(t, 900, 36, twoExperts)
+	census := censusArchive(t)
+	const workers, par = 6, 2
+	type read struct {
+		archive []byte
+		opts    DecompressOptions
+	}
+	reads := []read{
+		{census, DecompressOptions{}},
+		{moe, DecompressOptions{}},
+		{census, DecompressOptions{Columns: []string{"attr03", "attr17"}}},
+		{moe, DecompressOptions{Columns: []string{"cat", "m2"}, RowRange: &RowRange{Lo: 100, Hi: 700}}},
+		{census, DecompressOptions{RowRange: &RowRange{Lo: 500, Hi: 540}}},
+		{groupedArchive(t, 300), DecompressOptions{Columns: []string{"m1"}}},
+	}
+	want := make([][]byte, len(reads))
+	for i := range reads {
+		reads[i].opts.Parallelism = par
+		var err error
+		if want[i], err = readerCSV(reads[i].archive, reads[i].opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	errs := make([]error, workers)
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range len(reads) {
+				r := (w + i) % len(reads)
+				ar, err := NewArchiveReader(bytes.NewReader(reads[r].archive), reads[r].opts)
+				if err != nil {
+					errs[w] = err
+					return
+				}
+				got, err := readAllCSV(ar)
+				if err != nil {
+					errs[w] = err
+					return
+				}
+				if !bytes.Equal(got, want[r]) {
+					errs[w] = fmt.Errorf("read %d differs from a reader running alone", r)
+					return
+				}
+				// States are only made when none is free and are never
+				// dropped, so the count after the read is the most the
+				// reader ever held at once.
+				if n := retainedStates(ar.d.infer); n < 1 || n > par {
+					errs[w] = fmt.Errorf("read %d: reader retained %d inference states, want 1…%d", r, n, par)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for w, err := range errs {
+		if err != nil {
+			t.Fatalf("worker %d: %v", w, err)
+		}
+	}
+}
+
+// inferStateFloor is less than the inference memory one state holds after
+// decoding one of censusArchive's 520-row groups at parallelism 1.
+const inferStateFloor = 768 << 10
+
+// A streaming reader decodes its later groups in the inference memory its
+// first group left in the reader's pool: its second group makes no
+// inferState (the pool holds one state after it) and grows no arena, so it
+// allocates much less than the same group decoded in a fresh pool.
+// Uninstrumented only, like the other allocation gates.
+func TestReaderReusesInferenceMemory(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation adds allocations; gate runs uninstrumented (see scripts/check.sh)")
+	}
+	archive := censusArchive(t)
+	// second decodes the archive's first group through a new reader, then
+	// its second group in a fresh pool when fresh is set, and returns the
+	// bytes the second group allocated and the states the reader retained.
+	second := func(fresh bool) (uint64, int) {
+		ar, err := NewArchiveReader(bytes.NewReader(archive), DecompressOptions{Parallelism: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ar.Next(); err != nil {
+			t.Fatal(err)
+		}
+		if fresh {
+			ar.d.infer = new(inferPool)
+		}
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := ar.Next(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc, retainedStates(ar.d.infer)
+	}
+	warm, states := second(false)
+	cold, _ := second(true)
+	t.Logf("second group allocated %d B; in a fresh pool %d B", warm, cold)
+	if states != 1 {
+		t.Errorf("the reader retained %d states after two groups, want 1", states)
+	}
+	if warm+inferStateFloor > cold {
+		t.Errorf("the second group allocated %d B, within %d B of the same group in a fresh pool (%d B): it built inference memory again", warm, inferStateFloor, cold)
 	}
 }

@@ -10,10 +10,11 @@
 package huffman
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"deepsqueeze/internal/bitio"
 )
@@ -41,11 +42,11 @@ type symFreq struct {
 // sorted syms[i]. Ties between a leaf and a merged node go to the leaf, so
 // the lengths are a function of the multiset alone.
 func codeLengths(syms []symFreq) []uint {
-	sort.Slice(syms, func(i, j int) bool {
-		if syms[i].freq != syms[j].freq {
-			return syms[i].freq < syms[j].freq
+	slices.SortFunc(syms, func(a, b symFreq) int {
+		if c := cmp.Compare(a.freq, b.freq); c != 0 {
+			return c
 		}
-		return syms[i].symbol < syms[j].symbol
+		return cmp.Compare(a.symbol, b.symbol)
 	})
 	n := len(syms)
 	lengths := make([]uint, n)
@@ -104,11 +105,11 @@ func canonicalCodes(syms []symFreq, lengths []uint) []symCode {
 	for i, s := range syms {
 		codes[i] = symCode{symbol: s.symbol, length: lengths[i]}
 	}
-	sort.Slice(codes, func(i, j int) bool {
-		if codes[i].length != codes[j].length {
-			return codes[i].length < codes[j].length
+	slices.SortFunc(codes, func(a, b symCode) int {
+		if c := cmp.Compare(a.length, b.length); c != 0 {
+			return c
 		}
-		return codes[i].symbol < codes[j].symbol
+		return cmp.Compare(a.symbol, b.symbol)
 	})
 	var code uint64
 	var prevLen uint

@@ -216,6 +216,71 @@ func TestScratchHasNoMemory(t *testing.T) {
 	}
 }
 
+// rowsEqual reports whether rows [lo, hi) of a equal every row of part bit
+// for bit; both nil (an unwanted head) counts as equal.
+func rowsEqual(a, part *mat.Matrix, lo, hi int) bool {
+	if a == nil || part == nil {
+		return a == part
+	}
+	if part.Rows != hi-lo || part.Cols != a.Cols {
+		return false
+	}
+	for i := lo; i < hi; i++ {
+		if !bitsEqual(a.Row(i), part.Row(i-lo)) {
+			return false
+		}
+	}
+	return true
+}
+
+// Every row's prediction is a function of that row's codes alone: predicted
+// in the full batch, in contiguous parts of 1, 3, 4, 5 or 256 rows, or alone,
+// each row's Num, Bin and Cat outputs are bit-identical, for the float64
+// decoder and its float32 view, under every want mask. A decode may split a
+// group's rows into parts anywhere (core's decodeItems) only because of this.
+// The full batch is wide enough to fan the products out over mat's pool, and
+// the cards span the softmax and rank lanes (≤ 8) and the loops past them.
+func TestPredictRowIndependent(t *testing.T) {
+	rng := rand.New(rand.NewSource(229))
+	dec := catDecoder(rng, []int{3, 7, 2, 5, 12, 9, 4})
+	d32 := dec.Float32()
+	const rows = 601
+	codes := mat.RandUniform(rng, rows, 2, 0, 1)
+	masks := [][]bool{
+		nil,
+		{true, false, true, false, false, true, false, true, true},
+		{false, false, false, true, false, false, false, false, false},
+		{true, true},
+	}
+	for _, f32 := range []bool{false, true} {
+		predict := func(s *Scratch, codes *mat.Matrix, want []bool) *Predictions {
+			if f32 {
+				return d32.PredictInto(s, codes, want)
+			}
+			return dec.PredictInto(s, codes, want)
+		}
+		for mi, want := range masks {
+			var fs, ps Scratch
+			full := predict(&fs, codes, want)
+			for _, size := range []int{1, 3, 4, 5, 256} {
+				for lo := 0; lo < rows; lo += size {
+					hi := min(lo+size, rows)
+					part := codes.SliceRows(lo, hi)
+					p := predict(&ps, &part, want)
+					same := rowsEqual(full.Num, p.Num, lo, hi) && rowsEqual(full.Bin, p.Bin, lo, hi) &&
+						len(full.Cat) == len(p.Cat)
+					for j := range full.Cat {
+						same = same && rowsEqual(full.Cat[j], p.Cat[j], lo, hi)
+					}
+					if !same {
+						t.Fatalf("f32=%v mask=%d: rows [%d,%d) predicted in a part of %d differ from the full batch", f32, mi, lo, hi, size)
+					}
+				}
+			}
+		}
+	}
+}
+
 // BenchmarkPredictCategorical times the shared categorical stack at the
 // repo benchmark's archive-categorical shape: 24 columns, cardinalities
 // 2–12, one 1 024-row batch per call in a warm Scratch.

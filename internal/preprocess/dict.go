@@ -85,13 +85,23 @@ func (d *Dictionary) Encode(column []string) ([]int, error) {
 // Decode maps codes back to values.
 func (d *Dictionary) Decode(codes []int) ([]string, error) {
 	out := make([]string, len(codes))
-	for i, c := range codes {
-		if c < 0 || c >= len(d.values) {
-			return nil, fmt.Errorf("preprocess: code %d outside dictionary of %d", c, len(d.values))
-		}
-		out[i] = d.values[c]
+	if err := d.decodeInto(out, codes); err != nil {
+		return nil, err
 	}
 	return out, nil
+}
+
+// decodeInto maps codes back to values in dst, which is at least
+// len(codes) long: dst[i] is the value of codes[i].
+func (d *Dictionary) decodeInto(dst []string, codes []int) error {
+	dst = dst[:len(codes)]
+	for i, c := range codes {
+		if c < 0 || c >= len(d.values) {
+			return fmt.Errorf("preprocess: code %d outside dictionary of %d", c, len(d.values))
+		}
+		dst[i] = d.values[c]
+	}
+	return nil
 }
 
 // AppendBinary serializes the dictionary: count varint, then

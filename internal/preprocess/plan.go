@@ -312,32 +312,49 @@ func (p *Plan) Encode(t *dataset.Table, col int) ([]int, error) {
 // DecodeColumn reconstructs a column's values from its integer codes into
 // the destination table column.
 func (p *Plan) DecodeColumn(dst *dataset.Table, col int, codes []int) error {
+	var str []string
+	var num []float64
+	if p.Schema.Columns[col].Type == dataset.Categorical {
+		str = make([]string, len(codes))
+	} else {
+		num = make([]float64, len(codes))
+	}
+	if err := p.DecodeInto(col, codes, str, num); err != nil {
+		return err
+	}
+	if str != nil {
+		dst.Str[col] = str
+	} else {
+		dst.Num[col] = num
+	}
+	return nil
+}
+
+// DecodeInto reconstructs a column's values from its integer codes into the
+// caller's slice: str for a categorical column, num for a numeric one, at
+// least len(codes) long either way; the other may be nil. Value i is the
+// decoding of codes[i].
+func (p *Plan) DecodeInto(col int, codes []int, str []string, num []float64) error {
 	cp := &p.Cols[col]
 	switch cp.Kind {
 	case KindCatModel, KindBinary, KindFallbackCat, KindCatResidual:
-		vals, err := cp.Dict.Decode(codes)
-		if err != nil {
-			return err
-		}
-		dst.Str[col] = vals
+		return cp.Dict.decodeInto(str, codes)
 	case KindNumQuant:
-		vals := make([]float64, len(codes))
+		num = num[:len(codes)]
 		for i, c := range codes {
 			if c < 0 || c >= cp.Quant.NumBucket {
 				return fmt.Errorf("preprocess: bucket %d outside [0,%d)", c, cp.Quant.NumBucket)
 			}
-			vals[i] = cp.Scaler.Unscale(cp.Quant.Midpoint(c))
+			num[i] = cp.Scaler.Unscale(cp.Quant.Midpoint(c))
 		}
-		dst.Num[col] = vals
 	case KindNumDict:
-		vals := make([]float64, len(codes))
+		num = num[:len(codes)]
 		for i, c := range codes {
 			if c < 0 || c >= cp.VDict.Len() {
 				return fmt.Errorf("preprocess: rank %d outside [0,%d)", c, cp.VDict.Len())
 			}
-			vals[i] = cp.VDict.Value(c)
+			num[i] = cp.VDict.Value(c)
 		}
-		dst.Num[col] = vals
 	default:
 		return fmt.Errorf("preprocess: column %d kind %v has no integer decoding", col, cp.Kind)
 	}

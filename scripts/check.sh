@@ -110,11 +110,13 @@ step "portable kernels (-tags noasm)"
 # on this one: the kernel and model suites (the pinned exp and tanh bits and
 # the softmax pin among them), the golden archives' decode (f32_v2's through
 # the float32 loop, which has no assembly to drop), the writer fingerprints
-# (the bytes Compress emits, pinned), the rank-to-class pin, and tables
-# compressed by both builds into the same bytes. Without -race: the
-# step above has raced this code already.
+# (the bytes Compress emits, pinned), the rank-to-class pin, every read path
+# at every parallelism (TestDecompressParallelDeterminism: where decode splits
+# a group into row parts must not move a bit of the portable kernels' output
+# either), and tables compressed by both builds into the same bytes. Without
+# -race: the step above has raced this code already.
 go test -tags noasm ./internal/mat ./internal/nn
-go test -tags noasm -run 'Golden|Fingerprint|^TestClassAtRankMatchesReference$' ./internal/core
+go test -tags noasm -run 'Golden|Fingerprint|^TestClassAtRankMatchesReference$|^TestDecompressParallelDeterminism$' ./internal/core
 go build -tags noasm -o "$smokedir/dsqz-noasm" ./cmd/dsqz
 head -n 20001 "$smokedir/big.csv" > "$smokedir/small.csv"
 for b in dsqz dsqz-noasm; do
@@ -171,7 +173,8 @@ step "uninstrumented tests"
 # Allocation gates: testing.AllocsPerRun ceiling on the warm cached aggregate
 # query, the bytes a warm handle allocates per query with collections between
 # queries (its inference memory must survive them), the writer's bytes per row
-# group against an absolute ceiling and per Write against linear growth, and
+# group against an absolute ceiling and per Write against linear growth, a
+# streaming reader's second group against building inference memory again, and
 # WriteCSV of a 205-row × 4-numeric-column table (a serve-pruned point
 # response) — race instrumentation adds allocations and makes sync.Pool drop
 # items. Pinned archive sizes: the two ratio
@@ -179,11 +182,11 @@ step "uninstrumented tests"
 # failure+code bytes, residual digits >= 10% off the clickstream archive),
 # 20 000- and 30 000-row compress pairs that would cost tens of seconds raced.
 # The exp and tanh sweeps: millions of scalar calls, nothing to race; and the
-# long sweeps of the softmax, rank-to-class and fused range-decode pins, which
-# run a short trial raced.
+# long sweeps of the softmax, rank-to-class and fused range-decode pins and of
+# the read paths at every parallelism, which run a short trial raced.
 go test -run='^TestWarmCachedQueryAllocs$' -count=1 ./internal/serve
 go test -run='^TestWriteCSVAllocs$' -count=1 ./internal/dataset
-go test -run='^(TestWarmHandleQueryBytesSurviveGC|TestArchiveWriterAutoCodecAllocs|TestArchiveWriterLargeWriteIsLinear|TestAutoUsesRangeCodecsOnSkewedData|TestResidualShrinksClickstream|TestClassAtRankMatchesReference)$' -count=1 ./internal/core
+go test -run='^(TestWarmHandleQueryBytesSurviveGC|TestReaderReusesInferenceMemory|TestDecompressParallelDeterminism|TestArchiveWriterAutoCodecAllocs|TestArchiveWriterLargeWriteIsLinear|TestAutoUsesRangeCodecsOnSkewedData|TestResidualShrinksClickstream|TestClassAtRankMatchesReference)$' -count=1 ./internal/core
 go test -run='^(TestExpMatchesReference|TestExpReferenceMatchesMathExp|TestTanhReferenceMatchesMathTanh)$' -count=1 ./internal/mat
 go test -run='^TestSoftmaxMatchesReference$' -count=1 ./internal/nn
 go test -run='^TestDecodeAdaptiveMatchesReference$' -count=1 ./internal/rangecoder
