@@ -11,18 +11,24 @@ import (
 	"deepsqueeze/internal/dataset"
 )
 
-// writerFingerprints are the SHA-256 digests of Compress's output for two
+// writerFingerprints are the SHA-256 digests of the writers' output for
 // fixed tables. Unlike the goldens, which pin how archives decode and which
 // -update rewrites from the code under test, these pin what the writer
 // emits: a change that must keep every archive's bytes — a faster kernel, a
 // scratch served uncleared — leaves them as they are, and a change that
-// moves bytes has to edit them on purpose.
+// moves bytes has to edit them on purpose. The entries reach every way the
+// writer orders and cuts its streams: one group and several, the grouped
+// stored order and the per-tuple labels, sparse queues split across groups,
+// and the streaming writer's refit groups in both stored orders.
 var writerFingerprints = []struct {
 	name       string
 	table      func() *dataset.Table
 	thresholds func(*dataset.Table) []float64
 	opts       func() Options
-	sha256     string
+	// writeRows, when positive, writes the table through an ArchiveWriter
+	// fed writeRows rows per Write instead of through Compress.
+	writeRows int
+	sha256    string
 }{
 	{
 		name:       "monitor",
@@ -42,6 +48,69 @@ var writerFingerprints = []struct {
 		opts:       fingerprintOpts,
 		sha256:     "4e457cb2788ddf385bfb4009a76f8b692b8c688b7993d7a8682340f220196858",
 	},
+	{
+		// Three groups whose escaped codes and continuous corrections are
+		// split between them; the per-tuple labels win the mapping.
+		name:       "latent-groups",
+		table:      func() *dataset.Table { return latentTable(300, 111) },
+		thresholds: latentThresholds,
+		opts:       func() Options { return latentGroupOpts(true) },
+		sha256:     "60e0be32ae7893ab39be41547ad859d242ad685094ee8cf56ef1ce5428c2e196",
+	},
+	{
+		// The same table stored grouped by expert within every group.
+		name:       "latent-groups-unordered",
+		table:      func() *dataset.Table { return latentTable(300, 111) },
+		thresholds: latentThresholds,
+		opts:       func() Options { return latentGroupOpts(false) },
+		sha256:     "7fe92db61c3729f3c0b8d51b8a7ec6df425877686a4f2ef3976beab7ae13b4c0",
+	},
+	{
+		// k-means experts over rows sorted by cluster: the labels branch of
+		// the mapping choice, which the Monitor entry does not take.
+		name:       "clustered-labels",
+		table:      func() *dataset.Table { return clusteredTable(1600, false) },
+		thresholds: func(*dataset.Table) []float64 { return []float64{0, 0} },
+		opts: func() Options {
+			o := fingerprintOpts()
+			o.NumExperts, o.Partition = 2, PartitionKMeans
+			return o
+		},
+		sha256: "6b38a475bbbd4c6d610c5c21f4580b615cda19ee9ee42661e286063daa9d632f",
+	},
+	{
+		// The streaming writer: a training group, then refit groups in
+		// original order, the last one short.
+		name:       "stream-ordered",
+		table:      func() *dataset.Table { return latentTable(350, 112) },
+		thresholds: latentThresholds,
+		opts:       func() Options { return latentGroupOpts(true) },
+		writeRows:  70,
+		sha256:     "1e0872e1494ab84a99a73e1eaa482bcf9b1f748bbf2c30cdf400c38a4972712c",
+	},
+	{
+		// The same stream stored grouped by expert in every refit group.
+		name:       "stream-unordered",
+		table:      func() *dataset.Table { return latentTable(350, 112) },
+		thresholds: latentThresholds,
+		opts:       func() Options { return latentGroupOpts(false) },
+		writeRows:  70,
+		sha256:     "726dc9365fffb9170a61799d203a91f2a0375ff95dad4c6953dd943827ea9c83",
+	},
+}
+
+func latentThresholds(*dataset.Table) []float64 { return []float64{0, 0, 0.05, 0.05, 0} }
+
+// latentGroupOpts is two experts over 100-row groups with zone maps, the
+// continuous columns unquantized (every misprediction stores a correction)
+// and the four-value categorical cut to a three-code alphabet (the fourth
+// value escapes).
+func latentGroupOpts(keepOrder bool) Options {
+	o := fingerprintOpts()
+	o.NumExperts, o.RowGroupSize, o.KeepRowOrder = 2, 100, keepOrder
+	o.Preproc.NoQuantization = true
+	o.Preproc.MaxModelCardinality = 3
+	return o
 }
 
 // fingerprintOpts is one worker and a fixed number of epochs: the bytes
@@ -74,13 +143,10 @@ func TestWriterFingerprint(t *testing.T) {
 	}
 	for _, fp := range writerFingerprints {
 		tb := fp.table()
-		res, err := Compress(tb, fp.thresholds(tb), fp.opts())
-		if err != nil {
-			t.Fatalf("%s: %v", fp.name, err)
-		}
-		sum := sha256.Sum256(res.Archive)
+		archive := writeArchive(t, tb, fp.thresholds(tb), fp.opts(), fp.writeRows)
+		sum := sha256.Sum256(archive)
 		if got := hex.EncodeToString(sum[:]); got != fp.sha256 {
-			t.Errorf("%s: archive of %d bytes has SHA-256 %s, want %s", fp.name, len(res.Archive), got, fp.sha256)
+			t.Errorf("%s: archive of %d bytes has SHA-256 %s, want %s", fp.name, len(archive), got, fp.sha256)
 		}
 	}
 }

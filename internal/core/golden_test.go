@@ -162,7 +162,14 @@ func goldenCases() []goldenCase {
 // goldenArchive compresses a case's table the way its fixture was made.
 func goldenArchive(t *testing.T, gc goldenCase) []byte {
 	tb, thresholds, opts := gc.build()
-	if gc.writeRows == 0 {
+	return writeArchive(t, tb, thresholds, opts, gc.writeRows)
+}
+
+// writeArchive compresses tb through Compress when writeRows is 0, and
+// through an ArchiveWriter fed writeRows rows per Write otherwise.
+func writeArchive(t *testing.T, tb *dataset.Table, thresholds []float64, opts Options, writeRows int) []byte {
+	t.Helper()
+	if writeRows == 0 {
 		res, err := Compress(tb, thresholds, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -174,9 +181,9 @@ func goldenArchive(t *testing.T, gc goldenCase) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for lo := 0; lo < tb.NumRows(); lo += gc.writeRows {
-		chunk := dataset.NewTable(tb.Schema, gc.writeRows)
-		appendRows(chunk, tb, lo, min(lo+gc.writeRows, tb.NumRows()))
+	for lo := 0; lo < tb.NumRows(); lo += writeRows {
+		chunk := dataset.NewTable(tb.Schema, writeRows)
+		appendRows(chunk, tb, lo, min(lo+writeRows, tb.NumRows()))
 		if err := aw.Write(chunk); err != nil {
 			t.Fatal(err)
 		}
