@@ -77,10 +77,15 @@ func TestXORFloatCountBounds(t *testing.T) {
 
 // TestInflateBombCap: a chunk inflating past codec.MaxInflatedBytes is rejected
 // instead of exhausting memory. Built by deflating all-zero input, whose
-// compressed form is tiny relative to its expansion.
+// compressed form is tiny relative to its expansion. One goroutine deflating
+// and inflating that much is many times slower instrumented, with nothing to
+// race: under the race detector it skips, and check.sh runs it uninstrumented.
 func TestInflateBombCap(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocates codec.MaxInflatedBytes once")
+	}
+	if raceEnabled {
+		t.Skip("single-goroutine sweep; runs uninstrumented (see scripts/check.sh)")
 	}
 	payload := make([]byte, codec.MaxInflatedBytes+1)
 	chunk := Deflate(payload)

@@ -14,16 +14,17 @@ import (
 // yet: the fitted model data, the trained experts, the chosen code width and
 // stored order, and the streams they produce. assembleArchive frames one into
 // an archive; the streaming writer frames its first group from one and keeps
-// the model and the decisions for the groups that follow.
+// the model, the decisions and the inference memory for the groups that
+// follow.
 type archiveState struct {
 	md       *modelData
 	autoenc  []*nn.Autoencoder // nil when the table has no model
 	decoders []*nn.Decoder
-	codeDims [][]int64 // per dimension, stored order
+	infer    *inferPool // the writer's inference memory, for every width and group
 	codeBits int
 	codeSize int
-	fs       failureSet
-	packs    *packings // decide's frames of codeDims and fs; frameState reuses, then drops them
+	rows     streamSet // the chosen width's materialization, by original row
+	packs    *packings // decide's frames of the chosen stored order; frameState reuses, then drops them
 	perm     []int     // stored position → original row
 	assign   []int     // original row → expert
 	grouped  bool
@@ -33,92 +34,25 @@ type archiveState struct {
 
 // segConfig is the per-archive context a segment writer needs.
 type segConfig struct {
-	hasModel  bool
+	codeSize  int // code dimensions per row; 0 without a model
 	experts   int
 	grouped   bool // grouped mapping form (vs per-tuple labels)
 	keepOrder bool // original order recoverable (flagRowOrder)
 	zoneMaps  bool // groups carry zone maps (flagZoneMaps)
 }
 
-// segmentData is everything one row-group segment serializes, already cut to
-// the group's rows: the dense streams in fs and perm are the group's
-// stored-order slice, the sparse queues hold only the group's
-// escapes/corrections. origBase is subtracted from perm values to form
-// group-local indexes (span.start when slicing a global materialization, 0
-// when the streams are group-local as in the streaming writer).
+// segmentData is everything one row-group segment serializes: its rows in
+// stored order and the materialization they are gathered from. origBase is
+// subtracted from perm values to form group-local indexes (span.start when
+// the rows are the whole table's, 0 when they are group-local as in the
+// streaming writer's later groups).
 type segmentData struct {
 	span      rowSpan
 	origBase  int
 	planChunk []byte // group plan override payload; nil = header plan applies
-	dims      [][]int64
-	fs        failureSet
 	perm      []int
+	rows      streamSet
 	packs     *packings
-}
-
-// stream returns what chunk key stores for g, in g's stored order: a model
-// column's stream from g.fs, a fallback column's values from t, a trivial
-// column's codes from md.
-func (g *segmentData) stream(key streamKey, t *dataset.Table, md *modelData) (s stream) {
-	switch key.kind {
-	case fallbackStrs:
-		s.strs = make([]string, len(g.perm))
-		for i, orig := range g.perm {
-			s.strs[i] = t.Str[key.col][orig]
-		}
-	case fallbackNums:
-		s.floats = make([]float64, len(g.perm))
-		for i, orig := range g.perm {
-			s.floats[i] = t.Num[key.col][orig]
-		}
-	case trivialCodes:
-		s.ints = make([]int64, len(g.perm))
-		for i, orig := range g.perm {
-			s.ints[i] = int64(md.codes[key.col][orig])
-		}
-	default:
-		return g.fs[key]
-	}
-	return s
-}
-
-// sliceGroups cuts the global stored-order streams at span boundaries. A
-// sparse queue is split by one serial prefix pass over the dense stream whose
-// escapes consume it: an escaped rank consumes one exception, a set mask flag
-// one correction.
-func sliceGroups(md *modelData, fs failureSet, dims [][]int64, perm []int, spans []rowSpan) []segmentData {
-	taken := make(map[streamKey]int) // queue values handed to earlier groups
-	groups := make([]segmentData, len(spans))
-	for gi, sp := range spans {
-		lo, hi := sp.start, sp.start+sp.count
-		g := &groups[gi]
-		g.span, g.origBase = sp, sp.start
-		g.perm = perm[lo:hi]
-		g.dims = make([][]int64, len(dims))
-		for d, col := range dims {
-			g.dims[d] = col[lo:hi]
-		}
-		g.fs = make(failureSet, len(fs))
-		for key, s := range fs {
-			if kindSpecs[key.kind].dense {
-				g.fs[key] = s.slice(key.kind, lo, hi)
-				continue
-			}
-			first, escape := fs[streamKey{failContMask, key.col, 0}], int64(1)
-			if key.kind == failExceptions {
-				first, escape = fs[streamKey{failInts, key.col, 0}], int64(md.specs[md.specOfCol[key.col]].Card)
-			}
-			n := 0
-			for _, v := range first.ints[lo:hi] {
-				if v == escape {
-					n++
-				}
-			}
-			g.fs[key] = s.slice(key.kind, taken[key], taken[key]+n)
-			taken[key] += n
-		}
-	}
-	return groups
 }
 
 // buildMappingChunk serializes one group's expert mapping in the v1 chunk
@@ -154,10 +88,10 @@ func buildMappingChunk(assign, perm []int, origBase, experts int, grouped, keepO
 // buildSegment serializes one row group into a CRC-framed segment body:
 // a segment header chunk (row span + plan-override marker), the optional
 // group plan, the group's code dimensions, expert mapping, and per-column
-// failure chunks (same per-column chunk rules as format v1). t, md, and
-// assign are addressed through g.perm, so they may be the global table or a
-// group-local one. The codes/mapping/failures section sizes ride along for
-// the footer index.
+// failure chunks (same per-column chunk rules as format v1), each gathered
+// in the group's stored order. t, md, assign and g.rows are addressed
+// through g.perm, so they may be the global table or a group-local one. The
+// codes/mapping/failures section sizes ride along for the footer index.
 func buildSegment(t *dataset.Table, md *modelData, assign []int, cfg segConfig, g segmentData) builtSegment {
 	w := &sectionWriter{}
 	var sh []byte
@@ -173,10 +107,9 @@ func buildSegment(t *dataset.Table, md *modelData, assign []int, cfg segConfig, 
 		w.chunk(g.planChunk)
 	}
 	seg := builtSegment{count: g.span.count}
-	if cfg.hasModel {
-		for d, dim := range g.dims {
-			seg.codes += w.chunk(g.packs.frame(streamKey{codeDim, 0, d}, stream{ints: dim}))
-		}
+	for d := range cfg.codeSize {
+		key := streamKey{codeDim, 0, d}
+		seg.codes += w.chunk(g.packs.frame(key, gather(key, g.perm, g.rows, t, md)))
 	}
 	if cfg.experts > 1 {
 		seg.mapping += w.chunk(buildMappingChunk(assign, g.perm, g.origBase, cfg.experts, cfg.grouped, cfg.keepOrder))
@@ -184,7 +117,7 @@ func buildSegment(t *dataset.Table, md *modelData, assign []int, cfg segConfig, 
 	for col := range md.plan.Cols {
 		for _, e := range colStreams(md.plan, md.layout, col) {
 			key := streamKey{e.kind, col, e.digit}
-			seg.failures += w.chunk(g.packs.frame(key, g.stream(key, t, md)))
+			seg.failures += w.chunk(g.packs.frame(key, gather(key, g.perm, g.rows, t, md)))
 		}
 	}
 	seg.framed = w.finish()
@@ -228,11 +161,12 @@ func appendDecoderChunkPayload(st *archiveState) []byte {
 }
 
 // frameState writes a decided state through f: the prefix, then one segment
-// per span. Segments (and their zone maps) build concurrently over the run's
-// pool into index-addressed slots and are framed serially, so the bytes are
-// identical at every parallelism level. A group whose streams are the ones
-// the decisions packed — the whole table, when it is one group — writes
-// those frames; st.packs is dropped once the segments are built. Returns the
+// per span, each gathering the span's stored positions from st.rows.
+// Segments (and their zone maps) build concurrently over the run's pool into
+// index-addressed slots and are framed serially, so the bytes are identical
+// at every parallelism level. A group whose streams are the ones the
+// decisions packed — the whole table, when it is one group — writes those
+// frames; st.packs is dropped once the segments are built. Returns the
 // segment configuration the state's flags imply and the decoder chunk's
 // framed size.
 func frameState(run *pipeline.Run, f *framer, t *dataset.Table, opts Options, st *archiveState) (segConfig, int64, error) {
@@ -247,20 +181,20 @@ func frameState(run *pipeline.Run, f *framer, t *dataset.Table, opts Options, st
 	if err != nil {
 		return segConfig{}, 0, err
 	}
-	groups := sliceGroups(md, st.fs, st.codeDims, st.perm, st.spans)
 	cfg := segConfig{
-		hasModel:  flags&flagHasModel != 0,
+		codeSize:  st.codeSize,
 		experts:   st.experts,
 		grouped:   st.grouped,
 		keepOrder: flags&flagRowOrder != 0,
 		zoneMaps:  flags&flagZoneMaps != 0,
 	}
-	segs := make([]builtSegment, len(groups))
-	err = run.ForEach(len(groups), func(g int) error {
-		groups[g].packs = st.packs
-		segs[g] = buildSegment(t, md, st.assign, cfg, groups[g])
+	segs := make([]builtSegment, len(st.spans))
+	err = run.ForEach(len(st.spans), func(i int) error {
+		sp := st.spans[i]
+		g := segmentData{span: sp, origBase: sp.start, perm: st.perm[sp.start : sp.start+sp.count], rows: st.rows, packs: st.packs}
+		segs[i] = buildSegment(t, md, st.assign, cfg, g)
 		if cfg.zoneMaps {
-			segs[g].zones = computeGroupZones(t, groups[g].perm, md.plan, md.plan)
+			segs[i].zones = computeGroupZones(t, g.perm, md.plan, md.plan)
 		}
 		return nil
 	})

@@ -274,7 +274,7 @@ func TestColStreamsContract(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					short := s.slice(c.key.kind, 0, g.count-1)
+					short := stream{ints: dropLast(s.ints), floats: dropLast(s.floats), strs: dropLast(s.strs)}
 					return short.pack(c.key.kind)
 				})
 				what := fmt.Sprintf("%s chunk %d of column %d has %d values, want %d",
@@ -302,4 +302,9 @@ func TestColStreamsContract(t *testing.T) {
 			t.Errorf("no column of the table stores a %s chunk (kind %d)", kindSpecs[k].name, k)
 		}
 	}
+}
+
+// dropLast returns v without its last value, if it has one.
+func dropLast[T any](v []T) []T {
+	return v[:max(len(v)-1, 0)]
 }

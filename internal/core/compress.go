@@ -114,7 +114,7 @@ func trainAndDecide(run *pipeline.Run, t *dataset.Table, thresholds []float64, o
 func decide(run *pipeline.Run, t *dataset.Table, md *modelData, opts Options,
 	experts []*nn.Autoencoder, assign []int) (*archiveState, *Result, error) {
 	hasModel := len(experts) > 0
-	st := &archiveState{md: md, autoenc: experts, assign: assign, experts: max(len(experts), 1)}
+	st := &archiveState{md: md, autoenc: experts, assign: assign, experts: max(len(experts), 1), infer: new(inferPool)}
 	res := &Result{}
 
 	var codesF *mat.Matrix
@@ -151,31 +151,26 @@ func decide(run *pipeline.Run, t *dataset.Table, md *modelData, opts Options,
 
 	// Iterative code truncation (paper §6.2): evaluate byte-step widths and
 	// keep the one minimizing codes+failures. Every candidate width is an
-	// independent quantize→failures pass, so the candidates run concurrently
-	// over the pool; then their streams pack together, a stream equal to the
+	// independent quantize→failures pass, in original row order, so the
+	// candidates run concurrently over the pool; each is priced in the grouped
+	// stored order, their streams pack together, a stream equal to the
 	// previous candidate's sharing its frame, and the winner is picked
-	// deterministically in candidate order. The winner's frames stay on st
-	// for the mapping choice and assembly.
-	st.fs = newFailureSet(md, 0)
+	// deterministically in candidate order. The winner's materialization and
+	// frames stay on st for the mapping choice and assembly.
 	if hasModel {
 		cand := []int{8, 16, 24, 32}
 		if opts.CodeBits != 0 {
 			cand = []int{opts.CodeBits}
 		}
-		storedCodes := permuteRows(codesF, grouped)
-		type candidate struct {
-			dims [][]int64
-			fs   failureSet
-		}
-		results := make([]candidate, len(cand))
+		rows := make([]streamSet, len(cand))
 		packs := make([]*packings, len(cand))
 		err := run.StageBytes("truncation-search", func() (int64, error) {
 			err := run.ForEach(len(cand), func(i int) error {
-				dims, fs, err := groupStreams(run, t, st, storedCodes, grouped, cand[i])
-				if err != nil {
+				var err error
+				if rows[i], err = computeFailures(run, st, codesF, cand[i]); err != nil {
 					return err
 				}
-				results[i], packs[i] = candidate{dims, fs}, newPackings(fs, dims)
+				packs[i] = newPackings(modelStreams(grouped, rows[i], t, md))
 				return nil
 			})
 			if err != nil {
@@ -188,7 +183,7 @@ func decide(run *pipeline.Run, t *dataset.Table, md *modelData, opts Options,
 			for i, bits := range cand {
 				opts.logf("truncation search: %d-bit codes → %d bytes (codes+failures)", bits, packs[i].size)
 				if packs[i].size < bestSize {
-					bestSize, st.codeBits, st.codeDims, st.fs, st.packs = packs[i].size, bits, results[i].dims, results[i].fs, packs[i]
+					bestSize, st.codeBits, st.rows, st.packs = packs[i].size, bits, rows[i], packs[i]
 				}
 			}
 			return bestSize, nil
@@ -200,18 +195,15 @@ func decide(run *pipeline.Run, t *dataset.Table, md *modelData, opts Options,
 	res.CodeBits = st.codeBits
 
 	// Expert mapping (paper §6.4): grouped storage with delta-coded indexes
-	// versus per-tuple labels — pick the smaller. Without KeepRowOrder the
-	// grouped form needs no indexes at all.
+	// versus per-tuple labels — pick the smaller. Both orders are gathered
+	// from the winning width's materialization; no row runs through a decoder
+	// again. Without KeepRowOrder the grouped form needs no indexes at all.
 	st.perm, st.grouped = grouped, true
 	if st.experts > 1 && hasModel && opts.KeepRowOrder {
 		err := run.Stage("mapping", func() error {
 			groupedCost := mappingCost(assign, grouped, st.spans, st.experts, true, true)
 			labelsCost := mappingCost(assign, identity, st.spans, st.experts, false, true)
-			dimsI, fsI, err := groupStreams(run, t, st, permuteRows(codesF, identity), identity, st.codeBits)
-			if err != nil {
-				return err
-			}
-			packsI := newPackings(fsI, dimsI)
+			packsI := newPackings(modelStreams(identity, st.rows, t, md))
 			if err := packAll(run, st.packs, packsI); err != nil {
 				return err
 			}
@@ -219,8 +211,7 @@ func decide(run *pipeline.Run, t *dataset.Table, md *modelData, opts Options,
 			opts.logf("mapping: grouped %d+%d vs labels %d+%d bytes",
 				sizeG, groupedCost, sizeI, labelsCost)
 			if sizeI+labelsCost < sizeG+groupedCost {
-				st.perm, st.grouped = identity, false
-				st.fs, st.codeDims, st.packs = fsI, dimsI, packsI
+				st.perm, st.grouped, st.packs = identity, false, packsI
 			}
 			return nil
 		})
@@ -390,10 +381,7 @@ const encodeBatchRows = 4096
 func encodeCodes(run *pipeline.Run, experts []*nn.Autoencoder, assign []int, x *mat.Matrix) (*mat.Matrix, error) {
 	codeSize := experts[0].CodeSize
 	out := mat.New(x.Rows, codeSize)
-	rowsByExpert := make([][]int, len(experts))
-	for r, a := range assign {
-		rowsByExpert[a] = append(rowsByExpert[a], r)
-	}
+	rowsByExpert := expertRows(assign, len(experts))
 	err := run.ForEach(len(experts), func(e int) error {
 		rows := rowsByExpert[e]
 		if len(rows) == 0 {
@@ -431,7 +419,8 @@ func groupedPerm(assign []int) []int {
 
 // groupedPermSpans is groupedPerm restricted to row-group boundaries: rows
 // are expert-sorted within each span, so every group's rows stay contiguous
-// in stored order and each segment can slice the global streams cleanly.
+// in stored order and each segment gathers a slice of the permutation. The
+// sort is stable, so each expert's rows stay ascending.
 func groupedPermSpans(assign []int, spans []rowSpan) []int {
 	perm := identityPerm(len(assign))
 	for _, sp := range spans {
@@ -448,15 +437,6 @@ func identityPerm(n int) []int {
 		perm[i] = i
 	}
 	return perm
-}
-
-// permuteRows returns m reordered so row s of the result is row perm[s].
-func permuteRows(m *mat.Matrix, perm []int) *mat.Matrix {
-	out := mat.New(m.Rows, m.Cols)
-	for s, orig := range perm {
-		copy(out.Row(s), m.Row(orig))
-	}
-	return out
 }
 
 // mappingCost totals the exact per-group mapping chunk sizes a stored order

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"slices"
@@ -351,6 +352,23 @@ func TestOptionsValidation(t *testing.T) {
 	for i, o := range bad {
 		if _, err := Compress(tb, thr, o); err == nil {
 			t.Errorf("case %d: invalid options accepted", i)
+		}
+	}
+}
+
+// An unknown partition mode is an error, in Compress and in
+// NewArchiveWriter, not a mixture of experts trained in its place.
+func TestOptionsRejectUnknownPartition(t *testing.T) {
+	tb := latentTable(50, 15)
+	thr := []float64{0, 0, 0.1, 0.1, 0}
+	for _, p := range []PartitionMode{-1, PartitionKMeans + 1} {
+		o := quickOpts()
+		o.NumExperts, o.Partition = 2, p
+		if _, err := Compress(tb, thr, o); err == nil || !strings.Contains(err.Error(), "partition") {
+			t.Errorf("partition %d: Compress error %v, want an unknown partition mode", p, err)
+		}
+		if _, err := NewArchiveWriter(io.Discard, tb.Schema, thr, o); err == nil || !strings.Contains(err.Error(), "partition") {
+			t.Errorf("partition %d: NewArchiveWriter error %v, want an unknown partition mode", p, err)
 		}
 	}
 }

@@ -845,12 +845,14 @@ func (d *decompressor) decodeExpert(g *groupDec, e int, pos []int, st *inferStat
 
 // inferPool is the inference memory a reader keeps between requests, held by
 // an Archive handle and by an ArchiveReader for their lifetimes so that a
-// warm reader's decode allocates no inference scratch: a free list of
-// inferStates, which serve any expert (a reader's experts share one
-// architecture). A state is made only when the list is empty, so it never
-// holds more states than the most decode workers that ever ran at once. It is
-// not a sync.Pool, which every GC empties, and it is not keyed by projection:
-// one state serves any (DESIGN.md §14).
+// warm reader's decode allocates no inference scratch, and the memory a
+// writer keeps between code widths and row groups, held by a Compress call
+// and by an ArchiveWriter for its lifetime: a free list of inferStates, which
+// serve any expert (an archive's experts share one architecture). A state is
+// made only when the list is empty, so it never holds more states than the
+// most inference workers that ever ran at once. It is not a sync.Pool, which
+// every GC empties, and it is not keyed by projection: one state serves any
+// (DESIGN.md §14).
 type inferPool struct {
 	mu   sync.Mutex
 	free []*inferState

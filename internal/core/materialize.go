@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"deepsqueeze/internal/codec"
 	"deepsqueeze/internal/colfile"
@@ -118,16 +117,21 @@ func classesAtRank(probs *mat.Matrix, ranks, classes []int) {
 // decodeBatchRows is the chunk size per decoder matmul.
 const decodeBatchRows = 2048
 
-// expertPositions groups the stored positions by assigned expert in one pass.
-// perm maps stored position → original row; assign is indexed by original
-// row. Positions come out ascending within each expert.
-func expertPositions(assign []int, perm []int, numExperts int) [][]int {
-	return expertPositionsRange(assign, perm, numExperts, 0, len(perm))
+// expertRows groups the rows by assigned expert in one pass, ascending
+// within each expert.
+func expertRows(assign []int, numExperts int) [][]int {
+	rows := make([][]int, numExperts)
+	for r, e := range assign {
+		rows[e] = append(rows[e], r)
+	}
+	return rows
 }
 
-// expertPositionsRange is expertPositions restricted to stored positions
-// whose original row falls in [lo, hi) — how a row-ranged decompression
-// avoids running decoder inference for rows it will not materialize.
+// expertPositionsRange groups a group's stored positions by assigned expert
+// in one pass, keeping those whose original row falls in [lo, hi) — how a
+// row-ranged decompression avoids running decoder inference for rows it will
+// not materialize. perm maps stored position → original row; assign is
+// indexed by original row. Positions come out ascending within each expert.
 func expertPositionsRange(assign []int, perm []int, numExperts, lo, hi int) [][]int {
 	posBy := make([][]int, numExperts)
 	for s, orig := range perm {
@@ -150,11 +154,12 @@ type inferState struct {
 	ranks, classes []int
 }
 
-// expertBatches feeds one expert's stored positions through its decoder —
-// dec32, the float32 view, when the archive plan carries flagFloat32 —
-// restricted to want, in decodeBatchRows-sized chunks gathered into st.
-// Iteration is expert-major with ascending stored positions inside each
-// expert, which both compression and decompression follow identically; the
+// expertBatches feeds one expert's positions — rows of recCodes — through
+// its decoder — dec32, the float32 view, when the archive plan carries
+// flagFloat32 — restricted to want, in decodeBatchRows-sized chunks gathered
+// into st. Compression passes each expert's original rows in ascending order
+// and decompression its stored positions in ascending order, which are the
+// same rows in the same order in every stored order a writer emits; the
 // chunking depends only on the position list, so predictions are independent
 // of parallelism at either precision.
 func expertBatches(st *inferState, dec *nn.Decoder, dec32 *nn.Decoder32, want []bool, recCodes *mat.Matrix, positions []int,
@@ -177,81 +182,49 @@ func expertBatches(st *inferState, dec *nn.Decoder, dec32 *nn.Decoder32, want []
 	}
 }
 
-// failureSet holds the model columns' chunks (colStreams' entries of every
-// column with a spec) in stored order: each dense stream indexed by stored
-// position, each sparse queue — escaped codes, or the values of mispredicted
-// continuous rows — ordered by the stored position of the row that consumes
-// it. A queue is present only when it holds something.
-type failureSet map[streamKey]stream
+// streamSet maps chunks to their streams. A code width's materialization is
+// one, indexed by original row: its code dimensions and the model columns'
+// dense streams, from which gather reads any stored order. The set one stored
+// order is priced by is another: those streams gathered into that order, and
+// each sparse queue that holds something.
+type streamSet map[streamKey]stream
 
-// newFailureSet returns md's failure set with each dense stream n zeros long
-// and no queue: computeFailures fills it in, and with n = 0 it is the failure
-// set of a table without a model (no columns with specs, or no rows).
-func newFailureSet(md *modelData, n int) failureSet {
-	fs := make(failureSet)
+// computeFailures materializes one code width: codes, one row per original
+// row, are quantized to bits and every row is run back through its expert's
+// decoder. The result holds, by original row, the code dimensions and the
+// model columns' dense streams — per-row failures (an escaped categorical
+// code stores the column's cardinality) and misprediction flags — and the
+// truncation search, the mapping choice, assembly and the streaming writer's
+// later groups all gather their stored orders from it. Each expert visits its
+// rows in ascending order, in decodeBatchRows chunks — the batches a reader
+// of any stored order runs, since a grouped order keeps each expert's rows
+// ascending — concurrently over the run's pool, writing disjoint rows of a
+// set that is fully keyed before the fan-out, in inference memory drawn from
+// st.infer; the result is identical at every parallelism level. Inference is
+// float64: no writer emits the float32 plan (DESIGN.md §15).
+func computeFailures(run *pipeline.Run, st *archiveState, codes *mat.Matrix, bits int) (streamSet, error) {
+	md := st.md
+	dims, recCodes := quantizeCodes(codes, bits)
+	fs := make(streamSet)
+	for d, dim := range dims {
+		fs[streamKey{codeDim, 0, d}] = stream{ints: dim}
+	}
 	for col := range md.plan.Cols {
 		if md.specOfCol[col] < 0 {
 			continue
 		}
 		for _, e := range colStreams(md.plan, md.layout, col) {
 			if kindSpecs[e.kind].dense { // every dense model stream is an int stream
-				fs[streamKey{e.kind, col, e.digit}] = stream{ints: make([]int64, n)}
+				fs[streamKey{e.kind, col, e.digit}] = stream{ints: make([]int64, md.rows)}
 			}
 		}
 	}
-	return fs
-}
-
-// groupStreams is what one stored order costs at one code width: stored holds
-// the float codes in the order of perm; they are quantized to bits and every
-// tuple is run back through its expert's decoder to derive the failure
-// streams. The truncation search, the mapping choice and the streaming
-// writer's later groups all price or emit their rows through it.
-func groupStreams(run *pipeline.Run, t *dataset.Table, st *archiveState, stored *mat.Matrix, perm []int, bits int) ([][]int64, failureSet, error) {
-	dims, rec := quantizeCodes(stored, bits)
-	fs, err := computeFailures(run, t, st.md, st.decoders, st.assign, rec, perm)
-	return dims, fs, err
-}
-
-// posVal is one value of a sparse queue and the stored position of the row
-// that consumes it.
-type posVal[T any] struct {
-	pos int
-	val T
-}
-
-// queue orders a sparse queue's values by stored position, the order the
-// reader consumes them in (stored positions are unique, so the order is
-// total).
-func queue[T any](pv []posVal[T]) []T {
-	sort.Slice(pv, func(i, j int) bool { return pv[i].pos < pv[j].pos })
-	vals := make([]T, len(pv))
-	for i, e := range pv {
-		vals[i] = e.val
-	}
-	return vals
-}
-
-// computeFailures runs every tuple through its expert's decoder using the
-// reconstructed codes and derives the per-column failure streams. Experts are
-// processed concurrently over the run's pool: the dense streams are written
-// into disjoint stored-position slots (the set is fully keyed before the
-// fan-out, so workers only read it), and the sparse exception /
-// continuous-correction queues are collected per expert and merged by stored
-// position afterwards — the result is identical at every parallelism level.
-// Inference is float64: no writer emits the float32 plan (DESIGN.md §15). t
-// supplies the raw values mispredicted continuous tuples store as corrections.
-func computeFailures(run *pipeline.Run, t *dataset.Table, md *modelData, decoders []*nn.Decoder,
-	assign []int, recCodes *mat.Matrix, perm []int) (failureSet, error) {
-	fs := newFailureSet(md, len(perm))
-	posBy := expertPositions(assign, perm, len(decoders))
-	perExcepts := make([]map[int][]posVal[int64], len(decoders))
-	perContws := make([]map[int][]posVal[float64], len(decoders))
-	err := run.ForEach(len(decoders), func(e int) error {
-		excepts := make(map[int][]posVal[int64])
-		contws := make(map[int][]posVal[float64])
-		dec := decoders[e]
-		expertBatches(new(inferState), dec, nil, nil, recCodes, posBy[e], func(chunk []int, p *nn.Predictions) {
+	rowsBy := expertRows(st.assign, len(st.decoders))
+	err := run.ForEach(len(st.decoders), func(e int) error {
+		is := st.infer.get()
+		defer st.infer.put(is)
+		dec := st.decoders[e]
+		expertBatches(is, dec, nil, nil, recCodes, rowsBy[e], func(chunk []int, p *nn.Predictions) {
 			for si, spec := range md.specs {
 				col := md.specCols[si]
 				cp := &md.plan.Cols[col]
@@ -262,33 +235,27 @@ func computeFailures(run *pipeline.Run, t *dataset.Table, md *modelData, decoder
 					if cp.Kind == preprocess.KindNumContinuous {
 						vals := md.contVals[col]
 						mask := fs[streamKey{failContMask, col, 0}].ints
-						for i, s := range chunk {
-							orig := perm[s]
-							pred := p.Num.At(i, np)
-							if math.Abs(pred-vals[orig]) <= cp.Threshold {
-								mask[s] = 0
-							} else {
-								mask[s] = 1
-								contws[col] = append(contws[col], posVal[float64]{s, t.Num[col][orig]})
+						for i, r := range chunk {
+							if !(math.Abs(p.Num.At(i, np)-vals[r]) <= cp.Threshold) {
+								mask[r] = 1
 							}
 						}
 						continue
 					}
 					lv := levels(cp)
 					cc := md.codes[col]
-					for i, s := range chunk {
-						predIdx := nearestLevel(cp, p.Num.At(i, np), lv)
-						out[s] = int64(cc[perm[s]] - predIdx)
+					for i, r := range chunk {
+						out[r] = int64(cc[r] - nearestLevel(cp, p.Num.At(i, np), lv))
 					}
 				case nn.OutBinary:
 					bp := dec.BinPos(si)
 					cc := md.codes[col]
-					for i, s := range chunk {
+					for i, r := range chunk {
 						predBit := 0
 						if p.Bin.At(i, bp) >= 0.5 {
 							predBit = 1
 						}
-						out[s] = int64(predBit ^ cc[perm[s]])
+						out[r] = int64(predBit ^ cc[r])
 					}
 				case nn.OutCategorical:
 					j := dec.CatPos(si)
@@ -300,48 +267,110 @@ func computeFailures(run *pipeline.Run, t *dataset.Table, md *modelData, decoder
 						l := cp.ResLayout()
 						d := md.specDigit[si]
 						out := fs[streamKey{failDigit, col, d}].ints
-						for i, s := range chunk {
-							out[s] = int64(rankOf(probs.Row(i), l.Digit(cc[perm[s]], d)))
+						for i, r := range chunk {
+							out[r] = int64(rankOf(probs.Row(i), l.Digit(cc[r], d)))
 						}
 						continue
 					}
-					for i, s := range chunk {
-						actual := cc[perm[s]]
-						if actual >= spec.Card {
-							out[s] = int64(spec.Card) // escape
-							excepts[col] = append(excepts[col], posVal[int64]{s, int64(actual)})
-							continue
+					for i, r := range chunk {
+						if actual := cc[r]; actual >= spec.Card {
+							out[r] = int64(spec.Card) // escape
+						} else {
+							out[r] = int64(rankOf(probs.Row(i), actual))
 						}
-						out[s] = int64(rankOf(probs.Row(i), actual))
 					}
 				}
 			}
 		})
-		perExcepts[e] = excepts
-		perContws[e] = contws
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	// Merge the per-expert queues, then order each by stored position.
-	excepts := make(map[int][]posVal[int64])
-	contws := make(map[int][]posVal[float64])
-	for e := range decoders {
-		for col, pv := range perExcepts[e] {
-			excepts[col] = append(excepts[col], pv...)
-		}
-		for col, pv := range perContws[e] {
-			contws[col] = append(contws[col], pv...)
-		}
-	}
-	for col, pv := range excepts {
-		fs[streamKey{failExceptions, col, 0}] = stream{ints: queue(pv)}
-	}
-	for col, pv := range contws {
-		fs[streamKey{failContVals, col, 0}] = stream{floats: queue(pv)}
-	}
 	return fs, nil
+}
+
+// gather returns what chunk key stores for the rows of perm, in that order —
+// the one rule every stored order is read by. A stream of rows, a width's
+// materialization, is indexed through perm; a sparse queue is read in stored
+// order wherever the dense stream its escapes consume marks one (an escaped
+// rank consumes an exception, from md.codes; a set mask flag a correction,
+// from t.Num); a fallback column's values come from t and a trivial column's
+// codes from md. Where perm is a run of consecutive rows, a dense stream held
+// in the right type is a slice of its source, not a copy.
+func gather(key streamKey, perm []int, rows streamSet, t *dataset.Table, md *modelData) (s stream) {
+	switch key.kind {
+	case failExceptions, failContVals:
+		marks, escape := rows[streamKey{failContMask, key.col, 0}].ints, int64(1)
+		if key.kind == failExceptions {
+			marks, escape = rows[streamKey{failInts, key.col, 0}].ints, int64(md.specs[md.specOfCol[key.col]].Card)
+		}
+		for _, r := range perm {
+			switch {
+			case marks[r] != escape:
+			case key.kind == failExceptions:
+				s.ints = append(s.ints, int64(md.codes[key.col][r]))
+			default:
+				s.floats = append(s.floats, t.Num[key.col][r])
+			}
+		}
+	case fallbackStrs:
+		s.strs = gatherRows(t.Str[key.col], perm)
+	case fallbackNums:
+		s.floats = gatherRows(t.Num[key.col], perm)
+	case trivialCodes:
+		s.ints = make([]int64, len(perm))
+		for i, r := range perm {
+			s.ints[i] = int64(md.codes[key.col][r])
+		}
+	default:
+		s.ints = gatherRows(rows[key].ints, perm)
+	}
+	return s
+}
+
+// gatherRows returns src's values at the rows of perm, in that order: a
+// slice of src when perm is a run of consecutive rows, a copy otherwise.
+func gatherRows[T any](src []T, perm []int) []T {
+	for i, r := range perm {
+		if r != perm[0]+i {
+			out := make([]T, len(perm))
+			for i, r := range perm {
+				out[i] = src[r]
+			}
+			return out
+		}
+	}
+	if len(perm) == 0 {
+		return nil
+	}
+	return src[perm[0] : perm[0]+len(perm)]
+}
+
+// modelStreams is the set one stored order is priced by: every stream of rows
+// (the code dimensions and the model columns' dense streams) gathered into the
+// order of perm, and each model column's sparse queue when it holds
+// something.
+func modelStreams(perm []int, rows streamSet, t *dataset.Table, md *modelData) streamSet {
+	set := make(streamSet, len(rows))
+	for key := range rows {
+		set[key] = gather(key, perm, rows, t, md)
+	}
+	for col := range md.plan.Cols {
+		if md.specOfCol[col] < 0 {
+			continue
+		}
+		for _, e := range colStreams(md.plan, md.layout, col) {
+			if kindSpecs[e.kind].dense {
+				continue
+			}
+			key := streamKey{e.kind, col, e.digit}
+			if s := gather(key, perm, rows, t, md); len(s.ints)+len(s.floats) > 0 {
+				set[key] = s
+			}
+		}
+	}
+	return set
 }
 
 // nearestLevel maps a regression output in [0,1] to the nearest discrete
@@ -462,17 +491,6 @@ type stream struct {
 	strs   []string
 }
 
-// slice returns values [lo, hi) of s, a stream of kind.
-func (s stream) slice(kind streamKind, lo, hi int) stream {
-	switch kindSpecs[kind].frame {
-	case frameFloats:
-		return stream{floats: s.floats[lo:hi]}
-	case frameStrings:
-		return stream{strs: s.strs[lo:hi]}
-	}
-	return stream{ints: s.ints[lo:hi]}
-}
-
 // pack frames s, a stream of kind.
 func (s *stream) pack(kind streamKind) []byte {
 	switch kindSpecs[kind].frame {
@@ -526,23 +544,20 @@ func (s *stream) same(o *stream) bool {
 		})
 }
 
-// packings is every stream of one (code dimensions, failure set) pair and,
-// once packAll has run, its frame: what a truncation
-// candidate costs and, for the winner, the frames assembly writes instead of
-// packing the same streams again. A packings lives in one archiveState from
-// decide until frameState has built the segments.
+// packings is every stream of one priced set (modelStreams) and, once packAll
+// has run, its frame: what a truncation candidate or a stored order costs
+// and, for the winner, the frames assembly writes instead of packing the same
+// streams again. A packings lives in one archiveState from decide until
+// frameState has built the segments.
 type packings struct {
 	streams map[streamKey]*packedStream
 	size    int64 // total frame bytes, set by packAll
 }
 
-// newPackings lists the streams of codeDims and fs, none packed yet.
-func newPackings(fs failureSet, codeDims [][]int64) *packings {
-	p := &packings{streams: make(map[streamKey]*packedStream, len(codeDims)+len(fs))}
-	for d, s := range codeDims {
-		p.streams[streamKey{codeDim, 0, d}] = &packedStream{stream: stream{ints: s}}
-	}
-	for key, s := range fs {
+// newPackings lists the streams of set, none packed yet.
+func newPackings(set streamSet) *packings {
+	p := &packings{streams: make(map[streamKey]*packedStream, len(set))}
+	for key, s := range set {
 		p.streams[key] = &packedStream{stream: s}
 	}
 	return p

@@ -100,6 +100,9 @@ func (o *Options) validate() error {
 	if o.NumExperts < 1 {
 		return fmt.Errorf("core: %d experts", o.NumExperts)
 	}
+	if o.Partition != PartitionMoE && o.Partition != PartitionKMeans {
+		return fmt.Errorf("core: unknown partition mode %d", o.Partition)
+	}
 	switch o.CodeBits {
 	case 0, 8, 16, 24, 32:
 	default:

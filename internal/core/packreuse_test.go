@@ -38,9 +38,9 @@ func checkPackingsFresh(t *testing.T, p *packings) {
 // Reusing packings never changes bytes. Two experts with KeepRowOrder make
 // the truncation search, the mapping choice and assembly all reuse frames;
 // at Parallelism 1, 4 and NumCPU, in one row group (assembly writes the
-// decisions' frames) and in several (it packs slices afresh), the archive
-// equals the one assembled from the same decisions with no packings kept —
-// every segment packed afresh — and Compress's.
+// decisions' frames) and in several (it packs each group's streams afresh),
+// the archive equals the one assembled from the same decisions with no
+// packings kept — every segment packed afresh — and Compress's.
 func TestPackingReuseIsByteIdentical(t *testing.T) {
 	tb := latentTable(1500, 27)
 	thr := []float64{0, 0, 0.05, 0.05, 0}
@@ -92,16 +92,17 @@ func TestPackingReuseIsByteIdentical(t *testing.T) {
 // under the same key, keeps frames already packed, and packs the rest
 // afresh; -0 and +0 are different streams.
 func TestPackAllSharesOnlyEqualStreams(t *testing.T) {
-	mk := func(ints []int64, vals []float64) failureSet {
-		return failureSet{
+	mk := func(ints []int64, vals []float64, dim []int64) streamSet {
+		return streamSet{
+			{codeDim, 0, 0}:      {ints: dim},
 			{failInts, 3, 0}:     {ints: ints},
 			{failContMask, 5, 0}: {ints: []int64{0, 1, 0, 1}},
 			{failContVals, 5, 0}: {floats: vals},
 		}
 	}
 	ranks := []int64{0, 0, 1, 0, 2, 0, 0, 5}
-	a := newPackings(mk(ranks, []float64{1.5, 0}), [][]int64{{1, 2, 3}})
-	b := newPackings(mk(append([]int64(nil), ranks...), []float64{1.5, math.Copysign(0, -1)}), [][]int64{{1, 2, 4}})
+	a := newPackings(mk(ranks, []float64{1.5, 0}, []int64{1, 2, 3}))
+	b := newPackings(mk(append([]int64(nil), ranks...), []float64{1.5, math.Copysign(0, -1)}, []int64{1, 2, 4}))
 	run := pipeline.New(context.Background(), 2)
 	if err := packAll(run, a, b); err != nil {
 		t.Fatal(err)
@@ -121,7 +122,7 @@ func TestPackAllSharesOnlyEqualStreams(t *testing.T) {
 	}
 	// A frame already packed is kept, and a later set still shares it.
 	kept := a.streams[ints].frame
-	d := newPackings(mk(ranks, []float64{1.5, 0}), [][]int64{{1, 2, 3}})
+	d := newPackings(mk(ranks, []float64{1.5, 0}, []int64{1, 2, 3}))
 	if err := packAll(run, a, d); err != nil {
 		t.Fatal(err)
 	}

@@ -156,9 +156,10 @@ func (aw *ArchiveWriter) start(chunk *dataset.Table) error {
 		return err
 	}
 	// Later groups need the model, the decisions, the training plan and its
-	// specs; the first group's rows and streams are let go.
+	// specs, and the inference memory; the first group's rows and streams are
+	// let go.
 	st.md = &modelData{layout: st.md.layout, plan: st.md.plan}
-	st.fs, st.codeDims, st.perm, st.assign, st.spans = nil, nil, nil, nil, nil
+	st.rows, st.perm, st.assign, st.spans = nil, nil, nil, nil
 	aw.first = st
 	return nil
 }
@@ -187,16 +188,16 @@ func (aw *ArchiveWriter) flushGroup(chunk *dataset.Table) error {
 	// group's model data, rows and expert assignment.
 	st := *aw.first
 	st.md, st.assign = md, make([]int, md.rows)
-	if aw.cfg.hasModel && st.experts > 1 {
+	hasModel := aw.cfg.codeSize > 0
+	if hasModel && st.experts > 1 {
 		st.assign = (&nn.MoE{Experts: st.autoenc}).Assign(md.x, md.targets)
 	}
 	g := segmentData{
 		span:      rowSpan{aw.f.rows, md.rows},
 		planChunk: plan.AppendBinary(nil),
-		fs:        newFailureSet(md, 0),
 		perm:      identityPerm(md.rows),
 	}
-	if aw.cfg.hasModel {
+	if hasModel {
 		codesF, err := encodeCodes(aw.run, st.autoenc, st.assign, md.x)
 		if err != nil {
 			return err
@@ -204,7 +205,7 @@ func (aw *ArchiveWriter) flushGroup(chunk *dataset.Table) error {
 		if st.grouped {
 			g.perm = groupedPerm(st.assign)
 		}
-		if g.dims, g.fs, err = groupStreams(aw.run, chunk, &st, permuteRows(codesF, g.perm), g.perm, st.codeBits); err != nil {
+		if g.rows, err = computeFailures(aw.run, &st, codesF, st.codeBits); err != nil {
 			return err
 		}
 	}

@@ -175,8 +175,13 @@ func (m *refModel) update(sym int) {
 // reference model encodes, and the decoder — one division and one tree walk
 // per symbol — returns the reference pair's symbols and ends in its
 // low/rng/code/pos, with the same model; DecodeAdaptive, the per-symbol
-// decoder fused into one loop, returns the same symbols.
+// decoder fused into one loop, returns the same symbols. Single-threaded
+// arithmetic: it skips under the race detector, and check.sh runs it
+// uninstrumented.
 func TestDecoderMatchesTwoCallReference(t *testing.T) {
+	if raceEnabled {
+		t.Skip("single-goroutine sweep; runs uninstrumented (see scripts/check.sh)")
+	}
 	rng := rand.New(rand.NewSource(8))
 	for trial := 0; trial < 200; trial++ {
 		alphabet := 1 + rng.Intn(4096)

@@ -181,7 +181,9 @@ step "uninstrumented tests"
 # acceptance bounds (range codecs >= 10% off the near-deterministic fixture's
 # failure+code bytes, residual digits >= 10% off the clickstream archive),
 # 20 000- and 30 000-row compress pairs that would cost tens of seconds raced.
-# The exp and tanh sweeps: millions of scalar calls, nothing to race; and the
+# The exp and tanh sweeps: millions of scalar calls, nothing to race; the
+# range coder's rescale-boundary and two-call-reference sweeps and colfile's
+# decompression-bomb cap, single-goroutine work that skips raced; and the
 # long sweeps of the softmax, rank-to-class and fused range-decode pins and of
 # the read paths at every parallelism, which run a short trial raced.
 go test -run='^TestWarmCachedQueryAllocs$' -count=1 ./internal/serve
@@ -189,7 +191,8 @@ go test -run='^TestWriteCSVAllocs$' -count=1 ./internal/dataset
 go test -run='^(TestWarmHandleQueryBytesSurviveGC|TestReaderReusesInferenceMemory|TestDecompressParallelDeterminism|TestArchiveWriterAutoCodecAllocs|TestArchiveWriterLargeWriteIsLinear|TestAutoUsesRangeCodecsOnSkewedData|TestResidualShrinksClickstream|TestClassAtRankMatchesReference)$' -count=1 ./internal/core
 go test -run='^(TestExpMatchesReference|TestExpReferenceMatchesMathExp|TestTanhReferenceMatchesMathTanh)$' -count=1 ./internal/mat
 go test -run='^TestSoftmaxMatchesReference$' -count=1 ./internal/nn
-go test -run='^TestDecodeAdaptiveMatchesReference$' -count=1 ./internal/rangecoder
+go test -run='^(TestDecodeAdaptiveMatchesReference|TestRescaleAtMaxTotalBoundary|TestDecoderMatchesTwoCallReference)$' -count=1 ./internal/rangecoder
+go test -run='^TestInflateBombCap$' -count=1 ./internal/colfile
 
 step "fuzz smoke"
 # Short coverage-guided runs of the decode-path fuzzers: any panic or
