@@ -495,6 +495,7 @@ func decompressStream(ctx context.Context, in, out string, opts deepsqueeze.Deco
 			}
 			t0 := time.Now()
 			g, err := ar.Next()
+			wait := time.Since(t0)
 			if err == io.EOF {
 				return cw.Flush()
 			}
@@ -507,7 +508,15 @@ func decompressStream(ctx context.Context, in, out string, opts deepsqueeze.Deco
 			rows += g.NumRows()
 			groups++
 			if verbose {
-				fmt.Fprintf(os.Stderr, "group %d: %d rows in %v\n", groups-1, g.NumRows(), time.Since(t0).Round(time.Microsecond))
+				// The reader decodes each group while the caller writes the
+				// one before it, so Next mostly waits; the group's own
+				// decode time is the sum of its stages.
+				var decode time.Duration
+				for _, st := range ar.Stages() {
+					decode += st.Wall
+				}
+				fmt.Fprintf(os.Stderr, "group %d: %d rows, decoded in %v, waited %v in Next\n", groups-1, g.NumRows(),
+					decode.Round(time.Microsecond), wait.Round(time.Microsecond))
 			}
 		}
 	})

@@ -184,6 +184,7 @@ type decompressor struct {
 	decoders []*nn.Decoder
 	decs32   []*nn.Decoder32 // float32 views when flagFloat32, parallel to decoders
 	infer    *inferPool      // the reader's retained inference memory
+	slots    *decodeSlots    // the streaming reader's reused decode slots; nil for a handle
 
 	groups []*groupDec
 	nOut   int // total output rows across surviving groups
@@ -216,22 +217,39 @@ func (a *Archive) decompress(ctx context.Context, opts DecompressOptions) (*Deco
 // entry per row group and decodes only the groups whose entry is true.
 func (a *Archive) decodeStages(run *pipeline.Run, opts DecompressOptions, mask []bool) (*decompressor, error) {
 	d := &decompressor{run: run, opts: opts, mask: mask, h: a, meta: a.meta, infer: &a.infer}
-	stages := []struct {
-		name string
-		fn   func() (int64, error)
-	}{
-		{"parse", func() (int64, error) { return 0, d.parse() }},
-		{"scan", d.scan},
-		{"unpack", d.unpack},
-		{"resolve", func() (int64, error) { return 0, d.resolve() }},
-		{"decode", func() (int64, error) { return 0, d.decode() }},
-	}
-	for _, st := range stages {
-		if err := run.StageBytes(st.name, st.fn); err != nil {
-			return nil, err
-		}
+	err := d.decodeThrough(
+		stage{"parse", func() (int64, error) { return 0, d.parse() }},
+		stage{"scan", d.scan},
+	)
+	if err != nil {
+		return nil, err
 	}
 	return d, nil
+}
+
+// stage is one named, timed request stage; fn returns the bytes the stage
+// decoded or skipped, which its StageStats record.
+type stage struct {
+	name string
+	fn   func() (int64, error)
+}
+
+// decodeThrough runs the leading stages that lay out and scan a request's
+// groups, then unpack → resolve → decode, each timed on d.run, stopping at
+// the first error. Handle requests and the streaming reader's groups share
+// it.
+func (d *decompressor) decodeThrough(lead ...stage) error {
+	stages := append(lead,
+		stage{"unpack", d.unpack},
+		stage{"resolve", func() (int64, error) { return 0, d.resolve() }},
+		stage{"decode", func() (int64, error) { return 0, d.decode() }},
+	)
+	for _, st := range stages {
+		if err := d.run.StageBytes(st.name, st.fn); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // parse applies the request's row policy (MaxRows) to the handle's
@@ -679,30 +697,61 @@ func (d *decompressor) resolve() error {
 	})
 }
 
-// resolveGroupInit inverts a group's perm and allocates its decode slots.
+// resolveGroupInit inverts a group's perm and sets up its decode slots.
 func (d *decompressor) resolveGroupInit(g *groupDec) {
-	g.unperm = make([]int, g.count)
+	ncols := len(d.meta.plan.Cols)
+	var fresh decodeSlots
+	s := d.slots
+	if s == nil {
+		s = &fresh
+	}
+	if len(s.colCodes) != ncols {
+		s.colCodes, s.contOut = make([][]int, ncols), make([][]float64, ncols)
+	}
+	g.unperm = reuse(&s.unperm, g.count)
 	g.inOrder = true
 	for s, orig := range g.perm {
 		g.unperm[orig] = s
 		g.inOrder = g.inOrder && orig == s
 	}
-	g.colCodes = make([][]int, len(d.meta.plan.Cols))
-	g.contOut = make([][]float64, len(d.meta.plan.Cols))
+	g.colCodes, g.contOut = s.colCodes, s.contOut
 	for si, col := range d.meta.layout.specCols {
-		if !d.wantSpec[si] {
+		// Residual columns repeat in specCols, one entry per digit; the
+		// digits accumulate into digit 0's zeroed code slice.
+		if !d.wantSpec[si] || d.meta.layout.specDigit[si] > 0 {
 			continue
 		}
 		if d.meta.plan.Cols[col].Kind == preprocess.KindNumContinuous {
-			g.contOut[col] = make([]float64, g.count)
-		} else if g.colCodes[col] == nil {
-			// Residual columns repeat in specCols (one entry per digit);
-			// the digits accumulate into one shared code slice.
-			g.colCodes[col] = make([]int, g.count)
+			reuse(&g.contOut[col], g.count)
+		} else {
+			reuse(&g.colCodes[col], g.count)
 		}
 	}
 	g.excAt = make([]map[int]int64, len(d.meta.layout.specs))
 	g.valAt = make([]map[int]float64, len(d.meta.layout.specs))
+}
+
+// decodeSlots are a group's decode slots: its inverted perm, and per schema
+// column its model codes or continuous values. A streaming reader decodes
+// one group at a time and keeps one set (decompressor.slots), which each
+// group takes over from the one before it; a handle request decodes its
+// groups side by side, each in fresh slots.
+type decodeSlots struct {
+	unperm   []int
+	colCodes [][]int
+	contOut  [][]float64
+}
+
+// reuse sets *slot to n zeroed elements, in its own storage when that holds
+// enough, and returns it.
+func reuse[T any](slot *[]T, n int) []T {
+	if cap(*slot) < n {
+		*slot = make([]T, n)
+	} else {
+		*slot = (*slot)[:n]
+		clear(*slot)
+	}
+	return *slot
 }
 
 // resolveSpec builds one group × spec column's escape/correction queue map.

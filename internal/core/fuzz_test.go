@@ -274,7 +274,7 @@ func FuzzDecompress(f *testing.F) {
 // streaming reader — the one reader that decodes bytes before the archive
 // checksum has vouched for them. Every input ends in decoded groups and then
 // io.EOF, or in an ErrCorrupt-classified error: never a panic, never an
-// unclassified error. Each input is read twice: whole, then under a
+// unclassified error, and never a group left decoding ahead. Each input is read twice: whole, then under a
 // projection and a row span derived from its bytes, the span inside the rows
 // the first read returned. The row cap keeps the fuzzer's allocations small.
 func FuzzArchiveReader(f *testing.F) {
@@ -302,6 +302,12 @@ func FuzzArchiveReader(f *testing.F) {
 			}
 			if ar == nil {
 				return nil, rows, err
+			}
+			// The Next that ends a read leaves no group decoding ahead.
+			select {
+			case <-ar.ahead.done:
+			default:
+				t.Fatalf("%+v: a group still decodes after Next returned %v", opts, err)
 			}
 			return ar.Schema(), rows, err
 		}

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io/fs"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -14,7 +15,7 @@ import (
 	"deepsqueeze/internal/dataset"
 )
 
-var updateGolden = flag.Bool("update", false, "regenerate version-2 golden archive fixtures")
+var updateGolden = flag.Bool("update", false, "write the version-2 golden fixtures not committed yet")
 
 // goldenCase is one committed archive fixture: a deterministic table, the
 // options it was compressed with, and the fixture's base name under
@@ -204,34 +205,46 @@ func goldenOpts(experts int) Options {
 	return o
 }
 
+// writeNewGolden writes a v2 fixture that is not committed yet: gc's archive
+// to arcPath and its decode to csvPath. A committed archive is frozen — it
+// pins that what an older writer emitted still decodes — so when arcPath
+// exists neither file is touched.
+func writeNewGolden(t *testing.T, gc goldenCase, arcPath, csvPath string) {
+	t.Helper()
+	if _, err := os.Stat(arcPath); !errors.Is(err, fs.ErrNotExist) {
+		return
+	}
+	fresh := goldenArchive(t, gc)
+	got, err := Decompress(fresh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := got.WriteCSV(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(arcPath, fresh, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(csvPath, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("wrote %s (%d bytes) and %s", arcPath, len(fresh), csvPath)
+}
+
 // TestGoldenArchives is the format-stability gate: every committed .dsqz
 // fixture must still parse under its recorded version and decode
 // byte-for-byte to its committed .csv — v1 fixtures prove the v2 reader
-// keeps decoding legacy archives identically. Run with -update to
-// regenerate the v2 fixtures after a deliberate, versioned format change;
-// v1 fixtures and f32_v2 are frozen and never rewritten.
+// keeps decoding legacy archives identically. Every committed fixture is
+// frozen: -update writes only the v2 fixtures whose archive does not exist
+// yet (a new case), and never rewrites one.
 func TestGoldenArchives(t *testing.T) {
 	for _, gc := range goldenCases() {
 		t.Run(gc.name, func(t *testing.T) {
 			arcPath := filepath.Join("testdata", gc.name+".dsqz")
 			csvPath := filepath.Join("testdata", gc.name+".csv")
 			if *updateGolden && gc.version >= 2 && gc.build != nil {
-				fresh := goldenArchive(t, gc)
-				got, err := Decompress(fresh)
-				if err != nil {
-					t.Fatal(err)
-				}
-				var buf bytes.Buffer
-				if err := got.WriteCSV(&buf); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(arcPath, fresh, 0o644); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(csvPath, buf.Bytes(), 0o644); err != nil {
-					t.Fatal(err)
-				}
-				t.Logf("wrote %s (%d bytes) and %s", arcPath, len(fresh), csvPath)
+				writeNewGolden(t, gc, arcPath, csvPath)
 			}
 			archive, err := os.ReadFile(arcPath)
 			if err != nil {

@@ -9,6 +9,7 @@ import (
 	"hash/crc32"
 	"io"
 	"slices"
+	"sync"
 
 	"deepsqueeze/internal/dataset"
 	"deepsqueeze/internal/nn"
@@ -246,18 +247,29 @@ func sliceRows(t *dataset.Table, lo, hi int) *dataset.Table {
 }
 
 // ArchiveReader decompresses a version-2 archive group by group from an
-// io.Reader, holding at most one row group's streams in memory. Each call to
-// Next returns the next row group's rows in original order — decoded by the
-// same unpack → resolve → decode → assemble stage functions every
-// handle-based request runs, over a one-group list — and io.EOF signals the
-// end, after the footer index and the archive checksum have been verified
-// against everything read.
+// io.Reader. Each call to Next returns the next row group's rows in original
+// order — decoded by the same unpack → resolve → decode → assemble stage
+// functions every handle-based request runs, over a one-group list — and
+// io.EOF signals the end, after the footer index and the archive checksum
+// have been verified against everything read.
+//
+// The reader decodes one group ahead: while group k decodes, Next reads and
+// checksums group k+1's segment and queues it for the goroutine decoding
+// group k, which goes on to decode it the moment group k is done, so the
+// caller renders group k while group k+1 decodes. That goroutine ends when
+// no group is queued. The reader holds at most two decoded groups (the one
+// the caller has, the one decoding) and one framed segment read ahead. The
+// io.Reader is read only inside NewArchiveReader and Next, and an error
+// surfaces in group order: a corrupt or truncated group fails the Next that
+// would return it, and every Next after it.
 //
 // It takes the DecompressOptions a handle takes, and Next's tables
 // concatenate to the handle's: Columns projects every group, and a RowRange
 // passes over the groups outside it (read and checksummed, never unpacked)
 // and decodes only the selected rows of the groups at its edges. A span
 // ending past the last row fails at the footer, where the row count is known.
+// Parallelism counts the decode workers, the goroutine decoding ahead
+// included.
 //
 // Version-1 archives (no row groups) are accepted for compatibility by
 // buffering the whole archive and decompressing in memory; the single table
@@ -272,10 +284,40 @@ type ArchiveReader struct {
 	rowsSeen int
 	metas    []groupMeta
 	sawStats bool
-	finished bool
 
-	v1Table *dataset.Table // version-1 fallback, served once
-	schema  *dataset.Schema
+	ahead  *aheadGroup  // what the next Next returns; nil until the first Next
+	stages []StageStats // the stages of the group the last Next returned
+	v1     bool         // version-1 fallback: ahead holds the whole table
+	schema *dataset.Schema
+
+	mu       sync.Mutex  // guards the decode chain's hand-over
+	decoding bool        // a goroutine is decoding; it takes queued next
+	queued   *aheadGroup // read and checksummed, waiting for that goroutine
+	failed   error       // a decode failed: no group after it is decoded
+}
+
+// aheadGroup is what a Next returns: a group read and checksummed, to be
+// decoded or decoding, or a table or error known already. t, stages and err
+// are written before done closes and read only after it; g and body belong
+// to the decoding goroutine; last, set when nothing is read after the group
+// (its error ends the read), belongs to the caller's goroutine.
+type aheadGroup struct {
+	done   chan struct{}
+	t      *dataset.Table
+	stages []StageStats
+	err    error
+	last   bool
+
+	g    *groupDec
+	body *sectionReader
+}
+
+// settled returns an aheadGroup with nothing left to decode: a version-1
+// archive's table, or the error or io.EOF that ends a read.
+func settled(t *dataset.Table, stages []StageStats, err error) *aheadGroup {
+	p := &aheadGroup{done: make(chan struct{}), t: t, stages: stages, err: err, last: err != nil}
+	close(p.done)
+	return p
 }
 
 // NewArchiveReader reads the archive prefix (envelope, header, decoders)
@@ -309,7 +351,7 @@ func NewArchiveReader(r io.Reader, opts ...DecompressOptions) (*ArchiveReader, e
 		if err != nil {
 			return nil, err
 		}
-		ar.v1Table = res.Table
+		ar.ahead, ar.v1 = settled(res.Table, res.Stages, nil), true
 		ar.schema = res.Table.Schema
 		return ar, nil
 	}
@@ -331,7 +373,8 @@ func NewArchiveReader(r io.Reader, opts ...DecompressOptions) (*ArchiveReader, e
 	}
 	// The row count is not known before the footer: a span is checked for
 	// sense here and against the rows at the footer.
-	d := &decompressor{run: pipeline.New(context.Background(), o.Parallelism), opts: o, meta: m, infer: new(inferPool), rhi: maxArchiveRows}
+	d := &decompressor{run: pipeline.New(context.Background(), o.Parallelism), opts: o, meta: m,
+		infer: new(inferPool), slots: new(decodeSlots), rhi: maxArchiveRows}
 	if err := d.initSelection(o.Columns); err != nil {
 		return nil, err
 	}
@@ -361,120 +404,192 @@ func NewArchiveReader(r io.Reader, opts ...DecompressOptions) (*ArchiveReader, e
 // table's, or its projection.
 func (ar *ArchiveReader) Schema() *dataset.Schema { return ar.schema }
 
+// Stages returns the stage stats of the group the last Next returned: the
+// wall time and bytes of its scan, unpack, resolve, decode and assemble,
+// timed on the goroutine that decoded it (a version-1 archive reports its
+// in-memory request's stages). It is nil before the first group.
+func (ar *ArchiveReader) Stages() []StageStats { return ar.stages }
+
 // Next returns the next selected row group's rows, or io.EOF after the last
 // group once the footer and archive checksum verify. Without a RowRange,
 // empty groups (an empty archive still has one) yield an empty table.
 func (ar *ArchiveReader) Next() (*dataset.Table, error) {
-	if ar.v1Table != nil {
-		t := ar.v1Table
-		ar.v1Table = nil
-		ar.finished = true
-		return t, nil
+	if ar.ahead == nil {
+		ar.ahead = ar.advance()
 	}
-	if ar.finished {
-		return nil, io.EOF
+	p := ar.ahead
+	if !p.last {
+		ar.ahead = ar.advance()
+	}
+	<-p.done
+	if p.err != nil {
+		p.last, ar.ahead = true, p
+		return nil, p.err
+	}
+	ar.stages = p.stages
+	return p.t, nil
+}
+
+// advance reads on, in the caller's goroutine, to the next selected group
+// and hands it to the decode chain: queued for the goroutine decoding the
+// group before it, or decoding at once on a goroutine of its own. It defers
+// what ends the read — an error, or io.EOF — to the Next that would return
+// the group.
+func (ar *ArchiveReader) advance() *aheadGroup {
+	g, body, err := ar.nextSegment()
+	if err != nil {
+		return settled(nil, nil, err)
+	}
+	ar.mu.Lock()
+	defer ar.mu.Unlock()
+	if ar.failed != nil {
+		return settled(nil, nil, ar.failed)
+	}
+	p := &aheadGroup{done: make(chan struct{}), g: g, body: body}
+	if ar.decoding {
+		ar.queued = p
+	} else {
+		ar.decoding = true
+		go ar.decodeChain(p)
+	}
+	return p
+}
+
+// nextSegment reads and checksums the segments up to the next selected
+// group's, and returns that group and its segment body; at the footer it
+// verifies the archive's end and returns io.EOF.
+func (ar *ArchiveReader) nextSegment() (*groupDec, *sectionReader, error) {
+	if ar.v1 {
+		return nil, nil, io.EOF
 	}
 	for {
 		kind, err := ar.readByte()
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		switch kind {
 		case kindSegment:
 			if ar.sawStats {
-				return nil, fmt.Errorf("%w: segment after stats chunk", ErrCorrupt)
+				return nil, nil, fmt.Errorf("%w: segment after stats chunk", ErrCorrupt)
 			}
 			off := ar.pos - 1
 			framed, err := ar.readChunk()
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
-			t, meta, err := ar.decodeSegment(framed)
+			g, body, err := ar.openSegment(framed)
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
-			meta.off, meta.segLen = off, ar.pos-off
-			ar.metas = append(ar.metas, meta)
-			ar.rowsSeen += meta.count
-			if t != nil {
-				return t, nil
+			ar.metas = append(ar.metas, groupMeta{start: g.start, count: g.count, off: off, segLen: ar.pos - off})
+			ar.rowsSeen += g.count
+			if g.active {
+				return g, body, nil
 			}
 		case kindStats:
 			if ar.d.meta.flags&flagZoneMaps == 0 || ar.sawStats {
-				return nil, fmt.Errorf("%w: unexpected stats chunk", ErrCorrupt)
+				return nil, nil, fmt.Errorf("%w: unexpected stats chunk", ErrCorrupt)
 			}
 			// Zone maps are query metadata the streaming reader does not
 			// prune by, so the payload is only consumed (the archive CRC
 			// still covers it).
 			if _, err := ar.readChunk(); err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			ar.sawStats = true
 		case kindFooter:
 			if ar.d.meta.flags&flagZoneMaps != 0 && !ar.sawStats {
-				return nil, fmt.Errorf("%w: missing stats chunk", ErrCorrupt)
+				return nil, nil, fmt.Errorf("%w: missing stats chunk", ErrCorrupt)
 			}
 			if err := ar.finish(); err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			if rr := ar.d.opts.RowRange; rr != nil {
 				if err := rr.within(ar.rowsSeen); err != nil {
-					return nil, err
+					return nil, nil, err
 				}
 			}
-			ar.finished = true
-			return nil, io.EOF
+			return nil, nil, io.EOF
 		default:
-			return nil, fmt.Errorf("%w: chunk kind %d", ErrCorrupt, kind)
+			return nil, nil, fmt.Errorf("%w: chunk kind %d", ErrCorrupt, kind)
 		}
 	}
 }
 
-// decodeSegment parses and validates one row-group segment and decodes its
-// selected rows; a segment outside the row span is not unpacked, and its
-// table is nil.
-func (ar *ArchiveReader) decodeSegment(framed []byte) (*dataset.Table, groupMeta, error) {
-	var meta groupMeta
+// openSegment checks one row-group segment's checksum, header and span, and
+// clips it to the row span; a group outside the span comes back inactive,
+// never to be unpacked.
+func (ar *ArchiveReader) openSegment(framed []byte) (*groupDec, *sectionReader, error) {
 	d := ar.d
 	h, body, err := parseSegment(framed)
 	if err != nil {
-		return nil, meta, err
+		return nil, nil, err
 	}
 	if h.start != uint64(ar.rowsSeen) || h.count > uint64(maxArchiveRows-ar.rowsSeen) {
-		return nil, meta, fmt.Errorf("%w: segment span [%d,+%d), want start %d", ErrCorrupt, h.start, h.count, ar.rowsSeen)
+		return nil, nil, fmt.Errorf("%w: segment span [%d,+%d), want start %d", ErrCorrupt, h.start, h.count, ar.rowsSeen)
 	}
 	if limit := d.opts.MaxRows; limit > 0 && h.count > uint64(limit-ar.rowsSeen) {
-		return nil, meta, fmt.Errorf("%w: %d rows exceeds caller limit %d", ErrCorrupt, uint64(ar.rowsSeen)+h.count, limit)
+		return nil, nil, fmt.Errorf("%w: %d rows exceeds caller limit %d", ErrCorrupt, uint64(ar.rowsSeen)+h.count, limit)
 	}
 	g := &groupDec{start: int(h.start), count: int(h.count), planChunk: h.plan}
 	if g.count > 0 && d.meta.hasModel != (len(d.meta.layout.specs) > 0) {
-		return nil, meta, fmt.Errorf("%w: model flag disagrees with plan", ErrCorrupt)
+		return nil, nil, fmt.Errorf("%w: model flag disagrees with plan", ErrCorrupt)
 	}
-	meta.start, meta.count = g.start, g.count
-	if d.clip(g, d.opts.RowRange == nil); !g.active {
-		return nil, meta, nil
+	d.clip(g, d.opts.RowRange == nil)
+	return g, body, nil
+}
+
+// decodeChain decodes p and then, on the same goroutine, each group Next
+// queues meanwhile, and ends when none is queued. One group decodes at a
+// time, so each takes over the slots and inference states the one before it
+// used, and the next starts the moment one is done, without a round trip
+// through the caller's goroutine. p's done closes only once the group after
+// it is taken from the queue, so the queue never holds two.
+func (ar *ArchiveReader) decodeChain(p *aheadGroup) {
+	for p != nil {
+		ar.decodeGroup(p)
+		ar.mu.Lock()
+		if p.err != nil {
+			ar.failed = p.err
+		}
+		next := ar.queued
+		ar.queued = nil
+		if next != nil && ar.failed != nil {
+			next.err = ar.failed
+			close(next.done)
+			next = nil
+		}
+		ar.decoding = next != nil
+		ar.mu.Unlock()
+		close(p.done)
+		p = next
 	}
-	var skipped int64
-	if err := d.scanGroupBody(body, g, &skipped); err != nil {
-		return nil, meta, err
-	}
-	if err := body.done(); err != nil {
-		return nil, meta, err
-	}
-	// The request stages, over a one-group list: the same functions that
-	// decode every handle-based request.
+}
+
+// decodeGroup decodes p's group from its segment body — scan → unpack →
+// resolve → decode → assemble, the request stages over a one-group list,
+// timed on a run of their own over the reader's worker pool, whose worker
+// zero is the decoding goroutine.
+func (ar *ArchiveReader) decodeGroup(p *aheadGroup) {
+	d, g, body := ar.d, p.g, p.body
+	p.g, p.body = nil, nil
+	d.run = pipeline.NewWithPool(context.Background(), d.run.Pool())
 	d.groups, d.nOut = []*groupDec{g}, g.ghi-g.glo
-	if _, err := d.unpack(); err != nil {
-		return nil, meta, err
+	p.err = d.decodeThrough(stage{"scan", func() (int64, error) {
+		var skipped int64
+		if err := d.scanGroupBody(body, g, &skipped); err != nil {
+			return skipped, err
+		}
+		return skipped, body.done()
+	}})
+	if p.err == nil {
+		p.err = d.run.Stage("assemble", func() (err error) {
+			p.t, err = d.assembleTable()
+			return err
+		})
 	}
-	if err := d.resolve(); err != nil {
-		return nil, meta, err
-	}
-	if err := d.decode(); err != nil {
-		return nil, meta, err
-	}
-	t, err := d.assembleTable()
-	return t, meta, err
+	p.stages = d.run.Stats()
+	d.groups = nil // the group's streams and framed bytes go with it
 }
 
 // finish consumes and verifies the footer chunk, trailer, and archive CRC.

@@ -14,6 +14,7 @@ import (
 	"runtime/debug"
 	"sync"
 	"testing"
+	"time"
 
 	"deepsqueeze/internal/datagen"
 	"deepsqueeze/internal/dataset"
@@ -290,7 +291,7 @@ func TestArchiveReaderV1Fallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ar.v1Table != nil {
+	if ar.v1 {
 		t.Fatal("v2 archive took the v1 fallback path")
 	}
 }
@@ -417,8 +418,9 @@ func readAllCSV(ar *ArchiveReader) ([]byte, error) {
 
 // TestArchiveReaderMatchesHandle runs the streaming reader and a handle's
 // DecompressContext with the same options over every committed fixture: the
-// reader's groups, concatenated, render the handle's table byte for byte,
-// and a request one of them refuses fails both with the same error.
+// reader's groups, concatenated, render the handle's table at parallelism 1
+// byte for byte at reader parallelism 1, 2 and 4, and a request one of them
+// refuses fails both with the same error.
 func TestArchiveReaderMatchesHandle(t *testing.T) {
 	names := []string{"batch_v2"}
 	for _, gc := range goldenCases() {
@@ -455,25 +457,130 @@ func TestArchiveReaderMatchesHandle(t *testing.T) {
 		}
 		for _, sel := range [][]string{nil, {cols[len(cols)-1].Name}, {cols[len(cols)-1].Name, cols[0].Name}} {
 			for _, rr := range spans {
-				opts := DecompressOptions{Columns: sel, RowRange: rr, Parallelism: 2}
-				label := fmt.Sprintf("%s columns %v span %v", name, sel, rr)
 				var want []byte
-				res, herr := DecompressContext(context.Background(), archive, opts)
+				res, herr := DecompressContext(context.Background(), archive, DecompressOptions{Columns: sel, RowRange: rr, Parallelism: 1})
 				if herr == nil {
 					want = csvBytes(t, res.Table)
 				}
-				got, rerr := readerCSV(archive, opts)
-				if fmt.Sprint(herr) != fmt.Sprint(rerr) {
-					t.Fatalf("%s: handle error %v, reader error %v", label, herr, rerr)
-				}
-				if name == "batch_v2" && (herr == nil || !errors.Is(herr, errBatchArchive)) {
-					t.Fatalf("%s: error %v, want %v", label, herr, errBatchArchive)
-				}
-				if !bytes.Equal(got, want) {
-					t.Fatalf("%s: reader wrote\n%s\nhandle wrote\n%s", label, got, want)
+				for _, par := range []int{1, 2, 4} {
+					opts := DecompressOptions{Columns: sel, RowRange: rr, Parallelism: par}
+					label := fmt.Sprintf("%s columns %v span %v parallelism %d", name, sel, rr, par)
+					got, rerr := readerCSV(archive, opts)
+					if fmt.Sprint(herr) != fmt.Sprint(rerr) {
+						t.Fatalf("%s: handle error %v, reader error %v", label, herr, rerr)
+					}
+					if name == "batch_v2" && (herr == nil || !errors.Is(herr, errBatchArchive)) {
+						t.Fatalf("%s: error %v, want %v", label, herr, errBatchArchive)
+					}
+					if !bytes.Equal(got, want) {
+						t.Fatalf("%s: reader wrote\n%s\nhandle wrote\n%s", label, got, want)
+					}
 				}
 			}
 		}
+	}
+}
+
+// groupCSVs renders each group a reader returns as a CSV of its own.
+func groupCSVs(t *testing.T, archive []byte) [][]byte {
+	t.Helper()
+	ar, err := NewArchiveReader(bytes.NewReader(archive))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out [][]byte
+	for {
+		g, err := ar.Next()
+		if err == io.EOF {
+			return out
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, csvBytes(t, g))
+	}
+}
+
+// The reader decodes one group ahead, yet errors surface in group order.
+// Damage inside group k+1 — a flipped byte its segment checksum catches, a
+// flipped byte behind refreshed checksums that only its decode can notice,
+// or the stream ending inside its segment — leaves the first k+1 Nexts
+// returning exactly the groups an undamaged read returns, and fails the
+// Next that would return group k+1, and the one after it, with ErrCorrupt.
+func TestArchiveReaderErrorOrder(t *testing.T) {
+	opts := quickOpts()
+	opts.RowGroupSize = 100
+	archive, _ := writeStream(t, latentTable(400, 28), 400, opts)
+	m, err := parseArchiveMeta(archive)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := groupCSVs(t, archive)
+	check := func(label string, bad []byte, k int) {
+		t.Helper()
+		ar, err := NewArchiveReader(bytes.NewReader(bad), DecompressOptions{Parallelism: 2})
+		if err != nil {
+			t.Fatalf("%s: open: %v", label, err)
+		}
+		for i := 0; i <= k; i++ {
+			g, err := ar.Next()
+			if err != nil {
+				t.Fatalf("%s: Next %d failed before group %d: %v", label, i, k+1, err)
+			}
+			if !bytes.Equal(csvBytes(t, g), want[i]) {
+				t.Fatalf("%s: group %d differs from an undamaged read", label, i)
+			}
+		}
+		for i := k + 1; i <= k+2; i++ {
+			if _, err := ar.Next(); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("%s: Next %d returned %v, want ErrCorrupt", label, i, err)
+			}
+		}
+	}
+	for k := 0; k+1 < len(m.groups); k++ {
+		seg := m.groups[k+1]
+		mid, end := int(seg.off+seg.segLen/2), int(seg.off+seg.segLen)
+		bad := append([]byte(nil), archive...)
+		bad[mid] ^= 0xff
+		check(fmt.Sprintf("group %d checksum", k+1), bad, k)
+		check(fmt.Sprintf("group %d truncated", k+1), archive[:mid], k)
+		decoded := false
+		for pos := mid; pos < end-4 && !decoded; pos++ {
+			bad := append([]byte(nil), archive...)
+			bad[pos] ^= 0x5a
+			if bad = refreshCRC(bad); func() bool { _, err := readerCSV(bad, DecompressOptions{}); return err == nil }() {
+				continue
+			}
+			check(fmt.Sprintf("group %d byte %d", k+1, pos), bad, k)
+			decoded = true
+		}
+		if !decoded {
+			t.Fatalf("no damage to group %d behind its checksum failed a read", k+1)
+		}
+	}
+}
+
+// A reader dropped after one Next, while it decodes the next group, leaks
+// nothing: the goroutine decoding ahead and the pool helpers it took end
+// with the group, and no Close is needed.
+func TestArchiveReaderAbandonLeaksNothing(t *testing.T) {
+	archive := censusArchive(t)
+	base := runtime.NumGoroutine()
+	for range 3 {
+		ar, err := NewArchiveReader(bytes.NewReader(archive), DecompressOptions{Parallelism: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ar.Next(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for n := runtime.NumGoroutine(); n > base; n = runtime.NumGoroutine() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines 10 s after the readers were dropped, %d before they were opened", n, base)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -619,6 +726,42 @@ func TestConcurrentReaders(t *testing.T) {
 // decoding one of censusArchive's 520-row groups at parallelism 1.
 const inferStateFloor = 768 << 10
 
+// secondGroupAllocs opens a reader on archive at parallelism 1 and decodes
+// its first group as the first Next does, then calls between and measures
+// the bytes the second group allocates to be read and decoded. Next starts
+// decoding the second group before it returns the first, so the measurement
+// waits for that decode to end. It returns the least of three such
+// measurements, each on a reader of its own, and the last reader.
+func secondGroupAllocs(t *testing.T, archive []byte, between func(*ArchiveReader)) (uint64, *ArchiveReader) {
+	t.Helper()
+	var least uint64
+	var ar *ArchiveReader
+	for i := range 3 {
+		var err error
+		if ar, err = NewArchiveReader(bytes.NewReader(archive), DecompressOptions{Parallelism: 1}); err != nil {
+			t.Fatal(err)
+		}
+		ar.ahead = ar.advance()
+		<-ar.ahead.done
+		between(ar)
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := ar.Next(); err != nil {
+			t.Fatal(err)
+		}
+		<-ar.ahead.done
+		runtime.ReadMemStats(&after)
+		if ar.ahead.err != nil {
+			t.Fatal(ar.ahead.err)
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; i == 0 || n < least {
+			least = n
+		}
+	}
+	return least, ar
+}
+
 // A streaming reader decodes its later groups in the inference memory its
 // first group left in the reader's pool: its second group makes no
 // inferState (the pool holds one state after it) and grows no arena, so it
@@ -629,36 +772,47 @@ func TestReaderReusesInferenceMemory(t *testing.T) {
 		t.Skip("race instrumentation adds allocations; gate runs uninstrumented (see scripts/check.sh)")
 	}
 	archive := censusArchive(t)
-	// second decodes the archive's first group through a new reader, then
-	// its second group in a fresh pool when fresh is set, and returns the
-	// bytes the second group allocated and the states the reader retained.
-	second := func(fresh bool) (uint64, int) {
-		ar, err := NewArchiveReader(bytes.NewReader(archive), DecompressOptions{Parallelism: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := ar.Next(); err != nil {
-			t.Fatal(err)
-		}
-		if fresh {
-			ar.d.infer = new(inferPool)
-		}
-		runtime.GC()
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		if _, err := ar.Next(); err != nil {
-			t.Fatal(err)
-		}
-		runtime.ReadMemStats(&after)
-		return after.TotalAlloc - before.TotalAlloc, retainedStates(ar.d.infer)
-	}
-	warm, states := second(false)
-	cold, _ := second(true)
+	warm, ar := secondGroupAllocs(t, archive, func(*ArchiveReader) {})
+	cold, _ := secondGroupAllocs(t, archive, func(ar *ArchiveReader) { ar.d.infer = new(inferPool) })
 	t.Logf("second group allocated %d B; in a fresh pool %d B", warm, cold)
-	if states != 1 {
+	if states := retainedStates(ar.d.infer); states != 1 {
 		t.Errorf("the reader retained %d states after two groups, want 1", states)
 	}
 	if warm+inferStateFloor > cold {
 		t.Errorf("the second group allocated %d B, within %d B of the same group in a fresh pool (%d B): it built inference memory again", warm, inferStateFloor, cold)
+	}
+}
+
+// A streaming reader decodes its second group in the decode slots its first
+// group used — the inverted perm and one code slice per model column — so
+// it allocates less than the same group decoded in fresh slots, by at least
+// half their size. The rest is margin for the codec's pooled stream
+// decoders (sync.Pool): whether the group finds one after the collection
+// that precedes the measurement moves its bytes by about 42 KB.
+// Uninstrumented only, like the other allocation gates.
+func TestReaderReusesDecodeSlots(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation adds allocations; gate runs uninstrumented (see scripts/check.sh)")
+	}
+	archive := censusArchive(t)
+	warm, ar := secondGroupAllocs(t, archive, func(*ArchiveReader) {})
+	cold, _ := secondGroupAllocs(t, archive, func(ar *ArchiveReader) { ar.d.slots = new(decodeSlots) })
+	// What fresh slots hold for the group: its unperm, and one code or value
+	// slice per model column, each a word per row.
+	slots := 1
+	for _, c := range ar.d.slots.colCodes {
+		slots += min(len(c), 1)
+	}
+	for _, c := range ar.d.slots.contOut {
+		slots += min(len(c), 1)
+	}
+	size := uint64(slots * 8 * len(ar.d.slots.unperm))
+	floor := size / 2
+	t.Logf("second group allocated %d B; in fresh slots %d B (%d slots, %d B)", warm, cold, slots, size)
+	if slots < 2 {
+		t.Fatalf("the reader kept %d decode slots, want its unperm and the model columns'", slots)
+	}
+	if warm+floor > cold {
+		t.Errorf("the second group allocated %d B, within %d B of the same group in fresh slots (%d B): it allocated its decode slots again", warm, floor, cold)
 	}
 }
