@@ -185,8 +185,9 @@ func DecompressBatchContext(ctx context.Context, modelArchive, batchArchive []by
 // Streaming archive IO (format v2 row groups).
 type (
 	// ArchiveWriter compresses a table of unbounded length, streaming
-	// row-group segments to an io.Writer as rows arrive. Memory stays
-	// O(RowGroupSize) regardless of the table's total size.
+	// row-group segments to an io.Writer as rows arrive; each full group
+	// compresses on a goroutine while the caller prepares the next rows.
+	// Memory stays O(RowGroupSize) regardless of the table's total size.
 	ArchiveWriter = core.ArchiveWriter
 	// ArchiveReader decompresses a v2 archive group by group from an
 	// io.Reader, holding at most one row group in memory.

@@ -82,22 +82,34 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	written := make([]int64, len(days))
 	for day, b := range days {
-		before := w.Stats().BytesWritten
 		if err := w.Write(b); err != nil {
 			log.Fatalf("day %d: %v", day, err)
 		}
-		written[day] = w.Stats().BytesWritten - before
 	}
+	// The writer frames a day once the next day's group fills (the last at
+	// Close), so before Close its counters cover the archive prefix and the
+	// days framed so far.
+	framed := w.Stats()
 	if err := w.Close(); err != nil {
 		log.Fatal(err)
 	}
 
+	// Each day's bytes are its segment's, from the footer index; day 0's
+	// also carry the prefix (header and decoders) in front of its segment.
 	info, err := deepsqueeze.Inspect(archive.Bytes())
 	if err != nil {
 		log.Fatal(err)
 	}
+	written := make([]int64, len(days))
+	prefix := framed.BytesWritten
+	for day, g := range info.Groups {
+		written[day] = g.SegmentBytes
+		if day < framed.Groups {
+			prefix -= g.SegmentBytes
+		}
+	}
+	written[0] += prefix
 	r, err := deepsqueeze.NewArchiveReader(bytes.NewReader(archive.Bytes()))
 	if err != nil {
 		log.Fatal(err)

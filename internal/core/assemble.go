@@ -24,7 +24,7 @@ type archiveState struct {
 	codeBits int
 	codeSize int
 	rows     streamSet // the chosen width's materialization, by original row
-	packs    *packings // decide's frames of the chosen stored order; frameState reuses, then drops them
+	packs    *packings // decide's frames of the chosen stored order; buildState reuses, then drops them
 	perm     []int     // stored position → original row
 	assign   []int     // original row → expert
 	grouped  bool
@@ -160,54 +160,67 @@ func appendDecoderChunkPayload(st *archiveState) []byte {
 	return compressDecoderSection(db)
 }
 
-// frameState writes a decided state through f: the prefix, then one segment
-// per span, each gathering the span's stored positions from st.rows.
+// builtArchive is a decided state serialized and not yet framed: the
+// prefix's flag byte, header and decoder payloads, the segment configuration
+// the flags imply, and one built segment per span.
+type builtArchive struct {
+	flags            byte
+	header, decoders []byte
+	cfg              segConfig
+	segs             []builtSegment
+}
+
+// buildState serializes a decided state: the prefix's payloads, then one
+// segment per span, each gathering the span's stored positions from st.rows.
 // Segments (and their zone maps) build concurrently over the run's pool into
-// index-addressed slots and are framed serially, so the bytes are identical
-// at every parallelism level. A group whose streams are the ones the
-// decisions packed — the whole table, when it is one group — writes those
-// frames; st.packs is dropped once the segments are built. Returns the
-// segment configuration the state's flags imply and the decoder chunk's
-// framed size.
-func frameState(run *pipeline.Run, f *framer, t *dataset.Table, opts Options, st *archiveState) (segConfig, int64, error) {
+// index-addressed slots, so the bytes are identical at every parallelism
+// level. A group whose streams are the ones the decisions packed — the whole
+// table, when it is one group — writes those frames; st.packs is dropped once
+// the segments are built. It writes nothing: frame does.
+func buildState(run *pipeline.Run, t *dataset.Table, opts Options, st *archiveState) (*builtArchive, error) {
 	md := st.md
-	flags := st.flags(opts)
-	var decoders []byte
-	if flags&flagHasModel != 0 {
-		decoders = appendDecoderChunkPayload(st)
+	b := &builtArchive{flags: st.flags(opts)}
+	if b.flags&flagHasModel != 0 {
+		b.decoders = appendDecoderChunkPayload(st)
 	}
-	header := appendHeaderPayload(nil, md.plan, st.codeSize, st.codeBits, st.experts, opts.rowGroupSize())
-	decoderBytes, err := f.prefix(flags, header, decoders)
-	if err != nil {
-		return segConfig{}, 0, err
-	}
-	cfg := segConfig{
+	b.header = appendHeaderPayload(nil, md.plan, st.codeSize, st.codeBits, st.experts, opts.rowGroupSize())
+	b.cfg = segConfig{
 		codeSize:  st.codeSize,
 		experts:   st.experts,
 		grouped:   st.grouped,
-		keepOrder: flags&flagRowOrder != 0,
-		zoneMaps:  flags&flagZoneMaps != 0,
+		keepOrder: b.flags&flagRowOrder != 0,
+		zoneMaps:  b.flags&flagZoneMaps != 0,
 	}
-	segs := make([]builtSegment, len(st.spans))
-	err = run.ForEach(len(st.spans), func(i int) error {
+	b.segs = make([]builtSegment, len(st.spans))
+	err := run.ForEach(len(st.spans), func(i int) error {
 		sp := st.spans[i]
 		g := segmentData{span: sp, origBase: sp.start, perm: st.perm[sp.start : sp.start+sp.count], rows: st.rows, packs: st.packs}
-		segs[i] = buildSegment(t, md, st.assign, cfg, g)
-		if cfg.zoneMaps {
-			segs[i].zones = computeGroupZones(t, g.perm, md.plan, md.plan)
+		b.segs[i] = buildSegment(t, md, st.assign, b.cfg, g)
+		if b.cfg.zoneMaps {
+			b.segs[i].zones = computeGroupZones(t, g.perm, md.plan, md.plan)
 		}
 		return nil
 	})
 	st.packs = nil
 	if err != nil {
-		return segConfig{}, 0, err
+		return nil, err
 	}
-	for _, seg := range segs {
+	return b, nil
+}
+
+// frame writes the prefix and the segments, in span order, through f and
+// returns the decoder chunk's framed size.
+func (b *builtArchive) frame(f *framer) (int64, error) {
+	decoderBytes, err := f.prefix(b.flags, b.header, b.decoders)
+	if err != nil {
+		return 0, err
+	}
+	for _, seg := range b.segs {
 		if err := f.segment(seg); err != nil {
-			return segConfig{}, 0, err
+			return 0, err
 		}
 	}
-	return cfg, decoderBytes, nil
+	return decoderBytes, nil
 }
 
 // assembleArchive frames a decided state into a version-2 archive as the
@@ -217,7 +230,11 @@ func assembleArchive(run *pipeline.Run, t *dataset.Table, opts Options, st *arch
 	return run.StageBytes("assemble", func() (int64, error) {
 		var buf bytes.Buffer
 		f := newFramer(&buf)
-		_, decoderBytes, err := frameState(run, f, t, opts, st)
+		b, err := buildState(run, t, opts, st)
+		if err != nil {
+			return 0, err
+		}
+		decoderBytes, err := b.frame(f)
 		if err != nil {
 			return 0, err
 		}

@@ -133,20 +133,30 @@ func censusHead(rng *rand.Rand, rows, cols int) *dataset.Table {
 }
 
 // The writer's bytes are the ones pinned above, in every build of this
-// package (with and without -tags noasm). Off amd64 the test skips: the
-// losses and the expert assignment take math.Log from the standard library,
-// which rounds differently on other architectures and may move what the
-// writer chooses (ROADMAP item 10).
+// package (with and without -tags noasm). The streaming writer's entries hold
+// at Parallelism 1, 2 and 4: its compressing goroutine takes helpers from the
+// same pool, and how many it gets must not move a byte. Off amd64 the test
+// skips: the losses and the expert assignment take math.Log from the
+// standard library, which rounds differently on other architectures and may
+// move what the writer chooses (ROADMAP item 10).
 func TestWriterFingerprint(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("writer fingerprints are pinned on amd64: math.Log rounds differently elsewhere")
 	}
 	for _, fp := range writerFingerprints {
 		tb := fp.table()
-		archive := writeArchive(t, tb, fp.thresholds(tb), fp.opts(), fp.writeRows)
-		sum := sha256.Sum256(archive)
-		if got := hex.EncodeToString(sum[:]); got != fp.sha256 {
-			t.Errorf("%s: archive of %d bytes has SHA-256 %s, want %s", fp.name, len(archive), got, fp.sha256)
+		pars := []int{fp.opts().Parallelism}
+		if fp.writeRows > 0 {
+			pars = []int{1, 2, 4}
+		}
+		for _, par := range pars {
+			opts := fp.opts()
+			opts.Parallelism = par
+			archive := writeArchive(t, tb, fp.thresholds(tb), opts, fp.writeRows)
+			sum := sha256.Sum256(archive)
+			if got := hex.EncodeToString(sum[:]); got != fp.sha256 {
+				t.Errorf("%s at Parallelism %d: archive of %d bytes has SHA-256 %s, want %s", fp.name, par, len(archive), got, fp.sha256)
+			}
 		}
 	}
 }

@@ -548,7 +548,7 @@ func (s *stream) same(o *stream) bool {
 // has run, its frame: what a truncation candidate or a stored order costs
 // and, for the winner, the frames assembly writes instead of packing the same
 // streams again. A packings lives in one archiveState from decide until
-// frameState has built the segments.
+// buildState has built the segments.
 type packings struct {
 	streams map[streamKey]*packedStream
 	size    int64 // total frame bytes, set by packAll

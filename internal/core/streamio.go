@@ -14,30 +14,44 @@ import (
 	"deepsqueeze/internal/dataset"
 	"deepsqueeze/internal/nn"
 	"deepsqueeze/internal/pipeline"
+	"deepsqueeze/internal/preprocess"
 )
 
 // WriterStats instruments an ArchiveWriter for bounded-memory verification.
 type WriterStats struct {
-	// Rows is the total rows written so far (including buffered ones).
+	// Rows is the total rows written so far: framed, compressing, and
+	// buffered.
 	Rows int
-	// Groups is the number of row-group segments flushed so far.
+	// Groups is the number of row-group segments framed so far; the group
+	// still compressing is not among them.
 	Groups int
 	// MaxBufferedRows is the high-water mark of rows held in the writer's
 	// buffer. It never exceeds one row group plus one Write call's rows —
 	// the structural guarantee that peak memory is O(row group), not
 	// O(table).
 	MaxBufferedRows int
-	// BytesWritten is the archive bytes emitted so far.
+	// BytesWritten is the archive bytes emitted so far: the prefix and the
+	// framed segments, and after Close the footer.
 	BytesWritten int64
 }
 
 // ArchiveWriter compresses a table of unbounded length into a version-2
 // archive, streaming row-group segments to w as rows arrive. The model is
-// trained once, on the first full row group (so the first segment is not
-// emitted until RowGroupSize rows have been buffered or Close is called);
-// every later group re-fits only the cheap preprocessing state — its plan
-// rides along as a per-group override — and reuses the trained experts.
-// Memory stays O(row group): see WriterStats.MaxBufferedRows.
+// trained once, on the first full row group; every later group re-fits only
+// the cheap preprocessing state — its plan rides along as a per-group
+// override — and reuses the trained experts. Memory stays O(row group): see
+// WriterStats.MaxBufferedRows.
+//
+// The writer compresses one group ahead: Write hands each full row group to a
+// goroutine that compresses it and returns, so the caller parses its next
+// rows while the group compresses. At most one group compresses at a time:
+// the next Write that fills a group, or Close, waits for it and frames it, so
+// a segment — the first one with the archive prefix in front — reaches w one
+// full group later, or at Close. w is written only inside Write and Close, in
+// the caller's goroutine. The writer holds the group compressing (or its
+// built segment, waiting to be framed) and the filling buffer. A writer
+// dropped without Close leaks nothing once its group is done. Parallelism
+// counts the compression workers, the compressing goroutine included.
 //
 // The resulting archive is a normal self-contained v2 archive: Decompress,
 // DecompressContext, Inspect, and ArchiveReader all accept it.
@@ -50,16 +64,31 @@ type ArchiveWriter struct {
 
 	buf       *dataset.Table
 	groupSize int
+	rows      int // rows handed to groups, framed or compressing
 
-	// first is the first group's decided state, nil until start: the trained
-	// experts, the training plan and the decisions (code bits, mapping form)
-	// every later group is written under.
+	// pending delivers what the goroutine compressing a group built; nil
+	// when no group is in flight.
+	pending chan builtGroup
+
+	// first is the first group's decided state, nil until that group is
+	// framed: the trained experts, the training plan and the decisions (code
+	// bits, mapping form) every later group is written under.
 	first *archiveState
 	cfg   segConfig
 
 	maxBuffered int
 	closed      bool
 	err         error
+}
+
+// builtGroup is what the goroutine compressing one group hands back, for the
+// caller's goroutine to frame: the first group's decided state with its
+// serialized prefix and segment, or a later group's segment.
+type builtGroup struct {
+	first *archiveState
+	arch  *builtArchive
+	seg   builtSegment
+	err   error
 }
 
 // NewArchiveWriter returns a writer that streams a v2 archive for tables
@@ -81,9 +110,14 @@ func NewArchiveWriter(w io.Writer, schema *dataset.Schema, thresholds []float64,
 	}, nil
 }
 
-// Write appends t's rows to the archive. t must have the writer's schema.
-// Full row groups are compressed and flushed to the underlying writer as
-// they fill; a partial group stays buffered until more rows arrive or Close.
+// Write appends t's rows to the archive. t must have the writer's schema;
+// its rows are copied, so the caller may reuse it. Each full row group is
+// handed to the compressing goroutine, once the group before it is framed; a
+// partial group stays buffered until more rows arrive or Close. A group the
+// trained model cannot absorb (a retrain signal) is refused by the Write that
+// completes it. A group's compression or framing error — w's errors among
+// them — surfaces at a later Write that fills a group, or at Close; any
+// error is returned by every call after it too.
 func (aw *ArchiveWriter) Write(t *dataset.Table) error {
 	if aw.err != nil {
 		return aw.err
@@ -100,9 +134,9 @@ func (aw *ArchiveWriter) Write(t *dataset.Table) error {
 	if n < aw.groupSize {
 		return nil
 	}
-	// Each full group is flushed from a view of the buffer; only the partial
-	// tail is copied, once, into the next buffer, which also lets go of the
-	// flushed rows.
+	// Each full group is compressed from a view of the buffer; only the
+	// partial tail is copied, once, into the next buffer, which leaves the
+	// views to the groups alone.
 	lo := 0
 	for ; n-lo >= aw.groupSize; lo += aw.groupSize {
 		if aw.err = aw.flushGroup(sliceRows(aw.buf, lo, lo+aw.groupSize)); aw.err != nil {
@@ -115,20 +149,24 @@ func (aw *ArchiveWriter) Write(t *dataset.Table) error {
 	return nil
 }
 
-// Close flushes any buffered rows as a final (possibly short) row group — an
-// archive nothing was written to still gets its one, empty, group — writes
-// the footer index and checksum, and finalizes the archive. It does not
-// close the underlying writer.
+// Close compresses any buffered rows as a final (possibly short) row group —
+// an archive nothing was written to still gets its one, empty, group — waits
+// for the groups compressing and frames them, writes the footer index and
+// checksum, and finalizes the archive. It returns the error of any group
+// not reported yet, as Write does. It does not close the underlying writer.
 func (aw *ArchiveWriter) Close() error {
 	if aw.err != nil || aw.closed {
 		return aw.err
 	}
 	aw.closed = true
-	if aw.buf.NumRows() > 0 || aw.first == nil {
+	if aw.buf.NumRows() > 0 || aw.rows == 0 {
 		if aw.err = aw.flushGroup(aw.buf); aw.err != nil {
 			return aw.err
 		}
 		aw.buf = dataset.NewTable(aw.schema, 0)
+	}
+	if aw.err = aw.frameDone(); aw.err != nil {
+		return aw.err
 	}
 	aw.err = aw.f.finish()
 	return aw.err
@@ -137,41 +175,26 @@ func (aw *ArchiveWriter) Close() error {
 // Stats returns the writer's instrumentation counters.
 func (aw *ArchiveWriter) Stats() WriterStats {
 	return WriterStats{
-		Rows:            aw.f.rows + aw.buf.NumRows(),
+		Rows:            aw.rows + aw.buf.NumRows(),
 		Groups:          len(aw.f.metas),
 		MaxBufferedRows: aw.maxBuffered,
 		BytesWritten:    aw.f.off,
 	}
 }
 
-// start trains the model on the first chunk, makes the archive's decisions
-// on it — expert count, code bits, mapping form, flags — exactly as an
-// in-memory compression of the chunk would, and frames the prefix and the
-// first segment straight from that state.
-func (aw *ArchiveWriter) start(chunk *dataset.Table) error {
-	st, _, err := trainAndDecide(aw.run, chunk, aw.thresholds, aw.opts)
-	if err != nil {
-		return err
-	}
-	if aw.cfg, _, err = frameState(aw.run, aw.f, chunk, aw.opts, st); err != nil {
-		return err
-	}
-	// Later groups need the model, the decisions, the training plan and its
-	// specs, and the inference memory; the first group's rows and streams are
-	// let go.
-	st.md = &modelData{layout: st.md.layout, plan: st.md.plan}
-	st.rows, st.perm, st.assign, st.spans = nil, nil, nil, nil
-	aw.first = st
-	return nil
-}
-
-// flushGroup materializes one chunk of rows as a row-group segment and
-// streams it out. The first chunk triggers training and the archive prefix;
-// later chunks re-fit their plan against the training plan (pinned kinds,
-// unseen values become escapes) and carry it as a segment-local override.
+// flushGroup frames the group compressing, if one is, and hands chunk to a
+// goroutine that compresses it. The first chunk trains the model there;
+// a later chunk's plan is re-fitted against the training plan (pinned
+// kinds, unseen values become escapes) and validated here first, so that a
+// retrain signal fails the call that completes the group.
 func (aw *ArchiveWriter) flushGroup(chunk *dataset.Table) error {
+	if err := aw.frameDone(); err != nil {
+		return err
+	}
 	if aw.first == nil {
-		return aw.start(chunk)
+		aw.spawn(func() builtGroup { return aw.compressFirst(chunk) })
+		aw.rows += chunk.NumRows()
+		return nil
 	}
 	trainPlan := aw.first.md.plan
 	plan, err := refitPlan(chunk, trainPlan, aw.thresholds, aw.opts)
@@ -186,37 +209,102 @@ func (aw *ArchiveWriter) flushGroup(chunk *dataset.Table) error {
 		return err
 	}
 	// The group's own state: the first group's model and decisions over this
-	// group's model data, rows and expert assignment.
+	// group's model data.
 	st := *aw.first
-	st.md, st.assign = md, make([]int, md.rows)
-	hasModel := aw.cfg.codeSize > 0
+	st.md = md
+	run, cfg, span := aw.run, aw.cfg, rowSpan{aw.rows, md.rows}
+	aw.spawn(func() builtGroup {
+		seg, err := compressRefit(run, chunk, &st, cfg, span, trainPlan)
+		return builtGroup{seg: seg, err: err}
+	})
+	aw.rows += md.rows
+	return nil
+}
+
+// spawn runs build on a goroutine that lives as long as the group: it hands
+// its result over a one-slot channel, so it ends whether or not anyone waits.
+func (aw *ArchiveWriter) spawn(build func() builtGroup) {
+	done := make(chan builtGroup, 1)
+	go func() { done <- build() }()
+	aw.pending = done
+}
+
+// frameDone waits for the group compressing, if one is, and frames what it
+// built through the writer's framer. The first group's decided state becomes
+// the one every later group is written under.
+func (aw *ArchiveWriter) frameDone() error {
+	if aw.pending == nil {
+		return nil
+	}
+	b := <-aw.pending
+	aw.pending = nil
+	if b.err != nil {
+		return b.err
+	}
+	if b.first != nil {
+		aw.first, aw.cfg = b.first, b.arch.cfg
+		_, err := b.arch.frame(aw.f)
+		return err
+	}
+	return aw.f.segment(b.seg)
+}
+
+// compressFirst trains the model on the first chunk and makes the archive's
+// decisions on it — expert count, code bits, mapping form, flags — exactly as
+// an in-memory compression of the chunk would, and serializes the prefix and
+// the first segment from that state.
+func (aw *ArchiveWriter) compressFirst(chunk *dataset.Table) builtGroup {
+	st, _, err := trainAndDecide(aw.run, chunk, aw.thresholds, aw.opts)
+	if err != nil {
+		return builtGroup{err: err}
+	}
+	b, err := buildState(aw.run, chunk, aw.opts, st)
+	if err != nil {
+		return builtGroup{err: err}
+	}
+	// Later groups need the model, the decisions, the training plan and its
+	// specs, and the inference memory; the first group's rows and streams are
+	// let go.
+	st.md = &modelData{layout: st.md.layout, plan: st.md.plan}
+	st.rows, st.perm, st.assign, st.spans = nil, nil, nil, nil
+	return builtGroup{first: st, arch: b}
+}
+
+// compressRefit is a refit group's CPU work: the expert assignment, the codes,
+// the failures at the decided code width, the segment and its zones. st is
+// the first group's model and decisions over this group's model data; span
+// is the group's rows in the archive.
+func compressRefit(run *pipeline.Run, chunk *dataset.Table, st *archiveState, cfg segConfig, span rowSpan, trainPlan *preprocess.Plan) (builtSegment, error) {
+	md := st.md
+	st.assign = make([]int, md.rows)
+	hasModel := cfg.codeSize > 0
 	if hasModel && st.experts > 1 {
 		st.assign = (&nn.MoE{Experts: st.autoenc}).Assign(md.x, md.targets)
 	}
 	g := segmentData{
-		span:      rowSpan{aw.f.rows, md.rows},
-		planChunk: plan.AppendBinary(nil),
+		span:      span,
+		planChunk: md.plan.AppendBinary(nil),
 		perm:      identityPerm(md.rows),
 	}
 	if hasModel {
-		codesF, err := encodeCodes(aw.run, st.autoenc, st.assign, md.x)
+		codesF, err := encodeCodes(run, st.autoenc, st.assign, md.x)
 		if err != nil {
-			return err
+			return builtSegment{}, err
 		}
 		if st.grouped {
 			g.perm = groupedPerm(st.assign)
 		}
-		if g.rows, err = computeFailures(aw.run, &st, codesF, st.codeBits); err != nil {
-			return err
+		if g.rows, err = computeFailures(run, st, codesF, st.codeBits); err != nil {
+			return builtSegment{}, err
 		}
 	}
-	seg := buildSegment(chunk, md, st.assign, aw.cfg, g)
-	if aw.cfg.zoneMaps {
+	seg := buildSegment(chunk, md, st.assign, cfg, g)
+	if cfg.zoneMaps {
 		// A re-fit group's plan differs from the header's, so its zones are
 		// in the decoded domain.
-		seg.zones = computeGroupZones(chunk, g.perm, trainPlan, plan)
+		seg.zones = computeGroupZones(chunk, g.perm, trainPlan, md.plan)
 	}
-	return aw.f.segment(seg)
+	return seg, nil
 }
 
 // appendRows copies rows [lo, hi) of src onto dst (same schema).

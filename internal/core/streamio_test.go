@@ -175,9 +175,11 @@ func TestArchiveWriterOneGroupEqualsCompress(t *testing.T) {
 }
 
 // fallbackWriteAllocs measures what one ArchiveWriter.Write of rows lossless
-// high-cardinality numeric rows allocates, in 32-row groups: fallback
-// streams, no model, so that the stream codecs' and the writer's own costs
-// are all there is.
+// high-cardinality numeric rows, and the Close after it, allocate, in 32-row
+// groups: fallback streams, no model, so that the stream codecs' and the
+// writer's own costs are all there is. The measurement ends after Close,
+// which waits for the last group Write left compressing, so that every group
+// is inside it.
 func fallbackWriteAllocs(t *testing.T, rows int) (uint64, WriterStats) {
 	t.Helper()
 	schema := dataset.NewSchema(
@@ -202,10 +204,10 @@ func fallbackWriteAllocs(t *testing.T, rows int) (uint64, WriterStats) {
 	if err := aw.Write(tb); err != nil {
 		t.Fatal(err)
 	}
-	runtime.ReadMemStats(&after)
 	if err := aw.Close(); err != nil {
 		t.Fatal(err)
 	}
+	runtime.ReadMemStats(&after)
 	return after.TotalAlloc - before.TotalAlloc, aw.Stats()
 }
 
@@ -255,6 +257,99 @@ func TestArchiveWriterAutoCodecAllocs(t *testing.T) {
 	t.Logf("%d bytes per 32-row group", perGroup)
 	if perGroup > ceiling {
 		t.Errorf("a 32-row group allocates %d bytes, want at most %d", perGroup, ceiling)
+	}
+}
+
+// failingWriter counts its Write calls and fails the n-th and every one
+// after it; n 0 fails none.
+type failingWriter struct {
+	n, calls int
+}
+
+var errSinkFailed = errors.New("sink failed")
+
+func (w *failingWriter) Write(p []byte) (int, error) {
+	w.calls++
+	if w.n > 0 && w.calls >= w.n {
+		return 0, errSinkFailed
+	}
+	return len(p), nil
+}
+
+// The writer frames a group in the caller's goroutine, inside the Write that
+// fills the group after it or inside Close, so an io.Writer failing on its
+// n-th call fails exactly the call that makes it, and every call after that.
+// Nothing reaches the io.Writer before the first group has compressed, and
+// Stats between the calls counts the group compressing among the rows but
+// not among the groups — read while that group compresses, which the race
+// detector watches.
+func TestArchiveWriterErrorOrder(t *testing.T) {
+	opts := quickOpts()
+	opts.RowGroupSize = 100
+	tb := latentTable(400, 29)
+	// feed writes tb to w, one group per Write, then closes; it returns each
+	// call's error and w's call count after each call.
+	feed := func(w *failingWriter) (errs []error, calls []int) {
+		t.Helper()
+		aw, err := NewArchiveWriter(w, tb.Schema, []float64{0, 0, 0.05, 0.05, 0}, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for lo := 0; lo < tb.NumRows(); lo += 100 {
+			errs = append(errs, aw.Write(sliceRows(tb, lo, lo+100)))
+			calls = append(calls, w.calls)
+			if s := aw.Stats(); errs[len(errs)-1] == nil && (s.Rows != lo+100 || s.Groups != lo/100) {
+				t.Fatalf("after the Write of rows [%d, %d): stats %+v, want %d rows in %d framed groups", lo, lo+100, s, lo+100, lo/100)
+			}
+		}
+		errs = append(errs, aw.Close())
+		return errs, append(calls, w.calls)
+	}
+	errs, calls := feed(&failingWriter{})
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("call %d on a working io.Writer: %v", i, err)
+		}
+	}
+	if calls[0] != 0 {
+		t.Fatalf("the first Write made %d io.Writer calls while its group compressed, want 0", calls[0])
+	}
+	for n := 1; n <= calls[len(calls)-1]; n++ {
+		errs, _ := feed(&failingWriter{n: n})
+		for i, err := range errs {
+			if want := calls[i] >= n; errors.Is(err, errSinkFailed) != want || (!want && err != nil) {
+				t.Fatalf("io.Writer failing on call %d: call %d (of %d; %d io.Writer calls by its end on a working one) returned %v",
+					n, i, len(errs), calls[i], err)
+			}
+		}
+	}
+}
+
+// A writer dropped without Close while a group compresses leaks nothing: the
+// goroutine compressing it, and the pool helpers it took, end with the
+// group. Each writer here frames a training group and leaves a refit group
+// compressing.
+func TestArchiveWriterAbandonLeaksNothing(t *testing.T) {
+	opts := quickOpts()
+	opts.RowGroupSize = 100
+	opts.Parallelism = 2
+	tb := latentTable(200, 30)
+	base := runtime.NumGoroutine()
+	for range 3 {
+		aw, err := NewArchiveWriter(io.Discard, tb.Schema, []float64{0, 0, 0.05, 0.05, 0}, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := aw.Write(tb); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for n := runtime.NumGoroutine(); n > base; n = runtime.NumGoroutine() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines 10 s after the writers were dropped, %d before they were made", n, base)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -178,56 +178,7 @@ func (r *Run) Stats() []StageStats {
 // returned (item outputs must go to disjoint, index-addressed slots for
 // parallelism-independent results).
 func (r *Run) ForEach(n int, fn func(i int) error) error {
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if n <= 0 {
-		return nil
-	}
-	errs := make([]error, n)
-	var next atomic.Int64
-	var failed atomic.Bool
-	work := func() {
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= n || failed.Load() {
-				return
-			}
-			if err := r.ctx.Err(); err != nil {
-				errs[i] = err
-				failed.Store(true)
-				return
-			}
-			if err := fn(i); err != nil {
-				errs[i] = err
-				failed.Store(true)
-				return
-			}
-		}
-	}
-	var wg sync.WaitGroup
-spawn:
-	for extra := 0; extra < n-1; extra++ {
-		select {
-		case r.pool.sem <- struct{}{}:
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				defer func() { <-r.pool.sem }()
-				work()
-			}()
-		default:
-			break spawn // pool saturated: the caller handles the rest
-		}
-	}
-	work()
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return r.Err()
+	return r.ForEachWorker(n, func(_, i int) error { return fn(i) })
 }
 
 // ForEachWorker is ForEach with a worker identity: fn receives, besides the

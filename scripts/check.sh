@@ -186,12 +186,14 @@ step "uninstrumented tests"
 # decompression-bomb cap, single-goroutine work that skips raced; and the
 # long sweeps of the softmax, rank-to-class and fused range-decode pins and of
 # the read paths at every parallelism, which run a short trial raced.
-# The streaming reader's tests again on one P (GOMAXPROCS=1): the goroutine
-# decoding a group ahead and the caller rendering the group before it take
-# turns on it, an interleaving two Ps rarely produce.
+# The streaming reader's and writer's tests again on one P (GOMAXPROCS=1):
+# the goroutine decoding a group ahead and the caller rendering the group
+# before it, or the goroutine compressing a group and the caller parsing the
+# next, take turns on it, an interleaving two Ps rarely produce.
 go test -run='^TestWarmCachedQueryAllocs$' -count=1 ./internal/serve
 go test -run='^TestWriteCSVAllocs$' -count=1 ./internal/dataset
 GOMAXPROCS=1 go test -run='^(TestArchiveReader.*|TestConcurrentReaders|TestDecompressParallelDeterminism)$' -count=1 ./internal/core
+GOMAXPROCS=1 go test -run='^(TestArchiveWriter.*|TestStream.*|TestWriterFingerprint)$' -count=1 ./internal/core
 go test -run='^(TestWarmHandleQueryBytesSurviveGC|TestReaderReusesInferenceMemory|TestReaderReusesDecodeSlots|TestDecompressParallelDeterminism|TestArchiveWriterAutoCodecAllocs|TestArchiveWriterLargeWriteIsLinear|TestAutoUsesRangeCodecsOnSkewedData|TestResidualShrinksClickstream|TestClassAtRankMatchesReference)$' -count=1 ./internal/core
 go test -run='^(TestExpMatchesReference|TestExpReferenceMatchesMathExp|TestTanhReferenceMatchesMathTanh)$' -count=1 ./internal/mat
 go test -run='^TestSoftmaxMatchesReference$' -count=1 ./internal/nn
