@@ -19,7 +19,8 @@ import (
 // moves bytes has to edit them on purpose. The entries reach every way the
 // writer orders and cuts its streams: one group and several, the grouped
 // stored order and the per-tuple labels, sparse queues split across groups,
-// and the streaming writer's refit groups in both stored orders.
+// and the streaming writer's refit groups in both stored orders and with a
+// residual-digit column's packed dictionary.
 var writerFingerprints = []struct {
 	name       string
 	table      func() *dataset.Table
@@ -96,6 +97,23 @@ var writerFingerprints = []struct {
 		opts:       func() Options { return latentGroupOpts(false) },
 		writeRows:  70,
 		sha256:     "726dc9365fffb9170a61799d203a91f2a0375ff95dad4c6953dd943827ea9c83",
+	},
+	{
+		// The streaming writer on a residual-digit column: a training
+		// group, then refit groups that each ship their plan with its
+		// DEFLATE-packed dictionary.
+		name:       "stream-resbit",
+		table:      func() *dataset.Table { return clickTable(480, 40, 113) },
+		thresholds: func(*dataset.Table) []float64 { return []float64{0, 0, 0.05} },
+		opts: func() Options {
+			o := fingerprintOpts()
+			o.RowGroupSize = 120
+			o.Preproc.ResidualCats = true
+			o.Preproc.MaxModelCardinality = 16
+			return o
+		},
+		writeRows: 60,
+		sha256:    "162c06cda2c3cc4fb90da833eda4097ca25b09bf78e4de3b1010b9c5669ff15f",
 	},
 }
 
