@@ -29,12 +29,14 @@ func freshDeflate(payload []byte) []byte {
 
 // freshCompressInts is CompressInts as it was before candidates shared
 // scratch: one freshly allocated frame per eligible codec, tried in tag order
-// and replaced only when strictly smaller.
-func freshCompressInts(values []int64, mask Mask) []byte {
+// and replaced only when strictly smaller. gated offers DEFLATE only where
+// deflateMayPay admits it, as CompressInts does; ungated, it is offered to
+// every stream, as it was before the gate.
+func freshCompressInts(values []int64, mask Mask, gated bool) []byte {
 	mask = mask.normalize()
 	enc := colenc.EncodeBest(values)
 	best := append([]byte{TagStored}, enc...)
-	if mask&MaskDeflate != 0 {
+	if mask&MaskDeflate != 0 && (!gated || deflateMayPay(enc)) {
 		if f := freshDeflate(enc); len(f) < len(best) {
 			best = f
 		}
@@ -94,7 +96,8 @@ func streamCorpus() map[string][]int64 {
 // goroutines; none of it may show in a frame. Every stream of the corpus
 // under every mask, in a different order on each of 8 goroutines (a random
 // half of the jobs each), must come out byte for byte as the fresh-state
-// selector builds it: the same tag, the same bytes.
+// selector builds it under the same DEFLATE gate: the same tag, the same
+// bytes. (TestCompressIntsDeflateGate tests the gate itself.)
 func TestCompressIntsReusedStateIsByteIdentical(t *testing.T) {
 	type job struct {
 		name   string
@@ -107,7 +110,7 @@ func TestCompressIntsReusedStateIsByteIdentical(t *testing.T) {
 	bytesWant := map[string][]byte{} // the stream's ByteOnly frame, framed again as bytes
 	for name, values := range streamCorpus() {
 		for mask := Mask(0); mask <= Auto; mask++ {
-			want := freshCompressInts(values, mask)
+			want := freshCompressInts(values, mask, true)
 			tags[want[0]]++
 			jobs = append(jobs, job{name, values, mask, want})
 			if mask == ByteOnly {

@@ -7,8 +7,6 @@
 package preprocess
 
 import (
-	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -123,16 +121,10 @@ func (d *Dictionary) AppendBinary(dst []byte) []byte {
 // prefixes that DEFLATE folds away.
 func (d *Dictionary) appendPacked(dst []byte) []byte {
 	raw := d.AppendBinary(nil)
-	var buf bytes.Buffer
-	zw, err := flate.NewWriter(&buf, flate.BestCompression)
-	if err != nil {
-		panic(err) // only reachable with an invalid level constant
-	}
-	zw.Write(raw)
-	zw.Close()
+	body := codec.Deflate(raw)
 	dst = binary.AppendUvarint(dst, uint64(len(raw)))
-	dst = binary.AppendUvarint(dst, uint64(buf.Len()))
-	return append(dst, buf.Bytes()...)
+	dst = binary.AppendUvarint(dst, uint64(len(body)))
+	return append(dst, body...)
 }
 
 // decodePackedDictionary parses a dictionary serialized by appendPacked and

@@ -209,7 +209,10 @@ step "fuzz smoke"
 # worker: with the default two on a two-CPU box the time goes to baseline
 # coverage (≈ 30 executions in 10 s against thousands). FuzzDecompressInts
 # holds the integer-stream decoders — every frame tag, the ones writers no
-# longer build included — to "at most max values or ErrCorrupt". The bitio runs
+# longer build included — to "at most max values or ErrCorrupt", and
+# FuzzCompressInts the integer-stream writer to a round trip, one frame per
+# stream, the ungated selector's frame wherever its DEFLATE gate admits the
+# stream, and never more than the best frame without DEFLATE. The bitio runs
 # pin the word-at-a-time bit writer and reader to the bit-at-a-time references
 # kept in their test, the rangecoder run the fused adaptive decode loop to the
 # per-symbol decoder kept in its tests, and the dataset run the CSV writer to
@@ -218,6 +221,7 @@ go test -run='^$' -fuzz=FuzzDecompress -fuzztime=10s -parallel=1 ./internal/core
 go test -run='^$' -fuzz=FuzzArchiveReader -fuzztime=5s -parallel=1 ./internal/core
 go test -run='^$' -fuzz=FuzzSectionReader -fuzztime=5s -parallel=1 ./internal/core
 go test -run='^$' -fuzz=FuzzDecompressInts -fuzztime=5s -parallel=1 ./internal/codec
+go test -run='^$' -fuzz='^FuzzCompressInts$' -fuzztime=5s -parallel=1 ./internal/codec
 go test -run='^$' -fuzz=FuzzWriterMatchesReference -fuzztime=5s -parallel=1 ./internal/bitio
 go test -run='^$' -fuzz=FuzzReaderMatchesReference -fuzztime=5s -parallel=1 ./internal/bitio
 go test -run='^$' -fuzz=FuzzDecodeAdaptiveMatchesReference -fuzztime=5s -parallel=1 ./internal/rangecoder
